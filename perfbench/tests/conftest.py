@@ -1,0 +1,12 @@
+"""Make the benchmark modules and the checkout's lgmirror importable.
+
+Run with:  python3 -m pytest perfbench/tests
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+for path in (BENCH, BENCH.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
