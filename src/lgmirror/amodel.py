@@ -29,8 +29,8 @@ from math import isqrt
 
 from .errors import ConcavityViolated, InconsistentInput, UnsupportedByTheorem, WrongConfiguration
 from .groups import GroupElement
-from .jacobi import standard_basis
-from .mirror import require_mirror_hypotheses, sector_of
+from .jacobi import ring_of
+from .mirror import final_type_insertions, require_mirror_hypotheses, sector_of
 from .poly import AtomicSummand, InvertiblePolynomial, reassemble
 from .selection import line_bundle_degrees
 
@@ -204,19 +204,9 @@ def _final_type_sectors(W: InvertiblePolynomial, target: int) -> list[GroupEleme
     M_t is the t-th monomial of the transpose and top the socle monomial
     of its milnor ring.
     """
-    t = target - 1
-    theta_m = tuple(1 if i == t else 0 for i in range(W.N))
-    row_t = tuple(W.E[i][t] for i in range(W.N))  # transpose row = E column
-    if row_t[t] < 2:
-        raise WrongConfiguration(f"variable {target} appears only linearly")
-    s_m = tuple(row_t[i] - (2 if i == t else 0) for i in range(W.N))
-    top = standard_basis(W.transpose()).top
-    return [
-        sector_of(W, theta_m),
-        sector_of(W, theta_m),
-        sector_of(W, s_m),
-        sector_of(W, top),
-    ]
+    x, s, _ = final_type_insertions(W, target)
+    top = ring_of(W.transpose()).top
+    return [sector_of(W, x), sector_of(W, x), sector_of(W, s), sector_of(W, top)]
 
 
 def guere_correlator(W: InvertiblePolynomial) -> Fraction:

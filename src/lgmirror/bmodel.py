@@ -30,14 +30,14 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .amodel import admissible_target
 from .errors import WrongConfiguration
-from .jacobi import JacobiRing
+from .jacobi import ring_of
 from .linalg import determinant, invert
+from .mirror import final_type_insertions
 from .poly import InvertiblePolynomial
 
 Monomial = tuple[int, ...]
@@ -151,27 +151,6 @@ class LatticeElement:
         return "LatticeElement(" + " + ".join(bits) + ")"
 
 
-@lru_cache(maxsize=256)
-def _ring(f: InvertiblePolynomial) -> JacobiRing:
-    return JacobiRing(f)
-
-
-def element_weight(f: InvertiblePolynomial, e: LatticeElement):
-    """Weight of a homogeneous element, wt(z) = 1 and wt([d^Nx]) = sum(q_i).
-
-    Returns the common weight of all terms, or None when the element is
-    zero or mixes weights.
-    """
-    ring = _ring(f)
-    offset = sum(f.q, Fraction(0))
-    seen = {
-        k + ring.wt(m) + offset for k, poly in e.terms.items() for m in poly
-    }
-    if len(seen) == 1:
-        return seen.pop()
-    return None
-
-
 def brieskorn_reduce(
     f: InvertiblePolynomial, e: LatticeElement, steps: list | None = None
 ) -> LatticeElement:
@@ -184,7 +163,7 @@ def brieskorn_reduce(
     is a bug signal, not a tunable.  When ``steps`` is a list, one record
     per pass is appended for auditing.
     """
-    ring = _ring(f)
+    ring = ring_of(f)
     out: dict[int, dict[Monomial, Fraction]] = {}
     pending = {k: dict(p) for k, p in e.terms.items()}
     passes = 0
@@ -351,7 +330,7 @@ def good_basis_check(f: InvertiblePolynomial) -> GoodBasisReport:
     if len(f.summands) != 1:
         raise WrongConfiguration("good-basis verification expects one atomic summand")
     kind = f.summands[0].kind
-    ring = _ring(f)
+    ring = ring_of(f)
     n = f.N
     order = _monomial_order(f)
     rows = [[int(v) for v in f.E[r]] for r in order]
@@ -470,7 +449,7 @@ def perturbative_expand(f: InvertiblePolynomial, order: int) -> SeriesState:
     """
     if not 0 <= order <= 3:
         raise WrongConfiguration("the expansion is supported up to order 3 only")
-    ring = _ring(f)
+    ring = ring_of(f)
     basis = ring.basis.monomials
     mu = len(basis)
     unit = (0,) * f.N
@@ -520,12 +499,9 @@ def sg_four_point(W: InvertiblePolynomial, i: int) -> Fraction:
     """
     piece, local = admissible_target(W, i)
     f = piece.transpose()
-    ring = _ring(f)
+    ring = ring_of(f)
     n = f.N
-    t = local - 1
-    target_monomial = tuple(piece.E[j][t] for j in range(n))
-    x = tuple(1 if j == t else 0 for j in range(n))
-    s = tuple(e - 2 if j == t else e for j, e in enumerate(target_monomial))
+    x, s, target_monomial = final_type_insertions(piece, local)
     for insertion in (x, s):
         assert insertion in ring.basis.index, "insertion outside the standard basis"
 

@@ -30,7 +30,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .amodel import FourPointResult, four_point_report
+from .amodel import FourPointResult, admissible_target, four_point_report
 from .bmodel import LatticeElement, brieskorn_reduce, sg_four_point
 from .errors import (
     InconsistentInput,
@@ -39,8 +39,8 @@ from .errors import (
     WrongConfiguration,
 )
 from .groups import GroupCapExceeded, enumerate_group, sector_kind
-from .jacobi import JacobiRing
-from .mirror import degree_check, psi
+from .jacobi import ring_of
+from .mirror import degree_check, final_type_insertions, psi
 from .poly import InvertiblePolynomial, NotInvertibleShape, PolynomialSyntaxError
 from .selection import CorrelatorSpec, classify_type, passes_axioms
 from .wdvv import fermat_closure, format_monomial, loop_square_chain
@@ -146,7 +146,7 @@ def decoration_lines(result: FourPointResult) -> list[str]:
 
 def reduction_trace(piece: InvertiblePolynomial, local: int) -> list[dict]:
     """Reduction trail of [M_i d^Nx] in the Brieskorn lattice of the summand."""
-    target = tuple(piece.E[j][local - 1] for j in range(piece.N))
+    _, _, target = final_type_insertions(piece, local)
     steps: list[dict] = []
     brieskorn_reduce(piece, LatticeElement.from_poly(target), steps)
     return [
@@ -203,7 +203,7 @@ def verification_report(W: InvertiblePolynomial, trace: bool = False) -> dict:
         }
         if trace:
             entry["decorations"] = [decoration_json(d) for d in result.decorations]
-            entry["reduction"] = reduction_trace(*_admissible(W, i))
+            entry["reduction"] = reduction_trace(*admissible_target(W, i))
         variables.append(entry)
     hypothesis = bool(W.weight_half_variables())
     mismatch = any(not v["matched"] for v in variables)
@@ -217,12 +217,6 @@ def verification_report(W: InvertiblePolynomial, trace: bool = False) -> dict:
         "hypothesis_violation": hypothesis,
         "timing_ms": round((time.perf_counter() - t0) * 1000, 2),
     }
-
-
-def _admissible(W: InvertiblePolynomial, i: int):
-    from .amodel import admissible_target
-
-    return admissible_target(W, i)
 
 
 def cmd_verify(args) -> int:
@@ -316,7 +310,7 @@ def cmd_classify(args) -> int:
 def cmd_mirror(args) -> int:
     W = load_polynomial(args)
     WT = W.transpose()
-    ring = JacobiRing(WT)
+    ring = ring_of(WT)
     classes = []
     for m in ring.basis.monomials:
         img = psi(W, m)
@@ -376,7 +370,7 @@ def cmd_mirror(args) -> int:
 
 def cmd_jacobi(args) -> int:
     W = load_polynomial(args)
-    ring = JacobiRing(W)
+    ring = ring_of(W)
     monomials = [format_monomial(m) for m in ring.basis.monomials]
     document = {
         "command": "jacobi",
@@ -397,7 +391,7 @@ def cmd_jacobi(args) -> int:
         table = []
         for i, a in enumerate(ring.basis.monomials):
             for j, b in enumerate(ring.basis.monomials[i:], start=i):
-                prod = ring.multiply(ring.element(a), ring.element(b))
+                prod = ring.multiply(ring.reduce(a), ring.reduce(b))
                 if prod.is_zero():
                     continue
                 table.append(
@@ -427,18 +421,14 @@ def cmd_jacobi(args) -> int:
 def _standard_candidates(W: InvertiblePolynomial):
     """The final-type correlator of each admissible variable, as exponent
     tuples in the transposed Jacobi ring."""
-    from .amodel import admissible_target
-
-    ring = JacobiRing(W.transpose())
+    top = ring_of(W.transpose()).top
     for i in range(1, W.N + 1):
         try:
             admissible_target(W, i)
         except UnsupportedByTheorem:
             continue
-        x = tuple(1 if j == i - 1 else 0 for j in range(W.N))
-        m_i = tuple(W.E[j][i - 1] for j in range(W.N))
-        s = tuple(m_i[j] - 2 * x[j] for j in range(W.N))
-        yield i, [x, x, s, ring.top]
+        x, s, _ = final_type_insertions(W, i)
+        yield i, [x, x, s, top]
 
 
 def cmd_axioms(args) -> int:
@@ -499,7 +489,7 @@ def cmd_correlator(args) -> int:
         "q_i": None,
     }
     lines = [f"polynomial: {document['polynomial']}"]
-    piece, local = _admissible(W, i)  # validates i before any evaluation
+    piece, local = admissible_target(W, i)  # validates i before any evaluation
     document["q_i"] = frac(W.q[i - 1])
     if args.side in ("A", "both"):
         result = four_point_report(W, i)

@@ -60,14 +60,6 @@ def identity(n: int) -> GroupElement:
     return GroupElement((Fraction(0),) * n)
 
 
-def compose(g: GroupElement, h: GroupElement) -> GroupElement:
-    return g * h
-
-
-def inverse(g: GroupElement) -> GroupElement:
-    return g.inverse()
-
-
 @dataclass(frozen=True)
 class SectorKind:
     narrow: bool
@@ -97,10 +89,6 @@ def grading_element(W: InvertiblePolynomial) -> GroupElement:
     return GroupElement(tuple(_frac(qi) for qi in W.q))
 
 
-def group_order(W: InvertiblePolynomial) -> int:
-    return W.group_order()
-
-
 def group_cap() -> int:
     raw = os.environ.get("LGMIRROR_GROUP_CAP", "")
     if raw:
@@ -117,7 +105,7 @@ def enumerate_group(W: InvertiblePolynomial, cap: int | None = None) -> list[Gro
     (LGMIRROR_GROUP_CAP, default 10^5)."""
     if cap is None:
         cap = group_cap()
-    order = group_order(W)
+    order = W.group_order()
     if order > cap:
         raise GroupCapExceeded(
             f"group has {order} elements, cap is {cap} "

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as cartesian
 
 from . import linalg
@@ -342,9 +343,6 @@ class JacobiRing:
                 acc[i] = acc.get(i, Fraction(0)) + Fraction(c) * c2
         return RingElement.from_dict(acc)
 
-    def element(self, p) -> RingElement:
-        return self.reduce(p)
-
     @property
     def one(self) -> RingElement:
         return self.reduce((0,) * self.n)
@@ -450,8 +448,13 @@ class JacobiRing:
         return RingElement.from_dict(nf_acc), quot
 
 
-def standard_basis(f: InvertiblePolynomial) -> StandardBasis:
-    return JacobiRing(f).basis
+@lru_cache(maxsize=256)
+def ring_of(f: InvertiblePolynomial) -> JacobiRing:
+    """The shared Jac(f): one ring per polynomial, built on first use.
+
+    Every caller of a given f gets the same object, so treat it as
+    read-only; ``JacobiRing(f)`` builds a private copy."""
+    return JacobiRing(f)
 
 
 # ---------------------------------------------------------------------------

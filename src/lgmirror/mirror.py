@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UnsupportedByTheorem
-from .groups import GroupElement, _frac, grading_element, sector_degree
+from .errors import UnsupportedByTheorem, WrongConfiguration
+from .groups import GroupElement, _frac, sector_degree
+from .jacobi import ring_of
 from .poly import InvertiblePolynomial
 
 Monomial = tuple[int, ...]
@@ -65,6 +66,19 @@ def sector_of(W: InvertiblePolynomial, m: Monomial) -> GroupElement:
     return GroupElement(tuple(phases))
 
 
+def final_type_insertions(W: InvertiblePolynomial, i: int) -> tuple[Monomial, Monomial, Monomial]:
+    """(x_i, M_i/x_i^2, M_i) as exponent tuples of Jac(Wᵗ), for 1-based i.
+
+    M_i is the i-th monomial of the transpose, i.e. column i of E."""
+    t = i - 1
+    m = tuple(row[t] for row in W.E)
+    if m[t] < 2:
+        raise WrongConfiguration(f"variable {i} appears only linearly")
+    x = tuple(1 if j == t else 0 for j in range(W.N))
+    s = tuple(e - 2 * xj for e, xj in zip(m, x))
+    return x, s, m
+
+
 def psi(W: InvertiblePolynomial, m: Monomial) -> AModelClass:
     """Mirror image of the Jac(Wᵗ) monomial m = ∏x_j^{α_j}."""
     require_mirror_hypotheses(W)
@@ -82,9 +96,7 @@ def psi(W: InvertiblePolynomial, m: Monomial) -> AModelClass:
 def degree_check(W: InvertiblePolynomial) -> list[dict]:
     """Exhaustive degree-preservation check over the standard basis of
     Jac(Wᵗ); returns the (expected empty) list of violations."""
-    from .jacobi import JacobiRing
-
-    ring = JacobiRing(W.transpose())
+    ring = ring_of(W.transpose())
     violations = []
     for m in ring.basis.monomials:
         img = psi(W, m)
@@ -92,7 +104,3 @@ def degree_check(W: InvertiblePolynomial) -> list[dict]:
             violations.append({"monomial": m, "wt": ring.wt(m),
                                "deg": img.degree})
     return violations
-
-
-def grading_sector(W: InvertiblePolynomial) -> GroupElement:
-    return grading_element(W)

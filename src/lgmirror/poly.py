@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -64,25 +64,37 @@ class InvertiblePolynomial:
     summands: tuple[AtomicSummand, ...]
     q: tuple[Fraction, ...]
     charge: Fraction
+    E_inv: tuple[tuple[Fraction, ...], ...] = field(compare=False, repr=False)
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def from_exponent_matrix(E) -> "InvertiblePolynomial":
-        E = tuple(tuple(int(e) for e in row) for row in E)
+        if not isinstance(E, (list, tuple)) or not all(
+                isinstance(row, (list, tuple)) for row in E):
+            raise PolynomialSyntaxError("exponent matrix must be a list of rows")
+        # type, not isinstance: JSON true is a bool, which must not read as 1
+        if any(type(e) is not int for row in E for e in row):
+            raise PolynomialSyntaxError("exponents must be integers")
+        E = tuple(tuple(row) for row in E)
         n = len(E)
         if n == 0 or any(len(row) != n for row in E):
             raise PolynomialSyntaxError("exponent matrix must be square and nonempty")
         if any(e < 0 for row in E for e in row):
             raise PolynomialSyntaxError("negative exponent")
         summands = _classify_rows(E)
-        q = tuple(weights_from_matrix(E))
+        try:
+            E_inv = tuple(tuple(row) for row in linalg.invert(E))
+        except ValueError as exc:
+            raise NotInvertibleShape("exponent matrix is singular") from exc
+        # the weights solve E·q = (1,…,1)ᵗ: the row sums of E⁻¹
+        q = tuple(sum(row, Fraction(0)) for row in E_inv)
         if not all(0 < qi <= Fraction(1, 2) for qi in q):
             # weights outside (0,1/2] cannot arise from an atomic sum with
             # all a_i >= 2; guard anyway so bad matrices fail loudly.
             raise NotInvertibleShape(f"weights {q} out of range (0,1/2]")
         charge = sum((1 - 2 * qi for qi in q), Fraction(0))
-        return InvertiblePolynomial(n, E, tuple(summands), q, charge)
+        return InvertiblePolynomial(n, E, tuple(summands), q, charge, E_inv)
 
     @staticmethod
     def from_string(text: str) -> "InvertiblePolynomial":
@@ -100,9 +112,9 @@ class InvertiblePolynomial:
 
     # -- derived data ---------------------------------------------------
 
-    def inverse_exponents(self) -> list[list[Fraction]]:
+    def inverse_exponents(self) -> tuple[tuple[Fraction, ...], ...]:
         """E⁻¹ exactly; entry [i][j] is ρ_j^{(i)}."""
-        return linalg.invert(self.E)
+        return self.E_inv
 
     def transpose(self) -> "InvertiblePolynomial":
         return InvertiblePolynomial.from_exponent_matrix(
@@ -294,19 +306,7 @@ def reassemble(summands, n: int) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# weights and inverse-matrix closed forms
-
-def weights_from_matrix(E) -> list[Fraction]:
-    """The unique exact solution of E·q = (1,…,1)ᵗ, i.e. the row sums of E⁻¹."""
-    try:
-        return linalg.solve(E, [1] * len(E))
-    except ValueError as exc:
-        raise NotInvertibleShape("exponent matrix is singular") from exc
-
-
-def fermat_inverse_entries(a: int) -> list[list[Fraction]]:
-    return [[Fraction(1, a)]]
-
+# inverse-matrix closed forms
 
 def chain_inverse_entries(a) -> list[list[Fraction]]:
     """Closed form for E⁻¹ of the chain x_1^{a_1}x_2 + … + x_N^{a_N}:

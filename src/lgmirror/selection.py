@@ -13,13 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from . import linalg
 from .errors import WrongConfiguration
 from .groups import GroupElement
-from .jacobi import StandardBasis, standard_basis
+from .jacobi import ring_of
 from .poly import InvertiblePolynomial
 
 NOT_X_MINUS_1 = "NotXminus1"
@@ -89,11 +88,6 @@ def line_bundle_degrees(W: InvertiblePolynomial, sectors: list[GroupElement]) ->
     return [W.q[j] * (k - 2) - sum(g.phases[j] for g in sectors) for j in range(W.N)]
 
 
-@lru_cache(maxsize=None)
-def _transpose_basis(W: InvertiblePolynomial) -> StandardBasis:
-    return standard_basis(W.transpose())
-
-
 def passes_axioms(W: InvertiblePolynomial, X: CorrelatorSpec) -> bool:
     """Both cheap vanishing axioms: dimension and integer degrees.
 
@@ -106,10 +100,6 @@ def passes_axioms(W: InvertiblePolynomial, X: CorrelatorSpec) -> bool:
     if total != W.charge + X.k - 3:
         return False
     return all(K.denominator == 1 for K in X.K)
-
-
-def k_vector(W: InvertiblePolynomial, X: CorrelatorSpec) -> tuple[Fraction, ...]:
-    return X.K
 
 
 def classify_type(W: InvertiblePolynomial, X: CorrelatorSpec) -> str:
@@ -125,7 +115,7 @@ def classify_type(W: InvertiblePolynomial, X: CorrelatorSpec) -> str:
         return NOT_X_MINUS_1
     if sum(X.ell) != X.k - 2:
         return NOT_X_MINUS_1
-    index = _transpose_basis(W).index
+    index = ring_of(W.transpose()).basis.index
     if X.alpha not in index or X.beta not in index:
         return NOT_X_MINUS_1
     if any(K.denominator != 1 for K in X.K):
@@ -151,7 +141,7 @@ def enumerate_candidates(W: InvertiblePolynomial, k_max: int = 6):
     Intended for property tests at desk scale; the degree cap is what the
     dimension axiom allows for k <= 6.
     """
-    basis = _transpose_basis(W)
+    basis = ring_of(W.transpose()).basis
     qt = W.transpose().q
     wt = {m: sum(Fraction(e) * qt[i] for i, e in enumerate(m)) for m in basis.monomials}
     bound = W.charge + 3

@@ -26,8 +26,9 @@ from fractions import Fraction
 
 from .amodel import fjrw_four_point
 from .errors import InconsistentInput, UnderdeterminedSystem, WrongConfiguration
-from .jacobi import JacobiRing, RingElement
+from .jacobi import JacobiRing, RingElement, ring_of
 from .linalg import identity, invert, mat_mul
+from .mirror import final_type_insertions
 from .poly import InvertiblePolynomial
 
 Monomial = tuple[int, ...]
@@ -272,16 +273,6 @@ def primitivity(ring: JacobiRing, m: Monomial) -> bool:
 # worked reconstructions
 
 
-def _standard_insertions(W: InvertiblePolynomial, i: int):
-    """(x_i, x_i, M_i/x_i^2, top) as monomials of the mirror ring."""
-    n = W.N
-    t = i - 1
-    target = tuple(W.E[j][t] for j in range(n))
-    x = tuple(1 if j == t else 0 for j in range(n))
-    s = tuple(e - 2 if j == t else e for j, e in enumerate(target))
-    return x, s
-
-
 def fermat_closure(W: InvertiblePolynomial):
     """Reconstruct the whole four-point sector of a Fermat sum.
 
@@ -297,17 +288,17 @@ def fermat_closure(W: InvertiblePolynomial):
         raise WrongConfiguration("the closure applies to sums of Fermat monomials")
     if any(s.exponents[0] < 3 for s in W.summands):
         raise WrongConfiguration("Fermat exponents must be at least 3")
-    ring = JacobiRing(W.transpose())
+    ring = ring_of(W.transpose())
     table = CorrelatorTable(ring)
     n = W.N
     a = [W.E[j][j] for j in range(n)]
     top = ring.basis.top
     for j in range(n):
-        x, s = _standard_insertions(W, j + 1)
+        x, s, _ = final_type_insertions(W, j + 1)
         table.set((x, x, s, top), fjrw_four_point(W, j + 1))
     chain = []
     for j in range(n):
-        x, s = _standard_insertions(W, j + 1)
+        x, s, _ = final_type_insertions(W, j + 1)
         rest = tuple(e if k != j else 0 for k, e in enumerate(top))
         for alpha in itertools.product(*(range(e + 1) for e in rest)):
             beta = tuple(r - al for r, al in zip(rest, alpha))
@@ -340,7 +331,7 @@ def loop_square_chain(a: int):
     if a <= 2:
         raise WrongConfiguration("the chain needs the non-square exponent above 2")
     W = InvertiblePolynomial.from_string(f"x1^{a}*x2 + x2^2*x1")
-    ring = JacobiRing(W.transpose())
+    ring = ring_of(W.transpose())
     table = CorrelatorTable(ring)
     x1, x2 = (1, 0), (0, 1)
     top = ring.basis.top

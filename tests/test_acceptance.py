@@ -12,8 +12,9 @@ from itertools import combinations_with_replacement, product as cartesian
 
 from lgmirror.amodel import four_point_report, fjrw_four_point, wdvv_case1
 from lgmirror.bmodel import good_basis_check, perturbative_expand, sg_four_point
+from lgmirror.groups import grading_element
 from lgmirror.jacobi import JacobiRing, oracle_quotient
-from lgmirror.mirror import degree_check, grading_sector, sector_of
+from lgmirror.mirror import degree_check, sector_of
 from lgmirror.poly import AtomicSummand, InvertiblePolynomial, reassemble
 from lgmirror.selection import CorrelatorSpec
 
@@ -252,12 +253,12 @@ def test_criterion_7_three_point_selection_invariant():
         ]
         for p in primitives:
             pw = ring.wt(p)
-            pe = ring.element(p)
+            pe = ring.reduce(p)
             for alpha, beta in combinations_with_replacement(basis, 2):
                 if pw + ring.wt(alpha) + ring.wt(beta) != charge:
                     continue
                 pairing = ring.residue_pairing(
-                    ring.multiply(pe, ring.element(alpha)), ring.element(beta)
+                    ring.multiply(pe, ring.reduce(alpha)), ring.reduce(beta)
                 )
                 if pairing == 0:
                     continue
@@ -299,7 +300,7 @@ def test_criterion_8_mirror_map_checks():
         basis = ring.basis.monomials
         monomials += len(basis)
         # product law: sectors compose up to one grading shift
-        J = grading_sector(W)
+        J = grading_element(W)
         for m1, m2 in combinations_with_replacement(basis, 2):
             m12 = tuple(a + b for a, b in zip(m1, m2))
             assert sector_of(W, m1) * sector_of(W, m2) == sector_of(W, m12) * J

@@ -10,14 +10,13 @@ from lgmirror.amodel import fjrw_four_point
 from lgmirror.bmodel import (
     LatticeElement,
     brieskorn_reduce,
-    element_weight,
     good_basis_check,
     pairing_solution,
     perturbative_expand,
     sg_four_point,
 )
 from lgmirror.errors import UnsupportedByTheorem, WrongConfiguration
-from lgmirror.jacobi import JacobiRing
+from lgmirror.jacobi import JacobiRing, ring_of
 from lgmirror.linalg import solve
 from lgmirror.poly import AtomicSummand, InvertiblePolynomial, reassemble
 
@@ -44,6 +43,15 @@ def assemble(*pieces):
 def weights_oracle(W):
     """Solve E q = (1, ..., 1) directly."""
     return solve([list(row) for row in W.E], [F(1)] * W.N)
+
+
+def element_weight(f, e):
+    """Common weight of the terms of e, wt(z) = 1 and wt([d^Nx]) = sum(q_i);
+    None when e is zero or mixes weights."""
+    ring = ring_of(f)
+    offset = sum(f.q, F(0))
+    seen = {k + ring.wt(m) + offset for k, poly in e.terms.items() for m in poly}
+    return seen.pop() if len(seen) == 1 else None
 
 
 def one(n):

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from lgmirror import cli
+from lgmirror.jacobi import JacobiRing, ring_of
+from lgmirror.poly import InvertiblePolynomial
 
 RATIONAL = re.compile(r"^-?\d+/\d+$")
 
@@ -109,6 +111,23 @@ class TestVerifyExitCodes:
         assert code == 2
 
 
+def test_verify_builds_one_ring_per_piece(monkeypatch):
+    """The A side's top and the B side's reduction share Jac of each rotated
+    piece's transpose: four distinct pieces, four ring builds."""
+    built = []
+    init = JacobiRing.__init__
+
+    def counting_init(self, f):
+        built.append(f)
+        init(self, f)
+
+    ring_of.cache_clear()
+    monkeypatch.setattr(JacobiRing, "__init__", counting_init)
+    W = InvertiblePolynomial.from_string("x1^5*x2+x2^6*x3+x3^7*x4+x4^8*x1")
+    assert cli.verification_report(W)["overall"] == "pass"
+    assert len(built) == 4
+
+
 class TestInputHandling:
     def test_expression_file(self, capsys, tmp_path):
         p = tmp_path / "w.txt"
@@ -133,6 +152,21 @@ class TestInputHandling:
         p = tmp_path / "w.json"
         p.write_text('{"E": oops')
         assert run(capsys, "verify", "--input", str(p))[0] == 2
+
+    @pytest.mark.parametrize("blob", [
+        '{"E": "abc"}',
+        '{"E": [3]}',
+        '{"E": [[3.5]]}',
+        '{"E": [["3"]]}',
+        '{"E": [[3, true], [0, 4]]}',
+    ])
+    def test_malformed_exponent_matrix_exits_2(self, capsys, tmp_path, blob):
+        p = tmp_path / "w.json"
+        p.write_text(blob)
+        code, out, err = run(capsys, "verify", "--input", str(p))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
 
 class TestReportShape:

@@ -49,7 +49,6 @@ def test_compose_inverse_identity():
     P = W("x1^2*x2 + x2^4*x1")
     g = groups.generator_rho(P, 1)
     assert (g * g.inverse()).is_identity()
-    assert groups.compose(g, groups.inverse(g)).is_identity()
     assert g ** 7 == groups.identity(2)     # group order 7
 
 
@@ -66,9 +65,9 @@ def test_sector_kind():
 
 
 def test_group_order_multiplicative_over_summands():
-    assert groups.group_order(W("x1^4")) == 4
-    assert groups.group_order(W("x1^2*x2 + x2^2*x1")) == 3
-    assert groups.group_order(W("x1^2*x2 + x2^2*x1 + x3^4")) == 12
+    assert W("x1^4").group_order() == 4
+    assert W("x1^2*x2 + x2^2*x1").group_order() == 3
+    assert W("x1^2*x2 + x2^2*x1 + x3^4").group_order() == 12
 
 
 @pytest.mark.parametrize("text", [
@@ -80,7 +79,7 @@ def test_group_order_multiplicative_over_summands():
 def test_enumeration_matches_determinant(text):
     P = W(text)
     elements = groups.enumerate_group(P)
-    assert len(elements) == groups.group_order(P)
+    assert len(elements) == P.group_order()
     assert len(set(elements)) == len(elements)
 
 

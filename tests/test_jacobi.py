@@ -4,7 +4,7 @@ from itertools import product as cartesian
 import pytest
 
 from lgmirror import linalg
-from lgmirror.jacobi import JacobiRing, RingElement, oracle_quotient, standard_basis
+from lgmirror.jacobi import JacobiRing, RingElement, oracle_quotient, ring_of
 from lgmirror.poly import InvertiblePolynomial
 
 F = Fraction
@@ -75,9 +75,12 @@ def test_top_weight_is_central_charge():
         assert same == [R.top]
 
 
-def test_standard_basis_helper_matches_ring():
-    W = InvertiblePolynomial.from_string("x1^3*x2 + x2^4")
-    assert standard_basis(W).monomials == JacobiRing(W).basis.monomials
+def test_ring_of_is_shared_and_matches_ring():
+    f = InvertiblePolynomial.from_string("x1^3*x2 + x2^4")
+    g = InvertiblePolynomial.from_string("x1^3*x2 + x2^4")
+    assert f is not g
+    assert ring_of(f) is ring_of(g)
+    assert ring_of(f).basis == JacobiRing(f).basis
 
 
 @pytest.mark.parametrize("c", [
@@ -181,7 +184,7 @@ def basis_elements(R):
 def test_unit_and_top_pairing():
     for text in RINGS:
         R = ring(text)
-        top = R.element(R.top)
+        top = R.reduce(R.top)
         assert R.residue_pairing(R.one, top) == 1
         assert R.monomial_of(R.multiply(R.one, top)) == {R.top: F(1)}
 
@@ -190,8 +193,8 @@ def test_fermat_pairing_antidiagonal():
     a = 6
     R = ring(f"x1^{a}")
     for r in range(a - 1):
-        x_r = R.element((r,))
-        x_dual = R.element((a - 2 - r,))
+        x_r = R.reduce((r,))
+        x_dual = R.reduce((a - 2 - r,))
         assert R.residue_pairing(x_r, x_dual) == 1
 
 

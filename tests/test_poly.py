@@ -13,7 +13,6 @@ from lgmirror.poly import (
     loop_inverse_entries,
     parse_exponent_matrix,
     reassemble,
-    weights_from_matrix,
 )
 
 F = Fraction
@@ -146,6 +145,12 @@ def test_transpose_is_involution_and_preserves_charge():
     assert Wt.transpose().E == W.E
     assert Wt.charge == W.charge
     assert W.group_order() == Wt.group_order()
+
+
+def test_inverse_is_computed_once():
+    W = InvertiblePolynomial.from_string("x1^3*x2 + x2^2*x3 + x3^4*x1")
+    assert W.inverse_exponents() is W.inverse_exponents()
+    assert [list(row) for row in W.inverse_exponents()] == linalg.invert(W.E)
 
 
 def test_chain_transpose_shape():

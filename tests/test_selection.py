@@ -16,7 +16,6 @@ from lgmirror.selection import (
     CorrelatorSpec,
     classify_type,
     enumerate_candidates,
-    k_vector,
     line_bundle_degrees,
     passes_axioms,
 )
@@ -78,7 +77,6 @@ def test_fermat_final_type(a):
     X = CorrelatorSpec.build(W, [(1,), (1,), (a - 2,), (a - 2,)])
     assert X.b == (F(2),)
     assert X.K == (F(1),)
-    assert k_vector(W, X) == (F(1),)
     assert passes_axioms(W, X)
     assert classify_type(W, X) == X_0
 
@@ -177,8 +175,8 @@ def test_nonzero_three_point_constants_pass_axioms(expr):
     primitives = [m for m in basis if sum(m) == 1]
     checked = 0
     for p, (mb, mc) in product(primitives, combinations_with_replacement(basis, 2)):
-        prod = ring.multiply(ring.element(p), ring.element(mb))
-        if ring.residue_pairing(prod, ring.element(mc)) == 0:
+        prod = ring.multiply(ring.reduce(p), ring.reduce(mb))
+        if ring.residue_pairing(prod, ring.reduce(mc)) == 0:
             continue
         X = CorrelatorSpec.build(W, [p, mb, mc])
         assert all(K.denominator == 1 for K in X.K)
