@@ -27,16 +27,14 @@ part the gradient of the genus-zero potential.  This module implements
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .amodel import admissible_target
 from .errors import WrongConfiguration
 from .jacobi import ring_of
-from .linalg import determinant, invert
 from .mirror import final_type_insertions
 from .poly import InvertiblePolynomial
 
@@ -305,14 +303,18 @@ def _allowed_families(kind: str, n: int) -> set[tuple[int, ...]]:
     return fams
 
 
+def _ordered_inverse(f: InvertiblePolynomial, order: list[int]) -> list[list[Fraction]]:
+    """E⁻¹ with its columns taken in ``order``: the inverse of the
+    row-reordered matrix, so k = (m + 2) . result in monomial order."""
+    return [[row[r] for r in order] for row in f.E_inv]
+
+
 def pairing_solution(f: InvertiblePolynomial, m: Monomial) -> tuple[int, ...] | None:
     """The integer vector k with k . E_f = m + 2, in intrinsic monomial
     order, or None when the exact solution is not integral."""
-    order = _monomial_order(f)
-    rows = [f.E[r] for r in order]
-    inv = invert(rows)
+    inv = _ordered_inverse(f, _monomial_order(f))
     rhs = [mi + 2 for mi in m]
-    k = [sum(rhs[j] * inv[j][i] for j in range(len(rows))) for i in range(len(rows))]
+    k = [sum(r * a for r, a in zip(rhs, column)) for column in zip(*inv)]
     if any(v.denominator != 1 for v in k):
         return None
     return tuple(int(v) for v in k)
@@ -326,63 +328,54 @@ def good_basis_check(f: InvertiblePolynomial) -> GoodBasisReport:
     integer solution; the report checks that every such k falls in the
     allowed family for the atomic type and that deg(x^m) equals the
     central charge, which places the pairing weight at z^N exactly.
+
+    The sums m with integral k form a lattice of index |det E_f|, so the
+    classes are found by walking the box of possible sums and keeping its
+    lattice points; each class's pairs are then counted by set lookups.
     """
     if len(f.summands) != 1:
         raise WrongConfiguration("good-basis verification expects one atomic summand")
     kind = f.summands[0].kind
-    ring = ring_of(f)
-    n = f.N
-    order = _monomial_order(f)
-    rows = [[int(v) for v in f.E[r]] for r in order]
-    inv = invert(rows)
-    # integer adjugate: adj = det * inv, so k is integral iff det | (m+2).adj
-    det_fr = determinant(rows)
-    det = int(det_fr)
-    adj_rows = [[inv[i][j] * det_fr for j in range(n)] for i in range(n)]
-    assert all(v.denominator == 1 for row in adj_rows for v in row)
-    adj = np.array([[int(v) for v in row] for row in adj_rows], dtype=np.int64)
-
-    basis = np.array(ring.basis.monomials, dtype=np.int64)
+    basis = ring_of(f).basis.monomials
     mu = len(basis)
-    iu, ju = np.triu_indices(mu)
-    sums = basis[iu] + basis[ju]
-    classes_m, counts = np.unique(sums, axis=0, return_counts=True)
-    knum = (classes_m + 2) @ adj
-    integral = (knum % abs(det) == 0).all(axis=1)
+    order = _monomial_order(f)
+    # integer form A = d . E⁻¹: k = (m + 2) . A / d is integral iff d divides it
+    inv = _ordered_inverse(f, order)
+    d = math.lcm(*(v.denominator for row in inv for v in row))
+    columns = [[int(v * d) for v in column] for column in zip(*inv)]
 
-    families = _allowed_families(kind, n)
-    charge = f.charge
-    q = f.q
+    members = set(basis)
+    box = [range(2 * max(r[j] for r in basis) + 1) for j in range(f.N)]
+    families = _allowed_families(kind, f.N)
     records: list[PairingClass] = []
-    seen: set[tuple[int, ...]] = set()
-    excluded = 0
-    for row_idx in range(len(classes_m)):
-        count = int(counts[row_idx])
-        if not integral[row_idx]:
-            excluded += count
+    for m in itertools.product(*box):       # lexicographic: classes come out sorted
+        knum = [sum((mj + 2) * a for mj, a in zip(m, column)) for column in columns]
+        if any(v % d for v in knum):
             continue
-        m = tuple(int(v) for v in classes_m[row_idx])
-        k = tuple(int(v) // det for v in knum[row_idx])
-        seen.add(k)
-        degree = sum((mi * qi for mi, qi in zip(m, q)), Fraction(0))
+        hits = sum(tuple(mj - rj for mj, rj in zip(m, r)) in members for r in basis)
+        if hits == 0:
+            continue
+        half = all(mj % 2 == 0 for mj in m) and tuple(mj // 2 for mj in m) in members
+        k = tuple(v // d for v in knum)
+        degree = sum((mj * qj for mj, qj in zip(m, f.q)), Fraction(0))
         records.append(
             PairingClass(
                 exponent_sum=m,
-                pair_count=count,
+                pair_count=(hits + half) // 2,
                 k=k,
                 in_family=k in families,
-                degree_ok=degree == charge,
+                degree_ok=degree == f.charge,
             )
         )
-    records.sort(key=lambda c: c.exponent_sum)
+    checked = mu * (mu + 1) // 2
     return GoodBasisReport(
         kind=kind,
         mu=mu,
         monomial_order=tuple(order),
-        checked_pairs=int(counts.sum()),
-        excluded_pairs=excluded,
+        checked_pairs=checked,
+        excluded_pairs=checked - sum(c.pair_count for c in records),
         classes=tuple(records),
-        families_seen=tuple(sorted(seen)),
+        families_seen=tuple(sorted({c.k for c in records})),
     )
 
 

@@ -145,10 +145,11 @@ def decoration_lines(result: FourPointResult) -> list[str]:
 
 
 def reduction_trace(piece: InvertiblePolynomial, local: int) -> list[dict]:
-    """Reduction trail of [M_i d^Nx] in the Brieskorn lattice of the summand."""
+    """Reduction trail of [M_i d^Nx] in the Brieskorn lattice of the
+    summand's transpose, where ``sg_four_point`` computes the B side."""
     _, _, target = final_type_insertions(piece, local)
     steps: list[dict] = []
-    brieskorn_reduce(piece, LatticeElement.from_poly(target), steps)
+    brieskorn_reduce(piece.transpose(), LatticeElement.from_poly(target), steps)
     return [
         {
             "z": s["z"],
@@ -504,11 +505,10 @@ def cmd_correlator(args) -> int:
     if args.side in ("B", "both"):
         b_value = sg_four_point(W, i)
         document["B"] = {"value": frac(b_value)}
-        steps = reduction_trace(piece, local)
-        if args.trace:
-            document["B"]["reduction"] = steps
         lines.append(f"  B side: {frac(b_value)}")
         if args.trace:
+            steps = reduction_trace(piece, local)
+            document["B"]["reduction"] = steps
             lines.extend(reduction_lines(steps))
     emit(args, document, lines)
     return 0

@@ -20,43 +20,9 @@ def _frac_rows(m) -> Matrix:
     return [[Fraction(e) for e in row] for row in m]
 
 
-def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b) -> Matrix:
-    """Exact matrix product (no shape broadcasting, no surprises)."""
-    n, k, m = len(a), len(b), len(b[0])
-    assert all(len(row) == k for row in a)
-    return [[sum((Fraction(a[i][t]) * b[t][j] for t in range(k)), Fraction(0))
-             for j in range(m)] for i in range(n)]
-
-
 def mat_vec(a, v) -> Row:
     return [sum((Fraction(row[j]) * v[j] for j in range(len(v))), Fraction(0))
             for row in a]
-
-
-def determinant(m) -> Fraction:
-    """Determinant by fraction-free-ish elimination (exact, row swaps tracked)."""
-    a = _frac_rows(m)
-    n = len(a)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return det
 
 
 def invert(m) -> Matrix:
@@ -68,7 +34,7 @@ def invert(m) -> Matrix:
     a = _frac_rows(m)
     n = len(a)
     assert all(len(row) == n for row in a), "invert: matrix must be square"
-    aug = [a[i] + identity(n)[i] for i in range(n)]
+    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if piv is None:

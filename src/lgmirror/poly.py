@@ -17,6 +17,7 @@ so the lexicographically smallest exponent tuple starts it.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -121,9 +122,15 @@ class InvertiblePolynomial:
             tuple(zip(*self.E)))
 
     def group_order(self) -> int:
-        d = linalg.determinant(self.E)
-        assert d.denominator == 1
-        return abs(int(d))
+        """|G_max| = |det E|: per summand a (Fermat), ∏ a_i (chain) or
+        ∏ a_i − (−1)^N (loop), multiplied over the summands."""
+        order = 1
+        for s in self.summands:
+            det = math.prod(s.exponents)
+            if s.kind == "loop":
+                det -= (-1) ** len(s.exponents)
+            order *= det
+        return order
 
     def weight_half_variables(self) -> tuple[int, ...]:
         return tuple(i for i, qi in enumerate(self.q) if qi == Fraction(1, 2))

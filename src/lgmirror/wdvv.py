@@ -27,7 +27,6 @@ from fractions import Fraction
 from .amodel import fjrw_four_point
 from .errors import InconsistentInput, UnderdeterminedSystem, WrongConfiguration
 from .jacobi import JacobiRing, RingElement, ring_of
-from .linalg import identity, invert, mat_mul
 from .mirror import final_type_insertions
 from .poly import InvertiblePolynomial
 
@@ -67,17 +66,12 @@ class CorrelatorTable:
     construction.  Lookups accept arbitrary ring elements and expand
     multilinearly; any insertion multiset containing the identity element
     contributes zero (the string equation kills four-point correlators
-    with a unit insertion).  The residue pairing and its exact inverse
-    ride along because reconstruction arguments lower correlators down to
-    the pairing.
+    with a unit insertion).
     """
 
     def __init__(self, ring: JacobiRing):
         self.ring = ring
         self.values: dict[Key, Fraction] = {}
-        self.gram = ring.gram()
-        self.gram_inverse = invert(self.gram)
-        assert mat_mul(self.gram, self.gram_inverse) == identity(ring.mu)
         self._unit = ring.basis.index[(0,) * ring.n]
 
     # -- insertions --------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the Brieskorn-lattice reduction and the B-model correlators."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from lgmirror.amodel import fjrw_four_point
 from lgmirror.bmodel import (
+    GoodBasisReport,
     LatticeElement,
+    PairingClass,
     brieskorn_reduce,
     good_basis_check,
     pairing_solution,
@@ -308,7 +311,7 @@ class TestGoodBasis:
         ],
     )
     def test_every_class_k_matches_the_exact_solver(self, f):
-        # Dual route for the vectorized integer sweep: each class k must
+        # Dual route for the integer lattice walk: each class k must
         # agree with the Fraction-based solve, and each excluded exponent
         # sum must genuinely have no integral solution.
         report = good_basis_check(f)
@@ -343,6 +346,83 @@ class TestGoodBasis:
         W = assemble(("fermat", (3,)), ("fermat", (4,)))
         with pytest.raises(WrongConfiguration):
             good_basis_check(W)
+
+
+def intrinsic_order(f):
+    """Brute force over row permutations: each row's linear variable is
+    the power variable of the row before it; a chain starts at its pure
+    power, a loop at the row whose power variable is smallest."""
+    power = [max(range(f.N), key=row.__getitem__) for row in f.E]
+    linear = [next((j for j, e in enumerate(row) if e == 1), None) for row in f.E]
+    linked = [
+        p for p in itertools.permutations(range(f.N))
+        if all(linear[b] == power[a] for a, b in zip(p, p[1:]))
+    ]
+    heads = [p for p in linked if linear[p[0]] is None]
+    return list(heads[0] if heads else min(linked, key=lambda p: power[p[0]]))
+
+
+def families_oracle(kind, n):
+    ones = (1,) * n
+    if kind == "chain":
+        return {ones} | {(1,) * (n - 2 * t) + (0, 2) * t for t in range(1, n // 2 + 1)}
+    if kind == "loop" and n % 2 == 0:
+        return {ones, (2, 0) * (n // 2), (0, 2) * (n // 2)}
+    return {ones}
+
+
+def good_basis_oracle(f):
+    """Reference certificate: count every basis pair's exponent sum, then
+    solve k . E = m + 2 over the rationals for each sum."""
+    kind = f.summands[0].kind
+    basis = JacobiRing(f).basis.monomials
+    order = intrinsic_order(f)
+    columns = [[f.E[r][j] for r in order] for j in range(f.N)]   # E^t, rows ordered
+    q = weights_oracle(f)
+    charge = sum((1 - 2 * qi for qi in q), F(0))
+    sums = Counter(
+        tuple(a + b for a, b in zip(r, rp))
+        for r, rp in itertools.combinations_with_replacement(basis, 2)
+    )
+    classes, excluded = [], 0
+    for m in sorted(sums):
+        k = solve(columns, [mj + 2 for mj in m])
+        if any(v.denominator != 1 for v in k):
+            excluded += sums[m]
+            continue
+        k = tuple(int(v) for v in k)
+        degree = sum((mj * qj for mj, qj in zip(m, q)), F(0))
+        classes.append(
+            PairingClass(m, sums[m], k, k in families_oracle(kind, f.N), degree == charge)
+        )
+    return GoodBasisReport(
+        kind=kind,
+        mu=len(basis),
+        monomial_order=tuple(order),
+        checked_pairs=sum(sums.values()),
+        excluded_pairs=excluded,
+        classes=tuple(classes),
+        families_seen=tuple(sorted({c.k for c in classes})),
+    )
+
+
+SMALL_ATOMICS = [
+    atomic(kind, a)
+    for kind in ("chain", "loop")
+    for n in (2, 3)
+    for a in itertools.product(range(2, 5), repeat=n)
+]
+
+
+@pytest.mark.parametrize(
+    "f",
+    [f.transpose() for f in SMALL_ATOMICS]
+    + SMALL_ATOMICS
+    + [atomic("fermat", (a,)) for a in (2, 3, 5, 8, 13)],
+    ids=lambda f: f.to_string(),
+)
+def test_good_basis_matches_the_pair_counting_oracle(f):
+    assert good_basis_check(f) == good_basis_oracle(f)
 
 
 # ------------------------------------------------------------ primitive form

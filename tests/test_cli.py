@@ -1,11 +1,16 @@
 """Command-line interface: exit codes, JSON reports, tracing."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import lgmirror
 from lgmirror import cli
 from lgmirror.jacobi import JacobiRing, ring_of
 from lgmirror.poly import InvertiblePolynomial
@@ -126,6 +131,29 @@ def test_verify_builds_one_ring_per_piece(monkeypatch):
     W = InvertiblePolynomial.from_string("x1^5*x2+x2^6*x3+x3^7*x4+x4^8*x1")
     assert cli.verification_report(W)["overall"] == "pass"
     assert len(built) == 4
+
+
+NO_NUMPY = """
+import sys
+sys.modules["numpy"] = None          # any `import numpy` now raises ImportError
+import lgmirror.cli
+from lgmirror.bmodel import good_basis_check
+from lgmirror.poly import InvertiblePolynomial
+f = InvertiblePolynomial.from_string("x1^3*x2 + x2^3*x3 + x3^3*x1").transpose()
+assert good_basis_check(f).passed
+sys.exit(lgmirror.cli.main(["verify", "--expr", "x1^3*x2 + x2^4"]))
+"""
+
+
+def test_runs_without_numpy():
+    src = str(Path(lgmirror.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "overall: pass" in proc.stdout
 
 
 class TestInputHandling:
@@ -370,6 +398,16 @@ class TestCorrelator:
         )
         assert doc["B"]["value"] == "-3/7"
         assert doc["B"]["reduction"][0]["chunk"] == {"x1*x2^2": "1/1"}
+
+    def test_trace_reduces_in_the_transposed_ring(self, capsys):
+        # x1^3*x2 + x2^4 is not its own transpose; B is computed in
+        # Jac(W^t), so the trail must end at the normal form -q_2 * 1
+        _, doc, _ = run_json(
+            capsys, "correlator", "--expr", "x1^3*x2+x2^4", "--target", "2",
+            "--side", "B", "--trace",
+        )
+        assert doc["B"]["value"] == "-1/4"
+        assert doc["B"]["reduction"][-1]["normal_form"] == {"1": "-1/4"}
 
     def test_out_of_range_target_exits_2(self, capsys):
         assert run(capsys, "correlator", "--expr", "x1^5", "--target", "3")[0] == 2

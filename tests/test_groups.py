@@ -68,6 +68,13 @@ def test_group_order_multiplicative_over_summands():
     assert W("x1^4").group_order() == 4
     assert W("x1^2*x2 + x2^2*x1").group_order() == 3
     assert W("x1^2*x2 + x2^2*x1 + x3^4").group_order() == 12
+    # closed forms: chain prod a_i, loop prod a_i - (-1)^N
+    for text, order in [
+        ("x1^3*x2 + x2^2*x3 + x3^2", 12),                 # chain
+        ("x1^2*x2 + x2^3*x3 + x3^2*x1", 13),              # odd loop
+        ("x1^2*x2 + x2^2*x3 + x3^2*x4 + x4^3*x1", 23),    # even loop
+    ]:
+        assert W(text).group_order() == order == len(groups.enumerate_group(W(text)))
 
 
 @pytest.mark.parametrize("text", [

@@ -6,8 +6,17 @@ from hypothesis import given, strategies as st
 from lgmirror import linalg
 
 
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def product(a, b):
+    return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
 def test_identity_inverts_to_itself():
-    I3 = linalg.identity(3)
+    I3 = identity(3)
     assert linalg.invert(I3) == I3
 
 
@@ -16,11 +25,6 @@ def test_invert_known_2x2():
     inv = linalg.invert([[2, 1], [1, 2]])
     assert inv == [[Fraction(2, 3), Fraction(-1, 3)],
                    [Fraction(-1, 3), Fraction(2, 3)]]
-
-
-def test_determinant_triangular():
-    m = [[3, 5, 7], [0, 2, 9], [0, 0, 4]]
-    assert linalg.determinant(m) == 24
 
 
 def test_singular_raises():
@@ -33,20 +37,22 @@ def test_singular_raises():
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
                 min_size=3, max_size=3))
 def test_invert_roundtrip(rows):
-    if linalg.determinant(rows) == 0:
+    try:
+        inv = linalg.invert(rows)
+    except ValueError:          # singular draw
         return
-    inv = linalg.invert(rows)
-    assert linalg.mat_mul(rows, inv) == linalg.identity(3)
-    assert linalg.mat_mul(inv, rows) == linalg.identity(3)
+    assert product(rows, inv) == identity(3)
+    assert product(inv, rows) == identity(3)
 
 
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
                 min_size=3, max_size=3),
        st.lists(st.integers(-9, 9), min_size=3, max_size=3))
 def test_solve_matches_invert(rows, rhs):
-    if linalg.determinant(rows) == 0:
+    try:
+        x = linalg.solve(rows, rhs)
+    except ValueError:          # singular draw
         return
-    x = linalg.solve(rows, rhs)
     assert linalg.mat_vec(rows, x) == [Fraction(b) for b in rhs]
 
 
