@@ -13,6 +13,7 @@ from lgmirror.errors import (
     WrongConfiguration,
 )
 from lgmirror.jacobi import JacobiRing
+from lgmirror.linalg import invert
 from lgmirror.poly import InvertiblePolynomial
 from lgmirror.wdvv import (
     CorrelatorTable,
@@ -94,6 +95,17 @@ class TestCorrelatorTable:
         W, ring, table = two_fermat_table()
         # x1^3 reduces to zero in Jac(x1^4 + x2^4)
         assert table.value(((3, 0), (1, 0), (2, 0), ring.basis.top)) == 0
+
+    def test_pairing_inverse_is_exact(self):
+        for expr in ("x1^5", "x1^2*x2 + x2^3*x1", "x1^3 + x1*x2^3"):
+            ring = JacobiRing(poly(expr))
+            table = CorrelatorTable(ring)
+            gram = table.ring.gram()
+            inverse = invert(gram)
+            product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*inverse)]
+                       for row in gram]
+            assert product == [[int(i == j) for j in range(ring.mu)] for i in range(ring.mu)]
+            assert gram == [list(row) for row in zip(*gram)]
 
     def test_four_insertions_required(self):
         W, ring, table = two_fermat_table()
