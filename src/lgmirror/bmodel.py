@@ -495,8 +495,8 @@ def sg_four_point(W: InvertiblePolynomial, i: int) -> Fraction:
     ring = ring_of(f)
     n = f.N
     x, s, target_monomial = final_type_insertions(piece, local)
-    for insertion in (x, s):
-        assert insertion in ring.basis.index, "insertion outside the standard basis"
+    if x not in ring.basis.index or s not in ring.basis.index:
+        raise WrongConfiguration("insertion outside the standard basis")
 
     # Flat-coordinate corrections that could feed the target coefficient
     # come from positive z-powers in the reduced quadratic products; both
@@ -505,9 +505,8 @@ def sg_four_point(W: InvertiblePolynomial, i: int) -> Fraction:
     for left, right in ((x, x), (x, s)):
         product = tuple(a + b for a, b in zip(left, right))
         reduced = brieskorn_reduce(f, LatticeElement.from_poly(product))
-        assert all(k <= 0 for k in reduced.z_powers), (
-            "unexpected flat-coordinate correction"
-        )
+        if any(k > 0 for k in reduced.z_powers):
+            raise WrongConfiguration("unexpected flat-coordinate correction")
 
     # Cubic term of exp((F-f)/z): for distinct insertions the s_x^2 s_S
     # coefficient is (3 choose 2,1)/3! = 1/2 of [M_i] z^-3 and the t-
@@ -521,6 +520,8 @@ def sg_four_point(W: InvertiblePolynomial, i: int) -> Fraction:
     cubic = LatticeElement.from_poly({target_monomial: prefactor}, z=-3)
     reduced = brieskorn_reduce(f, cubic)
     unit = (0,) * n
-    assert set(reduced.z_powers) <= {-2}, "cubic term did not collapse to z^-2"
-    assert set(reduced.poly_at(-2)) <= {unit}, "cubic term left a positive-degree part"
+    if not set(reduced.z_powers) <= {-2}:
+        raise WrongConfiguration("cubic term did not collapse to z^-2")
+    if not set(reduced.poly_at(-2)) <= {unit}:
+        raise WrongConfiguration("cubic term left a positive-degree part")
     return derivative * reduced.coefficient(-2, unit)

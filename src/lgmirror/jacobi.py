@@ -13,7 +13,7 @@ Reduction to the basis rewrites with the partial-derivative relations, used
 in both orientations; loops (and the head of a chain) can rewrite in circles,
 so the engine collects every reachable monomial, writes down one equation per
 applicable rewrite, and closes the system with an exact linear solve.  An
-independent brute-force oracle (`oracle_quotient`) does plain Gaussian
+independent brute-force oracle (`OracleQuotient`) does plain exact
 elimination on each graded slice of ℂ[x]/(∂f) instead and is used to
 cross-check the rewriting engine in the tests.
 """
@@ -137,6 +137,20 @@ def _loop_rules(e: tuple[int, ...]):
     return rules
 
 
+def _partials(f: InvertiblePolynomial) -> list[dict]:
+    """∂_j f as {monomial: coefficient}, j = 0..N−1."""
+    out = []
+    for j in range(f.N):
+        d: dict[Monomial, Fraction] = {}
+        for row in f.E:
+            if row[j] > 0:
+                m = list(row)
+                m[j] -= 1
+                d[tuple(m)] = Fraction(row[j])
+        out.append(d)
+    return out
+
+
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -236,39 +250,23 @@ class _SummandRing:
                 expansions[u] = eqs
             frontier = nxt
         unknowns = sorted(u for u in reachable if u not in self.basis_set)
-        uidx = {u: k for k, u in enumerate(unknowns)}
         known = sorted(v for v in reachable if v in self.basis_set)
-        kidx = {v: k for k, v in enumerate(known)}
-        rows, rhs = [], []
+        col = {u: k for k, u in enumerate(unknowns + known)}
+        # one row per rewrite u = Σ coef·v, as u − Σ coef·v = 0
+        sp = linalg.RowSpace()
         for u, eqs in expansions.items():
             for terms in eqs:
-                row = [Fraction(0)] * len(unknowns)
-                b = [Fraction(0)] * len(known)
-                row[uidx[u]] = Fraction(1)
+                row = {col[u]: Fraction(1)}
                 for coef, v in terms:
-                    if v in uidx:
-                        row[uidx[v]] -= coef
-                    else:
-                        b[kidx[v]] += coef
-                rows.append(row)
-                rhs.append(b)
-        # eliminate: express every unknown over the basis monomials
-        sp = linalg.RowSpace(len(unknowns) + len(known))
-        for row, b in zip(rows, rhs):
-            sp.add(row + [-e for e in b])
-        target = uidx[m]
-        sol = None
-        for srow, p in zip(sp.rows, sp.pivots):
-            if p == target:
-                if any(srow[k] != 0 for k in range(len(unknowns)) if k != target):
-                    break
-                sol = {known[k]: -srow[len(unknowns) + k]
-                       for k in range(len(known))
-                       if srow[len(unknowns) + k] != 0}
-                break
-        if sol is None:
+                    row[col[v]] = row.get(col[v], 0) - coef
+                sp.add(row)
+        # m is determined when its row involves no other unknown
+        srow = sp.rows.get(col[m])
+        if srow is None or any(c < len(unknowns) and c != col[m] for c in srow):
             raise RuntimeError(
                 f"rewrite system for {m} is underdetermined (internal bug)")
+        sol = {known[c - len(unknowns)]: -e
+               for c, e in sorted(srow.items()) if c >= len(unknowns)}
         self._cache[m] = sol
         return sol
 
@@ -369,19 +367,6 @@ class JacobiRing:
 
     # -- division with quotient certificate --------------------------------
 
-    def partials(self) -> list[dict]:
-        """∂_j f as {monomial: coefficient}, j = 0..n−1."""
-        out = []
-        for j in range(self.n):
-            d: dict[Monomial, Fraction] = {}
-            for row in self.poly.E:
-                if row[j] > 0:
-                    m = list(row)
-                    m[j] -= 1
-                    d[tuple(m)] = Fraction(row[j])
-            out.append(d)
-        return out
-
     def monomials_of_weight(self, w: Fraction) -> list[Monomial]:
         out: list[Monomial] = []
 
@@ -412,39 +397,33 @@ class JacobiRing:
         for m, c in p.items():
             chunk = by_weight.setdefault(self.wt(m), {})
             chunk[m] = chunk.get(m, Fraction(0)) + Fraction(c)
-        partials = self.partials()
+        partials = _partials(self.poly)
         nf_acc: dict[int, Fraction] = {}
         quot: list[dict] = [dict() for _ in range(self.n)]
         for w, chunk in by_weight.items():
             space = self.monomials_of_weight(w)
             midx = {m: i for i, m in enumerate(space)}
-            cols = []       # (kind, payload)
-            for m in space:
+            # one row per slice monomial: a column per basis monomial, then
+            # one per monomial s of each h_j, carrying s·∂_j f
+            rows: list[dict] = [{} for _ in space]
+            basis = []
+            for i, m in enumerate(space):
                 if m in self.basis.index:
-                    cols.append(("basis", m))
+                    rows[i][len(basis)] = Fraction(1)
+                    basis.append(self.basis.index[m])
+            quots = []
             for j in range(self.n):
-                wj = w - (1 - self.weights[j])
-                for s in self.monomials_of_weight(wj):
-                    cols.append(("quot", (j, s)))
-            A = [[Fraction(0)] * len(cols) for _ in space]
-            for k, (kind, payload) in enumerate(cols):
-                if kind == "basis":
-                    A[midx[payload]][k] = Fraction(1)
-                else:
-                    j, s = payload
+                for s in self.monomials_of_weight(w - (1 - self.weights[j])):
                     for m0, c0 in partials[j].items():
-                        A[midx[_add(s, m0)]][k] = c0
+                        rows[midx[_add(s, m0)]][len(basis) + len(quots)] = c0
+                    quots.append((j, s))
             rhs = [chunk.get(m, Fraction(0)) for m in space]
-            sol = linalg.solve_general(A, rhs)
-            for k, (kind, payload) in enumerate(cols):
-                if sol[k] == 0:
-                    continue
-                if kind == "basis":
-                    i = self.basis.index[payload]
-                    nf_acc[i] = nf_acc.get(i, Fraction(0)) + sol[k]
+            for k, x in linalg.solve_general(rows, rhs).items():
+                if k < len(basis):
+                    nf_acc[basis[k]] = nf_acc.get(basis[k], Fraction(0)) + x
                 else:
-                    j, s = payload
-                    quot[j][s] = quot[j].get(s, Fraction(0)) + sol[k]
+                    j, s = quots[k - len(basis)]
+                    quot[j][s] = quot[j].get(s, Fraction(0)) + x
         return RingElement.from_dict(nf_acc), quot
 
 
@@ -461,7 +440,7 @@ def ring_of(f: InvertiblePolynomial) -> JacobiRing:
 # brute-force oracle
 
 class OracleQuotient:
-    """ℂ[x]/(∂f) computed by exhaustive Gaussian elimination on each graded
+    """ℂ[x]/(∂f) computed by exhaustive exact elimination on each graded
     slice, with no knowledge of the standard-basis combinatorics."""
 
     def __init__(self, f: InvertiblePolynomial, weight_bound: Fraction):
@@ -491,32 +470,22 @@ class OracleQuotient:
         slices: dict[Fraction, list[Monomial]] = {}
         for m in monos:
             slices.setdefault(wt(m), []).append(m)
-        partials = []
-        for j in range(n):
-            d: dict[Monomial, Fraction] = {}
-            for row in f.E:
-                if row[j] > 0:
-                    mm = list(row)
-                    mm[j] -= 1
-                    d[tuple(mm)] = Fraction(row[j])
-            partials.append(d)
+        partials = _partials(f)
         self._space: dict[Fraction, tuple[list[Monomial], dict, linalg.RowSpace]] = {}
         basis: list[Monomial] = []
         for w, ms in sorted(slices.items()):
             ms = sorted(ms)
             midx = {m: i for i, m in enumerate(ms)}
-            sp = linalg.RowSpace(len(ms))
+            sp = linalg.RowSpace()
             for j in range(n):
                 wj = w - (1 - q[j])
                 if wj < 0:
                     continue
                 for s in slices.get(wj, []):
-                    vec = [Fraction(0)] * len(ms)
-                    for m0, c0 in partials[j].items():
-                        vec[midx[_add(s, m0)]] = c0
-                    sp.add(vec)
+                    sp.add({midx[_add(s, m0)]: c0
+                            for m0, c0 in partials[j].items()})
             self._space[w] = (ms, midx, sp)
-            basis.extend(ms[c] for c in sp.free_columns())
+            basis.extend(m for c, m in enumerate(ms) if c not in sp.rows)
         self.basis = basis
         self.dimension = len(basis)
         self._wt = wt
@@ -526,11 +495,5 @@ class OracleQuotient:
         if w > self.bound:
             raise ValueError(f"monomial {m} beyond oracle bound")
         ms, midx, sp = self._space[w]
-        vec = [Fraction(0)] * len(ms)
-        vec[midx[m]] = Fraction(1)
-        red = sp.reduce(vec)
-        return {ms[i]: c for i, c in enumerate(red) if c != 0}
-
-
-def oracle_quotient(f: InvertiblePolynomial, weight_bound) -> OracleQuotient:
-    return OracleQuotient(f, Fraction(weight_bound))
+        red = sp.reduce({midx[m]: Fraction(1)})
+        return {ms[i]: c for i, c in sorted(red.items())}

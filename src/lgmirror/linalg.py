@@ -1,10 +1,13 @@
-"""Exact dense linear algebra over arbitrary-precision rationals.
+"""Exact sparse linear algebra over arbitrary-precision rationals.
 
-Everything here works on lists of lists of ``fractions.Fraction`` (or ints,
-which are promoted).  The matrices involved are tiny (N ≤ a handful for
-exponent matrices, a few hundred rows for graded quotient slices), so plain
-Gaussian elimination with exact pivots is both adequate and, unlike floating
-point, actually correct.
+There is one elimination kernel, `RowSpace`: it keeps the reduced row
+echelon form (RREF) of a span, each row a ``{column: Fraction}`` dict with
+no zero entries.  The RREF of a span is unique, so nothing computed from it
+depends on the order in which rows were added.  `invert`, `solve` and
+`solve_general` are views of it.  The systems involved are tiny (N ≤ a
+handful for exponent matrices) or very sparse (each ∂_j f of an invertible
+polynomial has at most two terms), so exact elimination is both adequate
+and, unlike floating point, actually correct.
 """
 
 from __future__ import annotations
@@ -13,11 +16,7 @@ from fractions import Fraction
 
 Row = list[Fraction]
 Matrix = list[Row]
-
-
-def _frac_rows(m) -> Matrix:
-    """Copy a matrix, promoting every entry to Fraction."""
-    return [[Fraction(e) for e in row] for row in m]
+SparseRow = dict[int, Fraction]
 
 
 def mat_vec(a, v) -> Row:
@@ -25,116 +24,91 @@ def mat_vec(a, v) -> Row:
             for row in a]
 
 
-def invert(m) -> Matrix:
-    """Inverse by Gauss-Jordan elimination.
-
-    Raises ValueError on a singular matrix; for exponent matrices of valid
-    invertible polynomials this never happens and signals corrupt input.
-    """
-    a = _frac_rows(m)
-    n = len(a)
-    assert all(len(row) == n for row in a), "invert: matrix must be square"
-    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [e * inv for e in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [er - f * ec for er, ec in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def solve(m, rhs) -> Row:
-    """Solve m·x = rhs exactly (square, nonsingular)."""
-    inv = invert(m)
-    return mat_vec(inv, [Fraction(e) for e in rhs])
-
-
-def solve_general(m, rhs) -> Row:
-    """One exact solution of a possibly rectangular system m·x = rhs
-    (free variables set to 0); raises ValueError if inconsistent."""
-    rows = _frac_rows(m)
-    b = [Fraction(e) for e in rhs]
-    assert len(rows) == len(b)
-    ncols = len(rows[0]) if rows else 0
-    aug = [row + [bi] for row, bi in zip(rows, b)]
-    pivots: list[tuple[int, int]] = []      # (row, col)
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [e * inv for e in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [ei - f * er for ei, er in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == len(aug):
-            break
-    for i in range(r, len(aug)):
-        if aug[i][ncols] != 0:
-            raise ValueError("inconsistent linear system")
-    x = [Fraction(0)] * ncols
-    for pr, pc in pivots:
-        x[pc] = aug[pr][ncols]
-    return x
-
-
 class RowSpace:
     """Reduced row echelon span with exact normal forms modulo the span.
 
-    Used as the brute-force quotient oracle: feed in relation vectors, then
-    ``reduce(v)`` returns the canonical representative of v modulo the span
-    (coordinates on pivot columns eliminated).
+    ``rows`` maps each pivot column to its reduced row, which holds 1 at
+    the pivot and 0 (absent) at every other pivot column.  ``reduce(v)``
+    returns the canonical representative of v modulo the span: v with every
+    pivot column cleared.
     """
 
-    def __init__(self, width: int):
-        self.width = width
-        self.rows: Matrix = []          # reduced echelon rows
-        self.pivots: list[int] = []     # pivot column of each row
+    def __init__(self):
+        self.rows: dict[int, SparseRow] = {}
 
-    def reduce(self, vec) -> Row:
-        v = [Fraction(e) for e in vec]
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                for c in range(p, self.width):
-                    v[c] -= f * row[c]
+    def reduce(self, vec) -> SparseRow:
+        v = {c: Fraction(e) for c, e in vec.items() if e != 0}
+        # a row touches no pivot column but its own, so the order is free
+        for p in [c for c in v if c in self.rows]:
+            _subtract(v, v[p], self.rows[p])
         return v
 
     def add(self, vec) -> bool:
         """Insert a vector; returns True if it enlarged the span."""
         v = self.reduce(vec)
-        p = next((c for c in range(self.width) if v[c] != 0), None)
-        if p is None:
+        if not v:
             return False
+        p = min(v)
         inv = 1 / v[p]
-        v = [e * inv for e in v]
-        # back-substitute into existing rows to keep the echelon reduced
-        for i, row in enumerate(self.rows):
-            if row[p] != 0:
-                f = row[p]
-                self.rows[i] = [er - f * ev for er, ev in zip(row, v)]
-        self.rows.append(v)
-        self.pivots.append(p)
-        order = sorted(range(len(self.pivots)), key=self.pivots.__getitem__)
-        self.rows = [self.rows[i] for i in order]
-        self.pivots = [self.pivots[i] for i in order]
+        v = {c: e * inv for c, e in v.items()}
+        # clear the new pivot column from the existing rows
+        for row in self.rows.values():
+            if p in row:
+                _subtract(row, row[p], v)
+        self.rows[p] = v
         return True
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def free_columns(self) -> list[int]:
-        taken = set(self.pivots)
-        return [c for c in range(self.width) if c not in taken]
+
+def _subtract(v: SparseRow, f: Fraction, row: SparseRow) -> None:
+    """v −= f·row in place, dropping the entries that cancel."""
+    for c, e in row.items():
+        x = v.get(c, 0) - f * e
+        if x:
+            v[c] = x
+        else:
+            del v[c]
+
+
+def invert(m) -> Matrix:
+    """Inverse as the right half of the RREF of [m | I].
+
+    Raises ValueError on a non-square or singular matrix; for exponent
+    matrices of valid invertible polynomials this never happens and signals
+    corrupt input.
+    """
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("invert: matrix must be square")
+    sp = RowSpace()
+    for i, row in enumerate(m):
+        sp.add({**dict(enumerate(row)), n + i: 1})
+    if any(p >= n for p in sp.rows):
+        raise ValueError("singular matrix")
+    return [[sp.rows[i].get(n + j, Fraction(0)) for j in range(n)]
+            for i in range(n)]
+
+
+def solve(m, rhs) -> Row:
+    """Solve m·x = rhs exactly (square, nonsingular)."""
+    return mat_vec(invert(m), [Fraction(e) for e in rhs])
+
+
+def solve_general(rows, rhs) -> SparseRow:
+    """One exact solution of a possibly rectangular sparse system
+    rows·x = rhs, each row a {column: coefficient} dict.
+
+    Free variables are 0, so the solution is {pivot column: value}, in
+    ascending column order and without zero values; raises ValueError if
+    the system is inconsistent.
+    """
+    b = 1 + max((c for row in rows for c in row), default=-1)
+    sp = RowSpace()
+    for row, e in zip(rows, rhs, strict=True):
+        sp.add({**row, b: e})
+    if b in sp.rows:
+        raise ValueError("inconsistent linear system")
+    return {p: sp.rows[p][b] for p in sorted(sp.rows) if b in sp.rows[p]}

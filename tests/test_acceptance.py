@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement, product as cartesian
 from lgmirror.amodel import four_point_report, fjrw_four_point, wdvv_case1
 from lgmirror.bmodel import good_basis_check, perturbative_expand, sg_four_point
 from lgmirror.groups import grading_element
-from lgmirror.jacobi import JacobiRing, oracle_quotient
+from lgmirror.jacobi import JacobiRing, OracleQuotient
 from lgmirror.mirror import degree_check, sector_of
 from lgmirror.poly import AtomicSummand, InvertiblePolynomial, reassemble
 from lgmirror.selection import CorrelatorSpec
@@ -181,7 +181,7 @@ def test_criterion_5_jacobi_oracle_equivalence():
             if sum(m) <= degree_cap
         ]
         bound = max(max(R.wt(m) for m in monomials), W.charge)
-        oracle = oracle_quotient(W, bound)
+        oracle = OracleQuotient(W, bound)
         assert oracle.dimension == R.mu
         for m in monomials:
             mine = R.monomial_of(R.reduce(m))

@@ -1,12 +1,14 @@
 """Tests for the Brieskorn-lattice reduction and the B-model correlators."""
 
 import itertools
+import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lgmirror import bmodel, cli
 from lgmirror.amodel import fjrw_four_point
 from lgmirror.bmodel import (
     GoodBasisReport,
@@ -586,6 +588,24 @@ class TestFourPoint:
             sg_four_point(atomic("fermat", (5,)), 2)
         with pytest.raises(WrongConfiguration):
             sg_four_point(atomic("fermat", (5,)), 0)
+
+    @pytest.mark.parametrize(
+        "reduced,message",
+        [
+            (LatticeElement.from_poly((0, 0), z=1), "unexpected flat-coordinate correction"),
+            (LatticeElement.from_poly((0, 0), z=-1), "cubic term did not collapse to z^-2"),
+            (LatticeElement.from_poly((1, 0), z=-2), "cubic term left a positive-degree part"),
+        ],
+    )
+    def test_an_uncollapsed_reduction_is_refused(self, monkeypatch, capsys, reduced, message):
+        # B rests on these collapse checks, so they must be errors that
+        # survive `python -O`, and the CLI must report them with exit 2.
+        monkeypatch.setattr(bmodel, "brieskorn_reduce", lambda f, e: reduced)
+        with pytest.raises(WrongConfiguration, match=re.escape(message)):
+            sg_four_point(atomic("loop", (3, 3)), 1)
+        argv = ["correlator", "--expr", "x1^3*x2 + x2^3*x1", "--target", "1", "--side", "B"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "W,i",

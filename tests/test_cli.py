@@ -145,15 +145,34 @@ sys.exit(lgmirror.cli.main(["verify", "--expr", "x1^3*x2 + x2^4"]))
 """
 
 
-def test_runs_without_numpy():
+def python(*args):
+    """Run a fresh interpreter that imports this checkout's lgmirror."""
     src = str(Path(lgmirror.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", NO_NUMPY], capture_output=True, text=True,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_runs_without_numpy():
+    proc = python("-c", NO_NUMPY)
     assert proc.returncode == 0, proc.stderr
     assert "overall: pass" in proc.stdout
+
+
+@pytest.mark.parametrize("expr", ["x1^3*x2+x2^4*x3+x3^3*x1", "x1^3*x2 + x2^4"])
+def test_results_do_not_depend_on_asserts(expr):
+    """`python -O` strips every assert: verify must not lean on one."""
+    def verify(*flags):
+        proc = python(*flags, "-m", "lgmirror.cli", "verify", "--expr", expr, "--json")
+        doc = json.loads(proc.stdout)
+        doc.pop("timing_ms", None)
+        return proc.returncode, doc
+
+    plain = verify()
+    assert plain[0] == 0
+    assert verify("-O") == plain
 
 
 class TestInputHandling:
