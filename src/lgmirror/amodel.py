@@ -29,7 +29,7 @@ from math import isqrt
 
 from .errors import ConcavityViolated, InconsistentInput, UnsupportedByTheorem, WrongConfiguration
 from .groups import GroupElement
-from .jacobi import ring_of
+from .jacobi import top_of
 from .mirror import final_type_insertions, require_mirror_hypotheses, sector_of
 from .poly import AtomicSummand, InvertiblePolynomial, reassemble
 from .selection import line_bundle_degrees
@@ -107,7 +107,7 @@ def boundary_decorations(
     phases: the fractional part is the node sector and the floor is the
     component line bundle degree.  Degree bookkeeping (the two component
     degrees plus one when the node is narrow add up to the smooth-fiber
-    degree) is asserted on every decoration.
+    degree) is checked on every decoration.
     """
     if len(sectors) != 4:
         raise WrongConfiguration("expected exactly 4 sectors")
@@ -121,9 +121,14 @@ def boundary_decorations(
         ell_minus = tuple(int(h // 1) for h in h_minus)
         for i in range(W.N):
             g_plus, g_minus = _frac(h_plus[i]), _frac(h_minus[i])
-            assert g_plus * (1 - g_plus) == g_minus * (1 - g_minus)
+            if g_plus * (1 - g_plus) != g_minus * (1 - g_minus):
+                raise WrongConfiguration(
+                    f"node phases {g_plus}, {g_minus} of line bundle {i + 1} are not inverse")
             node = 1 if g_plus != 0 else 0
-            assert ell_plus[i] + ell_minus[i] == smooth[i] - node
+            if ell_plus[i] + ell_minus[i] != smooth[i] - node:
+                raise WrongConfiguration(
+                    f"line bundle {i + 1} has component degrees {ell_plus[i]}, "
+                    f"{ell_minus[i]} on {(plus, minus)}, smooth degree {smooth[i]}")
         out.append(BoundaryDecoration((plus, minus), gamma, ell_plus, ell_minus))
     return out
 
@@ -205,7 +210,7 @@ def _final_type_sectors(W: InvertiblePolynomial, target: int) -> list[GroupEleme
     of its milnor ring.
     """
     x, s, _ = final_type_insertions(W, target)
-    top = ring_of(W.transpose()).top
+    top = top_of(W.transpose())
     return [sector_of(W, x), sector_of(W, x), sector_of(W, s), sector_of(W, top)]
 
 
@@ -220,7 +225,7 @@ def guere_correlator(W: InvertiblePolynomial) -> Fraction:
     the a_{N-1} coefficient being lim (1 - u^{-a_{N-1}}) u/(1 - u) as
     u -> 1.  Each Ch1 integral is minus the Bernoulli combination; every
     line bundle below N-1 is concave of degree -1 and contributes zero,
-    which is asserted.
+    which is checked.
     """
     if len(W.summands) != 1 or W.summands[0].kind != "loop":
         raise WrongConfiguration("expected a single loop")
@@ -241,7 +246,8 @@ def guere_correlator(W: InvertiblePolynomial) -> Fraction:
             f"got {decorations[0].pair(n - 1)}"
         )
     for j in range(1, n - 1):
-        assert _chern_combo(W, sectors, decorations, j) == 0
+        if _chern_combo(W, sectors, decorations, j) != 0:
+            raise WrongConfiguration(f"line bundle {j} contributes to the limit formula")
     ch1_next_to_last = -_chern_combo(W, sectors, decorations, n - 1)
     ch1_last = -_chern_combo(W, sectors, decorations, n)
     return a[-2] * ch1_next_to_last - ch1_last
@@ -318,7 +324,8 @@ def wdvv_case2(W: InvertiblePolynomial) -> Fraction:
         sector_of(W, (a[0] - 1, 1)),
     ]
     base = b2_correlator(W, base_sectors, 1)
-    assert base == W.q[0]
+    if base != W.q[0]:
+        raise WrongConfiguration(f"concave base correlator {base} is not q_1 = {W.q[0]}")
     bridge = base + base
     return a[0] * base - bridge / 2
 

@@ -345,6 +345,7 @@ def good_basis_check(f: InvertiblePolynomial) -> GoodBasisReport:
     columns = [[int(v * d) for v in column] for column in zip(*inv)]
 
     members = set(basis)
+    socle = f.charge * f.d
     box = [range(2 * max(r[j] for r in basis) + 1) for j in range(f.N)]
     families = _allowed_families(kind, f.N)
     records: list[PairingClass] = []
@@ -357,14 +358,13 @@ def good_basis_check(f: InvertiblePolynomial) -> GoodBasisReport:
             continue
         half = all(mj % 2 == 0 for mj in m) and tuple(mj // 2 for mj in m) in members
         k = tuple(v // d for v in knum)
-        degree = sum((mj * qj for mj, qj in zip(m, f.q)), Fraction(0))
         records.append(
             PairingClass(
                 exponent_sum=m,
                 pair_count=(hits + half) // 2,
                 k=k,
                 in_family=k in families,
-                degree_ok=degree == f.charge,
+                degree_ok=f.degree(m) == socle,
             )
         )
     checked = mu * (mu + 1) // 2

@@ -39,7 +39,7 @@ from .errors import (
     WrongConfiguration,
 )
 from .groups import GroupCapExceeded, enumerate_group, sector_kind
-from .jacobi import ring_of
+from .jacobi import ring_of, top_of
 from .mirror import degree_check, final_type_insertions, psi
 from .poly import InvertiblePolynomial, NotInvertibleShape, PolynomialSyntaxError
 from .selection import CorrelatorSpec, classify_type, passes_axioms
@@ -422,7 +422,7 @@ def cmd_jacobi(args) -> int:
 def _standard_candidates(W: InvertiblePolynomial):
     """The final-type correlator of each admissible variable, as exponent
     tuples in the transposed Jacobi ring."""
-    top = ring_of(W.transpose()).top
+    top = top_of(W.transpose())
     for i in range(1, W.N + 1):
         try:
             admissible_target(W, i)

@@ -16,10 +16,14 @@ applicable rewrite, and closes the system with an exact linear solve.  An
 independent brute-force oracle (`OracleQuotient`) does plain exact
 elimination on each graded slice of ℂ[x]/(∂f) instead and is used to
 cross-check the rewriting engine in the tests.
+
+Everything is graded by the integer ``f.degree``; `_graded` is the one
+enumerator of graded slices, shared by `divide` and the oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -41,6 +45,15 @@ def _sub(m: Monomial, d: Monomial) -> Monomial:
 
 def _divides(p: Monomial, m: Monomial) -> bool:
     return all(a <= b for a, b in zip(p, m))
+
+
+def _graded(w: tuple[int, ...], lo: int, hi: int) -> list[Monomial]:
+    """The exponent tuples m with lo ≤ Σ mᵢwᵢ ≤ hi, for positive integer
+    weights w, in lexicographic order."""
+    if len(w) == 1:
+        return [(r,) for r in range(max(0, -(-lo // w[0])), hi // w[0] + 1)]
+    return [(r,) + m for r in range(max(hi, -1) // w[0] + 1)
+            for m in _graded(w[1:], lo - r * w[0], hi - r * w[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -195,26 +208,22 @@ class _SummandRing:
     """Reduction engine for one atomic summand, in local exponents."""
 
     def __init__(self, s: AtomicSummand):
-        self.kind = s.kind
         if s.kind == "fermat":
             self.variables = s.variables
             a = s.exponents[0]
             basis = _fermat_basis(a)
             self.rules = _fermat_rules(a)
-            self.top = (max(a - 2, 0),)
         elif s.kind == "chain":
             # transposed-chain order: pure power first = classify order reversed
             self.variables = tuple(reversed(s.variables))
             c = tuple(reversed(s.exponents))
             basis = _chain_basis(c)
             self.rules = _chain_rules(c)
-            self.top = tuple(ci - 1 for ci in c[:-1]) + (c[-1] - 2,)
         else:
             self.variables = s.variables
             e = s.exponents
             basis = _loop_basis(e)
             self.rules = _loop_rules(e)
-            self.top = tuple(ei - 1 for ei in e)
         self.basis = basis
         self.basis_set = frozenset(basis)
         self._cache: dict[Monomial, dict] = {}
@@ -271,26 +280,38 @@ class _SummandRing:
         return sol
 
 
+def top_of(f: InvertiblePolynomial) -> Monomial:
+    """The socle monomial of Jac(f), of degree ĉ: aᵢ − 1 on every variable,
+    except aᵢ − 2 on the head variable of each Fermat or chain summand."""
+    top = [0] * f.N
+    for s in f.summands:
+        for v, a in zip(s.variables, s.exponents):
+            top[v] = a - 1
+        if s.kind != "loop":
+            top[s.variables[0]] -= 1
+    if f.degree(top) != f.charge * f.d:
+        raise RuntimeError(f"top {top} does not have degree {f.charge}")
+    return tuple(top)
+
+
 class JacobiRing:
     """Jac(f) with its standard basis, exact reduction, product and pairing."""
 
     def __init__(self, f: InvertiblePolynomial):
         self.poly = f
         self.n = f.N
-        self.weights = f.q
         self._parts = [_SummandRing(s) for s in f.summands]
         monos = []
         for combo in cartesian(*(p.basis for p in self._parts)):
             monos.append(self._assemble(combo))
-        monos.sort(key=lambda m: (self.wt(m), m))
+        monos.sort(key=lambda m: (f.degree(m), m))
         basis_index = {m: i for i, m in enumerate(monos)}
         self.basis = StandardBasis(
             monomials=tuple(monos),
             index=basis_index,
             mu=len(monos),
-            top=self._assemble([p.top for p in self._parts]),
+            top=top_of(f),
         )
-        assert self.wt(self.basis.top) == f.charge
 
     def _assemble(self, locals_) -> Monomial:
         exps = [0] * self.n
@@ -305,7 +326,7 @@ class JacobiRing:
     # -- grading ---------------------------------------------------------
 
     def wt(self, m: Monomial) -> Fraction:
-        return sum((ri * qi for ri, qi in zip(m, self.weights)), Fraction(0))
+        return Fraction(self.poly.degree(m), self.poly.d)
 
     @property
     def mu(self) -> int:
@@ -362,28 +383,15 @@ class JacobiRing:
         return dict(prod.coeffs).get(top_index, Fraction(0))
 
     def gram(self) -> list[list[Fraction]]:
-        els = [RingElement(((i, Fraction(1)),)) for i in range(self.mu)]
-        return [[self.residue_pairing(a, b) for b in els] for a in els]
+        """The residue pairing on the basis; by grading, only pairs whose
+        degrees add up to the top's degree can pair to nonzero."""
+        els = [(RingElement(((i, Fraction(1)),)), self.poly.degree(m))
+               for i, m in enumerate(self.basis.monomials)]
+        socle = self.poly.degree(self.top)
+        return [[self.residue_pairing(a, b) if da + db == socle else Fraction(0)
+                 for b, db in els] for a, da in els]
 
     # -- division with quotient certificate --------------------------------
-
-    def monomials_of_weight(self, w: Fraction) -> list[Monomial]:
-        out: list[Monomial] = []
-
-        def rec(i, left, acc):
-            if i == self.n:
-                if left == 0:
-                    out.append(tuple(acc))
-                return
-            qi = self.weights[i]
-            r = 0
-            while r * qi <= left:
-                rec(i + 1, left - r * qi, acc + [r])
-                r += 1
-
-        if w >= 0:
-            rec(0, Fraction(w), [])
-        return out
 
     def divide(self, p: dict):
         """Write p = nf + Σ_j h_j ∂_j f with nf in the basis span.
@@ -393,15 +401,16 @@ class JacobiRing:
         normal form always agrees with `reduce` (nondegenerate pairing ⇒
         unique basis representative).
         """
-        by_weight: dict[Fraction, dict] = {}
+        f = self.poly
+        by_degree: dict[int, dict] = {}
         for m, c in p.items():
-            chunk = by_weight.setdefault(self.wt(m), {})
+            chunk = by_degree.setdefault(f.degree(m), {})
             chunk[m] = chunk.get(m, Fraction(0)) + Fraction(c)
-        partials = _partials(self.poly)
+        partials = _partials(f)
         nf_acc: dict[int, Fraction] = {}
         quot: list[dict] = [dict() for _ in range(self.n)]
-        for w, chunk in by_weight.items():
-            space = self.monomials_of_weight(w)
+        for deg, chunk in by_degree.items():
+            space = _graded(f.w, deg, deg)
             midx = {m: i for i, m in enumerate(space)}
             # one row per slice monomial: a column per basis monomial, then
             # one per monomial s of each h_j, carrying s·∂_j f
@@ -413,7 +422,9 @@ class JacobiRing:
                     basis.append(self.basis.index[m])
             quots = []
             for j in range(self.n):
-                for s in self.monomials_of_weight(w - (1 - self.weights[j])):
+                # h_j has degree deg − deg ∂_j f = deg − (d − w_j)
+                sdeg = deg - (f.d - f.w[j])
+                for s in _graded(f.w, sdeg, sdeg):
                     for m0, c0 in partials[j].items():
                         rows[midx[_add(s, m0)]][len(basis) + len(quots)] = c0
                     quots.append((j, s))
@@ -449,51 +460,31 @@ class OracleQuotient:
                 f"weight bound {weight_bound} below top weight {f.charge}")
         self.poly = f
         self.bound = Fraction(weight_bound)
-        q = f.q
-        n = f.N
-
-        def wt(m):
-            return sum((ri * qi for ri, qi in zip(m, q)), Fraction(0))
-
-        monos: list[Monomial] = []
-
-        def rec(i, left, acc):
-            if i == n:
-                monos.append(tuple(acc))
-                return
-            r = 0
-            while r * q[i] <= left:
-                rec(i + 1, left - r * q[i], acc + [r])
-                r += 1
-
-        rec(0, self.bound, [])
-        slices: dict[Fraction, list[Monomial]] = {}
-        for m in monos:
-            slices.setdefault(wt(m), []).append(m)
+        # degree(m) ≤ bound·d, with degree(m) an integer
+        self._hi = math.floor(self.bound * f.d)
+        # lexicographic enumeration: each slice comes out sorted
+        slices: dict[int, list[Monomial]] = {}
+        for m in _graded(f.w, 0, self._hi):
+            slices.setdefault(f.degree(m), []).append(m)
         partials = _partials(f)
-        self._space: dict[Fraction, tuple[list[Monomial], dict, linalg.RowSpace]] = {}
+        self._space: dict[int, tuple[list[Monomial], dict, linalg.RowSpace]] = {}
         basis: list[Monomial] = []
-        for w, ms in sorted(slices.items()):
-            ms = sorted(ms)
+        for deg, ms in sorted(slices.items()):
             midx = {m: i for i, m in enumerate(ms)}
             sp = linalg.RowSpace()
-            for j in range(n):
-                wj = w - (1 - q[j])
-                if wj < 0:
-                    continue
-                for s in slices.get(wj, []):
+            for j in range(f.N):
+                for s in slices.get(deg - (f.d - f.w[j]), []):
                     sp.add({midx[_add(s, m0)]: c0
                             for m0, c0 in partials[j].items()})
-            self._space[w] = (ms, midx, sp)
+            self._space[deg] = (ms, midx, sp)
             basis.extend(m for c, m in enumerate(ms) if c not in sp.rows)
         self.basis = basis
         self.dimension = len(basis)
-        self._wt = wt
 
     def normal_form(self, m: Monomial) -> dict:
-        w = self._wt(m)
-        if w > self.bound:
+        deg = self.poly.degree(m)
+        if deg > self._hi:
             raise ValueError(f"monomial {m} beyond oracle bound")
-        ms, midx, sp = self._space[w]
+        ms, midx, sp = self._space[deg]
         red = sp.reduce({midx[m]: Fraction(1)})
         return {ms[i]: c for i, c in sorted(red.items())}

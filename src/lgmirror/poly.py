@@ -66,6 +66,9 @@ class InvertiblePolynomial:
     q: tuple[Fraction, ...]
     charge: Fraction
     E_inv: tuple[tuple[Fraction, ...], ...] = field(compare=False, repr=False)
+    # the grading in integers: q_i = w_i/d with d the least common denominator
+    d: int = field(compare=False, repr=False)
+    w: tuple[int, ...] = field(compare=False, repr=False)
 
     # -- constructors ---------------------------------------------------
 
@@ -94,8 +97,10 @@ class InvertiblePolynomial:
             # weights outside (0,1/2] cannot arise from an atomic sum with
             # all a_i >= 2; guard anyway so bad matrices fail loudly.
             raise NotInvertibleShape(f"weights {q} out of range (0,1/2]")
-        charge = sum((1 - 2 * qi for qi in q), Fraction(0))
-        return InvertiblePolynomial(n, E, tuple(summands), q, charge, E_inv)
+        d = math.lcm(*(qi.denominator for qi in q))
+        w = tuple(qi.numerator * (d // qi.denominator) for qi in q)
+        charge = Fraction(n * d - 2 * sum(w), d)
+        return InvertiblePolynomial(n, E, tuple(summands), q, charge, E_inv, d, w)
 
     @staticmethod
     def from_string(text: str) -> "InvertiblePolynomial":
@@ -112,6 +117,10 @@ class InvertiblePolynomial:
         return InvertiblePolynomial.from_exponent_matrix(data["E"])
 
     # -- derived data ---------------------------------------------------
+
+    def degree(self, m) -> int:
+        """d times the weighted degree Σ m_i q_i of the monomial m."""
+        return sum(mi * wi for mi, wi in zip(m, self.w))
 
     def inverse_exponents(self) -> tuple[tuple[Fraction, ...], ...]:
         """E⁻¹ exactly; entry [i][j] is ρ_j^{(i)}."""

@@ -95,9 +95,9 @@ def passes_axioms(W: InvertiblePolynomial, X: CorrelatorSpec) -> bool:
     charge + k - 3; integer degrees is equivalent to every K_i (hence
     every line bundle degree) being an integer.
     """
-    qt = W.transpose().q
-    total = sum(sum(Fraction(e) * qt[i] for i, e in enumerate(m)) for m in X.insertions)
-    if total != W.charge + X.k - 3:
+    WT = W.transpose()
+    total = sum(WT.degree(m) for m in X.insertions)
+    if total != (W.charge + X.k - 3) * WT.d:
         return False
     return all(K.denominator == 1 for K in X.K)
 
@@ -141,10 +141,10 @@ def enumerate_candidates(W: InvertiblePolynomial, k_max: int = 6):
     Intended for property tests at desk scale; the degree cap is what the
     dimension axiom allows for k <= 6.
     """
-    basis = ring_of(W.transpose()).basis
-    qt = W.transpose().q
-    wt = {m: sum(Fraction(e) * qt[i] for i, e in enumerate(m)) for m in basis.monomials}
-    bound = W.charge + 3
+    WT = W.transpose()
+    basis = ring_of(WT).basis
+    deg = {m: WT.degree(m) for m in basis.monomials}
+    bound = (W.charge + 3) * WT.d
     primitives = []
     for i in reversed(range(W.N)):
         m = tuple(1 if j == i else 0 for j in range(W.N))
@@ -152,9 +152,9 @@ def enumerate_candidates(W: InvertiblePolynomial, k_max: int = 6):
             primitives.append(m)
     for k in range(3, k_max + 1):
         for head in combinations_with_replacement(primitives, k - 2):
-            head_wt = sum(wt[m] for m in head)
-            if head_wt > bound:
+            head_deg = sum(deg[m] for m in head)
+            if head_deg > bound:
                 continue
             for alpha, beta in combinations_with_replacement(basis.monomials, 2):
-                if head_wt + wt[alpha] + wt[beta] <= bound:
+                if head_deg + deg[alpha] + deg[beta] <= bound:
                     yield CorrelatorSpec.build(W, list(head) + [alpha, beta])

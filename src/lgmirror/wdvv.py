@@ -237,18 +237,18 @@ def primitivity(ring: JacobiRing, m: Monomial) -> bool:
     """
     if m not in ring.basis.index:
         raise WrongConfiguration(f"{format_monomial(m)} is not a basis monomial")
-    if ring.wt(m) == 0:
+    w = ring.poly.degree(m)
+    if w == 0:
         return False
     if sum(m) >= 2:
         return False
     target = ring.reduce(m)
-    w = ring.wt(m)
     for b in ring.basis.monomials:
-        wb = ring.wt(b)
+        wb = ring.poly.degree(b)
         if not 0 < wb < w:
             continue
         for c in ring.basis.monomials:
-            if ring.wt(c) != w - wb or ring.wt(c) == 0:
+            if ring.poly.degree(c) != w - wb or ring.poly.degree(c) == 0:
                 continue
             prod = ring.multiply(ring.reduce(b), ring.reduce(c))
             if prod.is_zero():
@@ -332,7 +332,8 @@ def loop_square_chain(a: int):
     seed_key = table.set(
         (x1, x1, (a - 2, 1), top), fjrw_four_point(W, 1)
     )
-    assert table.values[seed_key] == W.q[0]
+    if table.values[seed_key] != W.q[0]:
+        raise WrongConfiguration(f"seed correlator {table.values[seed_key]} is not q_1 = {W.q[0]}")
     chain = [
         # D: split top = x_1 * x_1^{a-2} x_2; both product terms vanish.
         wdvv_step(table, x1, top, x2, x1, (a - 2, 0)),
@@ -343,5 +344,7 @@ def loop_square_chain(a: int):
         # X: split top = x_1 * x_1^{a-2} x_2 once more, now against x_2, x_2.
         wdvv_step(table, x1, x2, x2, x1, (a - 2, 1)),
     ]
-    assert table.value((x2, x2, x1, top)) == (a - 1) * W.q[0] == W.q[1]
+    x = table.value((x2, x2, x1, top))
+    if not x == (a - 1) * W.q[0] == W.q[1]:
+        raise WrongConfiguration(f"reconstructed {x} is not (a - 1) q_1 = q_2 = {W.q[1]}")
     return table, chain

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import lgmirror
-from lgmirror import cli
+from lgmirror import amodel, cli
+from lgmirror.errors import WrongConfiguration
 from lgmirror.jacobi import JacobiRing, ring_of
 from lgmirror.poly import InvertiblePolynomial
 
@@ -116,9 +117,8 @@ class TestVerifyExitCodes:
         assert code == 2
 
 
-def test_verify_builds_one_ring_per_piece(monkeypatch):
-    """The A side's top and the B side's reduction share Jac of each rotated
-    piece's transpose: four distinct pieces, four ring builds."""
+def count_ring_builds(monkeypatch) -> list:
+    """Start from a cold ring cache and record every JacobiRing built."""
     built = []
     init = JacobiRing.__init__
 
@@ -128,9 +128,49 @@ def test_verify_builds_one_ring_per_piece(monkeypatch):
 
     ring_of.cache_clear()
     monkeypatch.setattr(JacobiRing, "__init__", counting_init)
+    return built
+
+
+def test_verify_builds_one_ring_per_piece(monkeypatch):
+    """The B side reduces in Jac of each rotated piece's transpose, and the
+    A side reads its top in closed form, so it needs no ring: four
+    distinct pieces, four ring builds."""
+    built = count_ring_builds(monkeypatch)
     W = InvertiblePolynomial.from_string("x1^5*x2+x2^6*x3+x3^7*x4+x4^8*x1")
     assert cli.verification_report(W)["overall"] == "pass"
     assert len(built) == 4
+
+
+@pytest.mark.parametrize("expr", [
+    "x1^5*x2+x2^6*x3+x3^7*x4+x4^8*x1",     # concave
+    "x1^3*x2+x2^3*x3+x3^2*x1",             # guere
+    "x1^3*x2+x2^2*x1",                     # wdvv2
+])
+def test_a_side_builds_no_ring(monkeypatch, expr):
+    built = count_ring_builds(monkeypatch)
+    W = InvertiblePolynomial.from_string(expr)
+    for i in range(1, W.N + 1):
+        amodel.fjrw_four_point(W, i)
+    assert built == []
+
+
+def test_a_side_degree_bookkeeping_is_checked_not_asserted(monkeypatch, capsys):
+    """A smooth-fiber degree that disagrees with the boundary components is
+    an error that survives `python -O`, not an AssertionError."""
+    degrees = amodel.line_bundle_degrees
+
+    def shifted(W, sectors):
+        first, *rest = degrees(W, sectors)
+        return [first + 1, *rest]
+
+    monkeypatch.setattr(amodel, "line_bundle_degrees", shifted)
+    W = InvertiblePolynomial.from_string("x1^3*x2 + x2^4")
+    with pytest.raises(WrongConfiguration):
+        amodel.four_point_report(W, 2)
+    code, _, err = run(capsys, "correlator", "--expr", "x1^3*x2 + x2^4",
+                       "--target", "2", "--side", "A")
+    assert code == 2
+    assert err.startswith("error:")
 
 
 NO_NUMPY = """
@@ -161,7 +201,8 @@ def test_runs_without_numpy():
     assert "overall: pass" in proc.stdout
 
 
-@pytest.mark.parametrize("expr", ["x1^3*x2+x2^4*x3+x3^3*x1", "x1^3*x2 + x2^4"])
+@pytest.mark.parametrize("expr", ["x1^3*x2+x2^4*x3+x3^3*x1", "x1^3*x2 + x2^4",
+                                  "x1^3*x2+x2^3*x3+x3^2*x1", "x1^3*x2+x2^2*x1"])
 def test_results_do_not_depend_on_asserts(expr):
     """`python -O` strips every assert: verify must not lean on one."""
     def verify(*flags):

@@ -2,9 +2,10 @@ from fractions import Fraction
 from itertools import product as cartesian
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from lgmirror import linalg
-from lgmirror.jacobi import JacobiRing, OracleQuotient, RingElement, _partials, ring_of
+from lgmirror.jacobi import JacobiRing, OracleQuotient, RingElement, _graded, _partials, ring_of
 from lgmirror.poly import InvertiblePolynomial
 
 F = Fraction
@@ -158,7 +159,7 @@ def test_oracle_dimension_and_normal_forms(text):
         assert sp.add(vec), f"{text}: {m} dependent"
     # and every monomial must reduce, through the rewriting engine, to
     # something the oracle agrees equals the original modulo the ideal
-    caps = [int(bound / q) + 1 for q in R.weights]
+    caps = [int(bound / q) + 1 for q in R.poly.q]
     for m in cartesian(*(range(c + 1) for c in caps)):
         if R.wt(m) > bound:
             continue
@@ -226,11 +227,25 @@ def test_gram_symmetric_nondegenerate():
         if R.mu > 30:
             continue
         g = R.gram()
+        els = basis_elements(R)
+        assert g == [[R.residue_pairing(a, b) for b in els] for a in els]
         assert g == [list(row) for row in zip(*g)]
         span = linalg.RowSpace()
         for row in g:
             span.add(dict(enumerate(row)))
         assert span.rank == R.mu
+
+
+# ---------------------------------------------------------------------------
+# graded slices
+
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=4),
+       st.integers(-3, 12), st.integers(-3, 12))
+@example(w=[2, 3], lo=-2, hi=-1)
+def test_graded_is_the_filtered_exponent_box(w, lo, hi):
+    box = cartesian(*(range(max(hi, 0) // wi + 1) for wi in w))
+    expected = [m for m in box if lo <= sum(mi * wi for mi, wi in zip(m, w)) <= hi]
+    assert _graded(tuple(w), lo, hi) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 import json
+import math
 from fractions import Fraction
+from itertools import product as cartesian
 
 import pytest
 from hypothesis import given, strategies as st
 
 from lgmirror import linalg
 from lgmirror.poly import (
+    AtomicSummand,
     InvertiblePolynomial,
     NotInvertibleShape,
     PolynomialSyntaxError,
@@ -157,6 +160,49 @@ def test_chain_transpose_shape():
     # chain x1^2*x2 + x2^3 transposes to x1^2 + x1*x2^3
     W = InvertiblePolynomial.from_string("x1^2*x2 + x2^3")
     assert W.transpose().to_string() == "x1^2 + x1*x2^3"
+
+
+# ---------------------------------------------------------------------------
+# integer grading
+
+PARSED = [
+    "x1^3*x2 + x2^4",
+    " x1^2 * x2  +  x2^3 ",
+    "x1*x1 + x1*x2^2",
+    "x1^2*x2 + x2^2*x1 + x3^4",
+    "x1^2 + x1*x2^3",
+    "x1^4*x2 + x2^2*x3 + x3^3*x1",
+    "x1^3*x2 + x2^2*x3 + x3^5 + x4^2*x5 + x5^3*x4 + x6^7",
+    "x1^2*x2 + x2^3*x3 + x3^4*x1",
+    "x1^2",
+    "x1^2*x2 + x2^2",
+    "x1^3*x2 + x2^2*x3 + x3^4",
+    "x1^2*x2 + x2^3*x3 + x3^2*x1",
+    "x1^3*x2 + x2^2*x3 + x3^2*x1",
+]
+
+
+def acceptance_polynomials():
+    """The atomic shapes the acceptance sweeps run, with their transposes."""
+    shapes = [("fermat", (a,)) for a in range(2, 10)]
+    shapes += [(kind, a) for kind in ("chain", "loop") for n in (2, 3, 4)
+               for a in cartesian(range(2, 6), repeat=n)]
+    for kind, a in shapes:
+        s = AtomicSummand(kind, a, tuple(range(len(a))))
+        W = InvertiblePolynomial.from_exponent_matrix(reassemble([s], len(a)))
+        yield W
+        yield W.transpose()
+
+
+def test_integer_grading():
+    """q_i = w_i/d in lowest terms, d·ĉ = N·d − 2Σw, and degree is d·Σ m_i q_i."""
+    polys = [InvertiblePolynomial.from_string(t) for t in PARSED]
+    for W in polys + list(acceptance_polynomials()):
+        assert tuple(F(wi, W.d) for wi in W.w) == W.q
+        assert math.gcd(W.d, *W.w) == 1
+        assert W.charge * W.d == W.N * W.d - 2 * sum(W.w)
+        m = tuple(range(1, W.N + 1))
+        assert W.degree(m) == W.d * sum(mi * qi for mi, qi in zip(m, W.q))
 
 
 # ---------------------------------------------------------------------------
