@@ -11,6 +11,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import WrongConfiguration
 from .poly import InvertiblePolynomial
 
 DEFAULT_GROUP_CAP = 100_000
@@ -29,10 +30,12 @@ class GroupElement:
     phases: tuple[Fraction, ...]
 
     def __post_init__(self):
-        assert all(0 <= p < 1 for p in self.phases)
+        if not all(0 <= p < 1 for p in self.phases):
+            raise WrongConfiguration(f"phases {self.phases} outside [0, 1)")
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        assert len(self.phases) == len(other.phases)
+        if len(self.phases) != len(other.phases):
+            raise WrongConfiguration("product of elements of different ranks")
         return GroupElement(tuple(_frac(a + b)
                                   for a, b in zip(self.phases, other.phases)))
 

@@ -9,13 +9,16 @@ over the atomic summands of f:
                        (*,…,*, k≥1, c_{n−2l}−1, 0, …, c_{n−2}−1, 0, c_n−1)
     loop:              {x^r : r_i ≤ a_i−1}, μ = Π a_i
 
-Reduction to the basis rewrites with the partial-derivative relations, used
-in both orientations; loops (and the head of a chain) can rewrite in circles,
-so the engine collects every reachable monomial, writes down one equation per
-applicable rewrite, and closes the system with an exact linear solve.  An
-independent brute-force oracle (`OracleQuotient`) does plain exact
-elimination on each graded slice of ℂ[x]/(∂f) instead and is used to
-cross-check the rewriting engine in the tests.
+Each column of the exponent matrix has at most two nonzero entries, so each
+relation ∂_j f is a monomial or a binomial, and the normal form of a
+monomial is one term c·b or 0.  `_SummandRing.reduce` finds it by a walk on
+the summand's binomial graph: every binomial rewrites a monomial in both
+directions with its coefficient ratio, and the walk ends at the one basis
+monomial of m's component, or shows that the component is zero.  The
+relations are `_partials(f)`, the one source shared by the walk, `divide`
+and the independent brute-force oracle (`OracleQuotient`), which does plain
+exact elimination on each graded slice of ℂ[x]/(∂f) and is used to
+cross-check the walk in the tests.
 
 Everything is graded by the integer ``f.degree``; `_graded` is the one
 enumerator of graded slices, shared by `divide` and the oracle.
@@ -56,13 +59,6 @@ def _graded(w: tuple[int, ...], lo: int, hi: int) -> list[Monomial]:
             for m in _graded(w[1:], lo - r * w[0], hi - r * w[0])]
 
 
-# ---------------------------------------------------------------------------
-# standard basis per atomic kind (local exponent tuples)
-
-def _fermat_basis(a: int) -> list[Monomial]:
-    return [(r,) for r in range(a - 1)]
-
-
 def _chain_excluded(r: Monomial, c: tuple[int, ...]) -> bool:
     """Exclusion patterns (…, k≥1, c_{n−2l}−1, 0, …, c_{n−2}−1, 0, c_n−1),
     indices in the transposed-chain order (pure power first).
@@ -72,7 +68,8 @@ def _chain_excluded(r: Monomial, c: tuple[int, ...]) -> bool:
     hits a zero slot holding a positive entry (that entry is the pattern's
     k ≥ 1) or runs through the whole tuple ending in the c_1−1 phase (n odd;
     the k slot is absent).  Counting these against the alternating-sum
-    Milnor number Σ_j (−1)^j c_1⋯c_{n−j} confirms the reading."""
+    Milnor number Σ_j (−1)^j c_1⋯c_{n−j} confirms the reading.  A Fermat
+    x^a is the chain of length one: it excludes exactly r = a−1."""
     n = len(c)
     pos = n                      # 1-based; this slot must hold c_pos − 1
     while True:
@@ -85,69 +82,6 @@ def _chain_excluded(r: Monomial, c: tuple[int, ...]) -> bool:
         if pos == 2:
             return False         # the zero slot is the front: keep
         pos -= 2
-
-
-def _chain_basis(c: tuple[int, ...]) -> list[Monomial]:
-    out = []
-    for r in cartesian(*(range(ci) for ci in c)):
-        if not _chain_excluded(r, c):
-            out.append(r)
-    return out
-
-
-def _loop_basis(e: tuple[int, ...]) -> list[Monomial]:
-    return list(cartesian(*(range(ei) for ei in e)))
-
-
-# ---------------------------------------------------------------------------
-# rewrite rules per atomic kind
-#
-# A rule is (pattern, [(coef, target), …]): any monomial divisible by
-# `pattern` may be rewritten by removing the pattern and appending each
-# coefficient·target.  An empty list means the pattern annihilates.
-
-def _delta(n: int, *pairs) -> Monomial:
-    d = [0] * n
-    for i, v in pairs:
-        d[i] += v
-    return tuple(d)
-
-
-def _fermat_rules(a: int):
-    return [(_delta(1, (0, a - 1)), [])]
-
-
-def _chain_rules(c: tuple[int, ...]):
-    """Relations of f = y_1^{c_1} + y_1y_2^{c_2} + … + y_{n−1}y_n^{c_n}:
-    ∂_i gives c_i y_{i−1}y_i^{c_i−1} = −y_{i+1}^{c_{i+1}} (no y_0 factor for
-    i=1, right side absent for i=n); both orientations are supplied."""
-    n = len(c)
-    rules = []
-    for i in range(n):           # 0-based
-        lhs_pairs = [(i, c[i] - 1)]
-        if i > 0:
-            lhs_pairs.append((i - 1, 1))
-        lhs = _delta(n, *lhs_pairs)
-        if i == n - 1:
-            rules.append((lhs, []))
-        else:
-            rhs = _delta(n, (i + 1, c[i + 1]))
-            rules.append((lhs, [(Fraction(-1, c[i]), rhs)]))
-            rules.append((rhs, [(Fraction(-c[i]), lhs)]))
-    return rules
-
-
-def _loop_rules(e: tuple[int, ...]):
-    """Relations of the loop Σ_j v_j^{e_j}v_{j+1} (cyclic):
-    ∂_j gives e_j v_j^{e_j−1}v_{j+1} = −v_{j−1}^{e_{j−1}}."""
-    n = len(e)
-    rules = []
-    for j in range(n):
-        lhs = _delta(n, (j, e[j] - 1), ((j + 1) % n, 1))
-        rhs = _delta(n, ((j - 1) % n, e[(j - 1) % n]))
-        rules.append((lhs, [(Fraction(-1, e[j]), rhs)]))
-        rules.append((rhs, [(Fraction(-e[j]), lhs)]))
-    return rules
 
 
 def _partials(f: InvertiblePolynomial) -> list[dict]:
@@ -184,100 +118,93 @@ class RingElement:
         return RingElement(tuple(sorted(
             (i, Fraction(c)) for i, c in d.items() if c != 0)))
 
-    def as_dict(self) -> dict:
-        return dict(self.coeffs)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "RingElement") -> "RingElement":
-        d = self.as_dict()
-        for i, c in other.coeffs:
-            d[i] = d.get(i, Fraction(0)) + c
-        return RingElement.from_dict(d)
-
-    def scale(self, c) -> "RingElement":
-        c = Fraction(c)
-        return RingElement.from_dict({i: c * v for i, v in self.coeffs})
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        return self + other.scale(-1)
-
 
 class _SummandRing:
-    """Reduction engine for one atomic summand, in local exponents."""
+    """Normal forms for one atomic summand, in local exponents.
 
-    def __init__(self, s: AtomicSummand):
-        if s.kind == "fermat":
+    ``variables`` lists the summand's ambient variables in local order: the
+    transposed-chain order (pure power first) for Fermat and chain
+    summands, the cycle order for loops.  Each relation ∂_v f, v in the
+    summand, is a monomial p (kept in ``zeros``) or a binomial a·p + b·p′,
+    which gives the two moves p → (−b/a)·p′ and p′ → (−a/b)·p."""
+
+    def __init__(self, s: AtomicSummand, partials: list[dict]):
+        if s.kind == "loop":
             self.variables = s.variables
-            a = s.exponents[0]
-            basis = _fermat_basis(a)
-            self.rules = _fermat_rules(a)
-        elif s.kind == "chain":
-            # transposed-chain order: pure power first = classify order reversed
+            self.basis = list(cartesian(*(range(a) for a in s.exponents)))
+        else:
+            # transposed-chain order; a Fermat is the chain of length one
             self.variables = tuple(reversed(s.variables))
             c = tuple(reversed(s.exponents))
-            basis = _chain_basis(c)
-            self.rules = _chain_rules(c)
-        else:
-            self.variables = s.variables
-            e = s.exponents
-            basis = _loop_basis(e)
-            self.rules = _loop_rules(e)
-        self.basis = basis
-        self.basis_set = frozenset(basis)
-        self._cache: dict[Monomial, dict] = {}
+            self.basis = [r for r in cartesian(*(range(ci) for ci in c))
+                          if not _chain_excluded(r, c)]
+        self.basis_set = frozenset(self.basis)
+        self.zeros: list[Monomial] = []
+        self.moves: list[tuple[Monomial, Monomial, Fraction]] = []
+        for v in self.variables:
+            rel = [(tuple(m[u] for u in self.variables), a)
+                   for m, a in partials[v].items()]
+            if len(rel) == 1:
+                self.zeros.append(rel[0][0])
+            else:
+                (p, a), (q, b) = rel
+                self.moves += [(p, q, -b / a), (q, p, -a / b)]
+        self._cache: dict[Monomial, tuple[Monomial, Fraction] | None] = {}
 
-    def reduce(self, m: Monomial) -> dict:
-        """[m] in the local standard basis, as {basis monomial: coefficient}."""
+    def reduce(self, m: Monomial) -> tuple[Monomial, Fraction] | None:
+        """[m] as (b, c) with [m] = c·b for a basis monomial b, or None
+        when [m] = 0.
+
+        Walks m's component of the binomial graph, keeping val[u] with
+        m ≡ val[u]·u: val[m] = 1, and a move u = s·p → s·p′ multiplies val
+        by −b/a.  The component is zero in Jac when a monomial relation
+        divides one of its monomials, or when a cycle comes back to a
+        monomial with a different val; otherwise it holds exactly one basis
+        monomial b and [m] = val[b]·b.  The walk covers the whole
+        component, basis monomials included, so a basis that is not one
+        raises RuntimeError instead of giving a wrong value."""
         if m in self.basis_set:
-            return {m: Fraction(1)}
+            return m, Fraction(1)
         if m in self._cache:
             return self._cache[m]
-        # collect every monomial reachable by single rewrites
-        reachable = {m}
-        frontier = [m]
-        expansions: dict[Monomial, list] = {}
-        while frontier:
-            nxt = []
-            for u in frontier:
-                if u in self.basis_set:
-                    continue
-                eqs = []
-                for pat, repl in self.rules:
-                    if _divides(pat, u):
-                        terms = [(coef, _add(_sub(u, pat), tgt))
-                                 for coef, tgt in repl]
-                        eqs.append(terms)
-                        for _, v in terms:
-                            if v not in reachable:
-                                reachable.add(v)
-                                nxt.append(v)
-                if not eqs:
-                    raise RuntimeError(
-                        f"no rewrite applies to non-basis monomial {u}")
-                expansions[u] = eqs
-            frontier = nxt
-        unknowns = sorted(u for u in reachable if u not in self.basis_set)
-        known = sorted(v for v in reachable if v in self.basis_set)
-        col = {u: k for k, u in enumerate(unknowns + known)}
-        # one row per rewrite u = Σ coef·v, as u − Σ coef·v = 0
-        sp = linalg.RowSpace()
-        for u, eqs in expansions.items():
-            for terms in eqs:
-                row = {col[u]: Fraction(1)}
-                for coef, v in terms:
-                    row[col[v]] = row.get(col[v], 0) - coef
-                sp.add(row)
-        # m is determined when its row involves no other unknown
-        srow = sp.rows.get(col[m])
-        if srow is None or any(c < len(unknowns) and c != col[m] for c in srow):
-            raise RuntimeError(
-                f"rewrite system for {m} is underdetermined (internal bug)")
-        sol = {known[c - len(unknowns)]: -e
-               for c, e in sorted(srow.items()) if c >= len(unknowns)}
-        self._cache[m] = sol
-        return sol
+        val = {m: Fraction(1)}
+        stack = [m]
+        reached: list[Monomial] = []
+        zero = False
+        while stack:
+            u = stack.pop()
+            applies = u in self.basis_set
+            if applies:
+                reached.append(u)
+            for p in self.zeros:
+                if _divides(p, u):
+                    zero = applies = True
+            for p, q, r in self.moves:
+                if _divides(p, u):
+                    applies = True
+                    v = _add(_sub(u, p), q)
+                    x = val[u] * r
+                    if v not in val:
+                        val[v] = x
+                        stack.append(v)
+                    elif val[v] != x:
+                        zero = True
+            if not applies:
+                raise RuntimeError(
+                    f"no relation applies to non-basis monomial {u}")
+        if len(reached) > 1:
+            raise RuntimeError(f"{m} reaches basis monomials {reached}")
+        if reached and zero:
+            raise RuntimeError(f"{m} reaches basis monomial {reached[0]} "
+                               "and a zero")
+        if not reached and not zero:
+            raise RuntimeError(f"the walk from {m} determines nothing")
+        term = (reached[0], val[reached[0]]) if reached else None
+        self._cache[m] = term
+        return term
 
 
 def top_of(f: InvertiblePolynomial) -> Monomial:
@@ -300,7 +227,8 @@ class JacobiRing:
     def __init__(self, f: InvertiblePolynomial):
         self.poly = f
         self.n = f.N
-        self._parts = [_SummandRing(s) for s in f.summands]
+        partials = _partials(f)
+        self._parts = [_SummandRing(s, partials) for s in f.summands]
         monos = []
         for combo in cartesian(*(p.basis for p in self._parts)):
             monos.append(self._assemble(combo))
@@ -338,18 +266,18 @@ class JacobiRing:
 
     # -- reduction and arithmetic ----------------------------------------
 
-    def reduce_monomial(self, m: Monomial) -> dict:
-        """[m] in the standard basis, as {ambient monomial: coefficient}."""
-        locals_ = self._localize(m)
-        parts_reduced = [p.reduce(r) for p, r in zip(self._parts, locals_)]
-        result: dict[Monomial, Fraction] = {}
-        for pick in cartesian(*(pr.items() for pr in parts_reduced)):
-            coef = Fraction(1)
-            for _, c in pick:
-                coef *= c
-            mono = self._assemble([r for r, _ in pick])
-            result[mono] = result.get(mono, Fraction(0)) + coef
-        return {m2: c for m2, c in result.items() if c != 0}
+    def reduce_monomial(self, m: Monomial) -> tuple[Monomial, Fraction] | None:
+        """[m] as (basis monomial, coefficient), or None when [m] = 0: the
+        product of the summands' normal forms."""
+        picks = []
+        coef = Fraction(1)
+        for part, r in zip(self._parts, self._localize(m)):
+            term = part.reduce(r)
+            if term is None:
+                return None
+            picks.append(term[0])
+            coef *= term[1]
+        return self._assemble(picks), coef
 
     def reduce(self, p) -> RingElement:
         """Normal form of a monomial or {monomial: coef} polynomial."""
@@ -357,9 +285,10 @@ class JacobiRing:
             p = {p: Fraction(1)}
         acc: dict[int, Fraction] = {}
         for m, c in p.items():
-            for m2, c2 in self.reduce_monomial(m).items():
-                i = self.basis.index[m2]
-                acc[i] = acc.get(i, Fraction(0)) + Fraction(c) * c2
+            term = self.reduce_monomial(m)
+            if term is not None:
+                i = self.basis.index[term[0]]
+                acc[i] = acc.get(i, Fraction(0)) + Fraction(c) * term[1]
         return RingElement.from_dict(acc)
 
     @property

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
+from .errors import WrongConfiguration
 
 
 class PolynomialSyntaxError(ValueError):
@@ -45,13 +46,16 @@ class AtomicSummand:
     variables: tuple[int, ...]
 
     def __post_init__(self):
-        assert self.kind in ("fermat", "chain", "loop")
-        assert len(self.exponents) == len(self.variables)
-        assert all(a >= 2 for a in self.exponents)
-        if self.kind == "fermat":
-            assert len(self.variables) == 1
-        else:
-            assert len(self.variables) >= 2
+        if self.kind not in ("fermat", "chain", "loop"):
+            raise WrongConfiguration(f"unknown summand kind {self.kind!r}")
+        if len(self.exponents) != len(self.variables):
+            raise WrongConfiguration("one exponent per variable expected")
+        if not all(a >= 2 for a in self.exponents):
+            raise WrongConfiguration(f"exponents {self.exponents} below 2")
+        if self.kind == "fermat" and len(self.variables) != 1:
+            raise WrongConfiguration("a Fermat summand has one variable")
+        if self.kind != "fermat" and len(self.variables) < 2:
+            raise WrongConfiguration(f"a {self.kind} needs two variables or more")
 
     def describe(self) -> str:
         inner = ",".join(str(a) for a in self.exponents)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from lgmirror import groups
+from lgmirror.errors import WrongConfiguration
 from lgmirror.groups import GroupElement
 from lgmirror.poly import InvertiblePolynomial
 
@@ -115,3 +116,13 @@ def test_sector_degree():
 def test_json_phases():
     g = GroupElement((F(1, 3), F(0)))
     assert g.json_phases() == ["1/3", "0/1"]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GroupElement((F(1),)),                               # phase 1
+    lambda: GroupElement((F(1, 3), F(-1, 3))),                   # phase < 0
+    lambda: GroupElement((F(1, 3),)) * GroupElement((F(1, 3), F(0))),  # ranks
+])
+def test_group_element_checks_are_explicit(make):
+    with pytest.raises(WrongConfiguration):
+        make()

@@ -133,8 +133,45 @@ def test_reduce_preserves_weight():
                 assert R.wt(m2) == w
 
 
+def test_reduce_is_one_term_or_zero():
+    """Every relation is a monomial or a binomial, so a monomial reduces to
+    one basis term or to 0."""
+    for text in RINGS:
+        R = ring(text)
+        for m in R.basis.monomials:
+            for probe in (tuple(e + 1 for e in m), tuple(e + 2 for e in m)):
+                assert len(R.reduce(probe).coeffs) <= 1
+
+
+def test_walk_refuses_a_basis_with_an_excluded_chain_monomial():
+    # Jac(x1^2 + x1*x2^2): x1*x2 = 0 and x2^3 ≡ −2·x1*x2.  With the excluded
+    # x1*x2 posing as a basis monomial, the walk from x2^3 reaches a basis
+    # monomial and a zero.
+    R = ring("x1^2 + x1*x2^2")
+    part = R._parts[0]
+    assert part.variables == (0, 1) and (1, 1) not in part.basis_set
+    assert R.reduce((0, 3)).is_zero()
+    R = ring("x1^2 + x1*x2^2")
+    R._parts[0].basis_set |= {(1, 1)}
+    with pytest.raises(RuntimeError, match="and a zero"):
+        R.reduce((0, 3))
+
+
+@pytest.mark.parametrize("text", ["x1^3*x2 + x2^3*x1",
+                                  "x1^2 + x1*x2^2 + x2*x3^3"])
+def test_walk_refuses_a_basis_missing_a_monomial(text):
+    """A basis monomial taken out of the basis is nonzero in Jac but reaches
+    no basis monomial: its walk raises instead of returning 0."""
+    for b in ring(text).basis.monomials:
+        R = ring(text)
+        part = R._parts[0]
+        part.basis_set = part.basis_set - {R._localize(b)[0]}
+        with pytest.raises(RuntimeError):
+            R.reduce(b)
+
+
 # ---------------------------------------------------------------------------
-# oracle equivalence: the rewriting engine against blind Gaussian elimination
+# oracle equivalence: the binomial walk against blind Gaussian elimination
 
 def oracle_nf(oracle, poly):
     """Extend the oracle's normal form linearly to a polynomial dict."""
@@ -157,7 +194,7 @@ def test_oracle_dimension_and_normal_forms(text):
     for m in R.basis.monomials:
         vec = {oidx[m2]: c for m2, c in oracle.normal_form(m).items()}
         assert sp.add(vec), f"{text}: {m} dependent"
-    # and every monomial must reduce, through the rewriting engine, to
+    # and every monomial must reduce, through the binomial walk, to
     # something the oracle agrees equals the original modulo the ideal
     caps = [int(bound / q) + 1 for q in R.poly.q]
     for m in cartesian(*(range(c + 1) for c in caps)):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lgmirror import linalg
+from lgmirror.errors import WrongConfiguration
 from lgmirror.poly import (
     AtomicSummand,
     InvertiblePolynomial,
@@ -249,3 +250,17 @@ def test_fermat_chain_weights_positive_bounded(a):
     rho = chain_inverse_entries(a)
     q = [sum(row, F(0)) for row in rho]
     assert all(0 < qi <= F(1, 2) for qi in q)
+
+
+@pytest.mark.parametrize("kind, exponents, variables", [
+    ("cycle", (3, 3), (0, 1)),   # unknown kind
+    ("chain", (3, 3), (0,)),     # one exponent per variable
+    ("loop", (3, 1), (0, 1)),    # exponent below 2
+    ("fermat", (3, 3), (0, 1)),  # a Fermat with two variables
+    ("chain", (3,), (0,)),       # a chain with one variable
+])
+def test_atomic_summand_checks_are_explicit(kind, exponents, variables):
+    """`amodel._atomic_piece` builds summands outside the parser, so their
+    invariants are checks, not asserts."""
+    with pytest.raises(WrongConfiguration):
+        AtomicSummand(kind, exponents, variables)
