@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import ConcavityViolated, InconsistentInput, UnsupportedByTheorem, WrongConfiguration
-from .groups import GroupElement
+from .groups import GroupElement, _frac
 from .jacobi import top_of
 from .mirror import final_type_insertions, require_mirror_hypotheses, sector_of
 from .poly import AtomicSummand, InvertiblePolynomial, reassemble
@@ -42,35 +42,6 @@ from .selection import line_bundle_degrees
 SYMMETRIC_LOOP_SEED = Fraction(2, 27)
 
 _SPLITTINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
-
-
-def _frac(x: Fraction) -> Fraction:
-    return x - (x // 1)
-
-
-@dataclass(frozen=True)
-class PhaseProbe:
-    """The numbers Y[i][c] = q_i + c*rho_t^(i) for c in [-2, 2].
-
-    Insertion and node phases of the four-point correlator with target t
-    are integer shifts of these; the probe is exposed for tracing which
-    window each one falls into.
-    """
-
-    target: int
-    values: tuple[tuple[Fraction, ...], ...]  # values[i][c + 2]
-
-    @staticmethod
-    def build(W: InvertiblePolynomial, target: int) -> "PhaseProbe":
-        inv = W.inverse_exponents()
-        t = target - 1
-        rows = tuple(
-            tuple(W.q[i] + c * inv[i][t] for c in range(-2, 3)) for i in range(W.N)
-        )
-        return PhaseProbe(target, rows)
-
-    def y(self, i: int, c: int) -> Fraction:
-        return self.values[i - 1][c + 2]
 
 
 @dataclass(frozen=True)

@@ -257,33 +257,18 @@ class GoodBasisReport:
 
 
 def _monomial_order(f: InvertiblePolynomial) -> list[int]:
-    """Rows of f.E in intrinsic order: the pure power heads a chain, and
-    consecutive monomials share the power variable of one with the linear
-    variable of the next; loops follow the same linkage cyclically."""
-    rows = f.E
-    owner: dict[int, int] = {}
-    linear: dict[int, int | None] = {}
-    for r, row in enumerate(rows):
-        support = [(j, e) for j, e in enumerate(row) if e]
-        power = [j for j, e in support if e >= 2]
-        lin = [j for j, e in support if e == 1]
-        owner[r] = power[0]
-        linear[r] = lin[0] if lin else None
-    by_linear = {v: r for r, v in linear.items() if v is not None}
-    heads = [r for r, v in linear.items() if v is None]
-    if heads:
-        start = heads[0]
-    else:
-        start = min(range(len(rows)), key=lambda r: owner[r])
-    order = [start]
-    while len(order) < len(rows):
-        nxt = by_linear.get(owner[order[-1]])
-        if nxt is None or nxt in order:
-            break
-        order.append(nxt)
-    if len(order) != len(rows):
-        raise WrongConfiguration("rows do not link into a single chain or loop")
-    return order
+    """Rows of an atomic f.E in intrinsic order: a chain from its pure power
+    back to its first variable, a loop backwards from its smallest
+    variable; consecutive rows share the power variable of one with the
+    linear variable of the next."""
+    if len(f.summands) != 1:
+        raise WrongConfiguration("intrinsic order needs one atomic summand")
+    s = f.summands[0]
+    vs = s.variables[::-1]
+    if s.kind == "loop":
+        start = vs.index(min(vs))
+        vs = vs[start:] + vs[:start]
+    return [f.head[v] for v in vs]
 
 
 def _allowed_families(kind: str, n: int) -> set[tuple[int, ...]]:
@@ -310,8 +295,9 @@ def _ordered_inverse(f: InvertiblePolynomial, order: list[int]) -> list[list[Fra
 
 
 def pairing_solution(f: InvertiblePolynomial, m: Monomial) -> tuple[int, ...] | None:
-    """The integer vector k with k . E_f = m + 2, in intrinsic monomial
-    order, or None when the exact solution is not integral."""
+    """The integer vector k with k . E_f = m + 2 for an atomic f, in
+    intrinsic monomial order, or None when the exact solution is not
+    integral."""
     inv = _ordered_inverse(f, _monomial_order(f))
     rhs = [mi + 2 for mi in m]
     k = [sum(r * a for r, a in zip(rhs, column)) for column in zip(*inv)]

@@ -24,6 +24,7 @@ Brieskorn-lattice reduction steps on the B side.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -579,6 +580,7 @@ def cmd_wdvv(args) -> int:
 # wiring
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lgmirror",

@@ -18,7 +18,8 @@ DEFAULT_GROUP_CAP = 100_000
 
 
 class GroupCapExceeded(RuntimeError):
-    """Group enumeration would exceed the configured element cap."""
+    """Group enumeration would exceed the configured element cap, or the
+    cap itself is not an integer."""
 
 
 def _frac(x: Fraction) -> Fraction:
@@ -98,7 +99,8 @@ def group_cap() -> int:
         try:
             return int(raw)
         except ValueError:
-            raise ValueError(f"LGMIRROR_GROUP_CAP={raw!r} is not an integer")
+            raise GroupCapExceeded(
+                f"LGMIRROR_GROUP_CAP={raw!r} is not an integer") from None
     return DEFAULT_GROUP_CAP
 
 

@@ -4,10 +4,13 @@ There is one elimination kernel, `RowSpace`: it keeps the reduced row
 echelon form (RREF) of a span, each row a ``{column: Fraction}`` dict with
 no zero entries.  The RREF of a span is unique, so nothing computed from it
 depends on the order in which rows were added.  `invert`, `solve` and
-`solve_general` are views of it.  The systems involved are tiny (N ≤ a
-handful for exponent matrices) or very sparse (each ∂_j f of an invertible
-polynomial has at most two terms), so exact elimination is both adequate
-and, unlike floating point, actually correct.
+`solve_general` are views of it.  The systems involved are very sparse
+(each ∂_j f of an invertible polynomial has at most two terms), so exact
+elimination is both adequate and, unlike floating point, actually correct.
+
+`jacobi` uses `RowSpace` and `solve_general`.  `invert` and `solve` are the
+reference kernel, not the construction path: `poly` reads E⁻¹ off the
+summands in closed form, and the tests check it against `invert`.
 """
 
 from __future__ import annotations

@@ -12,6 +12,11 @@ decomposes as a disjoint sum of Fermat / chain / loop pieces:
 with every a_i ≥ 2.  Chains read in either orientation (a pure-power row may
 sit at either end of the path); loops are canonicalized by rotating the cycle
 so the lexicographically smallest exponent tuple starts it.
+
+The classifier is the one reader of E's row structure: it records the row
+headed by each variable, and E⁻¹ is read off the summands block by block
+from the closed forms `chain_inverse_entries` (a Fermat is the chain of
+length one) and `loop_inverse_entries`, with no elimination.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import linalg
 from .errors import WrongConfiguration
 
 
@@ -70,6 +74,8 @@ class InvertiblePolynomial:
     q: tuple[Fraction, ...]
     charge: Fraction
     E_inv: tuple[tuple[Fraction, ...], ...] = field(compare=False, repr=False)
+    # head[v] is the row of E headed by x_v, the monomial x_v^a or x_v^a·x_u
+    head: tuple[int, ...] = field(compare=False, repr=False)
     # the grading in integers: q_i = w_i/d with d the least common denominator
     d: int = field(compare=False, repr=False)
     w: tuple[int, ...] = field(compare=False, repr=False)
@@ -90,11 +96,8 @@ class InvertiblePolynomial:
             raise PolynomialSyntaxError("exponent matrix must be square and nonempty")
         if any(e < 0 for row in E for e in row):
             raise PolynomialSyntaxError("negative exponent")
-        summands = _classify_rows(E)
-        try:
-            E_inv = tuple(tuple(row) for row in linalg.invert(E))
-        except ValueError as exc:
-            raise NotInvertibleShape("exponent matrix is singular") from exc
+        summands, head = _classify_rows(E)
+        E_inv = _inverse(summands, head)
         # the weights solve E·q = (1,…,1)ᵗ: the row sums of E⁻¹
         q = tuple(sum(row, Fraction(0)) for row in E_inv)
         if not all(0 < qi <= Fraction(1, 2) for qi in q):
@@ -104,7 +107,7 @@ class InvertiblePolynomial:
         d = math.lcm(*(qi.denominator for qi in q))
         w = tuple(qi.numerator * (d // qi.denominator) for qi in q)
         charge = Fraction(n * d - 2 * sum(w), d)
-        return InvertiblePolynomial(n, E, tuple(summands), q, charge, E_inv, d, w)
+        return InvertiblePolynomial(n, E, tuple(summands), q, charge, E_inv, head, d, w)
 
     @staticmethod
     def from_string(text: str) -> "InvertiblePolynomial":
@@ -227,7 +230,8 @@ def parse_exponent_matrix(text: str) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # classification
 
-def _classify_rows(E) -> list[AtomicSummand]:
+def _classify_rows(E) -> tuple[list[AtomicSummand], tuple[int, ...]]:
+    """The atomic summands of E, and the row headed by each variable."""
     n = len(E)
     owner_row: dict[int, int] = {}   # variable -> its monomial row
     out_edge: dict[int, int | None] = {}
@@ -299,7 +303,7 @@ def _classify_rows(E) -> list[AtomicSummand]:
         exps = exps[rot:] + exps[:rot]
         summands.append(AtomicSummand("loop", tuple(exps), tuple(cycle)))
     summands.sort(key=lambda s: s.variables[0])
-    return summands
+    return summands, tuple(owner_row[v] for v in range(n))
 
 
 def _canonical_rotation(exps) -> int:
@@ -327,6 +331,19 @@ def reassemble(summands, n: int) -> list[list[int]]:
 
 # ---------------------------------------------------------------------------
 # inverse-matrix closed forms
+
+def _inverse(summands, head) -> tuple[tuple[Fraction, ...], ...]:
+    """E⁻¹, block by block: summand row i, taken in variable order, is row
+    head[v_i] of E, so entry (i, j) of the block goes to [v_i][head[v_j]]."""
+    n = len(head)
+    inv = [[Fraction(0)] * n for _ in range(n)]
+    for s in summands:
+        closed = loop_inverse_entries if s.kind == "loop" else chain_inverse_entries
+        for vi, row in zip(s.variables, closed(s.exponents)):
+            for vj, x in zip(s.variables, row):
+                inv[vi][head[vj]] = x
+    return tuple(tuple(row) for row in inv)
+
 
 def chain_inverse_entries(a) -> list[list[Fraction]]:
     """Closed form for E⁻¹ of the chain x_1^{a_1}x_2 + … + x_N^{a_N}:

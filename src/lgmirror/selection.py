@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from . import linalg
 from .errors import WrongConfiguration
 from .groups import GroupElement
 from .jacobi import ring_of
@@ -76,8 +75,8 @@ class CorrelatorSpec:
                 raise WrongConfiguration(f"insertion {m} must be a single variable or 1")
         head.sort(key=lambda m: m.index(1) if _is_primitive(m) else -1, reverse=True)
         ell = tuple(sum(m[i] for m in head) for i in range(W.N))
-        rhs = [Fraction(ell[i] + alpha[i] + beta[i] + 2) for i in range(W.N)]
-        b = tuple(linalg.solve(W.E, rhs))
+        rhs = [ell[i] + alpha[i] + beta[i] + 2 for i in range(W.N)]
+        b = tuple(sum((x * r for x, r in zip(row, rhs)), Fraction(0)) for row in W.E_inv)
         K = tuple(Fraction(ell[i]) - b[i] + 1 for i in range(W.N))
         return CorrelatorSpec(tuple(head) + (tuple(alpha), tuple(beta)), ell, tuple(alpha), tuple(beta), b, K)
 

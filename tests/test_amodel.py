@@ -7,7 +7,6 @@ import pytest
 
 from lgmirror.amodel import (
     SYMMETRIC_LOOP_SEED,
-    PhaseProbe,
     b2_correlator,
     boundary_decorations,
     fjrw_four_point,
@@ -60,10 +59,21 @@ def test_chain_value_and_node_phases():
 
 
 def test_final_type_line_bundle_degrees():
-    for expr, t in [("x1^3*x2 + x2^4", 2), ("x1^2*x2 + x2^4*x1", 2), ("x1^5", 1)]:
+    """The degrees, and the sector phases they come from: integer shifts
+    of q_i + c·ρ_t^(i), with c = 1 for x_t, c = −2 for M_t/x_t², and of
+    1 − q_i for top."""
+    for expr, t in [("x1^3*x2 + x2^4", 2), ("x1^2*x2 + x2^4*x1", 2), ("x1^5", 1),
+                    ("x1^2*x2 + x2^3*x1", 2)]:
         W = InvertiblePolynomial.from_string(expr)
-        degs = line_bundle_degrees(W, _final_type_sectors(W, t))
+        sectors = _final_type_sectors(W, t)
+        degs = line_bundle_degrees(W, sectors)
         assert degs == [F(-1 - (1 if i == t - 1 else 0)) for i in range(W.N)]
+        theta, _, s, h = sectors
+        for i in range(W.N):
+            rho = W.E_inv[i][t - 1]
+            assert (theta.phases[i] - (W.q[i] + rho)).denominator == 1
+            assert (s.phases[i] - (W.q[i] - 2 * rho)).denominator == 1
+            assert (h.phases[i] - (1 - W.q[i])).denominator == 1
 
 
 def test_loop_concave_values():
@@ -219,21 +229,6 @@ def test_decorations_need_four_sectors():
     W = InvertiblePolynomial.from_string("x1^5")
     with pytest.raises(WrongConfiguration):
         boundary_decorations(W, _final_type_sectors(W, 1)[:3])
-
-
-def test_phase_probe():
-    W = atomic("loop", (2, 3))
-    probe = PhaseProbe.build(W, 2)
-    inv = W.inverse_exponents()
-    for i in (1, 2):
-        for c in range(-2, 3):
-            assert probe.y(i, c) == W.q[i - 1] + c * inv[i - 1][1]
-    # theta/H/S phases are integer shifts of the probe values
-    theta, _, s, h = _final_type_sectors(W, 2)
-    for i in (1, 2):
-        assert (theta.phases[i - 1] - probe.y(i, 1)).denominator == 1
-        assert (h.phases[i - 1] - (1 - probe.y(i, 0))).denominator == 1
-        assert (s.phases[i - 1] - probe.y(i, -2)).denominator == 1
 
 
 # ------------------------------------------------------- identity property

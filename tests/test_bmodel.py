@@ -348,6 +348,8 @@ class TestGoodBasis:
         W = assemble(("fermat", (3,)), ("fermat", (4,)))
         with pytest.raises(WrongConfiguration):
             good_basis_check(W)
+        with pytest.raises(WrongConfiguration):
+            pairing_solution(W, (1, 1))
 
 
 def intrinsic_order(f):

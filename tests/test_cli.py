@@ -342,9 +342,13 @@ class TestClassify:
         assert "LGMIRROR_GROUP_CAP" in err
 
     def test_bad_cap_value_is_loud(self, capsys, monkeypatch):
-        monkeypatch.setenv("LGMIRROR_GROUP_CAP", "many")
-        with pytest.raises(ValueError):
-            run(capsys, "classify", "--expr", "x1^4+x2^4", "--trace")
+        """A malformed cap is malformed input: exit 2 with a message."""
+        for cap in ("many", "abc", "1e3", " "):
+            monkeypatch.setenv("LGMIRROR_GROUP_CAP", cap)
+            code, out, err = run(capsys, "classify", "--expr", "x1^3", "--trace")
+            assert code == 2
+            assert out == ""
+            assert err == f"error: LGMIRROR_GROUP_CAP={cap!r} is not an integer\n"
 
 
 class TestMirror:

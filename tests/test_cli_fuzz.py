@@ -100,3 +100,59 @@ def blob_path(tmp_path_factory):
 def test_verify_input_json(blob_path, text):
     blob_path.write_text(text, encoding="utf-8")
     exit_code(["verify", "--input", str(blob_path)])
+
+
+# The other subcommands.  Most malformed text stops at the parser, so half
+# the draws are valid sums of Fermats, chains and loops (N ≤ 3, exponents
+# 2–6) on relabelled variables, with the monomials shuffled.  `jacobi
+# --trace` is left out: it prints a μ² product table, which no input cap
+# bounds yet.
+@st.composite
+def valid_expression(draw):
+    n = draw(st.integers(1, 3))
+    cuts = draw(st.lists(st.integers(1, n - 1), unique=True)) if n > 1 else []
+    sizes = [b - a for a, b in zip([0, *sorted(cuts)], [*sorted(cuts), n])]
+    labels = draw(st.permutations(range(1, n + 1)))
+    terms, at = [], 0
+    for k in sizes:
+        vs = labels[at:at + k]
+        at += k
+        loop = k > 1 and draw(st.booleans())
+        for pos, v in enumerate(vs):
+            term = f"x{v}^{draw(st.integers(2, 6))}"
+            if pos + 1 < k or loop:
+                term += f"*x{vs[(pos + 1) % k]}"
+            terms.append(term)
+    return " + ".join(draw(st.permutations(terms)))
+
+
+ANY_EXPRESSION = st.one_of(expression(), valid_expression())
+INSERTION = st.one_of(
+    st.just("1"),
+    st.builds(lambda i, e: f"x{i}^{e}", st.integers(0, 4), st.integers(0, 3)),
+    st.builds(lambda i, j: f"x{i}*x{j}", st.integers(0, 4), st.integers(0, 4)),
+    st.integers(0, 4).map(lambda i: f"x{i}"),
+    BAD_FACTOR,
+)
+INSERTIONS = st.lists(INSERTION, max_size=6).map(",".join)
+
+
+@pytest.mark.parametrize("command", [["classify", "--trace"], ["mirror"],
+                                     ["axioms"], ["wdvv"]], ids=" ".join)
+@settings(max_examples=100, deadline=None)
+@given(text=ANY_EXPRESSION)
+def test_subcommand_expr(command, text):
+    exit_code([*command, f"--expr={text}"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(ANY_EXPRESSION, INSERTIONS)
+def test_axioms_insertions(text, insertions):
+    exit_code(["axioms", f"--expr={text}", f"--insertions={insertions}"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(ANY_EXPRESSION, st.integers(-1, 4), st.sampled_from(["A", "B", "both"]))
+def test_correlator_target(text, target, side):
+    exit_code(["correlator", f"--expr={text}", f"--target={target}",
+               f"--side={side}"])

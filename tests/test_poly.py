@@ -232,6 +232,37 @@ def test_loop_inverse_closed_form(a):
     assert loop_inverse_entries(a) == linalg.invert(E)
 
 
+@st.composite
+def direct_sum(draw):
+    """1–3 Fermat/chain/loop summands with exponents 2–6 and N ≤ 8, on
+    relabelled variables, with the monomials shuffled."""
+    pieces, n = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["fermat", "chain", "loop"]))
+        k = 1 if kind == "fermat" else draw(st.integers(2, 8))
+        if n + k > 8:
+            break
+        pieces.append((kind, draw(st.lists(st.integers(2, 6), min_size=k, max_size=k))))
+        n += k
+    labels = draw(st.permutations(range(n)))
+    summands, at = [], 0
+    for kind, a in pieces:
+        summands.append(AtomicSummand(kind, tuple(a), tuple(labels[at:at + len(a)])))
+        at += len(a)
+    return draw(st.permutations(reassemble(summands, n)))
+
+
+@given(direct_sum())
+def test_closed_form_inverse_equals_elimination(E):
+    """E⁻¹ read off the summands equals generic elimination, for W and Wᵗ,
+    and head[v] is the row of E in which x_v carries its exponent."""
+    W = InvertiblePolynomial.from_exponent_matrix(E)
+    for W in (W, W.transpose()):
+        assert [list(row) for row in W.E_inv] == linalg.invert(W.E)
+        assert sorted(W.head) == list(range(W.N))
+        assert all(W.E[W.head[v]][v] >= 2 for v in range(W.N))
+
+
 def test_loop_inverse_hand_checked():
     # loop x1^2*x2 + x2^4*x1: det 7, inverse (1/7)[[4,-1],[-1,2]]
     assert loop_inverse_entries([2, 4]) == [[F(4, 7), F(-1, 7)],
