@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import ConcavityViolated, InconsistentInput, UnsupportedByTheorem, WrongConfiguration
-from .groups import GroupElement, _frac
+from .groups import GroupElement
 from .jacobi import top_of
 from .mirror import final_type_insertions, require_mirror_hypotheses, sector_of
 from .poly import AtomicSummand, InvertiblePolynomial, reassemble
@@ -76,31 +76,39 @@ def boundary_decorations(
 
     Node phases come from h_side^(i) = q_i - sum of the side's insertion
     phases: the fractional part is the node sector and the floor is the
-    component line bundle degree.  Degree bookkeeping (the two component
-    degrees plus one when the node is narrow add up to the smooth-fiber
-    degree) is checked on every decoration.
+    component line bundle degree.  Both are taken in integers over the
+    common denominator D, as a mod and a floor division of D·h.  Degree
+    bookkeeping (the two component degrees plus one when the node is
+    narrow add up to the smooth-fiber degree) is checked on every
+    decoration.
     """
     if len(sectors) != 4:
         raise WrongConfiguration("expected exactly 4 sectors")
     smooth = line_bundle_degrees(W, sectors)
+    D = lcm(W.D, *(g.den for g in sectors))
+    q = [x * (D // W.D) for x in W.Dq]
+    theta = [g.scaled(D) for g in sectors]
     out = []
     for plus, minus in _SPLITTINGS:
-        h_plus = [W.q[i] - sum(sectors[m].phases[i] for m in plus) for i in range(W.N)]
-        h_minus = [W.q[i] - sum(sectors[m].phases[i] for m in minus) for i in range(W.N)]
-        gamma = GroupElement(tuple(_frac(h) for h in h_plus))
-        ell_plus = tuple(int(h // 1) for h in h_plus)
-        ell_minus = tuple(int(h // 1) for h in h_minus)
+        (a, b), (c, e) = plus, minus
+        h_plus = [qi - ta - tb for qi, ta, tb in zip(q, theta[a], theta[b])]
+        h_minus = [qi - tc - te for qi, tc, te in zip(q, theta[c], theta[e])]
+        gamma = tuple(h % D for h in h_plus)
+        ell_plus = tuple(h // D for h in h_plus)
+        ell_minus = tuple(h // D for h in h_minus)
         for i in range(W.N):
-            g_plus, g_minus = _frac(h_plus[i]), _frac(h_minus[i])
-            if g_plus * (1 - g_plus) != g_minus * (1 - g_minus):
+            g_plus, g_minus = gamma[i], h_minus[i] % D
+            if g_plus * (D - g_plus) != g_minus * (D - g_minus):
                 raise WrongConfiguration(
-                    f"node phases {g_plus}, {g_minus} of line bundle {i + 1} are not inverse")
+                    f"node phases {Fraction(g_plus, D)}, {Fraction(g_minus, D)} "
+                    f"of line bundle {i + 1} are not inverse")
             node = 1 if g_plus != 0 else 0
             if ell_plus[i] + ell_minus[i] != smooth[i] - node:
                 raise WrongConfiguration(
                     f"line bundle {i + 1} has component degrees {ell_plus[i]}, "
                     f"{ell_minus[i]} on {(plus, minus)}, smooth degree {smooth[i]}")
-        out.append(BoundaryDecoration((plus, minus), gamma, ell_plus, ell_minus))
+        out.append(BoundaryDecoration((plus, minus), GroupElement.over(gamma, D),
+                                      ell_plus, ell_minus))
     return out
 
 
@@ -111,7 +119,7 @@ def _sections_vanish(dec: BoundaryDecoration, i: int) -> bool:
     degree is zero and the node is untwisted there (the restriction map to
     the node fiber is then injective on the constants).
     """
-    broad = dec.gamma_plus.phases[i - 1] == 0
+    broad = dec.gamma_plus.num[i - 1] == 0
     for ell in (dec.ell_plus[i - 1], dec.ell_minus[i - 1]):
         if ell > 0 or (ell == 0 and not broad):
             return False
@@ -132,28 +140,35 @@ def _chern_combo(
     Equal to the concave correlator value when j is the target, and to
     minus the degree-one Chern character of the pushforward of the j-th
     line bundle in general (the constant terms of the three Bernoulli
-    polynomials cancel: 1 - 4 + 3 = 0).
+    polynomials cancel: 1 - 4 + 3 = 0).  Summed over D², with D the common
+    denominator of the phases, into a single Fraction.
     """
-    q = W.q[j - 1]
-    total = -q * (1 - q)
-    for g in sectors:
-        th = g.phases[j - 1]
-        total += th * (1 - th)
-    for dec in decorations:
-        th = dec.gamma_plus.phases[j - 1]
-        total -= th * (1 - th)
-    return total / 2
+    nodes = [dec.gamma_plus for dec in decorations]
+    D = lcm(W.D, *(g.den for g in sectors), *(g.den for g in nodes))
+
+    def bernoulli(num: int, den: int) -> int:
+        th = num * (D // den)
+        return th * (D - th)
+
+    total = -bernoulli(W.Dq[j - 1], W.D)
+    total += sum(bernoulli(g.num[j - 1], g.den) for g in sectors)
+    total -= sum(bernoulli(g.num[j - 1], g.den) for g in nodes)
+    return Fraction(total, 2 * D * D)
 
 
 def b2_correlator(
-    W: InvertiblePolynomial, sectors: list[GroupElement], target_index: int
+    W: InvertiblePolynomial,
+    sectors: list[GroupElement],
+    target_index: int,
+    decorations=None,
 ) -> Fraction:
     """Concave four-point correlator value at the target variable.
 
     Requires all four insertions narrow, smooth-fiber line bundle degrees
     -2 at the target and -1 elsewhere, and no sections on any boundary
     stratum; raises ConcavityViolated otherwise so the caller can route
-    to another method.
+    to another method.  ``decorations`` are the sectors' boundary
+    decorations when the caller has them already.
     """
     if any(not g.is_narrow() for g in sectors):
         raise ConcavityViolated("broad insertion sector")
@@ -164,7 +179,8 @@ def b2_correlator(
             raise ConcavityViolated(
                 f"line bundle {i} has degree {smooth[i - 1]}, expected {want}"
             )
-    decorations = boundary_decorations(W, sectors)
+    if decorations is None:
+        decorations = boundary_decorations(W, sectors)
     for dec in decorations:
         for i in range(1, W.N + 1):
             if not _sections_vanish(dec, i):
@@ -181,11 +197,11 @@ def _final_type_sectors(W: InvertiblePolynomial, target: int) -> list[GroupEleme
     of its milnor ring.
     """
     x, s, _ = final_type_insertions(W, target)
-    top = top_of(W.transpose())
-    return [sector_of(W, x), sector_of(W, x), sector_of(W, s), sector_of(W, top)]
+    theta = sector_of(W, x)
+    return [theta, theta, sector_of(W, s), sector_of(W, top_of(W.transpose()))]
 
 
-def guere_correlator(W: InvertiblePolynomial) -> Fraction:
+def guere_correlator(W: InvertiblePolynomial, sectors=None, decorations=None) -> Fraction:
     """Four-point value for a loop ending in a square (a_N = 2, N >= 3).
 
     The last-but-one line bundle acquires sections on one boundary
@@ -196,7 +212,8 @@ def guere_correlator(W: InvertiblePolynomial) -> Fraction:
     the a_{N-1} coefficient being lim (1 - u^{-a_{N-1}}) u/(1 - u) as
     u -> 1.  Each Ch1 integral is minus the Bernoulli combination; every
     line bundle below N-1 is concave of degree -1 and contributes zero,
-    which is checked.
+    which is checked.  ``sectors`` and ``decorations`` are those of the
+    final-type correlator when the caller has them already.
     """
     if len(W.summands) != 1 or W.summands[0].kind != "loop":
         raise WrongConfiguration("expected a single loop")
@@ -204,13 +221,15 @@ def guere_correlator(W: InvertiblePolynomial) -> Fraction:
     a = _loop_exponents_in_ambient_order(W)
     if n < 3 or a[-1] != 2:
         raise WrongConfiguration("expected a loop with final exponent 2 and N >= 3")
-    sectors = _final_type_sectors(W, n)
+    if sectors is None:
+        sectors = _final_type_sectors(W, n)
     if any(not g.is_narrow() for g in sectors):
         raise WrongConfiguration("broad insertion sector")
     smooth = line_bundle_degrees(W, sectors)
     if smooth != [Fraction(-1)] * (n - 1) + [Fraction(-2)]:
         raise WrongConfiguration(f"unexpected line bundle degrees {smooth}")
-    decorations = boundary_decorations(W, sectors)
+    if decorations is None:
+        decorations = boundary_decorations(W, sectors)
     if decorations[0].pair(n - 1) != (0, -2):
         raise WrongConfiguration(
             f"expected component degrees (0, -2) for line bundle {n - 1}, "
@@ -327,7 +346,8 @@ def _atomic_piece(W: InvertiblePolynomial, i0: int) -> tuple[InvertiblePolynomia
         exps = s.exponents
         local = p + 1
     atom = AtomicSummand(s.kind, tuple(exps), tuple(range(n)))
-    piece = InvertiblePolynomial.from_exponent_matrix(reassemble([atom], n))
+    piece = W.derive(atom, lambda: InvertiblePolynomial.from_exponent_matrix(
+        reassemble([atom], n)))
     return piece, local
 
 
@@ -375,13 +395,13 @@ def four_point_report(W: InvertiblePolynomial, i: int) -> FourPointResult:
             return FourPointResult(value, "wdvv1", i, ())
         if piece.N == 2 and a_local[1] == 2:
             return FourPointResult(wdvv_case2(piece), "wdvv2", i, ())
-        if a_local[-1] == 2:
-            sectors = _final_type_sectors(piece, piece.N)
-            decorations = tuple(boundary_decorations(piece, sectors))
-            return FourPointResult(guere_correlator(piece), "guere", i, decorations)
+    # a loop's target is its last variable, so local = piece.N there
     sectors = _final_type_sectors(piece, local)
     decorations = tuple(boundary_decorations(piece, sectors))
-    value = b2_correlator(piece, sectors, local)
+    if kind == "loop" and a_local[-1] == 2:
+        value = guere_correlator(piece, sectors, decorations)
+        return FourPointResult(value, "guere", i, decorations)
+    value = b2_correlator(piece, sectors, local, decorations)
     return FourPointResult(value, "concave", i, decorations)
 
 

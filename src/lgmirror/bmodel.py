@@ -27,7 +27,6 @@ part the gradient of the genus-zero potential.  This module implements
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -288,24 +287,6 @@ def _allowed_families(kind: str, n: int) -> set[tuple[int, ...]]:
     return fams
 
 
-def _ordered_inverse(f: InvertiblePolynomial, order: list[int]) -> list[list[Fraction]]:
-    """E⁻¹ with its columns taken in ``order``: the inverse of the
-    row-reordered matrix, so k = (m + 2) . result in monomial order."""
-    return [[row[r] for r in order] for row in f.E_inv]
-
-
-def pairing_solution(f: InvertiblePolynomial, m: Monomial) -> tuple[int, ...] | None:
-    """The integer vector k with k . E_f = m + 2 for an atomic f, in
-    intrinsic monomial order, or None when the exact solution is not
-    integral."""
-    inv = _ordered_inverse(f, _monomial_order(f))
-    rhs = [mi + 2 for mi in m]
-    k = [sum(r * a for r, a in zip(rhs, column)) for column in zip(*inv)]
-    if any(v.denominator != 1 for v in k):
-        return None
-    return tuple(int(v) for v in k)
-
-
 def good_basis_check(f: InvertiblePolynomial) -> GoodBasisReport:
     """Verify that the standard basis of an atomic f is a good basis.
 
@@ -325,10 +306,10 @@ def good_basis_check(f: InvertiblePolynomial) -> GoodBasisReport:
     basis = ring_of(f).basis.monomials
     mu = len(basis)
     order = _monomial_order(f)
-    # integer form A = d . E⁻¹: k = (m + 2) . A / d is integral iff d divides it
-    inv = _ordered_inverse(f, order)
-    d = math.lcm(*(v.denominator for row in inv for v in row))
-    columns = [[int(v * d) for v in column] for column in zip(*inv)]
+    # k = (m + 2) . E⁻¹ with E⁻¹'s columns in monomial order, so that
+    # k . E = m + 2; it is integral iff D divides (m + 2) . D·E⁻¹
+    D = f.D
+    columns = [[row[r] for row in f.DE_inv] for r in order]
 
     members = set(basis)
     socle = f.charge * f.d
@@ -337,13 +318,13 @@ def good_basis_check(f: InvertiblePolynomial) -> GoodBasisReport:
     records: list[PairingClass] = []
     for m in itertools.product(*box):       # lexicographic: classes come out sorted
         knum = [sum((mj + 2) * a for mj, a in zip(m, column)) for column in columns]
-        if any(v % d for v in knum):
+        if any(v % D for v in knum):
             continue
         hits = sum(tuple(mj - rj for mj, rj in zip(m, r)) in members for r in basis)
         if hits == 0:
             continue
         half = all(mj % 2 == 0 for mj in m) and tuple(mj // 2 for mj in m) in members
-        k = tuple(v // d for v in knum)
+        k = tuple(v // D for v in knum)
         records.append(
             PairingClass(
                 exponent_sum=m,

@@ -1,12 +1,17 @@
 """Diagonal symmetry groups of invertible polynomials.
 
-Elements are stored additively as vectors of rational phases in [0,1); the
-group law is componentwise addition mod 1.  The maximal group is generated by
-the fractional parts of the columns of E⁻¹ and has order |det E|.
+Elements are stored additively as phase vectors in [0,1); the group law is
+componentwise addition mod 1.  The maximal group G_W is generated by the
+fractional parts of the columns of E⁻¹ and has order |det E|; its phases
+lie in (1/D)ℤ/ℤ, where D = W.D is the exponent of G_W.  An element keeps
+integer numerators over one denominator, the least one, so that equality
+and hashing follow the value and all arithmetic stays in integers;
+``phases`` is the ``Fraction`` view for output.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,46 +27,82 @@ class GroupCapExceeded(RuntimeError):
     cap itself is not an integer."""
 
 
-def _frac(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class GroupElement:
-    phases: tuple[Fraction, ...]
+    """The phase vector num/den, every numerator in [0, den) and den the
+    least common denominator.
 
-    def __post_init__(self):
-        if not all(0 <= p < 1 for p in self.phases):
-            raise WrongConfiguration(f"phases {self.phases} outside [0, 1)")
+    ``GroupElement(phases)`` takes the phases as rationals;
+    ``GroupElement.over(num, den)`` takes integer numerators over a common
+    denominator, not necessarily the least one.
+    """
+
+    num: tuple[int, ...]
+    den: int
+
+    def __init__(self, phases):
+        phases = tuple(phases)
+        if not all(0 <= p < 1 for p in phases):
+            raise WrongConfiguration(f"phases {phases} outside [0, 1)")
+        fracs = [Fraction(p) for p in phases]
+        den = math.lcm(*(p.denominator for p in fracs))
+        self._reduce(tuple(p.numerator * (den // p.denominator) for p in fracs), den)
+
+    @classmethod
+    def over(cls, num, den: int) -> "GroupElement":
+        if not all(0 <= x < den for x in num):
+            raise WrongConfiguration(
+                f"phases {tuple(Fraction(x, den) for x in num)} outside [0, 1)")
+        g = object.__new__(cls)
+        g._reduce(tuple(num), den)
+        return g
+
+    def _reduce(self, num: tuple[int, ...], den: int) -> None:
+        g = math.gcd(den, *num)
+        if g > 1:
+            num, den = tuple(x // g for x in num), den // g
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    @property
+    def phases(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.num)
+
+    def scaled(self, D: int) -> tuple[int, ...]:
+        """The numerators over D, a multiple of ``den``."""
+        k = D // self.den
+        return tuple(x * k for x in self.num)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        if len(self.phases) != len(other.phases):
+        if len(self.num) != len(other.num):
             raise WrongConfiguration("product of elements of different ranks")
-        return GroupElement(tuple(_frac(a + b)
-                                  for a, b in zip(self.phases, other.phases)))
+        den = math.lcm(self.den, other.den)
+        return GroupElement.over(
+            tuple((a + b) % den for a, b in zip(self.scaled(den), other.scaled(den))),
+            den)
 
     def __pow__(self, k: int) -> "GroupElement":
-        return GroupElement(tuple(_frac(k * p) for p in self.phases))
+        return GroupElement.over(tuple(k * x % self.den for x in self.num), self.den)
 
     def inverse(self) -> "GroupElement":
         return self ** -1
 
     def is_identity(self) -> bool:
-        return all(p == 0 for p in self.phases)
+        return self.den == 1
 
     def fixed_indices(self) -> tuple[int, ...]:
         """Variables fixed by the symmetry, i.e. zero phases (0-based)."""
-        return tuple(i for i, p in enumerate(self.phases) if p == 0)
+        return tuple(i for i, x in enumerate(self.num) if x == 0)
 
     def is_narrow(self) -> bool:
-        return not self.fixed_indices()
+        return 0 not in self.num
 
     def json_phases(self) -> list[str]:
         return [f"{p.numerator}/{p.denominator}" for p in self.phases]
 
 
 def identity(n: int) -> GroupElement:
-    return GroupElement((Fraction(0),) * n)
+    return GroupElement.over((0,) * n, 1)
 
 
 @dataclass(frozen=True)
@@ -84,13 +125,12 @@ def generator_rho(W: InvertiblePolynomial, j: int) -> GroupElement:
     """ρ_j, the symmetry scaling monomial inputs along column j of E⁻¹ (1-based j)."""
     if not 1 <= j <= W.N:
         raise IndexError(j)
-    inv = W.inverse_exponents()
-    return GroupElement(tuple(_frac(inv[i][j - 1]) for i in range(W.N)))
+    return GroupElement.over(tuple(row[j - 1] % W.D for row in W.DE_inv), W.D)
 
 
 def grading_element(W: InvertiblePolynomial) -> GroupElement:
     """J_W, with phases the fractional parts of the weights."""
-    return GroupElement(tuple(_frac(qi) for qi in W.q))
+    return GroupElement.over(tuple(x % W.D for x in W.Dq), W.D)
 
 
 def group_cap() -> int:
@@ -130,12 +170,13 @@ def enumerate_group(W: InvertiblePolynomial, cap: int | None = None) -> list[Gro
                     seen.add(h)
                     nxt.append(h)
         frontier = nxt
-    return sorted(seen, key=lambda g: g.phases)
+    # every element lies in (1/D)ℤ/ℤ: numerators over D order as the phases
+    return sorted(seen, key=lambda g: g.scaled(W.D))
 
 
 def sector_degree(W: InvertiblePolynomial, g: GroupElement) -> Fraction:
     """Degree contribution of the sector γ: N_γ/2 + Σ_j (Θ^{(j)} − q_j),
     where N_γ counts the variables fixed by γ."""
-    n_fixed = len(g.fixed_indices())
-    return Fraction(n_fixed, 2) + sum(
-        (p - qj for p, qj in zip(g.phases, W.q)), Fraction(0))
+    D = math.lcm(W.D, g.den)
+    total = len(g.fixed_indices()) * D + 2 * (sum(g.scaled(D)) - sum(W.Dq) * (D // W.D))
+    return Fraction(total, 2 * D)

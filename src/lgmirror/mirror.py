@@ -4,7 +4,9 @@
 
     γ = (∏_j ρ_j^{α_j})·J_W,    phases Θ^{(i)} = frac(Σ_j α_j ρ_j^{(i)} + q_i),
 
-where ρ_j^{(i)} is entry (i,j) of E_W⁻¹.  The map is degree-preserving:
+where ρ_j^{(i)} is entry (i,j) of E_W⁻¹.  The phases are computed in
+integers over D, the exponent of G_W: D·Θ^{(i)} is Σ_j α_j (D·E⁻¹)_{ij} +
+D·q_i reduced mod D.  The map is degree-preserving:
 wt(m) computed with the weights of Wᵗ equals N_γ/2 + Σ_i(Θ^{(i)} − q_i).
 When x_i sits in a 2-variable loop summand with exponent 2, Ψ(x_i) is the
 broad class ⌈x_i; 1⌋ instead of a narrow generator; products inherit that
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UnsupportedByTheorem, WrongConfiguration
-from .groups import GroupElement, _frac, sector_degree
+from .groups import GroupElement, sector_degree
 from .jacobi import ring_of
 from .poly import InvertiblePolynomial
 
@@ -57,13 +59,12 @@ def require_mirror_hypotheses(W: InvertiblePolynomial) -> None:
 
 
 def sector_of(W: InvertiblePolynomial, m: Monomial) -> GroupElement:
-    """(∏ρ_j^{α_j})·J_W for the monomial exponents α = m."""
-    inv = W.inverse_exponents()
-    phases = []
-    for i in range(W.N):
-        s = W.q[i] + sum((m[j] * inv[i][j] for j in range(W.N)), Fraction(0))
-        phases.append(_frac(s))
-    return GroupElement(tuple(phases))
+    """(∏ρ_j^{α_j})·J_W for the monomial exponents α = m, over D = W.D."""
+    D = W.D
+    return GroupElement.over(
+        tuple((qi + sum(a * r for a, r in zip(m, row))) % D
+              for qi, row in zip(W.Dq, W.DE_inv)),
+        D)
 
 
 def final_type_insertions(W: InvertiblePolynomial, i: int) -> tuple[Monomial, Monomial, Monomial]:

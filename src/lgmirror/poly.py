@@ -16,7 +16,14 @@ so the lexicographically smallest exponent tuple starts it.
 The classifier is the one reader of E's row structure: it records the row
 headed by each variable, and E⁻¹ is read off the summands block by block
 from the closed forms `chain_inverse_entries` (a Fermat is the chain of
-length one) and `loop_inverse_entries`, with no elimination.
+length one) and `loop_inverse_entries`, with no elimination.  The same
+data is also kept in integers: q = w/d for the grading, and E⁻¹ = DE_inv/D
+and q = Dq/D over D, the lcm of E⁻¹'s denominators and so the exponent of
+the maximal symmetry group, for the A side's phase arithmetic.
+
+Polynomials derived from W (its transpose, the atomic pieces of the A and
+B sides) are built once per polynomial through `derive` and kept on W for
+as long as W lives.
 """
 
 from __future__ import annotations
@@ -79,6 +86,12 @@ class InvertiblePolynomial:
     # the grading in integers: q_i = w_i/d with d the least common denominator
     d: int = field(compare=False, repr=False)
     w: tuple[int, ...] = field(compare=False, repr=False)
+    # E⁻¹ and q in integers: E⁻¹ = DE_inv/D and q = Dq/D, where D is the
+    # lcm of E⁻¹'s denominators, the exponent of the maximal group G_W
+    D: int = field(compare=False, repr=False)
+    DE_inv: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    Dq: tuple[int, ...] = field(compare=False, repr=False)
+    _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     # -- constructors ---------------------------------------------------
 
@@ -98,16 +111,23 @@ class InvertiblePolynomial:
             raise PolynomialSyntaxError("negative exponent")
         summands, head = _classify_rows(E)
         E_inv = _inverse(summands, head)
+        D = math.lcm(*(x.denominator for row in E_inv for x in row))
+        DE_inv = tuple(tuple(x.numerator * (D // x.denominator) for x in row)
+                       for row in E_inv)
         # the weights solve E·q = (1,…,1)ᵗ: the row sums of E⁻¹
-        q = tuple(sum(row, Fraction(0)) for row in E_inv)
-        if not all(0 < qi <= Fraction(1, 2) for qi in q):
+        Dq = tuple(sum(row) for row in DE_inv)
+        q = tuple(Fraction(x, D) for x in Dq)
+        if not all(0 < x and 2 * x <= D for x in Dq):
             # weights outside (0,1/2] cannot arise from an atomic sum with
             # all a_i >= 2; guard anyway so bad matrices fail loudly.
             raise NotInvertibleShape(f"weights {q} out of range (0,1/2]")
-        d = math.lcm(*(qi.denominator for qi in q))
-        w = tuple(qi.numerator * (d // qi.denominator) for qi in q)
+        # d = D/g is the least common denominator of the q_i
+        g = math.gcd(D, *Dq)
+        d = D // g
+        w = tuple(x // g for x in Dq)
         charge = Fraction(n * d - 2 * sum(w), d)
-        return InvertiblePolynomial(n, E, tuple(summands), q, charge, E_inv, head, d, w)
+        return InvertiblePolynomial(n, E, tuple(summands), q, charge, E_inv, head, d, w,
+                                    D, DE_inv, Dq)
 
     @staticmethod
     def from_string(text: str) -> "InvertiblePolynomial":
@@ -133,9 +153,18 @@ class InvertiblePolynomial:
         """E⁻¹ exactly; entry [i][j] is ρ_j^{(i)}."""
         return self.E_inv
 
+    def derive(self, key, build):
+        """``build()`` on the first call with ``key``, the same object on
+        every later one: the memo lives on this polynomial, as long as it."""
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build()
+            return value
+
     def transpose(self) -> "InvertiblePolynomial":
-        return InvertiblePolynomial.from_exponent_matrix(
-            tuple(zip(*self.E)))
+        return self.derive("transpose", lambda: InvertiblePolynomial.from_exponent_matrix(
+            tuple(zip(*self.E))))
 
     def group_order(self) -> int:
         """|G_max| = |det E|: per summand a (Fermat), ∏ a_i (chain) or

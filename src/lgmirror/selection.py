@@ -11,6 +11,7 @@ of four-point correlators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -76,15 +77,18 @@ class CorrelatorSpec:
         head.sort(key=lambda m: m.index(1) if _is_primitive(m) else -1, reverse=True)
         ell = tuple(sum(m[i] for m in head) for i in range(W.N))
         rhs = [ell[i] + alpha[i] + beta[i] + 2 for i in range(W.N)]
-        b = tuple(sum((x * r for x, r in zip(row, rhs)), Fraction(0)) for row in W.E_inv)
+        b = tuple(Fraction(sum(x * r for x, r in zip(row, rhs)), W.D) for row in W.DE_inv)
         K = tuple(Fraction(ell[i]) - b[i] + 1 for i in range(W.N))
         return CorrelatorSpec(tuple(head) + (tuple(alpha), tuple(beta)), ell, tuple(alpha), tuple(beta), b, K)
 
 
 def line_bundle_degrees(W: InvertiblePolynomial, sectors: list[GroupElement]) -> list[Fraction]:
-    """Degrees l_j = q_j*(k - 2) - sum_i Theta_j(gamma_i) for k >= 3 sectors."""
-    k = len(sectors)
-    return [W.q[j] * (k - 2) - sum(g.phases[j] for g in sectors) for j in range(W.N)]
+    """Degrees l_j = q_j*(k - 2) - sum_i Theta_j(gamma_i) for k >= 3 sectors,
+    summed as integer numerators over the common denominator D."""
+    D = math.lcm(W.D, *(g.den for g in sectors))
+    scale = (len(sectors) - 2) * (D // W.D)
+    theta = [g.scaled(D) for g in sectors]
+    return [Fraction(qj * scale - sum(t[j] for t in theta), D) for j, qj in enumerate(W.Dq)]
 
 
 def passes_axioms(W: InvertiblePolynomial, X: CorrelatorSpec) -> bool:

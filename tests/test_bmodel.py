@@ -16,7 +16,6 @@ from lgmirror.bmodel import (
     PairingClass,
     brieskorn_reduce,
     good_basis_check,
-    pairing_solution,
     perturbative_expand,
     sg_four_point,
 )
@@ -319,7 +318,7 @@ class TestGoodBasis:
         report = good_basis_check(f)
         assert report.passed
         for cls in report.classes:
-            assert pairing_solution(f, cls.exponent_sum) == cls.k
+            assert exact_pairing_solution(f, report.monomial_order, cls.exponent_sum) == cls.k
         ring = JacobiRing(f)
         admissible = {cls.exponent_sum for cls in report.classes}
         seen = 0
@@ -328,7 +327,7 @@ class TestGoodBasis:
         ):
             m = tuple(a + b for a, b in zip(r, rp))
             if m not in admissible and seen < 40:
-                assert pairing_solution(f, m) is None
+                assert exact_pairing_solution(f, report.monomial_order, m) is None
                 seen += 1
 
     def test_excluded_chain_pattern_never_comes_from_basis_pairs(self):
@@ -337,19 +336,31 @@ class TestGoodBasis:
         # families; no pair of standard-basis monomials produces that m.
         f = atomic("chain", (3, 3, 3)).transpose()
         m = (4, 0, 4)
-        assert pairing_solution(f, m) == (2, 0, 2)
         report = good_basis_check(f)
+        assert exact_pairing_solution(f, report.monomial_order, m) == (2, 0, 2)
         assert all(cls.exponent_sum != m for cls in report.classes)
 
     def test_non_integral_solution_is_none(self):
-        assert pairing_solution(atomic("fermat", (5,)), (1,)) is None
+        f = atomic("fermat", (5,))
+        report = good_basis_check(f)
+        assert exact_pairing_solution(f, report.monomial_order, (1,)) is None
+        assert all(cls.exponent_sum != (1,) for cls in report.classes)
 
     def test_multiple_summands_are_refused(self):
         W = assemble(("fermat", (3,)), ("fermat", (4,)))
         with pytest.raises(WrongConfiguration):
             good_basis_check(W)
-        with pytest.raises(WrongConfiguration):
-            pairing_solution(W, (1, 1))
+
+
+def exact_pairing_solution(f, order, m):
+    """The k with k . E = m + 2, E's rows taken in ``order``, by a Fraction
+    solve of the transposed system; None when k is not integral."""
+    rows = [f.E[r] for r in order]
+    transposed = [[row[j] for row in rows] for j in range(f.N)]
+    k = solve(transposed, [mj + 2 for mj in m])
+    if any(v.denominator != 1 for v in k):
+        return None
+    return tuple(int(v) for v in k)
 
 
 def intrinsic_order(f):

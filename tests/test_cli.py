@@ -154,6 +154,38 @@ def test_a_side_builds_no_ring(monkeypatch, expr):
     assert built == []
 
 
+@pytest.mark.parametrize("expr, pieces, reports", [
+    # four rotations of the loop, each concave
+    ("x1^5*x2+x2^6*x3+x3^7*x4+x4^8*x1", 4, 4),
+    # Fermat, chain (one piece for both variables, x2 skipped), and the
+    # loop's two rotations (wdvv2 at x4, concave at x5)
+    ("x4^2*x5 + x1^3 + x3^4 + x5^3*x4 + x2^3*x3", 4, 4),
+])
+def test_verify_derives_each_polynomial_once(monkeypatch, capsys, expr, pieces, reports):
+    """One parse, one build per distinct atomic piece and one per its
+    transpose, and one set of boundary decorations per computed report."""
+    built, decorated = [], []
+    parse = InvertiblePolynomial.from_exponent_matrix
+    decorations = amodel.boundary_decorations
+
+    def counting_parse(E):
+        built.append(E)
+        return parse(E)
+
+    def counting_decorations(W, sectors):
+        decorated.append(W)
+        return decorations(W, sectors)
+
+    monkeypatch.setattr(InvertiblePolynomial, "from_exponent_matrix",
+                        staticmethod(counting_parse))
+    monkeypatch.setattr(amodel, "boundary_decorations", counting_decorations)
+    code, doc, _ = run_json(capsys, "verify", "--expr", expr)
+    assert code == 0
+    assert len(doc["variables"]) == reports
+    assert len(built) == 1 + 2 * pieces
+    assert len(decorated) == reports
+
+
 def test_a_side_degree_bookkeeping_is_checked_not_asserted(monkeypatch, capsys):
     """A smooth-fiber degree that disagrees with the boundary components is
     an error that survives `python -O`, not an AssertionError."""

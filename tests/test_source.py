@@ -16,3 +16,24 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _cache_decorated(path):
+    """Names of the functions in one source file decorated with
+    functools.cache or lru_cache, in any spelling."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in node.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+            if name in ("cache", "lru_cache"):
+                yield f"{path.stem}.{node.name}"
+
+
+def test_memoization_is_per_polynomial():
+    """Derived objects are memoized on the polynomial they come from; the
+    only process-wide caches are the shared Jacobi ring and the parser."""
+    found = sorted(name for path in sorted(SOURCE.glob("*.py"))
+                   for name in _cache_decorated(path))
+    assert found == ["cli.build_parser", "jacobi.ring_of"]
