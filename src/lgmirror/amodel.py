@@ -107,7 +107,7 @@ def boundary_decorations(
                 raise WrongConfiguration(
                     f"line bundle {i + 1} has component degrees {ell_plus[i]}, "
                     f"{ell_minus[i]} on {(plus, minus)}, smooth degree {smooth[i]}")
-        out.append(BoundaryDecoration((plus, minus), GroupElement.over(gamma, D),
+        out.append(BoundaryDecoration((plus, minus), GroupElement(gamma, D),
                                       ell_plus, ell_minus))
     return out
 

@@ -312,7 +312,7 @@ def good_basis_check(f: InvertiblePolynomial) -> GoodBasisReport:
     columns = [[row[r] for row in f.DE_inv] for r in order]
 
     members = set(basis)
-    socle = f.charge * f.d
+    socle = f.charge * f.D
     box = [range(2 * max(r[j] for r in basis) + 1) for j in range(f.N)]
     families = _allowed_families(kind, f.N)
     records: list[PairingClass] = []

@@ -31,7 +31,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .amodel import FourPointResult, admissible_target, four_point_report
+from .amodel import admissible_target, four_point_report
 from .bmodel import LatticeElement, brieskorn_reduce, sg_four_point
 from .errors import (
     InconsistentInput,
@@ -42,7 +42,7 @@ from .errors import (
 from .groups import GroupCapExceeded, enumerate_group, sector_kind
 from .jacobi import ring_of, top_of
 from .mirror import degree_check, final_type_insertions, psi
-from .poly import InvertiblePolynomial, NotInvertibleShape, PolynomialSyntaxError
+from .poly import InvertiblePolynomial, NotInvertibleShape, PolynomialSyntaxError, parse_int
 from .selection import CorrelatorSpec, classify_type, passes_axioms
 from .wdvv import fermat_closure, format_monomial, loop_square_chain
 
@@ -86,7 +86,7 @@ def parse_monomial(text: str, n: int) -> Monomial:
         m = _FACTOR.fullmatch(factor.strip())
         if not m:
             raise PolynomialSyntaxError(f"cannot parse monomial factor {factor!r}")
-        j, e = int(m.group(1)), int(m.group(2) or 1)
+        j, e = parse_int(m.group(1)), parse_int(m.group(2) or "1")
         if not 1 <= j <= n:
             raise PolynomialSyntaxError(f"variable x{j} out of range (N = {n})")
         out[j - 1] += e
@@ -130,19 +130,14 @@ def decoration_json(dec) -> dict:
     }
 
 
-def decoration_lines(result: FourPointResult) -> list[str]:
-    out = []
-    for dec in result.decorations:
-        plus, minus = dec.splitting
-        marks = "|".join(
-            ",".join(str(m + 1) for m in side) for side in (plus, minus)
-        )
-        phases = ", ".join(frac(p) for p in dec.gamma_plus.phases)
-        out.append(
-            f"    boundary {marks}: gamma+ = ({phases}), "
-            f"ell+ = {list(dec.ell_plus)}, ell- = {list(dec.ell_minus)}"
-        )
-    return out
+def decoration_lines(decorations: list[dict]) -> list[str]:
+    """The ``--trace`` text of ``decoration_json`` payloads."""
+    return [
+        f"    boundary {'|'.join(','.join(str(m) for m in side) for side in d['splitting'])}: "
+        f"gamma+ = ({', '.join(d['gamma_plus'])}), "
+        f"ell+ = {d['ell_plus']}, ell- = {d['ell_minus']}"
+        for d in decorations
+    ]
 
 
 def reduction_trace(piece: InvertiblePolynomial, local: int) -> list[dict]:
@@ -238,12 +233,7 @@ def cmd_verify(args) -> int:
             f"   B = {v['B_value']}   {ok}"
         )
         if args.trace:
-            lines.extend(
-                f"    boundary {'|'.join(','.join(str(m) for m in side) for side in d['splitting'])}: "
-                f"gamma+ = ({', '.join(d['gamma_plus'])}), "
-                f"ell+ = {d['ell_plus']}, ell- = {d['ell_minus']}"
-                for d in v["decorations"]
-            )
+            lines.extend(decoration_lines(v["decorations"]))
             lines.extend(reduction_lines(v["reduction"]))
     lines.append(
         f"overall: {report['overall']} ({len(report['variables'])} verified, "
@@ -502,7 +492,7 @@ def cmd_correlator(args) -> int:
         }
         lines.append(f"  A side: {frac(result.value)}  (method {result.method})")
         if args.trace:
-            lines.extend(decoration_lines(result))
+            lines.extend(decoration_lines(document["A"]["decorations"]))
     if args.side in ("B", "both"):
         b_value = sg_four_point(W, i)
         document["B"] = {"value": frac(b_value)}

@@ -30,34 +30,18 @@ class GroupCapExceeded(RuntimeError):
 @dataclass(frozen=True, init=False, slots=True)
 class GroupElement:
     """The phase vector num/den, every numerator in [0, den) and den the
-    least common denominator.
-
-    ``GroupElement(phases)`` takes the phases as rationals;
-    ``GroupElement.over(num, den)`` takes integer numerators over a common
-    denominator, not necessarily the least one.
+    least common denominator.  ``GroupElement(num, den)`` takes integer
+    numerators over a common denominator, not necessarily the least one.
     """
 
     num: tuple[int, ...]
     den: int
 
-    def __init__(self, phases):
-        phases = tuple(phases)
-        if not all(0 <= p < 1 for p in phases):
-            raise WrongConfiguration(f"phases {phases} outside [0, 1)")
-        fracs = [Fraction(p) for p in phases]
-        den = math.lcm(*(p.denominator for p in fracs))
-        self._reduce(tuple(p.numerator * (den // p.denominator) for p in fracs), den)
-
-    @classmethod
-    def over(cls, num, den: int) -> "GroupElement":
+    def __init__(self, num, den: int):
+        num = tuple(num)
         if not all(0 <= x < den for x in num):
             raise WrongConfiguration(
                 f"phases {tuple(Fraction(x, den) for x in num)} outside [0, 1)")
-        g = object.__new__(cls)
-        g._reduce(tuple(num), den)
-        return g
-
-    def _reduce(self, num: tuple[int, ...], den: int) -> None:
         g = math.gcd(den, *num)
         if g > 1:
             num, den = tuple(x // g for x in num), den // g
@@ -77,12 +61,12 @@ class GroupElement:
         if len(self.num) != len(other.num):
             raise WrongConfiguration("product of elements of different ranks")
         den = math.lcm(self.den, other.den)
-        return GroupElement.over(
+        return GroupElement(
             tuple((a + b) % den for a, b in zip(self.scaled(den), other.scaled(den))),
             den)
 
     def __pow__(self, k: int) -> "GroupElement":
-        return GroupElement.over(tuple(k * x % self.den for x in self.num), self.den)
+        return GroupElement(tuple(k * x % self.den for x in self.num), self.den)
 
     def inverse(self) -> "GroupElement":
         return self ** -1
@@ -102,7 +86,7 @@ class GroupElement:
 
 
 def identity(n: int) -> GroupElement:
-    return GroupElement.over((0,) * n, 1)
+    return GroupElement((0,) * n, 1)
 
 
 @dataclass(frozen=True)
@@ -125,12 +109,12 @@ def generator_rho(W: InvertiblePolynomial, j: int) -> GroupElement:
     """ρ_j, the symmetry scaling monomial inputs along column j of E⁻¹ (1-based j)."""
     if not 1 <= j <= W.N:
         raise IndexError(j)
-    return GroupElement.over(tuple(row[j - 1] % W.D for row in W.DE_inv), W.D)
+    return GroupElement(tuple(row[j - 1] % W.D for row in W.DE_inv), W.D)
 
 
 def grading_element(W: InvertiblePolynomial) -> GroupElement:
     """J_W, with phases the fractional parts of the weights."""
-    return GroupElement.over(tuple(x % W.D for x in W.Dq), W.D)
+    return GroupElement(tuple(x % W.D for x in W.Dq), W.D)
 
 
 def group_cap() -> int:

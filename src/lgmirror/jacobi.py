@@ -20,8 +20,10 @@ and the independent brute-force oracle (`OracleQuotient`), which does plain
 exact elimination on each graded slice of ℂ[x]/(∂f) and is used to
 cross-check the walk in the tests.
 
-Everything is graded by the integer ``f.degree``; `_graded` is the one
-enumerator of graded slices, shared by `divide` and the oracle.
+Everything is graded by the integer ``f.degree`` = D·Σ mᵢqᵢ over the
+polynomial's one denominator D, with integer weights ``f.Dq``; `_graded`
+is the one enumerator of graded slices, shared by `divide` and the
+oracle, and ``wt`` is the ``Fraction`` view of the degree.
 """
 
 from __future__ import annotations
@@ -216,7 +218,7 @@ def top_of(f: InvertiblePolynomial) -> Monomial:
             top[v] = a - 1
         if s.kind != "loop":
             top[s.variables[0]] -= 1
-    if f.degree(top) != f.charge * f.d:
+    if f.degree(top) != f.charge * f.D:
         raise RuntimeError(f"top {top} does not have degree {f.charge}")
     return tuple(top)
 
@@ -254,7 +256,7 @@ class JacobiRing:
     # -- grading ---------------------------------------------------------
 
     def wt(self, m: Monomial) -> Fraction:
-        return Fraction(self.poly.degree(m), self.poly.d)
+        return Fraction(self.poly.degree(m), self.poly.D)
 
     @property
     def mu(self) -> int:
@@ -339,7 +341,7 @@ class JacobiRing:
         nf_acc: dict[int, Fraction] = {}
         quot: list[dict] = [dict() for _ in range(self.n)]
         for deg, chunk in by_degree.items():
-            space = _graded(f.w, deg, deg)
+            space = _graded(f.Dq, deg, deg)
             midx = {m: i for i, m in enumerate(space)}
             # one row per slice monomial: a column per basis monomial, then
             # one per monomial s of each h_j, carrying s·∂_j f
@@ -351,9 +353,9 @@ class JacobiRing:
                     basis.append(self.basis.index[m])
             quots = []
             for j in range(self.n):
-                # h_j has degree deg − deg ∂_j f = deg − (d − w_j)
-                sdeg = deg - (f.d - f.w[j])
-                for s in _graded(f.w, sdeg, sdeg):
+                # h_j has degree deg − deg ∂_j f = deg − (D − Dq_j)
+                sdeg = deg - (f.D - f.Dq[j])
+                for s in _graded(f.Dq, sdeg, sdeg):
                     for m0, c0 in partials[j].items():
                         rows[midx[_add(s, m0)]][len(basis) + len(quots)] = c0
                     quots.append((j, s))
@@ -389,11 +391,11 @@ class OracleQuotient:
                 f"weight bound {weight_bound} below top weight {f.charge}")
         self.poly = f
         self.bound = Fraction(weight_bound)
-        # degree(m) ≤ bound·d, with degree(m) an integer
-        self._hi = math.floor(self.bound * f.d)
+        # degree(m) ≤ bound·D, with degree(m) an integer
+        self._hi = math.floor(self.bound * f.D)
         # lexicographic enumeration: each slice comes out sorted
         slices: dict[int, list[Monomial]] = {}
-        for m in _graded(f.w, 0, self._hi):
+        for m in _graded(f.Dq, 0, self._hi):
             slices.setdefault(f.degree(m), []).append(m)
         partials = _partials(f)
         self._space: dict[int, tuple[list[Monomial], dict, linalg.RowSpace]] = {}
@@ -402,7 +404,7 @@ class OracleQuotient:
             midx = {m: i for i, m in enumerate(ms)}
             sp = linalg.RowSpace()
             for j in range(f.N):
-                for s in slices.get(deg - (f.d - f.w[j]), []):
+                for s in slices.get(deg - (f.D - f.Dq[j]), []):
                     sp.add({midx[_add(s, m0)]: c0
                             for m0, c0 in partials[j].items()})
             self._space[deg] = (ms, midx, sp)

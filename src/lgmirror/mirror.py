@@ -61,7 +61,7 @@ def require_mirror_hypotheses(W: InvertiblePolynomial) -> None:
 def sector_of(W: InvertiblePolynomial, m: Monomial) -> GroupElement:
     """(∏ρ_j^{α_j})·J_W for the monomial exponents α = m, over D = W.D."""
     D = W.D
-    return GroupElement.over(
+    return GroupElement(
         tuple((qi + sum(a * r for a, r in zip(m, row))) % D
               for qi, row in zip(W.Dq, W.DE_inv)),
         D)

@@ -16,10 +16,13 @@ so the lexicographically smallest exponent tuple starts it.
 The classifier is the one reader of E's row structure: it records the row
 headed by each variable, and E⁻¹ is read off the summands block by block
 from the closed forms `chain_inverse_entries` (a Fermat is the chain of
-length one) and `loop_inverse_entries`, with no elimination.  The same
-data is also kept in integers: q = w/d for the grading, and E⁻¹ = DE_inv/D
-and q = Dq/D over D, the lcm of E⁻¹'s denominators and so the exponent of
-the maximal symmetry group, for the A side's phase arithmetic.
+length one) and `loop_inverse_entries`, with no elimination.  E⁻¹ and q
+are stored once, in integers over one denominator: E⁻¹ = DE_inv/D and
+q = Dq/D, where D is the lcm of the summands' determinants, which is the
+lcm of E⁻¹'s denominators and so the exponent of the maximal symmetry
+group.  The grading ``degree`` and the A side's phase arithmetic both
+work over D; ``q``, ``charge`` and ``inverse_exponents()`` are the
+``Fraction`` views.
 
 Polynomials derived from W (its transpose, the atomic pieces of the A and
 B sides) are built once per polynomial through `derive` and kept on W for
@@ -80,12 +83,8 @@ class InvertiblePolynomial:
     summands: tuple[AtomicSummand, ...]
     q: tuple[Fraction, ...]
     charge: Fraction
-    E_inv: tuple[tuple[Fraction, ...], ...] = field(compare=False, repr=False)
     # head[v] is the row of E headed by x_v, the monomial x_v^a or x_v^a·x_u
     head: tuple[int, ...] = field(compare=False, repr=False)
-    # the grading in integers: q_i = w_i/d with d the least common denominator
-    d: int = field(compare=False, repr=False)
-    w: tuple[int, ...] = field(compare=False, repr=False)
     # E⁻¹ and q in integers: E⁻¹ = DE_inv/D and q = Dq/D, where D is the
     # lcm of E⁻¹'s denominators, the exponent of the maximal group G_W
     D: int = field(compare=False, repr=False)
@@ -110,10 +109,7 @@ class InvertiblePolynomial:
         if any(e < 0 for row in E for e in row):
             raise PolynomialSyntaxError("negative exponent")
         summands, head = _classify_rows(E)
-        E_inv = _inverse(summands, head)
-        D = math.lcm(*(x.denominator for row in E_inv for x in row))
-        DE_inv = tuple(tuple(x.numerator * (D // x.denominator) for x in row)
-                       for row in E_inv)
+        D, DE_inv = _inverse(summands, head)
         # the weights solve E·q = (1,…,1)ᵗ: the row sums of E⁻¹
         Dq = tuple(sum(row) for row in DE_inv)
         q = tuple(Fraction(x, D) for x in Dq)
@@ -121,13 +117,8 @@ class InvertiblePolynomial:
             # weights outside (0,1/2] cannot arise from an atomic sum with
             # all a_i >= 2; guard anyway so bad matrices fail loudly.
             raise NotInvertibleShape(f"weights {q} out of range (0,1/2]")
-        # d = D/g is the least common denominator of the q_i
-        g = math.gcd(D, *Dq)
-        d = D // g
-        w = tuple(x // g for x in Dq)
-        charge = Fraction(n * d - 2 * sum(w), d)
-        return InvertiblePolynomial(n, E, tuple(summands), q, charge, E_inv, head, d, w,
-                                    D, DE_inv, Dq)
+        charge = Fraction(n * D - 2 * sum(Dq), D)
+        return InvertiblePolynomial(n, E, tuple(summands), q, charge, head, D, DE_inv, Dq)
 
     @staticmethod
     def from_string(text: str) -> "InvertiblePolynomial":
@@ -137,7 +128,7 @@ class InvertiblePolynomial:
     def from_json(blob: str) -> "InvertiblePolynomial":
         try:
             data = json.loads(blob)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # JSONDecodeError, or a numeral too long for int
             raise PolynomialSyntaxError(f"bad JSON: {exc}") from exc
         if not isinstance(data, dict) or "E" not in data:
             raise PolynomialSyntaxError('JSON input must be {"E": [[...], ...]}')
@@ -146,12 +137,13 @@ class InvertiblePolynomial:
     # -- derived data ---------------------------------------------------
 
     def degree(self, m) -> int:
-        """d times the weighted degree Σ m_i q_i of the monomial m."""
-        return sum(mi * wi for mi, wi in zip(m, self.w))
+        """D times the weighted degree Σ m_i q_i of the monomial m."""
+        return sum(mi * x for mi, x in zip(m, self.Dq))
 
     def inverse_exponents(self) -> tuple[tuple[Fraction, ...], ...]:
-        """E⁻¹ exactly; entry [i][j] is ρ_j^{(i)}."""
-        return self.E_inv
+        """E⁻¹ as ``Fraction``s, built from DE_inv on each call; entry
+        [i][j] is ρ_j^{(i)}."""
+        return tuple(tuple(Fraction(x, self.D) for x in row) for row in self.DE_inv)
 
     def derive(self, key, build):
         """``build()`` on the first call with ``key``, the same object on
@@ -215,6 +207,15 @@ class InvertiblePolynomial:
 _FACTOR = re.compile(r"x(\d+)(?:\^(-?\d+))?")
 
 
+def parse_int(digits: str) -> int:
+    """int(digits), with a numeral past Python's int-string limit refused
+    as a syntax error."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise PolynomialSyntaxError(f"numeral of {len(digits)} digits is too long") from None
+
+
 def parse_exponent_matrix(text: str) -> list[list[int]]:
     """Parse 'x1^3*x2 + x2^4' into its exponent matrix (rows = monomials)."""
     stripped = re.sub(r"\s+", "", text)
@@ -231,8 +232,8 @@ def parse_exponent_matrix(text: str) -> list[list[int]]:
             m = _FACTOR.fullmatch(factor)
             if not m:
                 raise PolynomialSyntaxError(f"bad factor {factor!r}")
-            idx = int(m.group(1))
-            exp = int(m.group(2)) if m.group(2) is not None else 1
+            idx = parse_int(m.group(1))
+            exp = parse_int(m.group(2)) if m.group(2) is not None else 1
             if idx < 1:
                 raise PolynomialSyntaxError(f"variable index {idx} out of range")
             if exp <= 0:
@@ -361,54 +362,41 @@ def reassemble(summands, n: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # inverse-matrix closed forms
 
-def _inverse(summands, head) -> tuple[tuple[Fraction, ...], ...]:
-    """E⁻¹, block by block: summand row i, taken in variable order, is row
-    head[v_i] of E, so entry (i, j) of the block goes to [v_i][head[v_j]]."""
-    n = len(head)
-    inv = [[Fraction(0)] * n for _ in range(n)]
+def _inverse(summands, head) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """D and D·E⁻¹, block by block: summand row i, taken in variable order,
+    is row head[v_i] of E, so entry (i, j) of the block goes to
+    [v_i][head[v_j]].  Every block has an entry ±1/det, so D, the lcm of
+    the determinants, is also the lcm of E⁻¹'s denominators."""
+    blocks = []
     for s in summands:
         closed = loop_inverse_entries if s.kind == "loop" else chain_inverse_entries
-        for vi, row in zip(s.variables, closed(s.exponents)):
+        blocks.append((s, *closed(s.exponents)))
+    D = math.lcm(*(det for _, det, _ in blocks))
+    n = len(head)
+    inv = [[0] * n for _ in range(n)]
+    for s, det, rows in blocks:
+        k = D // det
+        for vi, row in zip(s.variables, rows):
             for vj, x in zip(s.variables, row):
-                inv[vi][head[vj]] = x
-    return tuple(tuple(row) for row in inv)
+                inv[vi][head[vj]] = k * x
+    return D, tuple(tuple(row) for row in inv)
 
 
-def chain_inverse_entries(a) -> list[list[Fraction]]:
-    """Closed form for E⁻¹ of the chain x_1^{a_1}x_2 + … + x_N^{a_N}:
-    entry (i,j) = (−1)^{j−i} ∏_{k=i}^{j} 1/a_k for j ≥ i, else 0."""
+def chain_inverse_entries(a) -> tuple[int, list[list[int]]]:
+    """det = ∏ a_k and det·E⁻¹ for the chain x_1^{a_1}x_2 + … + x_N^{a_N}:
+    entry (i,j) = (−1)^{j−i} (∏_{k<i} a_k)(∏_{k>j} a_k) for j ≥ i, else 0."""
     n = len(a)
-    rho = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        prod = Fraction(1)
-        for j in range(i, n):
-            prod /= a[j]
-            rho[i][j] = (-1) ** (j - i) * prod
-    return rho
+    return math.prod(a), [[(-1) ** (j - i) * math.prod(a[:i]) * math.prod(a[j + 1:])
+                           if j >= i else 0 for j in range(n)] for i in range(n)]
 
 
-def loop_inverse_entries(a) -> list[list[Fraction]]:
-    """Closed form for E⁻¹ of the loop x_1^{a_1}x_2 + … + x_N^{a_N}x_1 with
-    L = (∏ a_k + (−1)^{N+1})⁻¹:
-      (i,j) = (−1)^{j−i} (∏_{k>j} a_k)(∏_{k<i} a_k) L          for j ≥ i,
-      (i,j) = (−1)^{N+j−i} (∏_{j<k<i} a_k) L                    for j < i."""
+def loop_inverse_entries(a) -> tuple[int, list[list[int]]]:
+    """det = ∏ a_k − (−1)^N and det·E⁻¹ for the loop
+    x_1^{a_1}x_2 + … + x_N^{a_N}x_1: the chain's entries for j ≥ i, and
+    (i,j) = (−1)^{N+j−i} ∏_{j<k<i} a_k for j < i."""
     n = len(a)
-    total = 1
-    for ak in a:
-        total *= ak
-    L = Fraction(1, total + (-1) ** (n + 1))
-
-    def prod(lo, hi):  # product over k in [lo, hi) of a_k
-        p = 1
-        for k in range(lo, hi):
-            p *= a[k]
-        return p
-
-    rho = [[Fraction(0)] * n for _ in range(n)]
+    total, rows = chain_inverse_entries(a)
     for i in range(n):
-        for j in range(n):
-            if j >= i:
-                rho[i][j] = (-1) ** (j - i) * prod(j + 1, n) * prod(0, i) * L
-            else:
-                rho[i][j] = (-1) ** (n + j - i) * prod(j + 1, i) * L
-    return rho
+        for j in range(i):
+            rows[i][j] = (-1) ** (n + j - i) * math.prod(a[j + 1:i])
+    return total - (-1) ** n, rows

@@ -100,7 +100,7 @@ def passes_axioms(W: InvertiblePolynomial, X: CorrelatorSpec) -> bool:
     """
     WT = W.transpose()
     total = sum(WT.degree(m) for m in X.insertions)
-    if total != (W.charge + X.k - 3) * WT.d:
+    if total != (W.charge + X.k - 3) * WT.D:
         return False
     return all(K.denominator == 1 for K in X.K)
 
@@ -147,7 +147,7 @@ def enumerate_candidates(W: InvertiblePolynomial, k_max: int = 6):
     WT = W.transpose()
     basis = ring_of(WT).basis
     deg = {m: WT.degree(m) for m in basis.monomials}
-    bound = (W.charge + 3) * WT.d
+    bound = (W.charge + 3) * WT.D
     primitives = []
     for i in reversed(range(W.N)):
         m = tuple(1 if j == i else 0 for j in range(W.N))

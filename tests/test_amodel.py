@@ -69,8 +69,9 @@ def test_final_type_line_bundle_degrees():
         degs = line_bundle_degrees(W, sectors)
         assert degs == [F(-1 - (1 if i == t - 1 else 0)) for i in range(W.N)]
         theta, _, s, h = sectors
+        inverse = W.inverse_exponents()
         for i in range(W.N):
-            rho = W.E_inv[i][t - 1]
+            rho = inverse[i][t - 1]
             assert (theta.phases[i] - (W.q[i] + rho)).denominator == 1
             assert (s.phases[i] - (W.q[i] - 2 * rho)).denominator == 1
             assert (h.phases[i] - (1 - W.q[i])).denominator == 1

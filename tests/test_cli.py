@@ -18,6 +18,9 @@ from lgmirror.poly import InvertiblePolynomial
 
 RATIONAL = re.compile(r"^-?\d+/\d+$")
 
+# a numeral past Python's 4300-digit int-string limit
+LONG = "9" * 5000
+
 
 def run(capsys, *argv):
     """Invoke the CLI in-process; return (exit code, stdout, stderr)."""
@@ -79,9 +82,12 @@ class TestVerifyExitCodes:
         assert doc["skipped"][0]["q_i"] == "1/2"
 
     def test_garbage_exits_2(self, capsys):
-        code, _, err = run(capsys, "verify", "--expr", "x1^3 + not a poly")
-        assert code == 2
-        assert err
+        for expr in ("x1^3 + not a poly", f"x1^{LONG}", f"x{LONG}^3",
+                     f'{{"E": [[{LONG}]]}}'):
+            code, out, err = run(capsys, "verify", "--expr", expr)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:")
 
     def test_non_invertible_shape_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--expr", "x1^3 + x1^2*x2 + x2^3")
@@ -279,6 +285,7 @@ class TestInputHandling:
         '{"E": [[3.5]]}',
         '{"E": [["3"]]}',
         '{"E": [[3, true], [0, 4]]}',
+        pytest.param(f'{{"E": [[{LONG}]]}}', id="long-numeral"),
     ])
     def test_malformed_exponent_matrix_exits_2(self, capsys, tmp_path, blob):
         p = tmp_path / "w.json"
@@ -455,6 +462,11 @@ class TestAxioms:
     def test_bad_insertion_exits_2(self, capsys):
         assert run(capsys, "axioms", "--expr", "x1^5", "--insertions", "x1,y,z")[0] == 2
         assert run(capsys, "axioms", "--expr", "x1^5", "--insertions", "x1,x9,x1,x1")[0] == 2
+        code, out, err = run(capsys, "axioms", "--expr", "x1^3",
+                             "--insertions", f"x1^{LONG},x1,x1,x1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_unit_insertion_parses(self, capsys):
         code, doc, _ = run_json(

@@ -114,14 +114,14 @@ def test_sector_degree():
 
 
 def test_json_phases():
-    g = GroupElement((F(1, 3), F(0)))
+    g = GroupElement((1, 0), 3)
     assert g.json_phases() == ["1/3", "0/1"]
 
 
 @pytest.mark.parametrize("make", [
-    lambda: GroupElement((F(1),)),                               # phase 1
-    lambda: GroupElement((F(1, 3), F(-1, 3))),                   # phase < 0
-    lambda: GroupElement((F(1, 3),)) * GroupElement((F(1, 3), F(0))),  # ranks
+    lambda: GroupElement((1,), 1),                               # phase 1
+    lambda: GroupElement((1, -1), 3),                            # phase < 0
+    lambda: GroupElement((1,), 3) * GroupElement((1, 0), 3),     # ranks
 ])
 def test_group_element_checks_are_explicit(make):
     with pytest.raises(WrongConfiguration):

@@ -153,7 +153,6 @@ def test_transpose_is_involution_and_preserves_charge():
 
 def test_inverse_is_computed_once():
     W = InvertiblePolynomial.from_string("x1^3*x2 + x2^2*x3 + x3^4*x1")
-    assert W.inverse_exponents() is W.inverse_exponents()
     assert [list(row) for row in W.inverse_exponents()] == linalg.invert(W.E)
 
 
@@ -196,14 +195,13 @@ def acceptance_polynomials():
 
 
 def test_integer_grading():
-    """q_i = w_i/d in lowest terms, d·ĉ = N·d − 2Σw, and degree is d·Σ m_i q_i."""
+    """q_i = Dq_i/D, D·ĉ = N·D − 2ΣDq, and degree is D·Σ m_i q_i."""
     polys = [InvertiblePolynomial.from_string(t) for t in PARSED]
     for W in polys + list(acceptance_polynomials()):
-        assert tuple(F(wi, W.d) for wi in W.w) == W.q
-        assert math.gcd(W.d, *W.w) == 1
-        assert W.charge * W.d == W.N * W.d - 2 * sum(W.w)
+        assert tuple(F(x, W.D) for x in W.Dq) == W.q
+        assert W.charge * W.D == W.N * W.D - 2 * sum(W.Dq)
         m = tuple(range(1, W.N + 1))
-        assert W.degree(m) == W.d * sum(mi * qi for mi, qi in zip(m, W.q))
+        assert W.degree(m) == W.D * sum(mi * qi for mi, qi in zip(m, W.q))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +217,9 @@ def test_chain_inverse_closed_form(a):
         E[i][i] = ai
         if i + 1 < len(a):
             E[i][i + 1] = 1
-    assert chain_inverse_entries(a) == linalg.invert(E)
+    det, numerators = chain_inverse_entries(a)
+    assert det == math.prod(a)
+    assert [[F(x, det) for x in row] for row in numerators] == linalg.invert(E)
 
 
 @given(st.lists(st.integers(2, 6), min_size=2, max_size=5))
@@ -229,7 +229,9 @@ def test_loop_inverse_closed_form(a):
     for i, ai in enumerate(a):
         E[i][i] = ai
         E[i][(i + 1) % n] = 1
-    assert loop_inverse_entries(a) == linalg.invert(E)
+    det, numerators = loop_inverse_entries(a)
+    assert det == math.prod(a) - (-1) ** n
+    assert [[F(x, det) for x in row] for row in numerators] == linalg.invert(E)
 
 
 @st.composite
@@ -254,19 +256,26 @@ def direct_sum(draw):
 
 @given(direct_sum())
 def test_closed_form_inverse_equals_elimination(E):
-    """E⁻¹ read off the summands equals generic elimination, for W and Wᵗ,
-    and head[v] is the row of E in which x_v carries its exponent."""
+    """E⁻¹ read off the summands equals generic elimination, for W and Wᵗ:
+    D is the lcm of the summand determinants and of E⁻¹'s denominators,
+    and DE_inv is D·E⁻¹.  head[v] is the row of E in which x_v carries
+    its exponent."""
     W = InvertiblePolynomial.from_exponent_matrix(E)
     for W in (W, W.transpose()):
-        assert [list(row) for row in W.E_inv] == linalg.invert(W.E)
+        inverse = linalg.invert(W.E)
+        dets = [math.prod(s.exponents) - (s.kind == "loop") * (-1) ** len(s.exponents)
+                for s in W.summands]
+        assert W.D == math.lcm(*dets) == math.lcm(*(x.denominator for row in inverse
+                                                    for x in row))
+        assert [list(row) for row in W.DE_inv] == [[W.D * x for x in row] for row in inverse]
+        assert [list(row) for row in W.inverse_exponents()] == inverse
         assert sorted(W.head) == list(range(W.N))
         assert all(W.E[W.head[v]][v] >= 2 for v in range(W.N))
 
 
 def test_loop_inverse_hand_checked():
     # loop x1^2*x2 + x2^4*x1: det 7, inverse (1/7)[[4,-1],[-1,2]]
-    assert loop_inverse_entries([2, 4]) == [[F(4, 7), F(-1, 7)],
-                                            [F(-1, 7), F(2, 7)]]
+    assert loop_inverse_entries([2, 4]) == (7, [[4, -1], [-1, 2]])
 
 
 def test_loop_weights_hand_checked():
@@ -278,8 +287,8 @@ def test_loop_weights_hand_checked():
 
 @given(atomic_exps)
 def test_fermat_chain_weights_positive_bounded(a):
-    rho = chain_inverse_entries(a)
-    q = [sum(row, F(0)) for row in rho]
+    det, numerators = chain_inverse_entries(a)
+    q = [F(sum(row), det) for row in numerators]
     assert all(0 < qi <= F(1, 2) for qi in q)
 
 

@@ -30,11 +30,6 @@ def _e(n, *pairs):
     return tuple(m)
 
 
-def _frac(x):
-    x = Fraction(x)
-    return x - (x // 1)
-
-
 # ---------------------------------------------------------------- build
 
 
@@ -126,11 +121,11 @@ def test_line_bundle_three_identity_insertions(expr):
 def test_line_bundle_fermat_theta_s_h():
     a = 5
     W = InvertiblePolynomial.from_string(f"x1^{a}")
-    q = W.q[0]
-    rho = generator_rho(W, 1)
-    theta = GroupElement((_frac(q + rho.phases[0]),))
-    s = GroupElement((_frac(q - 2 * rho.phases[0] + 1),))
-    h = GroupElement((1 - q,))
+    D, (q,) = W.D, W.Dq
+    (rho,) = generator_rho(W, 1).scaled(D)
+    theta = GroupElement(((q + rho) % D,), D)
+    s = GroupElement(((q - 2 * rho) % D,), D)
+    h = GroupElement((D - q,), D)
     assert theta.phases == (F(2, a),)
     assert s.phases == (F(a - 1, a),) and h.phases == (F(a - 1, a),)
     assert line_bundle_degrees(W, [theta, theta, s, h]) == [F(-2)]
@@ -139,13 +134,11 @@ def test_line_bundle_fermat_theta_s_h():
 def test_line_bundle_chain_final_type():
     # chain x1^3*x2 + x2^4, insertions (theta_N, theta_N, S_N, H)
     W = InvertiblePolynomial.from_string("x1^3*x2 + x2^4")
-    n = W.N
-    rho = generator_rho(W, n)
-    theta = GroupElement(tuple(_frac(W.q[i] + rho.phases[i]) for i in range(n)))
-    s = GroupElement(
-        tuple(_frac(W.q[i] - 2 * rho.phases[i] + (1 if i == n - 1 else 0)) for i in range(n))
-    )
-    h = GroupElement(tuple(1 - q for q in W.q))
+    n, D = W.N, W.D
+    rho = generator_rho(W, n).scaled(D)
+    theta = GroupElement(tuple((q + r) % D for q, r in zip(W.Dq, rho)), D)
+    s = GroupElement(tuple((q - 2 * r) % D for q, r in zip(W.Dq, rho)), D)
+    h = GroupElement(tuple(D - q for q in W.Dq), D)
     degs = line_bundle_degrees(W, [theta, theta, s, h])
     assert degs == [F(-1), F(-2)]
 

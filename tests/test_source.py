@@ -37,3 +37,14 @@ def test_memoization_is_per_polynomial():
     found = sorted(name for path in sorted(SOURCE.glob("*.py"))
                    for name in _cache_decorated(path))
     assert found == ["cli.build_parser", "jacobi.ring_of"]
+
+
+def test_polynomial_stores_one_integer_form():
+    """E⁻¹ and the grading are stored once, as integers over D; the only
+    `Fraction` fields of InvertiblePolynomial are the reported q and ĉ."""
+    tree = ast.parse((SOURCE / "poly.py").read_text(encoding="utf-8"))
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "InvertiblePolynomial")
+    found = [node.target.id for node in cls.body
+             if isinstance(node, ast.AnnAssign) and "Fraction" in ast.unparse(node.annotation)]
+    assert found == ["q", "charge"]
