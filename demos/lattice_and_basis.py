@@ -16,8 +16,7 @@ Run:  python3 demos/lattice_and_basis.py
 
 from lgmirror.bmodel import good_basis_check, perturbative_expand
 from lgmirror.jacobi import JacobiRing
-from lgmirror.poly import InvertiblePolynomial
-from lgmirror.wdvv import format_monomial
+from lgmirror.poly import InvertiblePolynomial, format_monomial
 
 f = InvertiblePolynomial.from_string("x1^3*x2 + x2^3*x1")
 ring = JacobiRing(f)

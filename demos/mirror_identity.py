@@ -15,8 +15,7 @@ from lgmirror import fjrw_four_point, four_point_report, sg_four_point
 from lgmirror.amodel import admissible_target
 from lgmirror.bmodel import LatticeElement, brieskorn_reduce
 from lgmirror.errors import UnsupportedByTheorem
-from lgmirror.poly import InvertiblePolynomial
-from lgmirror.wdvv import format_monomial
+from lgmirror.poly import InvertiblePolynomial, format_monomial
 
 W = InvertiblePolynomial.from_string("x1^5 + x2^3*x3 + x3^4 + x4^3*x5 + x5^3*x4")
 

@@ -171,9 +171,9 @@ def brieskorn_reduce(
         k = min(pending)
         chunk = pending.pop(k)
         nf, quotients = ring.divide(chunk)
-        if not nf.is_zero():
+        if nf:
             level = out.setdefault(k, {})
-            for m, c in ring.monomial_of(nf).items():
+            for m, c in nf.items():
                 level[m] = level.get(m, Fraction(0)) + c
         push: dict[Monomial, Fraction] = {}
         for j, h in enumerate(quotients):
@@ -190,7 +190,7 @@ def brieskorn_reduce(
                 {
                     "z": k,
                     "chunk": dict(chunk),
-                    "normal_form": ring.monomial_of(nf),
+                    "normal_form": nf,
                     "pushed": dict(push),
                 }
             )
@@ -462,7 +462,7 @@ def sg_four_point(W: InvertiblePolynomial, i: int) -> Fraction:
     ring = ring_of(f)
     n = f.N
     x, s, target_monomial = final_type_insertions(piece, local)
-    if x not in ring.basis.index or s not in ring.basis.index:
+    if not (ring.in_basis(x) and ring.in_basis(s)):
         raise WrongConfiguration("insertion outside the standard basis")
 
     # Flat-coordinate corrections that could feed the target coefficient

@@ -42,9 +42,9 @@ from .errors import (
 from .groups import GroupCapExceeded, enumerate_group, sector_kind
 from .jacobi import ring_of, top_of
 from .mirror import degree_check, final_type_insertions, psi
-from .poly import InvertiblePolynomial, NotInvertibleShape, PolynomialSyntaxError, parse_int
+from .poly import InvertiblePolynomial, NotInvertibleShape, PolynomialSyntaxError, format_monomial, parse_int
 from .selection import CorrelatorSpec, classify_type, passes_axioms
-from .wdvv import fermat_closure, format_monomial, loop_square_chain
+from .wdvv import fermat_closure, loop_square_chain
 
 Monomial = tuple[int, ...]
 

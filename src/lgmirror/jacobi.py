@@ -9,6 +9,9 @@ over the atomic summands of f:
                        (*,…,*, k≥1, c_{n−2l}−1, 0, …, c_{n−2}−1, 0, c_n−1)
     loop:              {x^r : r_i ≤ a_i−1}, μ = Π a_i
 
+A ring keeps only the test of membership in that basis (`in_basis`); the
+basis itself is listed on first use.
+
 Each column of the exponent matrix has at most two nonzero entries, so each
 relation ∂_j f is a monomial or a binomial, and the normal form of a
 monomial is one term c·b or 0.  `_SummandRing.reduce` finds it by a walk on
@@ -31,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from itertools import product as cartesian
 
 from . import linalg
@@ -106,8 +109,6 @@ def _partials(f: InvertiblePolynomial) -> list[dict]:
 class StandardBasis:
     monomials: tuple[Monomial, ...]
     index: dict
-    mu: int
-    top: Monomial
 
 
 @dataclass(frozen=True)
@@ -131,19 +132,15 @@ class _SummandRing:
     transposed-chain order (pure power first) for Fermat and chain
     summands, the cycle order for loops.  Each relation ∂_v f, v in the
     summand, is a monomial p (kept in ``zeros``) or a binomial a·p + b·p′,
-    which gives the two moves p → (−b/a)·p′ and p′ → (−a/b)·p."""
+    which gives the two moves p → (−b/a)·p′ and p′ → (−a/b)·p.  The basis
+    is the box r_i < ``bounds[i]``, minus `_chain_excluded` for chains."""
 
     def __init__(self, s: AtomicSummand, partials: list[dict]):
-        if s.kind == "loop":
-            self.variables = s.variables
-            self.basis = list(cartesian(*(range(a) for a in s.exponents)))
-        else:
-            # transposed-chain order; a Fermat is the chain of length one
-            self.variables = tuple(reversed(s.variables))
-            c = tuple(reversed(s.exponents))
-            self.basis = [r for r in cartesian(*(range(ci) for ci in c))
-                          if not _chain_excluded(r, c)]
-        self.basis_set = frozenset(self.basis)
+        self.chain = s.kind != "loop"
+        # transposed-chain order; a Fermat is the chain of length one
+        order = slice(None, None, -1 if self.chain else 1)
+        self.variables = s.variables[order]
+        self.bounds = s.exponents[order]
         self.zeros: list[Monomial] = []
         self.moves: list[tuple[Monomial, Monomial, Fraction]] = []
         for v in self.variables:
@@ -155,6 +152,10 @@ class _SummandRing:
                 (p, a), (q, b) = rel
                 self.moves += [(p, q, -b / a), (q, p, -a / b)]
         self._cache: dict[Monomial, tuple[Monomial, Fraction] | None] = {}
+
+    def in_basis(self, r: Monomial) -> bool:
+        return (all(0 <= ri < a for ri, a in zip(r, self.bounds))
+                and not (self.chain and _chain_excluded(r, self.bounds)))
 
     def reduce(self, m: Monomial) -> tuple[Monomial, Fraction] | None:
         """[m] as (b, c) with [m] = c·b for a basis monomial b, or None
@@ -168,7 +169,7 @@ class _SummandRing:
         monomial b and [m] = val[b]·b.  The walk covers the whole
         component, basis monomials included, so a basis that is not one
         raises RuntimeError instead of giving a wrong value."""
-        if m in self.basis_set:
+        if self.in_basis(m):
             return m, Fraction(1)
         if m in self._cache:
             return self._cache[m]
@@ -178,7 +179,7 @@ class _SummandRing:
         zero = False
         while stack:
             u = stack.pop()
-            applies = u in self.basis_set
+            applies = self.in_basis(u)
             if applies:
                 reached.append(u)
             for p in self.zeros:
@@ -224,24 +225,30 @@ def top_of(f: InvertiblePolynomial) -> Monomial:
 
 
 class JacobiRing:
-    """Jac(f) with its standard basis, exact reduction, product and pairing."""
+    """Jac(f): its relations and basis-membership test, exact reduction,
+    product and pairing.  The standard basis is listed only on first use
+    of ``basis``; μ = ∏(1 − qᵢ)/qᵢ (Milnor–Orlik) and the socle are closed
+    forms."""
 
     def __init__(self, f: InvertiblePolynomial):
         self.poly = f
         self.n = f.N
-        partials = _partials(f)
-        self._parts = [_SummandRing(s, partials) for s in f.summands]
-        monos = []
-        for combo in cartesian(*(p.basis for p in self._parts)):
-            monos.append(self._assemble(combo))
-        monos.sort(key=lambda m: (f.degree(m), m))
-        basis_index = {m: i for i, m in enumerate(monos)}
-        self.basis = StandardBasis(
-            monomials=tuple(monos),
-            index=basis_index,
-            mu=len(monos),
-            top=top_of(f),
-        )
+        self._partials = _partials(f)
+        self._parts = [_SummandRing(s, self._partials) for s in f.summands]
+        self.mu = math.prod(f.D - x for x in f.Dq) // math.prod(f.Dq)
+        self.top = top_of(f)
+
+    def in_basis(self, m: Monomial) -> bool:
+        return all(part.in_basis(r) for part, r in zip(self._parts, self._localize(m)))
+
+    @cached_property
+    def basis(self) -> StandardBasis:
+        """The standard basis in (degree, m) order, with its index."""
+        parts = [[r for r in cartesian(*map(range, p.bounds)) if p.in_basis(r)]
+                 for p in self._parts]
+        monos = sorted(map(self._assemble, cartesian(*parts)),
+                       key=lambda m: (self.poly.degree(m), m))
+        return StandardBasis(tuple(monos), {m: i for i, m in enumerate(monos)})
 
     def _assemble(self, locals_) -> Monomial:
         exps = [0] * self.n
@@ -257,14 +264,6 @@ class JacobiRing:
 
     def wt(self, m: Monomial) -> Fraction:
         return Fraction(self.poly.degree(m), self.poly.D)
-
-    @property
-    def mu(self) -> int:
-        return self.basis.mu
-
-    @property
-    def top(self) -> Monomial:
-        return self.basis.top
 
     # -- reduction and arithmetic ----------------------------------------
 
@@ -310,7 +309,7 @@ class JacobiRing:
 
     def residue_pairing(self, a: RingElement, b: RingElement) -> Fraction:
         prod = self.multiply(a, b)
-        top_index = self.basis.index[self.basis.top]
+        top_index = self.basis.index[self.top]
         return dict(prod.coeffs).get(top_index, Fraction(0))
 
     def gram(self) -> list[list[Fraction]]:
@@ -327,18 +326,17 @@ class JacobiRing:
     def divide(self, p: dict):
         """Write p = nf + Σ_j h_j ∂_j f with nf in the basis span.
 
-        Returns (RingElement nf, quotients) where quotients[j] is
-        {monomial: coefficient} for h_j.  Works weight by weight; the
-        normal form always agrees with `reduce` (nondegenerate pairing ⇒
-        unique basis representative).
+        Returns (nf, quotients): nf is {basis monomial: coefficient} in
+        basis order, and quotients[j] is {monomial: coefficient} for h_j.
+        Works weight by weight; the normal form always agrees with `reduce`
+        (nondegenerate pairing ⇒ unique basis representative).
         """
         f = self.poly
         by_degree: dict[int, dict] = {}
         for m, c in p.items():
             chunk = by_degree.setdefault(f.degree(m), {})
             chunk[m] = chunk.get(m, Fraction(0)) + Fraction(c)
-        partials = _partials(f)
-        nf_acc: dict[int, Fraction] = {}
+        nf_acc: dict[Monomial, Fraction] = {}
         quot: list[dict] = [dict() for _ in range(self.n)]
         for deg, chunk in by_degree.items():
             space = _graded(f.Dq, deg, deg)
@@ -348,15 +346,15 @@ class JacobiRing:
             rows: list[dict] = [{} for _ in space]
             basis = []
             for i, m in enumerate(space):
-                if m in self.basis.index:
+                if self.in_basis(m):
                     rows[i][len(basis)] = Fraction(1)
-                    basis.append(self.basis.index[m])
+                    basis.append(m)
             quots = []
             for j in range(self.n):
                 # h_j has degree deg − deg ∂_j f = deg − (D − Dq_j)
                 sdeg = deg - (f.D - f.Dq[j])
                 for s in _graded(f.Dq, sdeg, sdeg):
-                    for m0, c0 in partials[j].items():
+                    for m0, c0 in self._partials[j].items():
                         rows[midx[_add(s, m0)]][len(basis) + len(quots)] = c0
                     quots.append((j, s))
             rhs = [chunk.get(m, Fraction(0)) for m in space]
@@ -366,16 +364,15 @@ class JacobiRing:
                 else:
                     j, s = quots[k - len(basis)]
                     quot[j][s] = quot[j].get(s, Fraction(0)) + x
-        return RingElement.from_dict(nf_acc), quot
+        nf = sorted((f.degree(m), m, c) for m, c in nf_acc.items() if c != 0)
+        return {m: c for _, m, c in nf}, quot
 
 
-@lru_cache(maxsize=256)
 def ring_of(f: InvertiblePolynomial) -> JacobiRing:
-    """The shared Jac(f): one ring per polynomial, built on first use.
-
-    Every caller of a given f gets the same object, so treat it as
+    """The shared Jac(f), built on first use and kept on f for as long as
+    f lives.  Every caller of f gets the same object, so treat it as
     read-only; ``JacobiRing(f)`` builds a private copy."""
-    return JacobiRing(f)
+    return f.derive("ring", lambda: JacobiRing(f))
 
 
 # ---------------------------------------------------------------------------

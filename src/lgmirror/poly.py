@@ -127,8 +127,8 @@ class InvertiblePolynomial:
     @staticmethod
     def from_json(blob: str) -> "InvertiblePolynomial":
         try:
-            data = json.loads(blob)
-        except ValueError as exc:   # JSONDecodeError, or a numeral too long for int
+            data = json.loads(blob, parse_int=parse_int)
+        except json.JSONDecodeError as exc:
             raise PolynomialSyntaxError(f"bad JSON: {exc}") from exc
         if not isinstance(data, dict) or "E" not in data:
             raise PolynomialSyntaxError('JSON input must be {"E": [[...], ...]}')
@@ -193,12 +193,13 @@ class InvertiblePolynomial:
         return " ⊕ ".join(s.describe() for s in self.summands)
 
     def to_string(self) -> str:
-        terms = []
-        for row in self.E:
-            factors = [f"x{i+1}" + (f"^{e}" if e > 1 else "")
-                       for i, e in enumerate(row) if e > 0]
-            terms.append("*".join(factors))
-        return " + ".join(terms)
+        return " + ".join(format_monomial(row) for row in self.E)
+
+
+def format_monomial(m) -> str:
+    """'x1^2*x3' for the exponent tuple (2, 0, 1), and '1' for no factor."""
+    factors = [f"x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(m) if e > 0]
+    return "*".join(factors) if factors else "1"
 
 
 # ---------------------------------------------------------------------------

@@ -118,8 +118,8 @@ def classify_type(W: InvertiblePolynomial, X: CorrelatorSpec) -> str:
         return NOT_X_MINUS_1
     if sum(X.ell) != X.k - 2:
         return NOT_X_MINUS_1
-    index = ring_of(W.transpose()).basis.index
-    if X.alpha not in index or X.beta not in index:
+    ring = ring_of(W.transpose())
+    if not (ring.in_basis(X.alpha) and ring.in_basis(X.beta)):
         return NOT_X_MINUS_1
     if any(K.denominator != 1 for K in X.K):
         return NOT_X_MINUS_1

@@ -28,17 +28,10 @@ from .amodel import fjrw_four_point
 from .errors import InconsistentInput, UnderdeterminedSystem, WrongConfiguration
 from .jacobi import JacobiRing, RingElement, ring_of
 from .mirror import final_type_insertions
-from .poly import InvertiblePolynomial
+from .poly import InvertiblePolynomial, format_monomial
 
 Monomial = tuple[int, ...]
 Key = tuple[int, int, int, int]
-
-
-def format_monomial(m: Monomial) -> str:
-    factors = [
-        f"x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(m) if e > 0
-    ]
-    return "*".join(factors) if factors else "1"
 
 
 def format_element(ring: JacobiRing, e: RingElement) -> str:
@@ -235,7 +228,7 @@ def primitivity(ring: JacobiRing, m: Monomial) -> bool:
     complementary weight spaces, which covers every factorization whose
     factors are monomial up to scale.
     """
-    if m not in ring.basis.index:
+    if not ring.in_basis(m):
         raise WrongConfiguration(f"{format_monomial(m)} is not a basis monomial")
     w = ring.poly.degree(m)
     if w == 0:
@@ -286,7 +279,7 @@ def fermat_closure(W: InvertiblePolynomial):
     table = CorrelatorTable(ring)
     n = W.N
     a = [W.E[j][j] for j in range(n)]
-    top = ring.basis.top
+    top = ring.top
     for j in range(n):
         x, s, _ = final_type_insertions(W, j + 1)
         table.set((x, x, s, top), fjrw_four_point(W, j + 1))
@@ -328,7 +321,7 @@ def loop_square_chain(a: int):
     ring = ring_of(W.transpose())
     table = CorrelatorTable(ring)
     x1, x2 = (1, 0), (0, 1)
-    top = ring.basis.top
+    top = ring.top
     seed_key = table.set(
         (x1, x1, (a - 2, 1), top), fjrw_four_point(W, 1)
     )

@@ -536,7 +536,7 @@ class TestPerturbativeExpansion:
         f = atomic("loop", (3, 3))
         state = perturbative_expand(f, 2)
         ring = JacobiRing(f)
-        top = ring.basis.index[ring.basis.top]
+        top = ring.basis.index[ring.top]
         quad = [sm for sm in state.zeta if len(sm) == 2]
         assert quad == [(top, top)]
 

@@ -89,6 +89,11 @@ class TestVerifyExitCodes:
             assert out == ""
             assert err.startswith("error:")
 
+    def test_long_numeral_has_one_message_for_text_and_json(self, capsys):
+        errs = [run(capsys, "verify", "--expr", expr)[2]
+                for expr in (f"x1^{LONG}", f'{{"E": [[{LONG}]]}}')]
+        assert errs == ["error: numeral of 5000 digits is too long\n"] * 2
+
     def test_non_invertible_shape_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--expr", "x1^3 + x1^2*x2 + x2^3")
         assert code == 2
@@ -124,7 +129,7 @@ class TestVerifyExitCodes:
 
 
 def count_ring_builds(monkeypatch) -> list:
-    """Start from a cold ring cache and record every JacobiRing built."""
+    """Record every JacobiRing built."""
     built = []
     init = JacobiRing.__init__
 
@@ -132,7 +137,6 @@ def count_ring_builds(monkeypatch) -> list:
         built.append(f)
         init(self, f)
 
-    ring_of.cache_clear()
     monkeypatch.setattr(JacobiRing, "__init__", counting_init)
     return built
 
@@ -145,6 +149,21 @@ def test_verify_builds_one_ring_per_piece(monkeypatch):
     W = InvertiblePolynomial.from_string("x1^5*x2+x2^6*x3+x3^7*x4+x4^8*x1")
     assert cli.verification_report(W)["overall"] == "pass"
     assert len(built) == 4
+
+
+@pytest.mark.parametrize("expr", [
+    "x1^1000000",
+    "x1^5*x2+x2^5*x3+x3^5*x4+x4^5*x5+x5^5*x1",        # μ = 3126
+    "x1^4 + x2^3*x3 + x3^4 + x4^3*x5 + x5^3*x4",
+])
+def test_verify_lists_no_basis(expr):
+    """The B side needs only basis membership, so verify never lists the
+    standard basis of any piece's transposed ring."""
+    W = InvertiblePolynomial.from_string(expr)
+    assert cli.verification_report(W)["overall"] == "pass"
+    for i in range(W.N):
+        piece, _ = amodel._atomic_piece(W, i)
+        assert "basis" not in ring_of(piece.transpose()).__dict__
 
 
 @pytest.mark.parametrize("expr", [

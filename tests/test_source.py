@@ -32,11 +32,11 @@ def _cache_decorated(path):
 
 
 def test_memoization_is_per_polynomial():
-    """Derived objects are memoized on the polynomial they come from; the
-    only process-wide caches are the shared Jacobi ring and the parser."""
+    """Derived objects, the Jacobi ring included, are memoized on the
+    polynomial they come from; the only process-wide cache is the parser."""
     found = sorted(name for path in sorted(SOURCE.glob("*.py"))
                    for name in _cache_decorated(path))
-    assert found == ["cli.build_parser", "jacobi.ring_of"]
+    assert found == ["cli.build_parser"]
 
 
 def test_polynomial_stores_one_integer_form():

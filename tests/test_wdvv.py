@@ -37,7 +37,7 @@ def two_fermat_table(a=4, b=4):
     W = poly(f"x1^{a} + x2^{b}")
     ring = JacobiRing(W.transpose())
     table = CorrelatorTable(ring)
-    top = ring.basis.top
+    top = ring.top
     table.set(((1, 0), (1, 0), (a - 2, 0), top), W.q[0])
     table.set(((0, 1), (0, 1), (0, b - 2), top), W.q[1])
     return W, ring, table
@@ -49,14 +49,14 @@ def two_fermat_table(a=4, b=4):
 class TestCorrelatorTable:
     def test_values_are_permutation_invariant(self):
         W, ring, table = two_fermat_table()
-        top = ring.basis.top
+        top = ring.top
         insertions = [(1, 0), (1, 0), (2, 0), top]
         for perm in itertools.permutations(insertions):
             assert table.value(perm) == F(1, 4)
 
     def test_lookup_is_multilinear(self):
         W, ring, table = two_fermat_table()
-        top = ring.basis.top
+        top = ring.top
         scaled = {(1, 0): F(3)}
         assert table.value((scaled, (1, 0), (2, 0), top)) == 3 * F(1, 4)
         mixed = {(1, 0): F(1), (0, 1): F(1)}
@@ -68,20 +68,20 @@ class TestCorrelatorTable:
 
     def test_set_rescales_by_the_insertion_coefficients(self):
         W, ring, table = two_fermat_table()
-        top = ring.basis.top
+        top = ring.top
         key = table.set(({(1, 0): F(2)}, (1, 0), (2, 0), top), F(1, 2))
         assert table.values[key] == F(1, 4)
 
     def test_set_refuses_spread_insertions(self):
         W, ring, table = two_fermat_table()
-        top = ring.basis.top
+        top = ring.top
         spread = {(1, 0): F(1), (0, 1): F(1)}
         with pytest.raises(WrongConfiguration):
             table.set((spread, (1, 0), (2, 0), top), F(1))
 
     def test_unit_insertions_vanish_by_the_string_equation(self):
         W, ring, table = two_fermat_table()
-        assert table.value(((0, 0), (1, 0), (2, 0), ring.basis.top)) == 0
+        assert table.value(((0, 0), (1, 0), (2, 0), ring.top)) == 0
         assert table.known(((0, 0), (0, 0), (0, 0), (0, 0)))
 
     def test_unknown_correlators_are_reported(self):
@@ -94,7 +94,7 @@ class TestCorrelatorTable:
     def test_zero_insertion_kills_the_correlator(self):
         W, ring, table = two_fermat_table()
         # x1^3 reduces to zero in Jac(x1^4 + x2^4)
-        assert table.value(((3, 0), (1, 0), (2, 0), ring.basis.top)) == 0
+        assert table.value(((3, 0), (1, 0), (2, 0), ring.top)) == 0
 
     def test_pairing_inverse_is_exact(self):
         for expr in ("x1^5", "x1^2*x2 + x2^3*x1", "x1^3 + x1*x2^3"):
@@ -149,13 +149,13 @@ class TestWdvvStep:
         W = poly(f"x1^{a}*x2 + x2^2*x1")
         ring = JacobiRing(W.transpose())
         table = CorrelatorTable(ring)
-        table.set(((1, 0), (1, 0), (a - 2, 1), ring.basis.top), W.q[0])
+        table.set(((1, 0), (1, 0), (a - 2, 1), ring.top), W.q[0])
         with pytest.raises(UnderdeterminedSystem):
             wdvv_step(table, (1, 0), (0, 1), (0, 1), (1, 0), (a - 2, 1))
 
     def test_unit_epsilon_is_a_tautology(self):
         W, ring, table = two_fermat_table()
-        top = ring.basis.top
+        top = ring.top
         # with epsilon = 1 the two product terms die by the string
         # equation and lhs cancels rhs1: nothing is determined
         with pytest.raises(UnderdeterminedSystem):
@@ -255,14 +255,14 @@ class TestLoopSquareChain:
         W = poly(f"x1^{a}*x2 + x2^2*x1")
         table, chain = loop_square_chain(a)
         assert len(chain) == 3
-        x = table.value(((0, 1), (0, 1), (1, 0), table.ring.basis.top))
+        x = table.value(((0, 1), (0, 1), (1, 0), table.ring.top))
         assert x == (a - 1) * W.q[0] == W.q[1]
 
     @pytest.mark.parametrize("a", [3, 5])
     def test_agrees_with_both_theories(self, a):
         W = poly(f"x1^{a}*x2 + x2^2*x1")
         table, chain = loop_square_chain(a)
-        x = table.value(((0, 1), (0, 1), (1, 0), table.ring.basis.top))
+        x = table.value(((0, 1), (0, 1), (1, 0), table.ring.top))
         assert x == fjrw_four_point(W, 2)
         assert x == -sg_four_point(W, 2)
 
