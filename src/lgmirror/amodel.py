@@ -59,10 +59,6 @@ class BoundaryDecoration:
     ell_plus: tuple[int, ...]
     ell_minus: tuple[int, ...]
 
-    @property
-    def gamma_minus(self) -> GroupElement:
-        return self.gamma_plus.inverse()
-
     def pair(self, i: int) -> tuple[int, int]:
         """Unordered component degrees of the i-th line bundle (1-based)."""
         a, b = self.ell_plus[i - 1], self.ell_minus[i - 1]

@@ -114,10 +114,6 @@ class LatticeElement:
             {k: {m: c * v for m, v in poly.items()} for k, poly in self.terms.items()}
         )
 
-    def shift(self, dz: int) -> "LatticeElement":
-        """Multiply by z^dz."""
-        return LatticeElement({k + dz: poly for k, poly in self.terms.items()})
-
     def times(self, m: Monomial, dz: int = 0, c=1) -> "LatticeElement":
         """Multiply by c * x^m * z^dz (no reduction)."""
         c = Fraction(c)

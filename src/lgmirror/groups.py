@@ -71,9 +71,6 @@ class GroupElement:
     def inverse(self) -> "GroupElement":
         return self ** -1
 
-    def is_identity(self) -> bool:
-        return self.den == 1
-
     def fixed_indices(self) -> tuple[int, ...]:
         """Variables fixed by the symmetry, i.e. zero phases (0-based)."""
         return tuple(i for i, x in enumerate(self.num) if x == 0)
@@ -110,11 +107,6 @@ def generator_rho(W: InvertiblePolynomial, j: int) -> GroupElement:
     if not 1 <= j <= W.N:
         raise IndexError(j)
     return GroupElement(tuple(row[j - 1] % W.D for row in W.DE_inv), W.D)
-
-
-def grading_element(W: InvertiblePolynomial) -> GroupElement:
-    """J_W, with phases the fractional parts of the weights."""
-    return GroupElement(tuple(x % W.D for x in W.Dq), W.D)
 
 
 def group_cap() -> int:

@@ -19,14 +19,20 @@ the summand's binomial graph: every binomial rewrites a monomial in both
 directions with its coefficient ratio, and the walk ends at the one basis
 monomial of m's component, or shows that the component is zero.  The
 relations are `_partials(f)`, the one source shared by the walk, `divide`
-and the independent brute-force oracle (`OracleQuotient`), which does plain
-exact elimination on each graded slice of ℂ[x]/(∂f) and is used to
-cross-check the walk in the tests.
+and the independent brute-force oracle (`OracleQuotient`).
+
+`divide` writes p = nf + Σ_j h_j ∂_j f by exact elimination.  Every column
+of its system, a basis monomial or a multiple s·∂_j f, touches one or two
+monomials, so the system is block-diagonal over the components of the
+binomial graph (Eisenbud–Sturmfels, *Binomial ideals*, 1996), and `divide`
+builds only the components that p reaches.  The oracle, which does plain
+exact elimination on each whole graded slice of ℂ[x]/(∂f), knows nothing
+of this and is used to cross-check the walk in the tests.
 
 Everything is graded by the integer ``f.degree`` = D·Σ mᵢqᵢ over the
 polynomial's one denominator D, with integer weights ``f.Dq``; `_graded`
-is the one enumerator of graded slices, shared by `divide` and the
-oracle, and ``wt`` is the ``Fraction`` view of the degree.
+enumerates the oracle's graded slices, and ``wt`` is the ``Fraction`` view
+of the degree.
 """
 
 from __future__ import annotations
@@ -313,13 +319,23 @@ class JacobiRing:
         return dict(prod.coeffs).get(top_index, Fraction(0))
 
     def gram(self) -> list[list[Fraction]]:
-        """The residue pairing on the basis; by grading, only pairs whose
-        degrees add up to the top's degree can pair to nonzero."""
-        els = [(RingElement(((i, Fraction(1)),)), self.poly.degree(m))
-               for i, m in enumerate(self.basis.monomials)]
-        socle = self.poly.degree(self.top)
-        return [[self.residue_pairing(a, b) if da + db == socle else Fraction(0)
-                 for b, db in els] for a, da in els]
+        """The residue pairing on the basis: the coefficient of ``top`` in
+        [a·b].  By grading, only pairs whose degrees add up to the top's
+        degree can pair to nonzero, so each basis monomial is paired only
+        with the basis monomials of the complementary degree."""
+        monos = self.basis.monomials
+        degree = self.poly.degree
+        by_degree: dict[int, list[int]] = {}
+        for k, m in enumerate(monos):
+            by_degree.setdefault(degree(m), []).append(k)
+        socle = degree(self.top)
+        g = [[Fraction(0)] * len(monos) for _ in monos]
+        for i, a in enumerate(monos):
+            for k in by_degree.get(socle - degree(a), ()):
+                term = self.reduce_monomial(_add(a, monos[k]))
+                if term is not None and term[0] == self.top:
+                    g[i][k] = term[1]
+        return g
 
     # -- division with quotient certificate --------------------------------
 
@@ -330,6 +346,17 @@ class JacobiRing:
         basis order, and quotients[j] is {monomial: coefficient} for h_j.
         Works weight by weight; the normal form always agrees with `reduce`
         (nondegenerate pairing ⇒ unique basis representative).
+
+        The system of a degree slice has a row per slice monomial and a
+        column per basis monomial and per s·∂_j f; each column touches one
+        or two rows, since ∂_j f is a monomial or a binomial.  So the
+        system is block-diagonal over the components of the slice's
+        binomial graph, its RREF is the union of the blocks' RREFs, and the
+        solution is zero on every component the chunk does not reach.  Only
+        the reached components are built, in the whole slice's relative
+        order (rows lexicographic; basis columns first, then (j, s)), so
+        `linalg.RowSpace`, which pivots on the lowest column, finds the
+        solution the whole slice gives.
         """
         f = self.poly
         by_degree: dict[int, dict] = {}
@@ -338,25 +365,40 @@ class JacobiRing:
             chunk[m] = chunk.get(m, Fraction(0)) + Fraction(c)
         nf_acc: dict[Monomial, Fraction] = {}
         quot: list[dict] = [dict() for _ in range(self.n)]
-        for deg, chunk in by_degree.items():
-            space = _graded(f.Dq, deg, deg)
+        for chunk in by_degree.values():
+            # walk the chunk's components: s·∂_j f is a column wherever a
+            # term m₀ of ∂_j f divides a reached u = s + m₀, and it reaches
+            # every s + m₁
+            reached = set(chunk)
+            stack = list(chunk)
+            cols: set[tuple[int, Monomial]] = set()
+            while stack:
+                u = stack.pop()
+                for j, rel in enumerate(self._partials):
+                    for m0 in rel:
+                        if not _divides(m0, u):
+                            continue
+                        s = _sub(u, m0)
+                        if (j, s) in cols:
+                            continue
+                        cols.add((j, s))
+                        for m1 in rel:
+                            v = _add(s, m1)
+                            if v not in reached:
+                                reached.add(v)
+                                stack.append(v)
+            space = sorted(reached)
             midx = {m: i for i, m in enumerate(space)}
-            # one row per slice monomial: a column per basis monomial, then
-            # one per monomial s of each h_j, carrying s·∂_j f
             rows: list[dict] = [{} for _ in space]
             basis = []
             for i, m in enumerate(space):
                 if self.in_basis(m):
                     rows[i][len(basis)] = Fraction(1)
                     basis.append(m)
-            quots = []
-            for j in range(self.n):
-                # h_j has degree deg − deg ∂_j f = deg − (D − Dq_j)
-                sdeg = deg - (f.D - f.Dq[j])
-                for s in _graded(f.Dq, sdeg, sdeg):
-                    for m0, c0 in self._partials[j].items():
-                        rows[midx[_add(s, m0)]][len(basis) + len(quots)] = c0
-                    quots.append((j, s))
+            quots = sorted(cols)
+            for k, (j, s) in enumerate(quots, len(basis)):
+                for m0, c0 in self._partials[j].items():
+                    rows[midx[_add(s, m0)]][k] = c0
             rhs = [chunk.get(m, Fraction(0)) for m in space]
             for k, x in linalg.solve_general(rows, rhs).items():
                 if k < len(basis):

@@ -61,10 +61,6 @@ class RowSpace:
         self.rows[p] = v
         return True
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
 
 def _subtract(v: SparseRow, f: Fraction, row: SparseRow) -> None:
     """v −= f·row in place, dropping the entries that cancel."""

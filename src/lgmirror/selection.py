@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 from .errors import WrongConfiguration
 from .groups import GroupElement
@@ -135,29 +134,3 @@ def classify_type(W: InvertiblePolynomial, X: CorrelatorSpec) -> str:
     if len(carriers) == 1 and sum(X.ell[i] for i in carriers[0].variables) >= 2:
         return X_0
     return X_MINUS_1
-
-
-def enumerate_candidates(W: InvertiblePolynomial, k_max: int = 6):
-    """Yield all CorrelatorSpec with 3 <= k <= k_max insertions drawn from
-    the standard basis of the transpose, of total degree <= charge + 3.
-
-    Intended for property tests at desk scale; the degree cap is what the
-    dimension axiom allows for k <= 6.
-    """
-    WT = W.transpose()
-    basis = ring_of(WT).basis
-    deg = {m: WT.degree(m) for m in basis.monomials}
-    bound = (W.charge + 3) * WT.D
-    primitives = []
-    for i in reversed(range(W.N)):
-        m = tuple(1 if j == i else 0 for j in range(W.N))
-        if m in basis.index:
-            primitives.append(m)
-    for k in range(3, k_max + 1):
-        for head in combinations_with_replacement(primitives, k - 2):
-            head_deg = sum(deg[m] for m in head)
-            if head_deg > bound:
-                continue
-            for alpha, beta in combinations_with_replacement(basis.monomials, 2):
-                if head_deg + deg[alpha] + deg[beta] <= bound:
-                    yield CorrelatorSpec.build(W, list(head) + [alpha, beta])

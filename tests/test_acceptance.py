@@ -12,11 +12,12 @@ from itertools import combinations_with_replacement, product as cartesian
 
 from lgmirror.amodel import four_point_report, fjrw_four_point, wdvv_case1
 from lgmirror.bmodel import good_basis_check, perturbative_expand, sg_four_point
-from lgmirror.groups import grading_element
 from lgmirror.jacobi import JacobiRing, OracleQuotient
 from lgmirror.mirror import degree_check, sector_of
 from lgmirror.poly import AtomicSummand, InvertiblePolynomial, reassemble
 from lgmirror.selection import CorrelatorSpec
+
+from support import grading_element
 
 F = Fraction
 

@@ -25,6 +25,8 @@ from lgmirror.errors import (
 from lgmirror.poly import AtomicSummand, InvertiblePolynomial, reassemble
 from lgmirror.selection import line_bundle_degrees
 
+from support import grading_element
+
 F = Fraction
 
 
@@ -115,8 +117,6 @@ def test_b2_refuses_wrong_degrees():
     # three identity-sector insertions padded with the top: degrees are
     # not the (-1, ..., -2) footprint
     W = InvertiblePolynomial.from_string("x1^5")
-    from lgmirror.groups import grading_element
-
     J = grading_element(W)
     with pytest.raises(ConcavityViolated, match="degree"):
         b2_correlator(W, [J, J, J, J], 1)
@@ -222,7 +222,7 @@ def test_decoration_bookkeeping():
             node = 1 if d.gamma_plus.phases[i] != 0 else 0
             assert d.ell_plus[i] + d.ell_minus[i] == smooth[i] - node
             gp = d.gamma_plus.phases[i]
-            gm = d.gamma_minus.phases[i]
+            gm = d.gamma_plus.inverse().phases[i]
             assert gp * (1 - gp) == gm * (1 - gm)
 
 

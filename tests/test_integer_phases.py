@@ -18,11 +18,13 @@ from lgmirror.amodel import (
     boundary_decorations,
 )
 from lgmirror.errors import UnsupportedByTheorem, WrongConfiguration
-from lgmirror.groups import GroupElement, grading_element, sector_degree
+from lgmirror.groups import GroupElement, sector_degree
 from lgmirror.jacobi import JacobiRing, top_of
 from lgmirror.mirror import final_type_insertions, sector_of
 from lgmirror.poly import AtomicSummand, InvertiblePolynomial, reassemble
 from lgmirror.selection import line_bundle_degrees
+
+from support import grading_element
 
 SPLITTINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 

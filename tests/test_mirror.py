@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from lgmirror import groups, mirror
+from lgmirror import mirror
 from lgmirror.errors import UnsupportedByTheorem
 from lgmirror.jacobi import JacobiRing
 from lgmirror.poly import InvertiblePolynomial
+
+from support import grading_element
 
 F = Fraction
 
@@ -31,7 +33,7 @@ def test_identity_maps_to_grading_element():
     for text in MIRROR_FAMILY:
         P = W(text)
         img = mirror.psi(P, (0,) * P.N)
-        assert img.sector == groups.grading_element(P)
+        assert img.sector == grading_element(P)
         assert img.degree == 0
         assert img.broad_monomial is None
 
@@ -83,7 +85,7 @@ def test_three_point_sector_law(text):
     # every monomial of reduce(m·n) sits in the sector γ_m γ_n J⁻¹
     P = W(text)
     ring = JacobiRing(P.transpose())
-    J = groups.grading_element(P)
+    J = grading_element(P)
     basis = ring.basis.monomials
     for m in basis[: min(len(basis), 6)]:
         for n in basis[: min(len(basis), 6)]:

@@ -6,8 +6,8 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from lgmirror.errors import WrongConfiguration
-from lgmirror.groups import GroupElement, generator_rho, grading_element
-from lgmirror.jacobi import JacobiRing
+from lgmirror.groups import GroupElement, generator_rho
+from lgmirror.jacobi import JacobiRing, ring_of
 from lgmirror.poly import InvertiblePolynomial
 from lgmirror.selection import (
     NOT_X_MINUS_1,
@@ -15,12 +15,39 @@ from lgmirror.selection import (
     X_MINUS_1,
     CorrelatorSpec,
     classify_type,
-    enumerate_candidates,
     line_bundle_degrees,
     passes_axioms,
 )
 
+from support import grading_element
+
 F = Fraction
+
+
+def enumerate_candidates(W: InvertiblePolynomial, k_max: int = 6):
+    """Yield all CorrelatorSpec with 3 <= k <= k_max insertions drawn from
+    the standard basis of the transpose, of total degree <= charge + 3.
+
+    Intended for property tests at desk scale; the degree cap is what the
+    dimension axiom allows for k <= 6.
+    """
+    WT = W.transpose()
+    basis = ring_of(WT).basis
+    deg = {m: WT.degree(m) for m in basis.monomials}
+    bound = (W.charge + 3) * WT.D
+    primitives = []
+    for i in reversed(range(W.N)):
+        m = tuple(1 if j == i else 0 for j in range(W.N))
+        if m in basis.index:
+            primitives.append(m)
+    for k in range(3, k_max + 1):
+        for head in combinations_with_replacement(primitives, k - 2):
+            head_deg = sum(deg[m] for m in head)
+            if head_deg > bound:
+                continue
+            for alpha, beta in combinations_with_replacement(basis.monomials, 2):
+                if head_deg + deg[alpha] + deg[beta] <= bound:
+                    yield CorrelatorSpec.build(W, list(head) + [alpha, beta])
 
 
 def _e(n, *pairs):
