@@ -313,11 +313,6 @@ class JacobiRing:
                 raw[m] = raw.get(m, Fraction(0)) + ca * cb
         return self.reduce(raw)
 
-    def residue_pairing(self, a: RingElement, b: RingElement) -> Fraction:
-        prod = self.multiply(a, b)
-        top_index = self.basis.index[self.top]
-        return dict(prod.coeffs).get(top_index, Fraction(0))
-
     def gram(self) -> list[list[Fraction]]:
         """The residue pairing on the basis: the coefficient of ``top`` in
         [a·b].  By grading, only pairs whose degrees add up to the top's

@@ -17,7 +17,7 @@ from lgmirror.mirror import degree_check, sector_of
 from lgmirror.poly import AtomicSummand, InvertiblePolynomial, reassemble
 from lgmirror.selection import CorrelatorSpec
 
-from support import grading_element
+from support import grading_element, residue_pairing
 
 F = Fraction
 
@@ -258,8 +258,8 @@ def test_criterion_7_three_point_selection_invariant():
             for alpha, beta in combinations_with_replacement(basis, 2):
                 if pw + ring.wt(alpha) + ring.wt(beta) != charge:
                     continue
-                pairing = ring.residue_pairing(
-                    ring.multiply(pe, ring.reduce(alpha)), ring.reduce(beta)
+                pairing = residue_pairing(
+                    ring, ring.multiply(pe, ring.reduce(alpha)), ring.reduce(beta)
                 )
                 if pairing == 0:
                     continue

@@ -8,6 +8,8 @@ from lgmirror import linalg
 from lgmirror.jacobi import JacobiRing, OracleQuotient, RingElement, _graded, _partials, ring_of
 from lgmirror.poly import InvertiblePolynomial
 
+from support import residue_pairing
+
 F = Fraction
 
 
@@ -226,7 +228,7 @@ def test_unit_and_top_pairing():
     for text in RINGS:
         R = ring(text)
         top = R.reduce(R.top)
-        assert R.residue_pairing(R.one, top) == 1
+        assert residue_pairing(R, R.one, top) == 1
         assert R.monomial_of(R.multiply(R.one, top)) == {R.top: F(1)}
 
 
@@ -236,7 +238,7 @@ def test_fermat_pairing_antidiagonal():
     for r in range(a - 1):
         x_r = R.reduce((r,))
         x_dual = R.reduce((a - 2 - r,))
-        assert R.residue_pairing(x_r, x_dual) == 1
+        assert residue_pairing(R, x_r, x_dual) == 1
 
 
 def test_multiply_commutative_associative_small():
@@ -259,8 +261,8 @@ def test_frobenius_property():
             continue
         els = basis_elements(R)
         for a, b, c in cartesian(els, els, els):
-            assert R.residue_pairing(R.multiply(a, b), c) == \
-                R.residue_pairing(a, R.multiply(b, c))
+            assert residue_pairing(R, R.multiply(a, b), c) == \
+                residue_pairing(R, a, R.multiply(b, c))
 
 
 def test_gram_symmetric_nondegenerate():
@@ -270,7 +272,7 @@ def test_gram_symmetric_nondegenerate():
             continue
         g = R.gram()
         els = basis_elements(R)
-        assert g == [[R.residue_pairing(a, b) for b in els] for a in els]
+        assert g == [[residue_pairing(R, a, b) for b in els] for a in els]
         assert g == [list(row) for row in zip(*g)]
         span = linalg.RowSpace()
         for row in g:
