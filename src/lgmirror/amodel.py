@@ -197,7 +197,7 @@ def _final_type_sectors(W: InvertiblePolynomial, target: int) -> list[GroupEleme
     return [theta, theta, sector_of(W, s), sector_of(W, top_of(W.transpose()))]
 
 
-def guere_correlator(W: InvertiblePolynomial, sectors=None, decorations=None) -> Fraction:
+def guere_correlator(W: InvertiblePolynomial, sectors, decorations) -> Fraction:
     """Four-point value for a loop ending in a square (a_N = 2, N >= 3).
 
     The last-but-one line bundle acquires sections on one boundary
@@ -209,7 +209,7 @@ def guere_correlator(W: InvertiblePolynomial, sectors=None, decorations=None) ->
     u -> 1.  Each Ch1 integral is minus the Bernoulli combination; every
     line bundle below N-1 is concave of degree -1 and contributes zero,
     which is checked.  ``sectors`` and ``decorations`` are those of the
-    final-type correlator when the caller has them already.
+    final-type correlator.
     """
     if len(W.summands) != 1 or W.summands[0].kind != "loop":
         raise WrongConfiguration("expected a single loop")
@@ -217,15 +217,11 @@ def guere_correlator(W: InvertiblePolynomial, sectors=None, decorations=None) ->
     a = _loop_exponents_in_ambient_order(W)
     if n < 3 or a[-1] != 2:
         raise WrongConfiguration("expected a loop with final exponent 2 and N >= 3")
-    if sectors is None:
-        sectors = _final_type_sectors(W, n)
     if any(not g.is_narrow() for g in sectors):
         raise WrongConfiguration("broad insertion sector")
     smooth = line_bundle_degrees(W, sectors)
     if smooth != [Fraction(-1)] * (n - 1) + [Fraction(-2)]:
         raise WrongConfiguration(f"unexpected line bundle degrees {smooth}")
-    if decorations is None:
-        decorations = boundary_decorations(W, sectors)
     if decorations[0].pair(n - 1) != (0, -2):
         raise WrongConfiguration(
             f"expected component degrees (0, -2) for line bundle {n - 1}, "

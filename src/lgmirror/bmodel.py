@@ -471,20 +471,13 @@ def sg_four_point(W: InvertiblePolynomial, i: int) -> Fraction:
         if any(k > 0 for k in reduced.z_powers):
             raise WrongConfiguration("unexpected flat-coordinate correction")
 
-    # Cubic term of exp((F-f)/z): for distinct insertions the s_x^2 s_S
-    # coefficient is (3 choose 2,1)/3! = 1/2 of [M_i] z^-3 and the t-
-    # derivative contributes 2! 1!; when M_i/x_i^2 = x_i (cubic Fermat)
-    # the single coordinate carries 1/3! of [M_i] z^-3 and the derivative
-    # contributes 3!.  Both products are 1.
-    if s == x:
-        prefactor, derivative = Fraction(1, 6), 6
-    else:
-        prefactor, derivative = Fraction(1, 2), 2
-    cubic = LatticeElement.from_poly({target_monomial: prefactor}, z=-3)
-    reduced = brieskorn_reduce(f, cubic)
+    # Cubic term of exp((F-f)/z): its multinomial weight (1/2 for distinct
+    # insertions, 1/3! when M_i/x_i^2 = x_i) times the t-derivative's
+    # factorials (2! 1!, or 3!) is 1, so B is [M_i z^-3] reduced.
+    reduced = brieskorn_reduce(f, LatticeElement.from_poly(target_monomial, z=-3))
     unit = (0,) * n
     if not set(reduced.z_powers) <= {-2}:
         raise WrongConfiguration("cubic term did not collapse to z^-2")
     if not set(reduced.poly_at(-2)) <= {unit}:
         raise WrongConfiguration("cubic term left a positive-degree part")
-    return derivative * reduced.coefficient(-2, unit)
+    return reduced.coefficient(-2, unit)

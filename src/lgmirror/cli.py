@@ -39,7 +39,7 @@ from .errors import (
     UnsupportedByTheorem,
     WrongConfiguration,
 )
-from .groups import GroupCapExceeded, enumerate_group, sector_kind
+from .groups import GroupCapExceeded, enumerate_group
 from .jacobi import ring_of, top_of
 from .mirror import degree_check, final_type_insertions, psi
 from .poly import InvertiblePolynomial, NotInvertibleShape, PolynomialSyntaxError, format_monomial, parse_int
@@ -281,14 +281,14 @@ def cmd_classify(args) -> int:
         document["group"] = [
             {
                 "phases": g.json_phases(),
-                "narrow": sector_kind(g).narrow,
+                "narrow": g.is_narrow(),
             }
             for g in elements
         ]
         lines.append(f"  group elements ({len(elements)}):")
         lines.extend(
             f"    ({', '.join(g.json_phases())})"
-            f"{'' if sector_kind(g).narrow else '  [broad]'}"
+            f"{'' if g.is_narrow() else '  [broad]'}"
             for g in elements
         )
     emit(args, document, lines)
@@ -371,8 +371,9 @@ def cmd_jacobi(args) -> int:
         "basis": monomials,
         "weights": [frac(ring.wt(m)) for m in ring.basis.monomials],
         "top": format_monomial(ring.top),
-        "gram": [[frac(v) for v in row] for row in ring.gram()],
     }
+    if args.json:
+        document["gram"] = [[frac(v) for v in row] for row in ring.gram()]
     lines = [
         f"polynomial: {document['polynomial']}",
         f"  milnor number: {ring.mu}",
@@ -383,16 +384,15 @@ def cmd_jacobi(args) -> int:
         table = []
         for i, a in enumerate(ring.basis.monomials):
             for j, b in enumerate(ring.basis.monomials[i:], start=i):
-                prod = ring.multiply(ring.reduce(a), ring.reduce(b))
-                if prod.is_zero():
+                # a product of basis monomials is one basis term or zero
+                term = ring.reduce_monomial(tuple(x + y for x, y in zip(a, b)))
+                if term is None:
                     continue
                 table.append(
                     {
                         "left": monomials[i],
                         "right": monomials[j],
-                        "product": {
-                            monomials[k]: frac(c) for k, c in prod.coeffs
-                        },
+                        "product": {format_monomial(term[0]): frac(term[1])},
                     }
                 )
         document["products"] = table

@@ -86,22 +86,6 @@ def identity(n: int) -> GroupElement:
     return GroupElement((0,) * n, 1)
 
 
-@dataclass(frozen=True)
-class SectorKind:
-    narrow: bool
-    fixed: tuple[int, ...]
-
-    def __str__(self) -> str:
-        if self.narrow:
-            return "narrow"
-        return "broad" + str(list(self.fixed))
-
-
-def sector_kind(g: GroupElement) -> SectorKind:
-    fixed = g.fixed_indices()
-    return SectorKind(narrow=not fixed, fixed=fixed)
-
-
 def generator_rho(W: InvertiblePolynomial, j: int) -> GroupElement:
     """ρ_j, the symmetry scaling monomial inputs along column j of E⁻¹ (1-based j)."""
     if not 1 <= j <= W.N:
@@ -120,12 +104,11 @@ def group_cap() -> int:
     return DEFAULT_GROUP_CAP
 
 
-def enumerate_group(W: InvertiblePolynomial, cap: int | None = None) -> list[GroupElement]:
+def enumerate_group(W: InvertiblePolynomial) -> list[GroupElement]:
     """All elements of the maximal diagonal symmetry group, by closure of the
     generators.  Raises GroupCapExceeded if the group is larger than the cap
     (LGMIRROR_GROUP_CAP, default 10^5)."""
-    if cap is None:
-        cap = group_cap()
+    cap = group_cap()
     order = W.group_order()
     if order > cap:
         raise GroupCapExceeded(

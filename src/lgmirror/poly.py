@@ -228,7 +228,6 @@ def parse_exponent_matrix(text: str) -> list[list[int]]:
         if not term:
             raise PolynomialSyntaxError("empty term (stray '+')")
         exps: dict[int, int] = {}
-        pos = 0
         for factor in term.split("*"):
             m = _FACTOR.fullmatch(factor)
             if not m:
@@ -240,7 +239,6 @@ def parse_exponent_matrix(text: str) -> list[list[int]]:
             if exp <= 0:
                 raise PolynomialSyntaxError(f"exponent {exp} must be positive")
             exps[idx] = exps.get(idx, 0) + exp
-            pos += 1
         max_index = max(max_index, max(exps))
         rows_raw.append(exps)
     n = max_index

@@ -278,7 +278,6 @@ def fermat_closure(W: InvertiblePolynomial):
     ring = ring_of(W.transpose())
     table = CorrelatorTable(ring)
     n = W.N
-    a = [W.E[j][j] for j in range(n)]
     top = ring.top
     for j in range(n):
         x, s, _ = final_type_insertions(W, j + 1)

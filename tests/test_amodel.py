@@ -92,7 +92,9 @@ def test_guere_values():
     assert r.value == W.q[2] == F(4, 13)
     assert r.method == "guere"
     W = atomic("loop", (3, 2, 2))
-    assert guere_correlator(W) == W.q[2] == F(5, 13)
+    sectors = _final_type_sectors(W, 3)
+    decorations = boundary_decorations(W, sectors)
+    assert guere_correlator(W, sectors, decorations) == W.q[2] == F(5, 13)
 
 
 def test_guere_nonconcave_pair():

@@ -452,6 +452,42 @@ class TestJacobi:
         assert products[("1", "x1")] == {"x1": "1/1"}
         assert ("x1", "x1") not in products  # x^2 = 0 in Jac(x^3)
 
+    def test_text_output_builds_no_gram(self, capsys, monkeypatch):
+        """The text report never prints the Gram matrix, so it never
+        builds it."""
+        def refuse(self):
+            raise AssertionError("gram built for text output")
+
+        monkeypatch.setattr(JacobiRing, "gram", refuse)
+        for flags in ((), ("--trace",)):
+            code, out, _ = run(capsys, "jacobi", "--expr", "x1^3*x2+x2^4", *flags)
+            assert code == 0 and out.startswith("polynomial: ")
+
+    @pytest.mark.parametrize("expr", [
+        "x1^5",                    # Fermat
+        "x1^3*x2+x2^4",            # chain
+        "x1^2*x2+x2^3*x3+x3^2*x1",  # loop
+        "x1^3*x2+x2^3*x1+x3^4",    # loop + Fermat
+    ])
+    def test_products_and_gram_match_ring_arithmetic(self, capsys, expr):
+        """The product table equals products of reduced basis elements,
+        and the Gram is the ring's own."""
+        _, doc, _ = run_json(capsys, "jacobi", "--expr", expr, "--trace")
+        ring = ring_of(InvertiblePolynomial.from_string(expr))
+        monos = ring.basis.monomials
+        names = doc["basis"]
+        expected = []
+        for i, a in enumerate(monos):
+            for j in range(i, len(monos)):
+                prod = ring.multiply(ring.reduce(a), ring.reduce(monos[j]))
+                if not prod.is_zero():
+                    expected.append({
+                        "left": names[i], "right": names[j],
+                        "product": {names[k]: cli.frac(c) for k, c in prod.coeffs},
+                    })
+        assert expected and doc["products"] == expected
+        assert doc["gram"] == [[cli.frac(v) for v in row] for row in ring.gram()]
+
 
 class TestAxioms:
     def test_fermat_final_type_is_x0(self, capsys):

@@ -48,3 +48,64 @@ def test_polynomial_stores_one_integer_form():
     found = [node.target.id for node in cls.body
              if isinstance(node, ast.AnnAssign) and "Fraction" in ast.unparse(node.annotation)]
     assert found == ["q", "charge"]
+
+
+# Definitions that only tests call, each with the reason it stays in src/.
+TEST_ONLY = {
+    "linalg.invert": "the reference E⁻¹ the closed forms are checked against",
+    "linalg.solve": "the reference solve, a view of `invert`",
+    "linalg.mat_vec": "the product `solve` and the tests check solutions with",
+    "jacobi.OracleQuotient": "the blind normal-form oracle the ring is checked against",
+    "wdvv.primitivity": "the reference the WDVV tables are checked against",
+    "poly.InvertiblePolynomial.inverse_exponents": "a span of the benchmark's span list",
+    "groups.GroupElement.inverse": "completes the group law the tests check",
+    "wdvv.CorrelatorTable.known": "the table's read-only query the tests use",
+}
+
+
+def _definitions(tree, prefix=""):
+    """(qualified name, node) of every function, class and method."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield prefix + node.name, node
+            yield from _definitions(node, prefix + node.name + ".")
+        else:
+            yield from _definitions(node, prefix)
+
+
+def _names(tree, skip=()):
+    """Identifiers the code reads, outside the subtrees in ``skip``.  Strings
+    and docstrings carry no `Name` or `Attribute` node, so a mention there
+    does not count."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node in skip:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_definition_only_tests_use():
+    """Every function, class and method in src/ is named by the package, the
+    benchmark or the demos; the ones only tests call are listed above.  A
+    name read inside a listed definition does not count as a use."""
+    root = SOURCE.parents[1]
+    defs, trees = {}, []
+    for path in sorted(SOURCE.glob("*.py")):
+        trees.append(ast.parse(path.read_text(encoding="utf-8")))
+        defs.update(_definitions(trees[-1], path.stem + "."))
+    for path in sorted(root.glob("perfbench/*.py")) + sorted(root.glob("demos/*.py")):
+        trees.append(ast.parse(path.read_text(encoding="utf-8")))
+    listed = {defs[name] for name in TEST_ONLY if name in defs}
+    used = {n for tree in trees for n in _names(tree, listed)}
+    unused = [name for name, node in defs.items()
+              if not (node.name.startswith("__") and node.name.endswith("__"))
+              and node.name not in used
+              and not any(name == e or name.startswith(e + ".") for e in TEST_ONLY)]
+    assert unused == []
+    # the list holds no stale entry: each name exists and is still unused
+    assert [e for e in TEST_ONLY if e not in defs or defs[e].name in used] == []
