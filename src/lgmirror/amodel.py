@@ -214,7 +214,7 @@ def guere_correlator(W: InvertiblePolynomial, sectors, decorations) -> Fraction:
     if len(W.summands) != 1 or W.summands[0].kind != "loop":
         raise WrongConfiguration("expected a single loop")
     n = W.N
-    a = _loop_exponents_in_ambient_order(W)
+    a = _exponents(W)
     if n < 3 or a[-1] != 2:
         raise WrongConfiguration("expected a loop with final exponent 2 and N >= 3")
     if any(not g.is_narrow() for g in sectors):
@@ -235,8 +235,8 @@ def guere_correlator(W: InvertiblePolynomial, sectors, decorations) -> Fraction:
     return a[-2] * ch1_next_to_last - ch1_last
 
 
-def _loop_exponents_in_ambient_order(W: InvertiblePolynomial) -> list[int]:
-    """Exponent a_i of ambient variable i for a single-loop polynomial."""
+def _exponents(W: InvertiblePolynomial) -> list[int]:
+    """Exponent a_i of ambient variable i for a one-summand polynomial."""
     s = W.summands[0]
     out = [0] * W.N
     for e, v in zip(s.exponents, s.variables):
@@ -295,7 +295,7 @@ def wdvv_case2(W: InvertiblePolynomial) -> Fraction:
     s = W.summands[0] if len(W.summands) == 1 else None
     if s is None or s.kind != "loop" or W.N != 2:
         raise WrongConfiguration("expected a two-variable loop")
-    a = _loop_exponents_in_ambient_order(W)
+    a = _exponents(W)
     if a[1] != 2 or a[0] <= 2:
         raise WrongConfiguration("expected exponents (a, 2) with a > 2")
     e1 = (1, 0)
@@ -316,7 +316,6 @@ def wdvv_case2(W: InvertiblePolynomial) -> Fraction:
 class FourPointResult:
     value: Fraction
     method: str  # "concave" | "guere" | "wdvv1" | "wdvv2"
-    target: int  # 1-based variable index in the input polynomial
     decorations: tuple[BoundaryDecoration, ...]
 
 
@@ -357,7 +356,7 @@ def admissible_target(W: InvertiblePolynomial, i: int) -> tuple[InvertiblePolyno
         raise WrongConfiguration(f"variable index {i} out of range")
     piece, local = _atomic_piece(W, i - 1)
     kind = piece.summands[0].kind
-    a_local = [piece.E[j][j] for j in range(piece.N)]
+    a_local = _exponents(piece)
     if kind == "fermat":
         if a_local[0] < 3:
             raise UnsupportedByTheorem("Fermat variables need exponent at least 3")
@@ -380,21 +379,21 @@ def four_point_report(W: InvertiblePolynomial, i: int) -> FourPointResult:
     """
     piece, local = admissible_target(W, i)
     kind = piece.summands[0].kind
-    a_local = [piece.E[j][j] for j in range(piece.N)]
+    a_local = _exponents(piece)
     if kind == "loop":
         if piece.N == 2 and a_local == [2, 2]:
             value, _ = wdvv_case1(piece, SYMMETRIC_LOOP_SEED)
-            return FourPointResult(value, "wdvv1", i, ())
+            return FourPointResult(value, "wdvv1", ())
         if piece.N == 2 and a_local[1] == 2:
-            return FourPointResult(wdvv_case2(piece), "wdvv2", i, ())
+            return FourPointResult(wdvv_case2(piece), "wdvv2", ())
     # a loop's target is its last variable, so local = piece.N there
     sectors = _final_type_sectors(piece, local)
     decorations = tuple(boundary_decorations(piece, sectors))
     if kind == "loop" and a_local[-1] == 2:
         value = guere_correlator(piece, sectors, decorations)
-        return FourPointResult(value, "guere", i, decorations)
+        return FourPointResult(value, "guere", decorations)
     value = b2_correlator(piece, sectors, local, decorations)
-    return FourPointResult(value, "concave", i, decorations)
+    return FourPointResult(value, "concave", decorations)
 
 
 def fjrw_four_point(W: InvertiblePolynomial, i: int) -> Fraction:

@@ -46,8 +46,6 @@ Monomial = tuple[int, ...]
 # reduction fail immediately instead of growing quietly.
 Z_MIN, Z_MAX = -3, 2
 
-_MAX_PASSES = 64
-
 
 class LatticeElement:
     """A sparse Laurent element  sum_k z^k P_k(x) [d^Nx]  with exact coefficients.
@@ -152,18 +150,15 @@ def brieskorn_reduce(
     Each pass divides one z-level exactly, P = nf + sum_j h_j * df/dx_j,
     keeps the normal form, and pushes  -sum_j dh_j/dx_j  one level up.
     Cyclic (loop) rewriting patterns are closed inside the division's
-    linear solve, so the pass count is bounded by the z-window; the guard
-    is a bug signal, not a tunable.  When ``steps`` is a list, one record
-    per pass is appended for auditing.
+    linear solve.  Levels are taken in increasing order and a push goes
+    only to the next one, inside the z-window, so there are at most
+    Z_MAX - Z_MIN + 1 passes.  When ``steps`` is a list, one record per
+    pass is appended for auditing.
     """
     ring = ring_of(f)
     out: dict[int, dict[Monomial, Fraction]] = {}
     pending = {k: dict(p) for k, p in e.terms.items()}
-    passes = 0
     while pending:
-        passes += 1
-        if passes > _MAX_PASSES:
-            raise RuntimeError("Brieskorn reduction failed to terminate")
         k = min(pending)
         chunk = pending.pop(k)
         nf, quotients = ring.divide(chunk)
@@ -209,23 +204,21 @@ def brieskorn_reduce(
 class PairingClass:
     """All unordered standard-basis pairs sharing one exponent sum m = r + r'.
 
-    ``k`` solves k . E = m + 2 over the integers (monomial-order rows)
-    when such a solution exists; the pairing of any pair in the class can
-    only be nonzero in that case, and then the degree of x^m must equal
-    the central charge so the pairing weight lands at z^N.
+    ``k`` solves k . E = m + 2 over the integers (monomial-order rows);
+    only sums with such a solution form a class, since the pairing of a
+    pair can be nonzero only then, and the degree of x^m must equal the
+    central charge so the pairing weight lands at z^N.
     """
 
     exponent_sum: Monomial
     pair_count: int
-    k: tuple[int, ...] | None
+    k: tuple[int, ...]
     in_family: bool
-    degree_ok: bool | None
+    degree_ok: bool
 
     @property
     def ok(self) -> bool:
-        if self.k is None:
-            return True
-        return self.in_family and bool(self.degree_ok)
+        return self.in_family and self.degree_ok
 
 
 @dataclass(frozen=True)
@@ -357,8 +350,6 @@ class SeriesState:
     of the pair.
     """
 
-    polynomial: InvertiblePolynomial
-    order: int
     basis: tuple[Monomial, ...]
     zeta: dict
     jfunc: dict
@@ -434,9 +425,7 @@ def perturbative_expand(f: InvertiblePolynomial, order: int) -> SeriesState:
                 zeta[smono] = -plus
             if not minus.is_zero():
                 jfunc[smono] = minus
-    return SeriesState(
-        polynomial=f, order=order, basis=tuple(basis), zeta=zeta, jfunc=jfunc
-    )
+    return SeriesState(basis=tuple(basis), zeta=zeta, jfunc=jfunc)
 
 
 # ---------------------------------------------------------------------------

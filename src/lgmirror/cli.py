@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 import time
 from fractions import Fraction
@@ -42,7 +41,7 @@ from .errors import (
 from .groups import GroupCapExceeded, enumerate_group
 from .jacobi import ring_of, top_of
 from .mirror import degree_check, final_type_insertions, psi
-from .poly import InvertiblePolynomial, NotInvertibleShape, PolynomialSyntaxError, format_monomial, parse_int
+from .poly import InvertiblePolynomial, NotInvertibleShape, PolynomialSyntaxError, format_monomial, parse_term
 from .selection import CorrelatorSpec, classify_type, passes_axioms
 from .wdvv import fermat_closure, loop_square_chain
 
@@ -73,24 +72,16 @@ def _poly_dict(p: dict[Monomial, Fraction]) -> dict[str, str]:
     return {format_monomial(m): frac(c) for m, c in sorted(p.items())}
 
 
-_FACTOR = re.compile(r"x(\d+)(?:\^(\d+))?")
-
-
 def parse_monomial(text: str, n: int) -> Monomial:
-    """Parse 'x1^2*x3' (or '1') into an exponent tuple of length n."""
-    text = text.strip()
-    out = [0] * n
+    """Parse 'x1^2*x3' (or '1') into an exponent tuple of length n, with
+    the factor grammar of the polynomial input."""
+    text = "".join(text.split())
     if text == "1":
-        return tuple(out)
-    for factor in text.split("*"):
-        m = _FACTOR.fullmatch(factor.strip())
-        if not m:
-            raise PolynomialSyntaxError(f"cannot parse monomial factor {factor!r}")
-        j, e = parse_int(m.group(1)), parse_int(m.group(2) or "1")
-        if not 1 <= j <= n:
-            raise PolynomialSyntaxError(f"variable x{j} out of range (N = {n})")
-        out[j - 1] += e
-    return tuple(out)
+        return (0,) * n
+    exps = parse_term(text)
+    if max(exps) > n:
+        raise PolynomialSyntaxError(f"variable x{max(exps)} out of range (N = {n})")
+    return tuple(exps.get(j, 0) for j in range(1, n + 1))
 
 
 def load_polynomial(args) -> InvertiblePolynomial:

@@ -298,10 +298,6 @@ class JacobiRing:
                 acc[i] = acc.get(i, Fraction(0)) + Fraction(c) * term[1]
         return RingElement.from_dict(acc)
 
-    @property
-    def one(self) -> RingElement:
-        return self.reduce((0,) * self.n)
-
     def monomial_of(self, e: RingElement) -> dict:
         return {self.basis.monomials[i]: c for i, c in e.coeffs}
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UnsupportedByTheorem, WrongConfiguration
+from .errors import UnsupportedByTheorem
 from .groups import GroupElement, sector_degree
 from .jacobi import ring_of
 from .poly import InvertiblePolynomial
@@ -70,12 +70,13 @@ def sector_of(W: InvertiblePolynomial, m: Monomial) -> GroupElement:
 def final_type_insertions(W: InvertiblePolynomial, i: int) -> tuple[Monomial, Monomial, Monomial]:
     """(x_i, M_i/x_i^2, M_i) as exponent tuples of Jac(Wᵗ), for 1-based i.
 
-    M_i is the i-th monomial of the transpose, i.e. column i of E."""
+    M_i is the i-th monomial of the transpose, i.e. column i of E, and
+    x_i is the variable of Wᵗ that M_i heads, row W.head[i-1] of E; its
+    exponent there is x_i's own, at least 2 by the classification."""
     t = i - 1
+    r = W.head[t]
     m = tuple(row[t] for row in W.E)
-    if m[t] < 2:
-        raise WrongConfiguration(f"variable {i} appears only linearly")
-    x = tuple(1 if j == t else 0 for j in range(W.N))
+    x = tuple(1 if j == r else 0 for j in range(W.N))
     s = tuple(e - 2 * xj for e, xj in zip(m, x))
     return x, s, m
 
@@ -86,8 +87,8 @@ def psi(W: InvertiblePolynomial, m: Monomial) -> AModelClass:
     gamma = sector_of(W, m)
     broad = None
     if not gamma.is_narrow():
-        exc = exception_variables(W)
-        restricted = tuple(m[i] if i in exc else 0 for i in range(W.N))
+        rows = {W.head[i] for i in exception_variables(W)}
+        restricted = tuple(e if r in rows else 0 for r, e in enumerate(m))
         if any(restricted):
             broad = restricted
     return AModelClass(sector=gamma, broad_monomial=broad,

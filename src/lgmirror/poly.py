@@ -186,9 +186,6 @@ class InvertiblePolynomial:
                 return s
         raise IndexError(i)
 
-    def monomials(self) -> list[tuple[int, ...]]:
-        return [tuple(row) for row in self.E]
-
     def describe(self) -> str:
         return " ⊕ ".join(s.describe() for s in self.summands)
 
@@ -217,31 +214,35 @@ def parse_int(digits: str) -> int:
         raise PolynomialSyntaxError(f"numeral of {len(digits)} digits is too long") from None
 
 
+def parse_term(term: str) -> dict[int, int]:
+    """Parse one whitespace-free monomial 'x1^2*x3*x1' into {1-based
+    variable index: exponent}, repeated factors summed."""
+    exps: dict[int, int] = {}
+    for factor in term.split("*"):
+        m = _FACTOR.fullmatch(factor)
+        if not m:
+            raise PolynomialSyntaxError(f"bad factor {factor!r}")
+        idx = parse_int(m.group(1))
+        exp = parse_int(m.group(2)) if m.group(2) is not None else 1
+        if idx < 1:
+            raise PolynomialSyntaxError(f"variable index {idx} out of range")
+        if exp <= 0:
+            raise PolynomialSyntaxError(f"exponent {exp} must be positive")
+        exps[idx] = exps.get(idx, 0) + exp
+    return exps
+
+
 def parse_exponent_matrix(text: str) -> list[list[int]]:
     """Parse 'x1^3*x2 + x2^4' into its exponent matrix (rows = monomials)."""
     stripped = re.sub(r"\s+", "", text)
     if not stripped:
         raise PolynomialSyntaxError("empty input")
     rows_raw = []
-    max_index = 0
     for term in stripped.split("+"):
         if not term:
             raise PolynomialSyntaxError("empty term (stray '+')")
-        exps: dict[int, int] = {}
-        for factor in term.split("*"):
-            m = _FACTOR.fullmatch(factor)
-            if not m:
-                raise PolynomialSyntaxError(f"bad factor {factor!r}")
-            idx = parse_int(m.group(1))
-            exp = parse_int(m.group(2)) if m.group(2) is not None else 1
-            if idx < 1:
-                raise PolynomialSyntaxError(f"variable index {idx} out of range")
-            if exp <= 0:
-                raise PolynomialSyntaxError(f"exponent {exp} must be positive")
-            exps[idx] = exps.get(idx, 0) + exp
-        max_index = max(max_index, max(exps))
-        rows_raw.append(exps)
-    n = max_index
+        rows_raw.append(parse_term(term))
+    n = max(max(exps) for exps in rows_raw)
     if len(rows_raw) != n:
         raise PolynomialSyntaxError(
             f"{len(rows_raw)} monomials but {n} variables; invertible "

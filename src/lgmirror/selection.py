@@ -37,9 +37,9 @@ class CorrelatorSpec:
     of the transpose: first the primitive ones sorted by decreasing
     variable index (identity insertions, tolerated so that degenerate
     candidates can still be fed to the axioms, come after them), then
-    alpha and beta.  ``ell[i]`` counts primitive insertions of x_{i+1};
-    ``b`` solves E*b = ell + alpha + beta + 2 and ``K = ell - b + 1``
-    componentwise.
+    alpha and beta.  ``ell[r]`` counts primitive insertions of x_{r+1},
+    the variable of the transpose from row r of E; ``b`` solves
+    E*b = ell + alpha + beta + 2 and ``K[i] = ell[W.head[i]] - b[i] + 1``.
     """
 
     insertions: tuple[tuple[int, ...], ...]
@@ -77,7 +77,7 @@ class CorrelatorSpec:
         ell = tuple(sum(m[i] for m in head) for i in range(W.N))
         rhs = [ell[i] + alpha[i] + beta[i] + 2 for i in range(W.N)]
         b = tuple(Fraction(sum(x * r for x, r in zip(row, rhs)), W.D) for row in W.DE_inv)
-        K = tuple(Fraction(ell[i]) - b[i] + 1 for i in range(W.N))
+        K = tuple(Fraction(ell[r]) - bi + 1 for r, bi in zip(W.head, b))
         return CorrelatorSpec(tuple(head) + (tuple(alpha), tuple(beta)), ell, tuple(alpha), tuple(beta), b, K)
 
 
@@ -131,6 +131,6 @@ def classify_type(W: InvertiblePolynomial, X: CorrelatorSpec) -> str:
             carriers.append(s)
         elif k_sum != 0:
             return X_MINUS_1
-    if len(carriers) == 1 and sum(X.ell[i] for i in carriers[0].variables) >= 2:
+    if len(carriers) == 1 and sum(X.ell[W.head[i]] for i in carriers[0].variables) >= 2:
         return X_0
     return X_MINUS_1

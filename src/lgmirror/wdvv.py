@@ -285,7 +285,7 @@ def fermat_closure(W: InvertiblePolynomial):
     chain = []
     for j in range(n):
         x, s, _ = final_type_insertions(W, j + 1)
-        rest = tuple(e if k != j else 0 for k, e in enumerate(top))
+        rest = tuple(e if r != W.head[j] else 0 for r, e in enumerate(top))
         for alpha in itertools.product(*(range(e + 1) for e in rest)):
             beta = tuple(r - al for r, al in zip(rest, alpha))
             if alpha == (0,) * n or beta == (0,) * n:

@@ -615,6 +615,7 @@ class TestMonomialParsing:
         assert cli.parse_monomial("x1^2*x3", 3) == (2, 0, 1)
         assert cli.parse_monomial("1", 2) == (0, 0)
         assert cli.parse_monomial("x2*x2", 2) == (0, 2)
+        assert cli.parse_monomial("x1 * x2", 2) == (1, 1)
 
     def test_rejects_garbage(self):
         from lgmirror.poly import PolynomialSyntaxError
@@ -625,3 +626,5 @@ class TestMonomialParsing:
             cli.parse_monomial("x1 + x2", 2)
         with pytest.raises(PolynomialSyntaxError):
             cli.parse_monomial("x3", 2)
+        with pytest.raises(PolynomialSyntaxError, match="exponent 0"):
+            cli.parse_monomial("x1^0", 2)

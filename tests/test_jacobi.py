@@ -228,8 +228,9 @@ def test_unit_and_top_pairing():
     for text in RINGS:
         R = ring(text)
         top = R.reduce(R.top)
-        assert residue_pairing(R, R.one, top) == 1
-        assert R.monomial_of(R.multiply(R.one, top)) == {R.top: F(1)}
+        one = R.reduce((0,) * R.n)
+        assert residue_pairing(R, one, top) == 1
+        assert R.monomial_of(R.multiply(one, top)) == {R.top: F(1)}
 
 
 def test_fermat_pairing_antidiagonal():

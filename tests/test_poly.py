@@ -117,7 +117,7 @@ def test_reassemble_roundtrip():
     W = InvertiblePolynomial.from_string(
         "x1^3*x2 + x2^2*x3 + x3^5 + x4^2*x5 + x5^3*x4 + x6^7")
     rows = reassemble(W.summands, W.N)
-    assert sorted(map(tuple, rows)) == sorted(W.monomials())
+    assert sorted(map(tuple, rows)) == sorted(W.E)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,179 @@
+"""The order of W's monomials does not matter.
+
+Permuting the rows of E relabels the variables of the transpose Wᵗ and
+nothing else: variable r of Wᵗ is row r of E, and x_i of W pairs with
+the row it heads, ``W.head[i]``.  So `axioms`, `mirror` and `wdvv` on a
+row-permuted input must give the output of the unpermuted input once the
+variables of Wᵗ are renamed back.
+"""
+
+import contextlib
+import functools
+import io
+import itertools
+import json
+import re
+
+import pytest
+
+from lgmirror import cli
+from lgmirror.poly import InvertiblePolynomial, format_monomial, parse_exponent_matrix
+
+POLYNOMIALS = [
+    "x1^3*x2+x2^4",
+    "x1^3*x2+x2^2*x1",
+    "x1^2*x2+x2^3*x1",
+    "x1^3+x2^2*x3+x3^2*x2",
+    "x1^3*x2+x2^3+x3^4",
+    "x1^4+x2^4",
+    "x1^3+x2^3+x3^3",
+    "x1^2*x2+x2^3*x3+x3^2*x1",
+    "x1^3*x2+x2^3*x3+x3^3",
+    "x1^4+x2^3*x3+x3^3*x2",
+]
+COMMANDS = ("axioms", "mirror", "wdvv")
+MONOMIAL = re.compile(r"x\d+(?:\^\d+)?(?:\*x\d+(?:\^\d+)?)*")
+
+
+def _cases():
+    for text in POLYNOMIALS:
+        n = len(parse_exponent_matrix(text))
+        for order in itertools.permutations(range(n)):
+            if order != tuple(range(n)):
+                for command in COMMANDS:
+                    yield text, order, command
+
+
+@functools.cache
+def run_json(command, text):
+    """(exit code, parsed --json output or None, stderr) of one CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, "--expr", text, "--json"])
+    return code, json.loads(out.getvalue()) if out.getvalue() else None, err.getvalue()
+
+
+def permuted(text, order):
+    """The polynomial with row k of its exponent matrix taken from row order[k]."""
+    E = parse_exponent_matrix(text)
+    return " + ".join(format_monomial(E[r]) for r in order)
+
+
+class Relabel:
+    """Rename the variables of Wᵗ for the permuted input back to the
+    unpermuted ones: variable k + 1 of the permuted transpose is row
+    order[k] of the original E, so it becomes x_{order[k] + 1}."""
+
+    def __init__(self, order):
+        self.order = order
+
+    def exponents(self, m):
+        out = [0] * len(m)
+        for k, e in enumerate(m):
+            out[self.order[k]] = e
+        return tuple(out)
+
+    def monomial(self, text):
+        """A rendered monomial of Wᵗ, as the exponent tuple it is renamed to."""
+        return self.exponents(cli.parse_monomial(text, len(self.order)))
+
+    def vector(self, values):
+        return [values[r] for r in sorted(range(len(values)), key=self.order.__getitem__)]
+
+    def correlator(self, text):
+        """'<a, b, c, d>' as the multiset of its renamed insertions; a
+        correlator with a zero insertion vanishes."""
+        items = text.split(", ")
+        if "0" in items:
+            return "0"
+        for item in items:
+            assert MONOMIAL.fullmatch(item) or item == "1", item
+        return tuple(sorted(self.monomial(item) for item in items))
+
+    def correlators(self, text):
+        return [self.correlator(c) for c in re.findall(r"<([^>]*)>", text)]
+
+
+def terms(polynomial):
+    """A polynomial string of W as the set of its monomials: a row
+    permutation only reorders them."""
+    return sorted(map(tuple, parse_exponent_matrix(polynomial)))
+
+
+def normalize(command, text, doc, order):
+    """The parts of the --json document of ``command`` on ``text`` that a
+    row permutation may not change, with the variables of Wᵗ renamed
+    through ``order``."""
+    if doc is None:
+        return None
+    rl = Relabel(order)
+    if command == "axioms":
+        return {
+            "polynomial": terms(doc["polynomial"]),
+            "candidates": [
+                {**c,
+                 "insertions": [rl.monomial(m) for m in c["insertions"]],
+                 "ell": rl.vector(c["ell"])}
+                for c in doc["candidates"]],
+        }
+    if command == "mirror":
+        return {
+            **doc,
+            "polynomial": terms(doc["polynomial"]),
+            "transpose": [rl.monomial(m) for m in doc["transpose"].split(" + ")],
+            "transpose_weights": rl.vector(doc["transpose_weights"]),
+            "classes": {
+                rl.monomial(c["monomial"]): {
+                    **c,
+                    "monomial": None,
+                    "broad_monomial": (None if c["broad_monomial"] is None
+                                       else rl.monomial(c["broad_monomial"])),
+                }
+                for c in doc["classes"]},
+            "degree_violations": sorted(
+                (rl.monomial(v["monomial"]), v["wt"], v["deg"])
+                for v in doc["degree_violations"]),
+        }
+    # `wdvv` reconstructs a two-variable loop on one fixed canonical
+    # polynomial, whose transpose owes nothing to the input's row order
+    if any(s.kind != "fermat" for s in InvertiblePolynomial.from_string(text).summands):
+        return doc
+    return {
+        "polynomial": terms(doc["polynomial"]),
+        "identities": [
+            {**ident,
+             "identity": rl.correlators(ident["identity"]),
+             "solved": None if ident["solved"] is None else rl.correlators(ident["solved"])}
+            for ident in doc["identities"]],
+        "correlators": {tuple(rl.correlators(k)): v for k, v in doc["correlators"].items()},
+    }
+
+
+@pytest.mark.parametrize("text,order,command", list(_cases()))
+def test_row_order_only_relabels_the_transpose(text, order, command):
+    shuffled = permuted(text, order)
+    code, doc, err = run_json(command, shuffled)
+    base_code, base_doc, base_err = run_json(command, text)
+    assert code == base_code
+    assert err == base_err
+    identity = tuple(range(len(order)))
+    assert (normalize(command, shuffled, doc, order)
+            == normalize(command, text, base_doc, identity))
+
+
+def test_permuted_fermat_sum_passes_the_axioms():
+    code, doc, err = run_json("axioms", "x2^3 + x1^4")
+    assert (code, err) == (0, "")
+    first = doc["candidates"][0]
+    assert first["i"] == 1
+    assert first["K"] == ["1/1", "0/1"]
+
+
+def test_broad_monomial_sits_on_the_class_of_the_square_variable():
+    """x2 is the variable with exponent 2 and it heads row 1, the first
+    variable of the transpose: its mirror class x1 is broad."""
+    code, doc, _ = run_json("mirror", "x2^2*x1 + x1^3*x2")
+    assert code == 0
+    broad = {c["monomial"]: c["broad_monomial"] for c in doc["classes"]}
+    assert broad["x1"] == "x1"
+    assert [m for m, b in broad.items() if b is not None] == ["x1"]

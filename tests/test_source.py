@@ -109,3 +109,36 @@ def test_no_definition_only_tests_use():
     assert unused == []
     # the list holds no stale entry: each name exists and is still unused
     assert [e for e in TEST_ONLY if e not in defs or defs[e].name in used] == []
+
+
+# The only definitions that read E, each with what it reads there; every
+# other pairing of a row of E with a variable goes through `W.head`.
+E_READERS = {
+    "jacobi._partials": "the relations ∂ⱼf, one term per row",
+    "mirror.final_type_insertions": "M_i, column i of E",
+    "poly.InvertiblePolynomial.transpose": "Wᵗ, whose exponent matrix is Eᵗ",
+    "poly.InvertiblePolynomial.to_string": "the polynomial's text, one monomial per row",
+}
+
+
+def _readers_of_E(path):
+    """Qualified names of the innermost definitions in one source file that
+    read an attribute named E (the module's name for a read outside any)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    owner = {node: path.stem for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "E"}
+    # outer definitions come first, so an inner one overwrites them
+    for name, definition in _definitions(tree, path.stem + "."):
+        for node in ast.walk(definition):
+            if node in owner:
+                owner[node] = name
+    return set(owner.values())
+
+
+def test_one_reader_of_the_rows_of_E():
+    """E's row structure is read through `W.head`; only the definitions
+    listed above read the attribute E itself."""
+    found = set().union(*(_readers_of_E(path) for path in sorted(SOURCE.glob("*.py"))))
+    assert sorted(found - set(E_READERS)) == []
+    # the list holds no stale entry: each listed definition still reads E
+    assert sorted(set(E_READERS) - found) == []
