@@ -23,7 +23,7 @@ W = InvertiblePolynomial.from_string(f"x1^{a}*x2 + x2^2*x1")
 print(f"W = {W.to_string()}   q = ({W.q[0]}, {W.q[1]})")
 print()
 
-table, chain = loop_square_chain(a)
+table, chain = loop_square_chain(W)
 for step, ident in enumerate(chain, start=1):
     print(f"step {step}:  {ident.render()}")
     v = ident.values

@@ -365,8 +365,6 @@ def admissible_target(W: InvertiblePolynomial, i: int) -> tuple[InvertiblePolyno
             raise UnsupportedByTheorem(
                 "chain variables other than the final one are not supported"
             )
-        if a_local[-1] < 3:
-            raise UnsupportedByTheorem("chains ending in a square are not supported")
     return piece, local
 
 

@@ -17,7 +17,8 @@ part the gradient of the genus-zero potential.  This module implements
 * the lattice elements and the reduction (``LatticeElement``,
   ``brieskorn_reduce``),
 * the combinatorial good-basis verification for atomic transposes
-  (``good_basis_check``),
+  (``good_basis_check``), which pairs basis monomials whose mirror
+  sectors are inverse,
 * the order-by-order solver for (zeta, J) (``perturbative_expand``),
 * the distinguished four-point correlator <x_i, x_i, M_i/x_i^2, top> of
   the mirror ring (``sg_four_point``), whose value collapses to the
@@ -34,7 +35,7 @@ from fractions import Fraction
 from .amodel import admissible_target
 from .errors import WrongConfiguration
 from .jacobi import ring_of
-from .mirror import final_type_insertions
+from .mirror import final_type_insertions, sector_of
 from .poly import InvertiblePolynomial
 
 Monomial = tuple[int, ...]
@@ -285,9 +286,11 @@ def good_basis_check(f: InvertiblePolynomial) -> GoodBasisReport:
     allowed family for the atomic type and that deg(x^m) equals the
     central charge, which places the pairing weight at z^N exactly.
 
-    The sums m with integral k form a lattice of index |det E_f|, so the
-    classes are found by walking the box of possible sums and keeping its
-    lattice points; each class's pairs are then counted by set lookups.
+    k = (r + 1) . E_f⁻¹ + (r' + 1) . E_f⁻¹, and (r + 1) . E_f⁻¹ mod 1 is
+    the phase vector of the mirror sector of r, sector_of(fᵗ, r), since
+    the weights of fᵗ are (1, ..., 1) . E_f⁻¹.  So k is integral exactly
+    when the sectors of r and r' are inverse: the basis is bucketed by
+    sector and each monomial is paired with the bucket of its inverse.
     """
     if len(f.summands) != 1:
         raise WrongConfiguration("good-basis verification expects one atomic summand")
@@ -295,29 +298,26 @@ def good_basis_check(f: InvertiblePolynomial) -> GoodBasisReport:
     basis = ring_of(f).basis.monomials
     mu = len(basis)
     order = _monomial_order(f)
+    sectors = {r: sector_of(f.transpose(), r) for r in basis}
+    buckets: dict = {}
+    for r, g in sectors.items():
+        buckets.setdefault(g, []).append(r)
+    # each unordered pair once, r <= r'
+    pairs = Counter(tuple(a + b for a, b in zip(r, rp)) for r, g in sectors.items()
+                    for rp in buckets.get(g.inverse(), ()) if r <= rp)
     # k = (m + 2) . E⁻¹ with E⁻¹'s columns in monomial order, so that
-    # k . E = m + 2; it is integral iff D divides (m + 2) . D·E⁻¹
+    # k . E = m + 2; D divides (m + 2) . D·E⁻¹ on every class
     D = f.D
     columns = [[row[r] for row in f.DE_inv] for r in order]
-
-    members = set(basis)
     socle = f.charge * f.D
-    box = [range(2 * max(r[j] for r in basis) + 1) for j in range(f.N)]
     families = _allowed_families(kind, f.N)
     records: list[PairingClass] = []
-    for m in itertools.product(*box):       # lexicographic: classes come out sorted
-        knum = [sum((mj + 2) * a for mj, a in zip(m, column)) for column in columns]
-        if any(v % D for v in knum):
-            continue
-        hits = sum(tuple(mj - rj for mj, rj in zip(m, r)) in members for r in basis)
-        if hits == 0:
-            continue
-        half = all(mj % 2 == 0 for mj in m) and tuple(mj // 2 for mj in m) in members
-        k = tuple(v // D for v in knum)
+    for m in sorted(pairs):
+        k = tuple(sum((mj + 2) * a for mj, a in zip(m, column)) // D for column in columns)
         records.append(
             PairingClass(
                 exponent_sum=m,
-                pair_count=(hits + half) // 2,
+                pair_count=pairs[m],
                 k=k,
                 in_family=k in families,
                 degree_ok=f.degree(m) == socle,
@@ -329,7 +329,7 @@ def good_basis_check(f: InvertiblePolynomial) -> GoodBasisReport:
         mu=mu,
         monomial_order=tuple(order),
         checked_pairs=checked,
-        excluded_pairs=checked - sum(c.pair_count for c in records),
+        excluded_pairs=checked - sum(pairs.values()),
         classes=tuple(records),
         families_seen=tuple(sorted({c.k for c in records})),
     )

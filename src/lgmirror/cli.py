@@ -504,18 +504,12 @@ def cmd_wdvv(args) -> int:
     W = load_polynomial(args)
     kinds = {s.kind for s in W.summands}
     if kinds == {"fermat"}:
+        for i in range(1, W.N + 1):
+            admissible_target(W, i)
         table, chain = fermat_closure(W)
-        canonical = W
-    elif (
-        len(W.summands) == 1
-        and W.summands[0].kind == "loop"
-        and W.N == 2
-        and sorted(W.summands[0].exponents) != [2, 2]
-        and 2 in W.summands[0].exponents
-    ):
-        a = max(W.summands[0].exponents)
-        table, chain = loop_square_chain(a)
-        canonical = InvertiblePolynomial.from_string(f"x1^{a}*x2 + x2^2*x1")
+    elif (kinds == {"loop"} and W.N == 2
+          and min(W.summands[0].exponents) == 2 < max(W.summands[0].exponents)):
+        table, chain = loop_square_chain(W)
     else:
         raise UnsupportedByTheorem(
             "associativity chains are implemented for sums of Fermat summands "
@@ -536,7 +530,7 @@ def cmd_wdvv(args) -> int:
     ]
     document = {
         "command": "wdvv",
-        "polynomial": canonical.to_string(),
+        "polynomial": W.to_string(),
         "identities": identities,
         "correlators": {
             table.describe_key(k): frac(v) for k, v in sorted(table.values.items())

@@ -300,43 +300,44 @@ def fermat_closure(W: InvertiblePolynomial):
     return table, chain
 
 
-def loop_square_chain(a: int):
-    """Determine <x_2, x_2, x_1, top> for W = x1^a*x2 + x2^2*x1, a > 2.
+def loop_square_chain(W: InvertiblePolynomial):
+    """Determine <x_s, x_s, x_a, top> for the loop W = x_a^a*x_s + x_s^2*x_a, a > 2.
 
-    The correlator has a broad insertion on the A-side and a non-basis
-    product shape on the B-side, so it is out of direct reach; three
-    associativity steps reduce it to the concave correlator
-    C = <x_1, x_1, x_1^{a-2} x_2, top> = q_1:
+    x_a and x_s are read off W's summand; in Jac(Wᵗ) they stand for the
+    variables of the rows they head.  The correlator has a broad
+    insertion on the A-side and a non-basis product shape on the B-side,
+    so it is out of direct reach; three associativity steps reduce it to
+    the concave correlator C = <x_a, x_a, x_a^{a-2} x_s, top> = q_a:
 
-        D = <x_1, x_2, x_1^{a-1}, top>          = C,
-        A = <x_1, x_2, x_1^{a-2} x_2, x_1 x_2>  = -(C + D)/2,
-        X = <x_2, x_2, x_1, top>                = A + a C = (a - 1) q_1.
+        D = <x_a, x_s, x_a^{a-1}, top>          = C,
+        A = <x_a, x_s, x_a^{a-2} x_s, x_a x_s>  = -(C + D)/2,
+        X = <x_s, x_s, x_a, top>                = A + a C = (a - 1) q_a.
 
     Returns (table, chain) with the solved X in the table.
     """
-    if a <= 2:
-        raise WrongConfiguration("the chain needs the non-square exponent above 2")
-    W = InvertiblePolynomial.from_string(f"x1^{a}*x2 + x2^2*x1")
+    s = W.summands[0]
+    if s.kind != "loop" or W.N != 2:
+        raise WrongConfiguration("the chain needs a two-variable loop")
+    (a, va), (square, vs) = sorted(zip(s.exponents, s.variables), reverse=True)
+    if square != 2 or a <= 2:
+        raise WrongConfiguration("the chain needs exponents a > 2 and 2")
     ring = ring_of(W.transpose())
     table = CorrelatorTable(ring)
-    x1, x2 = (1, 0), (0, 1)
+    xa, seed, _ = final_type_insertions(W, va + 1)    # x_a and x_a^{a-2} x_s
+    xs = final_type_insertions(W, vs + 1)[0]
     top = ring.top
-    seed_key = table.set(
-        (x1, x1, (a - 2, 1), top), fjrw_four_point(W, 1)
-    )
-    if table.values[seed_key] != W.q[0]:
-        raise WrongConfiguration(f"seed correlator {table.values[seed_key]} is not q_1 = {W.q[0]}")
+    seed_key = table.set((xa, xa, seed, top), fjrw_four_point(W, va + 1))
+    if table.values[seed_key] != W.q[va]:
+        raise WrongConfiguration(f"seed correlator {table.values[seed_key]} is not q_a = {W.q[va]}")
     chain = [
-        # D: split top = x_1 * x_1^{a-2} x_2; both product terms vanish.
-        wdvv_step(table, x1, top, x2, x1, (a - 2, 0)),
-        # A: split x_1 x_2 = (-1/2) x_1 * x_1^{a-1} via x_1^a = -2 x_1 x_2.
-        wdvv_step(
-            table, x1, (a - 2, 1), x2, {(1, 0): Fraction(-1, 2)}, (a - 1, 0)
-        ),
-        # X: split top = x_1 * x_1^{a-2} x_2 once more, now against x_2, x_2.
-        wdvv_step(table, x1, x2, x2, x1, (a - 2, 1)),
+        # D: split top = x_a * x_a^{a-2} x_s; both product terms vanish.
+        wdvv_step(table, xa, top, xs, xa, tuple((a - 2) * e for e in xa)),
+        # A: split x_a x_s = (-1/2) x_a * x_a^{a-1} via x_a^a = -2 x_a x_s.
+        wdvv_step(table, xa, seed, xs, {xa: Fraction(-1, 2)}, tuple((a - 1) * e for e in xa)),
+        # X: split top = x_a * x_a^{a-2} x_s once more, now against x_s, x_s.
+        wdvv_step(table, xa, xs, xs, xa, seed),
     ]
-    x = table.value((x2, x2, x1, top))
-    if not x == (a - 1) * W.q[0] == W.q[1]:
-        raise WrongConfiguration(f"reconstructed {x} is not (a - 1) q_1 = q_2 = {W.q[1]}")
+    x = table.value((xs, xs, xa, top))
+    if not x == (a - 1) * W.q[va] == W.q[vs]:
+        raise WrongConfiguration(f"reconstructed {x} is not (a - 1) q_a = q_s = {W.q[vs]}")
     return table, chain

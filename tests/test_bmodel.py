@@ -434,11 +434,26 @@ SMALL_ATOMICS = [
 ]
 
 
+def rows_reversed(f):
+    """f with the rows of E in reverse order: the same polynomial, other heads."""
+    return pytest.param(InvertiblePolynomial.from_exponent_matrix([list(r) for r in f.E[::-1]]),
+                        id="rows reversed: " + f.to_string())
+
+
+# N = 4 pair counts, and the heads of a row-permuted input
+PERMUTED_AND_LARGER = [
+    *(rows_reversed(f.transpose()) for f in SMALL_ATOMICS),
+    *(pytest.param(f, id=f.to_string())
+      for f in (atomic("loop", (2, 3, 2, 3)).transpose(), atomic("chain", (2, 2, 3, 2)).transpose())),
+]
+
+
 @pytest.mark.parametrize(
     "f",
     [f.transpose() for f in SMALL_ATOMICS]
     + SMALL_ATOMICS
-    + [atomic("fermat", (a,)) for a in (2, 3, 5, 8, 13)],
+    + [atomic("fermat", (a,)) for a in (2, 3, 5, 8, 13)]
+    + PERMUTED_AND_LARGER,
     ids=lambda f: f.to_string(),
 )
 def test_good_basis_matches_the_pair_counting_oracle(f):

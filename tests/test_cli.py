@@ -604,6 +604,20 @@ class TestWdvv:
         assert run(capsys, "wdvv", "--expr", "x1^3*x2+x2^4")[0] == 3
         assert run(capsys, "wdvv", "--expr", "x1^2*x2+x2^2*x1")[0] == 3
 
+    def test_loop_keeps_the_input_variables(self, capsys):
+        """The square sits on x1 here: the chain runs on this polynomial,
+        not on x1^5*x2 + x2^2*x1 with its variables swapped."""
+        code, doc, _ = run_json(capsys, "wdvv", "--expr", "x1^2*x2+x2^5*x1")
+        assert code == 0
+        assert doc["polynomial"] == "x1^2*x2 + x1*x2^5"
+        assert doc["identities"][-1]["solved"] == "<x2, x1, x1, x1*x2^4>"
+
+    def test_fermat_square_exits_3_like_correlator(self, capsys):
+        code, out, err = run(capsys, "wdvv", "--expr", "x1^2 + x2^3")
+        assert (code, out) == (3, "")
+        assert err == run(capsys, "correlator", "--expr", "x1^2 + x2^3", "--target", "1")[2]
+        assert "Fermat variables need exponent at least 3" in err
+
     def test_chain_is_printed(self, capsys):
         code, out, _ = run(capsys, "wdvv", "--expr", "x1^3*x2+x2^2*x1")
         assert code == 0

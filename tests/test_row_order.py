@@ -13,11 +13,12 @@ import io
 import itertools
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
 from lgmirror import cli
-from lgmirror.poly import InvertiblePolynomial, format_monomial, parse_exponent_matrix
+from lgmirror.poly import format_monomial, parse_exponent_matrix
 
 POLYNOMIALS = [
     "x1^3*x2+x2^4",
@@ -32,7 +33,8 @@ POLYNOMIALS = [
     "x1^4+x2^3*x3+x3^3*x2",
 ]
 COMMANDS = ("axioms", "mirror", "wdvv")
-MONOMIAL = re.compile(r"x\d+(?:\^\d+)?(?:\*x\d+(?:\^\d+)?)*")
+# one rendered insertion: a monomial with an optional rational factor, or a constant
+INSERTION = re.compile(r"(?:(-?\d+(?:/\d+)?)\*)?(x\d+(?:\^\d+)?(?:\*x\d+(?:\^\d+)?)*)|(-?\d+(?:/\d+)?)")
 
 
 def _cases():
@@ -80,15 +82,22 @@ class Relabel:
     def vector(self, values):
         return [values[r] for r in sorted(range(len(values)), key=self.order.__getitem__)]
 
+    def insertion(self, text):
+        """A rendered insertion c*m as (renamed m, c)."""
+        match = INSERTION.fullmatch(text)
+        assert match, text
+        scale, monomial, constant = match.groups()
+        if constant is not None:
+            return (0,) * len(self.order), Fraction(constant)
+        return self.monomial(monomial), Fraction(scale or 1)
+
     def correlator(self, text):
         """'<a, b, c, d>' as the multiset of its renamed insertions; a
         correlator with a zero insertion vanishes."""
         items = text.split(", ")
         if "0" in items:
             return "0"
-        for item in items:
-            assert MONOMIAL.fullmatch(item) or item == "1", item
-        return tuple(sorted(self.monomial(item) for item in items))
+        return tuple(sorted(self.insertion(item) for item in items))
 
     def correlators(self, text):
         return [self.correlator(c) for c in re.findall(r"<([^>]*)>", text)]
@@ -134,10 +143,6 @@ def normalize(command, text, doc, order):
                 (rl.monomial(v["monomial"]), v["wt"], v["deg"])
                 for v in doc["degree_violations"]),
         }
-    # `wdvv` reconstructs a two-variable loop on one fixed canonical
-    # polynomial, whose transpose owes nothing to the input's row order
-    if any(s.kind != "fermat" for s in InvertiblePolynomial.from_string(text).summands):
-        return doc
     return {
         "polynomial": terms(doc["polynomial"]),
         "identities": [

@@ -58,7 +58,6 @@ TEST_ONLY = {
     "jacobi.OracleQuotient": "the blind normal-form oracle the ring is checked against",
     "wdvv.primitivity": "the reference the WDVV tables are checked against",
     "poly.InvertiblePolynomial.inverse_exponents": "a span of the benchmark's span list",
-    "groups.GroupElement.inverse": "completes the group law the tests check",
     "wdvv.CorrelatorTable.known": "the table's read-only query the tests use",
 }
 

@@ -253,7 +253,7 @@ class TestLoopSquareChain:
     @pytest.mark.parametrize("a", [3, 4, 5, 6])
     def test_reproduces_the_broad_correlator(self, a):
         W = poly(f"x1^{a}*x2 + x2^2*x1")
-        table, chain = loop_square_chain(a)
+        table, chain = loop_square_chain(W)
         assert len(chain) == 3
         x = table.value(((0, 1), (0, 1), (1, 0), table.ring.top))
         assert x == (a - 1) * W.q[0] == W.q[1]
@@ -261,7 +261,7 @@ class TestLoopSquareChain:
     @pytest.mark.parametrize("a", [3, 5])
     def test_agrees_with_both_theories(self, a):
         W = poly(f"x1^{a}*x2 + x2^2*x1")
-        table, chain = loop_square_chain(a)
+        table, chain = loop_square_chain(W)
         x = table.value(((0, 1), (0, 1), (1, 0), table.ring.top))
         assert x == fjrw_four_point(W, 2)
         assert x == -sg_four_point(W, 2)
@@ -269,7 +269,7 @@ class TestLoopSquareChain:
     def test_intermediate_identities(self):
         a = 5
         W = poly(f"x1^{a}*x2 + x2^2*x1")
-        table, chain = loop_square_chain(a)
+        table, chain = loop_square_chain(W)
         d_step, a_step, x_step = chain
         assert d_step.solved_value == W.q[0]  # D = C
         assert a_step.solved_value == -W.q[0]  # A = -(C + D)/2
@@ -277,7 +277,12 @@ class TestLoopSquareChain:
 
     def test_square_exponent_is_refused(self):
         with pytest.raises(WrongConfiguration):
-            loop_square_chain(2)
+            loop_square_chain(poly("x1^2*x2 + x2^2*x1"))
+
+    @pytest.mark.parametrize("expr", ["x1^3*x2 + x2^3*x1", "x1^3*x2 + x2^2", "x1^4 + x2^2"])
+    def test_other_shapes_are_refused(self, expr):
+        with pytest.raises(WrongConfiguration):
+            loop_square_chain(poly(expr))
 
 
 # ------------------------------------------------------------ formatting
