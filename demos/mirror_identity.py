@@ -15,6 +15,7 @@ from lgmirror import fjrw_four_point, four_point_report, sg_four_point
 from lgmirror.amodel import admissible_target
 from lgmirror.bmodel import LatticeElement, brieskorn_reduce
 from lgmirror.errors import UnsupportedByTheorem
+from lgmirror.mirror import final_type_insertions
 from lgmirror.poly import InvertiblePolynomial, format_monomial
 
 W = InvertiblePolynomial.from_string("x1^5 + x2^3*x3 + x3^4 + x4^3*x5 + x5^3*x4")
@@ -38,10 +39,11 @@ for i in range(1, W.N + 1):
     assert a_side.value == W.q[i - 1] == -b_side
 
     # The B side is one exact division chain in the Brieskorn lattice of
-    # the summand: [M_i d^nx] reduces to -q_i * z [d^nx].
-    target = tuple(piece.E[j][local - 1] for j in range(piece.N))
+    # the summand's transpose: [M_i d^nx] reduces to -q_i * z [d^nx].
+    _, _, target = final_type_insertions(piece, local)
     steps: list[dict] = []
-    reduced = brieskorn_reduce(piece, LatticeElement.from_poly(target), steps)
+    reduced = brieskorn_reduce(piece.transpose(), LatticeElement.from_poly(target), steps)
+    assert reduced == LatticeElement({1: {(0,) * piece.N: -W.q[i - 1]}})
     print(f"    [{format_monomial(target)} d^nx] reduces in {len(steps)} passes:")
     for s in steps:
         terms = " + ".join(f"{c}*{format_monomial(m)}" for m, c in s["pushed"].items())

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 from .errors import ConcavityViolated, InconsistentInput, UnsupportedByTheorem, WrongConfiguration
 from .groups import GroupElement
@@ -72,8 +72,8 @@ def boundary_decorations(
 
     Node phases come from h_side^(i) = q_i - sum of the side's insertion
     phases: the fractional part is the node sector and the floor is the
-    component line bundle degree.  Both are taken in integers over the
-    common denominator D, as a mod and a floor division of D·h.  Degree
+    component line bundle degree.  Both are taken in integers over
+    D = W.D, as a mod and a floor division of D·h.  Degree
     bookkeeping (the two component degrees plus one when the node is
     narrow add up to the smooth-fiber degree) is checked on every
     decoration.
@@ -81,14 +81,12 @@ def boundary_decorations(
     if len(sectors) != 4:
         raise WrongConfiguration("expected exactly 4 sectors")
     smooth = line_bundle_degrees(W, sectors)
-    D = lcm(W.D, *(g.den for g in sectors))
-    q = [x * (D // W.D) for x in W.Dq]
-    theta = [g.scaled(D) for g in sectors]
+    D, theta = W.D, [g.num for g in sectors]
     out = []
     for plus, minus in _SPLITTINGS:
         (a, b), (c, e) = plus, minus
-        h_plus = [qi - ta - tb for qi, ta, tb in zip(q, theta[a], theta[b])]
-        h_minus = [qi - tc - te for qi, tc, te in zip(q, theta[c], theta[e])]
+        h_plus = [qi - ta - tb for qi, ta, tb in zip(W.Dq, theta[a], theta[b])]
+        h_minus = [qi - tc - te for qi, tc, te in zip(W.Dq, theta[c], theta[e])]
         gamma = tuple(h % D for h in h_plus)
         ell_plus = tuple(h // D for h in h_plus)
         ell_minus = tuple(h // D for h in h_minus)
@@ -136,19 +134,17 @@ def _chern_combo(
     Equal to the concave correlator value when j is the target, and to
     minus the degree-one Chern character of the pushforward of the j-th
     line bundle in general (the constant terms of the three Bernoulli
-    polynomials cancel: 1 - 4 + 3 = 0).  Summed over D², with D the common
-    denominator of the phases, into a single Fraction.
+    polynomials cancel: 1 - 4 + 3 = 0).  Summed in integers over D², with
+    D = W.D the denominator of every phase, into a single Fraction.
     """
-    nodes = [dec.gamma_plus for dec in decorations]
-    D = lcm(W.D, *(g.den for g in sectors), *(g.den for g in nodes))
+    D = W.D
 
-    def bernoulli(num: int, den: int) -> int:
-        th = num * (D // den)
+    def bernoulli(th: int) -> int:
         return th * (D - th)
 
-    total = -bernoulli(W.Dq[j - 1], W.D)
-    total += sum(bernoulli(g.num[j - 1], g.den) for g in sectors)
-    total -= sum(bernoulli(g.num[j - 1], g.den) for g in nodes)
+    total = -bernoulli(W.Dq[j - 1])
+    total += sum(bernoulli(g.num[j - 1]) for g in sectors)
+    total -= sum(bernoulli(dec.gamma_plus.num[j - 1]) for dec in decorations)
     return Fraction(total, 2 * D * D)
 
 

@@ -91,7 +91,7 @@ def load_polynomial(args) -> InvertiblePolynomial:
         try:
             with open(args.input, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise PolynomialSyntaxError(f"cannot read {args.input}: {exc}") from exc
     text = text.strip()
     if text.startswith("{"):

@@ -3,15 +3,14 @@
 Elements are stored additively as phase vectors in [0,1); the group law is
 componentwise addition mod 1.  The maximal group G_W is generated by the
 fractional parts of the columns of E⁻¹ and has order |det E|; its phases
-lie in (1/D)ℤ/ℤ, where D = W.D is the exponent of G_W.  An element keeps
-integer numerators over one denominator, the least one, so that equality
-and hashing follow the value and all arithmetic stays in integers;
+lie in (1/D)ℤ/ℤ, where D = W.D is the exponent of G_W.  Every element keeps
+integer numerators over that D, so equality, hashing and phase sums work
+on ``num`` alone, and ``require_in_group`` refuses any other denominator;
 ``phases`` is the ``Fraction`` view for output.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,43 +26,28 @@ class GroupCapExceeded(RuntimeError):
     cap itself is not an integer."""
 
 
-@dataclass(frozen=True, init=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class GroupElement:
-    """The phase vector num/den, every numerator in [0, den) and den the
-    least common denominator.  ``GroupElement(num, den)`` takes integer
-    numerators over a common denominator, not necessarily the least one.
-    """
+    """The phase vector num/den, every numerator in [0, den).  An element
+    of G_W has den = W.D; a product needs both factors over one den."""
 
     num: tuple[int, ...]
     den: int
 
-    def __init__(self, num, den: int):
-        num = tuple(num)
-        if not all(0 <= x < den for x in num):
+    def __post_init__(self):
+        if not all(0 <= x < self.den for x in self.num):
             raise WrongConfiguration(
-                f"phases {tuple(Fraction(x, den) for x in num)} outside [0, 1)")
-        g = math.gcd(den, *num)
-        if g > 1:
-            num, den = tuple(x // g for x in num), den // g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+                f"phases {tuple(Fraction(x, self.den) for x in self.num)} outside [0, 1)")
 
     @property
     def phases(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.den) for x in self.num)
 
-    def scaled(self, D: int) -> tuple[int, ...]:
-        """The numerators over D, a multiple of ``den``."""
-        k = D // self.den
-        return tuple(x * k for x in self.num)
-
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        if len(self.num) != len(other.num):
-            raise WrongConfiguration("product of elements of different ranks")
-        den = math.lcm(self.den, other.den)
+        if len(self.num) != len(other.num) or self.den != other.den:
+            raise WrongConfiguration("product of elements of different ranks or denominators")
         return GroupElement(
-            tuple((a + b) % den for a, b in zip(self.scaled(den), other.scaled(den))),
-            den)
+            tuple((a + b) % self.den for a, b in zip(self.num, other.num)), self.den)
 
     def __pow__(self, k: int) -> "GroupElement":
         return GroupElement(tuple(k * x % self.den for x in self.num), self.den)
@@ -82,8 +66,18 @@ class GroupElement:
         return [f"{p.numerator}/{p.denominator}" for p in self.phases]
 
 
-def identity(n: int) -> GroupElement:
-    return GroupElement((0,) * n, 1)
+def identity(W: InvertiblePolynomial) -> GroupElement:
+    return GroupElement((0,) * W.N, W.D)
+
+
+def require_in_group(W: InvertiblePolynomial, sectors) -> None:
+    """Refuse any element that is not N numerators over D = W.D, the form
+    of every element of G_W that the integer phase sums rely on."""
+    for g in sectors:
+        if g.den != W.D or len(g.num) != W.N:
+            raise WrongConfiguration(
+                f"{len(g.num)} phases over {g.den} are not an element of G_W "
+                f"({W.N} phases over D = {W.D})")
 
 
 def generator_rho(W: InvertiblePolynomial, j: int) -> GroupElement:
@@ -115,8 +109,8 @@ def enumerate_group(W: InvertiblePolynomial) -> list[GroupElement]:
             f"group has {order} elements, cap is {cap} "
             "(raise LGMIRROR_GROUP_CAP to override)")
     gens = [generator_rho(W, j) for j in range(1, W.N + 1)]
-    seen = {identity(W.N)}
-    frontier = [identity(W.N)]
+    seen = {identity(W)}
+    frontier = [identity(W)]
     while frontier:
         nxt = []
         for g in frontier:
@@ -129,13 +123,13 @@ def enumerate_group(W: InvertiblePolynomial) -> list[GroupElement]:
                     seen.add(h)
                     nxt.append(h)
         frontier = nxt
-    # every element lies in (1/D)ℤ/ℤ: numerators over D order as the phases
-    return sorted(seen, key=lambda g: g.scaled(W.D))
+    # every element is over D, so its numerators order as its phases
+    return sorted(seen, key=lambda g: g.num)
 
 
 def sector_degree(W: InvertiblePolynomial, g: GroupElement) -> Fraction:
     """Degree contribution of the sector γ: N_γ/2 + Σ_j (Θ^{(j)} − q_j),
-    where N_γ counts the variables fixed by γ."""
-    D = math.lcm(W.D, g.den)
-    total = len(g.fixed_indices()) * D + 2 * (sum(g.scaled(D)) - sum(W.Dq) * (D // W.D))
-    return Fraction(total, 2 * D)
+    where N_γ counts the variables fixed by γ, summed over 2·W.D."""
+    require_in_group(W, [g])
+    total = len(g.fixed_indices()) * W.D + 2 * (sum(g.num) - sum(W.Dq))
+    return Fraction(total, 2 * W.D)

@@ -128,7 +128,7 @@ class InvertiblePolynomial:
     def from_json(blob: str) -> "InvertiblePolynomial":
         try:
             data = json.loads(blob, parse_int=parse_int)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise PolynomialSyntaxError(f"bad JSON: {exc}") from exc
         if not isinstance(data, dict) or "E" not in data:
             raise PolynomialSyntaxError('JSON input must be {"E": [[...], ...]}')

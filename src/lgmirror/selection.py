@@ -11,12 +11,11 @@ of four-point correlators.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import WrongConfiguration
-from .groups import GroupElement
+from .groups import GroupElement, require_in_group
 from .jacobi import ring_of
 from .poly import InvertiblePolynomial
 
@@ -82,12 +81,11 @@ class CorrelatorSpec:
 
 
 def line_bundle_degrees(W: InvertiblePolynomial, sectors: list[GroupElement]) -> list[Fraction]:
-    """Degrees l_j = q_j*(k - 2) - sum_i Theta_j(gamma_i) for k >= 3 sectors,
-    summed as integer numerators over the common denominator D."""
-    D = math.lcm(W.D, *(g.den for g in sectors))
-    scale = (len(sectors) - 2) * (D // W.D)
-    theta = [g.scaled(D) for g in sectors]
-    return [Fraction(qj * scale - sum(t[j] for t in theta), D) for j, qj in enumerate(W.Dq)]
+    """Degrees l_j = q_j*(k - 2) - sum_i Theta_j(gamma_i) for k >= 3 sectors
+    of G_W, summed as integer numerators over D = W.D."""
+    require_in_group(W, sectors)
+    return [Fraction(qj * (len(sectors) - 2) - sum(g.num[j] for g in sectors), W.D)
+            for j, qj in enumerate(W.Dq)]
 
 
 def passes_axioms(W: InvertiblePolynomial, X: CorrelatorSpec) -> bool:

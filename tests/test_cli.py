@@ -298,6 +298,21 @@ class TestInputHandling:
         p.write_text('{"E": oops')
         assert run(capsys, "verify", "--input", str(p))[0] == 2
 
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path):
+        p = tmp_path / "w.txt"
+        p.write_bytes(b"\xff\xfex1^3")
+        code, out, err = run(capsys, "verify", "--input", str(p))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read")
+
+    def test_deeply_nested_json_exits_2(self, capsys):
+        blob = '{"E": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        code, out, err = run(capsys, "verify", "--expr", blob)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad JSON")
+
     @pytest.mark.parametrize("blob", [
         '{"E": "abc"}',
         '{"E": [3]}',

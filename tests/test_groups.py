@@ -6,6 +6,7 @@ from lgmirror import groups
 from lgmirror.errors import WrongConfiguration
 from lgmirror.groups import GroupElement
 from lgmirror.poly import InvertiblePolynomial
+from lgmirror.selection import line_bundle_degrees
 
 from support import grading_element
 
@@ -27,7 +28,7 @@ def test_grading_is_product_of_generators():
     for text in ["x1^3*x2 + x2^4", "x1^2*x2 + x2^3*x3 + x3^2*x1",
                  "x1^2*x2 + x2^2*x1 + x3^4"]:
         P = W(text)
-        prod = groups.identity(P.N)
+        prod = groups.identity(P)
         for j in range(1, P.N + 1):
             prod = prod * groups.generator_rho(P, j)
         assert prod == grading_element(P)
@@ -51,15 +52,15 @@ def test_generators_leave_polynomial_invariant():
 def test_compose_inverse_identity():
     P = W("x1^2*x2 + x2^4*x1")
     g = groups.generator_rho(P, 1)
-    assert g * g.inverse() == groups.identity(2)
-    assert g ** 7 == groups.identity(2)     # group order 7
+    assert g * g.inverse() == groups.identity(P)
+    assert g ** 7 == groups.identity(P)     # group order 7
 
 
 def test_sector_kind():
     P = W("x1^3")
     J = grading_element(P)
     assert J.is_narrow()
-    e = groups.identity(1)
+    e = groups.identity(P)
     assert not e.is_narrow()
     assert e.fixed_indices() == (0,)
 
@@ -110,7 +111,7 @@ def test_sector_degree():
     assert groups.sector_degree(P, J) == 0
     # identity sector of the (2,2) loop: broad, degree 1 − 2/3 = 1/3
     L = W("x1^2*x2 + x2^2*x1")
-    assert groups.sector_degree(L, groups.identity(2)) == F(1, 3)
+    assert groups.sector_degree(L, groups.identity(L)) == F(1, 3)
 
 
 def test_json_phases():
@@ -122,7 +123,24 @@ def test_json_phases():
     lambda: GroupElement((1,), 1),                               # phase 1
     lambda: GroupElement((1, -1), 3),                            # phase < 0
     lambda: GroupElement((1,), 3) * GroupElement((1, 0), 3),     # ranks
+    lambda: GroupElement((1,), 3) * GroupElement((1,), 6),       # denominators
 ])
 def test_group_element_checks_are_explicit(make):
     with pytest.raises(WrongConfiguration):
         make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda P, J: GroupElement(tuple(2 * x for x in J.num), 2 * P.D),  # over 2·D
+    lambda P, J: GroupElement(J.num[:1], P.D),                        # rank
+])
+def test_elements_outside_the_form_of_g_w_are_refused(make):
+    """The integer phase sums need every element as N numerators over W.D;
+    the same phases over 2·W.D are refused, not rescaled."""
+    P = W("x1^3*x2 + x2^4")
+    J = grading_element(P)
+    bad = make(P, J)
+    with pytest.raises(WrongConfiguration):
+        groups.sector_degree(P, bad)
+    with pytest.raises(WrongConfiguration):
+        line_bundle_degrees(P, [J, J, bad])

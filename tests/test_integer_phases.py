@@ -18,7 +18,7 @@ from lgmirror.amodel import (
     boundary_decorations,
 )
 from lgmirror.errors import UnsupportedByTheorem, WrongConfiguration
-from lgmirror.groups import GroupElement, sector_degree
+from lgmirror.groups import enumerate_group, generator_rho, sector_degree
 from lgmirror.jacobi import JacobiRing, top_of
 from lgmirror.mirror import final_type_insertions, sector_of
 from lgmirror.poly import AtomicSummand, InvertiblePolynomial, reassemble
@@ -98,6 +98,7 @@ def check_four_sectors(W, sectors):
         assert str(exc) == expected
         return
     assert [(d.gamma_plus.phases, d.ell_plus, d.ell_minus) for d in decorations] == expected
+    assert all(d.gamma_plus.den == W.D for d in decorations)
     nodes = [e[0] for e in expected]
     for j in range(1, W.N + 1):
         assert _chern_combo(W, sectors, decorations, j) == ref_chern(W, phases, nodes, j)
@@ -134,11 +135,11 @@ def test_integer_phases_match_the_fraction_formulas(W, data):
     for m in basis[::max(1, len(basis) // 40)]:
         g = sector_of(W, m)
         assert g.phases == ref_sector(W, m)
+        assert g.den == W.D
         assert sector_degree(W, g) == ref_sector_degree(W, g.phases)
-        # the same element from a non-reduced integer form
-        k = data.draw(st.integers(1, 4))
-        twin = GroupElement(tuple(k * x for x in g.scaled(W.D)), k * W.D)
-        assert twin == g and hash(twin) == hash(g)
+    # every element of G_W that the program builds is over D
+    assert all(generator_rho(W, j).den == W.D for j in range(1, W.N + 1))
+    assert all(g.den == W.D for g in enumerate_group(W))
 
     # three sectors of W and the fourth that makes every degree integral,
     # then four arbitrary ones, which the checks mostly refuse

@@ -149,7 +149,7 @@ def test_line_bundle_fermat_theta_s_h():
     a = 5
     W = InvertiblePolynomial.from_string(f"x1^{a}")
     D, (q,) = W.D, W.Dq
-    (rho,) = generator_rho(W, 1).scaled(D)
+    (rho,) = generator_rho(W, 1).num
     theta = GroupElement(((q + rho) % D,), D)
     s = GroupElement(((q - 2 * rho) % D,), D)
     h = GroupElement((D - q,), D)
@@ -162,7 +162,7 @@ def test_line_bundle_chain_final_type():
     # chain x1^3*x2 + x2^4, insertions (theta_N, theta_N, S_N, H)
     W = InvertiblePolynomial.from_string("x1^3*x2 + x2^4")
     n, D = W.N, W.D
-    rho = generator_rho(W, n).scaled(D)
+    rho = generator_rho(W, n).num
     theta = GroupElement(tuple((q + r) % D for q, r in zip(W.Dq, rho)), D)
     s = GroupElement(tuple((q - 2 * r) % D for q, r in zip(W.Dq, rho)), D)
     h = GroupElement(tuple(D - q for q in W.Dq), D)

@@ -120,12 +120,11 @@ E_READERS = {
 }
 
 
-def _readers_of_E(path):
+def _owners(path, match):
     """Qualified names of the innermost definitions in one source file that
-    read an attribute named E (the module's name for a read outside any)."""
+    hold a node ``match`` accepts (the module's name for a node outside any)."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    owner = {node: path.stem for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and node.attr == "E"}
+    owner = {node: path.stem for node in ast.walk(tree) if match(node)}
     # outer definitions come first, so an inner one overwrites them
     for name, definition in _definitions(tree, path.stem + "."):
         for node in ast.walk(definition):
@@ -134,10 +133,31 @@ def _readers_of_E(path):
     return set(owner.values())
 
 
+def _reads_E(node):
+    return isinstance(node, ast.Attribute) and node.attr == "E"
+
+
 def test_one_reader_of_the_rows_of_E():
     """E's row structure is read through `W.head`; only the definitions
     listed above read the attribute E itself."""
-    found = set().union(*(_readers_of_E(path) for path in sorted(SOURCE.glob("*.py"))))
+    found = set().union(*(_owners(path, _reads_E) for path in sorted(SOURCE.glob("*.py"))))
     assert sorted(found - set(E_READERS)) == []
     # the list holds no stale entry: each listed definition still reads E
     assert sorted(set(E_READERS) - found) == []
+
+
+def _names_lcm_or_gcd(node):
+    """A read, call or import of a function named lcm or gcd."""
+    name = (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute)
+            else node.name if isinstance(node, ast.alias) else None)
+    return name in ("lcm", "gcd")
+
+
+def test_one_phase_denominator():
+    """D = W.D, the exponent of G_W, is taken once, in `poly._inverse`, and
+    every phase of the program lives over it: no other definition (and no
+    import) takes an lcm or a gcd to bring phases to a common denominator."""
+    found = set().union(*(_owners(path, _names_lcm_or_gcd)
+                          for path in sorted(SOURCE.glob("*.py"))))
+    assert sorted(found) == ["poly._inverse"]
