@@ -151,7 +151,7 @@ def brieskorn_reduce(
     Each pass divides one z-level exactly, P = nf + sum_j h_j * df/dx_j,
     keeps the normal form, and pushes  -sum_j dh_j/dx_j  one level up.
     Cyclic (loop) rewriting patterns are closed inside the division's
-    linear solve.  Levels are taken in increasing order and a push goes
+    binomial walk.  Levels are taken in increasing order and a push goes
     only to the next one, inside the z-window, so there are at most
     Z_MAX - Z_MIN + 1 passes.  When ``steps`` is a list, one record per
     pass is appended for auditing.

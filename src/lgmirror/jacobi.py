@@ -21,13 +21,14 @@ monomial of m's component, or shows that the component is zero.  The
 relations are `_partials(f)`, the one source shared by the walk, `divide`
 and the independent brute-force oracle (`OracleQuotient`).
 
-`divide` writes p = nf + Σ_j h_j ∂_j f by exact elimination.  Every column
-of its system, a basis monomial or a multiple s·∂_j f, touches one or two
-monomials, so the system is block-diagonal over the components of the
-binomial graph (Eisenbud–Sturmfels, *Binomial ideals*, 1996), and `divide`
-builds only the components that p reaches.  The oracle, which does plain
-exact elimination on each whole graded slice of ℂ[x]/(∂f), knows nothing
-of this and is used to cross-check the walk in the tests.
+`divide` writes p = nf + Σ_j h_j ∂_j f with no linear solve.  Each move
+u = s·p → s·p′ of the walk is the identity s·p = (1/a)·s·∂_j f − (b/a)·s·p′,
+so a walk from m that keeps each node's parent, relation and cofactor
+carries the certificate m − val·u = Σ κ·s·∂_j f along its path, and it
+stops at the first node that settles m's class (Eisenbud–Sturmfels,
+*Binomial ideals*, 1996).  The oracle, which does plain exact elimination
+on each whole graded slice of ℂ[x]/(∂f), knows nothing of this and is used
+to cross-check the walk in the tests.
 
 Everything is graded by the integer ``f.degree`` = D·Σ mᵢqᵢ over the
 polynomial's one denominator D, with integer weights ``f.Dq``; `_graded`
@@ -96,15 +97,15 @@ def _chain_excluded(r: Monomial, c: tuple[int, ...]) -> bool:
 
 
 def _partials(f: InvertiblePolynomial) -> list[dict]:
-    """∂_j f as {monomial: coefficient}, j = 0..N−1."""
+    """∂_j f as {monomial: integer coefficient}, j = 0..N−1."""
     out = []
     for j in range(f.N):
-        d: dict[Monomial, Fraction] = {}
+        d: dict[Monomial, int] = {}
         for row in f.E:
             if row[j] > 0:
                 m = list(row)
                 m[j] -= 1
-                d[tuple(m)] = Fraction(row[j])
+                d[tuple(m)] = row[j]
         out.append(d)
     return out
 
@@ -137,8 +138,9 @@ class _SummandRing:
     ``variables`` lists the summand's ambient variables in local order: the
     transposed-chain order (pure power first) for Fermat and chain
     summands, the cycle order for loops.  Each relation ∂_v f, v in the
-    summand, is a monomial p (kept in ``zeros``) or a binomial a·p + b·p′,
-    which gives the two moves p → (−b/a)·p′ and p′ → (−a/b)·p.  The basis
+    summand, is a monomial a·p (kept in ``zeros`` as (p, v, 1/a)) or a
+    binomial a·p + b·p′, which gives the two moves p → (−b/a)·p′ and
+    p′ → (−a/b)·p (kept in ``moves`` as (p, p′, −b/a, v, 1/a)).  The basis
     is the box r_i < ``bounds[i]``, minus `_chain_excluded` for chains."""
 
     def __init__(self, s: AtomicSummand, partials: list[dict]):
@@ -147,16 +149,17 @@ class _SummandRing:
         order = slice(None, None, -1 if self.chain else 1)
         self.variables = s.variables[order]
         self.bounds = s.exponents[order]
-        self.zeros: list[Monomial] = []
-        self.moves: list[tuple[Monomial, Monomial, Fraction]] = []
+        self.zeros: list[tuple[Monomial, int, Fraction]] = []
+        self.moves: list[tuple[Monomial, Monomial, Fraction, int, Fraction]] = []
         for v in self.variables:
             rel = [(tuple(m[u] for u in self.variables), a)
                    for m, a in partials[v].items()]
             if len(rel) == 1:
-                self.zeros.append(rel[0][0])
+                self.zeros.append((rel[0][0], v, Fraction(1, rel[0][1])))
             else:
                 (p, a), (q, b) = rel
-                self.moves += [(p, q, -b / a), (q, p, -a / b)]
+                self.moves += [(p, q, Fraction(-b, a), v, Fraction(1, a)),
+                               (q, p, Fraction(-a, b), v, Fraction(1, b))]
         self._cache: dict[Monomial, tuple[Monomial, Fraction] | None] = {}
 
     def in_basis(self, r: Monomial) -> bool:
@@ -188,10 +191,10 @@ class _SummandRing:
             applies = self.in_basis(u)
             if applies:
                 reached.append(u)
-            for p in self.zeros:
+            for p, _, _ in self.zeros:
                 if _divides(p, u):
                     zero = applies = True
-            for p, q, r in self.moves:
+            for p, q, r, _, _ in self.moves:
                 if _divides(p, u):
                     applies = True
                     v = _add(_sub(u, p), q)
@@ -214,6 +217,48 @@ class _SummandRing:
         term = (reached[0], val[reached[0]]) if reached else None
         self._cache[m] = term
         return term
+
+    def divide(self, m: Monomial):
+        """m = c·b + Σ κ·s·∂_v f as (b, c, [(v, s, κ)]), b a basis monomial,
+        or b None and c = 0 when [m] = 0; monomials in local exponents.
+
+        A breadth-first walk from m.  Each node u keeps val[u] and the edge
+        it was reached by, with m − val[u]·u = H_u, the sum of κ·s·∂_v f
+        along its path: a move u = s·p → s·p′ adds val[u]/a · s·∂_v f.  The
+        walk stops at the first node that settles m: a basis monomial, a
+        monomial relation p | u (u = (1/a)·(u/p)·∂_v f), or a move that
+        reaches a node w with another value x, where (val[w] − x)·w =
+        H′ − H_w."""
+        node = {m: (Fraction(1), None)}
+        queue = [m]
+
+        def path(u, k):
+            out = []
+            while node[u][1] is not None:
+                u, v, s, inv = node[u][1]
+                out.append((v, s, k * node[u][0] * inv))
+            return out
+
+        for u in queue:
+            x = node[u][0]
+            if self.in_basis(u):
+                return u, x, path(u, 1)
+            for p, v, inv in self.zeros:
+                if _divides(p, u):
+                    return None, 0, path(u, 1) + [(v, _sub(u, p), x * inv)]
+            for p, q, r, v, inv in self.moves:
+                if _divides(p, u):
+                    s = _sub(u, p)
+                    w = _add(s, q)
+                    y = x * r
+                    if w not in node:
+                        node[w] = (y, (u, v, s, inv))
+                        queue.append(w)
+                    elif node[w][0] != y:
+                        k = node[w][0] / (node[w][0] - y)
+                        return None, 0, (path(w, 1 - k) + path(u, k)
+                                         + [(v, s, k * x * inv)])
+        raise RuntimeError(f"the walk from {m} determines nothing")
 
 
 def top_of(f: InvertiblePolynomial) -> Monomial:
@@ -239,8 +284,8 @@ class JacobiRing:
     def __init__(self, f: InvertiblePolynomial):
         self.poly = f
         self.n = f.N
-        self._partials = _partials(f)
-        self._parts = [_SummandRing(s, self._partials) for s in f.summands]
+        partials = _partials(f)
+        self._parts = [_SummandRing(s, partials) for s in f.summands]
         self.mu = math.prod(f.D - x for x in f.Dq) // math.prod(f.Dq)
         self.top = top_of(f)
 
@@ -334,71 +379,31 @@ class JacobiRing:
         """Write p = nf + Σ_j h_j ∂_j f with nf in the basis span.
 
         Returns (nf, quotients): nf is {basis monomial: coefficient} in
-        basis order, and quotients[j] is {monomial: coefficient} for h_j.
-        Works weight by weight; the normal form always agrees with `reduce`
-        (nondegenerate pairing ⇒ unique basis representative).
-
-        The system of a degree slice has a row per slice monomial and a
-        column per basis monomial and per s·∂_j f; each column touches one
-        or two rows, since ∂_j f is a monomial or a binomial.  So the
-        system is block-diagonal over the components of the slice's
-        binomial graph, its RREF is the union of the blocks' RREFs, and the
-        solution is zero on every component the chunk does not reach.  Only
-        the reached components are built, in the whole slice's relative
-        order (rows lexicographic; basis columns first, then (j, s)), so
-        `linalg.RowSpace`, which pivots on the lowest column, finds the
-        solution the whole slice gives.
-        """
-        f = self.poly
-        by_degree: dict[int, dict] = {}
-        for m, c in p.items():
-            chunk = by_degree.setdefault(f.degree(m), {})
-            chunk[m] = chunk.get(m, Fraction(0)) + Fraction(c)
+        basis order, and quotients[j] is {monomial: coefficient} for h_j,
+        in monomial order.  Each monomial of p is divided one summand at a
+        time by `_SummandRing.divide`, with the other summands' exponents
+        carried in the cofactors; the normal form agrees with `reduce`.
+        Where a slice has a syzygy, the quotients are one certificate among
+        several."""
         nf_acc: dict[Monomial, Fraction] = {}
         quot: list[dict] = [dict() for _ in range(self.n)]
-        for chunk in by_degree.values():
-            # walk the chunk's components: s·∂_j f is a column wherever a
-            # term m₀ of ∂_j f divides a reached u = s + m₀, and it reaches
-            # every s + m₁
-            reached = set(chunk)
-            stack = list(chunk)
-            cols: set[tuple[int, Monomial]] = set()
-            while stack:
-                u = stack.pop()
-                for j, rel in enumerate(self._partials):
-                    for m0 in rel:
-                        if not _divides(m0, u):
-                            continue
-                        s = _sub(u, m0)
-                        if (j, s) in cols:
-                            continue
-                        cols.add((j, s))
-                        for m1 in rel:
-                            v = _add(s, m1)
-                            if v not in reached:
-                                reached.add(v)
-                                stack.append(v)
-            space = sorted(reached)
-            midx = {m: i for i, m in enumerate(space)}
-            rows: list[dict] = [{} for _ in space]
-            basis = []
-            for i, m in enumerate(space):
-                if self.in_basis(m):
-                    rows[i][len(basis)] = Fraction(1)
-                    basis.append(m)
-            quots = sorted(cols)
-            for k, (j, s) in enumerate(quots, len(basis)):
-                for m0, c0 in self._partials[j].items():
-                    rows[midx[_add(s, m0)]][k] = c0
-            rhs = [chunk.get(m, Fraction(0)) for m in space]
-            for k, x in linalg.solve_general(rows, rhs).items():
-                if k < len(basis):
-                    nf_acc[basis[k]] = nf_acc.get(basis[k], Fraction(0)) + x
-                else:
-                    j, s = quots[k - len(basis)]
-                    quot[j][s] = quot[j].get(s, Fraction(0)) + x
-        nf = sorted((f.degree(m), m, c) for m, c in nf_acc.items() if c != 0)
-        return {m: c for _, m, c in nf}, quot
+        for m, c in p.items():
+            picks = self._localize(m)
+            for i, part in enumerate(self._parts):
+                b, x, terms = part.divide(picks[i])
+                for v, s, kappa in terms:
+                    cofactor = self._assemble(picks[:i] + [s] + picks[i + 1:])
+                    quot[v][cofactor] = quot[v].get(cofactor, 0) + c * kappa
+                if b is None:
+                    break
+                picks[i] = b
+                c *= x
+            else:
+                b = self._assemble(picks)
+                nf_acc[b] = nf_acc.get(b, 0) + c
+        nf = sorted((self.poly.degree(m), m, c) for m, c in nf_acc.items() if c != 0)
+        return ({m: c for _, m, c in nf},
+                [{s: c for s, c in sorted(h.items()) if c != 0} for h in quot])
 
 
 def ring_of(f: InvertiblePolynomial) -> JacobiRing:

@@ -8,9 +8,11 @@ depends on the order in which rows were added.  `invert`, `solve` and
 (each ∂_j f of an invertible polynomial has at most two terms), so exact
 elimination is both adequate and, unlike floating point, actually correct.
 
-`jacobi` uses `RowSpace` and `solve_general`.  `invert` and `solve` are the
-reference kernel, not the construction path: `poly` reads E⁻¹ off the
-summands in closed form, and the tests check it against `invert`.
+Only the whole-slice oracle `jacobi.OracleQuotient` and the tests use
+`RowSpace` and its views; no computation path runs an elimination.  `poly`
+reads E⁻¹ off the summands in closed form and `jacobi.JacobiRing.divide`
+walks the binomial graph, and the tests check them against `invert` and
+`solve_general`.
 """
 
 from __future__ import annotations

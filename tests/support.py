@@ -2,7 +2,9 @@
 
 from fractions import Fraction
 
+from lgmirror import linalg
 from lgmirror.groups import GroupElement
+from lgmirror.jacobi import _graded, _partials
 
 
 def grading_element(W):
@@ -14,3 +16,43 @@ def residue_pairing(R, a, b):
     """The residue pairing of two ring elements of R: the coefficient of the
     socle monomial ``R.top`` in the product a·b."""
     return dict(R.multiply(a, b).coeffs).get(R.basis.index[R.top], Fraction(0))
+
+
+def slice_divide(R, p):
+    """`JacobiRing.divide` by exact elimination on each whole degree slice:
+    a row per slice monomial, a column per basis monomial, then one per
+    s·∂_j f by (j, s); free columns are 0.  The reference the walk's normal
+    forms, and its quotients wherever they are unique, are checked against."""
+    f = R.poly
+    partials = _partials(f)
+    by_degree = {}
+    for m, c in p.items():
+        chunk = by_degree.setdefault(f.degree(m), {})
+        chunk[m] = chunk.get(m, Fraction(0)) + Fraction(c)
+    nf_acc = {}
+    quot = [dict() for _ in range(R.n)]
+    for deg, chunk in by_degree.items():
+        space = _graded(f.Dq, deg, deg)
+        midx = {m: i for i, m in enumerate(space)}
+        rows = [{} for _ in space]
+        basis = []
+        for i, m in enumerate(space):
+            if R.in_basis(m):
+                rows[i][len(basis)] = Fraction(1)
+                basis.append(m)
+        quots = []
+        for j in range(R.n):
+            sdeg = deg - (f.D - f.Dq[j])
+            for s in _graded(f.Dq, sdeg, sdeg):
+                for m0, c0 in partials[j].items():
+                    rows[midx[tuple(a + b for a, b in zip(s, m0))]][len(basis) + len(quots)] = c0
+                quots.append((j, s))
+        rhs = [chunk.get(m, Fraction(0)) for m in space]
+        for k, x in linalg.solve_general(rows, rhs).items():
+            if k < len(basis):
+                nf_acc[basis[k]] = nf_acc.get(basis[k], Fraction(0)) + x
+            else:
+                j, s = quots[k - len(basis)]
+                quot[j][s] = quot[j].get(s, Fraction(0)) + x
+    nf = sorted((f.degree(m), m, c) for m, c in nf_acc.items() if c != 0)
+    return {m: c for _, m, c in nf}, quot

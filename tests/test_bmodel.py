@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lgmirror import bmodel, cli
-from lgmirror.amodel import fjrw_four_point
+from lgmirror.amodel import admissible_target, fjrw_four_point
 from lgmirror.bmodel import (
     GoodBasisReport,
     LatticeElement,
@@ -22,7 +22,10 @@ from lgmirror.bmodel import (
 from lgmirror.errors import UnsupportedByTheorem, WrongConfiguration
 from lgmirror.jacobi import JacobiRing, ring_of
 from lgmirror.linalg import solve
+from lgmirror.mirror import final_type_insertions
 from lgmirror.poly import AtomicSummand, InvertiblePolynomial, reassemble
+
+from support import slice_divide
 
 F = Fraction
 
@@ -559,6 +562,84 @@ class TestPerturbativeExpansion:
         top = ring.basis.index[ring.top]
         quad = [sm for sm in state.zeta if len(sm) == 2]
         assert quad == [(top, top)]
+
+
+# ------------------------------------------------ which certificate divides
+
+
+def walk_and_slice(monkeypatch, run):
+    """``run()`` under the walk's `JacobiRing.divide`, then under the
+    whole-slice solve `slice_divide`, with the number of divisions whose
+    quotients the two gave differently."""
+    walk = JacobiRing.divide
+    walked = run()
+    differs = []
+
+    def reference(R, p):
+        nf, quot = slice_divide(R, p)
+        differs.append(quot != walk(R, p)[1])
+        return nf, quot
+
+    monkeypatch.setattr(JacobiRing, "divide", reference)
+    return walked, run(), sum(differs)
+
+
+def criteria_targets():
+    """(W, i) of the criterion 1–3 suites."""
+    yield from ((atomic("fermat", (a,)), 1) for a in range(3, 10))
+    for kind in ("chain", "loop"):
+        for n in (2, 3, 4):
+            for a in itertools.product(range(2, 6), repeat=n):
+                if kind != "chain" or a[-1] >= 3:
+                    yield atomic(kind, a), n
+
+
+def test_trace_steps_do_not_depend_on_the_division(monkeypatch):
+    """The reductions behind `sg_four_point` and the `--trace` lines record
+    the same chunks, normal forms and pushes, in the same order, under the
+    walk and under the whole-slice solve: their chunks have degree ≤ 1 and
+    every qᵢ < ½, so no slice they reach has a syzygy column and the
+    quotients are unique."""
+    reductions = []
+    for W, i in criteria_targets():
+        piece, local = admissible_target(W, i)
+        x, s, m = final_type_insertions(piece, local)
+        f = piece.transpose()
+        if ring_of(f).mu > 64:
+            continue
+        for e in (LatticeElement.from_poly(tuple(a + b for a, b in zip(x, x))),
+                  LatticeElement.from_poly(tuple(a + b for a, b in zip(x, s))),
+                  LatticeElement.from_poly(m, z=-3), LatticeElement.from_poly(m)):
+            reductions.append((f, e))
+
+    def run():
+        out = []
+        for f, e in reductions:
+            steps = []
+            brieskorn_reduce(f, e, steps)
+            out.append([(step["z"], *(list(step[key].items())
+                                      for key in ("chunk", "normal_form", "pushed")))
+                        for step in steps])
+        return out
+
+    walked, sliced, differs = walk_and_slice(monkeypatch, run)
+    assert len(reductions) > 400
+    assert walked == sliced
+    assert differs == 0
+
+
+def test_series_does_not_depend_on_the_certificate(monkeypatch):
+    """At order 3 some slices have a syzygy column, so the walk and the
+    whole-slice solve return different quotients for some divisions; ζ and
+    J come out the same all the same."""
+    def run():
+        return [perturbative_expand(W.transpose(), 3) for W, _ in SERIES_CASES]
+
+    walked, sliced, differs = walk_and_slice(monkeypatch, run)
+    for a, b in zip(walked, sliced, strict=True):
+        assert a.zeta == b.zeta
+        assert a.jfunc == b.jfunc
+    assert differs > 0
 
 
 # ------------------------------------------------------------ the correlator

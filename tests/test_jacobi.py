@@ -5,10 +5,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from lgmirror import linalg
-from lgmirror.jacobi import JacobiRing, OracleQuotient, RingElement, _graded, _partials, ring_of
+from lgmirror.jacobi import (JacobiRing, OracleQuotient, RingElement, _SummandRing, _graded,
+                             _partials, ring_of)
 from lgmirror.poly import InvertiblePolynomial
 
-from support import residue_pairing
+from support import residue_pairing, slice_divide
 
 F = Fraction
 
@@ -296,44 +297,6 @@ def test_graded_is_the_filtered_exponent_box(w, lo, hi):
 # ---------------------------------------------------------------------------
 # division with certificate
 
-def slice_divide(R, p):
-    """`JacobiRing.divide` solving each whole degree slice: a row per slice
-    monomial, a column per basis monomial, then one per s·∂_j f by (j, s).
-    The reference that the component-restricted solve must reproduce."""
-    f = R.poly
-    by_degree = {}
-    for m, c in p.items():
-        chunk = by_degree.setdefault(f.degree(m), {})
-        chunk[m] = chunk.get(m, F(0)) + F(c)
-    nf_acc = {}
-    quot = [dict() for _ in range(R.n)]
-    for deg, chunk in by_degree.items():
-        space = _graded(f.Dq, deg, deg)
-        midx = {m: i for i, m in enumerate(space)}
-        rows = [{} for _ in space]
-        basis = []
-        for i, m in enumerate(space):
-            if R.in_basis(m):
-                rows[i][len(basis)] = F(1)
-                basis.append(m)
-        quots = []
-        for j in range(R.n):
-            sdeg = deg - (f.D - f.Dq[j])
-            for s in _graded(f.Dq, sdeg, sdeg):
-                for m0, c0 in R._partials[j].items():
-                    rows[midx[tuple(a + b for a, b in zip(s, m0))]][len(basis) + len(quots)] = c0
-                quots.append((j, s))
-        rhs = [chunk.get(m, F(0)) for m in space]
-        for k, x in linalg.solve_general(rows, rhs).items():
-            if k < len(basis):
-                nf_acc[basis[k]] = nf_acc.get(basis[k], F(0)) + x
-            else:
-                j, s = quots[k - len(basis)]
-                quot[j][s] = quot[j].get(s, F(0)) + x
-    nf = sorted((f.degree(m), m, c) for m, c in nf_acc.items() if c != 0)
-    return {m: c for _, m, c in nf}, quot
-
-
 def assert_certificate(R, p, nf, quot):
     """p == nf + Σ_j h_j ∂_j f, with nf in the basis span."""
     assert all(R.in_basis(m) for m in nf)
@@ -367,32 +330,72 @@ def divide_chunks(R):
 SUMS = ["x1^2*x2+x2^5 + x3^4", "x1^3 + x2^2*x3 + x3^3*x4 + x4^2*x2"]
 
 
+def reached_block_is_unique(R, p):
+    """Whether every degree block of p's slice system that p reaches has
+    rank equal to its column count, so that its solution, and with it the
+    quotients, are unique.  Columns are the reached basis monomials and the
+    s·∂_j f touching a reached monomial, as {monomial: coefficient}."""
+    f = R.poly
+    partials = _partials(f)
+    for deg in {f.degree(m) for m in p}:
+        reached = {m for m in p if f.degree(m) == deg}
+        stack = list(reached)
+        cols = {}
+        while stack:
+            u = stack.pop()
+            if R.in_basis(u):
+                cols[u] = {u: F(1)}
+            for j, rel in enumerate(partials):
+                for m0 in rel:
+                    if all(a <= b for a, b in zip(m0, u)):
+                        s = tuple(a - b for a, b in zip(u, m0))
+                        col = cols.setdefault((j, s), {})
+                        for m1, c1 in rel.items():
+                            v = tuple(a + b for a, b in zip(s, m1))
+                            col[v] = c1
+                            if v not in reached:
+                                reached.add(v)
+                                stack.append(v)
+        span = linalg.RowSpace()
+        if sum(span.add(col) for col in cols.values()) != len(cols):
+            return False
+    return True
+
+
 @pytest.mark.parametrize("text", RINGS + SUMS)
 def test_divide_matches_the_whole_slice_solve(text):
+    """The walk's normal form is the slice solve's on every chunk, and so
+    are its quotients wherever the reached block has no syzygy column;
+    elsewhere the quotients are one valid certificate among several."""
     for f in (InvertiblePolynomial.from_string(text),
               InvertiblePolynomial.from_string(text).transpose()):
         R = JacobiRing(f)
+        compared = 0
         for p in divide_chunks(R):
             nf, quot = R.divide(p)
-            assert (nf, quot) == slice_divide(R, p), f"{f.to_string()}: {p}"
+            slice_nf, slice_quot = slice_divide(R, p)
+            assert nf == slice_nf == R.monomial_of(R.reduce(p)), f"{f.to_string()}: {p}"
             assert_certificate(R, p, nf, quot)
+            if reached_block_is_unique(R, p):
+                assert quot == slice_quot, f"{f.to_string()}: {p}"
+                compared += 1
+        assert compared > 0, f.to_string()
 
 
 def test_divide_solves_less_than_a_hundredth_of_the_slice(monkeypatch):
-    """One monomial one degree above the socle of loop(5⁵)ᵗ: the component
-    it reaches is a sliver of its 33,649-monomial degree slice."""
+    """One monomial one degree above the socle of loop(5⁵)ᵗ: the walk visits
+    a sliver of its 33,649-monomial degree slice."""
     f = InvertiblePolynomial.from_string(
         "x1^5*x2 + x2^5*x3 + x3^5*x4 + x4^5*x5 + x5^5*x1").transpose()
     R = JacobiRing(f)
-    sizes = []
-    solve = linalg.solve_general
-    monkeypatch.setattr(linalg, "solve_general",
-                        lambda rows, rhs: sizes.append(len(rows)) or solve(rows, rhs))
+    visited = []
+    in_basis = _SummandRing.in_basis
+    monkeypatch.setattr(_SummandRing, "in_basis",
+                        lambda self, r: visited.append(r) or in_basis(self, r))
     probe = (R.top[0] + 1,) + R.top[1:]
     nf, quot = R.divide({probe: F(1)})
     deg = f.degree(probe)
-    assert len(sizes) == 1
-    assert sizes[0] < len(_graded(f.Dq, deg, deg)) / 100
+    assert 0 < len(visited) < len(_graded(f.Dq, deg, deg)) / 100
     assert_certificate(R, {probe: F(1)}, nf, quot)
 
 

@@ -55,6 +55,11 @@ TEST_ONLY = {
     "linalg.invert": "the reference E⁻¹ the closed forms are checked against",
     "linalg.solve": "the reference solve, a view of `invert`",
     "linalg.mat_vec": "the product `solve` and the tests check solutions with",
+    "linalg.solve_general": "the whole-slice reference `slice_divide` solves with; "
+                            "a span of the benchmark's span list",
+    "linalg.RowSpace": "the elimination kernel of the references above and of "
+                       "`OracleQuotient`; a span of the benchmark's span list",
+    "linalg._subtract": "`RowSpace`'s one elimination step",
     "jacobi.OracleQuotient": "the blind normal-form oracle the ring is checked against",
     "wdvv.primitivity": "the reference the WDVV tables are checked against",
     "poly.InvertiblePolynomial.inverse_exponents": "a span of the benchmark's span list",
