@@ -298,13 +298,13 @@ def good_basis_check(f: InvertiblePolynomial) -> GoodBasisReport:
     basis = ring_of(f).basis.monomials
     mu = len(basis)
     order = _monomial_order(f)
-    sectors = {r: sector_of(f.transpose(), r) for r in basis}
+    ft = f.transpose()
     buckets: dict = {}
-    for r, g in sectors.items():
-        buckets.setdefault(g, []).append(r)
-    # each unordered pair once, r <= r'
-    pairs = Counter(tuple(a + b for a, b in zip(r, rp)) for r, g in sectors.items()
-                    for rp in buckets.get(g.inverse(), ()) if r <= rp)
+    for r in basis:
+        buckets.setdefault(sector_of(ft, r), []).append(r)
+    # each unordered pair once, r <= r'; each sector inverted once
+    pairs = Counter(tuple(a + b for a, b in zip(r, rp)) for g, rs in buckets.items()
+                    for rp in buckets.get(g.inverse(), ()) for r in rs if r <= rp)
     # k = (m + 2) . E⁻¹ with E⁻¹'s columns in monomial order, so that
     # k . E = m + 2; D divides (m + 2) . D·E⁻¹ on every class
     D = f.D

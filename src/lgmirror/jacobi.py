@@ -19,7 +19,10 @@ the summand's binomial graph: every binomial rewrites a monomial in both
 directions with its coefficient ratio, and the walk ends at the one basis
 monomial of m's component, or shows that the component is zero.  The
 relations are `_partials(f)`, the one source shared by the walk, `divide`
-and the independent brute-force oracle (`OracleQuotient`).
+and the independent brute-force oracle (`OracleQuotient`).  Each summand
+compiles them once into integer tables, and both walks carry their values
+as unreduced integer pairs, so the only ``Fraction``s a walk builds are the
+ones it returns.
 
 `divide` writes p = nf + Σ_j h_j ∂_j f with no linear solve.  Each move
 u = s·p → s·p′ of the walk is the identity s·p = (1/a)·s·∂_j f − (b/a)·s·p′,
@@ -43,6 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as cartesian
+from operator import add, mul, sub
 
 from . import linalg
 from .poly import AtomicSummand, InvertiblePolynomial
@@ -51,15 +55,20 @@ Monomial = tuple[int, ...]
 
 
 def _add(m: Monomial, d: Monomial) -> Monomial:
-    return tuple(a + b for a, b in zip(m, d))
+    return tuple(map(add, m, d))
 
 
 def _sub(m: Monomial, d: Monomial) -> Monomial:
-    return tuple(a - b for a, b in zip(m, d))
+    return tuple(map(sub, m, d))
 
 
-def _divides(p: Monomial, m: Monomial) -> bool:
-    return all(a <= b for a, b in zip(p, m))
+def _support(p: Monomial) -> tuple[int, int, int, int]:
+    """p's nonzero entries as (i, pᵢ, j, pⱼ), the one entry twice when p
+    has one, so that p | u reads u[i] ≥ pᵢ and u[j] ≥ pⱼ."""
+    nz = [(i, e) for i, e in enumerate(p) if e]
+    if not 1 <= len(nz) <= 2:
+        raise RuntimeError(f"relation monomial {p} has {len(nz)} variables")
+    return nz[0] + nz[-1]
 
 
 def _graded(w: tuple[int, ...], lo: int, hi: int) -> list[Monomial]:
@@ -137,11 +146,17 @@ class _SummandRing:
 
     ``variables`` lists the summand's ambient variables in local order: the
     transposed-chain order (pure power first) for Fermat and chain
-    summands, the cycle order for loops.  Each relation ∂_v f, v in the
-    summand, is a monomial a·p (kept in ``zeros`` as (p, v, 1/a)) or a
-    binomial a·p + b·p′, which gives the two moves p → (−b/a)·p′ and
-    p′ → (−a/b)·p (kept in ``moves`` as (p, p′, −b/a, v, 1/a)).  The basis
-    is the box r_i < ``bounds[i]``, minus `_chain_excluded` for chains."""
+    summands, the cycle order for loops.  The basis is the box
+    r_i < ``bounds[i]``, minus `_chain_excluded` for chains.
+
+    Each relation ∂_v f, v in the summand, is compiled once into an integer
+    table.  A monomial a·p is the zero (sup, p, v, a); a binomial a·p + b·p′
+    gives the move p → (−b/a)·p′ as (sup, p, p′ − p, −b, a, v) and the move
+    back.  ``sup`` = (i, pᵢ, j, pⱼ) holds p's nonzero entries (`_support`),
+    so p | u reads two coordinates, and a move's next node is u + (p′ − p).
+    The walks keep each value as an unreduced integer pair (num, den) with
+    den > 0, since every a > 0, and compare two values by cross-multiplying;
+    only the values a walk returns become ``Fraction``s."""
 
     def __init__(self, s: AtomicSummand, partials: list[dict]):
         self.chain = s.kind != "loop"
@@ -149,17 +164,17 @@ class _SummandRing:
         order = slice(None, None, -1 if self.chain else 1)
         self.variables = s.variables[order]
         self.bounds = s.exponents[order]
-        self.zeros: list[tuple[Monomial, int, Fraction]] = []
-        self.moves: list[tuple[Monomial, Monomial, Fraction, int, Fraction]] = []
+        self.zeros: list[tuple] = []
+        self.moves: list[tuple] = []
         for v in self.variables:
-            rel = [(tuple(m[u] for u in self.variables), a)
+            rel = [(tuple([m[u] for u in self.variables]), a)
                    for m, a in partials[v].items()]
             if len(rel) == 1:
-                self.zeros.append((rel[0][0], v, Fraction(1, rel[0][1])))
+                self.zeros.append((_support(rel[0][0]), rel[0][0], v, rel[0][1]))
             else:
                 (p, a), (q, b) = rel
-                self.moves += [(p, q, Fraction(-b, a), v, Fraction(1, a)),
-                               (q, p, Fraction(-a, b), v, Fraction(1, b))]
+                self.moves += [(_support(p), p, _sub(q, p), -b, a, v),
+                               (_support(q), q, _sub(p, q), -a, b, v)]
         self._cache: dict[Monomial, tuple[Monomial, Fraction] | None] = {}
 
     def in_basis(self, r: Monomial) -> bool:
@@ -182,7 +197,7 @@ class _SummandRing:
             return m, Fraction(1)
         if m in self._cache:
             return self._cache[m]
-        val = {m: Fraction(1)}
+        val = {m: (1, 1)}
         stack = [m]
         reached: list[Monomial] = []
         zero = False
@@ -191,18 +206,18 @@ class _SummandRing:
             applies = self.in_basis(u)
             if applies:
                 reached.append(u)
-            for p, _, _ in self.zeros:
-                if _divides(p, u):
+            for (i, e, j, g), _, _, _ in self.zeros:
+                if u[i] >= e and u[j] >= g:
                     zero = applies = True
-            for p, q, r, _, _ in self.moves:
-                if _divides(p, u):
+            num, den = val[u]
+            for (i, e, j, g), _, d, nb, a, _ in self.moves:
+                if u[i] >= e and u[j] >= g:
                     applies = True
-                    v = _add(_sub(u, p), q)
-                    x = val[u] * r
-                    if v not in val:
-                        val[v] = x
-                        stack.append(v)
-                    elif val[v] != x:
+                    w = _add(u, d)
+                    if w not in val:
+                        val[w] = num * nb, den * a
+                        stack.append(w)
+                    elif val[w][0] * den * a != num * nb * val[w][1]:
                         zero = True
             if not applies:
                 raise RuntimeError(
@@ -214,50 +229,53 @@ class _SummandRing:
                                "and a zero")
         if not reached and not zero:
             raise RuntimeError(f"the walk from {m} determines nothing")
-        term = (reached[0], val[reached[0]]) if reached else None
+        term = (reached[0], Fraction(*val[reached[0]])) if reached else None
         self._cache[m] = term
         return term
 
     def divide(self, m: Monomial):
-        """m = c·b + Σ κ·s·∂_v f as (b, c, [(v, s, κ)]), b a basis monomial,
-        or b None and c = 0 when [m] = 0; monomials in local exponents.
+        """m = (x₀/x₁)·b + Σ κ·s·∂_v f as (b, x, [(v, s, κ)]), b a basis
+        monomial and x an integer pair, or b None and x = 0 when [m] = 0;
+        monomials in local exponents.
 
         A breadth-first walk from m.  Each node u keeps val[u] and the edge
-        it was reached by, with m − val[u]·u = H_u, the sum of κ·s·∂_v f
-        along its path: a move u = s·p → s·p′ adds val[u]/a · s·∂_v f.  The
-        walk stops at the first node that settles m: a basis monomial, a
-        monomial relation p | u (u = (1/a)·(u/p)·∂_v f), or a move that
-        reaches a node w with another value x, where (val[w] − x)·w =
-        H′ − H_w."""
-        node = {m: (Fraction(1), None)}
+        (parent, v, s, a) it was reached by, with m − val[u]·u = H_u, the
+        sum of κ·s·∂_v f along its path: a move u = s·p → s·p′ adds
+        val[u]/a · s·∂_v f.  The walk stops at the first node that settles
+        m: a basis monomial, a monomial relation p | u (u = (1/a)·(u/p)·∂_v f),
+        or a move that reaches a node w with another value y, where
+        (val[w] − y)·w = H′ − H_w, and m's certificate is k·H′ + (1 − k)·H_w
+        with k = val[w]/(val[w] − y)."""
+        node = {m: (1, 1, None)}
         queue = [m]
 
-        def path(u, k):
+        def path(edge, kn, kd):
+            """κ·s·∂_v f back from ``edge`` = (u, v, s, a), κ = (kn/kd)·val[u]/a."""
             out = []
-            while node[u][1] is not None:
-                u, v, s, inv = node[u][1]
-                out.append((v, s, k * node[u][0] * inv))
+            while edge:
+                u, v, s, a = edge
+                num, den, edge = node[u]
+                out.append((v, s, Fraction(kn * num, kd * den * a)))
             return out
 
         for u in queue:
-            x = node[u][0]
+            num, den, edge = node[u]
             if self.in_basis(u):
-                return u, x, path(u, 1)
-            for p, v, inv in self.zeros:
-                if _divides(p, u):
-                    return None, 0, path(u, 1) + [(v, _sub(u, p), x * inv)]
-            for p, q, r, v, inv in self.moves:
-                if _divides(p, u):
-                    s = _sub(u, p)
-                    w = _add(s, q)
-                    y = x * r
+                return u, (num, den), path(edge, 1, 1)
+            for (i, e, j, g), p, v, a in self.zeros:
+                if u[i] >= e and u[j] >= g:
+                    return None, 0, path((u, v, _sub(u, p), a), 1, 1)
+            for (i, e, j, g), p, d, nb, a, v in self.moves:
+                if u[i] >= e and u[j] >= g:
+                    w = _add(u, d)
+                    y, z = num * nb, den * a
                     if w not in node:
-                        node[w] = (y, (u, v, s, inv))
+                        node[w] = y, z, (u, v, _sub(u, p), a)
                         queue.append(w)
-                    elif node[w][0] != y:
-                        k = node[w][0] / (node[w][0] - y)
-                        return None, 0, (path(w, 1 - k) + path(u, k)
-                                         + [(v, s, k * x * inv)])
+                    elif node[w][0] * z != y * node[w][1]:
+                        ae, cb = node[w][0] * z, y * node[w][1]
+                        return None, 0, (path(node[w][2], -cb, ae - cb)
+                                         + path((u, v, _sub(u, p), a), ae, ae - cb))
         raise RuntimeError(f"the walk from {m} determines nothing")
 
 
@@ -270,7 +288,7 @@ def top_of(f: InvertiblePolynomial) -> Monomial:
             top[v] = a - 1
         if s.kind != "loop":
             top[s.variables[0]] -= 1
-    if f.degree(top) != f.charge * f.D:
+    if f.degree(top) * f.charge.denominator != f.charge.numerator * f.D:
         raise RuntimeError(f"top {top} does not have degree {f.charge}")
     return tuple(top)
 
@@ -286,6 +304,10 @@ class JacobiRing:
         self.n = f.N
         partials = _partials(f)
         self._parts = [_SummandRing(s, partials) for s in f.summands]
+        self._slots = [None] * self.n  # variable → (summand, local position)
+        for k, part in enumerate(self._parts):
+            for pos, v in enumerate(part.variables):
+                self._slots[v] = k, pos
         self.mu = math.prod(f.D - x for x in f.Dq) // math.prod(f.Dq)
         self.top = top_of(f)
 
@@ -294,19 +316,20 @@ class JacobiRing:
 
     @cached_property
     def basis(self) -> StandardBasis:
-        """The standard basis in (degree, m) order, with its index."""
-        parts = [[r for r in cartesian(*map(range, p.bounds)) if p.in_basis(r)]
-                 for p in self._parts]
-        monos = sorted(map(self._assemble, cartesian(*parts)),
-                       key=lambda m: (self.poly.degree(m), m))
-        return StandardBasis(tuple(monos), {m: i for i, m in enumerate(monos)})
+        """The standard basis in (degree, m) order, with its index; the
+        degree of m is the sum of its summands' local degrees."""
+        parts = []
+        for p in self._parts:
+            w = [self.poly.Dq[v] for v in p.variables]
+            parts.append([(sum(map(mul, r, w)), r)
+                          for r in cartesian(*map(range, p.bounds)) if p.in_basis(r)])
+        monos = tuple(m for _, m in sorted(
+            (sum(ds), self._assemble(rs))
+            for ds, rs in (zip(*pick) for pick in cartesian(*parts))))
+        return StandardBasis(monos, {m: i for i, m in enumerate(monos)})
 
     def _assemble(self, locals_) -> Monomial:
-        exps = [0] * self.n
-        for part, r in zip(self._parts, locals_):
-            for v, ri in zip(part.variables, r):
-                exps[v] = ri
-        return tuple(exps)
+        return tuple([locals_[k][pos] for k, pos in self._slots])
 
     def _localize(self, m: Monomial) -> list[Monomial]:
         return [tuple(m[v] for v in part.variables) for part in self._parts]
@@ -397,7 +420,7 @@ class JacobiRing:
                 if b is None:
                     break
                 picks[i] = b
-                c *= x
+                c = Fraction(c * x[0], x[1])
             else:
                 b = self._assemble(picks)
                 nf_acc[b] = nf_acc.get(b, 0) + c

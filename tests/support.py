@@ -18,6 +18,20 @@ def residue_pairing(R, a, b):
     return dict(R.multiply(a, b).coeffs).get(R.basis.index[R.top], Fraction(0))
 
 
+def assert_certificate(R, p, nf, quot):
+    """p == nf + Σ_j h_j ∂_j f, with nf in the basis span."""
+    assert all(R.in_basis(m) for m in nf)
+    partials = _partials(R.poly)
+    total = dict(nf)
+    for j, h in enumerate(quot):
+        for s, cs in h.items():
+            for m0, c0 in partials[j].items():
+                m = tuple(a + b for a, b in zip(s, m0))
+                total[m] = total.get(m, Fraction(0)) + cs * c0
+    assert {m: c for m, c in total.items() if c != 0} == \
+        {m: Fraction(c) for m, c in p.items() if c != 0}
+
+
 def slice_divide(R, p):
     """`JacobiRing.divide` by exact elimination on each whole degree slice:
     a row per slice monomial, a column per basis monomial, then one per

@@ -9,7 +9,7 @@ from lgmirror.jacobi import (JacobiRing, OracleQuotient, RingElement, _SummandRi
                              _partials, ring_of)
 from lgmirror.poly import InvertiblePolynomial
 
-from support import residue_pairing, slice_divide
+from support import assert_certificate, residue_pairing, slice_divide
 
 F = Fraction
 
@@ -297,20 +297,6 @@ def test_graded_is_the_filtered_exponent_box(w, lo, hi):
 # ---------------------------------------------------------------------------
 # division with certificate
 
-def assert_certificate(R, p, nf, quot):
-    """p == nf + Σ_j h_j ∂_j f, with nf in the basis span."""
-    assert all(R.in_basis(m) for m in nf)
-    partials = _partials(R.poly)
-    total = dict(nf)
-    for j, h in enumerate(quot):
-        for s, cs in h.items():
-            for m0, c0 in partials[j].items():
-                m = tuple(a + b for a, b in zip(s, m0))
-                total[m] = total.get(m, F(0)) + cs * c0
-    assert {m: c for m, c in total.items() if c != 0} == \
-        {m: F(c) for m, c in p.items() if c != 0}
-
-
 def divide_chunks(R):
     """Dividends spanning several monomials and several degrees: pairs and
     triples of monomials near the socle, with mixed coefficients."""
@@ -408,3 +394,26 @@ def test_divide_certificate(text):
         nf, quot = R.divide({probe: F(1)})
         assert nf == R.monomial_of(R.reduce(probe))
         assert_certificate(R, {probe: F(1)}, nf, quot)
+
+
+# loop(5⁴)ᵗ, loop(10³)ᵗ, chain(5,4,4,5)ᵗ and loop(5⁵)ᵗ: the rings whose walks
+# run longest, so that the unreduced (num, den) pairs grow most
+LONG_WALKS = ["x1^5*x2 + x2^5*x3 + x3^5*x4 + x4^5*x1",
+              "x1^10*x2 + x2^10*x3 + x3^10*x1",
+              "x1^5*x2 + x2^4*x3 + x3^4*x4 + x4^5",
+              "x1^5*x2 + x2^5*x3 + x3^5*x4 + x4^5*x5 + x5^5*x1"]
+
+
+@pytest.mark.parametrize("text", LONG_WALKS)
+def test_reduce_and_divide_agree_on_long_walks(text):
+    """Monomials at evenly spaced degrees up to twice the socle's: the
+    whole-component walk of `reduce` and the breadth-first walk of `divide`
+    give one normal form, and the certificate holds."""
+    R = JacobiRing(InvertiblePolynomial.from_string(text).transpose())
+    steps = 12
+    for k in range(1, steps + 1):
+        ray = tuple(2 * k * e // steps for e in R.top)
+        for m in (ray, tuple(e + (i == k % R.n) for i, e in enumerate(ray))):
+            nf, quot = R.divide({m: F(1)})
+            assert nf == R.monomial_of(R.reduce(m)), f"{text}: {m}"
+            assert_certificate(R, {m: F(1)}, nf, quot)

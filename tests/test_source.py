@@ -166,3 +166,15 @@ def test_one_phase_denominator():
     found = set().union(*(_owners(path, _names_lcm_or_gcd)
                           for path in sorted(SOURCE.glob("*.py"))))
     assert sorted(found) == ["poly._inverse"]
+
+
+def test_summand_walks_stay_integer():
+    """The walks of `_SummandRing.reduce` and `_SummandRing.divide` carry
+    each value as an integer pair (num, den): `Fraction` is named only
+    outside their walk loops, where the values a walk returns are built."""
+    tree = ast.parse((SOURCE / "jacobi.py").read_text(encoding="utf-8"))
+    defs = dict(_definitions(tree))
+    for name in ("_SummandRing.reduce", "_SummandRing.divide"):
+        loops = [node for node in defs[name].body if isinstance(node, (ast.For, ast.While))]
+        assert loops, name
+        assert "Fraction" not in {n for loop in loops for n in _names(loop)}, name
