@@ -18,7 +18,7 @@ part the gradient of the genus-zero potential.  This module implements
   ``brieskorn_reduce``),
 * the combinatorial good-basis verification for atomic transposes
   (``good_basis_check``), which pairs basis monomials whose mirror
-  sectors are inverse,
+  sectors are inverse, with the sectors as integer numerator tuples,
 * the order-by-order solver for (zeta, J) (``perturbative_expand``),
 * the distinguished four-point correlator <x_i, x_i, M_i/x_i^2, top> of
   the mirror ring (``sg_four_point``), whose value collapses to the
@@ -31,11 +31,12 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .amodel import admissible_target
 from .errors import WrongConfiguration
 from .jacobi import ring_of
-from .mirror import final_type_insertions, sector_of
+from .mirror import final_type_insertions, sector_numerators
 from .poly import InvertiblePolynomial
 
 Monomial = tuple[int, ...]
@@ -289,8 +290,11 @@ def good_basis_check(f: InvertiblePolynomial) -> GoodBasisReport:
     k = (r + 1) . E_f⁻¹ + (r' + 1) . E_f⁻¹, and (r + 1) . E_f⁻¹ mod 1 is
     the phase vector of the mirror sector of r, sector_of(fᵗ, r), since
     the weights of fᵗ are (1, ..., 1) . E_f⁻¹.  So k is integral exactly
-    when the sectors of r and r' are inverse: the basis is bucketed by
-    sector and each monomial is paired with the bucket of its inverse.
+    when the sectors of r and r' are inverse.  The sectors of the whole
+    basis come in one batch as their numerators over D = fᵗ.D
+    (`sector_numerators`); the basis is bucketed by those tuples and each
+    bucket is paired with the bucket at the negated numerators mod D, the
+    inverse sector, with no group element built.
     """
     if len(f.summands) != 1:
         raise WrongConfiguration("good-basis verification expects one atomic summand")
@@ -300,14 +304,15 @@ def good_basis_check(f: InvertiblePolynomial) -> GoodBasisReport:
     order = _monomial_order(f)
     ft = f.transpose()
     buckets: dict = {}
-    for r in basis:
-        buckets.setdefault(sector_of(ft, r), []).append(r)
-    # each unordered pair once, r <= r'; each sector inverted once
-    pairs = Counter(tuple(a + b for a, b in zip(r, rp)) for g, rs in buckets.items()
-                    for rp in buckets.get(g.inverse(), ()) for r in rs if r <= rp)
+    for r, g in zip(basis, sector_numerators(ft, basis)):
+        buckets.setdefault(g, []).append(r)
+    # each unordered pair once, r <= r'; each sector inverted once, as the
+    # numerators of its inverse; fᵗ.D = f.D, the lcm of the same determinants
+    D = f.D
+    pairs = Counter(tuple(map(add, r, rp)) for g, rs in buckets.items()
+                    for rp in buckets.get(tuple([-x % D for x in g]), ()) for r in rs if r <= rp)
     # k = (m + 2) . E⁻¹ with E⁻¹'s columns in monomial order, so that
     # k . E = m + 2; D divides (m + 2) . D·E⁻¹ on every class
-    D = f.D
     columns = [[row[r] for row in f.DE_inv] for r in order]
     socle = f.charge * f.D
     families = _allowed_families(kind, f.N)

@@ -52,9 +52,6 @@ class GroupElement:
     def __pow__(self, k: int) -> "GroupElement":
         return GroupElement(tuple(k * x % self.den for x in self.num), self.den)
 
-    def inverse(self) -> "GroupElement":
-        return self ** -1
-
     def fixed_indices(self) -> tuple[int, ...]:
         """Variables fixed by the symmetry, i.e. zero phases (0-based)."""
         return tuple(i for i, x in enumerate(self.num) if x == 0)

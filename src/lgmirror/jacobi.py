@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as cartesian
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 
 from . import linalg
 from .poly import AtomicSummand, InvertiblePolynomial
@@ -178,8 +178,10 @@ class _SummandRing:
         self._cache: dict[Monomial, tuple[Monomial, Fraction] | None] = {}
 
     def in_basis(self, r: Monomial) -> bool:
-        return (all(0 <= ri < a for ri, a in zip(r, self.bounds))
-                and not (self.chain and _chain_excluded(r, self.bounds)))
+        for ri, a in zip(r, self.bounds):
+            if not 0 <= ri < a:
+                return False
+        return not (self.chain and _chain_excluded(r, self.bounds))
 
     def reduce(self, m: Monomial) -> tuple[Monomial, Fraction] | None:
         """[m] as (b, c) with [m] = c·b for a basis monomial b, or None
@@ -308,6 +310,11 @@ class JacobiRing:
         for k, part in enumerate(self._parts):
             for pos, v in enumerate(part.variables):
                 self._slots[v] = k, pos
+        # m → one summand's local exponents; itemgetter gives a tuple for
+        # two or more indices, so a one-variable summand reads a slice
+        self._getters = [itemgetter(*p.variables) if len(p.variables) > 1
+                         else itemgetter(slice(p.variables[0], p.variables[0] + 1))
+                         for p in self._parts]
         self.mu = math.prod(f.D - x for x in f.Dq) // math.prod(f.Dq)
         self.top = top_of(f)
 
@@ -322,7 +329,8 @@ class JacobiRing:
         for p in self._parts:
             w = [self.poly.Dq[v] for v in p.variables]
             parts.append([(sum(map(mul, r, w)), r)
-                          for r in cartesian(*map(range, p.bounds)) if p.in_basis(r)])
+                          for r in cartesian(*map(range, p.bounds))
+                          if not (p.chain and _chain_excluded(r, p.bounds))])
         monos = tuple(m for _, m in sorted(
             (sum(ds), self._assemble(rs))
             for ds, rs in (zip(*pick) for pick in cartesian(*parts))))
@@ -332,7 +340,7 @@ class JacobiRing:
         return tuple([locals_[k][pos] for k, pos in self._slots])
 
     def _localize(self, m: Monomial) -> list[Monomial]:
-        return [tuple(m[v] for v in part.variables) for part in self._parts]
+        return [get(m) for get in self._getters]
 
     # -- grading ---------------------------------------------------------
 
@@ -343,16 +351,20 @@ class JacobiRing:
 
     def reduce_monomial(self, m: Monomial) -> tuple[Monomial, Fraction] | None:
         """[m] as (basis monomial, coefficient), or None when [m] = 0: the
-        product of the summands' normal forms."""
+        product of the summands' normal forms; a summand already in the
+        basis contributes the factor 1 without a product."""
         picks = []
-        coef = Fraction(1)
+        coef = None
         for part, r in zip(self._parts, self._localize(m)):
+            if part.in_basis(r):
+                picks.append(r)
+                continue
             term = part.reduce(r)
             if term is None:
                 return None
             picks.append(term[0])
-            coef *= term[1]
-        return self._assemble(picks), coef
+            coef = term[1] if coef is None else coef * term[1]
+        return self._assemble(picks), Fraction(1) if coef is None else coef
 
     def reduce(self, p) -> RingElement:
         """Normal form of a monomial or {monomial: coef} polynomial."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import UnsupportedByTheorem
 from .groups import GroupElement, sector_degree
@@ -58,13 +59,18 @@ def require_mirror_hypotheses(W: InvertiblePolynomial) -> None:
             "the mirror theorem excludes this case")
 
 
+def sector_numerators(W: InvertiblePolynomial, monomials) -> list[tuple[int, ...]]:
+    """The numerators over D = W.D of (∏ρ_j^{α_j})·J_W for each monomial
+    exponent tuple α in ``monomials``, as plain integer tuples."""
+    D = W.D
+    rows = tuple(zip(W.Dq, W.DE_inv))
+    return [tuple([(qi + sum(map(mul, m, row))) % D for qi, row in rows])
+            for m in monomials]
+
+
 def sector_of(W: InvertiblePolynomial, m: Monomial) -> GroupElement:
     """(∏ρ_j^{α_j})·J_W for the monomial exponents α = m, over D = W.D."""
-    D = W.D
-    return GroupElement(
-        tuple((qi + sum(a * r for a, r in zip(m, row))) % D
-              for qi, row in zip(W.Dq, W.DE_inv)),
-        D)
+    return GroupElement(sector_numerators(W, (m,))[0], W.D)
 
 
 def final_type_insertions(W: InvertiblePolynomial, i: int) -> tuple[Monomial, Monomial, Monomial]:

@@ -1,15 +1,30 @@
 """Helpers shared by the test modules."""
 
+import itertools
 from fractions import Fraction
 
 from lgmirror import linalg
 from lgmirror.groups import GroupElement
 from lgmirror.jacobi import _graded, _partials
+from lgmirror.poly import AtomicSummand, InvertiblePolynomial, reassemble
 
 
 def grading_element(W):
     """J_W, with phases the fractional parts of the weights qᵢ = Dqᵢ/D."""
     return GroupElement(tuple(x % W.D for x in W.Dq), W.D)
+
+
+def criteria_atomics():
+    """The atomic W of the criterion 1–3 suites, in their order: Fermat
+    a = 3..9, chains with N ≤ 4, aᵢ ≤ 5 and a_N ≥ 3, loops with N ≤ 4,
+    aᵢ ≤ 5."""
+    shapes = [("fermat", (a,)) for a in range(3, 10)]
+    shapes += [(kind, a) for kind in ("chain", "loop") for n in (2, 3, 4)
+               for a in itertools.product(range(2, 6), repeat=n)
+               if kind != "chain" or a[-1] >= 3]
+    for kind, a in shapes:
+        raw = reassemble([AtomicSummand(kind, a, tuple(range(len(a))))], len(a))
+        yield InvertiblePolynomial.from_exponent_matrix(raw)
 
 
 def residue_pairing(R, a, b):

@@ -224,7 +224,7 @@ def test_decoration_bookkeeping():
             node = 1 if d.gamma_plus.phases[i] != 0 else 0
             assert d.ell_plus[i] + d.ell_minus[i] == smooth[i] - node
             gp = d.gamma_plus.phases[i]
-            gm = d.gamma_plus.inverse().phases[i]
+            gm = (d.gamma_plus ** -1).phases[i]
             assert gp * (1 - gp) == gm * (1 - gm)
 
 

@@ -1,9 +1,11 @@
 """Tests for the Brieskorn-lattice reduction and the B-model correlators."""
 
 import itertools
+import math
 import re
 from collections import Counter
 from fractions import Fraction
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,11 +23,11 @@ from lgmirror.bmodel import (
 )
 from lgmirror.errors import UnsupportedByTheorem, WrongConfiguration
 from lgmirror.jacobi import JacobiRing, ring_of
-from lgmirror.linalg import solve
+from lgmirror.linalg import invert, solve
 from lgmirror.mirror import final_type_insertions
 from lgmirror.poly import AtomicSummand, InvertiblePolynomial, reassemble
 
-from support import slice_divide
+from support import criteria_atomics, slice_divide
 
 F = Fraction
 
@@ -360,15 +362,53 @@ class TestGoodBasis:
             good_basis_check(W)
 
 
-def exact_pairing_solution(f, order, m):
-    """The k with k . E = m + 2, E's rows taken in ``order``, by a Fraction
-    solve of the transposed system; None when k is not integral."""
+def test_every_basis_pair_is_classified_by_the_exact_solver():
+    """On the criterion 1–3 transposes with μ ≤ 64, every unordered pair of
+    basis monomials is classified by its sum m = r + r′ with the exact
+    solver of k . E = m + 2, which knows nothing of mirror sectors: the sums
+    with an integral k are exactly the report's classes, with their pair
+    counts and k, and every other pair is excluded."""
+    checked = 0
+    for W in criteria_atomics():
+        f = W.transpose()
+        basis = ring_of(f).basis.monomials
+        if len(basis) > 64:
+            continue
+        report = good_basis_check(f)
+        sums = Counter(tuple(map(add, r, rp))
+                       for r, rp in itertools.combinations_with_replacement(basis, 2))
+        solve_k = pairing_solver(f, report.monomial_order)
+        solution = {m: solve_k(m) for m in sums}
+        integral = {m: n for m, n in sums.items() if solution[m] is not None}
+        assert integral == {c.exponent_sum: c.pair_count for c in report.classes}
+        assert [c.k for c in report.classes] == [solution[c.exponent_sum] for c in report.classes]
+        assert report.excluded_pairs == sums.total() - sum(integral.values())
+        checked += 1
+    assert checked > 100
+
+
+def pairing_solver(f, order):
+    """m ↦ the k with k . E = m + 2, E's rows taken in ``order``, or None
+    when k is not integral.  The transposed system is inverted once, by
+    Fraction elimination, and scaled to integers over the lcm d of the
+    inverse's denominators: k is integral exactly when d divides each
+    entry of d·k."""
     rows = [f.E[r] for r in order]
-    transposed = [[row[j] for row in rows] for j in range(f.N)]
-    k = solve(transposed, [mj + 2 for mj in m])
-    if any(v.denominator != 1 for v in k):
-        return None
-    return tuple(int(v) for v in k)
+    inv = invert([[row[j] for row in rows] for j in range(f.N)])
+    d = math.lcm(*(v.denominator for row in inv for v in row))
+    scaled = [[int(v * d) for v in row] for row in inv]
+
+    def solution(m):
+        m2 = [mj + 2 for mj in m]
+        dk = [sum(map(mul, row, m2)) for row in scaled]
+        if any(x % d for x in dk):
+            return None
+        return tuple(x // d for x in dk)
+    return solution
+
+
+def exact_pairing_solution(f, order, m):
+    return pairing_solver(f, order)(m)
 
 
 def intrinsic_order(f):
@@ -586,12 +626,7 @@ def walk_and_slice(monkeypatch, run):
 
 def criteria_targets():
     """(W, i) of the criterion 1–3 suites."""
-    yield from ((atomic("fermat", (a,)), 1) for a in range(3, 10))
-    for kind in ("chain", "loop"):
-        for n in (2, 3, 4):
-            for a in itertools.product(range(2, 6), repeat=n):
-                if kind != "chain" or a[-1] >= 3:
-                    yield atomic(kind, a), n
+    return ((W, W.N) for W in criteria_atomics())
 
 
 def test_trace_steps_do_not_depend_on_the_division(monkeypatch):

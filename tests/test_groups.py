@@ -52,7 +52,7 @@ def test_generators_leave_polynomial_invariant():
 def test_compose_inverse_identity():
     P = W("x1^2*x2 + x2^4*x1")
     g = groups.generator_rho(P, 1)
-    assert g * g.inverse() == groups.identity(P)
+    assert g * g ** -1 == groups.identity(P)
     assert g ** 7 == groups.identity(P)     # group order 7
 
 

@@ -145,7 +145,7 @@ def test_integer_phases_match_the_fraction_formulas(W, data):
     # then four arbitrary ones, which the checks mostly refuse
     picks = [sector_of(W, data.draw(st.sampled_from(basis))) for _ in range(4)]
     J = grading_element(W)
-    closing = J * J * (picks[0] * picks[1] * picks[2]).inverse()
+    closing = J * J * (picks[0] * picks[1] * picks[2]) ** -1
     assert closing.phases == tuple(
         frac(2 * q - sum(g.phases[i] for g in picks[:3])) for i, q in enumerate(W.q))
     check_four_sectors(W, picks[:3] + [closing])

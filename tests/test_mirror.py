@@ -4,10 +4,10 @@ import pytest
 
 from lgmirror import mirror
 from lgmirror.errors import UnsupportedByTheorem
-from lgmirror.jacobi import JacobiRing
+from lgmirror.jacobi import JacobiRing, ring_of
 from lgmirror.poly import InvertiblePolynomial
 
-from support import grading_element
+from support import criteria_atomics, grading_element
 
 F = Fraction
 
@@ -89,10 +89,35 @@ def test_three_point_sector_law(text):
     basis = ring.basis.monomials
     for m in basis[: min(len(basis), 6)]:
         for n in basis[: min(len(basis), 6)]:
-            target = mirror.sector_of(P, m) * mirror.sector_of(P, n) * J.inverse()
+            target = mirror.sector_of(P, m) * mirror.sector_of(P, n) * J ** -1
             prod = tuple(a + b for a, b in zip(m, n))
             for b in ring.monomial_of(ring.reduce(prod)):
                 assert mirror.sector_of(P, b) == target
+
+
+def test_sector_numerators_agree_with_sector_of_and_the_phases():
+    """On every basis monomial α of Jac(Wᵗ), for the criterion 1–3 atomics
+    W with μ ≤ 64, the batch numerators equal those of `sector_of` and
+    D·frac(Σ_j α_j ρ_j^{(i)} + q_i), with ρ and q = E⁻¹·(1, …, 1) read from
+    the Fraction inverse."""
+    checked = 0
+    for P in criteria_atomics():
+        basis = ring_of(P.transpose()).basis.monomials
+        if len(basis) > 64:
+            continue
+        got = mirror.sector_numerators(P, basis)
+        assert got == [mirror.sector_of(P, m).num for m in basis]
+        E_inv = P.inverse_exponents()
+        q = [sum(row) for row in E_inv]
+        expected = []
+        for m in basis:
+            phases = [(sum(a * rho for a, rho in zip(m, row)) + qi) % 1
+                      for row, qi in zip(E_inv, q)]
+            assert all((P.D * p).denominator == 1 for p in phases)
+            expected.append(tuple(int(P.D * p) for p in phases))
+        assert got == expected
+        checked += 1
+    assert checked > 100
 
 
 def test_mirror_tensor_product():

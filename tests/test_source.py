@@ -178,3 +178,20 @@ def test_summand_walks_stay_integer():
         loops = [node for node in defs[name].body if isinstance(node, (ast.For, ast.While))]
         assert loops, name
         assert "Fraction" not in {n for loop in loops for n in _names(loop)}, name
+
+
+def test_good_basis_sectors_stay_integer():
+    """`good_basis_check` buckets the basis by integer sector numerators
+    and finds each inverse bucket by negating them mod D: it builds no
+    `GroupElement` and calls neither `sector_of` nor an `inverse`."""
+    tree = ast.parse((SOURCE / "bmodel.py").read_text(encoding="utf-8"))
+    node = dict(_definitions(tree))["good_basis_check"]
+    assert sorted({"GroupElement", "sector_of", "inverse"} & set(_names(node))) == []
+
+
+def test_box_test_has_no_generator():
+    """`_SummandRing.in_basis` runs on every node of both walks, so it tests
+    the box with a plain loop, not a generator expression."""
+    tree = ast.parse((SOURCE / "jacobi.py").read_text(encoding="utf-8"))
+    node = dict(_definitions(tree))["_SummandRing.in_basis"]
+    assert [n.lineno for n in ast.walk(node) if isinstance(n, ast.GeneratorExp)] == []
