@@ -263,10 +263,9 @@ def _monomial_order(f: InvertiblePolynomial) -> list[int]:
 
 def _allowed_families(kind: str, n: int) -> set[tuple[int, ...]]:
     """Integer solution families compatible with a nonzero pairing of
-    standard-basis elements, in intrinsic monomial order."""
-    if kind == "fermat":
-        return {(1,) * n}
-    if kind == "chain":
+    standard-basis elements, in intrinsic monomial order.  A Fermat is the
+    chain of length one: its only family is (1,)."""
+    if kind != "loop":
         fams = {(1,) * n}
         for tail in range(1, n // 2 + 1):
             fams.add((1,) * (n - 2 * tail) + (0, 2) * tail)

@@ -14,24 +14,25 @@ basis itself is listed on first use.
 
 Each column of the exponent matrix has at most two nonzero entries, so each
 relation ∂_j f is a monomial or a binomial, and the normal form of a
-monomial is one term c·b or 0.  `_SummandRing.reduce` finds it by a walk on
-the summand's binomial graph: every binomial rewrites a monomial in both
-directions with its coefficient ratio, and the walk ends at the one basis
-monomial of m's component, or shows that the component is zero.  The
-relations are `_partials(f)`, the one source shared by the walk, `divide`
-and the independent brute-force oracle (`OracleQuotient`).  Each summand
-compiles them once into integer tables, and both walks carry their values
-as unreduced integer pairs, so the only ``Fraction``s a walk builds are the
-ones it returns.
+monomial is one term c·b or 0.  It is found by one walk on the summand's
+binomial graph, `_SummandRing._walk`: every binomial rewrites a monomial in
+both directions with its coefficient ratio, and the walk covers m's whole
+component, which holds exactly one basis monomial or is zero; anything else
+means the basis is not one, and the walk raises.  The relations are
+`_partials(f)`, the one source shared by the walk and the independent
+brute-force oracle (`OracleQuotient`).  Each summand compiles them once
+into integer tables, and the walk carries its values as unreduced integer
+pairs, so the only ``Fraction``s built are the ones returned.
 
-`divide` writes p = nf + Σ_j h_j ∂_j f with no linear solve.  Each move
-u = s·p → s·p′ of the walk is the identity s·p = (1/a)·s·∂_j f − (b/a)·s·p′,
-so a walk from m that keeps each node's parent, relation and cofactor
-carries the certificate m − val·u = Σ κ·s·∂_j f along its path, and it
-stops at the first node that settles m's class (Eisenbud–Sturmfels,
-*Binomial ideals*, 1996).  The oracle, which does plain exact elimination
-on each whole graded slice of ℂ[x]/(∂f), knows nothing of this and is used
-to cross-check the walk in the tests.
+`reduce` reads [m] = val[b]·b off the walk.  `divide` writes
+p = nf + Σ_j h_j ∂_j f with no linear solve: each move u = s·p → s·p′ is
+the identity s·p = (1/a)·s·∂_j f − (b/a)·s·p′, so the walk, which keeps
+each node's parent edge, carries the certificate m − val·u = Σ κ·s·∂_j f
+along its paths, and `divide` reads it back from the first node in walk
+order that settles m's class (Eisenbud–Sturmfels, *Binomial ideals*,
+1996).  The oracle, which does plain exact elimination on each whole graded
+slice of ℂ[x]/(∂f), knows nothing of this and is used to cross-check the
+walk in the tests.
 
 Everything is graded by the integer ``f.degree`` = D·Σ mᵢqᵢ over the
 polynomial's one denominator D, with integer weights ``f.Dq``; `_graded`
@@ -154,9 +155,10 @@ class _SummandRing:
     gives the move p → (−b/a)·p′ as (sup, p, p′ − p, −b, a, v) and the move
     back.  ``sup`` = (i, pᵢ, j, pⱼ) holds p's nonzero entries (`_support`),
     so p | u reads two coordinates, and a move's next node is u + (p′ − p).
-    The walks keep each value as an unreduced integer pair (num, den) with
-    den > 0, since every a > 0, and compare two values by cross-multiplying;
-    only the values a walk returns become ``Fraction``s."""
+    `_walk`, the one traversal of the tables, keeps each value as an
+    unreduced integer pair (num, den) with den > 0, since every a > 0, and
+    compares two values by cross-multiplying; only the values `reduce` and
+    `divide` return become ``Fraction``s."""
 
     def __init__(self, s: AtomicSummand, partials: list[dict]):
         self.chain = s.kind != "loop"
@@ -183,44 +185,53 @@ class _SummandRing:
                 return False
         return not (self.chain and _chain_excluded(r, self.bounds))
 
-    def reduce(self, m: Monomial) -> tuple[Monomial, Fraction] | None:
-        """[m] as (b, c) with [m] = c·b for a basis monomial b, or None
-        when [m] = 0.
+    def _walk(self, m: Monomial):
+        """m's whole component of the binomial graph, breadth first, as
+        (node, b, legs).  node[u] = (num, den, edge) keeps val[u] = num/den
+        with m ≡ val[u]·u, and the edge (parent, v, p, a) that first reached
+        u: the move parent = s·p → s·p′ multiplies val by −b/a and adds
+        val[parent]/a · s·∂_v f to H_u, with m − val[u]·u = H_u.
 
-        Walks m's component of the binomial graph, keeping val[u] with
-        m ≡ val[u]·u: val[m] = 1, and a move u = s·p → s·p′ multiplies val
-        by −b/a.  The component is zero in Jac when a monomial relation
-        divides one of its monomials, or when a cycle comes back to a
-        monomial with a different val; otherwise it holds exactly one basis
-        monomial b and [m] = val[b]·b.  The walk covers the whole
-        component, basis monomials included, so a basis that is not one
-        raises RuntimeError instead of giving a wrong value."""
-        if self.in_basis(m):
-            return m, Fraction(1)
-        if m in self._cache:
-            return self._cache[m]
-        val = {m: (1, 1)}
-        stack = [m]
+        The component is zero when a monomial relation divides one of its
+        monomials or a cycle comes back to a monomial with another val;
+        otherwise it holds exactly one basis monomial b, and [m] = val[b]·b.
+        Anything else means the basis is not one, and raises RuntimeError.
+
+        (b, legs) is the first event in walk order that settles m, each leg
+        (edge, kn, kd) the path back from edge scaled by kn/kd: a basis
+        monomial b, one leg; or b None for [m] = 0, with a monomial relation
+        p | u, u = (1/a)·(u/p)·∂_v f, one leg, or a move that reaches a node
+        w with another value y, (val[w] − y)·w = H′ − H_w, two legs for
+        k·H′ + (1 − k)·H_w with k = val[w]/(val[w] − y)."""
+        node = {m: (1, 1, None)}
+        queue = [m]
         reached: list[Monomial] = []
         zero = False
-        while stack:
-            u = stack.pop()
+        settled = None
+        for u in queue:
+            num, den, edge = node[u]
             applies = self.in_basis(u)
             if applies:
                 reached.append(u)
-            for (i, e, j, g), _, _, _ in self.zeros:
+                settled = settled or (u, [(edge, 1, 1)])
+            for (i, e, j, g), p, v, a in self.zeros:
                 if u[i] >= e and u[j] >= g:
                     zero = applies = True
-            num, den = val[u]
-            for (i, e, j, g), _, d, nb, a, _ in self.moves:
+                    settled = settled or (None, [((u, v, p, a), 1, 1)])
+            for (i, e, j, g), p, d, nb, a, v in self.moves:
                 if u[i] >= e and u[j] >= g:
                     applies = True
                     w = _add(u, d)
-                    if w not in val:
-                        val[w] = num * nb, den * a
-                        stack.append(w)
-                    elif val[w][0] * den * a != num * nb * val[w][1]:
+                    y, z = num * nb, den * a
+                    if w not in node:
+                        node[w] = y, z, (u, v, p, a)
+                        queue.append(w)
+                    elif node[w][0] * z != y * node[w][1]:
                         zero = True
+                        if not settled:
+                            ae, cb = node[w][0] * z, y * node[w][1]
+                            settled = None, [(node[w][2], -cb, ae - cb),
+                                             ((u, v, p, a), ae, ae - cb)]
             if not applies:
                 raise RuntimeError(
                     f"no relation applies to non-basis monomial {u}")
@@ -229,56 +240,35 @@ class _SummandRing:
         if reached and zero:
             raise RuntimeError(f"{m} reaches basis monomial {reached[0]} "
                                "and a zero")
-        if not reached and not zero:
+        if not settled:
             raise RuntimeError(f"the walk from {m} determines nothing")
-        term = (reached[0], Fraction(*val[reached[0]])) if reached else None
-        self._cache[m] = term
-        return term
+        return node, *settled
+
+    def reduce(self, m: Monomial) -> tuple[Monomial, Fraction] | None:
+        """[m] as (b, c) with [m] = c·b for a basis monomial b, or None
+        when [m] = 0: val[b] from m's `_walk`, kept per monomial."""
+        if self.in_basis(m):
+            return m, Fraction(1)
+        if m not in self._cache:
+            node, b, _ = self._walk(m)
+            self._cache[m] = None if b is None else (b, Fraction(*node[b][:2]))
+        return self._cache[m]
 
     def divide(self, m: Monomial):
         """m = (x₀/x₁)·b + Σ κ·s·∂_v f as (b, x, [(v, s, κ)]), b a basis
         monomial and x an integer pair, or b None and x = 0 when [m] = 0;
-        monomials in local exponents.
-
-        A breadth-first walk from m.  Each node u keeps val[u] and the edge
-        (parent, v, s, a) it was reached by, with m − val[u]·u = H_u, the
-        sum of κ·s·∂_v f along its path: a move u = s·p → s·p′ adds
-        val[u]/a · s·∂_v f.  The walk stops at the first node that settles
-        m: a basis monomial, a monomial relation p | u (u = (1/a)·(u/p)·∂_v f),
-        or a move that reaches a node w with another value y, where
-        (val[w] − y)·w = H′ − H_w, and m's certificate is k·H′ + (1 − k)·H_w
-        with k = val[w]/(val[w] − y)."""
-        node = {m: (1, 1, None)}
-        queue = [m]
-
-        def path(edge, kn, kd):
-            """κ·s·∂_v f back from ``edge`` = (u, v, s, a), κ = (kn/kd)·val[u]/a."""
-            out = []
+        monomials in local exponents.  The terms are read off the legs of
+        the first event of m's `_walk`: each step (parent, v, p, a) of a
+        leg (edge, kn, kd) is κ·s·∂_v f with s = parent − p and
+        κ = (kn/kd)·val[parent]/a."""
+        node, b, legs = self._walk(m)
+        terms = []
+        for edge, kn, kd in legs:
             while edge:
-                u, v, s, a = edge
+                u, v, p, a = edge
                 num, den, edge = node[u]
-                out.append((v, s, Fraction(kn * num, kd * den * a)))
-            return out
-
-        for u in queue:
-            num, den, edge = node[u]
-            if self.in_basis(u):
-                return u, (num, den), path(edge, 1, 1)
-            for (i, e, j, g), p, v, a in self.zeros:
-                if u[i] >= e and u[j] >= g:
-                    return None, 0, path((u, v, _sub(u, p), a), 1, 1)
-            for (i, e, j, g), p, d, nb, a, v in self.moves:
-                if u[i] >= e and u[j] >= g:
-                    w = _add(u, d)
-                    y, z = num * nb, den * a
-                    if w not in node:
-                        node[w] = y, z, (u, v, _sub(u, p), a)
-                        queue.append(w)
-                    elif node[w][0] * z != y * node[w][1]:
-                        ae, cb = node[w][0] * z, y * node[w][1]
-                        return None, 0, (path(node[w][2], -cb, ae - cb)
-                                         + path((u, v, _sub(u, p), a), ae, ae - cb))
-        raise RuntimeError(f"the walk from {m} determines nothing")
+                terms.append((v, _sub(u, p), Fraction(kn * num, kd * den * a)))
+        return b, (0 if b is None else node[b][:2]), terms
 
 
 def top_of(f: InvertiblePolynomial) -> Monomial:

@@ -147,29 +147,35 @@ def test_reduce_is_one_term_or_zero():
 def test_walk_refuses_a_basis_with_an_excluded_chain_monomial():
     # Jac(x1^2 + x1*x2^2): x1*x2 = 0 and x2^3 ≡ −2·x1*x2.  With the excluded
     # x1*x2 posing as a basis monomial, the walk from x2^3 reaches a basis
-    # monomial and a zero.
+    # monomial and a zero, in `reduce` and in `divide` alike.
     R = ring("x1^2 + x1*x2^2")
     part = R._parts[0]
     assert part.variables == (0, 1) and not part.in_basis((1, 1))
     assert R.reduce((0, 3)).is_zero()
+    assert R.divide({(0, 3): F(1)})[0] == {}
     R = ring("x1^2 + x1*x2^2")
     part = R._parts[0]
     part.in_basis = lambda r, test=part.in_basis: test(r) or r == (1, 1)
     with pytest.raises(RuntimeError, match="and a zero"):
         R.reduce((0, 3))
+    with pytest.raises(RuntimeError, match="and a zero"):
+        R.divide({(0, 3): F(1)})
 
 
 @pytest.mark.parametrize("text", ["x1^3*x2 + x2^3*x1",
                                   "x1^2 + x1*x2^2 + x2*x3^3"])
 def test_walk_refuses_a_basis_missing_a_monomial(text):
     """A basis monomial taken out of the basis is nonzero in Jac but reaches
-    no basis monomial: its walk raises instead of returning 0."""
+    no basis monomial: its walk raises instead of returning 0, in `reduce`
+    and in `divide` alike."""
     for b in ring(text).basis.monomials:
         R = ring(text)
         part, gone = R._parts[0], R._localize(b)[0]
         part.in_basis = lambda r, test=part.in_basis: test(r) and r != gone
         with pytest.raises(RuntimeError):
             R.reduce(b)
+        with pytest.raises(RuntimeError):
+            R.divide({b: F(1)})
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +412,9 @@ LONG_WALKS = ["x1^5*x2 + x2^5*x3 + x3^5*x4 + x4^5*x1",
 
 @pytest.mark.parametrize("text", LONG_WALKS)
 def test_reduce_and_divide_agree_on_long_walks(text):
-    """Monomials at evenly spaced degrees up to twice the socle's: the
-    whole-component walk of `reduce` and the breadth-first walk of `divide`
-    give one normal form, and the certificate holds."""
+    """Monomials at evenly spaced degrees up to twice the socle's: `reduce`
+    and `divide`, reading the one walk's value and path, give one normal
+    form, and the certificate holds."""
     R = JacobiRing(InvertiblePolynomial.from_string(text).transpose())
     steps = 12
     for k in range(1, steps + 1):

@@ -169,15 +169,26 @@ def test_one_phase_denominator():
 
 
 def test_summand_walks_stay_integer():
-    """The walks of `_SummandRing.reduce` and `_SummandRing.divide` carry
-    each value as an integer pair (num, den): `Fraction` is named only
-    outside their walk loops, where the values a walk returns are built."""
+    """`_SummandRing._walk` carries each value as an integer pair
+    (num, den): `Fraction` is not named in its walk loop; `reduce` and
+    `divide` build the ``Fraction``s they return from its result."""
     tree = ast.parse((SOURCE / "jacobi.py").read_text(encoding="utf-8"))
-    defs = dict(_definitions(tree))
-    for name in ("_SummandRing.reduce", "_SummandRing.divide"):
-        loops = [node for node in defs[name].body if isinstance(node, (ast.For, ast.While))]
-        assert loops, name
-        assert "Fraction" not in {n for loop in loops for n in _names(loop)}, name
+    node = dict(_definitions(tree))["_SummandRing._walk"]
+    loops = [n for n in node.body if isinstance(n, (ast.For, ast.While))]
+    assert loops
+    assert "Fraction" not in {n for loop in loops for n in _names(loop)}
+
+
+def _reads_tables(node):
+    return isinstance(node, ast.Attribute) and node.attr in ("zeros", "moves")
+
+
+def test_one_walk_over_the_relation_tables():
+    """`reduce` and `divide` share one traversal of the binomial graph: only
+    `_SummandRing.__init__`, which compiles the relation tables, and
+    `_SummandRing._walk` read ``zeros`` and ``moves``."""
+    found = set().union(*(_owners(path, _reads_tables) for path in sorted(SOURCE.glob("*.py"))))
+    assert sorted(found) == ["jacobi._SummandRing.__init__", "jacobi._SummandRing._walk"]
 
 
 def test_good_basis_sectors_stay_integer():
@@ -190,7 +201,7 @@ def test_good_basis_sectors_stay_integer():
 
 
 def test_box_test_has_no_generator():
-    """`_SummandRing.in_basis` runs on every node of both walks, so it tests
+    """`_SummandRing.in_basis` runs on every node of the walk, so it tests
     the box with a plain loop, not a generator expression."""
     tree = ast.parse((SOURCE / "jacobi.py").read_text(encoding="utf-8"))
     node = dict(_definitions(tree))["_SummandRing.in_basis"]
