@@ -103,15 +103,8 @@ class LatticeElement:
         return LatticeElement(out)
 
     def __neg__(self) -> "LatticeElement":
-        return self.scale(Fraction(-1))
-
-    def __sub__(self, other: "LatticeElement") -> "LatticeElement":
-        return self + (-other)
-
-    def scale(self, c) -> "LatticeElement":
-        c = Fraction(c)
         return LatticeElement(
-            {k: {m: c * v for m, v in poly.items()} for k, poly in self.terms.items()}
+            {k: {m: -v for m, v in poly.items()} for k, poly in self.terms.items()}
         )
 
     def times(self, m: Monomial, dz: int = 0, c=1) -> "LatticeElement":

@@ -9,8 +9,9 @@ Saito-Givental correlator on the B side, and checks
 
 exactly.  The other subcommands are thin wrappers over the library:
 ``classify`` (atomic summands), ``mirror`` (the degree-preserving map on
-the standard basis), ``jacobi`` (basis, Gram matrix, products),
-``axioms`` (selection-rule bookkeeping for a correlator candidate),
+the standard basis), ``jacobi`` (basis and socle; ``--json`` adds the Gram
+matrix, ``--trace`` the products of basis monomials), ``axioms``
+(selection-rule bookkeeping for a correlator candidate),
 ``correlator`` (a single A- or B-side value) and ``wdvv`` (associativity
 reconstruction chains).
 

@@ -9,8 +9,9 @@ over the atomic summands of f:
                        (*,…,*, k≥1, c_{n−2l}−1, 0, …, c_{n−2}−1, 0, c_n−1)
     loop:              {x^r : r_i ≤ a_i−1}, μ = Π a_i
 
-A ring keeps only the test of membership in that basis (`in_basis`); the
-basis itself is listed on first use.
+Each summand works on whole exponent tuples, so a monomial passes from one
+summand to the next as it is.  A ring keeps only the test of membership in
+that basis (`in_basis`); the basis itself is listed on first use.
 
 Each column of the exponent matrix has at most two nonzero entries, so each
 relation ∂_j f is a monomial or a binomial, and the normal form of a
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as cartesian
-from operator import add, itemgetter, mul, sub
+from operator import add, sub
 
 from . import linalg
 from .poly import AtomicSummand, InvertiblePolynomial
@@ -81,25 +82,26 @@ def _graded(w: tuple[int, ...], lo: int, hi: int) -> list[Monomial]:
             for m in _graded(w[1:], lo - r * w[0], hi - r * w[0])]
 
 
-def _chain_excluded(r: Monomial, c: tuple[int, ...]) -> bool:
+def _chain_excluded(m: Monomial, variables: tuple[int, ...],
+                    c: tuple[int, ...]) -> bool:
     """Exclusion patterns (…, k≥1, c_{n−2l}−1, 0, …, c_{n−2}−1, 0, c_n−1),
-    indices in the transposed-chain order (pure power first).
+    read from m at ``variables``, the chain in transposed order (pure power
+    first).
 
     Scan the alternating suffix (c_j−1 at even offsets from the right end,
     0 at odd offsets).  A monomial is excluded when the alternation either
     hits a zero slot holding a positive entry (that entry is the pattern's
-    k ≥ 1) or runs through the whole tuple ending in the c_1−1 phase (n odd;
+    k ≥ 1) or runs through the whole chain ending in the c_1−1 phase (n odd;
     the k slot is absent).  Counting these against the alternating-sum
     Milnor number Σ_j (−1)^j c_1⋯c_{n−j} confirms the reading.  A Fermat
     x^a is the chain of length one: it excludes exactly r = a−1."""
-    n = len(c)
-    pos = n                      # 1-based; this slot must hold c_pos − 1
+    pos = len(c)                 # 1-based; this slot must hold c_pos − 1
     while True:
-        if r[pos - 1] != c[pos - 1] - 1:
+        if m[variables[pos - 1]] != c[pos - 1] - 1:
             return False
         if pos == 1:
             return True
-        if r[pos - 2] >= 1:
+        if m[variables[pos - 2]] >= 1:
             return True
         if pos == 2:
             return False         # the zero slot is the front: keep
@@ -143,12 +145,14 @@ class RingElement:
 
 
 class _SummandRing:
-    """Normal forms for one atomic summand, in local exponents.
+    """Normal forms for one atomic summand, on whole monomials.
 
-    ``variables`` lists the summand's ambient variables in local order: the
+    ``variables`` lists the summand's variables in chain order: the
     transposed-chain order (pure power first) for Fermat and chain
-    summands, the cycle order for loops.  The basis is the box
-    r_i < ``bounds[i]``, minus `_chain_excluded` for chains.
+    summands, the cycle order for loops.  Its part of the basis is the box
+    m[variables[i]] < ``bounds[i]``, minus `_chain_excluded` for chains.
+    Its relations touch only its own variables, so the walk carries every
+    other exponent of a monomial along unchanged.
 
     Each relation ∂_v f, v in the summand, is compiled once into an integer
     table.  A monomial a·p is the zero (sup, p, v, a); a binomial a·p + b·p′
@@ -169,8 +173,7 @@ class _SummandRing:
         self.zeros: list[tuple] = []
         self.moves: list[tuple] = []
         for v in self.variables:
-            rel = [(tuple([m[u] for u in self.variables]), a)
-                   for m, a in partials[v].items()]
+            rel = list(partials[v].items())
             if len(rel) == 1:
                 self.zeros.append((_support(rel[0][0]), rel[0][0], v, rel[0][1]))
             else:
@@ -179,11 +182,11 @@ class _SummandRing:
                                (_support(q), q, _sub(p, q), -a, b, v)]
         self._cache: dict[Monomial, tuple[Monomial, Fraction] | None] = {}
 
-    def in_basis(self, r: Monomial) -> bool:
-        for ri, a in zip(r, self.bounds):
-            if not 0 <= ri < a:
+    def in_basis(self, m: Monomial) -> bool:
+        for v, a in zip(self.variables, self.bounds):
+            if not 0 <= m[v] < a:
                 return False
-        return not (self.chain and _chain_excluded(r, self.bounds))
+        return not (self.chain and _chain_excluded(m, self.variables, self.bounds))
 
     def _walk(self, m: Monomial):
         """m's whole component of the binomial graph, breadth first, as
@@ -257,10 +260,10 @@ class _SummandRing:
     def divide(self, m: Monomial):
         """m = (x₀/x₁)·b + Σ κ·s·∂_v f as (b, x, [(v, s, κ)]), b a basis
         monomial and x an integer pair, or b None and x = 0 when [m] = 0;
-        monomials in local exponents.  The terms are read off the legs of
-        the first event of m's `_walk`: each step (parent, v, p, a) of a
-        leg (edge, kn, kd) is κ·s·∂_v f with s = parent − p and
-        κ = (kn/kd)·val[parent]/a."""
+        b and each cofactor s keep m's exponents outside the summand.  The
+        terms are read off the legs of the first event of m's `_walk`: each
+        step (parent, v, p, a) of a leg (edge, kn, kd) is κ·s·∂_v f with
+        s = parent − p and κ = (kn/kd)·val[parent]/a."""
         node, b, legs = self._walk(m)
         terms = []
         for edge, kn, kd in legs:
@@ -296,41 +299,30 @@ class JacobiRing:
         self.n = f.N
         partials = _partials(f)
         self._parts = [_SummandRing(s, partials) for s in f.summands]
-        self._slots = [None] * self.n  # variable → (summand, local position)
-        for k, part in enumerate(self._parts):
-            for pos, v in enumerate(part.variables):
-                self._slots[v] = k, pos
-        # m → one summand's local exponents; itemgetter gives a tuple for
-        # two or more indices, so a one-variable summand reads a slice
-        self._getters = [itemgetter(*p.variables) if len(p.variables) > 1
-                         else itemgetter(slice(p.variables[0], p.variables[0] + 1))
-                         for p in self._parts]
         self.mu = math.prod(f.D - x for x in f.Dq) // math.prod(f.Dq)
         self.top = top_of(f)
 
     def in_basis(self, m: Monomial) -> bool:
-        return all(part.in_basis(r) for part, r in zip(self._parts, self._localize(m)))
+        return all(part.in_basis(m) for part in self._parts)
 
     @cached_property
     def basis(self) -> StandardBasis:
-        """The standard basis in (degree, m) order, with its index; the
-        degree of m is the sum of its summands' local degrees."""
+        """The standard basis in (degree, m) order, with its index: each
+        summand's box, listed in ambient positions with zeros elsewhere, and
+        for a direct sum the sums of one piece from each summand."""
+        degree = self.poly.degree
         parts = []
         for p in self._parts:
-            w = [self.poly.Dq[v] for v in p.variables]
-            parts.append([(sum(map(mul, r, w)), r)
-                          for r in cartesian(*map(range, p.bounds))
-                          if not (p.chain and _chain_excluded(r, p.bounds))])
-        monos = tuple(m for _, m in sorted(
-            (sum(ds), self._assemble(rs))
-            for ds, rs in (zip(*pick) for pick in cartesian(*parts))))
+            ranges = [(0,)] * self.n
+            for v, a in zip(p.variables, p.bounds):
+                ranges[v] = range(a)
+            parts.append([(degree(m), m) for m in cartesian(*ranges)
+                          if not (p.chain and _chain_excluded(m, p.variables, p.bounds))])
+        pieces = parts[0]
+        for more in parts[1:]:
+            pieces = [(d + e, _add(m, r)) for d, m in pieces for e, r in more]
+        monos = tuple(m for _, m in sorted(pieces))
         return StandardBasis(monos, {m: i for i, m in enumerate(monos)})
-
-    def _assemble(self, locals_) -> Monomial:
-        return tuple([locals_[k][pos] for k, pos in self._slots])
-
-    def _localize(self, m: Monomial) -> list[Monomial]:
-        return [get(m) for get in self._getters]
 
     # -- grading ---------------------------------------------------------
 
@@ -340,21 +332,19 @@ class JacobiRing:
     # -- reduction and arithmetic ----------------------------------------
 
     def reduce_monomial(self, m: Monomial) -> tuple[Monomial, Fraction] | None:
-        """[m] as (basis monomial, coefficient), or None when [m] = 0: the
-        product of the summands' normal forms; a summand already in the
-        basis contributes the factor 1 without a product."""
-        picks = []
+        """[m] as (basis monomial, coefficient), or None when [m] = 0: m
+        passes through each summand's normal form in turn; a summand already
+        in the basis contributes the factor 1 without a product."""
         coef = None
-        for part, r in zip(self._parts, self._localize(m)):
-            if part.in_basis(r):
-                picks.append(r)
+        for part in self._parts:
+            if part.in_basis(m):
                 continue
-            term = part.reduce(r)
+            term = part.reduce(m)
             if term is None:
                 return None
-            picks.append(term[0])
+            m = term[0]
             coef = term[1] if coef is None else coef * term[1]
-        return self._assemble(picks), Fraction(1) if coef is None else coef
+        return m, Fraction(1) if coef is None else coef
 
     def reduce(self, p) -> RingElement:
         """Normal form of a monomial or {monomial: coef} polynomial."""
@@ -406,26 +396,22 @@ class JacobiRing:
         Returns (nf, quotients): nf is {basis monomial: coefficient} in
         basis order, and quotients[j] is {monomial: coefficient} for h_j,
         in monomial order.  Each monomial of p is divided one summand at a
-        time by `_SummandRing.divide`, with the other summands' exponents
-        carried in the cofactors; the normal form agrees with `reduce`.
-        Where a slice has a syzygy, the quotients are one certificate among
-        several."""
+        time by `_SummandRing.divide`, which passes its remainder to the
+        next summand; the normal form agrees with `reduce`.  Where a slice
+        has a syzygy, the quotients are one certificate among several."""
         nf_acc: dict[Monomial, Fraction] = {}
         quot: list[dict] = [dict() for _ in range(self.n)]
         for m, c in p.items():
-            picks = self._localize(m)
-            for i, part in enumerate(self._parts):
-                b, x, terms = part.divide(picks[i])
+            for part in self._parts:
+                b, x, terms = part.divide(m)
                 for v, s, kappa in terms:
-                    cofactor = self._assemble(picks[:i] + [s] + picks[i + 1:])
-                    quot[v][cofactor] = quot[v].get(cofactor, 0) + c * kappa
+                    quot[v][s] = quot[v].get(s, 0) + c * kappa
                 if b is None:
                     break
-                picks[i] = b
+                m = b
                 c = Fraction(c * x[0], x[1])
             else:
-                b = self._assemble(picks)
-                nf_acc[b] = nf_acc.get(b, 0) + c
+                nf_acc[m] = nf_acc.get(m, 0) + c
         nf = sorted((self.poly.degree(m), m, c) for m, c in nf_acc.items() if c != 0)
         return ({m: c for _, m, c in nf},
                 [{s: c for s, c in sorted(h.items()) if c != 0} for h in quot])

