@@ -158,9 +158,11 @@ def b2_correlator(
 
     Requires all four insertions narrow, smooth-fiber line bundle degrees
     -2 at the target and -1 elsewhere, and no sections on any boundary
-    stratum; raises ConcavityViolated otherwise so the caller can route
-    to another method.  ``decorations`` are the sectors' boundary
-    decorations when the caller has them already.
+    stratum; raises ConcavityViolated otherwise.  No caller catches it:
+    `four_point_report` picks the method by the summand's shape before it
+    calls this, so on its targets the raise marks a broken invariant, not
+    a fallback.  ``decorations`` are the sectors' boundary decorations
+    when the caller has them already.
     """
     if any(not g.is_narrow() for g in sectors):
         raise ConcavityViolated("broad insertion sector")

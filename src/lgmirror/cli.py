@@ -41,7 +41,7 @@ from .errors import (
 )
 from .groups import GroupCapExceeded, enumerate_group
 from .jacobi import ring_of, top_of
-from .mirror import degree_check, final_type_insertions, psi
+from .mirror import final_type_insertions, psi
 from .poly import InvertiblePolynomial, NotInvertibleShape, PolynomialSyntaxError, format_monomial, parse_term
 from .selection import CorrelatorSpec, classify_type, passes_axioms
 from .wdvv import fermat_closure, loop_square_chain
@@ -295,13 +295,16 @@ def cmd_mirror(args) -> int:
     W = load_polynomial(args)
     WT = W.transpose()
     ring = ring_of(WT)
-    classes = []
+    classes, violations = [], []
     for m in ring.basis.monomials:
-        img = psi(W, m)
+        img, wt = psi(W, m), ring.wt(m)
+        if wt != img.degree:
+            violations.append({"monomial": format_monomial(m), "wt": frac(wt),
+                               "deg": frac(img.degree)})
         classes.append(
             {
                 "monomial": format_monomial(m),
-                "weight": frac(ring.wt(m)),
+                "weight": frac(wt),
                 "phases": img.sector.json_phases(),
                 "degree": frac(img.degree),
                 "narrow": img.narrow,
@@ -312,7 +315,6 @@ def cmd_mirror(args) -> int:
                 ),
             }
         )
-    violations = degree_check(W)
     document = {
         "command": "mirror",
         "polynomial": W.to_string(),
@@ -321,11 +323,7 @@ def cmd_mirror(args) -> int:
         "transpose_weights": [frac(q) for q in WT.q],
         "charge": frac(W.charge),
         "classes": classes,
-        "degree_violations": [
-            {"monomial": format_monomial(v["monomial"]), "wt": frac(v["wt"]),
-             "deg": frac(v["deg"])}
-            for v in violations
-        ],
+        "degree_violations": violations,
     }
     lines = [
         f"polynomial: {document['polynomial']}",

@@ -250,8 +250,6 @@ class _SummandRing:
     def reduce(self, m: Monomial) -> tuple[Monomial, Fraction] | None:
         """[m] as (b, c) with [m] = c·b for a basis monomial b, or None
         when [m] = 0: val[b] from m's `_walk`, kept per monomial."""
-        if self.in_basis(m):
-            return m, Fraction(1)
         if m not in self._cache:
             node, b, _ = self._walk(m)
             self._cache[m] = None if b is None else (b, Fraction(*node[b][:2]))

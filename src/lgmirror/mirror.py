@@ -21,7 +21,6 @@ from operator import mul
 
 from .errors import UnsupportedByTheorem
 from .groups import GroupElement, sector_degree
-from .jacobi import ring_of
 from .poly import InvertiblePolynomial
 
 Monomial = tuple[int, ...]
@@ -99,16 +98,3 @@ def psi(W: InvertiblePolynomial, m: Monomial) -> AModelClass:
             broad = restricted
     return AModelClass(sector=gamma, broad_monomial=broad,
                        degree=sector_degree(W, gamma))
-
-
-def degree_check(W: InvertiblePolynomial) -> list[dict]:
-    """Exhaustive degree-preservation check over the standard basis of
-    Jac(Wᵗ); returns the (expected empty) list of violations."""
-    ring = ring_of(W.transpose())
-    violations = []
-    for m in ring.basis.monomials:
-        img = psi(W, m)
-        if ring.wt(m) != img.degree:
-            violations.append({"monomial": m, "wt": ring.wt(m),
-                               "deg": img.degree})
-    return violations

@@ -170,14 +170,14 @@ class InvertiblePolynomial:
         return order
 
     def weight_half_variables(self) -> tuple[int, ...]:
-        return tuple(i for i, qi in enumerate(self.q) if qi == Fraction(1, 2))
+        return tuple(i for i, dq in enumerate(self.Dq) if 2 * dq == self.D)
 
     def chain_weight_half_tails(self) -> tuple[int, ...]:
         """Chain variables of weight 1/2 (the case the main theorem excludes)."""
         bad = []
         for s in self.summands:
             if s.kind == "chain":
-                bad.extend(v for v in s.variables if self.q[v] == Fraction(1, 2))
+                bad.extend(v for v in s.variables if 2 * self.Dq[v] == self.D)
         return tuple(bad)
 
     def summand_of(self, i: int) -> AtomicSummand:

@@ -10,12 +10,11 @@ decomposition of one insertion as a ring product,
 
 with no lower-point remainder at exactly four insertions.  This module
 makes the identity executable: a ``CorrelatorTable`` stores known values
-over a Jacobi ring, ``wdvv_step`` evaluates one identity against the
-table (verifying it, or solving for a single unknown correlator), and
-``primitivity`` tests whether an insertion can be split off a ring
-product at all.  Two worked reconstructions drive the machinery end to
-end: the four-point closure of Fermat sums and the three-step chain that
-determines the square-tailed two-loop correlator.
+over a Jacobi ring, and ``wdvv_step`` evaluates one identity against the
+table (verifying it, or solving for a single unknown correlator).  Two
+worked reconstructions drive the machinery end to end: the four-point
+closure of Fermat sums and the three-step chain that determines the
+square-tailed two-loop correlator.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .jacobi import JacobiRing, RingElement, ring_of
 from .mirror import final_type_insertions
 from .poly import InvertiblePolynomial, format_monomial
 
-Monomial = tuple[int, ...]
 Key = tuple[int, int, int, int]
 
 
@@ -108,9 +106,6 @@ class CorrelatorTable:
         (key, coef), = expansion.items()
         self.values[key] = Fraction(value) / coef
         return key
-
-    def known(self, insertions) -> bool:
-        return all(key in self.values for key in self.expand(insertions))
 
     def value(self, insertions) -> Fraction:
         """Evaluate a correlator; raises if any expanded key is unknown."""
@@ -215,45 +210,6 @@ def wdvv_step(table: CorrelatorTable, xi, gamma, delta, epsilon, phi) -> WdvvIde
     rendered = tuple(table.describe(t) for t in terms)
     values = tuple(table.value(t) for t in terms)
     return WdvvIdentity(rendered, values, solved, solved_value)
-
-
-def primitivity(ring: JacobiRing, m: Monomial) -> bool:
-    """Whether the basis monomial m admits no factorization into two
-    positive-degree ring elements.
-
-    Degree-zero elements are not primitive by convention, and any basis
-    monomial involving at least two variables (with multiplicity) splits
-    off one of them, so only the x_i can be primitive.  For a variable
-    the search runs over scalar multiples of basis monomials in the
-    complementary weight spaces, which covers every factorization whose
-    factors are monomial up to scale.
-    """
-    if not ring.in_basis(m):
-        raise WrongConfiguration(f"{format_monomial(m)} is not a basis monomial")
-    w = ring.poly.degree(m)
-    if w == 0:
-        return False
-    if sum(m) >= 2:
-        return False
-    target = ring.reduce(m)
-    for b in ring.basis.monomials:
-        wb = ring.poly.degree(b)
-        if not 0 < wb < w:
-            continue
-        for c in ring.basis.monomials:
-            if ring.poly.degree(c) != w - wb or ring.poly.degree(c) == 0:
-                continue
-            prod = ring.multiply(ring.reduce(b), ring.reduce(c))
-            if prod.is_zero():
-                continue
-            # proportional to the target <=> factorization after rescaling
-            pairs = dict(prod.coeffs)
-            tpairs = dict(target.coeffs)
-            if set(pairs) == set(tpairs):
-                ratios = {pairs[i] / tpairs[i] for i in pairs}
-                if len(ratios) == 1:
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import lgmirror
-from lgmirror import amodel, cli
+from lgmirror import amodel, cli, mirror
 from lgmirror.errors import WrongConfiguration
+from lgmirror.groups import identity
 from lgmirror.jacobi import JacobiRing, ring_of
 from lgmirror.poly import InvertiblePolynomial
 
@@ -441,6 +442,22 @@ class TestMirror:
 
     def test_weight_half_chain_exits_3(self, capsys):
         assert run(capsys, "mirror", "--expr", "x1^3*x2+x2^2")[0] == 3
+
+    def test_degree_violations_exit_1(self, capsys, monkeypatch):
+        # shift the identity sector's degree by one: the two basis
+        # monomials that map there no longer keep their weight
+        degree = mirror.sector_degree
+        monkeypatch.setattr(mirror, "sector_degree",
+                            lambda W, g: degree(W, g) + (1 if g == identity(W) else 0))
+        code, out, _ = run(capsys, "mirror", "--expr", "x1^3*x2+x2^3*x1")
+        assert code == 1
+        assert "DEGREE VIOLATIONS: 2" in out
+        code, doc, _ = run_json(capsys, "mirror", "--expr", "x1^3*x2+x2^3*x1")
+        assert code == 1
+        assert doc["degree_violations"] == [
+            {"monomial": "x2^2", "wt": "1/2", "deg": "3/2"},
+            {"monomial": "x1^2", "wt": "1/2", "deg": "3/2"},
+        ]
 
 
 class TestJacobi:

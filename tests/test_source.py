@@ -1,6 +1,9 @@
 """Guards on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "lgmirror"
@@ -61,9 +64,7 @@ TEST_ONLY = {
                        "`OracleQuotient`; a span of the benchmark's span list",
     "linalg._subtract": "`RowSpace`'s one elimination step",
     "jacobi.OracleQuotient": "the blind normal-form oracle the ring is checked against",
-    "wdvv.primitivity": "the reference the WDVV tables are checked against",
     "poly.InvertiblePolynomial.inverse_exponents": "a span of the benchmark's span list",
-    "wdvv.CorrelatorTable.known": "the table's read-only query the tests use",
 }
 
 
@@ -206,3 +207,22 @@ def test_box_test_has_no_generator():
     tree = ast.parse((SOURCE / "jacobi.py").read_text(encoding="utf-8"))
     node = dict(_definitions(tree))["_SummandRing.in_basis"]
     assert [n.lineno for n in ast.walk(node) if isinstance(n, ast.GeneratorExp)] == []
+
+
+def test_package_import_loads_every_benchmark_module():
+    """The benchmark finds the modules of its ENTRY_POINTS through
+    `sys.modules`, after importing only `lgmirror` and `lgmirror.cli`; a
+    fresh interpreter must load each of them.  In a test session other
+    tests import them too, which would hide a module the package stopped
+    importing."""
+    tree = ast.parse((SOURCE.parents[1] / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    entry_points = next(ast.literal_eval(node.value) for node in tree.body
+                        if isinstance(node, ast.Assign)
+                        and [t.id for t in node.targets] == ["ENTRY_POINTS"])
+    wanted = sorted({module for _, module, _ in entry_points})
+    path = os.pathsep.join(filter(None, [str(SOURCE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, lgmirror, lgmirror.cli; print(*sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(set(wanted) - set(proc.stdout.split())) == []
