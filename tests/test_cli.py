@@ -443,6 +443,17 @@ class TestMirror:
     def test_weight_half_chain_exits_3(self, capsys):
         assert run(capsys, "mirror", "--expr", "x1^3*x2+x2^2")[0] == 3
 
+    def test_one_psi_call_per_basis_monomial(self, capsys, monkeypatch):
+        calls, psi = [], mirror.psi
+        counted = lambda W, m: calls.append(m) or psi(W, m)
+        monkeypatch.setattr(cli, "psi", counted)
+        monkeypatch.setattr(mirror, "psi", counted)
+        code, doc, _ = run_json(capsys, "mirror", "--expr", "x1^2*x2 + x2^3*x3 + x3^2*x1")
+        assert code == 0
+        assert [c["monomial"] for c in doc["classes"]] == [
+            cli.format_monomial(m) for m in calls]
+        assert len(calls) == len(set(calls))
+
     def test_degree_violations_exit_1(self, capsys, monkeypatch):
         # shift the identity sector's degree by one: the two basis
         # monomials that map there no longer keep their weight

@@ -126,6 +126,17 @@ def test_reduce_idempotent_on_basis():
             assert R.monomial_of(R.reduce(m)) == {m: F(1)}
 
 
+def test_summand_reduce_fixes_its_basis():
+    """A summand ring's walk settles each of its own basis monomials on
+    itself with coefficient 1, with no shortcut for basis monomials."""
+    for text in RINGS:
+        R = ring(text)
+        for part in R._parts:
+            for m in R.basis.monomials:
+                if part.in_basis(m):
+                    assert part.reduce(m) == (m, 1), f"{text}: {m}"
+
+
 def test_reduce_preserves_weight():
     for text in RINGS:
         R = ring(text)

@@ -143,6 +143,20 @@ def test_weight_half_flags():
     assert C.chain_weight_half_tails() == (1,)
 
 
+@pytest.mark.parametrize("text", [
+    "x1^2 + x2^3 + x3^2",
+    "x1^2*x2 + x2^2 + x3^2*x4 + x4^2",
+    "x3^2*x1 + x1^2 + x2^4",
+    "x1^2*x2 + x2^2*x1 + x3^2",
+])
+def test_weight_half_scans_list_variables_in_order(text):
+    W = InvertiblePolynomial.from_string(text)
+    half = [i for i, q in enumerate(W.q) if q == F(1, 2)]
+    assert W.weight_half_variables() == tuple(half)
+    tails = [v for s in W.summands if s.kind == "chain" for v in s.variables if v in half]
+    assert W.chain_weight_half_tails() == tuple(tails)
+
+
 def test_transpose_is_involution_and_preserves_charge():
     W = InvertiblePolynomial.from_string("x1^3*x2 + x2^2*x3 + x3^4")
     Wt = W.transpose()

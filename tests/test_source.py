@@ -209,6 +209,17 @@ def test_box_test_has_no_generator():
     assert [n.lineno for n in ast.walk(node) if isinstance(n, ast.GeneratorExp)] == []
 
 
+def test_mirror_does_not_import_jacobi():
+    """The mirror map ψ reads only the polynomial and its group: `mirror`
+    imports nothing from `jacobi`, and the ring-side degree check lives
+    with the `mirror` command that builds the ring."""
+    tree = ast.parse((SOURCE / "mirror.py").read_text(encoding="utf-8"))
+    imported = {alias.name if isinstance(node, ast.Import) else node.module or ""
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert [m for m in imported if m.split(".")[-1] == "jacobi"] == []
+
+
 def test_package_import_loads_every_benchmark_module():
     """The benchmark finds the modules of its ENTRY_POINTS through
     `sys.modules`, after importing only `lgmirror` and `lgmirror.cli`; a
