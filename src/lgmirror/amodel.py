@@ -31,7 +31,7 @@ from .errors import ConcavityViolated, InconsistentInput, UnsupportedByTheorem, 
 from .groups import GroupElement
 from .jacobi import top_of
 from .mirror import final_type_insertions, require_mirror_hypotheses, sector_of
-from .poly import AtomicSummand, InvertiblePolynomial, reassemble
+from .poly import AtomicSummand, InvertiblePolynomial, _canonical, _inverse, reassemble
 from .selection import line_bundle_degrees
 
 # Value of the seven-point seed correlator (all insertions the doubled
@@ -334,10 +334,15 @@ def _atomic_piece(W: InvertiblePolynomial, i0: int) -> tuple[InvertiblePolynomia
     else:
         exps = s.exponents
         local = p + 1
-    atom = AtomicSummand(s.kind, tuple(exps), tuple(range(n)))
-    piece = W.derive(atom, lambda: InvertiblePolynomial.from_exponent_matrix(
-        reassemble([atom], n)))
-    return piece, local
+
+    def build():
+        # the rows in variable order, so x_v heads row v
+        head = tuple(range(n))
+        E = tuple(map(tuple, reassemble([AtomicSummand(s.kind, exps, head)], n)))
+        atom = _canonical(s.kind, exps, head)
+        return InvertiblePolynomial._assemble(E, [atom], head, *_inverse([atom], head))
+
+    return W.derive(("piece", s.kind, exps), build), local
 
 
 def admissible_target(W: InvertiblePolynomial, i: int) -> tuple[InvertiblePolynomial, int]:

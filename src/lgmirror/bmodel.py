@@ -15,7 +15,9 @@ manifold: the z^{-1} part of J gives the flat coordinates, the z^{-2}
 part the gradient of the genus-zero potential.  This module implements
 
 * the lattice elements and the reduction (``LatticeElement``,
-  ``brieskorn_reduce``),
+  ``brieskorn_reduce``, which keeps its levels as the unreduced integer
+  pairs ``JacobiRing.divide`` takes and returns, and builds ``Fraction``s
+  only for the reduced element and the ``steps`` records),
 * the combinatorial good-basis verification for atomic transposes
   (``good_basis_check``), which pairs basis monomials whose mirror
   sectors are inverse, with the sectors as integer numerator tuples,
@@ -35,7 +37,7 @@ from operator import add
 
 from .amodel import admissible_target
 from .errors import WrongConfiguration
-from .jacobi import ring_of
+from .jacobi import _accumulate, ring_of
 from .mirror import final_type_insertions, sector_numerators
 from .poly import InvertiblePolynomial
 
@@ -151,44 +153,42 @@ def brieskorn_reduce(
     pass is appended for auditing.
     """
     ring = ring_of(f)
-    out: dict[int, dict[Monomial, Fraction]] = {}
-    pending = {k: dict(p) for k, p in e.terms.items()}
+    out: dict[int, dict[Monomial, tuple[int, int]]] = {}
+    # coefficients as unreduced integer pairs (num, den), as `ring.divide` takes them
+    pending = {k: {m: (c.numerator, c.denominator) for m, c in p.items()}
+               for k, p in e.terms.items()}
     while pending:
         k = min(pending)
         chunk = pending.pop(k)
         nf, quotients = ring.divide(chunk)
         if nf:
-            level = out.setdefault(k, {})
-            for m, c in nf.items():
-                level[m] = level.get(m, Fraction(0)) + c
-        push: dict[Monomial, Fraction] = {}
+            out[k] = nf
+        push: dict[Monomial, tuple[int, int]] = {}
         for j, h in enumerate(quotients):
-            for s, c in h.items():
+            for s, (num, den) in h.items():
                 if s[j] == 0:
                     continue
                 d = list(s)
                 d[j] -= 1
-                dm = tuple(d)
-                push[dm] = push.get(dm, Fraction(0)) - c * s[j]
-        push = {m: c for m, c in push.items() if c != 0}
+                _accumulate(push, tuple(d), -num * s[j], den)
+        push = {m: c for m, c in push.items() if c[0]}
         if steps is not None:
-            steps.append(
-                {
-                    "z": k,
-                    "chunk": dict(chunk),
-                    "normal_form": nf,
-                    "pushed": dict(push),
-                }
-            )
+            steps.append({"z": k, "chunk": _values(chunk),
+                          "normal_form": _values(nf), "pushed": _values(push)})
         if push:
             if k + 1 > Z_MAX:
                 raise WrongConfiguration(
                     f"z-power {k + 1} outside the supported window [{Z_MIN}, {Z_MAX}]"
                 )
             level = pending.setdefault(k + 1, {})
-            for m, c in push.items():
-                level[m] = level.get(m, Fraction(0)) + c
-    return LatticeElement(out)
+            for m, (num, den) in push.items():
+                _accumulate(level, m, num, den)
+    return LatticeElement({k: _values(level) for k, level in out.items()})
+
+
+def _values(level: dict) -> dict[Monomial, Fraction]:
+    """A level of integer pairs (num, den) as ``Fraction``s."""
+    return {m: Fraction(*c) for m, c in level.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ means the basis is not one, and the walk raises.  The relations are
 `_partials(f)`, the one source shared by the walk and the independent
 brute-force oracle (`OracleQuotient`).  Each summand compiles them once
 into integer tables, and the walk carries its values as unreduced integer
-pairs, so the only ``Fraction``s built are the ones returned.
+pairs.  `reduce` returns ``Fraction``s; `divide` takes and returns the
+pairs, never reduced, so that the B side's reduction stays in integers.
 
 `reduce` reads [m] = val[b]·b off the walk.  `divide` writes
 p = nf + Σ_j h_j ∂_j f with no linear solve: each move u = s·p → s·p′ is
@@ -71,6 +72,12 @@ def _support(p: Monomial) -> tuple[int, int, int, int]:
     if not 1 <= len(nz) <= 2:
         raise RuntimeError(f"relation monomial {p} has {len(nz)} variables")
     return nz[0] + nz[-1]
+
+
+def _accumulate(level: dict, m, num: int, den: int) -> None:
+    """level[m] += num/den in unreduced integer pairs: a shared denominator adds numerators."""
+    x = level.get(m, (0, den))
+    level[m] = (x[0] + num, den) if x[1] == den else (x[0] * den + num * x[1], x[1] * den)
 
 
 def _graded(w: tuple[int, ...], lo: int, hi: int) -> list[Monomial]:
@@ -161,8 +168,8 @@ class _SummandRing:
     so p | u reads two coordinates, and a move's next node is u + (p′ − p).
     `_walk`, the one traversal of the tables, keeps each value as an
     unreduced integer pair (num, den) with den > 0, since every a > 0, and
-    compares two values by cross-multiplying; only the values `reduce` and
-    `divide` return become ``Fraction``s."""
+    compares two values by cross-multiplying; only the values `reduce`
+    returns become ``Fraction``s, and `divide` returns pairs."""
 
     def __init__(self, s: AtomicSummand, partials: list[dict]):
         self.chain = s.kind != "loop"
@@ -257,18 +264,18 @@ class _SummandRing:
 
     def divide(self, m: Monomial):
         """m = (x₀/x₁)·b + Σ κ·s·∂_v f as (b, x, [(v, s, κ)]), b a basis
-        monomial and x an integer pair, or b None and x = 0 when [m] = 0;
-        b and each cofactor s keep m's exponents outside the summand.  The
-        terms are read off the legs of the first event of m's `_walk`: each
-        step (parent, v, p, a) of a leg (edge, kn, kd) is κ·s·∂_v f with
-        s = parent − p and κ = (kn/kd)·val[parent]/a."""
+        monomial and x and each κ integer pairs, or b None and x = 0 when
+        [m] = 0; b and each cofactor s keep m's exponents outside the
+        summand.  The terms are read off the legs of the first event of m's
+        `_walk`: each step (parent, v, p, a) of a leg (edge, kn, kd) is
+        κ·s·∂_v f with s = parent − p and κ = (kn/kd)·val[parent]/a."""
         node, b, legs = self._walk(m)
         terms = []
         for edge, kn, kd in legs:
             while edge:
                 u, v, p, a = edge
                 num, den, edge = node[u]
-                terms.append((v, _sub(u, p), Fraction(kn * num, kd * den * a)))
+                terms.append((v, _sub(u, p), (kn * num, kd * den * a)))
         return b, (0 if b is None else node[b][:2]), terms
 
 
@@ -391,28 +398,29 @@ class JacobiRing:
     def divide(self, p: dict):
         """Write p = nf + Σ_j h_j ∂_j f with nf in the basis span.
 
-        Returns (nf, quotients): nf is {basis monomial: coefficient} in
-        basis order, and quotients[j] is {monomial: coefficient} for h_j,
-        in monomial order.  Each monomial of p is divided one summand at a
-        time by `_SummandRing.divide`, which passes its remainder to the
-        next summand; the normal form agrees with `reduce`.  Where a slice
-        has a syzygy, the quotients are one certificate among several."""
-        nf_acc: dict[Monomial, Fraction] = {}
+        Coefficients are unreduced integer pairs (num, den), in p and in
+        (nf, quotients): nf is {basis monomial: pair} in basis order, and
+        quotients[j] is {monomial: pair} for h_j, in monomial order.  Each
+        monomial of p is divided one summand at a time by
+        `_SummandRing.divide`, which passes its remainder to the next
+        summand; the normal form agrees with `reduce`.  Where a slice has a
+        syzygy, the quotients are one certificate among several."""
+        nf_acc: dict[Monomial, tuple[int, int]] = {}
         quot: list[dict] = [dict() for _ in range(self.n)]
-        for m, c in p.items():
+        for m, (cn, cd) in p.items():
             for part in self._parts:
                 b, x, terms = part.divide(m)
-                for v, s, kappa in terms:
-                    quot[v][s] = quot[v].get(s, 0) + c * kappa
+                for v, s, (kn, kd) in terms:
+                    _accumulate(quot[v], s, cn * kn, cd * kd)
                 if b is None:
                     break
                 m = b
-                c = Fraction(c * x[0], x[1])
+                cn, cd = cn * x[0], cd * x[1]
             else:
-                nf_acc[m] = nf_acc.get(m, 0) + c
-        nf = sorted((self.poly.degree(m), m, c) for m, c in nf_acc.items() if c != 0)
+                _accumulate(nf_acc, m, cn, cd)
+        nf = sorted((self.poly.degree(m), m, c) for m, c in nf_acc.items() if c[0])
         return ({m: c for _, m, c in nf},
-                [{s: c for s, c in sorted(h.items()) if c != 0} for h in quot])
+                [{s: c for s, c in sorted(h.items()) if c[0]} for h in quot])
 
 
 def ring_of(f: InvertiblePolynomial) -> JacobiRing:

@@ -11,7 +11,8 @@ decomposes as a disjoint sum of Fermat / chain / loop pieces:
 
 with every a_i ≥ 2.  Chains read in either orientation (a pure-power row may
 sit at either end of the path); loops are canonicalized by rotating the cycle
-so the lexicographically smallest exponent tuple starts it.
+so the lexicographically smallest exponent tuple starts it, counting the
+rotations from the cycle's smallest variable on a tie.
 
 The classifier is the one reader of E's row structure: it records the row
 headed by each variable, and E⁻¹ is read off the summands block by block
@@ -24,9 +25,10 @@ group.  The grading ``degree`` and the A side's phase arithmetic both
 work over D; ``q``, ``charge`` and ``inverse_exponents()`` are the
 ``Fraction`` views.
 
+Only `from_string` and `from_json` parse and classify an exponent matrix.
 Polynomials derived from W (its transpose, the atomic pieces of the A and
-B sides) are built once per polynomial through `derive` and kept on W for
-as long as W lives.
+B sides) are read off W's classified data through `_assemble`, once per
+polynomial through `derive`, and kept on W for as long as W lives.
 """
 
 from __future__ import annotations
@@ -109,7 +111,12 @@ class InvertiblePolynomial:
         if any(e < 0 for row in E for e in row):
             raise PolynomialSyntaxError("negative exponent")
         summands, head = _classify_rows(E)
-        D, DE_inv = _inverse(summands, head)
+        return InvertiblePolynomial._assemble(E, summands, head, *_inverse(summands, head))
+
+    @staticmethod
+    def _assemble(E, summands, head, D, DE_inv) -> "InvertiblePolynomial":
+        """The polynomial of a classified E, its summands and head rows,
+        and E⁻¹ = DE_inv/D; the weights and ĉ follow."""
         # the weights solve E·q = (1,…,1)ᵗ: the row sums of E⁻¹
         Dq = tuple(sum(row) for row in DE_inv)
         q = tuple(Fraction(x, D) for x in Dq)
@@ -117,8 +124,8 @@ class InvertiblePolynomial:
             # weights outside (0,1/2] cannot arise from an atomic sum with
             # all a_i >= 2; guard anyway so bad matrices fail loudly.
             raise NotInvertibleShape(f"weights {q} out of range (0,1/2]")
-        charge = Fraction(n * D - 2 * sum(Dq), D)
-        return InvertiblePolynomial(n, E, tuple(summands), q, charge, head, D, DE_inv, Dq)
+        charge = Fraction(len(E) * D - 2 * sum(Dq), D)
+        return InvertiblePolynomial(len(E), E, tuple(summands), q, charge, head, D, DE_inv, Dq)
 
     @staticmethod
     def from_string(text: str) -> "InvertiblePolynomial":
@@ -155,8 +162,15 @@ class InvertiblePolynomial:
             return value
 
     def transpose(self) -> "InvertiblePolynomial":
-        return self.derive("transpose", lambda: InvertiblePolynomial.from_exponent_matrix(
-            tuple(zip(*self.E))))
+        """Wᵗ, read off W: its variable r is row r of E, so x_v's summand
+        runs backwards over the rows ``head`` names, the row headed by
+        x_{head[v]} is v, and (Eᵗ)⁻¹ = (E⁻¹)ᵗ over the same D."""
+        return self.derive("transpose", lambda: InvertiblePolynomial._assemble(
+            tuple(zip(*self.E)),
+            sorted((_canonical(s.kind, s.exponents[::-1], [self.head[v] for v in s.variables[::-1]])
+                    for s in self.summands), key=lambda s: s.variables[0]),
+            tuple(sorted(range(self.N), key=self.head.__getitem__)),
+            self.D, tuple(zip(*self.DE_inv))))
 
     def group_order(self) -> int:
         """|G_max| = |det E|: per summand a (Fermat), ∏ a_i (chain) or
@@ -311,9 +325,8 @@ def _classify_rows(E) -> tuple[list[AtomicSummand], tuple[int, ...]]:
                 raise NotInvertibleShape("cycle with an incoming tail")
             path.append(nxt)
         seen.update(path)
-        exps = tuple(exponent_of[v] for v in path)
         kind = "fermat" if len(path) == 1 else "chain"
-        summands.append(AtomicSummand(kind, exps, tuple(path)))
+        summands.append(_canonical(kind, [exponent_of[v] for v in path], path))
     # loops: whatever remains is a disjoint union of cycles
     for start in range(n):
         if start in seen:
@@ -327,20 +340,20 @@ def _classify_rows(E) -> tuple[list[AtomicSummand], tuple[int, ...]]:
                 break
             cycle.append(nxt)
         seen.update(cycle)
-        exps = [exponent_of[v] for v in cycle]
-        rot = _canonical_rotation(exps)
-        cycle = cycle[rot:] + cycle[:rot]
-        exps = exps[rot:] + exps[:rot]
-        summands.append(AtomicSummand("loop", tuple(exps), tuple(cycle)))
+        summands.append(_canonical("loop", [exponent_of[v] for v in cycle], cycle))
     summands.sort(key=lambda s: s.variables[0])
     return summands, tuple(owner_row[v] for v in range(n))
 
 
-def _canonical_rotation(exps) -> int:
-    """Index of the rotation giving the lexicographically smallest tuple."""
-    k = len(exps)
-    best = min(range(k), key=lambda r: tuple(exps[r:] + exps[:r]))
-    return best
+def _canonical(kind: str, exps, variables) -> AtomicSummand:
+    """The summand with ``variables`` in chain order and their exponents.
+    A loop is rotated to the lexicographically smallest exponent tuple,
+    the first one from its smallest variable on a tie."""
+    if kind == "loop":
+        start, k = variables.index(min(variables)), len(exps)
+        rot = min(range(k), key=lambda r: (exps[r:] + exps[:r], (r - start) % k))
+        exps, variables = exps[rot:] + exps[:rot], variables[rot:] + variables[:rot]
+    return AtomicSummand(kind, tuple(exps), tuple(variables))
 
 
 def reassemble(summands, n: int) -> list[list[int]]:

@@ -33,31 +33,44 @@ def residue_pairing(R, a, b):
     return dict(R.multiply(a, b).coeffs).get(R.basis.index[R.top], Fraction(0))
 
 
+def values(p):
+    """{monomial: integer pair (num, den)}, as `JacobiRing.divide` takes and
+    returns it, as {monomial: Fraction}."""
+    return {m: Fraction(*c) for m, c in p.items()}
+
+
+def pairs(p):
+    """{monomial: coefficient} as {monomial: integer pair (num, den)}."""
+    return {m: (Fraction(c).numerator, Fraction(c).denominator) for m, c in p.items()}
+
+
 def assert_certificate(R, p, nf, quot):
-    """p == nf + Σ_j h_j ∂_j f, with nf in the basis span."""
+    """p == nf + Σ_j h_j ∂_j f, with nf in the basis span, all three in
+    `JacobiRing.divide`'s integer pairs."""
     assert all(R.in_basis(m) for m in nf)
     partials = _partials(R.poly)
-    total = dict(nf)
+    total = values(nf)
     for j, h in enumerate(quot):
-        for s, cs in h.items():
+        for s, cs in values(h).items():
             for m0, c0 in partials[j].items():
                 m = tuple(a + b for a, b in zip(s, m0))
                 total[m] = total.get(m, Fraction(0)) + cs * c0
     assert {m: c for m, c in total.items() if c != 0} == \
-        {m: Fraction(c) for m, c in p.items() if c != 0}
+        {m: c for m, c in values(p).items() if c != 0}
 
 
 def slice_divide(R, p):
     """`JacobiRing.divide` by exact elimination on each whole degree slice:
     a row per slice monomial, a column per basis monomial, then one per
-    s·∂_j f by (j, s); free columns are 0.  The reference the walk's normal
-    forms, and its quotients wherever they are unique, are checked against."""
+    s·∂_j f by (j, s); free columns are 0.  It takes and returns integer
+    pairs, as `divide` does.  The reference the walk's normal forms, and
+    its quotients wherever they are unique, are checked against."""
     f = R.poly
     partials = _partials(f)
     by_degree = {}
-    for m, c in p.items():
+    for m, c in values(p).items():
         chunk = by_degree.setdefault(f.degree(m), {})
-        chunk[m] = chunk.get(m, Fraction(0)) + Fraction(c)
+        chunk[m] = chunk.get(m, Fraction(0)) + c
     nf_acc = {}
     quot = [dict() for _ in range(R.n)]
     for deg, chunk in by_degree.items():
@@ -84,4 +97,4 @@ def slice_divide(R, p):
                 j, s = quots[k - len(basis)]
                 quot[j][s] = quot[j].get(s, Fraction(0)) + x
     nf = sorted((f.degree(m), m, c) for m, c in nf_acc.items() if c != 0)
-    return {m: c for _, m, c in nf}, quot
+    return pairs({m: c for _, m, c in nf}), [pairs(h) for h in quot]

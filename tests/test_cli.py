@@ -189,14 +189,19 @@ def test_a_side_builds_no_ring(monkeypatch, expr):
 ])
 def test_verify_derives_each_polynomial_once(monkeypatch, capsys, expr, pieces, reports):
     """One parse, one build per distinct atomic piece and one per its
-    transpose, and one set of boundary decorations per computed report."""
-    built, decorated = [], []
+    transpose, and one set of boundary decorations per computed report.
+    The pieces and transposes are read off W and are never parsed."""
+    parsed, built, decorated = [], [], []
     parse = InvertiblePolynomial.from_exponent_matrix
+    derive = InvertiblePolynomial.derive
     decorations = amodel.boundary_decorations
 
     def counting_parse(E):
-        built.append(E)
+        parsed.append(E)
         return parse(E)
+
+    def counting_derive(W, key, build):
+        return derive(W, key, lambda: built.append(key) or build())
 
     def counting_decorations(W, sectors):
         decorated.append(W)
@@ -204,11 +209,14 @@ def test_verify_derives_each_polynomial_once(monkeypatch, capsys, expr, pieces, 
 
     monkeypatch.setattr(InvertiblePolynomial, "from_exponent_matrix",
                         staticmethod(counting_parse))
+    monkeypatch.setattr(InvertiblePolynomial, "derive", counting_derive)
     monkeypatch.setattr(amodel, "boundary_decorations", counting_decorations)
     code, doc, _ = run_json(capsys, "verify", "--expr", expr)
     assert code == 0
     assert len(doc["variables"]) == reports
-    assert len(built) == 1 + 2 * pieces
+    assert len(parsed) == 1
+    assert len([key for key in built if key[0] == "piece"]) == pieces
+    assert built.count("transpose") == pieces
     assert len(decorated) == reports
 
 

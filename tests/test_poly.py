@@ -1,12 +1,14 @@
 import json
 import math
+import random
 from fractions import Fraction
-from itertools import product as cartesian
+from itertools import permutations, product as cartesian
 
 import pytest
 from hypothesis import given, strategies as st
 
 from lgmirror import linalg
+from lgmirror.amodel import _atomic_piece
 from lgmirror.errors import WrongConfiguration
 from lgmirror.poly import (
     AtomicSummand,
@@ -18,6 +20,9 @@ from lgmirror.poly import (
     parse_exponent_matrix,
     reassemble,
 )
+
+from support import criteria_atomics
+from test_row_order import POLYNOMIALS as ROW_ORDER_POLYNOMIALS
 
 F = Fraction
 
@@ -174,6 +179,59 @@ def test_chain_transpose_shape():
     # chain x1^2*x2 + x2^3 transposes to x1^2 + x1*x2^3
     W = InvertiblePolynomial.from_string("x1^2*x2 + x2^3")
     assert W.transpose().to_string() == "x1^2 + x1*x2^3"
+
+
+# Direct sums with loops whose rotations tie, on shuffled variables and rows.
+TIED_SUMS = [
+    [("loop", (2, 2, 2)), ("loop", (3, 3))],
+    [("loop", (2, 2)), ("loop", (2, 2, 2)), ("fermat", (3,))],
+    [("loop", (3, 3)), ("chain", (2, 3)), ("loop", (2, 2))],
+    [("loop", (2, 3, 2, 3)), ("loop", (2, 2))],
+]
+
+
+def tied_sums(shuffles=8):
+    rng = random.Random(0)
+    for pieces in TIED_SUMS:
+        n = sum(len(a) for _, a in pieces)
+        for _ in range(shuffles):
+            labels = rng.sample(range(n), n)
+            summands, at = [], 0
+            for kind, a in pieces:
+                summands.append(AtomicSummand(kind, a, tuple(labels[at:at + len(a)])))
+                at += len(a)
+            rows = reassemble(summands, n)
+            rng.shuffle(rows)
+            yield InvertiblePolynomial.from_exponent_matrix(rows)
+
+
+def derived_cases():
+    """Every criterion polynomial, every row order of the row-order suite's
+    ten, and the tied-rotation sums."""
+    yield from criteria_atomics()
+    for text in ROW_ORDER_POLYNOMIALS:
+        E = parse_exponent_matrix(text)
+        for order in permutations(range(len(E))):
+            yield InvertiblePolynomial.from_exponent_matrix([E[r] for r in order])
+    yield from tied_sums()
+
+
+FIELDS = ("N", "E", "summands", "q", "charge", "head", "D", "DE_inv", "Dq")
+
+
+def test_derived_polynomials_equal_their_parse():
+    """Wᵗ and the atomic pieces are read off W, not parsed; each equals,
+    field for field, what `from_exponent_matrix` makes of its own E, down
+    to the summand order and the rotation of every loop."""
+    checked = 0
+    for W in derived_cases():
+        pieces = [_atomic_piece(W, i)[0] for i in range(W.N)]
+        for P in (W.transpose(), *pieces, *(piece.transpose() for piece in pieces)):
+            parsed = InvertiblePolynomial.from_exponent_matrix(P.E)
+            assert [getattr(P, k) for k in FIELDS] == [getattr(parsed, k) for k in FIELDS], \
+                P.to_string()
+            checked += 1
+    assert checked > 5000
 
 
 # ---------------------------------------------------------------------------

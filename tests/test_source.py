@@ -171,13 +171,30 @@ def test_one_phase_denominator():
 
 def test_summand_walks_stay_integer():
     """`_SummandRing._walk` carries each value as an integer pair
-    (num, den): `Fraction` is not named in its walk loop; `reduce` and
-    `divide` build the ``Fraction``s they return from its result."""
-    tree = ast.parse((SOURCE / "jacobi.py").read_text(encoding="utf-8"))
-    node = dict(_definitions(tree))["_SummandRing._walk"]
-    loops = [n for n in node.body if isinstance(n, (ast.For, ast.While))]
-    assert loops
-    assert "Fraction" not in {n for loop in loops for n in _names(loop)}
+    (num, den), and so do `JacobiRing.divide` and `brieskorn_reduce`, which
+    take its values on: `Fraction` is named in none of their loops.  Only
+    what `reduce` returns, the reduced `LatticeElement` and the
+    ``--trace`` steps are built as ``Fraction``s."""
+    for module, name in [("jacobi", "_SummandRing._walk"), ("jacobi", "JacobiRing.divide"),
+                         ("bmodel", "brieskorn_reduce")]:
+        tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
+        node = dict(_definitions(tree))[name]
+        loops = [n for n in node.body if isinstance(n, (ast.For, ast.While))]
+        assert loops, name
+        assert "Fraction" not in {n for loop in loops for n in _names(loop)}, name
+
+
+def _calls_from_exponent_matrix(node):
+    return isinstance(node, ast.Attribute) and node.attr == "from_exponent_matrix"
+
+
+def test_derived_polynomials_are_not_parsed():
+    """Only the two input readers validate and classify an exponent
+    matrix; the transpose and the atomic pieces are read off W."""
+    found = set().union(*(_owners(path, _calls_from_exponent_matrix)
+                          for path in sorted(SOURCE.glob("*.py"))))
+    assert sorted(found) == ["poly.InvertiblePolynomial.from_json",
+                             "poly.InvertiblePolynomial.from_string"]
 
 
 def _reads_tables(node):
