@@ -97,7 +97,7 @@ def boundary_decorations(
                     f"node phases {Fraction(g_plus, D)}, {Fraction(g_minus, D)} "
                     f"of line bundle {i + 1} are not inverse")
             node = 1 if g_plus != 0 else 0
-            if ell_plus[i] + ell_minus[i] != smooth[i] - node:
+            if smooth[i] != ell_plus[i] + ell_minus[i] + node:
                 raise WrongConfiguration(
                     f"line bundle {i + 1} has component degrees {ell_plus[i]}, "
                     f"{ell_minus[i]} on {(plus, minus)}, smooth degree {smooth[i]}")

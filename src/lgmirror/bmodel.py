@@ -14,17 +14,23 @@ universal deformation F = f + sum_a s_a phi_a packages the Frobenius
 manifold: the z^{-1} part of J gives the flat coordinates, the z^{-2}
 part the gradient of the genus-zero potential.  This module implements
 
-* the lattice elements and the reduction (``LatticeElement``,
-  ``brieskorn_reduce``, which keeps its levels as the unreduced integer
-  pairs ``JacobiRing.divide`` takes and returns, and builds ``Fraction``s
-  only for the reduced element and the ``steps`` records),
+* the reduction on integer-pair levels (``_reduce_levels``), which keeps
+  each level as {monomial: (num, den)}, the unreduced pairs
+  ``JacobiRing.divide`` takes and returns, and builds ``Fraction``s only
+  for the ``steps`` records,
+* its public edge: the lattice elements (``LatticeElement``, exact
+  ``Fraction`` coefficients) and ``brieskorn_reduce``, which converts at
+  both ends and serves ``--trace``, the demos and the tests,
 * the combinatorial good-basis verification for atomic transposes
   (``good_basis_check``), which pairs basis monomials whose mirror
   sectors are inverse, with the sectors as integer numerator tuples,
 * the order-by-order solver for (zeta, J) (``perturbative_expand``),
+  which sums and reduces each s-monomial on pair levels and builds
+  ``LatticeElement``s only for the entries it stores,
 * the distinguished four-point correlator <x_i, x_i, M_i/x_i^2, top> of
   the mirror ring (``sg_four_point``), whose value collapses to the
-  single reduction [M_i d^Nx] = -q_i z [d^Nx].
+  single reduction [M_i d^Nx] = -q_i z [d^Nx], taken on pair levels with
+  one ``Fraction`` for the value.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from operator import add
 
 from .amodel import admissible_target
 from .errors import WrongConfiguration
-from .jacobi import _accumulate, ring_of
+from .jacobi import JacobiRing, _accumulate, ring_of
 from .mirror import final_type_insertions, sector_numerators
 from .poly import InvertiblePolynomial
 
@@ -66,7 +72,8 @@ class LatticeElement:
     def __init__(self, terms=None):
         clean: dict[int, dict[Monomial, Fraction]] = {}
         for k, poly in (terms or {}).items():
-            level = {m: Fraction(c) for m, c in poly.items() if c != 0}
+            level = {m: c if type(c) is Fraction else Fraction(c)
+                     for m, c in poly.items() if c != 0}
             if not level:
                 continue
             if not Z_MIN <= k <= Z_MAX:
@@ -86,45 +93,8 @@ class LatticeElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def z_powers(self) -> tuple[int, ...]:
-        return tuple(sorted(self.terms))
-
-    def poly_at(self, k: int) -> dict[Monomial, Fraction]:
-        return dict(self.terms.get(k, {}))
-
     def coefficient(self, k: int, m: Monomial) -> Fraction:
         return self.terms.get(k, {}).get(m, Fraction(0))
-
-    def __add__(self, other: "LatticeElement") -> "LatticeElement":
-        out = {k: dict(p) for k, p in self.terms.items()}
-        for k, poly in other.terms.items():
-            level = out.setdefault(k, {})
-            for m, c in poly.items():
-                level[m] = level.get(m, Fraction(0)) + c
-        return LatticeElement(out)
-
-    def __neg__(self) -> "LatticeElement":
-        return LatticeElement(
-            {k: {m: -v for m, v in poly.items()} for k, poly in self.terms.items()}
-        )
-
-    def times(self, m: Monomial, dz: int = 0, c=1) -> "LatticeElement":
-        """Multiply by c * x^m * z^dz (no reduction)."""
-        c = Fraction(c)
-        out: dict[int, dict[Monomial, Fraction]] = {}
-        for k, poly in self.terms.items():
-            level = out.setdefault(k + dz, {})
-            for mono, v in poly.items():
-                key = tuple(a + b for a, b in zip(mono, m))
-                level[key] = level.get(key, Fraction(0)) + c * v
-        return LatticeElement(out)
-
-    def split_z(self) -> tuple["LatticeElement", "LatticeElement"]:
-        """(nonnegative-z part, negative-z part)."""
-        plus = {k: p for k, p in self.terms.items() if k >= 0}
-        minus = {k: p for k, p in self.terms.items() if k < 0}
-        return LatticeElement(plus), LatticeElement(minus)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LatticeElement) and self.terms == other.terms
@@ -144,19 +114,37 @@ def brieskorn_reduce(
 ) -> LatticeElement:
     """Normal form of ``e``: every polynomial part inside the standard-basis span.
 
+    The public edge of `_reduce_levels`: ``e``'s coefficients go in as
+    integer pairs and the reduced levels come back as ``Fraction``s.  When
+    ``steps`` is a list, one record per pass is appended for auditing.
+    """
+    levels = {k: {m: (c.numerator, c.denominator) for m, c in p.items()}
+              for k, p in e.terms.items()}
+    out = _reduce_levels(ring_of(f), levels, steps)
+    return LatticeElement({k: _values(level) for k, level in out.items()})
+
+
+def _reduce_levels(ring: JacobiRing, levels: dict, steps: list | None = None) -> dict:
+    """Reduce ``levels`` = {k: {monomial: (num, den)}} in the ring's
+    Brieskorn lattice, with the coefficients kept as the unreduced integer
+    pairs `JacobiRing.divide` takes and returns.
+
     Each pass divides one z-level exactly, P = nf + sum_j h_j * df/dx_j,
     keeps the normal form, and pushes  -sum_j dh_j/dx_j  one level up.
     Cyclic (loop) rewriting patterns are closed inside the division's
     binomial walk.  Levels are taken in increasing order and a push goes
     only to the next one, inside the z-window, so there are at most
-    Z_MAX - Z_MIN + 1 passes.  When ``steps`` is a list, one record per
-    pass is appended for auditing.
+    Z_MAX - Z_MIN + 1 passes.  A nonzero level outside the window raises.
+    ``levels`` is consumed.  When ``steps`` is a list, one record per pass
+    is appended, with its values as ``Fraction``s.
     """
-    ring = ring_of(f)
+    for k, level in levels.items():
+        if not Z_MIN <= k <= Z_MAX and any(num for num, _ in level.values()):
+            raise WrongConfiguration(
+                f"z-power {k} outside the supported window [{Z_MIN}, {Z_MAX}]"
+            )
     out: dict[int, dict[Monomial, tuple[int, int]]] = {}
-    # coefficients as unreduced integer pairs (num, den), as `ring.divide` takes them
-    pending = {k: {m: (c.numerator, c.denominator) for m, c in p.items()}
-               for k, p in e.terms.items()}
+    pending = levels
     while pending:
         k = min(pending)
         chunk = pending.pop(k)
@@ -183,7 +171,7 @@ def brieskorn_reduce(
             level = pending.setdefault(k + 1, {})
             for m, (num, den) in push.items():
                 _accumulate(level, m, num, den)
-    return LatticeElement({k: _values(level) for k, level in out.items()})
+    return out
 
 
 def _values(level: dict) -> dict[Monomial, Fraction]:
@@ -402,7 +390,9 @@ def perturbative_expand(f: InvertiblePolynomial, order: int) -> SeriesState:
     jfunc: dict[tuple[int, ...], LatticeElement] = {(): one}
     for k in range(1, order + 1):
         for smono in itertools.combinations_with_replacement(range(mu), k):
-            total = LatticeElement()
+            # the s-monomial's total as integer-pair levels: each zeta entry
+            # times x^rest z^-|rest| / rest!
+            total: dict[int, dict[Monomial, tuple[int, int]]] = {}
             for sub in _sub_multisets(smono):
                 zel = zeta.get(sub)
                 if zel is None:
@@ -410,18 +400,27 @@ def perturbative_expand(f: InvertiblePolynomial, order: int) -> SeriesState:
                 rest = _multiset_difference(smono, sub)
                 mono = unit
                 for r in rest:
-                    mono = tuple(a + b for a, b in zip(mono, basis[r]))
+                    mono = tuple(map(add, mono, basis[r]))
                 denom = 1
                 for mult in Counter(rest).values():
                     for v in range(2, mult + 1):
                         denom *= v
-                total = total + zel.times(mono, -len(rest), Fraction(1, denom))
-            reduced = brieskorn_reduce(f, total)
-            plus, minus = reduced.split_z()
-            if not plus.is_zero():
-                zeta[smono] = -plus
-            if not minus.is_zero():
-                jfunc[smono] = minus
+                for z, poly in zel.terms.items():
+                    level = total.setdefault(z - len(rest), {})
+                    for m, c in poly.items():
+                        _accumulate(level, tuple(map(add, m, mono)),
+                                    c.numerator, c.denominator * denom)
+            # drop what cancelled, as a LatticeElement does
+            total = {z: clean for z, level in total.items()
+                     if (clean := {m: c for m, c in level.items() if c[0]})}
+            reduced = _reduce_levels(ring, total)
+            plus = {z: _values({m: (-num, den) for m, (num, den) in level.items()})
+                    for z, level in reduced.items() if z >= 0}
+            minus = {z: _values(level) for z, level in reduced.items() if z < 0}
+            if plus:
+                zeta[smono] = LatticeElement(plus)
+            if minus:
+                jfunc[smono] = LatticeElement(minus)
     return SeriesState(basis=tuple(basis), zeta=zeta, jfunc=jfunc)
 
 
@@ -451,19 +450,19 @@ def sg_four_point(W: InvertiblePolynomial, i: int) -> Fraction:
     # come from positive z-powers in the reduced quadratic products; both
     # relevant products stay at z^0, so t = s + O(s^2) holds in the two
     # deformation directions that matter.
-    for left, right in ((x, x), (x, s)):
-        product = tuple(a + b for a, b in zip(left, right))
-        reduced = brieskorn_reduce(f, LatticeElement.from_poly(product))
-        if any(k > 0 for k in reduced.z_powers):
+    for right in (x, s):
+        product = tuple(map(add, x, right))
+        if any(k > 0 for k in _reduce_levels(ring, {0: {product: (1, 1)}})):
             raise WrongConfiguration("unexpected flat-coordinate correction")
 
     # Cubic term of exp((F-f)/z): its multinomial weight (1/2 for distinct
     # insertions, 1/3! when M_i/x_i^2 = x_i) times the t-derivative's
     # factorials (2! 1!, or 3!) is 1, so B is [M_i z^-3] reduced.
-    reduced = brieskorn_reduce(f, LatticeElement.from_poly(target_monomial, z=-3))
+    reduced = _reduce_levels(ring, {-3: {target_monomial: (1, 1)}})
     unit = (0,) * n
-    if not set(reduced.z_powers) <= {-2}:
+    if not set(reduced) <= {-2}:
         raise WrongConfiguration("cubic term did not collapse to z^-2")
-    if not set(reduced.poly_at(-2)) <= {unit}:
+    level = reduced.get(-2, {})
+    if not set(level) <= {unit}:
         raise WrongConfiguration("cubic term left a positive-degree part")
-    return reduced.coefficient(-2, unit)
+    return Fraction(*level.get(unit, (0, 1)))

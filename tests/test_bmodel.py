@@ -72,6 +72,16 @@ def one(n):
     return LatticeElement.from_poly((0,) * n)
 
 
+def plus(a, b):
+    """a + b, level by level."""
+    terms = {k: dict(poly) for k, poly in a.terms.items()}
+    for k, poly in b.terms.items():
+        level = terms.setdefault(k, {})
+        for m, c in poly.items():
+            level[m] = level.get(m, 0) + c
+    return LatticeElement(terms)
+
+
 # ------------------------------------------------------------ lattice elements
 
 
@@ -86,32 +96,27 @@ class TestLatticeElement:
             {(2, 1): F(1)}
         )
         e = LatticeElement.from_poly({(3,): F(1, 2)}, z=-2)
-        assert e.z_powers == (-2,)
+        assert sorted(e.terms) == [-2]
         assert e.coefficient(-2, (3,)) == F(1, 2)
         assert e.coefficient(0, (3,)) == 0
 
-    def test_addition_cancels_exactly(self):
+    def test_cancelled_coefficients_leave_no_level(self):
         a = LatticeElement.from_poly({(1,): F(2, 3)}, z=1)
         b = LatticeElement.from_poly({(1,): F(-2, 3)}, z=1)
-        assert (a + b).is_zero()
-        assert (a + -a).is_zero()
-        assert a + LatticeElement() == a
+        assert plus(a, b).terms == {}
+        assert plus(a, LatticeElement()) == a
 
-    def test_scale_shift_times(self):
+    def test_shift(self):
         e = LatticeElement.from_poly({(1, 0): F(2)})
-        assert shift(e, -1).z_powers == (-1,)
-        assert e.times((0, 2), dz=-1, c=F(1, 2)) == LatticeElement.from_poly(
-            (1, 2), z=-1
-        )
+        assert shift(e, -1).terms == {-1: {(1, 0): F(2)}}
 
-    def test_split_z(self):
-        e = LatticeElement(
-            {-1: {(0,): F(1)}, 0: {(1,): F(2)}, 2: {(0,): F(3)}}
-        )
-        plus, minus = e.split_z()
-        assert plus.z_powers == (0, 2)
-        assert minus.z_powers == (-1,)
-        assert plus + minus == e
+    def test_coefficients_are_built_once(self):
+        # a Fraction coefficient is kept as it is; anything else becomes one
+        c = F(3, 4)
+        e = LatticeElement({0: {(1,): c, (2,): 5, (3,): 0}})
+        assert e.terms[0][(1,)] is c
+        assert type(e.terms[0][(2,)]) is Fraction and e.terms[0][(2,)] == 5
+        assert (3,) not in e.terms[0]
 
     @pytest.mark.parametrize("z", [-4, 3, 7])
     def test_window_is_enforced(self, z):
@@ -199,7 +204,7 @@ class TestReductionProperties:
             )
         )
         reduced = brieskorn_reduce(f, LatticeElement.from_poly(m))
-        assert reduced.poly_at(0) == ring.monomial_of(ring.reduce(m))
+        assert reduced.terms.get(0, {}) == ring.monomial_of(ring.reduce(m))
 
     @settings(deadline=None)
     @given(data=st.data())
@@ -211,8 +216,8 @@ class TestReductionProperties:
         )
         a = LatticeElement.from_poly({data.draw(monos): data.draw(st.integers(-3, 3))})
         b = LatticeElement.from_poly({data.draw(monos): data.draw(st.integers(-3, 3))})
-        lhs = brieskorn_reduce(f, a + b)
-        rhs = brieskorn_reduce(f, a) + brieskorn_reduce(f, b)
+        lhs = brieskorn_reduce(f, plus(a, b))
+        rhs = plus(brieskorn_reduce(f, a), brieskorn_reduce(f, b))
         assert lhs == rhs
 
     @settings(deadline=None)
@@ -555,7 +560,7 @@ class TestPerturbativeExpansion:
         state = perturbative_expand(W.transpose(), 3)
         for smono, entry in state.jfunc.items():
             if smono:
-                assert all(k < 0 for k in entry.z_powers)
+                assert all(k < 0 for k in entry.terms)
 
     @pytest.mark.parametrize("W,i", SERIES_CASES)
     def test_flat_coordinates_start_at_the_identity(self, W, i):
@@ -591,6 +596,33 @@ class TestPerturbativeExpansion:
         multiplicity = 6 if ix == isv else 2
         value = multiplicity * state.j_coefficient(-2, smono, unit_index)
         assert value == sg_four_point(W, i)
+
+    @pytest.mark.parametrize("W,i", SERIES_CASES + [(atomic("loop", (3, 3)), 1)])
+    def test_the_series_solves_its_defining_equation(self, W, i):
+        # exp((F-f)/z) zeta = J order by order: with zeta's own entry
+        # included, each s-monomial's coefficient reduces to J's, through
+        # the public reduction on LatticeElements.  loop(3, 3) has a zeta
+        # correction, at (top, top).
+        f = W.transpose()
+        state = perturbative_expand(f, 3)
+        for k in range(1, 4):
+            for smono in itertools.combinations_with_replacement(range(len(state.basis)), k):
+                terms = {}
+                for sub, entry in state.zeta.items():
+                    if not Counter(sub) <= Counter(smono):
+                        continue
+                    rest = Counter(smono) - Counter(sub)
+                    mono = [0] * f.N
+                    for r, mult in rest.items():
+                        mono = [a + mult * b for a, b in zip(mono, state.basis[r])]
+                    weight = math.prod(math.factorial(mult) for mult in rest.values())
+                    for z, poly in entry.terms.items():
+                        level = terms.setdefault(z - rest.total(), {})
+                        for m, c in poly.items():
+                            key = tuple(map(add, m, mono))
+                            level[key] = level.get(key, 0) + c / weight
+                expected = state.jfunc.get(smono, LatticeElement())
+                assert brieskorn_reduce(f, LatticeElement(terms)) == expected
 
     def test_zeta_corrections_appear_only_at_the_top_weight(self):
         # For the symmetric loop the only positive z-power at quadratic
@@ -676,6 +708,49 @@ def test_series_does_not_depend_on_the_certificate(monkeypatch):
     assert differs > 0
 
 
+def test_four_point_agrees_with_the_public_reduction():
+    """`sg_four_point` reduces on integer-pair levels, the ``--trace`` and
+    demo route through the public `brieskorn_reduce` on a `LatticeElement`.
+    On every criterion 1–3 target the public route collapses [M_i z^-3] to
+    the same z^-2 [d^Nx] coefficient, and reduces both flat-coordinate
+    products to nonpositive z-powers."""
+    targets = 0
+    for W, i in criteria_targets():
+        piece, local = admissible_target(W, i)
+        x, s, m = final_type_insertions(piece, local)
+        f = piece.transpose()
+        for right in (x, s):
+            product = tuple(map(add, x, right))
+            assert all(k <= 0 for k in brieskorn_reduce(f, LatticeElement.from_poly(product)).terms)
+        reduced = brieskorn_reduce(f, LatticeElement.from_poly(m, z=-3))
+        assert reduced.terms == {-2: {(0,) * f.N: sg_four_point(W, i)}}
+        targets += 1
+    assert targets > 400
+
+
+class TestPairLevels:
+    def test_a_nonzero_level_outside_the_window_is_refused(self):
+        ring = ring_of(atomic("fermat", (4,)))
+        for k in (bmodel.Z_MIN - 1, bmodel.Z_MAX + 1):
+            with pytest.raises(WrongConfiguration, match="outside the supported window"):
+                bmodel._reduce_levels(ring, {k: {(0,): (1, 2)}})
+
+    def test_a_cancelled_level_outside_the_window_is_ignored(self):
+        ring = ring_of(atomic("fermat", (4,)))
+        assert bmodel._reduce_levels(ring, {bmodel.Z_MIN - 1: {(1,): (0, 3)}}) == {}
+
+    @pytest.mark.parametrize("f", REDUCTION_RINGS)
+    def test_the_public_edge_reads_the_pair_levels(self, f):
+        # brieskorn_reduce is _reduce_levels with Fraction coefficients at
+        # both ends, and leaves its input as it was
+        ring = ring_of(f)
+        for m in ring.basis.monomials + (tuple(2 * a for a in ring.top),):
+            e = LatticeElement.from_poly({m: F(-2, 3)}, z=-2)
+            pairs = bmodel._reduce_levels(ring, {-2: {m: (-2, 3)}})
+            assert brieskorn_reduce(f, e).terms == {k: values(p) for k, p in pairs.items()}
+            assert e == LatticeElement.from_poly({m: F(-2, 3)}, z=-2)
+
+
 # ------------------------------------------------------------ the correlator
 
 
@@ -740,15 +815,15 @@ class TestFourPoint:
     @pytest.mark.parametrize(
         "reduced,message",
         [
-            (LatticeElement.from_poly((0, 0), z=1), "unexpected flat-coordinate correction"),
-            (LatticeElement.from_poly((0, 0), z=-1), "cubic term did not collapse to z^-2"),
-            (LatticeElement.from_poly((1, 0), z=-2), "cubic term left a positive-degree part"),
+            ({1: {(0, 0): (1, 1)}}, "unexpected flat-coordinate correction"),
+            ({-1: {(0, 0): (1, 1)}}, "cubic term did not collapse to z^-2"),
+            ({-2: {(1, 0): (1, 1)}}, "cubic term left a positive-degree part"),
         ],
     )
     def test_an_uncollapsed_reduction_is_refused(self, monkeypatch, capsys, reduced, message):
         # B rests on these collapse checks, so they must be errors that
         # survive `python -O`, and the CLI must report them with exit 2.
-        monkeypatch.setattr(bmodel, "brieskorn_reduce", lambda f, e: reduced)
+        monkeypatch.setattr(bmodel, "_reduce_levels", lambda ring, levels, steps=None: reduced)
         with pytest.raises(WrongConfiguration, match=re.escape(message)):
             sg_four_point(atomic("loop", (3, 3)), 1)
         argv = ["correlator", "--expr", "x1^3*x2 + x2^3*x1", "--target", "1", "--side", "B"]

@@ -171,12 +171,14 @@ def test_one_phase_denominator():
 
 def test_summand_walks_stay_integer():
     """`_SummandRing._walk` carries each value as an integer pair
-    (num, den), and so do `JacobiRing.divide` and `brieskorn_reduce`, which
-    take its values on: `Fraction` is named in none of their loops.  Only
-    what `reduce` returns, the reduced `LatticeElement` and the
-    ``--trace`` steps are built as ``Fraction``s."""
+    (num, den), and so do `JacobiRing.divide`, `_reduce_levels` and
+    `perturbative_expand`, which take its values on: `Fraction` is named in
+    none of their loops.  Only what `reduce` returns, the public
+    `brieskorn_reduce`'s `LatticeElement`, the stored ζ and J entries, the
+    value of `sg_four_point` and the ``--trace`` steps are built as
+    ``Fraction``s."""
     for module, name in [("jacobi", "_SummandRing._walk"), ("jacobi", "JacobiRing.divide"),
-                         ("bmodel", "brieskorn_reduce")]:
+                         ("bmodel", "_reduce_levels"), ("bmodel", "perturbative_expand")]:
         tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
         node = dict(_definitions(tree))[name]
         loops = [n for n in node.body if isinstance(n, (ast.For, ast.While))]
