@@ -23,7 +23,7 @@ part the gradient of the genus-zero potential.  This module implements
   both ends and serves ``--trace``, the demos and the tests,
 * the combinatorial good-basis verification for atomic transposes
   (``good_basis_check``), which pairs basis monomials whose mirror
-  sectors are inverse, with the sectors as integer numerator tuples,
+  sectors, integer numerator tuples stepped over the box, are inverse,
 * the order-by-order solver for (zeta, J) (``perturbative_expand``),
   which sums and reduces each s-monomial on pair levels and builds
   ``LatticeElement``s only for the entries it stores,
@@ -44,7 +44,7 @@ from operator import add
 from .amodel import admissible_target
 from .errors import WrongConfiguration
 from .jacobi import JacobiRing, _accumulate, ring_of
-from .mirror import final_type_insertions, sector_numerators
+from .mirror import final_type_insertions
 from .poly import InvertiblePolynomial
 
 Monomial = tuple[int, ...]
@@ -270,44 +270,39 @@ def good_basis_check(f: InvertiblePolynomial) -> GoodBasisReport:
     k = (r + 1) . E_f⁻¹ + (r' + 1) . E_f⁻¹, and (r + 1) . E_f⁻¹ mod 1 is
     the phase vector of the mirror sector of r, sector_of(fᵗ, r), since
     the weights of fᵗ are (1, ..., 1) . E_f⁻¹.  So k is integral exactly
-    when the sectors of r and r' are inverse.  The sectors of the whole
-    basis come in one batch as their numerators over D = fᵗ.D
-    (`sector_numerators`); the basis is bucketed by those tuples and each
-    bucket is paired with the bucket at the negated numerators mod D, the
-    inverse sector, with no group element built.
+    when the sectors of r and r' are inverse.  `_SummandRing.box` steps
+    the sectors' numerators over D = fᵗ.D on the rows (fᵗ.Dq, fᵗ.DE_inv)
+    along the basis box, which must hold the closed-form μ monomials; each
+    bucket of equal numerators is paired with the bucket at their negation
+    mod D, the inverse sector.  Σk = (m + 2)·q, so deg(x^m) = ĉ iff Σk = N.
     """
     if len(f.summands) != 1:
         raise WrongConfiguration("good-basis verification expects one atomic summand")
     kind = f.summands[0].kind
-    basis = ring_of(f).basis.monomials
-    mu = len(basis)
+    ring = ring_of(f)
+    mu = ring.mu
     order = _monomial_order(f)
     ft = f.transpose()
-    buckets: dict = {}
-    for r, g in zip(basis, sector_numerators(ft, basis)):
-        buckets.setdefault(g, []).append(r)
-    # each unordered pair once, r <= r'; each sector inverted once, as the
-    # numerators of its inverse; fᵗ.D = f.D, the lcm of the same determinants
+    # fᵗ.D = f.D, the lcm of the same determinants
     D = f.D
+    buckets: dict = {}
+    for g, r in ring._parts[0].box(zip(ft.Dq, ft.DE_inv), D):
+        buckets.setdefault(g, []).append(r)
+    if sum(map(len, buckets.values())) != mu:
+        raise RuntimeError(f"the basis box does not hold mu = {mu} monomials")
+    # each unordered pair once, r <= r'; each sector inverted once, as the
+    # numerators of its inverse
     pairs = Counter(tuple(map(add, r, rp)) for g, rs in buckets.items()
                     for rp in buckets.get(tuple([-x % D for x in g]), ()) for r in rs if r <= rp)
     # k = (m + 2) . E⁻¹ with E⁻¹'s columns in monomial order, so that
     # k . E = m + 2; D divides (m + 2) . D·E⁻¹ on every class
     columns = [[row[r] for row in f.DE_inv] for r in order]
-    socle = f.charge * f.D
     families = _allowed_families(kind, f.N)
     records: list[PairingClass] = []
     for m in sorted(pairs):
         k = tuple(sum((mj + 2) * a for mj, a in zip(m, column)) // D for column in columns)
-        records.append(
-            PairingClass(
-                exponent_sum=m,
-                pair_count=pairs[m],
-                k=k,
-                in_family=k in families,
-                degree_ok=f.degree(m) == socle,
-            )
-        )
+        records.append(PairingClass(exponent_sum=m, pair_count=pairs[m], k=k,
+                                    in_family=k in families, degree_ok=sum(k) == f.N))
     checked = mu * (mu + 1) // 2
     return GoodBasisReport(
         kind=kind,

@@ -11,7 +11,8 @@ over the atomic summands of f:
 
 Each summand works on whole exponent tuples, so a monomial passes from one
 summand to the next as it is.  A ring keeps only the test of membership in
-that basis (`in_basis`); the basis itself is listed on first use.
+that basis (`in_basis`); the basis is listed on first use by one walk of
+each summand's box that steps the degrees along (`_SummandRing.box`).
 
 Each column of the exponent matrix has at most two nonzero entries, so each
 relation ∂_j f is a monomial or a binomial, and the normal form of a
@@ -48,8 +49,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product as cartesian
-from operator import add, sub
+from itertools import product as cartesian, repeat
+from operator import add, mod, sub
 
 from . import linalg
 from .poly import AtomicSummand, InvertiblePolynomial
@@ -177,6 +178,7 @@ class _SummandRing:
         order = slice(None, None, -1 if self.chain else 1)
         self.variables = s.variables[order]
         self.bounds = s.exponents[order]
+        self.n = len(partials)
         self.zeros: list[tuple] = []
         self.moves: list[tuple] = []
         for v in self.variables:
@@ -194,6 +196,25 @@ class _SummandRing:
             if not 0 <= m[v] < a:
                 return False
         return not (self.chain and _chain_excluded(m, self.variables, self.bounds))
+
+    def box(self, rows, modulus=None):
+        """(values, m) for the summand's basis monomials m, lexicographic and
+        in ambient positions: values[k] = c₀ + Σ_v m_v·c_v (mod ``modulus``)
+        for rows[k] = (c₀, c), stepped as the sums over the box of one
+        multiple e·c_v per variable, c₀ folded into the first."""
+        ranges = [(0,)] * self.n
+        for v, a in zip(self.variables, self.bounds):
+            ranges[v] = range(a)
+        streams = []
+        for c0, c in rows:
+            steps = [[e * c[v] for e in r] for v, r in enumerate(ranges)]
+            steps[0] = [c0 + x for x in steps[0]]
+            values = map(sum, cartesian(*steps))
+            streams.append(values if modulus is None else map(mod, values, repeat(modulus)))
+        walk = zip(zip(*streams), cartesian(*ranges))
+        if not self.chain:
+            return walk
+        return ((x, m) for x, m in walk if not _chain_excluded(m, self.variables, self.bounds))
 
     def _walk(self, m: Monomial):
         """m's whole component of the binomial graph, breadth first, as
@@ -288,7 +309,7 @@ def top_of(f: InvertiblePolynomial) -> Monomial:
             top[v] = a - 1
         if s.kind != "loop":
             top[s.variables[0]] -= 1
-    if f.degree(top) * f.charge.denominator != f.charge.numerator * f.D:
+    if f.degree(top) != f.N * f.D - 2 * sum(f.Dq):
         raise RuntimeError(f"top {top} does not have degree {f.charge}")
     return tuple(top)
 
@@ -313,16 +334,11 @@ class JacobiRing:
     @cached_property
     def basis(self) -> StandardBasis:
         """The standard basis in (degree, m) order, with its index: each
-        summand's box, listed in ambient positions with zeros elsewhere, and
-        for a direct sum the sums of one piece from each summand."""
-        degree = self.poly.degree
-        parts = []
-        for p in self._parts:
-            ranges = [(0,)] * self.n
-            for v, a in zip(p.variables, p.bounds):
-                ranges[v] = range(a)
-            parts.append([(degree(m), m) for m in cartesian(*ranges)
-                          if not (p.chain and _chain_excluded(m, p.variables, p.bounds))])
+        summand's basis box from `_SummandRing.box`, its degrees stepped
+        along with it on the row ``Dq``, and for a direct sum the sums of
+        one piece from each summand."""
+        row = ((0, self.poly.Dq),)
+        parts = [[(d, m) for (d,), m in p.box(row)] for p in self._parts]
         pieces = parts[0]
         for more in parts[1:]:
             pieces = [(d + e, _add(m, r)) for d, m in pieces for e, r in more]

@@ -58,18 +58,10 @@ def require_mirror_hypotheses(W: InvertiblePolynomial) -> None:
             "the mirror theorem excludes this case")
 
 
-def sector_numerators(W: InvertiblePolynomial, monomials) -> list[tuple[int, ...]]:
-    """The numerators over D = W.D of (∏ρ_j^{α_j})·J_W for each monomial
-    exponent tuple α in ``monomials``, as plain integer tuples."""
-    D = W.D
-    rows = tuple(zip(W.Dq, W.DE_inv))
-    return [tuple([(qi + sum(map(mul, m, row))) % D for qi, row in rows])
-            for m in monomials]
-
-
 def sector_of(W: InvertiblePolynomial, m: Monomial) -> GroupElement:
     """(∏ρ_j^{α_j})·J_W for the monomial exponents α = m, over D = W.D."""
-    return GroupElement(sector_numerators(W, (m,))[0], W.D)
+    return GroupElement(tuple([(qi + sum(map(mul, m, row))) % W.D
+                               for qi, row in zip(W.Dq, W.DE_inv)]), W.D)
 
 
 def final_type_insertions(W: InvertiblePolynomial, i: int) -> tuple[Monomial, Monomial, Monomial]:

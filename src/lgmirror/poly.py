@@ -22,8 +22,8 @@ are stored once, in integers over one denominator: E⁻¹ = DE_inv/D and
 q = Dq/D, where D is the lcm of the summands' determinants, which is the
 lcm of E⁻¹'s denominators and so the exponent of the maximal symmetry
 group.  The grading ``degree`` and the A side's phase arithmetic both
-work over D; ``q``, ``charge`` and ``inverse_exponents()`` are the
-``Fraction`` views.
+work over D; ``q`` and ``charge``, built on first read, and
+``inverse_exponents()`` are the ``Fraction`` views.
 
 Only `from_string` and `from_json` parse and classify an exponent matrix.
 Polynomials derived from W (its transpose, the atomic pieces of the A and
@@ -83,8 +83,6 @@ class InvertiblePolynomial:
     N: int
     E: tuple[tuple[int, ...], ...]
     summands: tuple[AtomicSummand, ...]
-    q: tuple[Fraction, ...]
-    charge: Fraction
     # head[v] is the row of E headed by x_v, the monomial x_v^a or x_v^a·x_u
     head: tuple[int, ...] = field(compare=False, repr=False)
     # E⁻¹ and q in integers: E⁻¹ = DE_inv/D and q = Dq/D, where D is the
@@ -116,16 +114,14 @@ class InvertiblePolynomial:
     @staticmethod
     def _assemble(E, summands, head, D, DE_inv) -> "InvertiblePolynomial":
         """The polynomial of a classified E, its summands and head rows,
-        and E⁻¹ = DE_inv/D; the weights and ĉ follow."""
+        and E⁻¹ = DE_inv/D; the weights follow."""
         # the weights solve E·q = (1,…,1)ᵗ: the row sums of E⁻¹
         Dq = tuple(sum(row) for row in DE_inv)
-        q = tuple(Fraction(x, D) for x in Dq)
         if not all(0 < x and 2 * x <= D for x in Dq):
             # weights outside (0,1/2] cannot arise from an atomic sum with
             # all a_i >= 2; guard anyway so bad matrices fail loudly.
-            raise NotInvertibleShape(f"weights {q} out of range (0,1/2]")
-        charge = Fraction(len(E) * D - 2 * sum(Dq), D)
-        return InvertiblePolynomial(len(E), E, tuple(summands), q, charge, head, D, DE_inv, Dq)
+            raise NotInvertibleShape(f"weights {tuple(Fraction(x, D) for x in Dq)} out of range (0,1/2]")
+        return InvertiblePolynomial(len(E), E, tuple(summands), head, D, DE_inv, Dq)
 
     @staticmethod
     def from_string(text: str) -> "InvertiblePolynomial":
@@ -146,6 +142,16 @@ class InvertiblePolynomial:
     def degree(self, m) -> int:
         """D times the weighted degree Σ m_i q_i of the monomial m."""
         return sum(mi * x for mi, x in zip(m, self.Dq))
+
+    @property
+    def q(self) -> tuple[Fraction, ...]:
+        """The weights q = Dq/D as ``Fraction``s, built on first read."""
+        return self.derive("q", lambda: tuple(Fraction(x, self.D) for x in self.Dq))
+
+    @property
+    def charge(self) -> Fraction:
+        """The central charge ĉ = Σ(1 − 2qᵢ), built on first read."""
+        return self.derive("charge", lambda: Fraction(self.N * self.D - 2 * sum(self.Dq), self.D))
 
     def inverse_exponents(self) -> tuple[tuple[Fraction, ...], ...]:
         """E⁻¹ as ``Fraction``s, built from DE_inv on each call; entry

@@ -487,11 +487,13 @@ def rows_reversed(f):
                         id="rows reversed: " + f.to_string())
 
 
-# N = 4 pair counts, and the heads of a row-permuted input
+# N = 4 pair counts, with larger exponents on a chain with exclusions and
+# on a loop, and the heads of a row-permuted input
 PERMUTED_AND_LARGER = [
     *(rows_reversed(f.transpose()) for f in SMALL_ATOMICS),
     *(pytest.param(f, id=f.to_string())
-      for f in (atomic("loop", (2, 3, 2, 3)).transpose(), atomic("chain", (2, 2, 3, 2)).transpose())),
+      for f in (atomic("loop", (2, 3, 2, 3)).transpose(), atomic("chain", (2, 2, 3, 2)).transpose(),
+                atomic("chain", (4, 3, 4, 5)).transpose(), atomic("loop", (3, 4, 3, 4)).transpose())),
 ]
 
 

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from lgmirror import linalg
-from lgmirror.jacobi import (JacobiRing, OracleQuotient, RingElement, _SummandRing, _graded,
-                             _partials, ring_of)
+from lgmirror.jacobi import (JacobiRing, OracleQuotient, RingElement, _SummandRing,
+                             _chain_excluded, _graded, _partials, ring_of)
 from lgmirror.poly import InvertiblePolynomial
 
-from support import assert_certificate, pairs, residue_pairing, slice_divide, values
+from support import (assert_certificate, criteria_atomics, pairs, residue_pairing, slice_divide,
+                     values)
 
 F = Fraction
 
@@ -79,6 +80,44 @@ def test_top_weight_is_central_charge():
         assert R.wt(R.top) == R.poly.charge
         same = [m for m in R.basis.monomials if R.wt(m) == R.poly.charge]
         assert same == [R.top]
+
+
+def naive_basis(f):
+    """Every summand's box of exponents below its own, minus
+    `_chain_excluded` read in transposed-chain order for Fermat and chain
+    summands, sorted by (degree, m) with the degree summed per monomial."""
+    ranges = [None] * f.N
+    for s in f.summands:
+        for v, a in zip(s.variables, s.exponents):
+            ranges[v] = range(a)
+    box = [m for m in cartesian(*ranges)
+           if not any(s.kind != "loop" and _chain_excluded(m, s.variables[::-1], s.exponents[::-1])
+                      for s in f.summands)]
+    return tuple(sorted(box, key=lambda m: (f.degree(m), m)))
+
+
+BASIS_ORDER_SUMS = [
+    "x2^3*x4 + x4^3 + x1^4 + x3^2*x5 + x5^3*x3",   # chain ⊕ Fermat ⊕ loop
+    "x3^2*x1 + x1^3*x2 + x2^4 + x4^5",              # length-3 chain ⊕ Fermat
+    "x4^2*x2 + x2^3*x4 + x1^3*x5 + x5^2*x3 + x3^3",  # loop ⊕ length-3 chain
+]
+
+
+def test_basis_order_is_the_naive_sort():
+    """The stepped box walk lists the basis in the order of the naive sort
+    by (degree, m): every criterion 1–3 atomic and its transpose with
+    μ ≤ 300, direct sums on shuffled variables and their transposes, and
+    loop(10³)ᵗ."""
+    polys = [g for f in criteria_atomics() for g in (f, f.transpose()) if JacobiRing(g).mu <= 300]
+    for text in BASIS_ORDER_SUMS:
+        f = InvertiblePolynomial.from_string(text)
+        polys += [f, f.transpose()]
+    polys.append(InvertiblePolynomial.from_string("x1^10*x2 + x2^10*x3 + x3^10*x1").transpose())
+    assert len(polys) > 1000
+    for f in polys:
+        R = JacobiRing(f)
+        assert R.basis.monomials == naive_basis(f), f.to_string()
+        assert len(R.basis.monomials) == R.mu
 
 
 def test_ring_of_is_shared_and_matches_ring():

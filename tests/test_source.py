@@ -43,14 +43,15 @@ def test_memoization_is_per_polynomial():
 
 
 def test_polynomial_stores_one_integer_form():
-    """E⁻¹ and the grading are stored once, as integers over D; the only
-    `Fraction` fields of InvertiblePolynomial are the reported q and ĉ."""
+    """E⁻¹ and the grading are stored once, as integers over D:
+    InvertiblePolynomial has no `Fraction` field, and q and ĉ are views
+    built on first read."""
     tree = ast.parse((SOURCE / "poly.py").read_text(encoding="utf-8"))
     cls = next(node for node in tree.body
                if isinstance(node, ast.ClassDef) and node.name == "InvertiblePolynomial")
     found = [node.target.id for node in cls.body
              if isinstance(node, ast.AnnAssign) and "Fraction" in ast.unparse(node.annotation)]
-    assert found == ["q", "charge"]
+    assert found == []
 
 
 # Definitions that only tests call, each with the reason it stays in src/.
@@ -218,6 +219,20 @@ def test_good_basis_sectors_stay_integer():
     tree = ast.parse((SOURCE / "bmodel.py").read_text(encoding="utf-8"))
     node = dict(_definitions(tree))["good_basis_check"]
     assert sorted({"GroupElement", "sector_of", "inverse"} & set(_names(node))) == []
+
+
+def test_basis_and_sectors_are_stepped_over_the_box():
+    """`JacobiRing.basis` takes its degrees and `good_basis_check` its
+    sectors stepped along `_SummandRing.box`, with no per-monomial degree or
+    sector sum; and the box's chain exclusions are read only in `jacobi`,
+    by the membership test and the box walk."""
+    for module, name in [("jacobi", "JacobiRing.basis"), ("bmodel", "good_basis_check")]:
+        tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
+        node = dict(_definitions(tree))[name]
+        assert sorted({"degree", "sector_of", "sector_numerators"} & set(_names(node))) == [], name
+    found = set().union(*(_owners(path, lambda n: isinstance(n, ast.Name) and n.id == "_chain_excluded")
+                          for path in sorted(SOURCE.glob("*.py"))))
+    assert sorted(found) == ["jacobi._SummandRing.box", "jacobi._SummandRing.in_basis"]
 
 
 def test_box_test_has_no_generator():
