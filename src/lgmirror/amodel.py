@@ -76,7 +76,7 @@ def boundary_decorations(
     D = W.D, as a mod and a floor division of D·h.  Degree
     bookkeeping (the two component degrees plus one when the node is
     narrow add up to the smooth-fiber degree) is checked on every
-    decoration.
+    decoration, against the smooth degrees times D.
     """
     if len(sectors) != 4:
         raise WrongConfiguration("expected exactly 4 sectors")
@@ -97,10 +97,10 @@ def boundary_decorations(
                     f"node phases {Fraction(g_plus, D)}, {Fraction(g_minus, D)} "
                     f"of line bundle {i + 1} are not inverse")
             node = 1 if g_plus != 0 else 0
-            if smooth[i] != ell_plus[i] + ell_minus[i] + node:
+            if smooth[i] != D * (ell_plus[i] + ell_minus[i] + node):
                 raise WrongConfiguration(
                     f"line bundle {i + 1} has component degrees {ell_plus[i]}, "
-                    f"{ell_minus[i]} on {(plus, minus)}, smooth degree {smooth[i]}")
+                    f"{ell_minus[i]} on {(plus, minus)}, smooth degree {Fraction(smooth[i], D)}")
         out.append(BoundaryDecoration((plus, minus), GroupElement(gamma, D),
                                       ell_plus, ell_minus))
     return out
@@ -125,8 +125,8 @@ def _chern_combo(
     sectors: list[GroupElement],
     decorations: list[BoundaryDecoration],
     j: int,
-) -> Fraction:
-    """The Bernoulli combination at variable j (1-based):
+) -> int:
+    """2D² times the Bernoulli combination at variable j (1-based):
 
     1/2 * [ -q_j(1-q_j) + sum over marks Theta(1-Theta)
             - sum over boundary graphs gamma(1-gamma) ].
@@ -134,8 +134,8 @@ def _chern_combo(
     Equal to the concave correlator value when j is the target, and to
     minus the degree-one Chern character of the pushforward of the j-th
     line bundle in general (the constant terms of the three Bernoulli
-    polynomials cancel: 1 - 4 + 3 = 0).  Summed in integers over D², with
-    D = W.D the denominator of every phase, into a single Fraction.
+    polynomials cancel: 1 - 4 + 3 = 0).  An integer, since D = W.D is the
+    denominator of every phase.
     """
     D = W.D
 
@@ -145,7 +145,7 @@ def _chern_combo(
     total = -bernoulli(W.Dq[j - 1])
     total += sum(bernoulli(g.num[j - 1]) for g in sectors)
     total -= sum(bernoulli(dec.gamma_plus.num[j - 1]) for dec in decorations)
-    return Fraction(total, 2 * D * D)
+    return total
 
 
 def b2_correlator(
@@ -166,12 +166,13 @@ def b2_correlator(
     """
     if any(not g.is_narrow() for g in sectors):
         raise ConcavityViolated("broad insertion sector")
+    D = W.D
     smooth = line_bundle_degrees(W, sectors)
     for i in range(1, W.N + 1):
         want = -2 if i == target_index else -1
-        if smooth[i - 1] != want:
+        if smooth[i - 1] != want * D:
             raise ConcavityViolated(
-                f"line bundle {i} has degree {smooth[i - 1]}, expected {want}"
+                f"line bundle {i} has degree {Fraction(smooth[i - 1], D)}, expected {want}"
             )
     if decorations is None:
         decorations = boundary_decorations(W, sectors)
@@ -181,7 +182,7 @@ def b2_correlator(
                 raise ConcavityViolated(
                     f"line bundle {i} has sections on stratum {dec.splitting}"
                 )
-    return _chern_combo(W, sectors, decorations, target_index)
+    return Fraction(_chern_combo(W, sectors, decorations, target_index), 2 * D * D)
 
 
 def _final_type_sectors(W: InvertiblePolynomial, target: int) -> list[GroupElement]:
@@ -204,7 +205,8 @@ def guere_correlator(W: InvertiblePolynomial, sectors, decorations) -> Fraction:
         X = a_{N-1} * Ch1(L_{N-1}) - Ch1(L_N),
 
     the a_{N-1} coefficient being lim (1 - u^{-a_{N-1}}) u/(1 - u) as
-    u -> 1.  Each Ch1 integral is minus the Bernoulli combination; every
+    u -> 1.  Each Ch1 integral is minus the Bernoulli combination, an
+    integer over 2D² with D = W.D, so the value is one Fraction; every
     line bundle below N-1 is concave of degree -1 and contributes zero,
     which is checked.  ``sectors`` and ``decorations`` are those of the
     final-type correlator.
@@ -217,9 +219,10 @@ def guere_correlator(W: InvertiblePolynomial, sectors, decorations) -> Fraction:
         raise WrongConfiguration("expected a loop with final exponent 2 and N >= 3")
     if any(not g.is_narrow() for g in sectors):
         raise WrongConfiguration("broad insertion sector")
+    D = W.D
     smooth = line_bundle_degrees(W, sectors)
-    if smooth != [Fraction(-1)] * (n - 1) + [Fraction(-2)]:
-        raise WrongConfiguration(f"unexpected line bundle degrees {smooth}")
+    if smooth != [-D] * (n - 1) + [-2 * D]:
+        raise WrongConfiguration(f"unexpected line bundle degrees {[Fraction(x, D) for x in smooth]}")
     if decorations[0].pair(n - 1) != (0, -2):
         raise WrongConfiguration(
             f"expected component degrees (0, -2) for line bundle {n - 1}, "
@@ -230,7 +233,7 @@ def guere_correlator(W: InvertiblePolynomial, sectors, decorations) -> Fraction:
             raise WrongConfiguration(f"line bundle {j} contributes to the limit formula")
     ch1_next_to_last = -_chern_combo(W, sectors, decorations, n - 1)
     ch1_last = -_chern_combo(W, sectors, decorations, n)
-    return a[-2] * ch1_next_to_last - ch1_last
+    return Fraction(a[-2] * ch1_next_to_last - ch1_last, 2 * D * D)
 
 
 def _exponents(W: InvertiblePolynomial) -> list[int]:

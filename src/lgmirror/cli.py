@@ -116,7 +116,7 @@ def decoration_json(dec) -> dict:
     plus, minus = dec.splitting
     return {
         "splitting": [[m + 1 for m in plus], [m + 1 for m in minus]],
-        "gamma_plus": dec.gamma_plus.json_phases(),
+        "gamma_plus": [frac(p) for p in dec.gamma_plus.phases],
         "ell_plus": list(dec.ell_plus),
         "ell_minus": list(dec.ell_minus),
     }
@@ -271,17 +271,13 @@ def cmd_classify(args) -> int:
     if args.trace:
         elements = enumerate_group(W)
         document["group"] = [
-            {
-                "phases": g.json_phases(),
-                "narrow": g.is_narrow(),
-            }
+            {"phases": [frac(p) for p in g.phases], "narrow": g.is_narrow()}
             for g in elements
         ]
         lines.append(f"  group elements ({len(elements)}):")
         lines.extend(
-            f"    ({', '.join(g.json_phases())})"
-            f"{'' if g.is_narrow() else '  [broad]'}"
-            for g in elements
+            f"    ({', '.join(e['phases'])}){'' if e['narrow'] else '  [broad]'}"
+            for e in document["group"]
         )
     emit(args, document, lines)
     return 0
@@ -305,7 +301,7 @@ def cmd_mirror(args) -> int:
             {
                 "monomial": format_monomial(m),
                 "weight": frac(wt),
-                "phases": img.sector.json_phases(),
+                "phases": [frac(p) for p in img.sector.phases],
                 "degree": frac(img.degree),
                 "narrow": img.narrow,
                 "broad_monomial": (

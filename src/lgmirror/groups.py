@@ -59,9 +59,6 @@ class GroupElement:
     def is_narrow(self) -> bool:
         return 0 not in self.num
 
-    def json_phases(self) -> list[str]:
-        return [f"{p.numerator}/{p.denominator}" for p in self.phases]
-
 
 def identity(W: InvertiblePolynomial) -> GroupElement:
     return GroupElement((0,) * W.N, W.D)

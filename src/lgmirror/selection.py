@@ -80,11 +80,11 @@ class CorrelatorSpec:
         return CorrelatorSpec(tuple(head) + (tuple(alpha), tuple(beta)), ell, tuple(alpha), tuple(beta), b, K)
 
 
-def line_bundle_degrees(W: InvertiblePolynomial, sectors: list[GroupElement]) -> list[Fraction]:
-    """Degrees l_j = q_j*(k - 2) - sum_i Theta_j(gamma_i) for k >= 3 sectors
-    of G_W, summed as integer numerators over D = W.D."""
+def line_bundle_degrees(W: InvertiblePolynomial, sectors: list[GroupElement]) -> list[int]:
+    """The integers D·l_j, with l_j = q_j*(k - 2) - sum_i Theta_j(gamma_i)
+    the degrees for k >= 3 sectors of G_W and D = W.D."""
     require_in_group(W, sectors)
-    return [Fraction(qj * (len(sectors) - 2) - sum(g.num[j] for g in sectors), W.D)
+    return [qj * (len(sectors) - 2) - sum(g.num[j] for g in sectors)
             for j, qj in enumerate(W.Dq)]
 
 

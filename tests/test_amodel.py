@@ -69,7 +69,7 @@ def test_final_type_line_bundle_degrees():
         W = InvertiblePolynomial.from_string(expr)
         sectors = _final_type_sectors(W, t)
         degs = line_bundle_degrees(W, sectors)
-        assert degs == [F(-1 - (1 if i == t - 1 else 0)) for i in range(W.N)]
+        assert degs == [W.D * (-1 - (1 if i == t - 1 else 0)) for i in range(W.N)]
         theta, _, s, h = sectors
         inverse = W.inverse_exponents()
         for i in range(W.N):
@@ -222,7 +222,7 @@ def test_decoration_bookkeeping():
     for d in decs:
         for i in range(W.N):
             node = 1 if d.gamma_plus.phases[i] != 0 else 0
-            assert d.ell_plus[i] + d.ell_minus[i] == smooth[i] - node
+            assert d.ell_plus[i] + d.ell_minus[i] == F(smooth[i], W.D) - node
             gp = d.gamma_plus.phases[i]
             gm = (d.gamma_plus ** -1).phases[i]
             assert gp * (1 - gp) == gm * (1 - gm)

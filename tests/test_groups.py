@@ -114,11 +114,6 @@ def test_sector_degree():
     assert groups.sector_degree(L, groups.identity(L)) == F(1, 3)
 
 
-def test_json_phases():
-    g = GroupElement((1, 0), 3)
-    assert g.json_phases() == ["1/3", "0/1"]
-
-
 @pytest.mark.parametrize("make", [
     lambda: GroupElement((1,), 1),                               # phase 1
     lambda: GroupElement((1, -1), 3),                            # phase < 0

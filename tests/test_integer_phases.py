@@ -87,7 +87,7 @@ def check_four_sectors(W, sectors):
     """Degrees, decorations (or the refusal and its message) and every
     Bernoulli combination agree with the reference."""
     phases = [g.phases for g in sectors]
-    assert line_bundle_degrees(W, sectors) == ref_degrees(W, phases)
+    assert [Fraction(x, W.D) for x in line_bundle_degrees(W, sectors)] == ref_degrees(W, phases)
     try:
         expected = ref_decorations(W, phases)
     except WrongConfiguration as exc:
@@ -101,7 +101,8 @@ def check_four_sectors(W, sectors):
     assert all(d.gamma_plus.den == W.D for d in decorations)
     nodes = [e[0] for e in expected]
     for j in range(1, W.N + 1):
-        assert _chern_combo(W, sectors, decorations, j) == ref_chern(W, phases, nodes, j)
+        assert (Fraction(_chern_combo(W, sectors, decorations, j), 2 * W.D**2)
+                == ref_chern(W, phases, nodes, j))
 
 
 @st.composite

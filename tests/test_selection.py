@@ -8,7 +8,8 @@ import pytest
 from lgmirror.errors import WrongConfiguration
 from lgmirror.groups import GroupElement, generator_rho
 from lgmirror.jacobi import JacobiRing, ring_of
-from lgmirror.poly import InvertiblePolynomial
+from lgmirror.mirror import sector_of
+from lgmirror.poly import AtomicSummand, InvertiblePolynomial, reassemble
 from lgmirror.selection import (
     NOT_X_MINUS_1,
     X_0,
@@ -142,7 +143,7 @@ def test_line_bundle_three_identity_insertions(expr):
     W = InvertiblePolynomial.from_string(expr)
     J = grading_element(W)
     degs = line_bundle_degrees(W, [J, J, J])
-    assert degs == [-2 * q for q in W.q]
+    assert [F(x, W.D) for x in degs] == [-2 * q for q in W.q]
 
 
 def test_line_bundle_fermat_theta_s_h():
@@ -155,7 +156,7 @@ def test_line_bundle_fermat_theta_s_h():
     h = GroupElement((D - q,), D)
     assert theta.phases == (F(2, a),)
     assert s.phases == (F(a - 1, a),) and h.phases == (F(a - 1, a),)
-    assert line_bundle_degrees(W, [theta, theta, s, h]) == [F(-2)]
+    assert line_bundle_degrees(W, [theta, theta, s, h]) == [-2 * D]
 
 
 def test_line_bundle_chain_final_type():
@@ -167,7 +168,53 @@ def test_line_bundle_chain_final_type():
     s = GroupElement(tuple((q - 2 * r) % D for q, r in zip(W.Dq, rho)), D)
     h = GroupElement(tuple(D - q for q in W.Dq), D)
     degs = line_bundle_degrees(W, [theta, theta, s, h])
-    assert degs == [F(-1), F(-2)]
+    assert degs == [-D, -2 * D]
+
+
+def three_point_corpus():
+    """x^a for 3 <= a <= 8 and every chain and loop with N in {2, 3} and
+    a_i in {2, 3, 4}, less those with a weight-1/2 variable."""
+    shapes = [("fermat", (a,)) for a in range(3, 9)]
+    shapes += [(kind, a) for kind in ("chain", "loop") for n in (2, 3)
+               for a in product(range(2, 5), repeat=n)]
+    for kind, a in shapes:
+        raw = reassemble([AtomicSummand(kind, a, tuple(range(len(a))))], len(a))
+        W = InvertiblePolynomial.from_exponent_matrix(raw)
+        if not W.weight_half_variables():
+            yield W
+
+
+def test_three_point_a_equals_b_on_concave_and_fractional_triples():
+    """Genus-zero three-point invariants <a, b, c> of narrow sectors, for
+    non-unit basis monomials of Jac(Wᵗ) whose degrees sum to ĉ.  On the A
+    side, read off the integers D·l_j: all equal to -D is the concave
+    class, with A = 1; some not divisible by D breaks the integer-degree
+    axiom, and A = 0.  B is the coefficient of the socle monomial in
+    [abc].  Broad and index-zero triples are not compared."""
+    corpus = list(three_point_corpus())
+    assert len(corpus) == 66
+    concave = fractional = 0
+    for W in corpus:
+        WT, D = W.transpose(), W.D
+        ring = ring_of(WT)
+        # narrow sectors only, each with its monomial's degree over WT.D
+        narrow = {m: (WT.degree(m), sector_of(W, m)) for m in ring.basis.monomials if any(m)}
+        narrow = {m: v for m, v in narrow.items() if v[1].is_narrow()}
+        target = int(W.charge * WT.D)  # N·D - 2·sum(D·q), an integer
+        for a, b, c in combinations_with_replacement(narrow, 3):
+            if narrow[a][0] + narrow[b][0] + narrow[c][0] != target:
+                continue
+            sectors = [narrow[m][1] for m in (a, b, c)]
+            degrees = line_bundle_degrees(W, sectors)
+            term = ring.reduce_monomial(tuple(map(sum, zip(a, b, c))))
+            B = term[1] if term is not None and term[0] == ring.top else 0
+            if all(d == -D for d in degrees):
+                assert B == 1, (W.to_string(), a, b, c)
+                concave += 1
+            elif any(d % D for d in degrees):
+                assert B == 0, (W.to_string(), a, b, c)
+                fractional += 1
+    assert (concave, fractional) == (1257, 2722)
 
 
 # ------------------------------------------------------------- properties

@@ -221,6 +221,29 @@ def test_good_basis_sectors_stay_integer():
     assert sorted({"GroupElement", "sector_of", "inverse"} & set(_names(node))) == []
 
 
+def test_a_side_stays_integer():
+    """Line-bundle degrees and Chern sums are integers over D = W.D: the
+    five A-side definitions name `Fraction` only in an error text, which
+    shows a degree over D, and in the value `b2_correlator` and
+    `guere_correlator` return, which each builds once."""
+    value_builders = {"b2_correlator", "guere_correlator"}
+    found = []
+    for module, names in [("selection", ["line_bundle_degrees"]),
+                          ("amodel", ["boundary_decorations", "_chern_combo",
+                                      "b2_correlator", "guere_correlator"])]:
+        tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
+        defs = dict(_definitions(tree))
+        for name in names:
+            node = defs[name]
+            kinds = (ast.Raise, ast.Return) if name in value_builders else ast.Raise
+            skip = {n for n in ast.walk(node) if isinstance(n, kinds)}
+            if name in value_builders:
+                skip.add(node.returns)
+            if "Fraction" in set(_names(node, skip)):
+                found.append(name)
+    assert found == []
+
+
 def test_basis_and_sectors_are_stepped_over_the_box():
     """`JacobiRing.basis` takes its degrees and `good_basis_check` its
     sectors stepped along `_SummandRing.box`, with no per-monomial degree or
