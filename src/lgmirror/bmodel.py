@@ -16,17 +16,19 @@ part the gradient of the genus-zero potential.  This module implements
 
 * the reduction on integer-pair levels (``_reduce_levels``), which keeps
   each level as {monomial: (num, den)}, the unreduced pairs
-  ``JacobiRing.divide`` takes and returns, and builds ``Fraction``s only
+  ``JacobiRing.divide`` takes and returns, differentiates the division's
+  flat certificate straight into the push, and builds ``Fraction``s only
   for the ``steps`` records,
 * its public edge: the lattice elements (``LatticeElement``, exact
   ``Fraction`` coefficients) and ``brieskorn_reduce``, which converts at
   both ends and serves ``--trace``, the demos and the tests,
 * the combinatorial good-basis verification for atomic transposes
   (``good_basis_check``), which pairs basis monomials whose mirror
-  sectors, integer numerator tuples stepped over the box, are inverse,
+  sectors are inverse, each sector one integer mod D stepped over the
+  box and read off the polynomial itself, with no transpose built,
 * the order-by-order solver for (zeta, J) (``perturbative_expand``),
-  which sums and reduces each s-monomial on pair levels and builds
-  ``LatticeElement``s only for the entries it stores,
+  which keeps zeta and J as pair levels across the orders and builds each
+  stored ``LatticeElement`` once, at the end,
 * the distinguished four-point correlator <x_i, x_i, M_i/x_i^2, top> of
   the mirror ring (``sg_four_point``), whose value collapses to the
   single reduction [M_i d^Nx] = -q_i z [d^Nx], taken on pair levels with
@@ -129,8 +131,9 @@ def _reduce_levels(ring: JacobiRing, levels: dict, steps: list | None = None) ->
     Brieskorn lattice, with the coefficients kept as the unreduced integer
     pairs `JacobiRing.divide` takes and returns.
 
-    Each pass divides one z-level exactly, P = nf + sum_j h_j * df/dx_j,
-    keeps the normal form, and pushes  -sum_j dh_j/dx_j  one level up.
+    Each pass divides one z-level exactly, P = nf + sum kappa s df/dx_v
+    over the terms (v, s, kappa) of the division's certificate, keeps the
+    normal form, and pushes  -sum d(kappa s)/dx_v  one level up.
     Cyclic (loop) rewriting patterns are closed inside the division's
     binomial walk.  Levels are taken in increasing order and a push goes
     only to the next one, inside the z-window, so there are at most
@@ -148,17 +151,15 @@ def _reduce_levels(ring: JacobiRing, levels: dict, steps: list | None = None) ->
     while pending:
         k = min(pending)
         chunk = pending.pop(k)
-        nf, quotients = ring.divide(chunk)
+        nf, terms = ring.divide(chunk)
         if nf:
             out[k] = nf
+        # -d(kappa s)/dx_v for every certificate term kappa s df/dx_v
         push: dict[Monomial, tuple[int, int]] = {}
-        for j, h in enumerate(quotients):
-            for s, (num, den) in h.items():
-                if s[j] == 0:
-                    continue
-                d = list(s)
-                d[j] -= 1
-                _accumulate(push, tuple(d), -num * s[j], den)
+        for v, s, (num, den) in terms:
+            e = s[v]
+            if e:
+                _accumulate(push, s[:v] + (e - 1,) + s[v + 1:], -num * e, den)
         push = {m: c for m, c in push.items() if c[0]}
         if steps is not None:
             steps.append({"z": k, "chunk": _values(chunk),
@@ -175,8 +176,8 @@ def _reduce_levels(ring: JacobiRing, levels: dict, steps: list | None = None) ->
 
 
 def _values(level: dict) -> dict[Monomial, Fraction]:
-    """A level of integer pairs (num, den) as ``Fraction``s."""
-    return {m: Fraction(*c) for m, c in level.items()}
+    """A level of integer pairs (num, den) as ``Fraction``s, in monomial order."""
+    return {m: Fraction(*c) for m, c in sorted(level.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +259,20 @@ def _allowed_families(kind: str, n: int) -> set[tuple[int, ...]]:
     return fams
 
 
+def _sector_steps(f: InvertiblePolynomial) -> list[int]:
+    """t, by variable, with row v of f.DE_inv ≡ t_v·(row v₁) (mod D) for
+    the atomic f = x_{v₁}^{a₁}x_{v₂} + …: the rows ρ_v, the generators of
+    G_{fᵗ} over D, satisfy aᵢ·ρ_{vᵢ} + ρ_{vᵢ₊₁} ≡ 0, so t_{v₁} = 1 and
+    t_{vᵢ₊₁} = −aᵢ·t_{vᵢ} mod D, read off the summand."""
+    s = f.summands[0]
+    t = [0] * f.N
+    step = 1
+    for v, a in zip(s.variables, s.exponents):
+        t[v] = step
+        step = -a * step % f.D
+    return t
+
+
 def good_basis_check(f: InvertiblePolynomial) -> GoodBasisReport:
     """Verify that the standard basis of an atomic f is a good basis.
 
@@ -270,11 +285,15 @@ def good_basis_check(f: InvertiblePolynomial) -> GoodBasisReport:
     k = (r + 1) . E_f⁻¹ + (r' + 1) . E_f⁻¹, and (r + 1) . E_f⁻¹ mod 1 is
     the phase vector of the mirror sector of r, sector_of(fᵗ, r), since
     the weights of fᵗ are (1, ..., 1) . E_f⁻¹.  So k is integral exactly
-    when the sectors of r and r' are inverse.  `_SummandRing.box` steps
-    the sectors' numerators over D = fᵗ.D on the rows (fᵗ.Dq, fᵗ.DE_inv)
-    along the basis box, which must hold the closed-form μ monomials; each
-    bucket of equal numerators is paired with the bucket at their negation
-    mod D, the inverse sector.  Σk = (m + 2)·q, so deg(x^m) = ĉ iff Σk = N.
+    when the sectors of r and r' are inverse.  Over D = f.D the sector is
+    Σ_v (r_v + 1)·ρ_v with ρ_v row v of f.DE_inv, and every ρ_v is
+    t_v·ρ_{v₁} mod D (`_sector_steps`, checked here), so the sector is
+    T(r)·ρ_{v₁} with the one integer T(r) = Σ_v (r_v + 1)·t_v mod D.
+    G_{fᵗ} = ⟨ρ_{v₁}⟩ has order |det E_f| = D, so T is faithful.
+    `_SummandRing.box` steps T along the basis box, which must hold the
+    closed-form μ monomials; each bucket of equal T is paired with the
+    bucket at −T mod D, the inverse sector.  Σk = (m + 2)·q, so
+    deg(x^m) = ĉ iff Σk = N.
     """
     if len(f.summands) != 1:
         raise WrongConfiguration("good-basis verification expects one atomic summand")
@@ -282,18 +301,20 @@ def good_basis_check(f: InvertiblePolynomial) -> GoodBasisReport:
     ring = ring_of(f)
     mu = ring.mu
     order = _monomial_order(f)
-    ft = f.transpose()
-    # fᵗ.D = f.D, the lcm of the same determinants
     D = f.D
-    buckets: dict = {}
-    for g, r in ring._parts[0].box(zip(ft.Dq, ft.DE_inv), D):
+    t = _sector_steps(f)
+    first = f.DE_inv[f.summands[0].variables[0]]
+    for tv, row in zip(t, f.DE_inv):
+        if [tv * x % D for x in first] != [x % D for x in row]:
+            raise RuntimeError(f"a sector generator is not {tv} times the first")
+    buckets: dict[int, list[Monomial]] = {}
+    for g, r in ring._parts[0].box(sum(t), t, D):
         buckets.setdefault(g, []).append(r)
     if sum(map(len, buckets.values())) != mu:
         raise RuntimeError(f"the basis box does not hold mu = {mu} monomials")
-    # each unordered pair once, r <= r'; each sector inverted once, as the
-    # numerators of its inverse
+    # each unordered pair once, r <= r'
     pairs = Counter(tuple(map(add, r, rp)) for g, rs in buckets.items()
-                    for rp in buckets.get(tuple([-x % D for x in g]), ()) for r in rs if r <= rp)
+                    for rp in buckets.get(-g % D, ()) for r in rs if r <= rp)
     # k = (m + 2) . E⁻¹ with E⁻¹'s columns in monomial order, so that
     # k . E = m + 2; D divides (m + 2) . D·E⁻¹ on every class
     columns = [[row[r] for row in f.DE_inv] for r in order]
@@ -351,18 +372,16 @@ class SeriesState:
         return out
 
 
-def _sub_multisets(smono: tuple[int, ...]):
-    """All proper sub-multisets of a sorted tuple, the empty one included."""
-    subs = {()}
-    for size in range(1, len(smono)):
-        subs.update(itertools.combinations(smono, size))
-    return sorted(subs)
-
-
-def _multiset_difference(whole: tuple[int, ...], part: tuple[int, ...]) -> tuple[int, ...]:
-    counts = Counter(whole)
-    counts.subtract(Counter(part))
-    return tuple(sorted(counts.elements()))
+def _splits(smono: tuple[int, ...]):
+    """(sub, rest) for every proper sub-multiset sub of a sorted tuple, the
+    empty one included, each once, with rest the sorted remainder."""
+    out = {}
+    for size in range(len(smono)):
+        for inner in itertools.combinations(range(len(smono)), size):
+            sub = tuple(smono[i] for i in inner)
+            if sub not in out:
+                out[sub] = tuple(x for i, x in enumerate(smono) if i not in inner)
+    return out.items()
 
 
 def perturbative_expand(f: InvertiblePolynomial, order: int) -> SeriesState:
@@ -372,7 +391,9 @@ def perturbative_expand(f: InvertiblePolynomial, order: int) -> SeriesState:
     expansion splits into nonnegative and negative z-parts, the former is
     subtracted from zeta and the latter is the new J component.  Orders
     beyond 3 are refused rather than silently truncated: the z-window and
-    the four-point extraction are calibrated to cubic order.
+    the four-point extraction are calibrated to cubic order.  zeta and J
+    stay integer-pair levels across the orders; each stored entry becomes a
+    ``LatticeElement`` once, at the end.
     """
     if not 0 <= order <= 3:
         raise WrongConfiguration("the expansion is supported up to order 3 only")
@@ -380,42 +401,41 @@ def perturbative_expand(f: InvertiblePolynomial, order: int) -> SeriesState:
     basis = ring.basis.monomials
     mu = len(basis)
     unit = (0,) * f.N
-    one = LatticeElement.from_poly(unit)
-    zeta: dict[tuple[int, ...], LatticeElement] = {(): one}
-    jfunc: dict[tuple[int, ...], LatticeElement] = {(): one}
+    one = {0: {unit: (1, 1)}}
+    zeta: dict[tuple[int, ...], dict] = {(): one}
+    jfunc: dict[tuple[int, ...], dict] = {(): one}
     for k in range(1, order + 1):
         for smono in itertools.combinations_with_replacement(range(mu), k):
             # the s-monomial's total as integer-pair levels: each zeta entry
             # times x^rest z^-|rest| / rest!
             total: dict[int, dict[Monomial, tuple[int, int]]] = {}
-            for sub in _sub_multisets(smono):
-                zel = zeta.get(sub)
-                if zel is None:
+            for sub, rest in _splits(smono):
+                levels = zeta.get(sub)
+                if levels is None:
                     continue
-                rest = _multiset_difference(smono, sub)
                 mono = unit
-                for r in rest:
+                denom = run = 1
+                for i, r in enumerate(rest):
                     mono = tuple(map(add, mono, basis[r]))
-                denom = 1
-                for mult in Counter(rest).values():
-                    for v in range(2, mult + 1):
-                        denom *= v
-                for z, poly in zel.terms.items():
+                    run = run + 1 if i and rest[i - 1] == r else 1
+                    denom *= run
+                for z, poly in levels.items():
                     level = total.setdefault(z - len(rest), {})
-                    for m, c in poly.items():
-                        _accumulate(level, tuple(map(add, m, mono)),
-                                    c.numerator, c.denominator * denom)
+                    for m, (num, den) in poly.items():
+                        _accumulate(level, tuple(map(add, m, mono)), num, den * denom)
             # drop what cancelled, as a LatticeElement does
             total = {z: clean for z, level in total.items()
                      if (clean := {m: c for m, c in level.items() if c[0]})}
             reduced = _reduce_levels(ring, total)
-            plus = {z: _values({m: (-num, den) for m, (num, den) in level.items()})
+            plus = {z: {m: (-num, den) for m, (num, den) in level.items()}
                     for z, level in reduced.items() if z >= 0}
-            minus = {z: _values(level) for z, level in reduced.items() if z < 0}
+            minus = {z: level for z, level in reduced.items() if z < 0}
             if plus:
-                zeta[smono] = LatticeElement(plus)
+                zeta[smono] = plus
             if minus:
-                jfunc[smono] = LatticeElement(minus)
+                jfunc[smono] = minus
+    zeta, jfunc = ({sm: LatticeElement({z: _values(level) for z, level in levels.items()})
+                    for sm, levels in table.items()} for table in (zeta, jfunc))
     return SeriesState(basis=tuple(basis), zeta=zeta, jfunc=jfunc)
 
 

@@ -208,9 +208,8 @@ def verification_report(W: InvertiblePolynomial, trace: bool = False) -> dict:
     }
 
 
-def cmd_verify(args) -> int:
-    W = load_polynomial(args)
-    report = verification_report(W, trace=args.trace)
+def verify_lines(W: InvertiblePolynomial, report: dict, trace: bool) -> list[str]:
+    """The text output of ``verify`` for its report."""
     verified = {v["i"]: v for v in report["variables"]}
     skips = {s["i"]: s for s in report["skipped"]}
     lines = [f"polynomial: {report['polynomial']}"]
@@ -224,13 +223,21 @@ def cmd_verify(args) -> int:
             f"  x{i}  q = {v['q_i']}   A = {v['A_value']} ({v['method_A']})"
             f"   B = {v['B_value']}   {ok}"
         )
-        if args.trace:
+        if trace:
             lines.extend(decoration_lines(v["decorations"]))
             lines.extend(reduction_lines(v["reduction"]))
     lines.append(
         f"overall: {report['overall']} ({len(report['variables'])} verified, "
         f"{len(report['skipped'])} skipped) [{report['timing_ms']} ms]"
     )
+    return lines
+
+
+def cmd_verify(args) -> int:
+    W = load_polynomial(args)
+    report = verification_report(W, trace=args.trace)
+    # the human-readable lines only on the text path: emit drops them under --json
+    lines = [] if args.json else verify_lines(W, report, args.trace)
     emit(args, report, lines)
     if any(not v["matched"] for v in report["variables"]):
         return 1

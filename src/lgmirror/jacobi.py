@@ -25,10 +25,11 @@ means the basis is not one, and the walk raises.  The relations are
 brute-force oracle (`OracleQuotient`).  Each summand compiles them once
 into integer tables, and the walk carries its values as unreduced integer
 pairs.  `reduce` returns ``Fraction``s; `divide` takes and returns the
-pairs, never reduced, so that the B side's reduction stays in integers.
+pairs, never reduced, its certificate one flat list of terms, so that the
+B side's reduction stays in integers.
 
 `reduce` reads [m] = val[b]·b off the walk.  `divide` writes
-p = nf + Σ_j h_j ∂_j f with no linear solve: each move u = s·p → s·p′ is
+p = nf + Σ κ·s·∂_j f with no linear solve: each move u = s·p → s·p′ is
 the identity s·p = (1/a)·s·∂_j f − (b/a)·s·p′, so the walk, which keeps
 each node's parent edge, carries the certificate m − val·u = Σ κ·s·∂_j f
 along its paths, and `divide` reads it back from the first node in walk
@@ -164,9 +165,10 @@ class _SummandRing:
 
     Each relation ∂_v f, v in the summand, is compiled once into an integer
     table.  A monomial a·p is the zero (sup, p, v, a); a binomial a·p + b·p′
-    gives the move p → (−b/a)·p′ as (sup, p, p′ − p, −b, a, v) and the move
-    back.  ``sup`` = (i, pᵢ, j, pⱼ) holds p's nonzero entries (`_support`),
-    so p | u reads two coordinates, and a move's next node is u + (p′ − p).
+    gives the move p → (−b/a)·p′ as (sup, p, p′ − p, −b, a, v, k), k its
+    index in ``moves``, and the move back at index k ^ 1.  ``sup`` =
+    (i, pᵢ, j, pⱼ) holds p's nonzero entries (`_support`), so p | u reads
+    two coordinates, and a move's next node is u + (p′ − p).
     `_walk`, the one traversal of the tables, keeps each value as an
     unreduced integer pair (num, den) with den > 0, since every a > 0, and
     compares two values by cross-multiplying; only the values `reduce`
@@ -187,8 +189,9 @@ class _SummandRing:
                 self.zeros.append((_support(rel[0][0]), rel[0][0], v, rel[0][1]))
             else:
                 (p, a), (q, b) = rel
-                self.moves += [(_support(p), p, _sub(q, p), -b, a, v),
-                               (_support(q), q, _sub(p, q), -a, b, v)]
+                k = len(self.moves)
+                self.moves += [(_support(p), p, _sub(q, p), -b, a, v, k),
+                               (_support(q), q, _sub(p, q), -a, b, v, k + 1)]
         self._cache: dict[Monomial, tuple[Monomial, Fraction] | None] = {}
 
     def in_basis(self, m: Monomial) -> bool:
@@ -197,31 +200,34 @@ class _SummandRing:
                 return False
         return not (self.chain and _chain_excluded(m, self.variables, self.bounds))
 
-    def box(self, rows, modulus=None):
-        """(values, m) for the summand's basis monomials m, lexicographic and
-        in ambient positions: values[k] = c₀ + Σ_v m_v·c_v (mod ``modulus``)
-        for rows[k] = (c₀, c), stepped as the sums over the box of one
+    def box(self, c0: int, c, modulus=None):
+        """(value, m) for the summand's basis monomials m, lexicographic and
+        in ambient positions: value = c₀ + Σ_v m_v·c_v (mod ``modulus``) on
+        the affine row (c₀, c), stepped as the sums over the box of one
         multiple e·c_v per variable, c₀ folded into the first."""
         ranges = [(0,)] * self.n
         for v, a in zip(self.variables, self.bounds):
             ranges[v] = range(a)
-        streams = []
-        for c0, c in rows:
-            steps = [[e * c[v] for e in r] for v, r in enumerate(ranges)]
-            steps[0] = [c0 + x for x in steps[0]]
-            values = map(sum, cartesian(*steps))
-            streams.append(values if modulus is None else map(mod, values, repeat(modulus)))
-        walk = zip(zip(*streams), cartesian(*ranges))
+        steps = [[e * c[v] for e in r] for v, r in enumerate(ranges)]
+        steps[0] = [c0 + x for x in steps[0]]
+        values = map(sum, cartesian(*steps))
+        if modulus is not None:
+            values = map(mod, values, repeat(modulus))
+        walk = zip(values, cartesian(*ranges))
         if not self.chain:
             return walk
         return ((x, m) for x, m in walk if not _chain_excluded(m, self.variables, self.bounds))
 
     def _walk(self, m: Monomial):
         """m's whole component of the binomial graph, breadth first, as
-        (node, b, legs).  node[u] = (num, den, edge) keeps val[u] = num/den
-        with m ≡ val[u]·u, and the edge (parent, v, p, a) that first reached
-        u: the move parent = s·p → s·p′ multiplies val by −b/a and adds
-        val[parent]/a · s·∂_v f to H_u, with m − val[u]·u = H_u.
+        (node, b, legs).  node[u] = (num, den, edge, back) keeps
+        val[u] = num/den with m ≡ val[u]·u, and the edge (parent, v, p, a)
+        that first reached u: the move parent = s·p → s·p′ multiplies val by
+        −b/a and adds val[parent]/a · s·∂_v f to H_u, with m − val[u]·u = H_u.
+        ``back`` is the index of that move's reverse.  From u it always
+        applies and leads to the parent with val[u]·(−a/b) = val[parent], so
+        it counts as applying and is not taken; every other move is, and a
+        move that reaches a node already walked closes a cycle.
 
         The component is zero when a monomial relation divides one of its
         monomials or a cycle comes back to a monomial with another val;
@@ -234,28 +240,30 @@ class _SummandRing:
         p | u, u = (1/a)·(u/p)·∂_v f, one leg, or a move that reaches a node
         w with another value y, (val[w] − y)·w = H′ − H_w, two legs for
         k·H′ + (1 − k)·H_w with k = val[w]/(val[w] − y)."""
-        node = {m: (1, 1, None)}
+        node = {m: (1, 1, None, -1)}
         queue = [m]
         reached: list[Monomial] = []
         zero = False
         settled = None
         for u in queue:
-            num, den, edge = node[u]
-            applies = self.in_basis(u)
-            if applies:
+            num, den, edge, back = node[u]
+            # the move back along u's edge applies, and closes on val[parent]
+            applies = edge is not None
+            if self.in_basis(u):
+                applies = True
                 reached.append(u)
                 settled = settled or (u, [(edge, 1, 1)])
             for (i, e, j, g), p, v, a in self.zeros:
                 if u[i] >= e and u[j] >= g:
                     zero = applies = True
                     settled = settled or (None, [((u, v, p, a), 1, 1)])
-            for (i, e, j, g), p, d, nb, a, v in self.moves:
-                if u[i] >= e and u[j] >= g:
+            for (i, e, j, g), p, d, nb, a, v, k in self.moves:
+                if k != back and u[i] >= e and u[j] >= g:
                     applies = True
                     w = _add(u, d)
                     y, z = num * nb, den * a
                     if w not in node:
-                        node[w] = y, z, (u, v, p, a)
+                        node[w] = y, z, (u, v, p, a), k ^ 1
                         queue.append(w)
                     elif node[w][0] * z != y * node[w][1]:
                         zero = True
@@ -295,7 +303,7 @@ class _SummandRing:
         for edge, kn, kd in legs:
             while edge:
                 u, v, p, a = edge
-                num, den, edge = node[u]
+                num, den, edge, _ = node[u]
                 terms.append((v, _sub(u, p), (kn * num, kd * den * a)))
         return b, (0 if b is None else node[b][:2]), terms
 
@@ -337,8 +345,7 @@ class JacobiRing:
         summand's basis box from `_SummandRing.box`, its degrees stepped
         along with it on the row ``Dq``, and for a direct sum the sums of
         one piece from each summand."""
-        row = ((0, self.poly.Dq),)
-        parts = [[(d, m) for (d,), m in p.box(row)] for p in self._parts]
+        parts = [list(p.box(0, self.poly.Dq)) for p in self._parts]
         pieces = parts[0]
         for more in parts[1:]:
             pieces = [(d + e, _add(m, r)) for d, m in pieces for e, r in more]
@@ -370,7 +377,8 @@ class JacobiRing:
     def reduce(self, p) -> RingElement:
         """Normal form of a monomial or {monomial: coef} polynomial."""
         if isinstance(p, tuple):
-            p = {p: Fraction(1)}
+            term = self.reduce_monomial(p)
+            return RingElement(() if term is None else ((self.basis.index[term[0]], term[1]),))
         acc: dict[int, Fraction] = {}
         for m, c in p.items():
             term = self.reduce_monomial(m)
@@ -412,22 +420,22 @@ class JacobiRing:
     # -- division with quotient certificate --------------------------------
 
     def divide(self, p: dict):
-        """Write p = nf + Σ_j h_j ∂_j f with nf in the basis span.
+        """Write p = nf + Σ κ·s·∂_v f with nf in the basis span.
 
         Coefficients are unreduced integer pairs (num, den), in p and in
-        (nf, quotients): nf is {basis monomial: pair} in basis order, and
-        quotients[j] is {monomial: pair} for h_j, in monomial order.  Each
-        monomial of p is divided one summand at a time by
-        `_SummandRing.divide`, which passes its remainder to the next
-        summand; the normal form agrees with `reduce`.  Where a slice has a
-        syzygy, the quotients are one certificate among several."""
+        (nf, terms): nf is {basis monomial: pair} in basis order, and the
+        certificate is one flat list of terms (v, s, κ), in walk order, a
+        cofactor s possibly more than once.  Each monomial of p is divided
+        one summand at a time by `_SummandRing.divide`, which passes its
+        remainder to the next summand; the normal form agrees with `reduce`.
+        Where a slice has a syzygy, the terms are one certificate among
+        several."""
         nf_acc: dict[Monomial, tuple[int, int]] = {}
-        quot: list[dict] = [dict() for _ in range(self.n)]
+        terms = []
         for m, (cn, cd) in p.items():
             for part in self._parts:
-                b, x, terms = part.divide(m)
-                for v, s, (kn, kd) in terms:
-                    _accumulate(quot[v], s, cn * kn, cd * kd)
+                b, x, walked = part.divide(m)
+                terms += [(v, s, (cn * kn, cd * kd)) for v, s, (kn, kd) in walked]
                 if b is None:
                     break
                 m = b
@@ -435,8 +443,7 @@ class JacobiRing:
             else:
                 _accumulate(nf_acc, m, cn, cd)
         nf = sorted((self.poly.degree(m), m, c) for m, c in nf_acc.items() if c[0])
-        return ({m: c for _, m, c in nf},
-                [{s: c for s, c in sorted(h.items()) if c[0]} for h in quot])
+        return {m: c for _, m, c in nf}, terms
 
 
 def ring_of(f: InvertiblePolynomial) -> JacobiRing:

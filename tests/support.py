@@ -44,17 +44,26 @@ def pairs(p):
     return {m: (Fraction(c).numerator, Fraction(c).denominator) for m, c in p.items()}
 
 
-def assert_certificate(R, p, nf, quot):
-    """p == nf + Σ_j h_j ∂_j f, with nf in the basis span, all three in
+def quotients(R, terms):
+    """A certificate's flat terms (v, s, κ) as the quotients h_j, one
+    {cofactor: Fraction} per j with the zeros dropped, so that two
+    certificates compare whatever order and grouping their terms have."""
+    quot = [{} for _ in range(R.n)]
+    for v, s, c in terms:
+        quot[v][s] = quot[v].get(s, Fraction(0)) + Fraction(*c)
+    return [{s: c for s, c in sorted(h.items()) if c} for h in quot]
+
+
+def assert_certificate(R, p, nf, terms):
+    """p == nf + Σ κ·s·∂_v f, with nf in the basis span, all three in
     `JacobiRing.divide`'s integer pairs."""
     assert all(R.in_basis(m) for m in nf)
     partials = _partials(R.poly)
     total = values(nf)
-    for j, h in enumerate(quot):
-        for s, cs in values(h).items():
-            for m0, c0 in partials[j].items():
-                m = tuple(a + b for a, b in zip(s, m0))
-                total[m] = total.get(m, Fraction(0)) + cs * c0
+    for v, s, c in terms:
+        for m0, c0 in partials[v].items():
+            m = tuple(a + b for a, b in zip(s, m0))
+            total[m] = total.get(m, Fraction(0)) + Fraction(*c) * c0
     assert {m: c for m, c in total.items() if c != 0} == \
         {m: c for m, c in values(p).items() if c != 0}
 
@@ -63,8 +72,9 @@ def slice_divide(R, p):
     """`JacobiRing.divide` by exact elimination on each whole degree slice:
     a row per slice monomial, a column per basis monomial, then one per
     s·∂_j f by (j, s); free columns are 0.  It takes and returns integer
-    pairs, as `divide` does.  The reference the walk's normal forms, and
-    its quotients wherever they are unique, are checked against."""
+    pairs, its certificate a flat term list, as `divide` does.  The
+    reference the walk's normal forms, and its quotients wherever they are
+    unique, are checked against."""
     f = R.poly
     partials = _partials(f)
     by_degree = {}
@@ -72,7 +82,7 @@ def slice_divide(R, p):
         chunk = by_degree.setdefault(f.degree(m), {})
         chunk[m] = chunk.get(m, Fraction(0)) + c
     nf_acc = {}
-    quot = [dict() for _ in range(R.n)]
+    terms = []
     for deg, chunk in by_degree.items():
         space = _graded(f.Dq, deg, deg)
         midx = {m: i for i, m in enumerate(space)}
@@ -95,6 +105,6 @@ def slice_divide(R, p):
                 nf_acc[basis[k]] = nf_acc.get(basis[k], Fraction(0)) + x
             else:
                 j, s = quots[k - len(basis)]
-                quot[j][s] = quot[j].get(s, Fraction(0)) + x
+                terms.append((j, s, (x.numerator, x.denominator)))
     nf = sorted((f.degree(m), m, c) for m, c in nf_acc.items() if c != 0)
-    return pairs({m: c for _, m, c in nf}), [pairs(h) for h in quot]
+    return pairs({m: c for _, m, c in nf}), terms

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import re
 from collections import Counter
 from fractions import Fraction
@@ -24,10 +25,10 @@ from lgmirror.bmodel import (
 from lgmirror.errors import UnsupportedByTheorem, WrongConfiguration
 from lgmirror.jacobi import JacobiRing, ring_of
 from lgmirror.linalg import invert, solve
-from lgmirror.mirror import final_type_insertions
+from lgmirror.mirror import final_type_insertions, sector_of
 from lgmirror.poly import AtomicSummand, InvertiblePolynomial, reassemble
 
-from support import criteria_atomics, slice_divide, values
+from support import criteria_atomics, quotients, slice_divide, values
 
 F = Fraction
 
@@ -509,6 +510,60 @@ def test_good_basis_matches_the_pair_counting_oracle(f):
     assert good_basis_check(f) == good_basis_oracle(f)
 
 
+def shuffled(f, rng):
+    """The atomic f on a random permutation of its variables, its monomials
+    in random order."""
+    s = f.summands[0]
+    perm = rng.sample(range(f.N), f.N)
+    raw = reassemble([AtomicSummand(s.kind, s.exponents, tuple(perm[v] for v in s.variables))], f.N)
+    rng.shuffle(raw)
+    return InvertiblePolynomial.from_exponent_matrix(raw)
+
+
+def sector_cases():
+    """The transposes of the criteria atomics, each on shuffled variables,
+    and of loop(5⁴) and loop(10³)."""
+    rng = random.Random("sector steps")
+    for W in criteria_atomics():
+        yield shuffled(W.transpose(), rng)
+    yield atomic("loop", (5, 5, 5, 5)).transpose()
+    yield atomic("loop", (10, 10, 10)).transpose()
+
+
+def test_one_integer_names_each_mirror_sector():
+    """Row v of f.DE_inv is t_v times row v₁ mod D, so the mirror sector of
+    every basis monomial r is T(r)·ρ_{v₁} with the one integer
+    T(r) = Σ_v (r_v + 1)·t_v mod D: it equals `sector_of(fᵗ, r)`."""
+    monomials = 0
+    for f in sector_cases():
+        D, t = f.D, bmodel._sector_steps(f)
+        first = f.DE_inv[f.summands[0].variables[0]]
+        ft = f.transpose()
+        for r in ring_of(f).basis.monomials:
+            T = sum((e + 1) * tv for e, tv in zip(r, t)) % D
+            assert tuple(T * x % D for x in first) == sector_of(ft, r).num, f.to_string()
+            monomials += 1
+    assert monomials == 71_606
+
+
+def test_a_wrong_sector_step_is_refused(monkeypatch):
+    """`good_basis_check` checks every t_v against the rows of f.DE_inv: a
+    t with one sign flipped, where the flip changes it mod D, raises."""
+    flips = 0
+    for f in sector_cases():
+        t = bmodel._sector_steps(f)
+        for v, tv in enumerate(t):
+            if 2 * tv % f.D == 0:
+                continue
+            bad = t[:v] + [-tv % f.D] + t[v + 1:]
+            monkeypatch.setattr(bmodel, "_sector_steps", lambda _, bad=bad: bad)
+            with pytest.raises(RuntimeError, match="sector generator"):
+                good_basis_check(f)
+            monkeypatch.undo()
+            flips += 1
+    assert flips == 2_135
+
+
 # ------------------------------------------------------------ primitive form
 #
 # exp((F - f)/z) zeta = J, solved order by order in the deformation
@@ -650,7 +705,7 @@ def walk_and_slice(monkeypatch, run):
 
     def reference(R, p):
         nf, quot = slice_divide(R, p)
-        differs.append(list(map(values, quot)) != list(map(values, walk(R, p)[1])))
+        differs.append(quotients(R, quot) != quotients(R, walk(R, p)[1]))
         return nf, quot
 
     monkeypatch.setattr(JacobiRing, "divide", reference)

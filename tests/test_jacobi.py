@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 from itertools import product as cartesian
 
@@ -6,11 +7,11 @@ from hypothesis import example, given, strategies as st
 
 from lgmirror import linalg
 from lgmirror.jacobi import (JacobiRing, OracleQuotient, RingElement, _SummandRing,
-                             _chain_excluded, _graded, _partials, ring_of)
+                             _chain_excluded, _graded, _partials, ring_of, top_of)
 from lgmirror.poly import InvertiblePolynomial
 
-from support import (assert_certificate, criteria_atomics, pairs, residue_pairing, slice_divide,
-                     values)
+from support import (assert_certificate, criteria_atomics, pairs, quotients, residue_pairing,
+                     slice_divide, values)
 
 F = Fraction
 
@@ -230,6 +231,126 @@ def test_walk_refuses_a_basis_missing_a_monomial(text):
             R.divide({b: (1, 1)})
 
 
+class TwoWayWalk(_SummandRing):
+    """The summand ring on the reference walk, which takes every move that
+    applies, the reverse of the move that reached a node included, and
+    checks that it closes on the parent's value.  `_SummandRing._walk` skips
+    only that reverse; on every input it must give the same `reduce` and
+    `divide`, and raise the same errors."""
+
+    def _walk(self, m):
+        node = {m: (1, 1, None, -1)}
+        queue = [m]
+        reached = []
+        zero = False
+        settled = None
+        for u in queue:
+            num, den, _, _ = node[u]
+            applies = self.in_basis(u)
+            if applies:
+                reached.append(u)
+                settled = settled or (u, [(node[u][2], 1, 1)])
+            for (i, e, j, g), p, v, a in self.zeros:
+                if u[i] >= e and u[j] >= g:
+                    zero = applies = True
+                    settled = settled or (None, [((u, v, p, a), 1, 1)])
+            for (i, e, j, g), p, d, nb, a, v, _ in self.moves:
+                if u[i] >= e and u[j] >= g:
+                    applies = True
+                    w = tuple(x + y for x, y in zip(u, d))
+                    y, z = num * nb, den * a
+                    if w not in node:
+                        node[w] = y, z, (u, v, p, a), -1
+                        queue.append(w)
+                    elif node[w][0] * z != y * node[w][1]:
+                        zero = True
+                        if not settled:
+                            ae, cb = node[w][0] * z, y * node[w][1]
+                            settled = None, [(node[w][2], -cb, ae - cb),
+                                             ((u, v, p, a), ae, ae - cb)]
+            if not applies:
+                raise RuntimeError(f"no relation applies to non-basis monomial {u}")
+        if len(reached) > 1:
+            raise RuntimeError(f"{m} reaches basis monomials {reached}")
+        if reached and zero:
+            raise RuntimeError(f"{m} reaches basis monomial {reached[0]} and a zero")
+        if not settled:
+            raise RuntimeError(f"the walk from {m} determines nothing")
+        return node, *settled
+
+
+def walk_outcome(part, m):
+    """The walk from m on one summand ring, its nodes in walk order with
+    their values and edges, with ``reduce`` and ``divide`` of m; or the
+    error the walk raised."""
+    try:
+        node, b, legs = part._walk(m)
+        return [(u, x[:3]) for u, x in node.items()], b, legs, part.reduce(m), part.divide(m)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+def walk_probes(f, steps=6):
+    """Monomials at evenly spaced degrees up to twice the socle's, each with
+    one exponent raised by one besides."""
+    top = top_of(f)
+    for k in range(1, steps + 1):
+        ray = tuple(2 * k * e // steps for e in top)
+        yield ray
+        yield tuple(e + (i == k % f.N) for i, e in enumerate(ray))
+
+
+def walks_agree(f, partials):
+    """The outcomes of every probe of f on its summand rings built from
+    ``partials``, after checking that the one-way and the two-way walk
+    agree on each."""
+    outcomes = []
+    for s in f.summands:
+        one_way, two_way = _SummandRing(s, partials), TwoWayWalk(s, partials)
+        for m in walk_probes(f):
+            outcomes.append(walk_outcome(one_way, m))
+            assert outcomes[-1] == walk_outcome(two_way, m), f"{f.to_string()}: {m}"
+    return outcomes
+
+
+def test_the_walk_skips_only_its_tree_edges_echo():
+    """On the criteria rings and their transposes, N ≤ 3 or every aᵢ ≤ 3,
+    the one-way walk reaches the two-way walk's nodes in the same order,
+    with the same values and edges, and gives its normal forms and
+    certificates."""
+    probes = 0
+    for W in criteria_atomics():
+        if W.N <= 3 or max(W.summands[0].exponents) <= 3:
+            for f in (W, W.transpose()):
+                outcomes = walks_agree(f, _partials(f))
+                assert not any(isinstance(x, str) for x in outcomes)
+                probes += len(outcomes)
+    assert probes == 4_104
+
+
+def test_the_walk_skips_only_its_tree_edges_echo_on_corrupted_relations():
+    """Loop transposes with one relation coefficient doubled, in turn: the
+    relations no longer have the ring's normal forms, and the one-way walk
+    still gives the two-way walk's nodes, normal forms and certificates on
+    every probe."""
+    probes = changed = 0
+    for W in criteria_atomics():
+        if W.summands[0].kind != "loop" or W.N > 3:
+            continue
+        f = W.transpose()
+        partials = _partials(f)
+        true = walks_agree(f, partials)
+        for v, rel in enumerate(partials):
+            for mono in rel:
+                bad = [dict(r) for r in partials]
+                bad[v][mono] *= 2
+                outcomes = walks_agree(f, bad)
+                probes += len(outcomes)
+                changed += sum(map(operator.ne, outcomes, true))
+    assert probes == 448 * 12
+    assert changed > 1000
+
+
 # ---------------------------------------------------------------------------
 # oracle equivalence: the binomial walk against blind Gaussian elimination
 
@@ -423,7 +544,7 @@ def test_divide_matches_the_whole_slice_solve(text):
                 f"{f.to_string()}: {p}"
             assert_certificate(R, p, nf, quot)
             if reached_block_is_unique(R, p):
-                assert list(map(values, quot)) == list(map(values, slice_quot)), \
+                assert quotients(R, quot) == quotients(R, slice_quot), \
                     f"{f.to_string()}: {p}"
                 compared += 1
         assert compared > 0, f.to_string()

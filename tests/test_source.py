@@ -213,12 +213,13 @@ def test_one_walk_over_the_relation_tables():
 
 
 def test_good_basis_sectors_stay_integer():
-    """`good_basis_check` buckets the basis by integer sector numerators
-    and finds each inverse bucket by negating them mod D: it builds no
-    `GroupElement` and calls neither `sector_of` nor an `inverse`."""
+    """`good_basis_check` buckets the basis by one integer per mirror
+    sector, read off f itself, and finds each inverse bucket by negating it
+    mod D: it builds no `GroupElement` and no transpose, and calls neither
+    `sector_of` nor an `inverse`."""
     tree = ast.parse((SOURCE / "bmodel.py").read_text(encoding="utf-8"))
     node = dict(_definitions(tree))["good_basis_check"]
-    assert sorted({"GroupElement", "sector_of", "inverse"} & set(_names(node))) == []
+    assert sorted({"GroupElement", "sector_of", "inverse", "transpose"} & set(_names(node))) == []
 
 
 def test_a_side_stays_integer():
