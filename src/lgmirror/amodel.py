@@ -186,11 +186,10 @@ def b2_correlator(
 
 
 def _final_type_sectors(W: InvertiblePolynomial, target: int) -> list[GroupElement]:
-    """Sectors of <psi(x_t), psi(x_t), psi(M_t/x_t^2), psi(top)>.
-
-    M_t is the t-th monomial of the transpose and top the socle monomial
-    of its milnor ring.
-    """
+    """Sectors of the final-type correlator <psi(x_t), psi(x_t),
+    psi(M_t/x_t^2), psi(top)>: M_t is the t-th monomial of the transpose
+    and top the socle monomial of its milnor ring, both read through
+    ``W.head``, so the order of E's rows does not matter."""
     x, s, _ = final_type_insertions(W, target)
     theta = sector_of(W, x)
     return [theta, theta, sector_of(W, s), sector_of(W, top_of(W.transpose()))]
@@ -287,9 +286,10 @@ def wdvv_case2(W: InvertiblePolynomial) -> Fraction:
     """Four-point value for x1^a*x2 + x2^2*x1 with a > 2, target x2.
 
     The theta_2 insertion is broad, so the value is reconstructed from the
-    concave correlator B = <theta_1, theta_1, psi(x1^(a-2)x2), psi(x1^(a-1)x2)>
-    = q_1 in three associativity steps that trade a broad insertion for
-    milnor-ring relations (x2^2 = -a*x1^(a-1)*x2 and x1^a = -2*x1*x2):
+    concave seed B = q_1, the final-type correlator at x_1 read through
+    ``W.head`` (`_final_type_sectors`), in three associativity steps that
+    trade a broad insertion for milnor-ring relations (x2^2 =
+    -a*x1^(a-1)*x2 and x1^a = -2*x1*x2):
 
         X = a*B - (B + B)/2 = (a - 1)*q_1.
     """
@@ -299,14 +299,7 @@ def wdvv_case2(W: InvertiblePolynomial) -> Fraction:
     a = _exponents(W)
     if a[1] != 2 or a[0] <= 2:
         raise WrongConfiguration("expected exponents (a, 2) with a > 2")
-    e1 = (1, 0)
-    base_sectors = [
-        sector_of(W, e1),
-        sector_of(W, e1),
-        sector_of(W, (a[0] - 2, 1)),
-        sector_of(W, (a[0] - 1, 1)),
-    ]
-    base = b2_correlator(W, base_sectors, 1)
+    base = b2_correlator(W, _final_type_sectors(W, 1), 1)
     if base != W.q[0]:
         raise WrongConfiguration(f"concave base correlator {base} is not q_1 = {W.q[0]}")
     bridge = base + base

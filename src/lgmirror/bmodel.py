@@ -363,13 +363,10 @@ class SeriesState:
         return entry.coefficient(z_power, self.basis[alpha])
 
     def flat_coordinate(self, alpha: int) -> dict:
-        """t_alpha as a series in s: the z^{-1} phi_alpha component of J."""
-        out: dict[tuple[int, ...], Fraction] = {}
-        for smono in self.jfunc:
-            c = self.j_coefficient(-1, smono, alpha)
-            if c:
-                out[smono] = c
-        return out
+        """t_alpha as a series in s: each J entry's z^{-1} phi_alpha coefficient."""
+        m = self.basis[alpha]
+        return {smono: c for smono, entry in self.jfunc.items()
+                if (c := entry.coefficient(-1, m))}
 
 
 def _splits(smono: tuple[int, ...]):

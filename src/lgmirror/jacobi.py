@@ -423,7 +423,7 @@ class JacobiRing:
         """Write p = nf + Σ κ·s·∂_v f with nf in the basis span.
 
         Coefficients are unreduced integer pairs (num, den), in p and in
-        (nf, terms): nf is {basis monomial: pair} in basis order, and the
+        (nf, terms): nf is {basis monomial: nonzero pair}, unordered, and the
         certificate is one flat list of terms (v, s, κ), in walk order, a
         cofactor s possibly more than once.  Each monomial of p is divided
         one summand at a time by `_SummandRing.divide`, which passes its
@@ -442,8 +442,7 @@ class JacobiRing:
                 cn, cd = cn * x[0], cd * x[1]
             else:
                 _accumulate(nf_acc, m, cn, cd)
-        nf = sorted((self.poly.degree(m), m, c) for m, c in nf_acc.items() if c[0])
-        return {m: c for _, m, c in nf}, terms
+        return {m: c for m, c in nf_acc.items() if c[0]}, terms
 
 
 def ring_of(f: InvertiblePolynomial) -> JacobiRing:

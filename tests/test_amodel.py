@@ -155,9 +155,13 @@ def test_wdvv_case1_wrong_polynomial():
         wdvv_case1(atomic("loop", (2, 2, 2)), F(2, 27))
 
 
-@pytest.mark.parametrize("a", [3, 4, 5])
-def test_wdvv_case2_values(a):
-    W = atomic("loop", (a, 2))
+@pytest.mark.parametrize("a", [3, 4, 5, 6])
+@pytest.mark.parametrize("rows", ["x1^{a}*x2 + x2^2*x1", "x2^2*x1 + x1^{a}*x2"],
+                         ids=["in_order", "swapped"])
+def test_wdvv_case2_values(a, rows):
+    """The concave seed is read through W.head, so either row order of E
+    gives the same value."""
+    W = InvertiblePolynomial.from_string(rows.format(a=a))
     assert wdvv_case2(W) == (a - 1) * W.q[0] == W.q[1]
 
 

@@ -18,7 +18,10 @@ from fractions import Fraction
 import pytest
 
 from lgmirror import cli
-from lgmirror.poly import format_monomial, parse_exponent_matrix
+from lgmirror.amodel import (SYMMETRIC_LOOP_SEED, four_point_report, wdvv_case1,
+                             wdvv_case2)
+from lgmirror.bmodel import good_basis_check, sg_four_point
+from lgmirror.poly import InvertiblePolynomial, format_monomial, parse_exponent_matrix
 
 POLYNOMIALS = [
     "x1^3*x2+x2^4",
@@ -182,3 +185,45 @@ def test_broad_monomial_sits_on_the_class_of_the_square_variable():
     broad = {c["monomial"]: c["broad_monomial"] for c in doc["classes"]}
     assert broad["x1"] == "x1"
     assert [m for m, b in broad.items() if b is not None] == ["x1"]
+
+
+def _outcome(compute, *args):
+    """The value of ``compute(*args)``, or the name of the error it raises."""
+    try:
+        return compute(*args)
+    except ValueError as exc:
+        return type(exc).__name__
+
+
+def _report(W, i):
+    result = four_point_report(W, i)
+    return result.value, result.method
+
+
+def _good_basis_counts(W):
+    report = good_basis_check(W.transpose())
+    return (report.mu, report.checked_pairs, report.excluded_pairs,
+            sorted(c.pair_count for c in report.classes))
+
+
+def library_values(W):
+    """Every public A- and B-side value of W, per variable of W, and the
+    counts of the good-basis check on Wᵗ; errors stand as their names."""
+    return {
+        "four_point": [_outcome(_report, W, i) for i in range(1, W.N + 1)],
+        "sg": [_outcome(sg_four_point, W, i) for i in range(1, W.N + 1)],
+        "wdvv1": _outcome(wdvv_case1, W, SYMMETRIC_LOOP_SEED),
+        "wdvv2": _outcome(wdvv_case2, W),
+        "good_basis": _outcome(_good_basis_counts, W),
+    }
+
+
+@pytest.mark.parametrize("text", POLYNOMIALS)
+def test_row_order_keeps_every_library_value(text):
+    """The library functions read E's rows only through W.head, so every
+    row permutation of W gives the values of the unpermuted W."""
+    n = len(parse_exponent_matrix(text))
+    base = library_values(InvertiblePolynomial.from_string(text))
+    for order in itertools.permutations(range(n)):
+        W = InvertiblePolynomial.from_string(permuted(text, order))
+        assert library_values(W) == base, (text, order)

@@ -189,11 +189,13 @@ def test_three_point_a_equals_b_on_concave_and_fractional_triples():
     non-unit basis monomials of Jac(Wᵗ) whose degrees sum to ĉ.  On the A
     side, read off the integers D·l_j: all equal to -D is the concave
     class, with A = 1; some not divisible by D breaks the integer-degree
-    axiom, and A = 0.  B is the coefficient of the socle monomial in
-    [abc].  Broad and index-zero triples are not compared."""
+    axiom, and A = 0.  Every other triple has index zero: degree 0 at one
+    x_i, -2 at one x_j and -1 elsewhere, where x_i heads the row
+    x_i^{a_i}·x_j of W, and A = -a_i.  B is the coefficient of the socle
+    monomial in [abc].  Broad triples are not compared."""
     corpus = list(three_point_corpus())
     assert len(corpus) == 66
-    concave = fractional = 0
+    concave = fractional = index_zero = 0
     for W in corpus:
         WT, D = W.transpose(), W.D
         ring = ring_of(WT)
@@ -214,7 +216,14 @@ def test_three_point_a_equals_b_on_concave_and_fractional_triples():
             elif any(d % D for d in degrees):
                 assert B == 0, (W.to_string(), a, b, c)
                 fractional += 1
-    assert (concave, fractional) == (1257, 2722)
+            else:
+                assert sorted(degrees) == [-2 * D] + [-D] * (W.N - 2) + [0]
+                i, j = degrees.index(0), degrees.index(-2 * D)
+                row = W.E[W.head[i]]
+                assert row == tuple(row[i] if v == i else int(v == j) for v in range(W.N))
+                assert B == -row[i], (W.to_string(), a, b, c)
+                index_zero += 1
+    assert (concave, fractional, index_zero) == (1257, 2722, 309)
 
 
 # ------------------------------------------------------------- properties
