@@ -420,9 +420,6 @@ def perturbative_expand(f: InvertiblePolynomial, order: int) -> SeriesState:
                     level = total.setdefault(z - len(rest), {})
                     for m, (num, den) in poly.items():
                         _accumulate(level, tuple(map(add, m, mono)), num, den * denom)
-            # drop what cancelled, as a LatticeElement does
-            total = {z: clean for z, level in total.items()
-                     if (clean := {m: c for m, c in level.items() if c[0]})}
             reduced = _reduce_levels(ring, total)
             plus = {z: {m: (-num, den) for m, (num, den) in level.items()}
                     for z, level in reduced.items() if z >= 0}

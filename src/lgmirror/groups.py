@@ -3,10 +3,11 @@
 Elements are stored additively as phase vectors in [0,1); the group law is
 componentwise addition mod 1.  The maximal group G_W is generated by the
 fractional parts of the columns of E⁻¹ and has order |det E|; its phases
-lie in (1/D)ℤ/ℤ, where D = W.D is the exponent of G_W.  Every element keeps
-integer numerators over that D, so equality, hashing and phase sums work
-on ``num`` alone, and ``require_in_group`` refuses any other denominator;
-``phases`` is the ``Fraction`` view for output.
+lie in (1/D)ℤ/ℤ, where D = W.D is the exponent of G_W.  G_W is the product
+of one cycle per atomic summand, which ``enumerate_group`` multiplies out.
+Every element keeps integer numerators over D, so equality, hashing and
+phase sums work on ``num`` alone, and ``require_in_group`` refuses any
+other denominator; ``phases`` is the ``Fraction`` view for output.
 """
 
 from __future__ import annotations
@@ -93,32 +94,27 @@ def group_cap() -> int:
 
 
 def enumerate_group(W: InvertiblePolynomial) -> list[GroupElement]:
-    """All elements of the maximal diagonal symmetry group, by closure of the
-    generators.  Raises GroupCapExceeded if the group is larger than the cap
-    (LGMIRROR_GROUP_CAP, default 10^5)."""
+    """All elements of G_W in numerator order: the product over the
+    summands of the powers of ρ, the column of E⁻¹ at the row the summand's
+    last variable heads, whose entry ±1/det at its first variable gives ρ
+    order det.  Raises GroupCapExceeded if |det E| is above the cap
+    (LGMIRROR_GROUP_CAP, default 10^5), and RuntimeError unless the
+    product holds |det E| distinct elements."""
     cap = group_cap()
     order = W.group_order()
     if order > cap:
         raise GroupCapExceeded(
             f"group has {order} elements, cap is {cap} "
             "(raise LGMIRROR_GROUP_CAP to override)")
-    gens = [generator_rho(W, j) for j in range(1, W.N + 1)]
-    seen = {identity(W)}
-    frontier = [identity(W)]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for rho in gens:
-                h = g * rho
-                if h not in seen:
-                    if len(seen) >= cap:
-                        raise GroupCapExceeded(
-                            f"enumeration exceeded cap {cap}")
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
+    elements = [identity(W)]
+    for s in W.summands:
+        rho = generator_rho(W, W.head[s.variables[-1]] + 1)
+        powers = [rho ** k for k in range(s.det)]
+        elements = [g * p for g in elements for p in powers]
+    if len(set(elements)) != order:
+        raise RuntimeError(f"the summand cycles do not hold {order} distinct elements")
     # every element is over D, so its numerators order as its phases
-    return sorted(seen, key=lambda g: g.num)
+    return sorted(elements, key=lambda g: g.num)
 
 
 def sector_degree(W: InvertiblePolynomial, g: GroupElement) -> Fraction:

@@ -73,6 +73,14 @@ class AtomicSummand:
         if self.kind != "fermat" and len(self.variables) < 2:
             raise WrongConfiguration(f"a {self.kind} needs two variables or more")
 
+    @property
+    def det(self) -> int:
+        """∏ a_i, minus (−1)^N for a loop: |det| of the piece's block of E."""
+        det = math.prod(self.exponents)
+        if self.kind == "loop":
+            det -= (-1) ** len(self.exponents)
+        return det
+
     def describe(self) -> str:
         inner = ",".join(str(a) for a in self.exponents)
         return f"{self.kind.capitalize()}({inner})"
@@ -179,15 +187,8 @@ class InvertiblePolynomial:
             self.D, tuple(zip(*self.DE_inv))))
 
     def group_order(self) -> int:
-        """|G_max| = |det E|: per summand a (Fermat), ∏ a_i (chain) or
-        ∏ a_i − (−1)^N (loop), multiplied over the summands."""
-        order = 1
-        for s in self.summands:
-            det = math.prod(s.exponents)
-            if s.kind == "loop":
-                det -= (-1) ** len(s.exponents)
-            order *= det
-        return order
+        """|G_max| = |det E|, the product of the summands' determinants."""
+        return math.prod(s.det for s in self.summands)
 
     def weight_half_variables(self) -> tuple[int, ...]:
         return tuple(i for i, dq in enumerate(self.Dq) if 2 * dq == self.D)

@@ -174,8 +174,9 @@ def wdvv_step(table: CorrelatorTable, xi, gamma, delta, epsilon, phi) -> WdvvIde
     # Collect  sum_terms sign * <term> = 0  as constant + linear(unknowns).
     constant = Fraction(0)
     unknown: dict[Key, Fraction] = {}
-    for sign, term in zip(signs, terms):
-        for key, coef in table.expand(term).items():
+    expansions = [table.expand(term) for term in terms]
+    for sign, expansion in zip(signs, expansions):
+        for key, coef in expansion.items():
             if key in table.values:
                 constant += sign * coef * table.values[key]
             else:
@@ -208,7 +209,9 @@ def wdvv_step(table: CorrelatorTable, xi, gamma, delta, epsilon, phi) -> WdvvIde
             + " vs ".join(table.describe(t) for t in terms[:2])
         )
     rendered = tuple(table.describe(t) for t in terms)
-    values = tuple(table.value(t) for t in terms)
+    # every key is known now: the one unknown, if any, was just solved
+    values = tuple(sum((c * table.values[k] for k, c in e.items()), Fraction(0))
+                   for e in expansions)
     return WdvvIdentity(rendered, values, solved, solved_value)
 
 

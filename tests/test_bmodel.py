@@ -796,6 +796,19 @@ class TestPairLevels:
         ring = ring_of(atomic("fermat", (4,)))
         assert bmodel._reduce_levels(ring, {bmodel.Z_MIN - 1: {(1,): (0, 3)}}) == {}
 
+    @pytest.mark.parametrize("z", [-1, bmodel.Z_MAX + 1], ids=["inside", "outside"])
+    @pytest.mark.parametrize("f", REDUCTION_RINGS)
+    def test_a_zero_entry_changes_no_level(self, f, z):
+        # a (0, d) entry, at the level the first pass pushes into or past
+        # the window, is ignored: no caller needs to drop what cancelled
+        ring = ring_of(f)
+        top2 = tuple(2 * a for a in ring.top)
+        for m in ring.basis.monomials + (top2,):
+            plain = bmodel._reduce_levels(ring, {-2: {m: (-2, 3)}})
+            padded = bmodel._reduce_levels(ring, {-2: {m: (-2, 3)}, z: {top2: (0, 7)}})
+            assert ({k: values(p) for k, p in padded.items()}
+                    == {k: values(p) for k, p in plain.items()})
+
     @pytest.mark.parametrize("f", REDUCTION_RINGS)
     def test_the_public_edge_reads_the_pair_levels(self, f):
         # brieskorn_reduce is _reduce_levels with Fraction coefficients at

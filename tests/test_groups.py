@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,10 +6,10 @@ import pytest
 from lgmirror import groups
 from lgmirror.errors import WrongConfiguration
 from lgmirror.groups import GroupElement
-from lgmirror.poly import InvertiblePolynomial
+from lgmirror.poly import AtomicSummand, InvertiblePolynomial, reassemble
 from lgmirror.selection import line_bundle_degrees
 
-from support import grading_element
+from support import criteria_atomics, grading_element
 
 F = Fraction
 
@@ -89,6 +90,74 @@ def test_enumeration_matches_determinant(text):
     elements = groups.enumerate_group(P)
     assert len(elements) == P.group_order()
     assert len(set(elements)) == len(elements)
+
+
+def closure(W):
+    """The numerators of G_W by breadth-first closure of all N generators
+    ρ_j, sorted: the reference the product of summand cycles must equal."""
+    gens = [groups.generator_rho(W, j).num for j in range(1, W.N + 1)]
+    seen = {(0,) * W.N}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for rho in gens:
+                h = tuple((a + b) % W.D for a, b in zip(g, rho))
+                if h not in seen:
+                    seen.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return sorted(seen)
+
+
+def seeded_sums(count, max_order):
+    """``count`` direct sums of one to three Fermat/chain/loop pieces with
+    exponents 2–4, each on shuffled variables and rows, of group order at
+    most ``max_order``."""
+    rng = random.Random("summand cycles")
+    while count:
+        pieces = []
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.choice(["fermat", "chain", "loop"])
+            size = 1 if kind == "fermat" else rng.randint(2, 3)
+            pieces.append((kind, tuple(rng.randint(2, 4) for _ in range(size))))
+        n = sum(len(a) for _, a in pieces)
+        labels = rng.sample(range(n), n)
+        summands, start = [], 0
+        for kind, a in pieces:
+            summands.append(AtomicSummand(kind, a, tuple(labels[start:start + len(a)])))
+            start += len(a)
+        rows = reassemble(summands, n)
+        rng.shuffle(rows)
+        P = InvertiblePolynomial.from_exponent_matrix(rows)
+        if P.group_order() <= max_order:
+            count -= 1
+            yield P
+
+
+def test_enumeration_matches_the_generator_closure():
+    """The product of one cycle per summand is the group the N generators
+    close to, element for element and in the same order."""
+    sums = list(seeded_sums(300, 5000))
+    assert len({len(P.summands) for P in sums}) == 3
+    for P in sums:
+        assert [g.num for g in groups.enumerate_group(P)] == closure(P), P.to_string()
+
+
+def test_a_short_cycle_is_refused(monkeypatch):
+    """A generator of the wrong order makes the powers repeat: the
+    enumeration raises instead of returning the subgroup it spans."""
+    P = W("x1^4")
+    rho = groups.generator_rho
+    monkeypatch.setattr(groups, "generator_rho", lambda P, j: rho(P, j) ** 2)
+    with pytest.raises(RuntimeError, match="4 distinct elements"):
+        groups.enumerate_group(P)
+
+
+def test_summand_determinant_is_the_group_order():
+    for P in criteria_atomics():
+        (s,) = P.summands
+        assert s.det == P.D == len(groups.enumerate_group(P))
 
 
 def test_enumeration_cap(monkeypatch):

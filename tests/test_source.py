@@ -267,6 +267,14 @@ def test_box_test_has_no_generator():
     assert [n.lineno for n in ast.walk(node) if isinstance(n, ast.GeneratorExp)] == []
 
 
+def test_group_is_read_off_the_summands():
+    """`enumerate_group` multiplies out one cycle per summand: it runs no
+    closure search, so it holds no `while` loop."""
+    tree = ast.parse((SOURCE / "groups.py").read_text(encoding="utf-8"))
+    node = dict(_definitions(tree))["enumerate_group"]
+    assert [n.lineno for n in ast.walk(node) if isinstance(n, ast.While)] == []
+
+
 def test_mirror_does_not_import_jacobi():
     """The mirror map ψ reads only the polynomial and its group: `mirror`
     imports nothing from `jacobi`, and the ring-side degree check lives
