@@ -59,9 +59,9 @@ _PARSE_ERRORS = (
 
 
 def frac(x) -> str:
-    """The one serialization of a rational: 'p/q', never a decimal."""
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    """The one serialization of a rational (an int or a ``Fraction``):
+    'p/q', never a decimal."""
+    return f"{x.numerator}/{x.denominator}"
 
 
 def _pretty(x: Fraction) -> str:
@@ -427,31 +427,24 @@ def cmd_axioms(args) -> int:
             raise UnsupportedByTheorem(
                 "no admissible variables; pass --insertions explicitly"
             )
-    reports = []
+    document = {"command": "axioms", "polynomial": W.to_string(), "candidates": []}
+    lines = [f"polynomial: {document['polynomial']}"]
     for i, rows in candidates:
         spec = CorrelatorSpec.build(W, rows)
-        reports.append(
-            {
-                **({"i": i} if i is not None else {}),
-                "insertions": [format_monomial(m) for m in spec.insertions],
-                "k": spec.k,
-                "ell": list(spec.ell),
-                "b": [frac(v) for v in spec.b],
-                "K": [frac(v) for v in spec.K],
-                "type": classify_type(W, spec),
-                "passes_axioms": passes_axioms(W, spec),
-            }
-        )
-    document = {
-        "command": "axioms",
-        "polynomial": W.to_string(),
-        "candidates": reports,
-    }
-    lines = [f"polynomial: {document['polynomial']}"]
-    for r in reports:
-        head = f"  i={r['i']}  " if "i" in r else "  "
+        r = {
+            **({"i": i} if i is not None else {}),
+            "insertions": [format_monomial(m) for m in spec.insertions],
+            "k": spec.k,
+            "ell": list(spec.ell),
+            "b": [frac(v) for v in spec.b],
+            "K": [frac(v) for v in spec.K],
+            "type": classify_type(W, spec),
+            "passes_axioms": passes_axioms(W, spec),
+        }
+        document["candidates"].append(r)
+        head = f"  i={i}  " if i is not None else "  "
         ins = ", ".join(r["insertions"])
-        K = ", ".join(_pretty(Fraction(v)) for v in r["K"])
+        K = ", ".join(_pretty(v) for v in spec.K)
         verdict = "pass" if r["passes_axioms"] else "fail"
         lines.append(
             f"{head}<{ins}>: K = ({K}), type {r['type']}, axioms {verdict}"

@@ -144,11 +144,6 @@ class RingElement:
     """Sparse vector over the standard basis (index → coefficient)."""
     coeffs: tuple[tuple[int, Fraction], ...]
 
-    @staticmethod
-    def from_dict(d: dict) -> "RingElement":
-        return RingElement(tuple(sorted(
-            (i, Fraction(c)) for i, c in d.items() if c != 0)))
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -385,7 +380,7 @@ class JacobiRing:
             if term is not None:
                 i = self.basis.index[term[0]]
                 acc[i] = acc.get(i, Fraction(0)) + Fraction(c) * term[1]
-        return RingElement.from_dict(acc)
+        return RingElement(tuple(sorted((i, c) for i, c in acc.items() if c != 0)))
 
     def monomial_of(self, e: RingElement) -> dict:
         return {self.basis.monomials[i]: c for i, c in e.coeffs}

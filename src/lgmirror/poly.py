@@ -15,10 +15,13 @@ so the lexicographically smallest exponent tuple starts it, counting the
 rotations from the cycle's smallest variable on a tie.
 
 The classifier is the one reader of E's row structure: it records the row
-headed by each variable, and E⁻¹ is read off the summands block by block
-from the closed forms `chain_inverse_entries` (a Fermat is the chain of
-length one) and `loop_inverse_entries`, with no elimination.  E⁻¹ and q
-are stored once, in integers over one denominator: E⁻¹ = DE_inv/D and
+headed by each variable and walks the successor map once, sources first,
+so each walk ends at a pure power (a chain or a Fermat) or back at its
+start (a loop).  E⁻¹ is read off the summands block by block, with no
+elimination, from the closed forms `chain_inverse_entries` (a Fermat is
+the chain of length one) and `loop_inverse_entries`, which give det·E⁻¹
+for the block; `AtomicSummand.det` is the one determinant formula.  E⁻¹
+and q are stored once, in integers over one denominator: E⁻¹ = DE_inv/D and
 q = Dq/D, where D is the lcm of the summands' determinants, which is the
 lcm of E⁻¹'s denominators and so the exponent of the maximal symmetry
 group.  The grading ``degree`` and the A side's phase arithmetic both
@@ -310,44 +313,31 @@ def _classify_rows(E) -> tuple[list[AtomicSummand], tuple[int, ...]]:
         orphan = sorted(set(range(n)) - set(owner_row))
         raise NotInvertibleShape(f"x{orphan[0]+1} heads no monomial")
 
-    exponent_of = {v: E[owner_row[v]][v] for v in range(n)}
-    in_deg = {v: 0 for v in range(n)}
-    for v, t in out_edge.items():
+    in_deg = [0] * n
+    for t in out_edge.values():
         if t is not None:
             in_deg[t] += 1
-    if any(d > 1 for d in in_deg.values()):
-        v = next(v for v, d in in_deg.items() if d > 1)
-        raise NotInvertibleShape(f"x{v+1} is pointed at by two monomials")
+    twice = [v for v in range(n) if in_deg[v] > 1]
+    if twice:
+        raise NotInvertibleShape(f"x{twice[0]+1} is pointed at by two monomials")
 
+    # one walk per summand, sources first: from a source the walk ends at
+    # a pure power (a chain, or a Fermat); from any variable left it
+    # returns to its start (a loop)
     summands = []
     seen: set[int] = set()
-    # chains & Fermats: walk from each in-degree-0 start
-    for start in range(n):
-        if in_deg[start] or start in seen:
-            continue
-        path = [start]
-        while out_edge[path[-1]] is not None:
-            nxt = out_edge[path[-1]]
-            if nxt in path:
-                raise NotInvertibleShape("cycle with an incoming tail")
-            path.append(nxt)
-        seen.update(path)
-        kind = "fermat" if len(path) == 1 else "chain"
-        summands.append(_canonical(kind, [exponent_of[v] for v in path], path))
-    # loops: whatever remains is a disjoint union of cycles
-    for start in range(n):
+    for start in sorted(range(n), key=in_deg.__getitem__):
         if start in seen:
             continue
-        cycle = [start]
-        while True:
-            nxt = out_edge[cycle[-1]]
-            if nxt is None or nxt in seen:
-                raise NotInvertibleShape("broken cycle")
-            if nxt == start:
-                break
-            cycle.append(nxt)
-        seen.update(cycle)
-        summands.append(_canonical("loop", [exponent_of[v] for v in cycle], cycle))
+        path = [start]
+        seen.add(start)
+        while (nxt := out_edge[path[-1]]) is not None and nxt != start:
+            if nxt in seen:   # a second way into nxt: in-degree 2
+                raise NotInvertibleShape(f"x{nxt+1} is pointed at by two monomials")
+            path.append(nxt)
+            seen.add(nxt)
+        kind = "loop" if nxt == start else "chain" if len(path) > 1 else "fermat"
+        summands.append(_canonical(kind, [E[owner_row[v]][v] for v in path], path))
     summands.sort(key=lambda s: s.variables[0])
     return summands, tuple(owner_row[v] for v in range(n))
 
@@ -384,39 +374,37 @@ def reassemble(summands, n: int) -> list[list[int]]:
 
 def _inverse(summands, head) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """D and D·E⁻¹, block by block: summand row i, taken in variable order,
-    is row head[v_i] of E, so entry (i, j) of the block goes to
-    [v_i][head[v_j]].  Every block has an entry ±1/det, so D, the lcm of
-    the determinants, is also the lcm of E⁻¹'s denominators."""
-    blocks = []
-    for s in summands:
-        closed = loop_inverse_entries if s.kind == "loop" else chain_inverse_entries
-        blocks.append((s, *closed(s.exponents)))
-    D = math.lcm(*(det for _, det, _ in blocks))
+    is row head[v_i] of E, so entry (i, j) of the block, over the summand's
+    `det`, goes to [v_i][head[v_j]].  Every block has an entry ±1/det, so D,
+    the lcm of the determinants, is also the lcm of E⁻¹'s denominators."""
+    D = math.lcm(*(s.det for s in summands))
     n = len(head)
     inv = [[0] * n for _ in range(n)]
-    for s, det, rows in blocks:
-        k = D // det
-        for vi, row in zip(s.variables, rows):
+    for s in summands:
+        closed = loop_inverse_entries if s.kind == "loop" else chain_inverse_entries
+        k = D // s.det
+        for vi, row in zip(s.variables, closed(s.exponents)):
             for vj, x in zip(s.variables, row):
                 inv[vi][head[vj]] = k * x
     return D, tuple(tuple(row) for row in inv)
 
 
-def chain_inverse_entries(a) -> tuple[int, list[list[int]]]:
-    """det = ∏ a_k and det·E⁻¹ for the chain x_1^{a_1}x_2 + … + x_N^{a_N}:
-    entry (i,j) = (−1)^{j−i} (∏_{k<i} a_k)(∏_{k>j} a_k) for j ≥ i, else 0."""
+def chain_inverse_entries(a) -> list[list[int]]:
+    """det·E⁻¹ for the chain x_1^{a_1}x_2 + … + x_N^{a_N}, det = ∏ a_k
+    (`AtomicSummand.det`): entry (i,j) = (−1)^{j−i} (∏_{k<i} a_k)(∏_{k>j} a_k)
+    for j ≥ i, else 0."""
     n = len(a)
-    return math.prod(a), [[(-1) ** (j - i) * math.prod(a[:i]) * math.prod(a[j + 1:])
-                           if j >= i else 0 for j in range(n)] for i in range(n)]
+    return [[(-1) ** (j - i) * math.prod(a[:i]) * math.prod(a[j + 1:])
+             if j >= i else 0 for j in range(n)] for i in range(n)]
 
 
-def loop_inverse_entries(a) -> tuple[int, list[list[int]]]:
-    """det = ∏ a_k − (−1)^N and det·E⁻¹ for the loop
-    x_1^{a_1}x_2 + … + x_N^{a_N}x_1: the chain's entries for j ≥ i, and
-    (i,j) = (−1)^{N+j−i} ∏_{j<k<i} a_k for j < i."""
+def loop_inverse_entries(a) -> list[list[int]]:
+    """det·E⁻¹ for the loop x_1^{a_1}x_2 + … + x_N^{a_N}x_1,
+    det = ∏ a_k − (−1)^N (`AtomicSummand.det`): the chain's entries for
+    j ≥ i, and (i,j) = (−1)^{N+j−i} ∏_{j<k<i} a_k for j < i."""
     n = len(a)
-    total, rows = chain_inverse_entries(a)
+    rows = chain_inverse_entries(a)
     for i in range(n):
         for j in range(i):
             rows[i][j] = (-1) ** (n + j - i) * math.prod(a[j + 1:i])
-    return total - (-1) ** n, rows
+    return rows

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import permutations, product as cartesian
 
@@ -15,6 +16,8 @@ from lgmirror.poly import (
     InvertiblePolynomial,
     NotInvertibleShape,
     PolynomialSyntaxError,
+    _canonical,
+    _classify_rows,
     chain_inverse_entries,
     loop_inverse_entries,
     parse_exponent_matrix,
@@ -116,6 +119,146 @@ def test_loop_canonical_rotation():
 def test_classify_rejects(bad_E):
     with pytest.raises((NotInvertibleShape, PolynomialSyntaxError)):
         InvertiblePolynomial.from_exponent_matrix(bad_E)
+
+
+def _two_walk_classify(E):
+    """The classifier before the one-walk rewrite, kept as a reference: a
+    walk from every in-degree-0 variable for chains and Fermats, then a
+    second walk over what is left for loops."""
+    n = len(E)
+    owner_row, out_edge = {}, {}
+    for r, row in enumerate(E):
+        support = [(j, e) for j, e in enumerate(row) if e != 0]
+        if len(support) == 1:
+            j, e = support[0]
+            if e < 2:
+                raise NotInvertibleShape(f"monomial {r+1} is linear in x{j+1}")
+            owner, target = j, None
+        elif len(support) == 2:
+            heads = [(j, e) for j, e in support if e >= 2]
+            tails = [(j, e) for j, e in support if e == 1]
+            if len(heads) != 1 or len(tails) != 1:
+                raise NotInvertibleShape(
+                    f"monomial {r+1} does not look like x_i^a or x_i^a·x_j")
+            owner, target = heads[0][0], tails[0][0]
+        else:
+            raise NotInvertibleShape(f"monomial {r+1} involves {len(support)} variables")
+        if owner in owner_row:
+            raise NotInvertibleShape(f"x{owner+1} heads two monomials")
+        owner_row[owner] = r
+        out_edge[owner] = target
+    if set(owner_row) != set(range(n)):
+        orphan = sorted(set(range(n)) - set(owner_row))
+        raise NotInvertibleShape(f"x{orphan[0]+1} heads no monomial")
+    exponent_of = {v: E[owner_row[v]][v] for v in range(n)}
+    in_deg = {v: 0 for v in range(n)}
+    for v, t in out_edge.items():
+        if t is not None:
+            in_deg[t] += 1
+    if any(d > 1 for d in in_deg.values()):
+        v = next(v for v, d in in_deg.items() if d > 1)
+        raise NotInvertibleShape(f"x{v+1} is pointed at by two monomials")
+    summands, seen = [], set()
+    for start in range(n):
+        if in_deg[start] or start in seen:
+            continue
+        path = [start]
+        while out_edge[path[-1]] is not None:
+            nxt = out_edge[path[-1]]
+            if nxt in path:
+                raise NotInvertibleShape("cycle with an incoming tail")
+            path.append(nxt)
+        seen.update(path)
+        kind = "fermat" if len(path) == 1 else "chain"
+        summands.append(_canonical(kind, [exponent_of[v] for v in path], path))
+    for start in range(n):
+        if start in seen:
+            continue
+        cycle = [start]
+        while True:
+            nxt = out_edge[cycle[-1]]
+            if nxt is None or nxt in seen:
+                raise NotInvertibleShape("broken cycle")
+            if nxt == start:
+                break
+            cycle.append(nxt)
+        seen.update(cycle)
+        summands.append(_canonical("loop", [exponent_of[v] for v in cycle], cycle))
+    summands.sort(key=lambda s: s.variables[0])
+    return summands, tuple(owner_row[v] for v in range(n))
+
+
+def _outcome(classify, E):
+    """(summands, head), or the class and message of the refusal."""
+    try:
+        return classify(E)
+    except NotInvertibleShape as exc:
+        return type(exc), str(exc)
+
+
+def _shuffled_sum(rng):
+    """1–3 Fermat/chain/loop pieces with exponents 2–5, on relabelled
+    variables, with the monomials shuffled."""
+    pieces = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(["fermat", "chain", "loop"])
+        k = 1 if kind == "fermat" else rng.randint(2, 4)
+        pieces.append((kind, [rng.randint(2, 5) for _ in range(k)]))
+    n = sum(len(a) for _, a in pieces)
+    labels = rng.sample(range(n), n)
+    summands, at = [], 0
+    for kind, a in pieces:
+        summands.append(AtomicSummand(kind, tuple(a), tuple(labels[at:at + len(a)])))
+        at += len(a)
+    rows = reassemble(summands, n)
+    rng.shuffle(rows)
+    return rows
+
+
+MALFORMED = [
+    [[2, 2], [0, 3]],                       # two heads in one monomial
+    [[3, 0], [2, 1]],                       # x2 heads nothing, so x1 heads two
+    [[2, 0, 1], [0, 2, 1], [0, 0, 2]],      # x3 pointed at twice
+    [[2, 1, 0, 0, 0], [0, 2, 0, 0, 1], [0, 1, 2, 0, 0],
+     [0, 0, 0, 2, 1], [0, 0, 0, 0, 2]],     # x2 and x5 pointed at twice
+    [[2, 1, 0], [1, 2, 0], [0, 1, 2]],      # a tail into a loop
+    [[1, 0], [0, 2]],                       # a linear monomial
+    [[1, 1], [0, 2]],                       # x1·x2
+    [[2, 1, 1], [0, 2, 0], [0, 0, 2]],      # a three-variable row
+    [[0, 0], [0, 2]],                       # an empty row
+]
+
+
+def test_one_walk_matches_the_two_walk_classifier():
+    """`_classify_rows` walks the successor map once, sources first; it
+    returns the summands and head rows of the two-walk classifier on
+    shuffled direct sums, and its refusal, class and message, on malformed
+    matrices: the hand-picked ones and seeded one-entry edits of sums."""
+    rng = random.Random(20261019)
+    for _ in range(1500):
+        E = _shuffled_sum(rng)
+        assert _classify_rows(E) == _two_walk_classify(E)
+    refusals = set()
+    edits = []
+    for _ in range(1500):
+        E = _shuffled_sum(rng)
+        r, c = rng.randrange(len(E)), rng.randrange(len(E))
+        E[r][c] = rng.randint(0, 3)
+        edits.append(E)
+    for E in MALFORMED + edits:
+        expected = _outcome(_two_walk_classify, E)
+        assert _outcome(_classify_rows, E) == expected
+        if expected[0] is NotInvertibleShape:
+            refusals.add(re.sub(r"\d+", "#", expected[1]))
+    for E in MALFORMED:
+        assert _outcome(_classify_rows, E)[0] is NotInvertibleShape
+    assert refusals == {
+        "monomial # is linear in x#",
+        "monomial # does not look like x_i^a or x_i^a·x_j",
+        "monomial # involves # variables",
+        "x# heads two monomials",
+        "x# is pointed at by two monomials",
+    }
 
 
 def test_reassemble_roundtrip():
@@ -282,6 +425,13 @@ def test_integer_grading():
 atomic_exps = st.lists(st.integers(2, 6), min_size=1, max_size=5)
 
 
+def _det(kind, a):
+    """`AtomicSummand.det` of the piece with exponents ``a``; a chain of
+    length one is a Fermat."""
+    kind = "fermat" if kind == "chain" and len(a) == 1 else kind
+    return AtomicSummand(kind, tuple(a), tuple(range(len(a)))).det
+
+
 @given(atomic_exps)
 def test_chain_inverse_closed_form(a):
     E = [[0] * len(a) for _ in a]
@@ -289,7 +439,8 @@ def test_chain_inverse_closed_form(a):
         E[i][i] = ai
         if i + 1 < len(a):
             E[i][i + 1] = 1
-    det, numerators = chain_inverse_entries(a)
+    numerators = chain_inverse_entries(a)
+    det = _det("chain", a)
     assert det == math.prod(a)
     assert [[F(x, det) for x in row] for row in numerators] == linalg.invert(E)
 
@@ -301,7 +452,8 @@ def test_loop_inverse_closed_form(a):
     for i, ai in enumerate(a):
         E[i][i] = ai
         E[i][(i + 1) % n] = 1
-    det, numerators = loop_inverse_entries(a)
+    numerators = loop_inverse_entries(a)
+    det = _det("loop", a)
     assert det == math.prod(a) - (-1) ** n
     assert [[F(x, det) for x in row] for row in numerators] == linalg.invert(E)
 
@@ -347,7 +499,8 @@ def test_closed_form_inverse_equals_elimination(E):
 
 def test_loop_inverse_hand_checked():
     # loop x1^2*x2 + x2^4*x1: det 7, inverse (1/7)[[4,-1],[-1,2]]
-    assert loop_inverse_entries([2, 4]) == (7, [[4, -1], [-1, 2]])
+    assert _det("loop", [2, 4]) == 7
+    assert loop_inverse_entries([2, 4]) == [[4, -1], [-1, 2]]
 
 
 def test_loop_weights_hand_checked():
@@ -359,8 +512,8 @@ def test_loop_weights_hand_checked():
 
 @given(atomic_exps)
 def test_fermat_chain_weights_positive_bounded(a):
-    det, numerators = chain_inverse_entries(a)
-    q = [F(sum(row), det) for row in numerators]
+    det = _det("chain", a)
+    q = [F(sum(row), det) for row in chain_inverse_entries(a)]
     assert all(0 < qi <= F(1, 2) for qi in q)
 
 

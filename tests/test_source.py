@@ -275,6 +275,39 @@ def test_group_is_read_off_the_summands():
     assert [n.lineno for n in ast.walk(node) if isinstance(n, ast.While)] == []
 
 
+def test_rows_are_classified_in_one_walk():
+    """`_classify_rows` follows the successor map in one walk per summand,
+    chains, Fermats and loops alike: it holds one `while` loop."""
+    tree = ast.parse((SOURCE / "poly.py").read_text(encoding="utf-8"))
+    node = dict(_definitions(tree))["_classify_rows"]
+    assert len([n for n in ast.walk(node) if isinstance(n, ast.While)]) == 1
+
+
+def _subtracts_a_sign(node):
+    """``x - (-1) ** k`` or ``x -= (-1) ** k``: the loop's correction to
+    the product of its exponents."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+        right = node.right
+    elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Sub):
+        right = node.value
+    else:
+        return False
+    return (isinstance(right, ast.BinOp) and isinstance(right.op, ast.Pow)
+            and ast.unparse(right.left) in ("-1", "(-1)"))
+
+
+def test_one_determinant_formula():
+    """`AtomicSummand.det` is the one determinant formula in src/: no other
+    definition subtracts (−1)^N from a product of exponents, so the
+    closed-form inverses give det·E⁻¹ only."""
+    found = sorted({f"{path.stem}.{name}"
+                    for path in sorted(SOURCE.glob("*.py"))
+                    for name, node in _definitions(ast.parse(path.read_text(encoding="utf-8")))
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for n in ast.walk(node) if _subtracts_a_sign(n)})
+    assert found == ["poly.AtomicSummand.det"]
+
+
 def test_mirror_does_not_import_jacobi():
     """The mirror map ψ reads only the polynomial and its group: `mirror`
     imports nothing from `jacobi`, and the ring-side degree check lives
