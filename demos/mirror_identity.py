@@ -13,8 +13,9 @@ from fractions import Fraction
 
 from lgmirror import fjrw_four_point, four_point_report, sg_four_point
 from lgmirror.amodel import admissible_target
-from lgmirror.bmodel import LatticeElement, brieskorn_reduce
+from lgmirror.bmodel import brieskorn_reduce
 from lgmirror.errors import UnsupportedByTheorem
+from lgmirror.jacobi import ring_of
 from lgmirror.mirror import final_type_insertions
 from lgmirror.poly import InvertiblePolynomial, format_monomial
 
@@ -39,16 +40,20 @@ for i in range(1, W.N + 1):
     assert a_side.value == W.q[i - 1] == -b_side
 
     # The B side is one exact division chain in the Brieskorn lattice of
-    # the summand's transpose: [M_i d^nx] reduces to -q_i * z [d^nx].
+    # the summand's transpose: [M_i d^nx] reduces to -q_i * z [d^nx].  The
+    # reduction keeps each z-level as {monomial: (num, den)} integer pairs.
     _, _, target = final_type_insertions(piece, local)
     steps: list[dict] = []
-    reduced = brieskorn_reduce(piece.transpose(), LatticeElement.from_poly(target), steps)
-    assert reduced == LatticeElement({1: {(0,) * piece.N: -W.q[i - 1]}})
+    reduced = brieskorn_reduce(ring_of(piece.transpose()), {0: {target: (1, 1)}}, steps)
+    normal_form = {k: {m: Fraction(*c) for m, c in level.items()} for k, level in reduced.items()}
+    assert normal_form == {1: {(0,) * piece.N: -W.q[i - 1]}}
     print(f"    [{format_monomial(target)} d^nx] reduces in {len(steps)} passes:")
     for s in steps:
         terms = " + ".join(f"{c}*{format_monomial(m)}" for m, c in s["pushed"].items())
         print(f"      z^{s['z']}: pushes {terms or 'nothing'}")
-    print(f"    normal form: {reduced!r}")
+    terms = " + ".join(f"{c}*z^{k}[{format_monomial(m)} d^nx]"
+                       for k, level in sorted(normal_form.items()) for m, c in sorted(level.items()))
+    print(f"    normal form: {terms}")
 
     # The A side integrates second Bernoulli values over three boundary
     # decorations (when the concave formula applies).

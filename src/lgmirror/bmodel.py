@@ -14,21 +14,19 @@ universal deformation F = f + sum_a s_a phi_a packages the Frobenius
 manifold: the z^{-1} part of J gives the flat coordinates, the z^{-2}
 part the gradient of the genus-zero potential.  This module implements
 
-* the reduction on integer-pair levels (``_reduce_levels``), which keeps
-  each level as {monomial: (num, den)}, the unreduced pairs
+* the reduction (``brieskorn_reduce``), which consumes ``levels`` =
+  {z: {monomial: (num, den)}}, the unreduced integer pairs
   ``JacobiRing.divide`` takes and returns, differentiates the division's
   flat certificate straight into the push, and builds ``Fraction``s only
-  for the ``steps`` records,
-* its public edge: the lattice elements (``LatticeElement``, exact
-  ``Fraction`` coefficients) and ``brieskorn_reduce``, which converts at
-  both ends and serves ``--trace``, the demos and the tests,
+  for the ``steps`` records that ``--trace`` prints,
 * the combinatorial good-basis verification for atomic transposes
   (``good_basis_check``), which pairs basis monomials whose mirror
   sectors are inverse, each sector one integer mod D stepped over the
   box and read off the polynomial itself, with no transpose built,
 * the order-by-order solver for (zeta, J) (``perturbative_expand``),
-  which keeps zeta and J as pair levels across the orders and builds each
-  stored ``LatticeElement`` once, at the end,
+  which keeps zeta and J as pair levels across the orders and stores each
+  entry once, at the end, as a ``LatticeElement`` (exact ``Fraction``
+  coefficients),
 * the distinguished four-point correlator <x_i, x_i, M_i/x_i^2, top> of
   the mirror ring (``sg_four_point``), whose value collapses to the
   single reduction [M_i d^Nx] = -q_i z [d^Nx], taken on pair levels with
@@ -60,7 +58,8 @@ Z_MIN, Z_MAX = -3, 2
 
 
 class LatticeElement:
-    """A sparse Laurent element  sum_k z^k P_k(x) [d^Nx]  with exact coefficients.
+    """A sparse Laurent element  sum_k z^k P_k(x) [d^Nx]  with exact coefficients:
+    a stored zeta or J entry of `SeriesState`.
 
     ``terms`` maps the z-power k to the polynomial part P_k, itself a map
     monomial -> Fraction.  Zero coefficients and empty levels are dropped
@@ -85,13 +84,6 @@ class LatticeElement:
             clean[int(k)] = level
         self.terms = clean
 
-    @staticmethod
-    def from_poly(p, z: int = 0) -> "LatticeElement":
-        """Wrap a polynomial (a monomial tuple or {monomial: coef}) at one z-level."""
-        if isinstance(p, tuple):
-            p = {p: Fraction(1)}
-        return LatticeElement({z: p})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -101,35 +93,12 @@ class LatticeElement:
     def __eq__(self, other) -> bool:
         return isinstance(other, LatticeElement) and self.terms == other.terms
 
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "LatticeElement(0)"
-        bits = []
-        for k in sorted(self.terms):
-            for m, c in sorted(self.terms[k].items()):
-                bits.append(f"z^{k}*{c}*x^{m}")
-        return "LatticeElement(" + " + ".join(bits) + ")"
 
-
-def brieskorn_reduce(
-    f: InvertiblePolynomial, e: LatticeElement, steps: list | None = None
-) -> LatticeElement:
-    """Normal form of ``e``: every polynomial part inside the standard-basis span.
-
-    The public edge of `_reduce_levels`: ``e``'s coefficients go in as
-    integer pairs and the reduced levels come back as ``Fraction``s.  When
-    ``steps`` is a list, one record per pass is appended for auditing.
-    """
-    levels = {k: {m: (c.numerator, c.denominator) for m, c in p.items()}
-              for k, p in e.terms.items()}
-    out = _reduce_levels(ring_of(f), levels, steps)
-    return LatticeElement({k: _values(level) for k, level in out.items()})
-
-
-def _reduce_levels(ring: JacobiRing, levels: dict, steps: list | None = None) -> dict:
-    """Reduce ``levels`` = {k: {monomial: (num, den)}} in the ring's
-    Brieskorn lattice, with the coefficients kept as the unreduced integer
-    pairs `JacobiRing.divide` takes and returns.
+def brieskorn_reduce(ring: JacobiRing, levels: dict, steps: list | None = None) -> dict:
+    """Normal form of ``levels`` = {k: {monomial: (num, den)}} in the ring's
+    Brieskorn lattice: every level inside the standard-basis span, with the
+    coefficients kept as the unreduced integer pairs `JacobiRing.divide`
+    takes and returns.
 
     Each pass divides one z-level exactly, P = nf + sum kappa s df/dx_v
     over the terms (v, s, kappa) of the division's certificate, keeps the
@@ -389,8 +358,9 @@ def perturbative_expand(f: InvertiblePolynomial, order: int) -> SeriesState:
     subtracted from zeta and the latter is the new J component.  Orders
     beyond 3 are refused rather than silently truncated: the z-window and
     the four-point extraction are calibrated to cubic order.  zeta and J
-    stay integer-pair levels across the orders; each stored entry becomes a
-    ``LatticeElement`` once, at the end.
+    stay integer-pair levels across the orders, each reduced by
+    `brieskorn_reduce`; each stored entry becomes a ``LatticeElement``
+    once, at the end.
     """
     if not 0 <= order <= 3:
         raise WrongConfiguration("the expansion is supported up to order 3 only")
@@ -420,7 +390,7 @@ def perturbative_expand(f: InvertiblePolynomial, order: int) -> SeriesState:
                     level = total.setdefault(z - len(rest), {})
                     for m, (num, den) in poly.items():
                         _accumulate(level, tuple(map(add, m, mono)), num, den * denom)
-            reduced = _reduce_levels(ring, total)
+            reduced = brieskorn_reduce(ring, total)
             plus = {z: {m: (-num, den) for m, (num, den) in level.items()}
                     for z, level in reduced.items() if z >= 0}
             minus = {z: level for z, level in reduced.items() if z < 0}
@@ -461,13 +431,13 @@ def sg_four_point(W: InvertiblePolynomial, i: int) -> Fraction:
     # deformation directions that matter.
     for right in (x, s):
         product = tuple(map(add, x, right))
-        if any(k > 0 for k in _reduce_levels(ring, {0: {product: (1, 1)}})):
+        if any(k > 0 for k in brieskorn_reduce(ring, {0: {product: (1, 1)}})):
             raise WrongConfiguration("unexpected flat-coordinate correction")
 
     # Cubic term of exp((F-f)/z): its multinomial weight (1/2 for distinct
     # insertions, 1/3! when M_i/x_i^2 = x_i) times the t-derivative's
     # factorials (2! 1!, or 3!) is 1, so B is [M_i z^-3] reduced.
-    reduced = _reduce_levels(ring, {-3: {target_monomial: (1, 1)}})
+    reduced = brieskorn_reduce(ring, {-3: {target_monomial: (1, 1)}})
     unit = (0,) * n
     if not set(reduced) <= {-2}:
         raise WrongConfiguration("cubic term did not collapse to z^-2")

@@ -32,7 +32,7 @@ import time
 from fractions import Fraction
 
 from .amodel import admissible_target, four_point_report
-from .bmodel import LatticeElement, brieskorn_reduce, sg_four_point
+from .bmodel import brieskorn_reduce, sg_four_point
 from .errors import (
     InconsistentInput,
     UnderdeterminedSystem,
@@ -137,7 +137,7 @@ def reduction_trace(piece: InvertiblePolynomial, local: int) -> list[dict]:
     summand's transpose, where ``sg_four_point`` computes the B side."""
     _, _, target = final_type_insertions(piece, local)
     steps: list[dict] = []
-    brieskorn_reduce(piece.transpose(), LatticeElement.from_poly(target), steps)
+    brieskorn_reduce(ring_of(piece.transpose()), {0: {target: (1, 1)}}, steps)
     return [
         {
             "z": s["z"],

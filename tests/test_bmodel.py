@@ -28,14 +28,9 @@ from lgmirror.linalg import invert, solve
 from lgmirror.mirror import final_type_insertions, sector_of
 from lgmirror.poly import AtomicSummand, InvertiblePolynomial, reassemble
 
-from support import criteria_atomics, quotients, slice_divide, values
+from support import criteria_atomics, pairs, quotients, slice_divide, values
 
 F = Fraction
-
-
-def shift(e, dz):
-    """e·z^dz."""
-    return LatticeElement({k + dz: poly for k, poly in e.terms.items()})
 
 
 def atomic(kind, a):
@@ -60,27 +55,43 @@ def weights_oracle(W):
     return solve([list(row) for row in W.E], [F(1)] * W.N)
 
 
-def element_weight(f, e):
-    """Common weight of the terms of e, wt(z) = 1 and wt([d^Nx]) = sum(q_i);
-    None when e is zero or mixes weights."""
+def element_weight(f, terms):
+    """Common weight of the terms {z: {monomial: coefficient}}, wt(z) = 1
+    and wt([d^Nx]) = sum(q_i); None when they are zero or mix weights."""
     ring = ring_of(f)
     offset = sum(f.q, F(0))
-    seen = {k + ring.wt(m) + offset for k, poly in e.terms.items() for m in poly}
+    seen = {k + ring.wt(m) + offset for k, poly in terms.items() for m in poly}
     return seen.pop() if len(seen) == 1 else None
 
 
-def one(n):
-    return LatticeElement.from_poly((0,) * n)
+def shift(terms, dz):
+    """terms·z^dz."""
+    return {k + dz: poly for k, poly in terms.items()}
 
 
 def plus(a, b):
-    """a + b, level by level."""
-    terms = {k: dict(poly) for k, poly in a.terms.items()}
-    for k, poly in b.terms.items():
+    """a + b, level by level, cancelled coefficients kept."""
+    terms = {k: dict(poly) for k, poly in a.items()}
+    for k, poly in b.items():
         level = terms.setdefault(k, {})
         for m, c in poly.items():
             level[m] = level.get(m, 0) + c
-    return LatticeElement(terms)
+    return terms
+
+
+def lift(terms):
+    """{z: {monomial: coefficient}} as the pair levels `brieskorn_reduce` takes."""
+    return {k: pairs(poly) for k, poly in terms.items()}
+
+
+def reduced(f, levels, steps=None):
+    """`brieskorn_reduce` of the pair levels in f's ring, its levels read as
+    ``Fraction``s; a level holds no zero coefficient."""
+    return {k: values(p) for k, p in brieskorn_reduce(ring_of(f), levels, steps).items()}
+
+
+def one(n):
+    return LatticeElement({0: {(0,) * n: F(1)}})
 
 
 # ------------------------------------------------------------ lattice elements
@@ -92,24 +103,19 @@ class TestLatticeElement:
         assert e.is_zero()
         assert e == LatticeElement()
 
-    def test_from_poly_accepts_monomial_or_dict(self):
-        assert LatticeElement.from_poly((2, 1)) == LatticeElement.from_poly(
-            {(2, 1): F(1)}
-        )
-        e = LatticeElement.from_poly({(3,): F(1, 2)}, z=-2)
-        assert sorted(e.terms) == [-2]
+    def test_cancelled_coefficients_leave_no_level(self):
+        a = {1: {(1,): F(2, 3)}}
+        b = {1: {(1,): F(-2, 3)}}
+        assert LatticeElement(plus(a, b)).terms == {}
+        assert LatticeElement(plus(a, {})) == LatticeElement(a)
+
+    def test_coefficient(self):
+        e = LatticeElement({-2: {(3,): F(1, 2)}})
         assert e.coefficient(-2, (3,)) == F(1, 2)
         assert e.coefficient(0, (3,)) == 0
 
-    def test_cancelled_coefficients_leave_no_level(self):
-        a = LatticeElement.from_poly({(1,): F(2, 3)}, z=1)
-        b = LatticeElement.from_poly({(1,): F(-2, 3)}, z=1)
-        assert plus(a, b).terms == {}
-        assert plus(a, LatticeElement()) == a
-
     def test_shift(self):
-        e = LatticeElement.from_poly({(1, 0): F(2)})
-        assert shift(e, -1).terms == {-1: {(1, 0): F(2)}}
+        assert shift({0: {(1, 0): F(2)}}, -1) == {-1: {(1, 0): F(2)}}
 
     def test_coefficients_are_built_once(self):
         # a Fraction coefficient is kept as it is; anything else becomes one
@@ -125,9 +131,8 @@ class TestLatticeElement:
             LatticeElement({z: {(0,): F(1)}})
 
     def test_shift_out_of_window_is_refused(self):
-        e = LatticeElement.from_poly((0,), z=2)
         with pytest.raises(WrongConfiguration):
-            shift(e, 1)
+            LatticeElement(shift({2: {(0,): F(1)}}, 1))
 
 
 # ------------------------------------------------------------ worked reductions
@@ -142,8 +147,7 @@ class TestWorkedReductions:
     def test_fermat_power_drops_one_z_level(self, a):
         # x^a = (x/a) * ax^{a-1}, so [x^a] = -z [d(x/a)] = -(z/a) [1].
         f = atomic("fermat", (a,))
-        reduced = brieskorn_reduce(f, LatticeElement.from_poly((a,)))
-        assert reduced == LatticeElement({1: {(0,): F(-1, a)}})
+        assert reduced(f, {0: {(a,): (1, 1)}}) == {1: {(0,): F(-1, a)}}
 
     def test_chain_final_monomial(self):
         # W = x^3 y + y^4, f = W^t = x^3 + x y^4: the second monomial of f
@@ -152,8 +156,7 @@ class TestWorkedReductions:
         f = W.transpose()
         m2 = tuple(W.E[j][1] for j in range(2))
         assert m2 == (1, 4)
-        reduced = brieskorn_reduce(f, LatticeElement.from_poly(m2))
-        assert reduced == LatticeElement({1: {(0, 0): F(-1, 4)}})
+        assert reduced(f, {0: {m2: (1, 1)}}) == {1: {(0, 0): F(-1, 4)}}
         assert weights_oracle(W)[1] == F(1, 4)
 
     @pytest.mark.parametrize("a", [(2, 3, 2), (3, 3), (2, 3, 4, 5)])
@@ -166,19 +169,18 @@ class TestWorkedReductions:
         n = W.N
         for i in range(n):
             mi = tuple(W.E[j][i] for j in range(n))
-            reduced = brieskorn_reduce(f, LatticeElement.from_poly(mi))
-            assert reduced == LatticeElement({1: {(0,) * n: -q[i]}})
+            assert reduced(f, {0: {mi: (1, 1)}}) == {1: {(0,) * n: -q[i]}}
 
     def test_jacobian_multiple_with_constant_quotient_vanishes(self):
         # x^{a-1} dx = (1/a) df is killed outright: d(1/a) = 0.
         f = atomic("fermat", (5,))
-        assert brieskorn_reduce(f, LatticeElement.from_poly((4,))).is_zero()
+        assert reduced(f, {0: {(4,): (1, 1)}}) == {}
 
     def test_window_overflow_raises(self):
         # Reducing x^14 in the x^4 lattice climbs three z-levels.
         f = atomic("fermat", (4,))
         with pytest.raises(WrongConfiguration):
-            brieskorn_reduce(f, LatticeElement.from_poly((14,)))
+            reduced(f, {0: {(14,): (1, 1)}})
 
 
 # ------------------------------------------------------------ reduction laws
@@ -204,8 +206,8 @@ class TestReductionProperties:
                 lambda m: ring.wt(m) <= 2
             )
         )
-        reduced = brieskorn_reduce(f, LatticeElement.from_poly(m))
-        assert reduced.terms.get(0, {}) == ring.monomial_of(ring.reduce(m))
+        z0 = reduced(f, {0: {m: (1, 1)}}).get(0, {})
+        assert z0 == ring.monomial_of(ring.reduce(m))
 
     @settings(deadline=None)
     @given(data=st.data())
@@ -215,11 +217,11 @@ class TestReductionProperties:
         monos = st.tuples(*(st.integers(0, 5) for _ in range(f.N))).filter(
             lambda m: ring.wt(m) <= 2
         )
-        a = LatticeElement.from_poly({data.draw(monos): data.draw(st.integers(-3, 3))})
-        b = LatticeElement.from_poly({data.draw(monos): data.draw(st.integers(-3, 3))})
-        lhs = brieskorn_reduce(f, plus(a, b))
-        rhs = plus(brieskorn_reduce(f, a), brieskorn_reduce(f, b))
-        assert lhs == rhs
+        a = {0: {data.draw(monos): data.draw(st.integers(-3, 3))}}
+        b = {0: {data.draw(monos): data.draw(st.integers(-3, 3))}}
+        lhs = reduced(f, lift(plus(a, b)))
+        rhs = plus(reduced(f, lift(a)), reduced(f, lift(b)))
+        assert lhs == LatticeElement(rhs).terms
 
     @settings(deadline=None)
     @given(data=st.data())
@@ -231,38 +233,34 @@ class TestReductionProperties:
                 lambda m: ring.wt(m) <= 2
             )
         )
-        e = LatticeElement.from_poly(m)
-        reduced = brieskorn_reduce(f, e)
-        if not reduced.is_zero():
-            assert element_weight(f, reduced) == element_weight(f, e)
+        out = reduced(f, {0: {m: (1, 1)}})
+        if out:
+            assert element_weight(f, out) == element_weight(f, {0: {m: 1}})
 
     def test_reduction_commutes_with_z_shift(self):
         f = atomic("loop", (2, 3))
-        e = LatticeElement.from_poly({(2, 1): F(3), (1, 3): F(-1, 2)})
-        down = brieskorn_reduce(f, shift(e, -2))
-        assert down == shift(brieskorn_reduce(f, e), -2)
+        e = {0: {(2, 1): F(3), (1, 3): F(-1, 2)}}
+        down = reduced(f, lift(shift(e, -2)))
+        assert down == shift(reduced(f, lift(e)), -2)
 
     def test_basis_elements_are_fixed(self):
         for f in REDUCTION_RINGS:
             ring = JacobiRing(f)
             for m in ring.basis.monomials:
-                e = LatticeElement.from_poly(m, z=-1)
-                assert brieskorn_reduce(f, e) == e
+                assert reduced(f, {-1: {m: (1, 1)}}) == {-1: {m: F(1)}}
 
 
 class TestElementWeight:
     def test_homogeneous_weight(self):
         f = atomic("fermat", (5,))
-        e = LatticeElement.from_poly({(2,): F(7)}, z=1)
-        assert element_weight(f, e) == 1 + F(2, 5) + F(1, 5)
+        assert element_weight(f, {1: {(2,): F(7)}}) == 1 + F(2, 5) + F(1, 5)
 
     def test_mixed_weights_return_none(self):
         f = atomic("fermat", (5,))
-        e = LatticeElement.from_poly({(0,): F(1), (1,): F(1)})
-        assert element_weight(f, e) is None
+        assert element_weight(f, {0: {(0,): F(1), (1,): F(1)}}) is None
 
     def test_zero_returns_none(self):
-        assert element_weight(atomic("fermat", (3,)), LatticeElement()) is None
+        assert element_weight(atomic("fermat", (3,)), {}) is None
 
 
 # ------------------------------------------------------------ good basis
@@ -610,7 +608,7 @@ class TestPerturbativeExpansion:
         mu = len(state.basis)
         for a in range(mu):
             entry = state.jfunc[(a,)]
-            assert entry == LatticeElement.from_poly(state.basis[a], z=-1)
+            assert entry.terms == {-1: {state.basis[a]: F(1)}}
 
     @pytest.mark.parametrize("W,i", SERIES_CASES)
     def test_jfunc_lives_below_z0(self, W, i):
@@ -658,7 +656,7 @@ class TestPerturbativeExpansion:
     def test_the_series_solves_its_defining_equation(self, W, i):
         # exp((F-f)/z) zeta = J order by order: with zeta's own entry
         # included, each s-monomial's coefficient reduces to J's, through
-        # the public reduction on LatticeElements.  loop(3, 3) has a zeta
+        # one `brieskorn_reduce` of its pair levels.  loop(3, 3) has a zeta
         # correction, at (top, top).
         f = W.transpose()
         state = perturbative_expand(f, 3)
@@ -678,8 +676,8 @@ class TestPerturbativeExpansion:
                         for m, c in poly.items():
                             key = tuple(map(add, m, mono))
                             level[key] = level.get(key, 0) + c / weight
-                expected = state.jfunc.get(smono, LatticeElement())
-                assert brieskorn_reduce(f, LatticeElement(terms)) == expected
+                expected = state.jfunc.get(smono, LatticeElement()).terms
+                assert reduced(f, lift(terms)) == expected
 
     def test_zeta_corrections_appear_only_at_the_top_weight(self):
         # For the symmetric loop the only positive z-power at quadratic
@@ -730,16 +728,14 @@ def test_trace_steps_do_not_depend_on_the_division(monkeypatch):
         f = piece.transpose()
         if ring_of(f).mu > 64:
             continue
-        for e in (LatticeElement.from_poly(tuple(a + b for a, b in zip(x, x))),
-                  LatticeElement.from_poly(tuple(a + b for a, b in zip(x, s))),
-                  LatticeElement.from_poly(m, z=-3), LatticeElement.from_poly(m)):
-            reductions.append((f, e))
+        for z, e in ((0, tuple(map(add, x, x))), (0, tuple(map(add, x, s))), (-3, m), (0, m)):
+            reductions.append((f, z, e))
 
     def run():
         out = []
-        for f, e in reductions:
+        for f, z, e in reductions:
             steps = []
-            brieskorn_reduce(f, e, steps)
+            brieskorn_reduce(ring_of(f), {z: {e: (1, 1)}}, steps)
             out.append([(step["z"], *(list(step[key].items())
                                       for key in ("chunk", "normal_form", "pushed")))
                         for step in steps])
@@ -765,12 +761,12 @@ def test_series_does_not_depend_on_the_certificate(monkeypatch):
     assert differs > 0
 
 
-def test_four_point_agrees_with_the_public_reduction():
-    """`sg_four_point` reduces on integer-pair levels, the ``--trace`` and
-    demo route through the public `brieskorn_reduce` on a `LatticeElement`.
-    On every criterion 1–3 target the public route collapses [M_i z^-3] to
-    the same z^-2 [d^Nx] coefficient, and reduces both flat-coordinate
-    products to nonpositive z-powers."""
+def test_four_point_is_the_collapsed_reduction():
+    """`sg_four_point` reads its value off one `brieskorn_reduce` of
+    [M_i z^-3], the reduction ``--trace`` records from z^0.  On every
+    criterion 1–3 target that reduction collapses to the z^-2 [d^Nx]
+    coefficient `sg_four_point` returns, and both flat-coordinate products
+    reduce to nonpositive z-powers."""
     targets = 0
     for W, i in criteria_targets():
         piece, local = admissible_target(W, i)
@@ -778,9 +774,8 @@ def test_four_point_agrees_with_the_public_reduction():
         f = piece.transpose()
         for right in (x, s):
             product = tuple(map(add, x, right))
-            assert all(k <= 0 for k in brieskorn_reduce(f, LatticeElement.from_poly(product)).terms)
-        reduced = brieskorn_reduce(f, LatticeElement.from_poly(m, z=-3))
-        assert reduced.terms == {-2: {(0,) * f.N: sg_four_point(W, i)}}
+            assert all(k <= 0 for k in reduced(f, {0: {product: (1, 1)}}))
+        assert reduced(f, {-3: {m: (1, 1)}}) == {-2: {(0,) * f.N: sg_four_point(W, i)}}
         targets += 1
     assert targets > 400
 
@@ -790,35 +785,37 @@ class TestPairLevels:
         ring = ring_of(atomic("fermat", (4,)))
         for k in (bmodel.Z_MIN - 1, bmodel.Z_MAX + 1):
             with pytest.raises(WrongConfiguration, match="outside the supported window"):
-                bmodel._reduce_levels(ring, {k: {(0,): (1, 2)}})
+                brieskorn_reduce(ring, {k: {(0,): (1, 2)}})
 
     def test_a_cancelled_level_outside_the_window_is_ignored(self):
         ring = ring_of(atomic("fermat", (4,)))
-        assert bmodel._reduce_levels(ring, {bmodel.Z_MIN - 1: {(1,): (0, 3)}}) == {}
+        assert brieskorn_reduce(ring, {bmodel.Z_MIN - 1: {(1,): (0, 3)}}) == {}
 
     @pytest.mark.parametrize("z", [-1, bmodel.Z_MAX + 1], ids=["inside", "outside"])
     @pytest.mark.parametrize("f", REDUCTION_RINGS)
     def test_a_zero_entry_changes_no_level(self, f, z):
         # a (0, d) entry, at the level the first pass pushes into or past
         # the window, is ignored: no caller needs to drop what cancelled
-        ring = ring_of(f)
-        top2 = tuple(2 * a for a in ring.top)
-        for m in ring.basis.monomials + (top2,):
-            plain = bmodel._reduce_levels(ring, {-2: {m: (-2, 3)}})
-            padded = bmodel._reduce_levels(ring, {-2: {m: (-2, 3)}, z: {top2: (0, 7)}})
-            assert ({k: values(p) for k, p in padded.items()}
-                    == {k: values(p) for k, p in plain.items()})
+        top2 = tuple(2 * a for a in ring_of(f).top)
+        for m in ring_of(f).basis.monomials + (top2,):
+            plain = reduced(f, {-2: {m: (-2, 3)}})
+            padded = reduced(f, {-2: {m: (-2, 3)}, z: {top2: (0, 7)}})
+            assert padded == plain
 
     @pytest.mark.parametrize("f", REDUCTION_RINGS)
-    def test_the_public_edge_reads_the_pair_levels(self, f):
-        # brieskorn_reduce is _reduce_levels with Fraction coefficients at
-        # both ends, and leaves its input as it was
+    def test_the_steps_record_the_returned_levels(self, f):
+        # each pass records the normal form it keeps, as ``Fraction``s in
+        # monomial order, and every returned level is one pass's
         ring = ring_of(f)
         for m in ring.basis.monomials + (tuple(2 * a for a in ring.top),):
-            e = LatticeElement.from_poly({m: F(-2, 3)}, z=-2)
-            pairs = bmodel._reduce_levels(ring, {-2: {m: (-2, 3)}})
-            assert brieskorn_reduce(f, e).terms == {k: values(p) for k, p in pairs.items()}
-            assert e == LatticeElement.from_poly({m: F(-2, 3)}, z=-2)
+            steps = []
+            out = brieskorn_reduce(ring, {-2: {m: (-2, 3)}}, steps)
+            assert [s["z"] for s in steps] == sorted({s["z"] for s in steps})
+            for s in steps:
+                assert list(s["normal_form"]) == sorted(s["normal_form"])
+                assert all(type(c) is Fraction for c in s["normal_form"].values())
+            assert ({s["z"]: s["normal_form"] for s in steps if s["normal_form"]}
+                    == {k: values(p) for k, p in out.items()})
 
 
 # ------------------------------------------------------------ the correlator
@@ -893,7 +890,7 @@ class TestFourPoint:
     def test_an_uncollapsed_reduction_is_refused(self, monkeypatch, capsys, reduced, message):
         # B rests on these collapse checks, so they must be errors that
         # survive `python -O`, and the CLI must report them with exit 2.
-        monkeypatch.setattr(bmodel, "_reduce_levels", lambda ring, levels, steps=None: reduced)
+        monkeypatch.setattr(bmodel, "brieskorn_reduce", lambda ring, levels, steps=None: reduced)
         with pytest.raises(WrongConfiguration, match=re.escape(message)):
             sg_four_point(atomic("loop", (3, 3)), 1)
         argv = ["correlator", "--expr", "x1^3*x2 + x2^3*x1", "--target", "1", "--side", "B"]

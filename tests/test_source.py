@@ -172,19 +172,41 @@ def test_one_phase_denominator():
 
 def test_summand_walks_stay_integer():
     """`_SummandRing._walk` carries each value as an integer pair
-    (num, den), and so do `JacobiRing.divide`, `_reduce_levels` and
+    (num, den), and so do `JacobiRing.divide`, `brieskorn_reduce` and
     `perturbative_expand`, which take its values on: `Fraction` is named in
-    none of their loops.  Only what `reduce` returns, the public
-    `brieskorn_reduce`'s `LatticeElement`, the stored ζ and J entries, the
-    value of `sg_four_point` and the ``--trace`` steps are built as
-    ``Fraction``s."""
+    none of their loops.  Only what `reduce` returns, the stored ζ and J
+    entries, the value of `sg_four_point` and the ``--trace`` steps are
+    built as ``Fraction``s."""
     for module, name in [("jacobi", "_SummandRing._walk"), ("jacobi", "JacobiRing.divide"),
-                         ("bmodel", "_reduce_levels"), ("bmodel", "perturbative_expand")]:
+                         ("bmodel", "brieskorn_reduce"), ("bmodel", "perturbative_expand")]:
         tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
         node = dict(_definitions(tree))[name]
         loops = [n for n in node.body if isinstance(n, (ast.For, ast.While))]
         assert loops, name
         assert "Fraction" not in {n for loop in loops for n in _names(loop)}, name
+
+
+def _calls(attribute):
+    """A matcher for a call of ``attribute``, as a plain name or as the
+    attribute of any object."""
+    def match(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == attribute
+    return match
+
+
+def test_one_brieskorn_reduction():
+    """The B side reduces in one place: `brieskorn_reduce` is the only
+    caller of a ring's `divide` (besides `JacobiRing.divide`, which calls
+    each summand's), and `perturbative_expand`, which stores the ζ and J
+    entries, is the only builder of a `LatticeElement`."""
+    for attribute, owners in [("divide", ["bmodel.brieskorn_reduce", "jacobi.JacobiRing.divide"]),
+                              ("LatticeElement", ["bmodel.perturbative_expand"])]:
+        found = set().union(*(_owners(path, _calls(attribute))
+                              for path in sorted(SOURCE.glob("*.py"))))
+        assert sorted(found) == owners, attribute
 
 
 def _calls_from_exponent_matrix(node):
