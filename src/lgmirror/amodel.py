@@ -23,9 +23,9 @@ is computed by one of four routes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import ConcavityViolated, InconsistentInput, UnsupportedByTheorem, WrongConfiguration
 from .groups import GroupElement
@@ -44,8 +44,7 @@ SYMMETRIC_LOOP_SEED = Fraction(2, 27)
 _SPLITTINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
 
-@dataclass(frozen=True)
-class BoundaryDecoration:
+class BoundaryDecoration(NamedTuple):
     """One two-component boundary stratum of the four-marked moduli space.
 
     ``splitting`` lists the marks (0-based) on each component; the node
@@ -306,8 +305,7 @@ def wdvv_case2(W: InvertiblePolynomial) -> Fraction:
     return a[0] * base - bridge / 2
 
 
-@dataclass(frozen=True)
-class FourPointResult:
+class FourPointResult(NamedTuple):
     value: Fraction
     method: str  # "concave" | "guere" | "wdvv1" | "wdvv2"
     decorations: tuple[BoundaryDecoration, ...]

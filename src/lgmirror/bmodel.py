@@ -37,9 +37,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
+from typing import NamedTuple
 
 from .amodel import admissible_target
 from .errors import WrongConfiguration
@@ -153,8 +153,7 @@ def _values(level: dict) -> dict[Monomial, Fraction]:
 # good-basis verification
 
 
-@dataclass(frozen=True)
-class PairingClass:
+class PairingClass(NamedTuple):
     """All unordered standard-basis pairs sharing one exponent sum m = r + r'.
 
     ``k`` solves k . E = m + 2 over the integers (monomial-order rows);
@@ -174,8 +173,7 @@ class PairingClass:
         return self.in_family and self.degree_ok
 
 
-@dataclass(frozen=True)
-class GoodBasisReport:
+class GoodBasisReport(NamedTuple):
     kind: str
     mu: int
     monomial_order: tuple[int, ...]
@@ -309,8 +307,7 @@ def good_basis_check(f: InvertiblePolynomial) -> GoodBasisReport:
 # perturbative solver
 
 
-@dataclass(frozen=True)
-class SeriesState:
+class SeriesState(NamedTuple):
     """Truncated solution of exp((F-f)/z) zeta = J over the basis deformation.
 
     ``zeta`` and ``jfunc`` map an s-monomial -- a sorted tuple of basis

@@ -13,7 +13,7 @@ the standard basis), ``jacobi`` (basis and socle; ``--json`` adds the Gram
 matrix, ``--trace`` the products of basis monomials), ``axioms``
 (selection-rule bookkeeping for a correlator candidate),
 ``correlator`` (a single A- or B-side value) and ``wdvv`` (associativity
-reconstruction chains).
+reconstruction chains; its handler alone imports the `wdvv` module).
 
 Exit codes: 0 full pass, 1 mirror-identity mismatch, 2 parse/usage
 error, 3 theorem-hypothesis violation (weight-1/2 variables), reported
@@ -44,7 +44,6 @@ from .jacobi import ring_of, top_of
 from .mirror import final_type_insertions, psi
 from .poly import InvertiblePolynomial, NotInvertibleShape, PolynomialSyntaxError, format_monomial, parse_term
 from .selection import CorrelatorSpec, classify_type, passes_axioms
-from .wdvv import fermat_closure, loop_square_chain
 
 Monomial = tuple[int, ...]
 
@@ -496,6 +495,7 @@ def cmd_correlator(args) -> int:
 
 
 def cmd_wdvv(args) -> int:
+    from .wdvv import fermat_closure, loop_square_chain  # no other command loads wdvv
     W = load_polynomial(args)
     kinds = {s.kind for s in W.summands}
     if kinds == {"fermat"}:

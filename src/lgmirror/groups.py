@@ -13,8 +13,8 @@ other denominator; ``phases`` is the ``Fraction`` view for output.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import WrongConfiguration
 from .poly import InvertiblePolynomial
@@ -27,18 +27,22 @@ class GroupCapExceeded(RuntimeError):
     cap itself is not an integer."""
 
 
-@dataclass(frozen=True, slots=True)
-class GroupElement:
-    """The phase vector num/den, every numerator in [0, den).  An element
-    of G_W has den = W.D; a product needs both factors over one den."""
-
+class _Phases(NamedTuple):
     num: tuple[int, ...]
     den: int
 
-    def __post_init__(self):
-        if not all(0 <= x < self.den for x in self.num):
+
+class GroupElement(_Phases):
+    """The phase vector num/den, every numerator in [0, den).  An element
+    of G_W has den = W.D; a product needs both factors over one den."""
+
+    __slots__ = ()
+
+    def __new__(cls, num, den):
+        if not all(0 <= x < den for x in num):
             raise WrongConfiguration(
-                f"phases {tuple(Fraction(x, self.den) for x in self.num)} outside [0, 1)")
+                f"phases {tuple(Fraction(x, den) for x in num)} outside [0, 1)")
+        return super().__new__(cls, num, den)
 
     @property
     def phases(self) -> tuple[Fraction, ...]:

@@ -47,11 +47,11 @@ of the degree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as cartesian, repeat
 from operator import add, mod, sub
+from typing import NamedTuple
 
 from . import linalg
 from .poly import AtomicSummand, InvertiblePolynomial
@@ -133,14 +133,12 @@ def _partials(f: InvertiblePolynomial) -> list[dict]:
 
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StandardBasis:
+class StandardBasis(NamedTuple):
     monomials: tuple[Monomial, ...]
     index: dict
 
 
-@dataclass(frozen=True)
-class RingElement:
+class RingElement(NamedTuple):
     """Sparse vector over the standard basis (index → coefficient)."""
     coeffs: tuple[tuple[int, Fraction], ...]
 

@@ -15,9 +15,9 @@ broad monomial exactly when their sector has a nontrivial fixed locus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from .errors import UnsupportedByTheorem
 from .groups import GroupElement, sector_degree
@@ -26,8 +26,7 @@ from .poly import InvertiblePolynomial
 Monomial = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class AModelClass:
+class AModelClass(NamedTuple):
     sector: GroupElement
     broad_monomial: Monomial | None
     degree: Fraction

@@ -39,8 +39,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import WrongConfiguration
 
@@ -53,28 +53,32 @@ class NotInvertibleShape(ValueError):
     """The monomial/variable incidence pattern matches no atomic sum."""
 
 
-@dataclass(frozen=True)
-class AtomicSummand:
+class _Summand(NamedTuple):
+    kind: str                    # 'fermat' | 'chain' | 'loop'
+    exponents: tuple[int, ...]
+    variables: tuple[int, ...]
+
+
+class AtomicSummand(_Summand):
     """One atomic piece.  ``variables`` are 0-based ambient indices listed in
     chain/loop order, so the piece's monomials are
     x_{v1}^{a1} x_{v2} + x_{v2}^{a2} x_{v3} + …  (chain: last is a pure power;
     loop: last points back to v1; Fermat: a single pure power)."""
 
-    kind: str                    # 'fermat' | 'chain' | 'loop'
-    exponents: tuple[int, ...]
-    variables: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("fermat", "chain", "loop"):
-            raise WrongConfiguration(f"unknown summand kind {self.kind!r}")
-        if len(self.exponents) != len(self.variables):
+    def __new__(cls, kind, exponents, variables):
+        if kind not in ("fermat", "chain", "loop"):
+            raise WrongConfiguration(f"unknown summand kind {kind!r}")
+        if len(exponents) != len(variables):
             raise WrongConfiguration("one exponent per variable expected")
-        if not all(a >= 2 for a in self.exponents):
-            raise WrongConfiguration(f"exponents {self.exponents} below 2")
-        if self.kind == "fermat" and len(self.variables) != 1:
+        if not all(a >= 2 for a in exponents):
+            raise WrongConfiguration(f"exponents {exponents} below 2")
+        if kind == "fermat" and len(variables) != 1:
             raise WrongConfiguration("a Fermat summand has one variable")
-        if self.kind != "fermat" and len(self.variables) < 2:
-            raise WrongConfiguration(f"a {self.kind} needs two variables or more")
+        if kind != "fermat" and len(variables) < 2:
+            raise WrongConfiguration(f"a {kind} needs two variables or more")
+        return super().__new__(cls, kind, exponents, variables)
 
     @property
     def det(self) -> int:
@@ -89,19 +93,34 @@ class AtomicSummand:
         return f"{self.kind.capitalize()}({inner})"
 
 
-@dataclass(frozen=True)
-class InvertiblePolynomial:
+class InvertiblePolynomial(NamedTuple):
+    """An immutable value: ==, !=, hash and repr read N, E and the summands
+    only, so the data read off them and the memo of `derive` stay out."""
+
     N: int
     E: tuple[tuple[int, ...], ...]
     summands: tuple[AtomicSummand, ...]
     # head[v] is the row of E headed by x_v, the monomial x_v^a or x_v^a·x_u
-    head: tuple[int, ...] = field(compare=False, repr=False)
+    head: tuple[int, ...]
     # E⁻¹ and q in integers: E⁻¹ = DE_inv/D and q = Dq/D, where D is the
     # lcm of E⁻¹'s denominators, the exponent of the maximal group G_W
-    D: int = field(compare=False, repr=False)
-    DE_inv: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    Dq: tuple[int, ...] = field(compare=False, repr=False)
-    _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    D: int
+    DE_inv: tuple[tuple[int, ...], ...]
+    Dq: tuple[int, ...]
+    memo: dict
+
+    def __eq__(self, other):
+        # False, not NotImplemented: a plain tuple must not compare equal
+        return type(other) is InvertiblePolynomial and self[:3] == other[:3]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:3])
+
+    def __repr__(self):
+        return "InvertiblePolynomial(N={!r}, E={!r}, summands={!r})".format(*self[:3])
 
     # -- constructors ---------------------------------------------------
 
@@ -132,7 +151,7 @@ class InvertiblePolynomial:
             # weights outside (0,1/2] cannot arise from an atomic sum with
             # all a_i >= 2; guard anyway so bad matrices fail loudly.
             raise NotInvertibleShape(f"weights {tuple(Fraction(x, D) for x in Dq)} out of range (0,1/2]")
-        return InvertiblePolynomial(len(E), E, tuple(summands), head, D, DE_inv, Dq)
+        return InvertiblePolynomial(len(E), E, tuple(summands), head, D, DE_inv, Dq, {})
 
     @staticmethod
     def from_string(text: str) -> "InvertiblePolynomial":
@@ -173,9 +192,9 @@ class InvertiblePolynomial:
         """``build()`` on the first call with ``key``, the same object on
         every later one: the memo lives on this polynomial, as long as it."""
         try:
-            return self._derived[key]
+            return self.memo[key]
         except KeyError:
-            value = self._derived[key] = build()
+            value = self.memo[key] = build()
             return value
 
     def transpose(self) -> "InvertiblePolynomial":

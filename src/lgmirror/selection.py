@@ -11,8 +11,8 @@ of four-point correlators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import WrongConfiguration
 from .groups import GroupElement, require_in_group
@@ -28,8 +28,7 @@ def _is_primitive(m: tuple[int, ...]) -> bool:
     return sum(m) == 1
 
 
-@dataclass(frozen=True)
-class CorrelatorSpec:
+class CorrelatorSpec(NamedTuple):
     """A correlator candidate in normal form, with derived bookkeeping.
 
     ``insertions`` holds exponent tuples of monomials in the milnor ring

@@ -20,8 +20,8 @@ square-tailed two-loop correlator.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .amodel import fjrw_four_point
 from .errors import InconsistentInput, UnderdeterminedSystem, WrongConfiguration
@@ -131,8 +131,7 @@ class CorrelatorTable:
         return f"<{monos}>"
 
 
-@dataclass(frozen=True)
-class WdvvIdentity:
+class WdvvIdentity(NamedTuple):
     """One associativity identity, fully evaluated against a table.
 
     ``terms`` are the four correlators in the order (lhs, rhs1, rhs2,

@@ -57,6 +57,19 @@ def test_compose_inverse_identity():
     assert g ** 7 == groups.identity(P)     # group order 7
 
 
+def test_group_elements_are_immutable_values():
+    """A product and a power follow the group law, and an element's fields
+    cannot be set."""
+    g = GroupElement((1, 2), 5)
+    assert (g * g, g ** 3, g ** 0) == (GroupElement((2, 4), 5), GroupElement((3, 1), 5),
+                                       GroupElement((0, 0), 5))
+    assert g == GroupElement(num=(1, 2), den=5) and hash(g) == hash(GroupElement((1, 2), 5))
+    for name, value in [("num", (0, 0)), ("den", 7)]:
+        with pytest.raises(AttributeError):
+            setattr(g, name, value)
+    assert g == GroupElement((1, 2), 5)
+
+
 def test_sector_kind():
     P = W("x1^3")
     J = grading_element(P)

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from lgmirror import linalg
 from lgmirror.amodel import _atomic_piece
 from lgmirror.errors import WrongConfiguration
+from lgmirror.jacobi import ring_of
 from lgmirror.poly import (
     AtomicSummand,
     InvertiblePolynomial,
@@ -375,6 +376,34 @@ def test_derived_polynomials_equal_their_parse():
                 P.to_string()
             checked += 1
     assert checked > 5000
+
+
+def test_equality_and_hash_read_only_the_polynomial():
+    """==, != and hash read N, E and the summands: a polynomial whose memo
+    holds its ring, transpose and atomic pieces equals a fresh parse of its
+    text, and its rows in another order, or its plain tuple form, make an
+    unequal value; != is always the negation of ==."""
+    for text in ["x1^3*x2 + x2^4", "x1^2*x2 + x2^3*x3 + x3^4*x1", "x1^2*x2 + x2^2*x1 + x3^4"]:
+        W = InvertiblePolynomial.from_string(text)
+        ring_of(W)
+        W.transpose()
+        for i in range(W.N):
+            _atomic_piece(W, i)
+        fresh = InvertiblePolynomial.from_string(text)
+        swapped = InvertiblePolynomial.from_exponent_matrix(W.E[1:] + W.E[:1])
+        assert (W == fresh, W != fresh, hash(W) == hash(fresh)) == (True, False, True)
+        assert (W == swapped, W != swapped) == (False, True)
+        assert (W == tuple(W.E), W != tuple(W.E)) == (False, True)
+        assert repr(W) == repr(fresh)
+
+
+def test_records_are_immutable():
+    W = InvertiblePolynomial.from_string("x1^3*x2 + x2^4")
+    for obj, name, value in [(W, "N", 3), (W, "E", ()), (W, "D", 1), (W, "Dq", (1, 1)),
+                             (W.summands[0], "kind", "loop"), (W.summands[0], "exponents", (2, 2))]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+        assert getattr(obj, name) != value
 
 
 # ---------------------------------------------------------------------------

@@ -49,9 +49,10 @@ def test_polynomial_stores_one_integer_form():
     tree = ast.parse((SOURCE / "poly.py").read_text(encoding="utf-8"))
     cls = next(node for node in tree.body
                if isinstance(node, ast.ClassDef) and node.name == "InvertiblePolynomial")
-    found = [node.target.id for node in cls.body
-             if isinstance(node, ast.AnnAssign) and "Fraction" in ast.unparse(node.annotation)]
-    assert found == []
+    fields = {node.target.id: ast.unparse(node.annotation) for node in cls.body
+              if isinstance(node, ast.AnnAssign)}
+    assert {"N", "E", "summands", "head", "D", "DE_inv", "Dq"} <= set(fields)
+    assert [name for name, annotation in fields.items() if "Fraction" in annotation] == []
 
 
 # Definitions that only tests call, each with the reason it stays in src/.
@@ -341,20 +342,52 @@ def test_mirror_does_not_import_jacobi():
     assert [m for m in imported if m.split(".")[-1] == "jacobi"] == []
 
 
+def _imports_dataclasses(node):
+    """``import dataclasses`` or ``from dataclasses import …``."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
+
+
+def test_no_dataclasses():
+    """Records are `NamedTuple`s: importing `dataclasses` would cost every
+    invocation its import and a method generation per record class."""
+    found = set().union(*(_owners(path, _imports_dataclasses) for path in sorted(SOURCE.glob("*.py"))))
+    assert sorted(found) == []
+
+
+def _fresh_env():
+    """The environment of a fresh interpreter that imports this src/."""
+    path = os.pathsep.join(filter(None, [str(SOURCE.parent), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_package_import_loads_every_benchmark_module():
     """The benchmark finds the modules of its ENTRY_POINTS through
     `sys.modules`, after importing only `lgmirror` and `lgmirror.cli`; a
-    fresh interpreter must load each of them.  In a test session other
+    fresh interpreter must load each of them, and neither `dataclasses`
+    nor `wdvv`, which only `lgmirror wdvv` runs.  In a test session other
     tests import them too, which would hide a module the package stopped
-    importing."""
+    importing or started to."""
     tree = ast.parse((SOURCE.parents[1] / "perfbench" / "spans.py").read_text(encoding="utf-8"))
     entry_points = next(ast.literal_eval(node.value) for node in tree.body
                         if isinstance(node, ast.Assign)
                         and [t.id for t in node.targets] == ["ENTRY_POINTS"])
     wanted = sorted({module for _, module, _ in entry_points})
-    path = os.pathsep.join(filter(None, [str(SOURCE.parent), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, lgmirror, lgmirror.cli; print(*sys.modules)"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+        capture_output=True, text=True, env=_fresh_env())
     assert proc.returncode == 0, proc.stderr
-    assert sorted(set(wanted) - set(proc.stdout.split())) == []
+    loaded = set(proc.stdout.split())
+    assert sorted(set(wanted) - loaded) == []
+    assert sorted({"dataclasses", "lgmirror.wdvv"} & loaded) == []
+
+
+def test_wdvv_command_loads_its_module():
+    """`lgmirror wdvv` imports `wdvv` itself: in a fresh process it prints
+    the same bytes as an in-process run, where `wdvv` is already loaded."""
+    import test_golden
+    argv = ["wdvv", "--expr", "x1^5*x2+x2^2*x1", "--json"]
+    proc = subprocess.run([sys.executable, "-m", "lgmirror.cli", *argv],
+                          capture_output=True, text=True, encoding="utf-8", env=_fresh_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == test_golden.run(argv)
