@@ -12,11 +12,10 @@ Run:  python3 demos/mirror_identity.py
 from fractions import Fraction
 
 from lgmirror import fjrw_four_point, four_point_report, sg_four_point
-from lgmirror.amodel import admissible_target
 from lgmirror.bmodel import brieskorn_reduce
 from lgmirror.errors import UnsupportedByTheorem
 from lgmirror.jacobi import ring_of
-from lgmirror.mirror import final_type_insertions
+from lgmirror.mirror import admissible_target, final_type_insertions
 from lgmirror.poly import InvertiblePolynomial, format_monomial
 
 W = InvertiblePolynomial.from_string("x1^5 + x2^3*x3 + x3^4 + x4^3*x5 + x5^3*x4")

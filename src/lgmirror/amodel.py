@@ -27,11 +27,11 @@ from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
 
-from .errors import ConcavityViolated, InconsistentInput, UnsupportedByTheorem, WrongConfiguration
+from .errors import ConcavityViolated, InconsistentInput, WrongConfiguration
 from .groups import GroupElement
 from .jacobi import top_of
-from .mirror import final_type_insertions, require_mirror_hypotheses, sector_of
-from .poly import AtomicSummand, InvertiblePolynomial, _canonical, _inverse, reassemble
+from .mirror import admissible_target, final_type_insertions, sector_of
+from .poly import InvertiblePolynomial
 from .selection import line_bundle_degrees
 
 # Value of the seven-point seed correlator (all insertions the doubled
@@ -311,60 +311,6 @@ class FourPointResult(NamedTuple):
     decorations: tuple[BoundaryDecoration, ...]
 
 
-def _atomic_piece(W: InvertiblePolynomial, i0: int) -> tuple[InvertiblePolynomial, int]:
-    """Restrict to the atomic summand containing ambient variable i0.
-
-    Returns the summand as a standalone polynomial (loops rotated so the
-    target comes last) and the 1-based local target index.  Correlators of
-    a direct sum factor through the summands: the complementary factor
-    contributes a two-point pairing normalized to 1.
-    """
-    s = W.summand_of(i0)
-    n = len(s.exponents)
-    p = s.variables.index(i0)
-    if s.kind == "loop":
-        exps = s.exponents[p + 1 :] + s.exponents[: p + 1]
-        local = n
-    else:
-        exps = s.exponents
-        local = p + 1
-
-    def build():
-        # the rows in variable order, so x_v heads row v
-        head = tuple(range(n))
-        E = tuple(map(tuple, reassemble([AtomicSummand(s.kind, exps, head)], n)))
-        atom = _canonical(s.kind, exps, head)
-        return InvertiblePolynomial._assemble(E, [atom], head, *_inverse([atom], head))
-
-    return W.derive(("piece", s.kind, exps), build), local
-
-
-def admissible_target(W: InvertiblePolynomial, i: int) -> tuple[InvertiblePolynomial, int]:
-    """Validate that <x_i, x_i, M_i/x_i^2, top> falls under the theorem.
-
-    The variable must be a power-at-least-3 one when its summand is a
-    Fermat or a chain (chains only support the final variable); every
-    loop variable is supported.  Returns the atomic summand of x_i as a
-    standalone polynomial together with the 1-based local target index;
-    both correlator sides validate through this single gate.
-    """
-    require_mirror_hypotheses(W)
-    if not 1 <= i <= W.N:
-        raise WrongConfiguration(f"variable index {i} out of range")
-    piece, local = _atomic_piece(W, i - 1)
-    kind = piece.summands[0].kind
-    a_local = _exponents(piece)
-    if kind == "fermat":
-        if a_local[0] < 3:
-            raise UnsupportedByTheorem("Fermat variables need exponent at least 3")
-    elif kind == "chain":
-        if local != piece.N:
-            raise UnsupportedByTheorem(
-                "chain variables other than the final one are not supported"
-            )
-    return piece, local
-
-
 def four_point_report(W: InvertiblePolynomial, i: int) -> FourPointResult:
     """Compute <psi(x_i), psi(x_i), psi(M_i/x_i^2), psi(top)> for W.
 
@@ -372,7 +318,12 @@ def four_point_report(W: InvertiblePolynomial, i: int) -> FourPointResult:
     in a square, or the two associativity reconstructions, after reducing
     to the atomic summand of x_i.
     """
-    piece, local = admissible_target(W, i)
+    return _four_point_report(*admissible_target(W, i))
+
+
+def _four_point_report(piece: InvertiblePolynomial, local: int) -> FourPointResult:
+    """`four_point_report` on the atomic piece, at its 1-based variable
+    ``local``, with no theorem gate."""
     kind = piece.summands[0].kind
     a_local = _exponents(piece)
     if kind == "loop":

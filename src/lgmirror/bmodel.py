@@ -41,10 +41,9 @@ from fractions import Fraction
 from operator import add
 from typing import NamedTuple
 
-from .amodel import admissible_target
 from .errors import WrongConfiguration
 from .jacobi import JacobiRing, _accumulate, ring_of
-from .mirror import final_type_insertions
+from .mirror import admissible_target, final_type_insertions
 from .poly import InvertiblePolynomial
 
 Monomial = tuple[int, ...]
@@ -414,7 +413,12 @@ def sg_four_point(W: InvertiblePolynomial, i: int) -> Fraction:
     the corresponding coefficient of the cubic term of exp((F-f)/z),
     which one Brieskorn reduction of [M_i d^Nx] evaluates.
     """
-    piece, local = admissible_target(W, i)
+    return _sg_four_point(*admissible_target(W, i))
+
+
+def _sg_four_point(piece: InvertiblePolynomial, local: int) -> Fraction:
+    """`sg_four_point` on the atomic piece, at its 1-based variable
+    ``local``, with no theorem gate."""
     f = piece.transpose()
     ring = ring_of(f)
     n = f.N

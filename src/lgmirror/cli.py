@@ -31,7 +31,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .amodel import admissible_target, four_point_report
+from .amodel import four_point_report
 from .bmodel import brieskorn_reduce, sg_four_point
 from .errors import (
     InconsistentInput,
@@ -41,7 +41,7 @@ from .errors import (
 )
 from .groups import GroupCapExceeded, enumerate_group
 from .jacobi import ring_of, top_of
-from .mirror import final_type_insertions, psi
+from .mirror import admissible_target, final_type_insertions, psi
 from .poly import InvertiblePolynomial, NotInvertibleShape, PolynomialSyntaxError, format_monomial, parse_term
 from .selection import CorrelatorSpec, classify_type, passes_axioms
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .errors import UnsupportedByTheorem
+from .errors import UnsupportedByTheorem, WrongConfiguration
 from .groups import GroupElement, sector_degree
 from .poly import InvertiblePolynomial
 
@@ -55,6 +55,27 @@ def require_mirror_hypotheses(W: InvertiblePolynomial) -> None:
         raise UnsupportedByTheorem(
             f"chain variable(s) {names} have weight 1/2; "
             "the mirror theorem excludes this case")
+
+
+def admissible_target(W: InvertiblePolynomial, i: int) -> tuple[InvertiblePolynomial, int]:
+    """Validate that <x_i, x_i, M_i/x_i^2, top> falls under the theorem.
+
+    The variable must be a power-at-least-3 one when its summand is a
+    Fermat, and the final one when it is a chain; every loop variable is
+    supported.  The check reads x_i's summand in W, so a refused target
+    builds nothing.  Returns `W.piece`: the atomic summand of x_i as a
+    standalone polynomial together with the 1-based local target index;
+    both correlator sides validate through this single gate.
+    """
+    require_mirror_hypotheses(W)
+    if not 1 <= i <= W.N:
+        raise WrongConfiguration(f"variable index {i} out of range")
+    s = W.summand_of(i - 1)
+    if s.kind == "fermat" and s.exponents[0] < 3:
+        raise UnsupportedByTheorem("Fermat variables need exponent at least 3")
+    if s.kind == "chain" and s.variables[-1] != i - 1:
+        raise UnsupportedByTheorem("chain variables other than the final one are not supported")
+    return W.piece(i - 1)
 
 
 def sector_of(W: InvertiblePolynomial, m: Monomial) -> GroupElement:

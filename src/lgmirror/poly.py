@@ -28,10 +28,12 @@ group.  The grading ``degree`` and the A side's phase arithmetic both
 work over D; ``q`` and ``charge``, built on first read, and
 ``inverse_exponents()`` are the ``Fraction`` views.
 
-Only `from_string` and `from_json` parse and classify an exponent matrix.
-Polynomials derived from W (its transpose, the atomic pieces of the A and
-B sides) are read off W's classified data through `_assemble`, once per
-polynomial through `derive`, and kept on W for as long as W lives.
+Only `from_string` and `from_json` parse and classify an exponent matrix,
+and only they take E⁻¹ from the closed forms.  Polynomials derived from W
+(its transpose `transpose()`, and the atomic piece `piece(v)` of a variable
+that both correlator sides evaluate) are read off W's summands, `head` and
+`DE_inv` through `_assemble`, once per polynomial through `derive`, and
+kept on W for as long as W lives.
 """
 
 from __future__ import annotations
@@ -208,6 +210,23 @@ class InvertiblePolynomial(NamedTuple):
             tuple(sorted(range(self.N), key=self.head.__getitem__)),
             self.D, tuple(zip(*self.DE_inv))))
 
+    def piece(self, v: int) -> tuple["InvertiblePolynomial", int]:
+        """The atomic summand of x_v (0-based) as a standalone polynomial,
+        and v's 1-based index in it.  Its variables run in chain order, a
+        loop rotated so that v comes last; its rows are W's rows at them,
+        through ``head``, and its E⁻¹ is the summand's block of E⁻¹, over
+        D = the summand's `det`.  Correlators of a direct sum factor
+        through the summands."""
+        s = self.summand_of(v)
+        r = s.variables.index(v) + 1 if s.kind == "loop" else 0
+        order, exps = s.variables[r:] + s.variables[:r], s.exponents[r:] + s.exponents[:r]
+        k, ident = self.D // s.det, tuple(range(len(order)))
+        return self.derive(("piece", s.kind, exps), lambda: InvertiblePolynomial._assemble(
+            tuple(tuple(self.E[self.head[u]][w] for w in order) for u in order),
+            [_canonical(s.kind, exps, ident)], ident, s.det,
+            tuple(tuple(self.DE_inv[u][self.head[w]] // k for w in order) for u in order),
+        )), order.index(v) + 1
+
     def group_order(self) -> int:
         """|G_max| = |det E|, the product of the summands' determinants."""
         return math.prod(s.det for s in self.summands)
@@ -370,22 +389,6 @@ def _canonical(kind: str, exps, variables) -> AtomicSummand:
         rot = min(range(k), key=lambda r: (exps[r:] + exps[:r], (r - start) % k))
         exps, variables = exps[rot:] + exps[:rot], variables[rot:] + variables[:rot]
     return AtomicSummand(kind, tuple(exps), tuple(variables))
-
-
-def reassemble(summands, n: int) -> list[list[int]]:
-    """Exponent matrix of a disjoint sum of atomics (inverse of classify)."""
-    rows = []
-    for s in summands:
-        vs, exps = s.variables, s.exponents
-        for pos, v in enumerate(vs):
-            row = [0] * n
-            row[v] = exps[pos]
-            if s.kind == "chain" and pos + 1 < len(vs):
-                row[vs[pos + 1]] = 1
-            elif s.kind == "loop":
-                row[vs[(pos + 1) % len(vs)]] = 1
-            rows.append(row)
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,23 @@ from fractions import Fraction
 from lgmirror import linalg
 from lgmirror.groups import GroupElement
 from lgmirror.jacobi import _graded, _partials
-from lgmirror.poly import AtomicSummand, InvertiblePolynomial, reassemble
+from lgmirror.poly import AtomicSummand, InvertiblePolynomial
+
+
+def reassemble(summands, n):
+    """Exponent matrix of a disjoint sum of atomics (inverse of classify)."""
+    rows = []
+    for s in summands:
+        vs, exps = s.variables, s.exponents
+        for pos, v in enumerate(vs):
+            row = [0] * n
+            row[v] = exps[pos]
+            if s.kind == "chain" and pos + 1 < len(vs):
+                row[vs[pos + 1]] = 1
+            elif s.kind == "loop":
+                row[vs[(pos + 1) % len(vs)]] = 1
+            rows.append(row)
+    return rows
 
 
 def grading_element(W):

@@ -14,10 +14,10 @@ from lgmirror.amodel import four_point_report, fjrw_four_point, wdvv_case1
 from lgmirror.bmodel import good_basis_check, perturbative_expand, sg_four_point
 from lgmirror.jacobi import JacobiRing, OracleQuotient
 from lgmirror.mirror import psi, sector_of
-from lgmirror.poly import AtomicSummand, InvertiblePolynomial, reassemble
+from lgmirror.poly import AtomicSummand, InvertiblePolynomial
 from lgmirror.selection import CorrelatorSpec
 
-from support import grading_element, residue_pairing
+from support import grading_element, reassemble, residue_pairing
 
 F = Fraction
 

@@ -22,10 +22,10 @@ from lgmirror.errors import (
     UnsupportedByTheorem,
     WrongConfiguration,
 )
-from lgmirror.poly import AtomicSummand, InvertiblePolynomial, reassemble
+from lgmirror.poly import AtomicSummand, InvertiblePolynomial
 from lgmirror.selection import line_bundle_degrees
 
-from support import grading_element
+from support import grading_element, reassemble
 
 F = Fraction
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lgmirror import bmodel, cli
-from lgmirror.amodel import admissible_target, fjrw_four_point
+from lgmirror.amodel import fjrw_four_point
 from lgmirror.bmodel import (
     GoodBasisReport,
     LatticeElement,
@@ -25,10 +25,10 @@ from lgmirror.bmodel import (
 from lgmirror.errors import UnsupportedByTheorem, WrongConfiguration
 from lgmirror.jacobi import JacobiRing, ring_of
 from lgmirror.linalg import invert, solve
-from lgmirror.mirror import final_type_insertions, sector_of
-from lgmirror.poly import AtomicSummand, InvertiblePolynomial, reassemble
+from lgmirror.mirror import admissible_target, final_type_insertions, sector_of
+from lgmirror.poly import AtomicSummand, InvertiblePolynomial
 
-from support import criteria_atomics, pairs, quotients, slice_divide, values
+from support import criteria_atomics, pairs, quotients, reassemble, slice_divide, values
 
 F = Fraction
 

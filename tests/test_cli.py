@@ -163,7 +163,7 @@ def test_verify_lists_no_basis(expr):
     W = InvertiblePolynomial.from_string(expr)
     assert cli.verification_report(W)["overall"] == "pass"
     for i in range(W.N):
-        piece, _ = amodel._atomic_piece(W, i)
+        piece, _ = W.piece(i)
         assert "basis" not in ring_of(piece.transpose()).__dict__
 
 

@@ -6,10 +6,10 @@ import pytest
 from lgmirror import groups
 from lgmirror.errors import WrongConfiguration
 from lgmirror.groups import GroupElement
-from lgmirror.poly import AtomicSummand, InvertiblePolynomial, reassemble
+from lgmirror.poly import AtomicSummand, InvertiblePolynomial
 from lgmirror.selection import line_bundle_degrees
 
-from support import criteria_atomics, grading_element
+from support import criteria_atomics, grading_element, reassemble
 
 F = Fraction
 

@@ -14,17 +14,16 @@ from hypothesis import assume, given, settings, strategies as st
 from lgmirror.amodel import (
     _chern_combo,
     _final_type_sectors,
-    admissible_target,
     boundary_decorations,
 )
 from lgmirror.errors import UnsupportedByTheorem, WrongConfiguration
 from lgmirror.groups import enumerate_group, generator_rho, sector_degree
 from lgmirror.jacobi import JacobiRing, top_of
-from lgmirror.mirror import final_type_insertions, sector_of
-from lgmirror.poly import AtomicSummand, InvertiblePolynomial, reassemble
+from lgmirror.mirror import admissible_target, final_type_insertions, sector_of
+from lgmirror.poly import AtomicSummand, InvertiblePolynomial
 from lgmirror.selection import line_bundle_degrees
 
-from support import grading_element
+from support import grading_element, reassemble
 
 SPLITTINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 

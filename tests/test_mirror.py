@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from lgmirror import mirror
+from lgmirror.amodel import _four_point_report
+from lgmirror.bmodel import _sg_four_point
 from lgmirror.errors import UnsupportedByTheorem
 from lgmirror.jacobi import JacobiRing, ring_of
 from lgmirror.poly import InvertiblePolynomial
@@ -131,3 +133,40 @@ def test_mirror_tensor_product():
     assert img.sector.phases == img_l.sector.phases + img_f.sector.phases
     assert img.degree == img_l.degree + img_f.degree
     assert img.broad_monomial == (1, 0, 0)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x1^3*x2 + x2^4", "chain variables other than the final one are not supported"),
+    ("x1^2 + x2^3", "Fermat variables need exponent at least 3"),
+])
+def test_gate_refuses_before_it_builds(text, message):
+    """`admissible_target` reads x_i's summand in W: a refused target
+    leaves no atomic piece in W's memo."""
+    P = W(text)
+    with pytest.raises(UnsupportedByTheorem) as info:
+        mirror.admissible_target(P, 1)
+    assert str(info.value) == message
+    assert [key for key in P.memo if type(key) is tuple and key[0] == "piece"] == []
+
+
+def test_non_final_chain_targets_agree_behind_the_gate():
+    """The gate refuses every chain variable but the last, yet on every
+    non-final chain variable with aᵢ ≥ 3 (chains with N ≤ 4, exponents
+    2–5 and no weight-½ variable) the paths behind it, run on
+    `W.piece`, give A = qᵢ = −Bᵢ by the concave formula."""
+    agreeing = 0
+    for P in criteria_atomics():
+        s = P.summands[0]
+        if s.kind != "chain":
+            continue
+        for v, a in zip(s.variables[:-1], s.exponents[:-1]):
+            with pytest.raises(UnsupportedByTheorem, match="other than the final one"):
+                mirror.admissible_target(P, v + 1)
+            if a < 3:
+                continue
+            piece, local = P.piece(v)
+            report = _four_point_report(piece, local)
+            assert (report.method, report.value) == ("concave", P.q[v])
+            assert _sg_four_point(piece, local) == -P.q[v]
+            agreeing += 1
+    assert agreeing == 513

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lgmirror import linalg
-from lgmirror.amodel import _atomic_piece
 from lgmirror.errors import WrongConfiguration
 from lgmirror.jacobi import ring_of
 from lgmirror.poly import (
@@ -22,10 +21,9 @@ from lgmirror.poly import (
     chain_inverse_entries,
     loop_inverse_entries,
     parse_exponent_matrix,
-    reassemble,
 )
 
-from support import criteria_atomics
+from support import criteria_atomics, reassemble
 from test_row_order import POLYNOMIALS as ROW_ORDER_POLYNOMIALS
 
 F = Fraction
@@ -369,7 +367,7 @@ def test_derived_polynomials_equal_their_parse():
     to the summand order and the rotation of every loop."""
     checked = 0
     for W in derived_cases():
-        pieces = [_atomic_piece(W, i)[0] for i in range(W.N)]
+        pieces = [W.piece(i)[0] for i in range(W.N)]
         for P in (W.transpose(), *pieces, *(piece.transpose() for piece in pieces)):
             parsed = InvertiblePolynomial.from_exponent_matrix(P.E)
             assert [getattr(P, k) for k in FIELDS] == [getattr(parsed, k) for k in FIELDS], \
@@ -388,7 +386,7 @@ def test_equality_and_hash_read_only_the_polynomial():
         ring_of(W)
         W.transpose()
         for i in range(W.N):
-            _atomic_piece(W, i)
+            W.piece(i)
         fresh = InvertiblePolynomial.from_string(text)
         swapped = InvertiblePolynomial.from_exponent_matrix(W.E[1:] + W.E[:1])
         assert (W == fresh, W != fresh, hash(W) == hash(fresh)) == (True, False, True)
@@ -554,7 +552,7 @@ def test_fermat_chain_weights_positive_bounded(a):
     ("chain", (3,), (0,)),       # a chain with one variable
 ])
 def test_atomic_summand_checks_are_explicit(kind, exponents, variables):
-    """`amodel._atomic_piece` builds summands outside the parser, so their
-    invariants are checks, not asserts."""
+    """`InvertiblePolynomial.piece` and the transpose build summands outside
+    the parser, so their invariants are checks, not asserts."""
     with pytest.raises(WrongConfiguration):
         AtomicSummand(kind, exponents, variables)

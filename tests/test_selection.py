@@ -9,7 +9,7 @@ from lgmirror.errors import WrongConfiguration
 from lgmirror.groups import GroupElement, generator_rho
 from lgmirror.jacobi import JacobiRing, ring_of
 from lgmirror.mirror import sector_of
-from lgmirror.poly import AtomicSummand, InvertiblePolynomial, reassemble
+from lgmirror.poly import AtomicSummand, InvertiblePolynomial
 from lgmirror.selection import (
     NOT_X_MINUS_1,
     X_0,
@@ -20,7 +20,7 @@ from lgmirror.selection import (
     passes_axioms,
 )
 
-from support import grading_element, residue_pairing
+from support import grading_element, reassemble, residue_pairing
 
 F = Fraction
 

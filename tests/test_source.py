@@ -124,6 +124,7 @@ E_READERS = {
     "jacobi._partials": "the relations ∂ⱼf, one term per row",
     "mirror.final_type_insertions": "M_i, column i of E",
     "poly.InvertiblePolynomial.transpose": "Wᵗ, whose exponent matrix is Eᵗ",
+    "poly.InvertiblePolynomial.piece": "an atomic piece: W's rows at its summand's variables, through `W.head`",
     "poly.InvertiblePolynomial.to_string": "the polynomial's text, one monomial per row",
 }
 
@@ -221,6 +222,37 @@ def test_derived_polynomials_are_not_parsed():
                           for path in sorted(SOURCE.glob("*.py"))))
     assert sorted(found) == ["poly.InvertiblePolynomial.from_json",
                              "poly.InvertiblePolynomial.from_string"]
+
+
+def _imports(tree):
+    """(module, name) of every import in one parsed source file, with the
+    module as written, so a relative import keeps no package prefix."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, None) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((node.module or "", alias.name) for alias in node.names)
+
+
+def test_pieces_are_built_in_poly():
+    """Every polynomial is assembled in `poly`: only the parser, the
+    transpose and `piece` call `_assemble`, only the parser takes E⁻¹ from
+    the closed forms, no module imports a private name of `poly`, and the
+    B side imports nothing from the A side; both reach the theorem gate
+    through `mirror`."""
+    for attribute, owners in [("_assemble", ["poly.InvertiblePolynomial.from_exponent_matrix",
+                                             "poly.InvertiblePolynomial.piece",
+                                             "poly.InvertiblePolynomial.transpose"]),
+                              ("_inverse", ["poly.InvertiblePolynomial.from_exponent_matrix"])]:
+        found = set().union(*(_owners(path, _calls(attribute))
+                              for path in sorted(SOURCE.glob("*.py"))))
+        assert sorted(found) == owners, attribute
+    private = [f"{path.stem}: {name}" for path in sorted(SOURCE.glob("*.py"))
+               for module, name in _imports(ast.parse(path.read_text(encoding="utf-8")))
+               if module.split(".")[-1] == "poly" and name and name.startswith("_")]
+    assert private == []
+    bmodel = ast.parse((SOURCE / "bmodel.py").read_text(encoding="utf-8"))
+    assert [m for m, name in _imports(bmodel) if "amodel" in (m.split(".")[-1], name)] == []
 
 
 def _reads_tables(node):
