@@ -316,9 +316,13 @@ def four_point_report(W: InvertiblePolynomial, i: int) -> FourPointResult:
 
     Dispatches to the concave formula, the limit formula for loops ending
     in a square, or the two associativity reconstructions, after reducing
-    to the atomic summand of x_i.
+    to the atomic summand of x_i.  The result depends on that piece and
+    x_i's place in it only, so it is memoized on the piece under
+    ("four_point", local): the variables a symmetry of W exchanges share
+    one computation.  A refused target and a raise store nothing.
     """
-    return _four_point_report(*admissible_target(W, i))
+    piece, local = admissible_target(W, i)
+    return piece.derive(("four_point", local), lambda: _four_point_report(piece, local))
 
 
 def _four_point_report(piece: InvertiblePolynomial, local: int) -> FourPointResult:

@@ -411,9 +411,12 @@ def sg_four_point(W: InvertiblePolynomial, i: int) -> Fraction:
     coordinates of x_i and M_i/x_i^2.  Because the flat coordinates carry
     no quadratic correction in those directions (checked below), this is
     the corresponding coefficient of the cubic term of exp((F-f)/z),
-    which one Brieskorn reduction of [M_i d^Nx] evaluates.
+    which one Brieskorn reduction of [M_i d^Nx] evaluates.  Like the A
+    side, the value is memoized on x_i's atomic piece, under
+    ("sg_four_point", local); a refused target and a raise store nothing.
     """
-    return _sg_four_point(*admissible_target(W, i))
+    piece, local = admissible_target(W, i)
+    return piece.derive(("sg_four_point", local), lambda: _sg_four_point(piece, local))
 
 
 def _sg_four_point(piece: InvertiblePolynomial, local: int) -> Fraction:

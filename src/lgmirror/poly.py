@@ -33,7 +33,10 @@ and only they take E⁻¹ from the closed forms.  Polynomials derived from W
 (its transpose `transpose()`, and the atomic piece `piece(v)` of a variable
 that both correlator sides evaluate) are read off W's summands, `head` and
 `DE_inv` through `_assemble`, once per polynomial through `derive`, and
-kept on W for as long as W lives.
+kept on W for as long as W lives.  A piece in turn keeps the A and B
+values of each of its targets (``("four_point", local)`` and
+``("sg_four_point", local)``), so the variables of W that share a piece
+and a place in it share one computation.
 """
 
 from __future__ import annotations
@@ -192,7 +195,9 @@ class InvertiblePolynomial(NamedTuple):
 
     def derive(self, key, build):
         """``build()`` on the first call with ``key``, the same object on
-        every later one: the memo lives on this polynomial, as long as it."""
+        every later one: the memo lives on this polynomial, as long as it.
+        A ``build()`` that raises stores nothing, so the next call with
+        ``key`` builds again."""
         try:
             return self.memo[key]
         except KeyError:

@@ -34,6 +34,7 @@ POLYNOMIALS = [
     "x1^2*x2+x2^3*x3+x3^2*x1",
     "x1^3*x2+x2^3*x3+x3^3",
     "x1^4+x2^3*x3+x3^3*x2",
+    "x1^3*x2+x2^3*x3+x3^3*x1",
 ]
 COMMANDS = ("axioms", "mirror", "wdvv")
 # one rendered insertion: a monomial with an optional rational factor, or a constant

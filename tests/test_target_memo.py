@@ -1,0 +1,130 @@
+"""Each correlator target is evaluated once per atomic piece.
+
+The four-point correlator of x_i depends only on x_i's atomic summand and
+its place in it, and `W.piece(v)` returns one object for the variables a
+symmetry of W exchanges.  So `four_point_report` and `sg_four_point`
+memoize their values on the piece, under ("four_point", local) and
+("sg_four_point", local), and `verify` runs each private path once per
+distinct (piece, local).  The memo lives on the piece, which lives on W:
+nothing is shared across polynomials, and a refusal or a raise stores
+nothing.
+"""
+
+import pytest
+
+from lgmirror import amodel, bmodel, cli
+from lgmirror.errors import UnsupportedByTheorem, WrongConfiguration
+from lgmirror.mirror import admissible_target
+from lgmirror.poly import InvertiblePolynomial
+
+FOUR_POINT = amodel._four_point_report
+SG_FOUR_POINT = bmodel._sg_four_point
+KEYS = ("four_point", "sg_four_point")
+
+
+def W(text):
+    return InvertiblePolynomial.from_string(text)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Per side, the (piece, local) arguments of every private-path call."""
+    seen = {"A": [], "B": []}
+
+    def counted(side, path):
+        def run(piece, local):
+            seen[side].append((piece, local))
+            return path(piece, local)
+        return run
+
+    monkeypatch.setattr(amodel, "_four_point_report", counted("A", FOUR_POINT))
+    monkeypatch.setattr(bmodel, "_sg_four_point", counted("B", SG_FOUR_POINT))
+    return seen
+
+
+def _memo_keys(P):
+    """The correlator keys held by the memos of P's atomic pieces."""
+    return sorted(key for piece_key, piece in P.memo.items()
+                  if type(piece_key) is tuple and piece_key[0] == "piece"
+                  for key in piece.memo if type(key) is tuple and key[0] in KEYS)
+
+
+@pytest.mark.parametrize("text, verified, evaluations", [
+    ("x1^3*x2+x2^3*x3+x3^3*x1", 3, 1),
+    ("x1^4+x2^4+x3^5", 3, 2),
+    ("x1^3*x2+x2^4*x3+x3^5*x1", 3, 3),
+    ("x1^2*x2+x2^2*x1", 2, 1),
+    ("x1^3*x2+x2^2*x3+x3^3*x4+x4^2*x1", 4, 2),
+    # two copies of loop(2, 3), on shuffled variables
+    ("x1^2*x3+x2^3*x4+x3^3*x1+x4^2*x2", 4, 2),
+])
+def test_verify_evaluates_each_piece_target_once(calls, text, verified, evaluations):
+    P = W(text)
+    report = cli.verification_report(P)
+    assert report["overall"] == "pass"
+    targets = [admissible_target(P, v["i"]) for v in report["variables"]]
+    distinct = {(id(piece), local) for piece, local in targets}
+    assert (len(targets), len(distinct)) == (verified, evaluations)
+    assert len(calls["A"]) == len(calls["B"]) == evaluations
+    for v, (piece, local) in zip(report["variables"], targets):
+        result = FOUR_POINT(piece, local)
+        assert amodel.four_point_report(P, v["i"]) == result
+        assert v["A_value"] == cli.frac(result.value)
+        assert v["B_value"] == cli.frac(SG_FOUR_POINT(piece, local))
+    # the memo holds nothing a second pass could add
+    cli.verification_report(P)
+    assert len(calls["A"]) == len(calls["B"]) == evaluations
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_a_raise_is_not_stored(monkeypatch, side):
+    """A private path that raises once leaves the key unset: the public
+    call raises that error, and the next one on the same W computes."""
+    module, name, public = {
+        "A": (amodel, "_four_point_report", amodel.four_point_report),
+        "B": (bmodel, "_sg_four_point", bmodel.sg_four_point),
+    }[side]
+    path = getattr(module, name)
+    failed = []
+
+    def flaky(piece, local):
+        if not failed:
+            failed.append(local)
+            raise WrongConfiguration("first call fails")
+        return path(piece, local)
+
+    monkeypatch.setattr(module, name, flaky)
+    P = W("x1^3*x2+x2^4")
+    with pytest.raises(WrongConfiguration, match="first call fails"):
+        public(P, 2)
+    assert _memo_keys(P) == []
+    assert public(P, 2) == path(*P.piece(1))
+    assert failed == [2]
+
+
+def test_a_refused_target_stores_nothing():
+    """x1 of a chain is refused by the gate; x2 shares its piece, so the
+    piece's memo holds x2's local index only."""
+    P = W("x1^3*x2+x2^4")
+    for public in (amodel.four_point_report, bmodel.sg_four_point):
+        with pytest.raises(UnsupportedByTheorem):
+            public(P, 1)
+    assert _memo_keys(P) == []
+    amodel.four_point_report(P, 2)
+    bmodel.sg_four_point(P, 2)
+    for public in (amodel.four_point_report, bmodel.sg_four_point):
+        with pytest.raises(UnsupportedByTheorem):
+            public(P, 1)
+    assert _memo_keys(P) == [("four_point", 2), ("sg_four_point", 2)]
+
+
+def test_nothing_is_shared_across_polynomials(calls):
+    """Equal polynomials parsed twice are two memos: the second parse
+    computes again."""
+    text = "x1^3*x2+x2^3*x3+x3^3*x1"
+    first, second = W(text), W(text)
+    assert first == second
+    cli.verification_report(first)
+    cli.verification_report(second)
+    assert len(calls["A"]) == len(calls["B"]) == 2
+    assert calls["A"][0][0] is not calls["A"][1][0]
