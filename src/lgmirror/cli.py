@@ -15,6 +15,11 @@ matrix, ``--trace`` the products of basis monomials), ``axioms``
 ``correlator`` (a single A- or B-side value) and ``wdvv`` (associativity
 reconstruction chains; its handler alone imports the `wdvv` module).
 
+``main`` is the one frame: it reads the polynomial, runs the handler, which
+returns (exit code, document, text lines), and prints the document headed
+by "command" and "polynomial" under ``--json``, else ``polynomial: ...``
+and the lines; a failed run prints only its message, on stderr.
+
 Exit codes: 0 full pass, 1 mirror-identity mismatch, 2 parse/usage
 error, 3 theorem-hypothesis violation (weight-1/2 variables), reported
 with a skip list.  All rationals are serialized as "p/q" strings, never
@@ -46,6 +51,7 @@ from .poly import InvertiblePolynomial, NotInvertibleShape, PolynomialSyntaxErro
 from .selection import CorrelatorSpec, classify_type, passes_axioms
 
 Monomial = tuple[int, ...]
+Output = tuple[int, dict, list[str]]  # a handler's (exit code, document, text lines)
 
 _PARSE_ERRORS = (
     PolynomialSyntaxError,
@@ -97,14 +103,6 @@ def load_polynomial(args) -> InvertiblePolynomial:
     if text.startswith("{"):
         return InvertiblePolynomial.from_json(text)
     return InvertiblePolynomial.from_string(text)
-
-
-def emit(args, document: dict, human: list[str]) -> None:
-    if args.json:
-        print(json.dumps(document, indent=2, ensure_ascii=False))
-    else:
-        for line in human:
-            print(line)
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +195,6 @@ def verification_report(W: InvertiblePolynomial, trace: bool = False) -> dict:
     mismatch = any(not v["matched"] for v in variables)
     overall = "pass" if not (mismatch or hypothesis) else "fail"
     return {
-        "command": "verify",
-        "polynomial": W.to_string(),
         "variables": variables,
         "skipped": skipped,
         "overall": overall,
@@ -211,7 +207,7 @@ def verify_lines(W: InvertiblePolynomial, report: dict, trace: bool) -> list[str
     """The text output of ``verify`` for its report."""
     verified = {v["i"]: v for v in report["variables"]}
     skips = {s["i"]: s for s in report["skipped"]}
-    lines = [f"polynomial: {report['polynomial']}"]
+    lines = []
     for i in range(1, W.N + 1):
         if i in skips:
             lines.append(f"  x{i}  skipped: {skips[i]['reason']}")
@@ -232,28 +228,21 @@ def verify_lines(W: InvertiblePolynomial, report: dict, trace: bool) -> list[str
     return lines
 
 
-def cmd_verify(args) -> int:
-    W = load_polynomial(args)
+def cmd_verify(W: InvertiblePolynomial, args) -> Output:
     report = verification_report(W, trace=args.trace)
-    # the human-readable lines only on the text path: emit drops them under --json
+    # the text lines only on the text path: main prints none under --json
     lines = [] if args.json else verify_lines(W, report, args.trace)
-    emit(args, report, lines)
     if any(not v["matched"] for v in report["variables"]):
-        return 1
-    if report["hypothesis_violation"]:
-        return 3
-    return 0
+        return 1, report, lines
+    return (3 if report["hypothesis_violation"] else 0), report, lines
 
 
 # ---------------------------------------------------------------------------
 # classify
 
 
-def cmd_classify(args) -> int:
-    W = load_polynomial(args)
+def cmd_classify(W: InvertiblePolynomial, args) -> Output:
     document = {
-        "command": "classify",
-        "polynomial": W.to_string(),
         "description": W.describe(),
         "summands": [
             {
@@ -268,7 +257,6 @@ def cmd_classify(args) -> int:
         "group_order": W.group_order(),
     }
     lines = [
-        f"polynomial: {document['polynomial']}",
         f"  summands: {document['description']}",
         f"  weights:  ({', '.join(document['weights'])})",
         f"  charge:   {document['charge']}",
@@ -285,16 +273,14 @@ def cmd_classify(args) -> int:
             f"    ({', '.join(e['phases'])}){'' if e['narrow'] else '  [broad]'}"
             for e in document["group"]
         )
-    emit(args, document, lines)
-    return 0
+    return 0, document, lines
 
 
 # ---------------------------------------------------------------------------
 # mirror
 
 
-def cmd_mirror(args) -> int:
-    W = load_polynomial(args)
+def cmd_mirror(W: InvertiblePolynomial, args) -> Output:
     WT = W.transpose()
     ring = ring_of(WT)
     classes, violations = [], []
@@ -318,8 +304,6 @@ def cmd_mirror(args) -> int:
             }
         )
     document = {
-        "command": "mirror",
-        "polynomial": W.to_string(),
         "transpose": WT.to_string(),
         "weights": [frac(q) for q in W.q],
         "transpose_weights": [frac(q) for q in WT.q],
@@ -328,7 +312,6 @@ def cmd_mirror(args) -> int:
         "degree_violations": violations,
     }
     lines = [
-        f"polynomial: {document['polynomial']}",
         f"  transpose: {document['transpose']}",
         f"  map on the {ring.mu} basis monomials of the transposed Jacobi ring:",
     ]
@@ -344,21 +327,17 @@ def cmd_mirror(args) -> int:
         if not violations
         else f"  DEGREE VIOLATIONS: {len(violations)}"
     )
-    emit(args, document, lines)
-    return 1 if violations else 0
+    return (1 if violations else 0), document, lines
 
 
 # ---------------------------------------------------------------------------
 # jacobi
 
 
-def cmd_jacobi(args) -> int:
-    W = load_polynomial(args)
+def cmd_jacobi(W: InvertiblePolynomial, args) -> Output:
     ring = ring_of(W)
     monomials = [format_monomial(m) for m in ring.basis.monomials]
     document = {
-        "command": "jacobi",
-        "polynomial": W.to_string(),
         "mu": ring.mu,
         "basis": monomials,
         "weights": [frac(ring.wt(m)) for m in ring.basis.monomials],
@@ -367,7 +346,6 @@ def cmd_jacobi(args) -> int:
     if args.json:
         document["gram"] = [[frac(v) for v in row] for row in ring.gram()]
     lines = [
-        f"polynomial: {document['polynomial']}",
         f"  milnor number: {ring.mu}",
         f"  basis: {', '.join(monomials)}",
         f"  top:   {document['top']}",
@@ -394,8 +372,7 @@ def cmd_jacobi(args) -> int:
             + " + ".join(f"{c}*{m}" for m, c in t["product"].items())
             for t in table
         )
-    emit(args, document, lines)
-    return 0
+    return 0, document, lines
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +392,8 @@ def _standard_candidates(W: InvertiblePolynomial):
         yield i, [x, x, s, top]
 
 
-def cmd_axioms(args) -> int:
-    W = load_polynomial(args)
-    if args.insertions:
+def cmd_axioms(W: InvertiblePolynomial, args) -> Output:
+    if args.insertions is not None:
         rows = [parse_monomial(t, W.N) for t in args.insertions.split(",")]
         candidates = [(None, rows)]
     else:
@@ -426,8 +402,8 @@ def cmd_axioms(args) -> int:
             raise UnsupportedByTheorem(
                 "no admissible variables; pass --insertions explicitly"
             )
-    document = {"command": "axioms", "polynomial": W.to_string(), "candidates": []}
-    lines = [f"polynomial: {document['polynomial']}"]
+    document = {"candidates": []}
+    lines = []
     for i, rows in candidates:
         spec = CorrelatorSpec.build(W, rows)
         r = {
@@ -448,26 +424,18 @@ def cmd_axioms(args) -> int:
         lines.append(
             f"{head}<{ins}>: K = ({K}), type {r['type']}, axioms {verdict}"
         )
-    emit(args, document, lines)
-    return 0
+    return 0, document, lines
 
 
 # ---------------------------------------------------------------------------
 # correlator
 
 
-def cmd_correlator(args) -> int:
-    W = load_polynomial(args)
+def cmd_correlator(W: InvertiblePolynomial, args) -> Output:
     i = args.target
-    document: dict = {
-        "command": "correlator",
-        "polynomial": W.to_string(),
-        "i": i,
-        "q_i": None,
-    }
-    lines = [f"polynomial: {document['polynomial']}"]
     piece, local = admissible_target(W, i)  # validates i before any evaluation
-    document["q_i"] = frac(W.q[i - 1])
+    document: dict = {"i": i, "q_i": frac(W.q[i - 1])}
+    lines = []
     if args.side in ("A", "both"):
         result = four_point_report(W, i)
         document["A"] = {
@@ -486,17 +454,15 @@ def cmd_correlator(args) -> int:
             steps = reduction_trace(piece, local)
             document["B"]["reduction"] = steps
             lines.extend(reduction_lines(steps))
-    emit(args, document, lines)
-    return 0
+    return 0, document, lines
 
 
 # ---------------------------------------------------------------------------
 # wdvv
 
 
-def cmd_wdvv(args) -> int:
+def cmd_wdvv(W: InvertiblePolynomial, args) -> Output:
     from .wdvv import fermat_closure, loop_square_chain  # no other command loads wdvv
-    W = load_polynomial(args)
     kinds = {s.kind for s in W.summands}
     if kinds == {"fermat"}:
         for i in range(1, W.N + 1):
@@ -524,14 +490,12 @@ def cmd_wdvv(args) -> int:
         for ident in chain
     ]
     document = {
-        "command": "wdvv",
-        "polynomial": W.to_string(),
         "identities": identities,
         "correlators": {
             table.describe_key(k): frac(v) for k, v in sorted(table.values.items())
         },
     }
-    lines = [f"polynomial: {document['polynomial']}"]
+    lines = []
     for ident in identities:
         lines.append(f"  {ident['identity']}")
         lines.append(
@@ -542,8 +506,7 @@ def cmd_wdvv(args) -> int:
             lines.append(f"    solves {ident['solved']} = {ident['solved_value']}")
     lines.append("  table:")
     lines.extend(f"    {k} = {v}" for k, v in document["correlators"].items())
-    emit(args, document, lines)
-    return 0
+    return 0, document, lines
 
 
 # ---------------------------------------------------------------------------
@@ -627,13 +590,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        W = load_polynomial(args)
+        code, document, lines = args.handler(W, args)
     except UnsupportedByTheorem as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return 3
     except _PARSE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.json:
+        document = {"command": args.command, "polynomial": W.to_string(), **document}
+        print(json.dumps(document, indent=2, ensure_ascii=False))
+    else:
+        print(f"polynomial: {W.to_string()}", *lines, sep="\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -41,7 +41,9 @@ walk in the tests.
 Everything is graded by the integer ``f.degree`` = D·Σ mᵢqᵢ over the
 polynomial's one denominator D, with integer weights ``f.Dq``; `_graded`
 enumerates the oracle's graded slices, and ``wt`` is the ``Fraction`` view
-of the degree.
+of the degree.  A ring keeps D and Dq, not f, and grades through
+`weighted_degree`, so the ring `ring_of` stores on f holds no reference
+back to f.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from operator import add, mod, sub
 from typing import NamedTuple
 
 from . import linalg
-from .poly import AtomicSummand, InvertiblePolynomial
+from .poly import AtomicSummand, InvertiblePolynomial, weighted_degree
 
 Monomial = tuple[int, ...]
 
@@ -322,8 +324,7 @@ class JacobiRing:
     forms."""
 
     def __init__(self, f: InvertiblePolynomial):
-        self.poly = f
-        self.n = f.N
+        self.n, self.D, self.Dq = f.N, f.D, f.Dq
         partials = _partials(f)
         self._parts = [_SummandRing(s, partials) for s in f.summands]
         self.mu = math.prod(f.D - x for x in f.Dq) // math.prod(f.Dq)
@@ -338,7 +339,7 @@ class JacobiRing:
         summand's basis box from `_SummandRing.box`, its degrees stepped
         along with it on the row ``Dq``, and for a direct sum the sums of
         one piece from each summand."""
-        parts = [list(p.box(0, self.poly.Dq)) for p in self._parts]
+        parts = [list(p.box(0, self.Dq)) for p in self._parts]
         pieces = parts[0]
         for more in parts[1:]:
             pieces = [(d + e, _add(m, r)) for d, m in pieces for e, r in more]
@@ -348,7 +349,7 @@ class JacobiRing:
     # -- grading ---------------------------------------------------------
 
     def wt(self, m: Monomial) -> Fraction:
-        return Fraction(self.poly.degree(m), self.poly.D)
+        return Fraction(weighted_degree(self.Dq, m), self.D)
 
     # -- reduction and arithmetic ----------------------------------------
 
@@ -396,15 +397,14 @@ class JacobiRing:
         [a·b].  By grading, only pairs whose degrees add up to the top's
         degree can pair to nonzero, so each basis monomial is paired only
         with the basis monomials of the complementary degree."""
-        monos = self.basis.monomials
-        degree = self.poly.degree
+        monos, Dq = self.basis.monomials, self.Dq
         by_degree: dict[int, list[int]] = {}
         for k, m in enumerate(monos):
-            by_degree.setdefault(degree(m), []).append(k)
-        socle = degree(self.top)
+            by_degree.setdefault(weighted_degree(Dq, m), []).append(k)
+        socle = weighted_degree(Dq, self.top)
         g = [[Fraction(0)] * len(monos) for _ in monos]
         for i, a in enumerate(monos):
-            for k in by_degree.get(socle - degree(a), ()):
+            for k in by_degree.get(socle - weighted_degree(Dq, a), ()):
                 term = self.reduce_monomial(_add(a, monos[k]))
                 if term is not None and term[0] == self.top:
                     g[i][k] = term[1]

@@ -176,7 +176,7 @@ class InvertiblePolynomial(NamedTuple):
 
     def degree(self, m) -> int:
         """D times the weighted degree Σ m_i q_i of the monomial m."""
-        return sum(mi * x for mi, x in zip(m, self.Dq))
+        return weighted_degree(self.Dq, m)
 
     @property
     def q(self) -> tuple[Fraction, ...]:
@@ -258,6 +258,12 @@ class InvertiblePolynomial(NamedTuple):
 
     def to_string(self) -> str:
         return " + ".join(format_monomial(row) for row in self.E)
+
+
+def weighted_degree(Dq, m) -> int:
+    """D·Σ m_i q_i for the weights q = Dq/D: the one grading formula, which
+    `InvertiblePolynomial.degree` and the Jacobi ring, holding only Dq, read."""
+    return sum(mi * x for mi, x in zip(m, Dq))
 
 
 def format_monomial(m) -> str:

@@ -70,11 +70,11 @@ def quotients(R, terms):
     return [{s: c for s, c in sorted(h.items()) if c} for h in quot]
 
 
-def assert_certificate(R, p, nf, terms):
-    """p == nf + Σ κ·s·∂_v f, with nf in the basis span, all three in
-    `JacobiRing.divide`'s integer pairs."""
+def assert_certificate(f, R, p, nf, terms):
+    """p == nf + Σ κ·s·∂_v f, with nf in the basis span of R = Jac(f), all
+    three in `JacobiRing.divide`'s integer pairs."""
     assert all(R.in_basis(m) for m in nf)
-    partials = _partials(R.poly)
+    partials = _partials(f)
     total = values(nf)
     for v, s, c in terms:
         for m0, c0 in partials[v].items():
@@ -84,14 +84,13 @@ def assert_certificate(R, p, nf, terms):
         {m: c for m, c in values(p).items() if c != 0}
 
 
-def slice_divide(R, p):
-    """`JacobiRing.divide` by exact elimination on each whole degree slice:
+def slice_divide(f, R, p):
+    """`JacobiRing.divide` of R = Jac(f) by exact elimination on each whole degree slice:
     a row per slice monomial, a column per basis monomial, then one per
     s·∂_j f by (j, s); free columns are 0.  It takes and returns integer
     pairs, its certificate a flat term list, as `divide` does.  The
     reference the walk's normal forms, and its quotients wherever they are
     unique, are checked against."""
-    f = R.poly
     partials = _partials(f)
     by_degree = {}
     for m, c in values(p).items():

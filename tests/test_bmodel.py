@@ -693,16 +693,18 @@ class TestPerturbativeExpansion:
 # ------------------------------------------------ which certificate divides
 
 
-def walk_and_slice(monkeypatch, run):
+def walk_and_slice(monkeypatch, run, polys):
     """``run()`` under the walk's `JacobiRing.divide`, then under the
     whole-slice solve `slice_divide`, with the number of divisions whose
-    quotients the two gave differently."""
+    quotients the two gave differently.  ``run`` divides in the rings
+    `ring_of` keeps on ``polys``."""
     walk = JacobiRing.divide
     walked = run()
     differs = []
+    poly_of = {ring_of(f): f for f in polys}
 
     def reference(R, p):
-        nf, quot = slice_divide(R, p)
+        nf, quot = slice_divide(poly_of[R], R, p)
         differs.append(quotients(R, quot) != quotients(R, walk(R, p)[1]))
         return nf, quot
 
@@ -741,7 +743,7 @@ def test_trace_steps_do_not_depend_on_the_division(monkeypatch):
                         for step in steps])
         return out
 
-    walked, sliced, differs = walk_and_slice(monkeypatch, run)
+    walked, sliced, differs = walk_and_slice(monkeypatch, run, [f for f, _, _ in reductions])
     assert len(reductions) > 400
     assert walked == sliced
     assert differs == 0
@@ -751,10 +753,12 @@ def test_series_does_not_depend_on_the_certificate(monkeypatch):
     """At order 3 some slices have a syzygy column, so the walk and the
     whole-slice solve return different quotients for some divisions; ζ and
     J come out the same all the same."""
-    def run():
-        return [perturbative_expand(W.transpose(), 3) for W, _ in SERIES_CASES]
+    polys = [W.transpose() for W, _ in SERIES_CASES]
 
-    walked, sliced, differs = walk_and_slice(monkeypatch, run)
+    def run():
+        return [perturbative_expand(f, 3) for f in polys]
+
+    walked, sliced, differs = walk_and_slice(monkeypatch, run, polys)
     for a, b in zip(walked, sliced, strict=True):
         assert a.zeta == b.zeta
         assert a.jfunc == b.jfunc

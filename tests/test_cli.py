@@ -568,6 +568,8 @@ class TestAxioms:
     def test_bad_insertion_exits_2(self, capsys):
         assert run(capsys, "axioms", "--expr", "x1^5", "--insertions", "x1,y,z")[0] == 2
         assert run(capsys, "axioms", "--expr", "x1^5", "--insertions", "x1,x9,x1,x1")[0] == 2
+        # an explicitly empty list is malformed, not a request for the defaults
+        assert run(capsys, "axioms", "--expr", "x1^5", "--insertions", "")[:2] == (2, "")
         code, out, err = run(capsys, "axioms", "--expr", "x1^3",
                              "--insertions", f"x1^{LONG},x1,x1,x1")
         assert code == 2

@@ -77,6 +77,9 @@ def exit_code(argv):
     message = err.getvalue()
     assert code in (0, 2, 3), (argv, code, message)
     assert "Traceback" not in message
+    if message.startswith(("error:", "usage:", "unsupported:")):
+        # a failed run prints its message and nothing on stdout
+        assert out.getvalue() == "", (argv, message)
     if code == 2:
         assert message.startswith(("error:", "usage:")), message
     if code == 3:

@@ -3,7 +3,7 @@
 `tests/data/golden_cli.json` records, for each run of `cli.main` in this
 process, its argument list, exit code, stdout and stderr, with the wall
 times masked (``timing_ms`` in JSON, ``[… ms]`` in text).  A ``--json``
-stdout is stored as the document it prints, which `cli.emit` turns into
+stdout is stored as the document it prints, which `cli.main` turns into
 exactly one text, so the fixture stays small and still fixes every byte.
 The runs cover every subcommand on polynomials that reach the four A-side
 routes, a shuffled direct sum, a theorem-hypothesis violation (exit 3)

@@ -77,9 +77,10 @@ def test_tensor_law():
 
 def test_top_weight_is_central_charge():
     for text in RINGS:
-        R = ring(text)
-        assert R.wt(R.top) == R.poly.charge
-        same = [m for m in R.basis.monomials if R.wt(m) == R.poly.charge]
+        f = InvertiblePolynomial.from_string(text)
+        R = JacobiRing(f)
+        assert R.wt(R.top) == f.charge
+        same = [m for m in R.basis.monomials if R.wt(m) == f.charge]
         assert same == [R.top]
 
 
@@ -125,6 +126,16 @@ def test_ring_of_is_shared_and_matches_ring():
     f = InvertiblePolynomial.from_string("x1^3*x2 + x2^4")
     assert ring_of(f) is ring_of(f)
     assert ring_of(f).basis == JacobiRing(f).basis
+
+
+def test_ring_holds_no_reference_to_its_polynomial():
+    """The ring `ring_of` keeps on f holds D and Dq, not f, so f and its
+    ring form no reference cycle and f is freed as soon as it is dropped."""
+    f = InvertiblePolynomial.from_string("x1^3*x2 + x2^4 + x3^3")
+    for R in (ring_of(f), JacobiRing(f)):
+        R.gram()  # fills the cached basis too
+        assert [name for name, value in vars(R).items() if value is f] == []
+        assert (R.D, R.Dq) == (f.D, f.Dq)
 
 
 @pytest.mark.parametrize("c", [
@@ -370,9 +381,10 @@ TRANSPOSES = [t for t in dict.fromkeys(
 
 @pytest.mark.parametrize("text", RINGS + TRANSPOSES)
 def test_oracle_dimension_and_normal_forms(text):
-    R = ring(text)
-    bound = R.poly.charge + 1
-    oracle = OracleQuotient(R.poly, bound)
+    f = InvertiblePolynomial.from_string(text)
+    R = JacobiRing(f)
+    bound = f.charge + 1
+    oracle = OracleQuotient(f, bound)
     # closed-form μ, the listed basis and the blind quotient agree
     assert oracle.dimension == R.mu == len(R.basis.monomials)
     # the standard basis must be independent in the oracle's quotient
@@ -383,7 +395,7 @@ def test_oracle_dimension_and_normal_forms(text):
         assert sp.add(vec), f"{text}: {m} dependent"
     # and every monomial must reduce, through the binomial walk, to
     # something the oracle agrees equals the original modulo the ideal
-    caps = [int(bound / q) + 1 for q in R.poly.q]
+    caps = [int(bound / q) + 1 for q in f.q]
     for m in cartesian(*(range(c + 1) for c in caps)):
         if R.wt(m) > bound:
             continue
@@ -496,12 +508,11 @@ def divide_chunks(R):
 SUMS = ["x1^2*x2+x2^5 + x3^4", "x1^3 + x2^2*x3 + x3^3*x4 + x4^2*x2"]
 
 
-def reached_block_is_unique(R, p):
-    """Whether every degree block of p's slice system that p reaches has
+def reached_block_is_unique(f, R, p):
+    """Whether every degree block, in R = Jac(f), of p's slice system that p reaches has
     rank equal to its column count, so that its solution, and with it the
     quotients, are unique.  Columns are the reached basis monomials and the
     s·∂_j f touching a reached monomial, as {monomial: coefficient}."""
-    f = R.poly
     partials = _partials(f)
     for deg in {f.degree(m) for m in p}:
         reached = {m for m in p if f.degree(m) == deg}
@@ -539,11 +550,11 @@ def test_divide_matches_the_whole_slice_solve(text):
         compared = 0
         for p in divide_chunks(R):
             nf, quot = R.divide(p)
-            slice_nf, slice_quot = slice_divide(R, p)
+            slice_nf, slice_quot = slice_divide(f, R, p)
             assert values(nf) == values(slice_nf) == R.monomial_of(R.reduce(values(p))), \
                 f"{f.to_string()}: {p}"
-            assert_certificate(R, p, nf, quot)
-            if reached_block_is_unique(R, p):
+            assert_certificate(f, R, p, nf, quot)
+            if reached_block_is_unique(f, R, p):
                 assert quotients(R, quot) == quotients(R, slice_quot), \
                     f"{f.to_string()}: {p}"
                 compared += 1
@@ -564,18 +575,19 @@ def test_divide_solves_less_than_a_hundredth_of_the_slice(monkeypatch):
     nf, quot = R.divide({probe: (1, 1)})
     deg = f.degree(probe)
     assert 0 < len(visited) < len(_graded(f.Dq, deg, deg)) / 100
-    assert_certificate(R, {probe: (1, 1)}, nf, quot)
+    assert_certificate(f, R, {probe: (1, 1)}, nf, quot)
 
 
 @pytest.mark.parametrize("text", RINGS)
 def test_divide_certificate(text):
-    R = ring(text)
+    f = InvertiblePolynomial.from_string(text)
+    R = JacobiRing(f)
     probes = [R.top, tuple(e + 1 for e in R.basis.monomials[min(1, R.mu - 1)]),
               tuple(e + 2 for e in R.top)]
     for probe in probes:
         nf, quot = R.divide({probe: (1, 1)})
         assert values(nf) == R.monomial_of(R.reduce(probe))
-        assert_certificate(R, {probe: (1, 1)}, nf, quot)
+        assert_certificate(f, R, {probe: (1, 1)}, nf, quot)
 
 
 # loop(5⁴)ᵗ, loop(10³)ᵗ, chain(5,4,4,5)ᵗ and loop(5⁵)ᵗ: the rings whose walks
@@ -591,11 +603,12 @@ def test_reduce_and_divide_agree_on_long_walks(text):
     """Monomials at evenly spaced degrees up to twice the socle's: `reduce`
     and `divide`, reading the one walk's value and path, give one normal
     form, and the certificate holds."""
-    R = JacobiRing(InvertiblePolynomial.from_string(text).transpose())
+    f = InvertiblePolynomial.from_string(text).transpose()
+    R = JacobiRing(f)
     steps = 12
     for k in range(1, steps + 1):
         ray = tuple(2 * k * e // steps for e in R.top)
         for m in (ray, tuple(e + (i == k % R.n) for i, e in enumerate(ray))):
             nf, quot = R.divide({m: (1, 1)})
             assert values(nf) == R.monomial_of(R.reduce(m)), f"{text}: {m}"
-            assert_certificate(R, {m: (1, 1)}, nf, quot)
+            assert_certificate(f, R, {m: (1, 1)}, nf, quot)

@@ -374,6 +374,20 @@ def test_mirror_does_not_import_jacobi():
     assert [m for m in imported if m.split(".")[-1] == "jacobi"] == []
 
 
+def _prints(node):
+    """A call of ``print`` or a read of ``sys.stdout`` or ``sys.stderr``."""
+    return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+            or isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")
+            and getattr(node.value, "id", None) == "sys")
+
+
+def test_one_command_frame():
+    """`cli.main` is the only definition in src/ that prints: it writes each
+    command's output and error message, and the handlers return theirs."""
+    found = set().union(*(_owners(path, _prints) for path in sorted(SOURCE.glob("*.py"))))
+    assert sorted(found) == ["cli.main"]
+
+
 def _imports_dataclasses(node):
     """``import dataclasses`` or ``from dataclasses import …``."""
     if isinstance(node, ast.Import):
