@@ -28,7 +28,11 @@ pairs.  `reduce` returns ``Fraction``s; `divide` takes and returns the
 pairs, never reduced, its certificate one flat list of terms, so that the
 B side's reduction stays in integers.
 
-`reduce` reads [m] = val[b]·b off the walk.  `divide` writes
+Jac(f) is graded with its socle, the top monomial, alone in the highest
+degree ĉ, and is zero above it (Milnor–Orlik), so `reduce` answers 0 by
+grading for a monomial above the socle degree and reads [m] = val[b]·b off
+the walk for the rest.  `divide` walks at every degree, for its
+certificate, and writes
 p = nf + Σ κ·s·∂_j f with no linear solve: each move u = s·p → s·p′ is
 the identity s·p = (1/a)·s·∂_j f − (b/a)·s·p′, so the walk, which keeps
 each node's parent edge, carries the certificate m − val·u = Σ κ·s·∂_j f
@@ -320,8 +324,10 @@ def top_of(f: InvertiblePolynomial) -> Monomial:
 class JacobiRing:
     """Jac(f): its relations and basis-membership test, exact reduction,
     product and pairing.  The standard basis is listed only on first use
-    of ``basis``; μ = ∏(1 − qᵢ)/qᵢ (Milnor–Orlik) and the socle are closed
-    forms."""
+    of ``basis``; μ = ∏(1 − qᵢ)/qᵢ (Milnor–Orlik), the socle monomial
+    ``top`` and its degree ``socle`` are closed forms.  Nothing of Jac(f)
+    lies above ``socle``, so `reduce` answers 0 there by grading, while
+    `divide` walks at every degree."""
 
     def __init__(self, f: InvertiblePolynomial):
         self.n, self.D, self.Dq = f.N, f.D, f.Dq
@@ -329,6 +335,7 @@ class JacobiRing:
         self._parts = [_SummandRing(s, partials) for s in f.summands]
         self.mu = math.prod(f.D - x for x in f.Dq) // math.prod(f.Dq)
         self.top = top_of(f)
+        self.socle = weighted_degree(self.Dq, self.top)
 
     def in_basis(self, m: Monomial) -> bool:
         return all(part.in_basis(m) for part in self._parts)
@@ -338,12 +345,19 @@ class JacobiRing:
         """The standard basis in (degree, m) order, with its index: each
         summand's basis box from `_SummandRing.box`, its degrees stepped
         along with it on the row ``Dq``, and for a direct sum the sums of
-        one piece from each summand."""
+        one piece from each summand.  The listing must be μ monomials with
+        ``top`` last and alone in degree ``socle``, which `reduce_monomial`'s
+        grading rests on; anything else raises RuntimeError."""
         parts = [list(p.box(0, self.Dq)) for p in self._parts]
         pieces = parts[0]
         for more in parts[1:]:
             pieces = [(d + e, _add(m, r)) for d, m in pieces for e, r in more]
-        monos = tuple(m for _, m in sorted(pieces))
+        pieces.sort()
+        if (len(pieces) != self.mu or pieces[-1] != (self.socle, self.top)
+                or len(pieces) > 1 and pieces[-2][0] == self.socle):
+            raise RuntimeError(f"the basis listing is not {self.mu} monomials "
+                               f"topped by {self.top} alone in degree {self.socle}")
+        monos = tuple(m for _, m in pieces)
         return StandardBasis(monos, {m: i for i, m in enumerate(monos)})
 
     # -- grading ---------------------------------------------------------
@@ -354,9 +368,12 @@ class JacobiRing:
     # -- reduction and arithmetic ----------------------------------------
 
     def reduce_monomial(self, m: Monomial) -> tuple[Monomial, Fraction] | None:
-        """[m] as (basis monomial, coefficient), or None when [m] = 0: m
-        passes through each summand's normal form in turn; a summand already
-        in the basis contributes the factor 1 without a product."""
+        """[m] as (basis monomial, coefficient), or None when [m] = 0: 0 by
+        grading when m lies above the socle degree, with no walk; otherwise
+        m passes through each summand's normal form in turn, and a summand
+        already in the basis contributes the factor 1 without a product."""
+        if weighted_degree(self.Dq, m) > self.socle:
+            return None
         coef = None
         for part in self._parts:
             if part.in_basis(m):
@@ -401,10 +418,9 @@ class JacobiRing:
         by_degree: dict[int, list[int]] = {}
         for k, m in enumerate(monos):
             by_degree.setdefault(weighted_degree(Dq, m), []).append(k)
-        socle = weighted_degree(Dq, self.top)
         g = [[Fraction(0)] * len(monos) for _ in monos]
         for i, a in enumerate(monos):
-            for k in by_degree.get(socle - weighted_degree(Dq, a), ()):
+            for k in by_degree.get(self.socle - weighted_degree(Dq, a), ()):
                 term = self.reduce_monomial(_add(a, monos[k]))
                 if term is not None and term[0] == self.top:
                     g[i][k] = term[1]

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 from lgmirror import linalg
 from lgmirror.jacobi import (JacobiRing, OracleQuotient, RingElement, _SummandRing,
                              _chain_excluded, _graded, _partials, ring_of, top_of)
-from lgmirror.poly import InvertiblePolynomial
+from lgmirror.poly import InvertiblePolynomial, weighted_degree
 
 from support import (assert_certificate, criteria_atomics, pairs, quotients, residue_pairing,
                      slice_divide, values)
@@ -122,6 +122,30 @@ def test_basis_order_is_the_naive_sort():
         assert len(R.basis.monomials) == R.mu
 
 
+def _above_the_socle(c0, c, top):
+    """A box entry (value, m) for m = x1·top, above the socle."""
+    m = (top[0] + 1,) + top[1:]
+    return c0 + weighted_degree(c, m), m
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda listing, c0, c, top: listing[1:],
+    lambda listing, c0, c, top: listing + [_above_the_socle(c0, c, top)],
+    lambda listing, c0, c, top: listing[:-1] + [_above_the_socle(c0, c, top)],
+    lambda listing, c0, c, top: listing[1:] + [listing[-1]],
+], ids=["drops one", "adds one above the socle", "one above the socle in place of the top",
+        "the top twice"])
+def test_basis_refuses_a_wrong_listing(monkeypatch, corrupt):
+    """The listing `reduce`'s grading shortcut rests on is checked: μ
+    monomials, the top last and alone in the socle degree."""
+    R = ring("x1^3*x2 + x2^3*x1")
+    box = _SummandRing.box
+    monkeypatch.setattr(_SummandRing, "box", lambda self, c0, c, modulus=None: corrupt(
+        list(box(self, c0, c, modulus)), c0, c, R.top))
+    with pytest.raises(RuntimeError, match="basis listing"):
+        R.basis
+
+
 def test_ring_of_is_shared_and_matches_ring():
     f = InvertiblePolynomial.from_string("x1^3*x2 + x2^4")
     assert ring_of(f) is ring_of(f)
@@ -211,7 +235,9 @@ def test_reduce_is_one_term_or_zero():
 def test_walk_refuses_a_basis_with_an_excluded_chain_monomial():
     # Jac(x1^2 + x1*x2^2): x1*x2 = 0 and x2^3 ≡ −2·x1*x2.  With the excluded
     # x1*x2 posing as a basis monomial, the walk from x2^3 reaches a basis
-    # monomial and a zero, in `reduce` and in `divide` alike.
+    # monomial and a zero, in the summand's walk and in `divide` alike.
+    # x2^3 has degree 3/4, above the socle's 1/2, so `JacobiRing.reduce`
+    # answers it zero by grading and does not walk.
     R = ring("x1^2 + x1*x2^2")
     part = R._parts[0]
     assert part.variables == (0, 1) and not part.in_basis((1, 1))
@@ -221,7 +247,7 @@ def test_walk_refuses_a_basis_with_an_excluded_chain_monomial():
     part = R._parts[0]
     part.in_basis = lambda r, test=part.in_basis: test(r) or r == (1, 1)
     with pytest.raises(RuntimeError, match="and a zero"):
-        R.reduce((0, 3))
+        part.reduce((0, 3))
     with pytest.raises(RuntimeError, match="and a zero"):
         R.divide({(0, 3): (1, 1)})
 
@@ -360,6 +386,53 @@ def test_the_walk_skips_only_its_tree_edges_echo_on_corrupted_relations():
                 changed += sum(map(operator.ne, outcomes, true))
     assert probes == 448 * 12
     assert changed > 1000
+
+
+def test_reduce_walks_nothing_above_the_socle(monkeypatch):
+    """Jac(f) is zero above the socle degree, and `reduce` answers so by
+    grading: on every ring, no probe above the socle reaches a summand's
+    walk, and every probe at or below it outside the basis still does."""
+    def refuse(self, m):
+        raise LookupError(m)
+    monkeypatch.setattr(_SummandRing, "_walk", refuse)
+    walked = 0
+    for text in RINGS:
+        f = InvertiblePolynomial.from_string(text)
+        R = JacobiRing(f)
+        for m in walk_probes(f):
+            if f.degree(m) > R.socle:
+                assert R.reduce(m).is_zero(), f"{text}: {m}"
+            elif not R.in_basis(m):
+                with pytest.raises(LookupError):
+                    R.reduce(m)
+                walked += 1
+    assert walked > 0
+
+
+@pytest.mark.parametrize("text", RINGS)
+def test_walk_and_grading_agree_above_the_socle(text, monkeypatch):
+    """Above the socle, `divide` still walks each summand until one settles
+    the monomial as zero, with a certificate, while `reduce` answers zero by
+    grading: the walk and the grading check each other."""
+    f = InvertiblePolynomial.from_string(text)
+    R = JacobiRing(f)
+    walks = []
+    walk = _SummandRing._walk
+
+    def recorded(self, m):
+        walks.append((self, walk(self, m)))
+        return walks[-1][1]
+    monkeypatch.setattr(_SummandRing, "_walk", recorded)
+    above = [m for m in walk_probes(f) if f.degree(m) > R.socle]
+    assert above
+    for m in above:
+        walks.clear()
+        nf, quot = R.divide({m: (1, 1)})
+        assert nf == {}, f"{text}: {m}"
+        assert [part for part, _ in walks] == R._parts[:len(walks)]
+        assert walks[-1][1][1] is None
+        assert_certificate(f, R, {m: (1, 1)}, nf, quot)
+        assert R.reduce(m).is_zero()
 
 
 # ---------------------------------------------------------------------------
