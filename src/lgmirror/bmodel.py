@@ -17,16 +17,17 @@ part the gradient of the genus-zero potential.  This module implements
 * the reduction (``brieskorn_reduce``), which consumes ``levels`` =
   {z: {monomial: (num, den)}}, the unreduced integer pairs
   ``JacobiRing.divide`` takes and returns, differentiates the division's
-  flat certificate straight into the push, and builds ``Fraction``s only
-  for the ``steps`` records that ``--trace`` prints,
+  flat certificate straight into the push, builds ``Fraction``s only
+  for the ``steps`` records that ``--trace`` prints, and is the one
+  owner of the z-window,
 * the combinatorial good-basis verification for atomic transposes
   (``good_basis_check``), which pairs basis monomials whose mirror
   sectors are inverse, each sector one integer mod D stepped over the
   box and read off the polynomial itself, with no transpose built,
 * the order-by-order solver for (zeta, J) (``perturbative_expand``),
   which keeps zeta and J as pair levels across the orders and stores each
-  entry once, at the end, as a ``LatticeElement`` (exact ``Fraction``
-  coefficients),
+  entry once, at the end, as a ``LatticeElement``: the plain record of
+  the reduced levels, with exact ``Fraction`` coefficients,
 * the distinguished four-point correlator <x_i, x_i, M_i/x_i^2, top> of
   the mirror ring (``sg_four_point``), whose value collapses to the
   single reduction [M_i d^Nx] = -q_i z [d^Nx], taken on pair levels with
@@ -52,73 +53,57 @@ Monomial = tuple[int, ...]
 # contributes z^{-3} at worst and each reduction pass climbs by one
 # z-level at most up to weight reasons, so [-3, 2] is all the four-point
 # computation ever touches.  Keeping the bounds hard makes a runaway
-# reduction fail immediately instead of growing quietly.
+# reduction fail immediately instead of growing quietly.  Only
+# `brieskorn_reduce` enforces the window; `perturbative_expand` reads its
+# order cap off the lower end.
 Z_MIN, Z_MAX = -3, 2
 
 
-class LatticeElement:
+class LatticeElement(NamedTuple):
     """A sparse Laurent element  sum_k z^k P_k(x) [d^Nx]  with exact coefficients:
     a stored zeta or J entry of `SeriesState`.
 
     ``terms`` maps the z-power k to the polynomial part P_k, itself a map
-    monomial -> Fraction.  Zero coefficients and empty levels are dropped
-    on construction, so equality of ``terms`` is equality of elements.
+    monomial -> Fraction.  The record holds what `brieskorn_reduce`
+    returned, so it has no empty level, no zero coefficient and no z-power
+    outside the window, and equality of ``terms`` is equality of elements.
     Lattice classes proper have k >= 0; negative powers carry the Laurent
     extension used by the J-function.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean: dict[int, dict[Monomial, Fraction]] = {}
-        for k, poly in (terms or {}).items():
-            level = {m: c if type(c) is Fraction else Fraction(c)
-                     for m, c in poly.items() if c != 0}
-            if not level:
-                continue
-            if not Z_MIN <= k <= Z_MAX:
-                raise WrongConfiguration(
-                    f"z-power {k} outside the supported window [{Z_MIN}, {Z_MAX}]"
-                )
-            clean[int(k)] = level
-        self.terms = clean
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    terms: dict[int, dict[Monomial, Fraction]]
 
     def coefficient(self, k: int, m: Monomial) -> Fraction:
         return self.terms.get(k, {}).get(m, Fraction(0))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LatticeElement) and self.terms == other.terms
 
 
 def brieskorn_reduce(ring: JacobiRing, levels: dict, steps: list | None = None) -> dict:
     """Normal form of ``levels`` = {k: {monomial: (num, den)}} in the ring's
     Brieskorn lattice: every level inside the standard-basis span, with the
     coefficients kept as the unreduced integer pairs `JacobiRing.divide`
-    takes and returns.
+    takes and returns.  No returned level is empty.
 
     Each pass divides one z-level exactly, P = nf + sum kappa s df/dx_v
     over the terms (v, s, kappa) of the division's certificate, keeps the
     normal form, and pushes  -sum d(kappa s)/dx_v  one level up.
     Cyclic (loop) rewriting patterns are closed inside the division's
     binomial walk.  Levels are taken in increasing order and a push goes
-    only to the next one, inside the z-window, so there are at most
-    Z_MAX - Z_MIN + 1 passes.  A nonzero level outside the window raises.
-    ``levels`` is consumed.  When ``steps`` is a list, one record per pass
-    is appended, with its values as ``Fraction``s.
+    only to the next one, so there are at most Z_MAX - Z_MIN + 1 passes.
+    The z-window is checked once per level, as it is taken: a level
+    outside it that holds a nonzero numerator raises, a push past Z_MAX
+    included, since a push holds only nonzero pairs.  ``levels`` is
+    consumed.  When ``steps`` is a list, one record per pass is appended,
+    with its values as ``Fraction``s.
     """
-    for k, level in levels.items():
-        if not Z_MIN <= k <= Z_MAX and any(num for num, _ in level.values()):
-            raise WrongConfiguration(
-                f"z-power {k} outside the supported window [{Z_MIN}, {Z_MAX}]"
-            )
     out: dict[int, dict[Monomial, tuple[int, int]]] = {}
     pending = levels
     while pending:
         k = min(pending)
         chunk = pending.pop(k)
+        if not Z_MIN <= k <= Z_MAX and any(num for num, _ in chunk.values()):
+            raise WrongConfiguration(
+                f"z-power {k} outside the supported window [{Z_MIN}, {Z_MAX}]"
+            )
         nf, terms = ring.divide(chunk)
         if nf:
             out[k] = nf
@@ -133,10 +118,6 @@ def brieskorn_reduce(ring: JacobiRing, levels: dict, steps: list | None = None) 
             steps.append({"z": k, "chunk": _values(chunk),
                           "normal_form": _values(nf), "pushed": _values(push)})
         if push:
-            if k + 1 > Z_MAX:
-                raise WrongConfiguration(
-                    f"z-power {k + 1} outside the supported window [{Z_MIN}, {Z_MAX}]"
-                )
             level = pending.setdefault(k + 1, {})
             for m, (num, den) in push.items():
                 _accumulate(level, m, num, den)
@@ -352,13 +333,14 @@ def perturbative_expand(f: InvertiblePolynomial, order: int) -> SeriesState:
     The recursion starts from zeta = [d^Nx]; at each order the reduced
     expansion splits into nonnegative and negative z-parts, the former is
     subtracted from zeta and the latter is the new J component.  Orders
-    beyond 3 are refused rather than silently truncated: the z-window and
-    the four-point extraction are calibrated to cubic order.  zeta and J
-    stay integer-pair levels across the orders, each reduced by
-    `brieskorn_reduce`; each stored entry becomes a ``LatticeElement``
-    once, at the end.
+    beyond 3 are refused rather than silently truncated: an order-k term
+    starts at z^-k, so the cap is -Z_MIN, read off the z-window, to which
+    the four-point extraction is calibrated.  zeta and J stay integer-pair
+    levels across the orders, each reduced by `brieskorn_reduce`; each
+    stored entry becomes a ``LatticeElement`` of ``Fraction`` levels once,
+    at the end.
     """
-    if not 0 <= order <= 3:
+    if not 0 <= order <= -Z_MIN:
         raise WrongConfiguration("the expansion is supported up to order 3 only")
     ring = ring_of(f)
     basis = ring.basis.monomials

@@ -189,7 +189,8 @@ def verification_report(W: InvertiblePolynomial, trace: bool = False) -> dict:
         }
         if trace:
             entry["decorations"] = [decoration_json(d) for d in result.decorations]
-            entry["reduction"] = reduction_trace(*admissible_target(W, i))
+            # both sides admitted i above, so the piece needs no gate here
+            entry["reduction"] = reduction_trace(*W.piece(i - 1))
         variables.append(entry)
     hypothesis = bool(W.weight_half_variables())
     mismatch = any(not v["matched"] for v in variables)

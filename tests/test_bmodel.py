@@ -79,6 +79,12 @@ def plus(a, b):
     return terms
 
 
+def nonzero(terms):
+    """terms without its zero coefficients and the levels they empty."""
+    return {k: level for k, poly in terms.items()
+            if (level := {m: c for m, c in poly.items() if c != 0})}
+
+
 def lift(terms):
     """{z: {monomial: coefficient}} as the pair levels `brieskorn_reduce` takes."""
     return {k: pairs(poly) for k, poly in terms.items()}
@@ -98,17 +104,6 @@ def one(n):
 
 
 class TestLatticeElement:
-    def test_zero_coefficients_are_dropped(self):
-        e = LatticeElement({0: {(1, 0): F(0)}, 1: {}})
-        assert e.is_zero()
-        assert e == LatticeElement()
-
-    def test_cancelled_coefficients_leave_no_level(self):
-        a = {1: {(1,): F(2, 3)}}
-        b = {1: {(1,): F(-2, 3)}}
-        assert LatticeElement(plus(a, b)).terms == {}
-        assert LatticeElement(plus(a, {})) == LatticeElement(a)
-
     def test_coefficient(self):
         e = LatticeElement({-2: {(3,): F(1, 2)}})
         assert e.coefficient(-2, (3,)) == F(1, 2)
@@ -116,23 +111,6 @@ class TestLatticeElement:
 
     def test_shift(self):
         assert shift({0: {(1, 0): F(2)}}, -1) == {-1: {(1, 0): F(2)}}
-
-    def test_coefficients_are_built_once(self):
-        # a Fraction coefficient is kept as it is; anything else becomes one
-        c = F(3, 4)
-        e = LatticeElement({0: {(1,): c, (2,): 5, (3,): 0}})
-        assert e.terms[0][(1,)] is c
-        assert type(e.terms[0][(2,)]) is Fraction and e.terms[0][(2,)] == 5
-        assert (3,) not in e.terms[0]
-
-    @pytest.mark.parametrize("z", [-4, 3, 7])
-    def test_window_is_enforced(self, z):
-        with pytest.raises(WrongConfiguration):
-            LatticeElement({z: {(0,): F(1)}})
-
-    def test_shift_out_of_window_is_refused(self):
-        with pytest.raises(WrongConfiguration):
-            LatticeElement(shift({2: {(0,): F(1)}}, 1))
 
 
 # ------------------------------------------------------------ worked reductions
@@ -221,7 +199,7 @@ class TestReductionProperties:
         b = {0: {data.draw(monos): data.draw(st.integers(-3, 3))}}
         lhs = reduced(f, lift(plus(a, b)))
         rhs = plus(reduced(f, lift(a)), reduced(f, lift(b)))
-        assert lhs == LatticeElement(rhs).terms
+        assert lhs == nonzero(rhs)
 
     @settings(deadline=None)
     @given(data=st.data())
@@ -676,8 +654,20 @@ class TestPerturbativeExpansion:
                         for m, c in poly.items():
                             key = tuple(map(add, m, mono))
                             level[key] = level.get(key, 0) + c / weight
-                expected = state.jfunc.get(smono, LatticeElement()).terms
+                expected = state.jfunc[smono].terms if smono in state.jfunc else {}
                 assert reduced(f, lift(terms)) == expected
+
+    @pytest.mark.parametrize("W,i", SERIES_CASES + [(atomic("loop", (3, 3)), 1)])
+    def test_stored_entries_are_reduced_levels(self, W, i):
+        # the only builder stores what `brieskorn_reduce` returned: no
+        # empty level, no zero coefficient, only `Fraction`s, and every
+        # z-power inside the window
+        state = perturbative_expand(W.transpose(), 3)
+        for entry in itertools.chain(state.zeta.values(), state.jfunc.values()):
+            assert entry.terms
+            for z, poly in entry.terms.items():
+                assert bmodel.Z_MIN <= z <= bmodel.Z_MAX
+                assert poly and all(type(c) is Fraction and c != 0 for c in poly.values())
 
     def test_zeta_corrections_appear_only_at_the_top_weight(self):
         # For the symmetric loop the only positive z-power at quadratic
@@ -790,6 +780,13 @@ class TestPairLevels:
         for k in (bmodel.Z_MIN - 1, bmodel.Z_MAX + 1):
             with pytest.raises(WrongConfiguration, match="outside the supported window"):
                 brieskorn_reduce(ring, {k: {(0,): (1, 2)}})
+
+    @pytest.mark.parametrize("k", [bmodel.Z_MIN, bmodel.Z_MAX], ids=["lowest", "highest"])
+    def test_a_level_at_the_window_edge_is_kept(self, k):
+        # the per-level check is inclusive at both ends: a basis monomial
+        # at the edge comes back as it went in
+        ring = ring_of(atomic("fermat", (4,)))
+        assert brieskorn_reduce(ring, {k: {(2,): (1, 2)}}) == {k: {(2,): (1, 2)}}
 
     def test_a_cancelled_level_outside_the_window_is_ignored(self):
         ring = ring_of(atomic("fermat", (4,)))

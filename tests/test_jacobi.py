@@ -674,8 +674,9 @@ LONG_WALKS = ["x1^5*x2 + x2^5*x3 + x3^5*x4 + x4^5*x1",
 @pytest.mark.parametrize("text", LONG_WALKS)
 def test_reduce_and_divide_agree_on_long_walks(text):
     """Monomials at evenly spaced degrees up to twice the socle's: `reduce`
-    and `divide`, reading the one walk's value and path, give one normal
-    form, and the certificate holds."""
+    and `divide` give one normal form, and the certificate holds.  Up to
+    the socle both read one walk, its value and its path; above it
+    `reduce` answers 0 by grading, and `divide` still walks."""
     f = InvertiblePolynomial.from_string(text).transpose()
     R = JacobiRing(f)
     steps = 12

@@ -211,6 +211,21 @@ def test_one_brieskorn_reduction():
         assert sorted(found) == owners, attribute
 
 
+def _reads_window(node):
+    """A read of a z-window bound, as a plain name or as an attribute."""
+    name = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            else node.attr if isinstance(node, ast.Attribute) else None)
+    return name in ("Z_MIN", "Z_MAX")
+
+
+def test_one_z_window():
+    """The Laurent z-window is one decision: `brieskorn_reduce` enforces it
+    and `perturbative_expand` reads its order cap off it; every other
+    definition stores or reads what the reducer returned."""
+    found = set().union(*(_owners(path, _reads_window) for path in sorted(SOURCE.glob("*.py"))))
+    assert sorted(found) == ["bmodel.brieskorn_reduce", "bmodel.perturbative_expand"]
+
+
 def _calls_from_exponent_matrix(node):
     return isinstance(node, ast.Attribute) and node.attr == "from_exponent_matrix"
 
