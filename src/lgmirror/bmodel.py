@@ -23,7 +23,7 @@ part the gradient of the genus-zero potential.  This module implements
 * the combinatorial good-basis verification for atomic transposes
   (``good_basis_check``), which pairs basis monomials whose mirror
   sectors are inverse, each sector one integer mod D stepped over the
-  box and read off the polynomial itself, with no transpose built,
+  basis sub-boxes and read off f itself, with no transpose or ring built,
 * the order-by-order solver for (zeta, J) (``perturbative_expand``),
   which keeps zeta and J as pair levels across the orders and stores each
   entry once, at the end, as a ``LatticeElement``: the plain record of
@@ -43,7 +43,7 @@ from operator import add
 from typing import NamedTuple
 
 from .errors import WrongConfiguration
-from .jacobi import JacobiRing, _accumulate, ring_of
+from .jacobi import JacobiRing, _accumulate, milnor_number, ring_of, summand_box
 from .mirror import admissible_target, final_type_insertions
 from .poly import InvertiblePolynomial
 
@@ -237,16 +237,15 @@ def good_basis_check(f: InvertiblePolynomial) -> GoodBasisReport:
     t_v·ρ_{v₁} mod D (`_sector_steps`, checked here), so the sector is
     T(r)·ρ_{v₁} with the one integer T(r) = Σ_v (r_v + 1)·t_v mod D.
     G_{fᵗ} = ⟨ρ_{v₁}⟩ has order |det E_f| = D, so T is faithful.
-    `_SummandRing.box` steps T along the basis box, which must hold the
-    closed-form μ monomials; each bucket of equal T is paired with the
-    bucket at −T mod D, the inverse sector.  Σk = (m + 2)·q, so
-    deg(x^m) = ĉ iff Σk = N.
+    `jacobi.summand_box` steps T over the summand's basis sub-boxes, with
+    no ring built, and they must hold the closed-form μ monomials; each
+    bucket of equal T is paired with the bucket at −T mod D, the inverse
+    sector.  Σk = (m + 2)·q, so deg(x^m) = ĉ iff Σk = N.
     """
     if len(f.summands) != 1:
         raise WrongConfiguration("good-basis verification expects one atomic summand")
     kind = f.summands[0].kind
-    ring = ring_of(f)
-    mu = ring.mu
+    mu = milnor_number(f)
     order = _monomial_order(f)
     D = f.D
     t = _sector_steps(f)
@@ -255,7 +254,7 @@ def good_basis_check(f: InvertiblePolynomial) -> GoodBasisReport:
         if [tv * x % D for x in first] != [x % D for x in row]:
             raise RuntimeError(f"a sector generator is not {tv} times the first")
     buckets: dict[int, list[Monomial]] = {}
-    for g, r in ring._parts[0].box(sum(t), t, D):
+    for g, r in summand_box(f.summands[0], f.N, sum(t), t, D):
         buckets.setdefault(g, []).append(r)
     if sum(map(len, buckets.values())) != mu:
         raise RuntimeError(f"the basis box does not hold mu = {mu} monomials")
@@ -341,7 +340,7 @@ def perturbative_expand(f: InvertiblePolynomial, order: int) -> SeriesState:
     at the end.
     """
     if not 0 <= order <= -Z_MIN:
-        raise WrongConfiguration("the expansion is supported up to order 3 only")
+        raise WrongConfiguration(f"the expansion is supported up to order {-Z_MIN} only")
     ring = ring_of(f)
     basis = ring.basis.monomials
     mu = len(basis)

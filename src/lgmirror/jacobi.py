@@ -11,8 +11,8 @@ over the atomic summands of f:
 
 Each summand works on whole exponent tuples, so a monomial passes from one
 summand to the next as it is.  A ring keeps only the test of membership in
-that basis (`in_basis`); the basis is listed on first use by one walk of
-each summand's box that steps the degrees along (`_SummandRing.box`).
+that basis (`in_basis`); the basis is listed on first use from each
+summand's disjoint sub-boxes, stepped with the degrees along (`summand_box`).
 
 Each column of the exponent matrix has at most two nonzero entries, so each
 relation ∂_j f is a monomial or a binomial, and the normal form of a
@@ -24,7 +24,8 @@ means the basis is not one, and the walk raises.  The relations are
 `_partials(f)`, the one source shared by the walk and the independent
 brute-force oracle (`OracleQuotient`).  Each summand compiles them once
 into integer tables, and the walk carries its values as unreduced integer
-pairs.  `reduce` returns ``Fraction``s; `divide` takes and returns the
+pairs.  `reduce` keeps a pair for every monomial a walk covers and builds
+one ``Fraction`` per output coefficient; `divide` takes and returns the
 pairs, never reduced, its certificate one flat list of terms, so that the
 B side's reduction stays in integers.
 
@@ -55,7 +56,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import product as cartesian, repeat
+from itertools import chain as concatenate, product as cartesian, repeat
 from operator import add, mod, sub
 from typing import NamedTuple
 
@@ -107,9 +108,8 @@ def _chain_excluded(m: Monomial, variables: tuple[int, ...],
     0 at odd offsets).  A monomial is excluded when the alternation either
     hits a zero slot holding a positive entry (that entry is the pattern's
     k ≥ 1) or runs through the whole chain ending in the c_1−1 phase (n odd;
-    the k slot is absent).  Counting these against the alternating-sum
-    Milnor number Σ_j (−1)^j c_1⋯c_{n−j} confirms the reading.  A Fermat
-    x^a is the chain of length one: it excludes exactly r = a−1."""
+    the k slot is absent); `summand_box` lists the rest of the box.  A
+    Fermat x^a is the chain of length one: it excludes exactly r = a−1."""
     pos = len(c)                 # 1-based; this slot must hold c_pos − 1
     while True:
         if m[variables[pos - 1]] != c[pos - 1] - 1:
@@ -121,6 +121,46 @@ def _chain_excluded(m: Monomial, variables: tuple[int, ...],
         if pos == 2:
             return False         # the zero slot is the front: keep
         pos -= 2
+
+
+def _chain_order(s: AtomicSummand) -> tuple[bool, Monomial, Monomial]:
+    """(chain, variables, bounds) of s in chain order: pure power first unless a loop."""
+    chain = s.kind != "loop"
+    order = slice(None, None, -1 if chain else 1)
+    return chain, s.variables[order], s.exponents[order]
+
+
+def summand_box(s: AtomicSummand, n: int, c0: int, c, modulus=None):
+    """(value, m) for s's basis monomials m in ambient positions among n,
+    value = c₀ + Σ_v m_v·c_v (mod ``modulus``) stepped along each box.  A
+    chain's basis, bounds c₁…c_l, is ⌊l/2⌋ + 1 disjoint sub-boxes of its box
+    minus `_chain_excluded`: r_p ≤ c_p − 2 under the alternating suffix
+    (0, c_{p+2}−1, …, 0, c_l−1) for p = l, l−2, … ≥ 1, and for l even the
+    whole suffix; the order is lexicographic only within a sub-box."""
+    chain, variables, bounds = _chain_order(s)
+    boxes, p, tail = [], len(bounds), []
+    while chain and p > 0:
+        boxes.append([*map(range, bounds[:p - 1]), range(bounds[p - 1] - 1), *tail])
+        tail = [(0,), (bounds[p - 1] - 1,), *tail]
+        p -= 2
+    if p == 0 or not chain:      # an even chain's whole suffix, or a loop's box
+        boxes.append(tail or [*map(range, bounds)])
+    walks = []
+    for box in boxes:
+        ranges = [(0,)] * n
+        for v, r in zip(variables, box):
+            ranges[v] = r
+        steps = [[(v == 0) * c0 + e * c[v] for e in r] for v, r in enumerate(ranges)]
+        values = map(sum, cartesian(*steps))
+        if modulus is not None:
+            values = map(mod, values, repeat(modulus))
+        walks.append(zip(values, cartesian(*ranges)))
+    return concatenate(*walks)
+
+
+def milnor_number(f: InvertiblePolynomial) -> int:
+    """μ = ∏(1 − qᵢ)/qᵢ (Milnor–Orlik), on the integer weights Dq."""
+    return math.prod(f.D - x for x in f.Dq) // math.prod(f.Dq)
 
 
 def _partials(f: InvertiblePolynomial) -> list[dict]:
@@ -170,15 +210,11 @@ class _SummandRing:
     two coordinates, and a move's next node is u + (p′ − p).
     `_walk`, the one traversal of the tables, keeps each value as an
     unreduced integer pair (num, den) with den > 0, since every a > 0, and
-    compares two values by cross-multiplying; only the values `reduce`
-    returns become ``Fraction``s, and `divide` returns pairs."""
+    compares them by cross-multiplying; `reduce` and `divide` return pairs."""
 
     def __init__(self, s: AtomicSummand, partials: list[dict]):
-        self.chain = s.kind != "loop"
-        # transposed-chain order; a Fermat is the chain of length one
-        order = slice(None, None, -1 if self.chain else 1)
-        self.variables = s.variables[order]
-        self.bounds = s.exponents[order]
+        self.summand = s
+        self.chain, self.variables, self.bounds = _chain_order(s)
         self.n = len(partials)
         self.zeros: list[tuple] = []
         self.moves: list[tuple] = []
@@ -191,7 +227,7 @@ class _SummandRing:
                 k = len(self.moves)
                 self.moves += [(_support(p), p, _sub(q, p), -b, a, v, k),
                                (_support(q), q, _sub(p, q), -a, b, v, k + 1)]
-        self._cache: dict[Monomial, tuple[Monomial, Fraction] | None] = {}
+        self._cache: dict[Monomial, tuple[Monomial, int, int] | None] = {}
 
     def in_basis(self, m: Monomial) -> bool:
         for v, a in zip(self.variables, self.bounds):
@@ -200,22 +236,7 @@ class _SummandRing:
         return not (self.chain and _chain_excluded(m, self.variables, self.bounds))
 
     def box(self, c0: int, c, modulus=None):
-        """(value, m) for the summand's basis monomials m, lexicographic and
-        in ambient positions: value = c₀ + Σ_v m_v·c_v (mod ``modulus``) on
-        the affine row (c₀, c), stepped as the sums over the box of one
-        multiple e·c_v per variable, c₀ folded into the first."""
-        ranges = [(0,)] * self.n
-        for v, a in zip(self.variables, self.bounds):
-            ranges[v] = range(a)
-        steps = [[e * c[v] for e in r] for v, r in enumerate(ranges)]
-        steps[0] = [c0 + x for x in steps[0]]
-        values = map(sum, cartesian(*steps))
-        if modulus is not None:
-            values = map(mod, values, repeat(modulus))
-        walk = zip(values, cartesian(*ranges))
-        if not self.chain:
-            return walk
-        return ((x, m) for x, m in walk if not _chain_excluded(m, self.variables, self.bounds))
+        return summand_box(self.summand, self.n, c0, c, modulus)
 
     def _walk(self, m: Monomial):
         """m's whole component of the binomial graph, breadth first, as
@@ -282,12 +303,18 @@ class _SummandRing:
             raise RuntimeError(f"the walk from {m} determines nothing")
         return node, *settled
 
-    def reduce(self, m: Monomial) -> tuple[Monomial, Fraction] | None:
-        """[m] as (b, c) with [m] = c·b for a basis monomial b, or None
-        when [m] = 0: val[b] from m's `_walk`, kept per monomial."""
+    def reduce(self, m: Monomial) -> tuple[Monomial, int, int] | None:
+        """[m] = (num/den)·b as (b, num, den), den > 0, or None when [m] = 0.
+        m's `_walk` answers every node u of its component, and all are kept:
+        [u] = (val[b]/val[u])·b, or 0; a walk that raises keeps nothing."""
         if m not in self._cache:
             node, b, _ = self._walk(m)
-            self._cache[m] = None if b is None else (b, Fraction(*node[b][:2]))
+            if b is None:
+                self._cache.update(dict.fromkeys(node))
+            else:
+                bn, bd = node[b][:2]
+                for u, (un, ud, _, _) in node.items():
+                    self._cache[u] = (b, bn * ud, bd * un) if un > 0 else (b, -bn * ud, -bd * un)
         return self._cache[m]
 
     def divide(self, m: Monomial):
@@ -323,17 +350,16 @@ def top_of(f: InvertiblePolynomial) -> Monomial:
 
 class JacobiRing:
     """Jac(f): its relations and basis-membership test, exact reduction,
-    product and pairing.  The standard basis is listed only on first use
-    of ``basis``; μ = ∏(1 − qᵢ)/qᵢ (Milnor–Orlik), the socle monomial
-    ``top`` and its degree ``socle`` are closed forms.  Nothing of Jac(f)
-    lies above ``socle``, so `reduce` answers 0 there by grading, while
-    `divide` walks at every degree."""
+    product and pairing.  The basis is listed only on first use of ``basis``;
+    μ (`milnor_number`), the socle monomial ``top`` and its degree ``socle``
+    are closed forms.  Nothing of Jac(f) lies above ``socle``, so `reduce`
+    answers 0 there by grading, while `divide` walks at every degree."""
 
     def __init__(self, f: InvertiblePolynomial):
         self.n, self.D, self.Dq = f.N, f.D, f.Dq
         partials = _partials(f)
         self._parts = [_SummandRing(s, partials) for s in f.summands]
-        self.mu = math.prod(f.D - x for x in f.Dq) // math.prod(f.Dq)
+        self.mu = milnor_number(f)
         self.top = top_of(f)
         self.socle = weighted_degree(self.Dq, self.top)
 
@@ -343,10 +369,10 @@ class JacobiRing:
     @cached_property
     def basis(self) -> StandardBasis:
         """The standard basis in (degree, m) order, with its index: each
-        summand's basis box from `_SummandRing.box`, its degrees stepped
+        summand's basis sub-boxes from `_SummandRing.box`, its degrees stepped
         along with it on the row ``Dq``, and for a direct sum the sums of
         one piece from each summand.  The listing must be μ monomials with
-        ``top`` last and alone in degree ``socle``, which `reduce_monomial`'s
+        ``top`` last and alone in degree ``socle``, which `reduce`'s
         grading rests on; anything else raises RuntimeError."""
         parts = [list(p.box(0, self.Dq)) for p in self._parts]
         pieces = parts[0]
@@ -367,36 +393,37 @@ class JacobiRing:
 
     # -- reduction and arithmetic ----------------------------------------
 
-    def reduce_monomial(self, m: Monomial) -> tuple[Monomial, Fraction] | None:
-        """[m] as (basis monomial, coefficient), or None when [m] = 0: 0 by
-        grading when m lies above the socle degree, with no walk; otherwise
-        m passes through each summand's normal form in turn, and a summand
-        already in the basis contributes the factor 1 without a product."""
+    def _reduce_pair(self, m: Monomial) -> tuple[Monomial, int, int] | None:
+        """[m] as (b, num, den), or None when [m] = 0: 0 by grading above the
+        socle degree; else through each summand's normal form in turn."""
         if weighted_degree(self.Dq, m) > self.socle:
             return None
-        coef = None
+        num = den = 1
         for part in self._parts:
-            if part.in_basis(m):
-                continue
-            term = part.reduce(m)
-            if term is None:
-                return None
-            m = term[0]
-            coef = term[1] if coef is None else coef * term[1]
-        return m, Fraction(1) if coef is None else coef
+            if not part.in_basis(m):
+                term = part.reduce(m)
+                if term is None:
+                    return None
+                m, num, den = term[0], num * term[1], den * term[2]
+        return m, num, den
+
+    def reduce_monomial(self, m: Monomial) -> tuple[Monomial, Fraction] | None:
+        """[m] as (basis monomial, coefficient), or None when [m] = 0."""
+        term = self._reduce_pair(m)
+        return None if term is None else (term[0], Fraction(term[1], term[2]))
 
     def reduce(self, p) -> RingElement:
-        """Normal form of a monomial or {monomial: coef} polynomial."""
+        """Normal form of a monomial or {monomial: int or Fraction}, summed in pairs."""
         if isinstance(p, tuple):
             term = self.reduce_monomial(p)
             return RingElement(() if term is None else ((self.basis.index[term[0]], term[1]),))
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, tuple[int, int]] = {}
         for m, c in p.items():
-            term = self.reduce_monomial(m)
+            term = self._reduce_pair(m)
             if term is not None:
-                i = self.basis.index[term[0]]
-                acc[i] = acc.get(i, Fraction(0)) + Fraction(c) * term[1]
-        return RingElement(tuple(sorted((i, c) for i, c in acc.items() if c != 0)))
+                _accumulate(acc, self.basis.index[term[0]], c.numerator * term[1],
+                            c.denominator * term[2])
+        return RingElement(tuple(sorted((i, Fraction(*x)) for i, x in acc.items() if x[0])))
 
     def monomial_of(self, e: RingElement) -> dict:
         return {self.basis.monomials[i]: c for i, c in e.coeffs}

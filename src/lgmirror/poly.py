@@ -45,6 +45,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .errors import WrongConfiguration
@@ -263,7 +264,7 @@ class InvertiblePolynomial(NamedTuple):
 def weighted_degree(Dq, m) -> int:
     """D·Σ m_i q_i for the weights q = Dq/D: the one grading formula, which
     `InvertiblePolynomial.degree` and the Jacobi ring, holding only Dq, read."""
-    return sum(mi * x for mi, x in zip(m, Dq))
+    return sum(map(mul, m, Dq))
 
 
 def format_monomial(m) -> str:

@@ -577,6 +577,14 @@ class TestPerturbativeExpansion:
         with pytest.raises(WrongConfiguration):
             perturbative_expand(atomic("fermat", (3,)), order)
 
+    @pytest.mark.parametrize("z_min", [bmodel.Z_MIN, -2])
+    def test_the_refusal_names_the_cap(self, z_min, monkeypatch):
+        """The order cap is -Z_MIN, read off the z-window, and the refusal
+        names it from there."""
+        monkeypatch.setattr(bmodel, "Z_MIN", z_min)
+        with pytest.raises(WrongConfiguration, match=f"up to order {-z_min} only"):
+            perturbative_expand(atomic("fermat", (3,)), -z_min + 1)
+
     @pytest.mark.parametrize("W,i", SERIES_CASES)
     def test_first_order_leaves_zeta_untouched(self, W, i):
         # phi_a / z is already reduced, so zeta_(<=1) = [d^Nx].

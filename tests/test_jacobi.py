@@ -8,10 +8,10 @@ from hypothesis import example, given, strategies as st
 from lgmirror import linalg
 from lgmirror.jacobi import (JacobiRing, OracleQuotient, RingElement, _SummandRing,
                              _chain_excluded, _graded, _partials, ring_of, top_of)
-from lgmirror.poly import InvertiblePolynomial, weighted_degree
+from lgmirror.poly import AtomicSummand, InvertiblePolynomial, weighted_degree
 
-from support import (assert_certificate, criteria_atomics, pairs, quotients, residue_pairing,
-                     slice_divide, values)
+from support import (assert_certificate, criteria_atomics, pairs, quotients, reassemble,
+                     residue_pairing, slice_divide, values)
 
 F = Fraction
 
@@ -183,6 +183,26 @@ def test_chain_mu_alternating_sum(c):
     assert R.mu == expect
 
 
+def test_sub_boxes_list_each_basis_monomial_once():
+    """`_SummandRing.box` steps a chain's disjoint sub-boxes with no
+    exclusion test: on every Fermat and chain with N ≤ 4 and exponents 2–5,
+    it lists each box monomial that passes `in_basis` once and nothing
+    else, μ in all, each with its value on the affine row."""
+    shapes = [("fermat", (a,)) for a in range(2, 6)]
+    shapes += [("chain", a) for n in (2, 3, 4) for a in cartesian(range(2, 6), repeat=n)]
+    assert len(shapes) == 340
+    for kind, a in shapes:
+        f = InvertiblePolynomial.from_exponent_matrix(
+            reassemble([AtomicSummand(kind, a, tuple(range(len(a))))], len(a)))
+        R = JacobiRing(f)
+        part = R._parts[0]
+        listed = list(part.box(1, f.Dq, 7))
+        assert all(x == (1 + weighted_degree(f.Dq, m)) % 7 for x, m in listed), a
+        box = [m for m in cartesian(*map(range, a)) if part.in_basis(m)]
+        assert sorted(m for _, m in listed) == box, a
+        assert len(listed) == R.mu, a
+
+
 # ---------------------------------------------------------------------------
 # reduction
 
@@ -209,7 +229,7 @@ def test_summand_reduce_fixes_its_basis():
         for part in R._parts:
             for m in R.basis.monomials:
                 if part.in_basis(m):
-                    assert part.reduce(m) == (m, 1), f"{text}: {m}"
+                    assert part.reduce(m) == (m, 1, 1), f"{text}: {m}"
 
 
 def test_reduce_preserves_weight():
@@ -386,6 +406,83 @@ def test_the_walk_skips_only_its_tree_edges_echo_on_corrupted_relations():
                 changed += sum(map(operator.ne, outcomes, true))
     assert probes == 448 * 12
     assert changed > 1000
+
+
+def kept_value(answer):
+    """A summand's answer (b, num, den) as (b, num/den), after checking den > 0."""
+    if answer is None:
+        return None
+    assert answer[2] > 0, answer
+    return answer[0], F(answer[1], answer[2])
+
+
+def memo_outcome(make, probes):
+    """`reduce` of ``probes`` on the summand ring make() builds: a walk that
+    raises must leave the memo as it was, and every answer kept must be the
+    one a fresh ring's walk from that monomial gives.  Returns the counts
+    of walks, of walks that raised and of answers kept."""
+    part = make()
+    walked = raised = 0
+    for m in probes:
+        before = dict(part._cache)
+        walked += m not in before
+        try:
+            part.reduce(m)
+        except RuntimeError:
+            raised += 1
+            assert part._cache == before, m
+    for u, answer in part._cache.items():
+        assert kept_value(answer) == kept_value(make().reduce(u)), u
+    return walked, raised, len(part._cache)
+
+
+@pytest.mark.parametrize("text", [
+    "x1^5",
+    "x1^3*x2 + x2^4",
+    "x1^2*x2 + x2^3*x3 + x3^2*x1",
+    "x1^2 + x1*x2^2 + x3^3*x4 + x4^3*x3",
+])
+def test_one_walk_answers_its_whole_component(text):
+    """A summand's `reduce` keeps an answer for every monomial its walk
+    covers: after the probes of a Fermat, a chain, a loop and a direct sum,
+    each kept answer is what a fresh ring's walk from that monomial gives,
+    and the memo holds more monomials than were walked from, but on a
+    Fermat, whose components are single monomials."""
+    f = InvertiblePolynomial.from_string(text)
+    for k, s in enumerate(f.summands):
+        walked, raised, kept = memo_outcome(lambda: JacobiRing(f)._parts[k], walk_probes(f))
+        assert raised == 0 and walked > 0, f"{text}: summand {k}"
+        assert kept > walked or s.kind == "fermat" and kept == walked, f"{text}: summand {k}"
+
+
+def test_a_raising_walk_keeps_nothing():
+    """The memo on corrupted rings.  With the corrupted relations of the
+    walk tests, loop transposes with one relation coefficient doubled in
+    turn, no probe's walk raises, and every kept answer is a fresh walk's.
+    With a basis monomial taken out of the basis, the walks that reach it
+    raise and leave the memo as it was."""
+    for W in criteria_atomics():
+        if W.summands[0].kind != "loop" or W.N > 3:
+            continue
+        f = W.transpose()
+        partials = _partials(f)
+        for v, rel in enumerate(partials):
+            for mono in rel:
+                bad = [dict(r) for r in partials]
+                bad[v][mono] *= 2
+                outcome = memo_outcome(lambda: _SummandRing(f.summands[0], bad), walk_probes(f))
+                assert outcome[1] == 0, f"{f.to_string()}: {v}, {mono}"
+    raised = 0
+    for text in ["x1^3*x2 + x2^3*x1", "x1^2 + x1*x2^2 + x2*x3^3"]:
+        f = InvertiblePolynomial.from_string(text)
+        monos = ring(text).basis.monomials
+        for gone in monos:
+            def make():
+                part = ring(text)._parts[0]
+                part.in_basis = lambda r, test=part.in_basis: test(r) and r != gone
+                return part
+            raised += memo_outcome(make, [*walk_probes(f), *monos])[1]
+    assert raised > 0
 
 
 def test_reduce_walks_nothing_above_the_socle(monkeypatch):

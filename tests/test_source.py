@@ -317,16 +317,19 @@ def test_a_side_stays_integer():
 
 def test_basis_and_sectors_are_stepped_over_the_box():
     """`JacobiRing.basis` takes its degrees and `good_basis_check` its
-    sectors stepped along `_SummandRing.box`, with no per-monomial degree or
-    sector sum; and the box's chain exclusions are read only in `jacobi`,
-    by the membership test and the box walk."""
+    sectors stepped along the summand's sub-boxes, with no per-monomial
+    degree or sector sum, and `good_basis_check` builds no ring; the chain
+    exclusions are read only by the membership test, since the sub-boxes
+    hold no excluded monomial."""
     for module, name in [("jacobi", "JacobiRing.basis"), ("bmodel", "good_basis_check")]:
         tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
         node = dict(_definitions(tree))[name]
         assert sorted({"degree", "sector_of", "sector_numerators"} & set(_names(node))) == [], name
+        if module == "bmodel":
+            assert sorted({"ring_of", "JacobiRing"} & set(_names(node))) == [], name
     found = set().union(*(_owners(path, lambda n: isinstance(n, ast.Name) and n.id == "_chain_excluded")
                           for path in sorted(SOURCE.glob("*.py"))))
-    assert sorted(found) == ["jacobi._SummandRing.box", "jacobi._SummandRing.in_basis"]
+    assert sorted(found) == ["jacobi._SummandRing.in_basis"]
 
 
 def test_box_test_has_no_generator():
