@@ -69,11 +69,6 @@ def frac(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _pretty(x: Fraction) -> str:
-    """Human-readable rational: integers drop the '/1'."""
-    return str(x.numerator) if x.denominator == 1 else frac(x)
-
-
 def _poly_dict(p: dict[Monomial, Fraction]) -> dict[str, str]:
     return {format_monomial(m): frac(c) for m, c in sorted(p.items())}
 
@@ -356,14 +351,14 @@ def cmd_jacobi(W: InvertiblePolynomial, args) -> Output:
         for i, a in enumerate(ring.basis.monomials):
             for j, b in enumerate(ring.basis.monomials[i:], start=i):
                 # a product of basis monomials is one basis term or zero
-                term = ring.reduce_monomial(tuple(x + y for x, y in zip(a, b)))
-                if term is None:
+                product = ring.reduce(tuple(x + y for x, y in zip(a, b)))
+                if product.is_zero():
                     continue
                 table.append(
                     {
                         "left": monomials[i],
                         "right": monomials[j],
-                        "product": {format_monomial(term[0]): frac(term[1])},
+                        "product": {monomials[k]: frac(c) for k, c in product.coeffs},
                     }
                 )
         document["products"] = table
@@ -420,7 +415,7 @@ def cmd_axioms(W: InvertiblePolynomial, args) -> Output:
         document["candidates"].append(r)
         head = f"  i={i}  " if i is not None else "  "
         ins = ", ".join(r["insertions"])
-        K = ", ".join(_pretty(v) for v in spec.K)
+        K = ", ".join(map(str, spec.K))
         verdict = "pass" if r["passes_axioms"] else "fail"
         lines.append(
             f"{head}<{ins}>: K = ({K}), type {r['type']}, axioms {verdict}"
@@ -466,8 +461,6 @@ def cmd_wdvv(W: InvertiblePolynomial, args) -> Output:
     from .wdvv import fermat_closure, loop_square_chain  # no other command loads wdvv
     kinds = {s.kind for s in W.summands}
     if kinds == {"fermat"}:
-        for i in range(1, W.N + 1):
-            admissible_target(W, i)
         table, chain = fermat_closure(W)
     elif (kinds == {"loop"} and W.N == 2
           and min(W.summands[0].exponents) == 2 < max(W.summands[0].exponents)):

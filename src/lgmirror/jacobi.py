@@ -215,7 +215,6 @@ class _SummandRing:
     def __init__(self, s: AtomicSummand, partials: list[dict]):
         self.summand = s
         self.chain, self.variables, self.bounds = _chain_order(s)
-        self.n = len(partials)
         self.zeros: list[tuple] = []
         self.moves: list[tuple] = []
         for v in self.variables:
@@ -234,9 +233,6 @@ class _SummandRing:
             if not 0 <= m[v] < a:
                 return False
         return not (self.chain and _chain_excluded(m, self.variables, self.bounds))
-
-    def box(self, c0: int, c, modulus=None):
-        return summand_box(self.summand, self.n, c0, c, modulus)
 
     def _walk(self, m: Monomial):
         """m's whole component of the binomial graph, breadth first, as
@@ -369,12 +365,12 @@ class JacobiRing:
     @cached_property
     def basis(self) -> StandardBasis:
         """The standard basis in (degree, m) order, with its index: each
-        summand's basis sub-boxes from `_SummandRing.box`, its degrees stepped
+        summand's basis sub-boxes from `summand_box`, its degrees stepped
         along with it on the row ``Dq``, and for a direct sum the sums of
         one piece from each summand.  The listing must be μ monomials with
         ``top`` last and alone in degree ``socle``, which `reduce`'s
         grading rests on; anything else raises RuntimeError."""
-        parts = [list(p.box(0, self.Dq)) for p in self._parts]
+        parts = [list(summand_box(p.summand, self.n, 0, self.Dq)) for p in self._parts]
         pieces = parts[0]
         for more in parts[1:]:
             pieces = [(d + e, _add(m, r)) for d, m in pieces for e, r in more]
@@ -407,16 +403,12 @@ class JacobiRing:
                 m, num, den = term[0], num * term[1], den * term[2]
         return m, num, den
 
-    def reduce_monomial(self, m: Monomial) -> tuple[Monomial, Fraction] | None:
-        """[m] as (basis monomial, coefficient), or None when [m] = 0."""
-        term = self._reduce_pair(m)
-        return None if term is None else (term[0], Fraction(term[1], term[2]))
-
     def reduce(self, p) -> RingElement:
         """Normal form of a monomial or {monomial: int or Fraction}, summed in pairs."""
         if isinstance(p, tuple):
-            term = self.reduce_monomial(p)
-            return RingElement(() if term is None else ((self.basis.index[term[0]], term[1]),))
+            term = self._reduce_pair(p)
+            return RingElement(() if term is None else
+                               ((self.basis.index[term[0]], Fraction(term[1], term[2])),))
         acc: dict[int, tuple[int, int]] = {}
         for m, c in p.items():
             term = self._reduce_pair(m)
@@ -448,9 +440,9 @@ class JacobiRing:
         g = [[Fraction(0)] * len(monos) for _ in monos]
         for i, a in enumerate(monos):
             for k in by_degree.get(self.socle - weighted_degree(Dq, a), ()):
-                term = self.reduce_monomial(_add(a, monos[k]))
+                term = self._reduce_pair(_add(a, monos[k]))
                 if term is not None and term[0] == self.top:
-                    g[i][k] = term[1]
+                    g[i][k] = Fraction(term[1], term[2])
         return g
 
     # -- division with quotient certificate --------------------------------

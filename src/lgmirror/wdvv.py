@@ -226,13 +226,11 @@ def fermat_closure(W: InvertiblePolynomial):
     correlator <x_j, x_j, x_j^{a_j-2} alpha, x_j^{a_j-2} beta> by one
     associativity step each: splitting epsilon * phi = x_j^{a_j-2} *
     alpha kills the two product terms against the relation x_j^{a_j-1} =
-    0, so each value equals its seed.  Returns the table and the chain of
-    identities.
+    0, so each value equals its seed, and a square is refused by the gate
+    its seeds pass through.  Returns the table and the chain of identities.
     """
     if any(s.kind != "fermat" for s in W.summands):
         raise WrongConfiguration("the closure applies to sums of Fermat monomials")
-    if any(s.exponents[0] < 3 for s in W.summands):
-        raise WrongConfiguration("Fermat exponents must be at least 3")
     ring = ring_of(W.transpose())
     table = CorrelatorTable(ring)
     n = W.N

@@ -671,6 +671,13 @@ class TestWdvv:
         assert err == run(capsys, "correlator", "--expr", "x1^2 + x2^3", "--target", "1")[2]
         assert "Fermat variables need exponent at least 3" in err
 
+    @pytest.mark.parametrize("expr", ["x1^2+x2^3", "x1^3+x2^2", "x1^2"])
+    def test_fermat_square_exits_3_from_the_gate(self, capsys, expr):
+        """`wdvv` leaves the refusal of a Fermat square to the theorem gate
+        that the closure's seeds pass through, wherever the square sits."""
+        assert run(capsys, "wdvv", "--expr", expr) == (
+            3, "", "unsupported: Fermat variables need exponent at least 3\n")
+
     def test_chain_is_printed(self, capsys):
         code, out, _ = run(capsys, "wdvv", "--expr", "x1^3*x2+x2^2*x1")
         assert code == 0

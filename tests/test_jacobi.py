@@ -5,9 +5,9 @@ from itertools import product as cartesian
 import pytest
 from hypothesis import example, given, strategies as st
 
-from lgmirror import linalg
+from lgmirror import jacobi, linalg
 from lgmirror.jacobi import (JacobiRing, OracleQuotient, RingElement, _SummandRing,
-                             _chain_excluded, _graded, _partials, ring_of, top_of)
+                             _chain_excluded, _graded, _partials, ring_of, summand_box, top_of)
 from lgmirror.poly import AtomicSummand, InvertiblePolynomial, weighted_degree
 
 from support import (assert_certificate, criteria_atomics, pairs, quotients, reassemble,
@@ -139,9 +139,8 @@ def test_basis_refuses_a_wrong_listing(monkeypatch, corrupt):
     """The listing `reduce`'s grading shortcut rests on is checked: μ
     monomials, the top last and alone in the socle degree."""
     R = ring("x1^3*x2 + x2^3*x1")
-    box = _SummandRing.box
-    monkeypatch.setattr(_SummandRing, "box", lambda self, c0, c, modulus=None: corrupt(
-        list(box(self, c0, c, modulus)), c0, c, R.top))
+    monkeypatch.setattr(jacobi, "summand_box", lambda s, n, c0, c, modulus=None: corrupt(
+        list(summand_box(s, n, c0, c, modulus)), c0, c, R.top))
     with pytest.raises(RuntimeError, match="basis listing"):
         R.basis
 
@@ -184,7 +183,7 @@ def test_chain_mu_alternating_sum(c):
 
 
 def test_sub_boxes_list_each_basis_monomial_once():
-    """`_SummandRing.box` steps a chain's disjoint sub-boxes with no
+    """`summand_box` steps a chain's disjoint sub-boxes with no
     exclusion test: on every Fermat and chain with N ≤ 4 and exponents 2–5,
     it lists each box monomial that passes `in_basis` once and nothing
     else, μ in all, each with its value on the affine row."""
@@ -196,7 +195,7 @@ def test_sub_boxes_list_each_basis_monomial_once():
             reassemble([AtomicSummand(kind, a, tuple(range(len(a))))], len(a)))
         R = JacobiRing(f)
         part = R._parts[0]
-        listed = list(part.box(1, f.Dq, 7))
+        listed = list(summand_box(part.summand, f.N, 1, f.Dq, 7))
         assert all(x == (1 + weighted_degree(f.Dq, m)) % 7 for x, m in listed), a
         box = [m for m in cartesian(*map(range, a)) if part.in_basis(m)]
         assert sorted(m for _, m in listed) == box, a

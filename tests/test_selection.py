@@ -208,8 +208,8 @@ def test_three_point_a_equals_b_on_concave_and_fractional_triples():
                 continue
             sectors = [narrow[m][1] for m in (a, b, c)]
             degrees = line_bundle_degrees(W, sectors)
-            term = ring.reduce_monomial(tuple(map(sum, zip(a, b, c))))
-            B = term[1] if term is not None and term[0] == ring.top else 0
+            abc = ring.reduce(tuple(map(sum, zip(a, b, c))))
+            B = dict(abc.coeffs).get(ring.basis.index[ring.top], 0)
             if all(d == -D for d in degrees):
                 assert B == 1, (W.to_string(), a, b, c)
                 concave += 1

@@ -211,6 +211,15 @@ def test_one_brieskorn_reduction():
         assert sorted(found) == owners, attribute
 
 
+def test_one_basis_box_listing():
+    """A summand's basis box is stepped in one place, `summand_box`: the
+    ring's basis listing and the good-basis check call it directly, and no
+    other definition does."""
+    found = set().union(*(_owners(path, _calls("summand_box"))
+                          for path in sorted(SOURCE.glob("*.py"))))
+    assert sorted(found) == ["bmodel.good_basis_check", "jacobi.JacobiRing.basis"]
+
+
 def _reads_window(node):
     """A read of a z-window bound, as a plain name or as an attribute."""
     name = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)

@@ -10,6 +10,7 @@ from lgmirror.bmodel import sg_four_point
 from lgmirror.errors import (
     InconsistentInput,
     UnderdeterminedSystem,
+    UnsupportedByTheorem,
     WrongConfiguration,
 )
 from lgmirror.jacobi import JacobiRing
@@ -210,7 +211,7 @@ class TestFermatClosure:
     def test_non_fermat_input_is_refused(self):
         with pytest.raises(WrongConfiguration):
             fermat_closure(poly("x1^2*x2 + x2^3*x1"))
-        with pytest.raises(WrongConfiguration):
+        with pytest.raises(UnsupportedByTheorem, match="exponent at least 3"):
             fermat_closure(poly("x1^2 + x2^3"))
 
 
