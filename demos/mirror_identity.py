@@ -11,7 +11,7 @@ Run:  python3 demos/mirror_identity.py
 
 from fractions import Fraction
 
-from lgmirror import fjrw_four_point, four_point_report, sg_four_point
+from lgmirror import four_point_report, sg_four_point
 from lgmirror.bmodel import brieskorn_reduce
 from lgmirror.errors import UnsupportedByTheorem
 from lgmirror.jacobi import ring_of
@@ -69,4 +69,4 @@ for i in range(1, W.N + 1):
 
 print("Every admissible variable satisfies A = q_i and B = -q_i -- the")
 print("genus-zero mirror identity, certified in exact rational arithmetic.")
-assert fjrw_four_point(W, 1) == Fraction(1, 5)
+assert four_point_report(W, 1).value == Fraction(1, 5)

@@ -14,7 +14,7 @@ Two reconstructions run here, both over exact rationals:
 Run:  python3 demos/reconstruction_chain.py
 """
 
-from lgmirror import fjrw_four_point, sg_four_point
+from lgmirror import four_point_report, sg_four_point
 from lgmirror.poly import InvertiblePolynomial
 from lgmirror.wdvv import fermat_closure, loop_square_chain
 
@@ -33,9 +33,9 @@ for step, ident in enumerate(chain, start=1):
 
 final = chain[-1].solved_value
 print(f"chain result    X = {final}")
-print(f"direct A side     = {fjrw_four_point(W, 2)}")
+print(f"direct A side     = {four_point_report(W, 2).value}")
 print(f"direct B side     = {sg_four_point(W, 2)}  (the mirror sign)")
-assert final == fjrw_four_point(W, 2) == -sg_four_point(W, 2) == W.q[1]
+assert final == four_point_report(W, 2).value == -sg_four_point(W, 2) == W.q[1]
 print()
 
 print("-" * 60)

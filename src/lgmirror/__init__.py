@@ -1,6 +1,6 @@
 """Exact genus-zero mirror-symmetry checks for invertible polynomials."""
 
-from .amodel import fjrw_four_point, four_point_report
+from .amodel import four_point_report
 from .bmodel import good_basis_check, perturbative_expand, sg_four_point
 from .jacobi import JacobiRing
 from .poly import (
@@ -16,7 +16,6 @@ __all__ = [
     "JacobiRing",
     "NotInvertibleShape",
     "PolynomialSyntaxError",
-    "fjrw_four_point",
     "four_point_report",
     "good_basis_check",
     "perturbative_expand",

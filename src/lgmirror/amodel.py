@@ -344,7 +344,3 @@ def _four_point_report(piece: InvertiblePolynomial, local: int) -> FourPointResu
         return FourPointResult(value, "guere", decorations)
     value = b2_correlator(piece, sectors, local, decorations)
     return FourPointResult(value, "concave", decorations)
-
-
-def fjrw_four_point(W: InvertiblePolynomial, i: int) -> Fraction:
-    return four_point_report(W, i).value

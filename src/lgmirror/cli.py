@@ -13,7 +13,8 @@ the standard basis), ``jacobi`` (basis and socle; ``--json`` adds the Gram
 matrix, ``--trace`` the products of basis monomials), ``axioms``
 (selection-rule bookkeeping for a correlator candidate),
 ``correlator`` (a single A- or B-side value) and ``wdvv`` (associativity
-reconstruction chains; its handler alone imports the `wdvv` module).
+reconstruction chains; its handler alone imports the `wdvv` module, whose
+two reconstructions refuse the shapes they have no chain for).
 
 ``main`` is the one frame: it reads the polynomial, runs the handler, which
 returns (exit code, document, text lines), and prints the document headed
@@ -46,7 +47,7 @@ from .errors import (
 )
 from .groups import GroupCapExceeded, enumerate_group
 from .jacobi import ring_of, top_of
-from .mirror import admissible_target, final_type_insertions, psi
+from .mirror import admissible_target, final_type_insertions, psi, require_mirror_hypotheses
 from .poly import InvertiblePolynomial, NotInvertibleShape, PolynomialSyntaxError, format_monomial, parse_term
 from .selection import CorrelatorSpec, classify_type, passes_axioms
 
@@ -277,6 +278,7 @@ def cmd_classify(W: InvertiblePolynomial, args) -> Output:
 
 
 def cmd_mirror(W: InvertiblePolynomial, args) -> Output:
+    require_mirror_hypotheses(W)  # before building Wᵗ's ring; `psi` checks again
     WT = W.transpose()
     ring = ring_of(WT)
     classes, violations = [], []
@@ -459,17 +461,8 @@ def cmd_correlator(W: InvertiblePolynomial, args) -> Output:
 
 def cmd_wdvv(W: InvertiblePolynomial, args) -> Output:
     from .wdvv import fermat_closure, loop_square_chain  # no other command loads wdvv
-    kinds = {s.kind for s in W.summands}
-    if kinds == {"fermat"}:
-        table, chain = fermat_closure(W)
-    elif (kinds == {"loop"} and W.N == 2
-          and min(W.summands[0].exponents) == 2 < max(W.summands[0].exponents)):
-        table, chain = loop_square_chain(W)
-    else:
-        raise UnsupportedByTheorem(
-            "associativity chains are implemented for sums of Fermat summands "
-            "and for two-variable loops with one exponent equal to 2"
-        )
+    fermat = all(s.kind == "fermat" for s in W.summands)
+    table, chain = (fermat_closure if fermat else loop_square_chain)(W)
     identities = [
         {
             "identity": ident.render(),

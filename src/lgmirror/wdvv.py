@@ -14,7 +14,9 @@ over a Jacobi ring, and ``wdvv_step`` evaluates one identity against the
 table (verifying it, or solving for a single unknown correlator).  Two
 worked reconstructions drive the machinery end to end: the four-point
 closure of Fermat sums and the three-step chain that determines the
-square-tailed two-loop correlator.
+square-tailed two-loop correlator.  They own the rule of which shapes
+have a chain and refuse the rest with `_SHAPES`; the closure reads its
+seeds through the theorem gate before it builds Jac(Wᵗ).
 """
 
 from __future__ import annotations
@@ -23,13 +25,16 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .amodel import fjrw_four_point
-from .errors import InconsistentInput, UnderdeterminedSystem, WrongConfiguration
+from .amodel import four_point_report
+from .errors import InconsistentInput, UnderdeterminedSystem, UnsupportedByTheorem, WrongConfiguration
 from .jacobi import JacobiRing, RingElement, ring_of
 from .mirror import final_type_insertions
 from .poly import InvertiblePolynomial, format_monomial
 
 Key = tuple[int, int, int, int]
+
+_SHAPES = ("associativity chains are implemented for sums of Fermat summands "
+           "and for two-variable loops with one exponent equal to 2")
 
 
 def format_element(ring: JacobiRing, e: RingElement) -> str:
@@ -226,33 +231,30 @@ def fermat_closure(W: InvertiblePolynomial):
     correlator <x_j, x_j, x_j^{a_j-2} alpha, x_j^{a_j-2} beta> by one
     associativity step each: splitting epsilon * phi = x_j^{a_j-2} *
     alpha kills the two product terms against the relation x_j^{a_j-1} =
-    0, so each value equals its seed, and a square is refused by the gate
-    its seeds pass through.  Returns the table and the chain of identities.
+    0, so each value equals its seed.  The seeds are read before the ring
+    is built, so the gate they pass through refuses a square before any
+    ring exists.  Returns the table and the chain of identities.
     """
     if any(s.kind != "fermat" for s in W.summands):
-        raise WrongConfiguration("the closure applies to sums of Fermat monomials")
+        raise UnsupportedByTheorem(_SHAPES)
+    seeds = [four_point_report(W, j + 1).value for j in range(W.N)]
     ring = ring_of(W.transpose())
     table = CorrelatorTable(ring)
-    n = W.N
     top = ring.top
-    for j in range(n):
-        x, s, _ = final_type_insertions(W, j + 1)
-        table.set((x, x, s, top), fjrw_four_point(W, j + 1))
     chain = []
-    for j in range(n):
+    for j, seed in enumerate(seeds):
         x, s, _ = final_type_insertions(W, j + 1)
+        table.set((x, x, s, top), seed)
+        # the identities of x_j read only its own seed
         rest = tuple(e if r != W.head[j] else 0 for r, e in enumerate(top))
         for alpha in itertools.product(*(range(e + 1) for e in rest)):
             beta = tuple(r - al for r, al in zip(rest, alpha))
-            if alpha == (0,) * n or beta == (0,) * n:
+            if not any(alpha) or not any(beta):
                 continue  # the seed itself
-            if tuple(sorted((alpha, beta)))[0] != alpha:
+            if beta < alpha:
                 continue  # unordered pair, derive once
-            gamma = x
-            epsilon = s
-            phi = alpha
             delta = tuple(si + bi for si, bi in zip(s, beta))
-            chain.append(wdvv_step(table, x, gamma, delta, epsilon, phi))
+            chain.append(wdvv_step(table, x, x, delta, s, alpha))
     return table, chain
 
 
@@ -272,17 +274,15 @@ def loop_square_chain(W: InvertiblePolynomial):
     Returns (table, chain) with the solved X in the table.
     """
     s = W.summands[0]
-    if s.kind != "loop" or W.N != 2:
-        raise WrongConfiguration("the chain needs a two-variable loop")
-    (a, va), (square, vs) = sorted(zip(s.exponents, s.variables), reverse=True)
-    if square != 2 or a <= 2:
-        raise WrongConfiguration("the chain needs exponents a > 2 and 2")
+    if s.kind != "loop" or W.N != 2 or not min(s.exponents) == 2 < max(s.exponents):
+        raise UnsupportedByTheorem(_SHAPES)
+    (a, va), (_, vs) = sorted(zip(s.exponents, s.variables), reverse=True)
     ring = ring_of(W.transpose())
     table = CorrelatorTable(ring)
     xa, seed, _ = final_type_insertions(W, va + 1)    # x_a and x_a^{a-2} x_s
     xs = final_type_insertions(W, vs + 1)[0]
     top = ring.top
-    seed_key = table.set((xa, xa, seed, top), fjrw_four_point(W, va + 1))
+    seed_key = table.set((xa, xa, seed, top), four_point_report(W, va + 1).value)
     if table.values[seed_key] != W.q[va]:
         raise WrongConfiguration(f"seed correlator {table.values[seed_key]} is not q_a = {W.q[va]}")
     chain = [

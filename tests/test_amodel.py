@@ -9,7 +9,6 @@ from lgmirror.amodel import (
     SYMMETRIC_LOOP_SEED,
     b2_correlator,
     boundary_decorations,
-    fjrw_four_point,
     four_point_report,
     guere_correlator,
     wdvv_case1,
@@ -80,10 +79,10 @@ def test_final_type_line_bundle_degrees():
 
 
 def test_loop_concave_values():
-    assert fjrw_four_point(atomic("loop", (2, 4)), 2) == F(1, 7)
-    assert fjrw_four_point(atomic("loop", (2, 3)), 2) == F(1, 5)
+    assert four_point_report(atomic("loop", (2, 4)), 2).value == F(1, 7)
+    assert four_point_report(atomic("loop", (2, 3)), 2).value == F(1, 5)
     W = atomic("loop", (2, 3, 4))
-    assert fjrw_four_point(W, 3) == W.q[2] == F(4, 25)
+    assert four_point_report(W, 3).value == W.q[2] == F(4, 25)
 
 
 def test_guere_values():
@@ -186,7 +185,7 @@ def test_dispatch_methods():
 def test_direct_sum_factorization():
     W = InvertiblePolynomial.from_string("x1^3 + x2^4 + x3^2*x4 + x4^3*x3")
     for i in (1, 2, 3, 4):
-        assert fjrw_four_point(W, i) == W.q[i - 1]
+        assert four_point_report(W, i).value == W.q[i - 1]
     # the loop variable of exponent 3 becomes the last one after rotation
     assert four_point_report(W, 4).method == "concave"
     # the exponent-2 loop variable routes through the reconstruction
@@ -195,18 +194,18 @@ def test_direct_sum_factorization():
 
 def test_unsupported_variables():
     with pytest.raises(UnsupportedByTheorem):
-        fjrw_four_point(InvertiblePolynomial.from_string("x1^2"), 1)
+        four_point_report(InvertiblePolynomial.from_string("x1^2"), 1).value
     with pytest.raises(UnsupportedByTheorem):
-        fjrw_four_point(atomic("chain", (3, 4)), 1)  # not the final variable
+        four_point_report(atomic("chain", (3, 4)), 1).value  # not the final variable
     with pytest.raises(UnsupportedByTheorem):
-        fjrw_four_point(InvertiblePolynomial.from_string("x1^2*x2 + x2^2"), 2)
+        four_point_report(InvertiblePolynomial.from_string("x1^2*x2 + x2^2"), 2).value
 
 
 def test_bad_target_index():
     with pytest.raises(WrongConfiguration):
-        fjrw_four_point(InvertiblePolynomial.from_string("x1^5"), 0)
+        four_point_report(InvertiblePolynomial.from_string("x1^5"), 0).value
     with pytest.raises(WrongConfiguration):
-        fjrw_four_point(InvertiblePolynomial.from_string("x1^5"), 2)
+        four_point_report(InvertiblePolynomial.from_string("x1^5"), 2).value
 
 
 # ------------------------------------------------------------- decorations
@@ -270,4 +269,4 @@ def test_chain_identity(a):
 def test_loop_identity_all_targets(a):
     W = atomic("loop", a)
     for i in range(1, W.N + 1):
-        assert fjrw_four_point(W, i) == W.q[i - 1]
+        assert four_point_report(W, i).value == W.q[i - 1]

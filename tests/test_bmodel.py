@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lgmirror import bmodel, cli
-from lgmirror.amodel import fjrw_four_point
+from lgmirror.amodel import four_point_report
 from lgmirror.bmodel import (
     GoodBasisReport,
     LatticeElement,
@@ -923,4 +923,4 @@ class TestFourPoint:
     def test_mirror_identity_on_samples(self, W, i):
         # The two sides are computed by disjoint machinery; their match is
         # the mirror identity itself.
-        assert fjrw_four_point(W, i) == -sg_four_point(W, i)
+        assert four_point_report(W, i).value == -sg_four_point(W, i)

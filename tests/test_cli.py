@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import lgmirror
-from lgmirror import amodel, cli, mirror
+from lgmirror import amodel, cli, mirror, wdvv
 from lgmirror.errors import WrongConfiguration
 from lgmirror.groups import identity
 from lgmirror.jacobi import JacobiRing, ring_of
@@ -176,7 +176,7 @@ def test_a_side_builds_no_ring(monkeypatch, expr):
     built = count_ring_builds(monkeypatch)
     W = InvertiblePolynomial.from_string(expr)
     for i in range(1, W.N + 1):
-        amodel.fjrw_four_point(W, i)
+        amodel.four_point_report(W, i).value
     assert built == []
 
 
@@ -448,8 +448,15 @@ class TestMirror:
         broad = {c["monomial"]: c["broad_monomial"] for c in doc["classes"] if not c["narrow"]}
         assert broad == {"x1": "x1", "x2": "x2"}
 
-    def test_weight_half_chain_exits_3(self, capsys):
-        assert run(capsys, "mirror", "--expr", "x1^3*x2+x2^2")[0] == 3
+    def test_weight_half_chain_exits_3(self, capsys, monkeypatch):
+        """The theorem's hypotheses are checked before Wᵗ's ring is built."""
+        def refuse(f):
+            raise AssertionError(f"ring of {f.to_string()} built")
+
+        monkeypatch.setattr(cli, "ring_of", refuse)
+        assert run(capsys, "mirror", "--expr", "x1^3*x2+x2^2") == (
+            3, "", "unsupported: chain variable(s) x2 have weight 1/2; "
+                   "the mirror theorem excludes this case\n")
 
     def test_one_psi_call_per_basis_monomial(self, capsys, monkeypatch):
         calls, psi = [], mirror.psi
@@ -654,8 +661,12 @@ class TestWdvv:
         assert doc["identities"][-1]["solved_value"] == "4/9"
 
     def test_unsupported_shapes_exit_3(self, capsys):
-        assert run(capsys, "wdvv", "--expr", "x1^3*x2+x2^4")[0] == 3
-        assert run(capsys, "wdvv", "--expr", "x1^2*x2+x2^2*x1")[0] == 3
+        shapes = (
+            "unsupported: associativity chains are implemented for sums of "
+            "Fermat summands and for two-variable loops with one exponent equal to 2\n")
+        for expr in ("x1^3*x2+x2^4", "x1^2*x2+x2^2*x1", "x1^3*x2+x2^3*x1",
+                     "x1^4+x2^3*x3+x3^3*x2", "x1^3*x2+x2^3*x3+x3^2*x1"):
+            assert run(capsys, "wdvv", "--expr", expr) == (3, "", shapes)
 
     def test_loop_keeps_the_input_variables(self, capsys):
         """The square sits on x1 here: the chain runs on this polynomial,
@@ -672,9 +683,14 @@ class TestWdvv:
         assert "Fermat variables need exponent at least 3" in err
 
     @pytest.mark.parametrize("expr", ["x1^2+x2^3", "x1^3+x2^2", "x1^2"])
-    def test_fermat_square_exits_3_from_the_gate(self, capsys, expr):
+    def test_fermat_square_exits_3_from_the_gate(self, capsys, monkeypatch, expr):
         """`wdvv` leaves the refusal of a Fermat square to the theorem gate
-        that the closure's seeds pass through, wherever the square sits."""
+        that the closure's seeds pass through, wherever the square sits;
+        the seeds are read before Wᵗ's ring is built, so none is."""
+        def refuse(f):
+            raise AssertionError(f"ring of {f.to_string()} built")
+
+        monkeypatch.setattr(wdvv, "ring_of", refuse)
         assert run(capsys, "wdvv", "--expr", expr) == (
             3, "", "unsupported: Fermat variables need exponent at least 3\n")
 

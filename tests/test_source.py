@@ -415,6 +415,19 @@ def test_one_command_frame():
     assert sorted(found) == ["cli.main"]
 
 
+def _raises_unsupported(node):
+    """A ``raise UnsupportedByTheorem(…)``."""
+    return (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and getattr(node.exc.func, "id", None) == "UnsupportedByTheorem")
+
+
+def test_cli_states_no_theorem_rule():
+    """The theorem's refusals are raised where its rules live (the gate in
+    `mirror`, the chain shapes in `wdvv`); in `cli` only `axioms` refuses,
+    when no variable is admissible."""
+    assert sorted(_owners(SOURCE / "cli.py", _raises_unsupported)) == ["cli.cmd_axioms"]
+
+
 def _imports_dataclasses(node):
     """``import dataclasses`` or ``from dataclasses import …``."""
     if isinstance(node, ast.Import):

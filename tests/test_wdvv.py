@@ -1,11 +1,12 @@
 """Tests for the four-point associativity engine."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
 
-from lgmirror.amodel import fjrw_four_point
+from lgmirror.amodel import four_point_report
 from lgmirror.bmodel import sg_four_point
 from lgmirror.errors import (
     InconsistentInput,
@@ -17,6 +18,7 @@ from lgmirror.jacobi import JacobiRing
 from lgmirror.linalg import invert
 from lgmirror.poly import InvertiblePolynomial
 from lgmirror.wdvv import (
+    _SHAPES,
     CorrelatorTable,
     fermat_closure,
     format_element,
@@ -209,8 +211,10 @@ class TestFermatClosure:
             assert ident.solved_value == q[j]
 
     def test_non_fermat_input_is_refused(self):
-        with pytest.raises(WrongConfiguration):
+        with pytest.raises(UnsupportedByTheorem, match=re.escape(_SHAPES)):
             fermat_closure(poly("x1^2*x2 + x2^3*x1"))
+        with pytest.raises(UnsupportedByTheorem, match=re.escape(_SHAPES)):
+            fermat_closure(poly("x1^4 + x2^3*x3 + x3^3*x2"))
         with pytest.raises(UnsupportedByTheorem, match="exponent at least 3"):
             fermat_closure(poly("x1^2 + x2^3"))
 
@@ -229,7 +233,7 @@ class TestLoopSquareChain:
         W = poly(f"x1^{a}*x2 + x2^2*x1")
         table, chain = loop_square_chain(W)
         x = table.value(((0, 1), (0, 1), (1, 0), table.ring.top))
-        assert x == fjrw_four_point(W, 2)
+        assert x == four_point_report(W, 2).value
         assert x == -sg_four_point(W, 2)
 
     def test_intermediate_identities(self):
@@ -242,12 +246,15 @@ class TestLoopSquareChain:
         assert x_step.solved_value == W.q[1]
 
     def test_square_exponent_is_refused(self):
-        with pytest.raises(WrongConfiguration):
+        with pytest.raises(UnsupportedByTheorem, match=re.escape(_SHAPES)):
             loop_square_chain(poly("x1^2*x2 + x2^2*x1"))
 
-    @pytest.mark.parametrize("expr", ["x1^3*x2 + x2^3*x1", "x1^3*x2 + x2^2", "x1^4 + x2^2"])
+    @pytest.mark.parametrize("expr", [
+        "x1^3*x2 + x2^3*x1", "x1^3*x2 + x2^2", "x1^4 + x2^2", "x1^4 + x2^3",
+        "x1^3*x2 + x2^3*x3 + x3^2*x1", "x1^3*x2 + x2^2*x1 + x3^3",
+    ])
     def test_other_shapes_are_refused(self, expr):
-        with pytest.raises(WrongConfiguration):
+        with pytest.raises(UnsupportedByTheorem, match=re.escape(_SHAPES)):
             loop_square_chain(poly(expr))
 
 
