@@ -200,19 +200,16 @@ def verification_report(W: InvertiblePolynomial, trace: bool = False) -> dict:
     }
 
 
-def verify_lines(W: InvertiblePolynomial, report: dict, trace: bool) -> list[str]:
-    """The text output of ``verify`` for its report."""
-    verified = {v["i"]: v for v in report["variables"]}
-    skips = {s["i"]: s for s in report["skipped"]}
+def verify_lines(report: dict, trace: bool) -> list[str]:
+    """The text output of ``verify`` for its report, one variable at a time."""
     lines = []
-    for i in range(1, W.N + 1):
-        if i in skips:
-            lines.append(f"  x{i}  skipped: {skips[i]['reason']}")
+    for v in sorted(report["variables"] + report["skipped"], key=lambda v: v["i"]):
+        if "reason" in v:
+            lines.append(f"  x{v['i']}  skipped: {v['reason']}")
             continue
-        v = verified[i]
         ok = "ok" if v["matched"] else "MISMATCH"
         lines.append(
-            f"  x{i}  q = {v['q_i']}   A = {v['A_value']} ({v['method_A']})"
+            f"  x{v['i']}  q = {v['q_i']}   A = {v['A_value']} ({v['method_A']})"
             f"   B = {v['B_value']}   {ok}"
         )
         if trace:
@@ -228,7 +225,7 @@ def verify_lines(W: InvertiblePolynomial, report: dict, trace: bool) -> list[str
 def cmd_verify(W: InvertiblePolynomial, args) -> Output:
     report = verification_report(W, trace=args.trace)
     # the text lines only on the text path: main prints none under --json
-    lines = [] if args.json else verify_lines(W, report, args.trace)
+    lines = [] if args.json else verify_lines(report, args.trace)
     if any(not v["matched"] for v in report["variables"]):
         return 1, report, lines
     return (3 if report["hypothesis_violation"] else 0), report, lines
@@ -500,6 +497,18 @@ def cmd_wdvv(W: InvertiblePolynomial, args) -> Output:
 # wiring
 
 
+# (name, handler, help) of each subcommand, in the order `--help` lists them
+_COMMANDS = (
+    ("verify", cmd_verify, "check A = q_i and B = -q_i for all variables"),
+    ("classify", cmd_classify, "atomic summand decomposition and weights"),
+    ("mirror", cmd_mirror, "sector data of the transposed basis monomials"),
+    ("jacobi", cmd_jacobi, "standard basis and Gram matrix of Jac(W)"),
+    ("axioms", cmd_axioms, "selection-rule data (l, b, K, type)"),
+    ("correlator", cmd_correlator, "one four-point value on one side"),
+    ("wdvv", cmd_wdvv, "print an associativity reconstruction chain"),
+)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -516,8 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for name, handler, help_text in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--expr", help="polynomial, e.g. 'x1^3*x2 + x2^4'")
         source.add_argument(
@@ -531,42 +540,16 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="emit boundary decorations (A side) and reduction steps (B side)",
         )
+        p.set_defaults(handler=handler)
 
-    p = sub.add_parser("verify", help="check A = q_i and B = -q_i for all variables")
-    common(p)
-    p.set_defaults(handler=cmd_verify)
-
-    p = sub.add_parser("classify", help="atomic summand decomposition and weights")
-    common(p)
-    p.set_defaults(handler=cmd_classify)
-
-    p = sub.add_parser("mirror", help="sector data of the transposed basis monomials")
-    common(p)
-    p.set_defaults(handler=cmd_mirror)
-
-    p = sub.add_parser("jacobi", help="standard basis and Gram matrix of Jac(W)")
-    common(p)
-    p.set_defaults(handler=cmd_jacobi)
-
-    p = sub.add_parser("axioms", help="selection-rule data (l, b, K, type)")
-    common(p)
-    p.add_argument(
+    sub.choices["axioms"].add_argument(
         "--insertions",
         help="comma-separated monomials in the transposed ring, "
         "e.g. 'x1,x1,x1^2,x1^2' (default: each admissible final-type correlator)",
     )
-    p.set_defaults(handler=cmd_axioms)
-
-    p = sub.add_parser("correlator", help="one four-point value on one side")
-    common(p)
-    p.add_argument("--target", type=int, required=True, help="variable index i (1-based)")
-    p.add_argument("--side", choices=("A", "B", "both"), default="both")
-    p.set_defaults(handler=cmd_correlator)
-
-    p = sub.add_parser("wdvv", help="print an associativity reconstruction chain")
-    common(p)
-    p.set_defaults(handler=cmd_wdvv)
-
+    correlator = sub.choices["correlator"]
+    correlator.add_argument("--target", type=int, required=True, help="variable index i (1-based)")
+    correlator.add_argument("--side", choices=("A", "B", "both"), default="both")
     return parser
 
 

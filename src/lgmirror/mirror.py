@@ -49,7 +49,9 @@ def exception_variables(W: InvertiblePolynomial) -> tuple[int, ...]:
 
 
 def require_mirror_hypotheses(W: InvertiblePolynomial) -> None:
-    bad = W.chain_weight_half_tails()
+    # a chain's other variables weigh less than 1/2: only its pure-power tail can
+    bad = [s.variables[-1] for s in W.summands
+           if s.kind == "chain" and 2 * W.Dq[s.variables[-1]] == W.D]
     if bad:
         names = ", ".join(f"x{i+1}" for i in bad)
         raise UnsupportedByTheorem(

@@ -240,14 +240,6 @@ class InvertiblePolynomial(NamedTuple):
     def weight_half_variables(self) -> tuple[int, ...]:
         return tuple(i for i, dq in enumerate(self.Dq) if 2 * dq == self.D)
 
-    def chain_weight_half_tails(self) -> tuple[int, ...]:
-        """Chain variables of weight 1/2 (the case the main theorem excludes)."""
-        bad = []
-        for s in self.summands:
-            if s.kind == "chain":
-                bad.extend(v for v in s.variables if 2 * self.Dq[v] == self.D)
-        return tuple(bad)
-
     def summand_of(self, i: int) -> AtomicSummand:
         for s in self.summands:
             if i in s.variables:
@@ -359,10 +351,7 @@ def _classify_rows(E) -> tuple[list[AtomicSummand], tuple[int, ...]]:
             raise NotInvertibleShape(f"x{owner+1} heads two monomials")
         owner_row[owner] = r
         out_edge[owner] = target
-    if set(owner_row) != set(range(n)):
-        orphan = sorted(set(range(n)) - set(owner_row))
-        raise NotInvertibleShape(f"x{orphan[0]+1} heads no monomial")
-
+    # n rows with distinct heads among n columns: every variable heads one
     in_deg = [0] * n
     for t in out_edge.values():
         if t is not None:
@@ -373,19 +362,17 @@ def _classify_rows(E) -> tuple[list[AtomicSummand], tuple[int, ...]]:
 
     # one walk per summand, sources first: from a source the walk ends at
     # a pure power (a chain, or a Fermat); from any variable left it
-    # returns to its start (a loop)
+    # returns to its start (a loop).  With in-degree at most 1, a walk
+    # meets no variable seen before but its own start.
     summands = []
     seen: set[int] = set()
     for start in sorted(range(n), key=in_deg.__getitem__):
         if start in seen:
             continue
         path = [start]
-        seen.add(start)
         while (nxt := out_edge[path[-1]]) is not None and nxt != start:
-            if nxt in seen:   # a second way into nxt: in-degree 2
-                raise NotInvertibleShape(f"x{nxt+1} is pointed at by two monomials")
             path.append(nxt)
-            seen.add(nxt)
+        seen.update(path)
         kind = "loop" if nxt == start else "chain" if len(path) > 1 else "fermat"
         summands.append(_canonical(kind, [E[owner_row[v]][v] for v in path], path))
     summands.sort(key=lambda s: s.variables[0])

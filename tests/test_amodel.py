@@ -21,6 +21,7 @@ from lgmirror.errors import (
     UnsupportedByTheorem,
     WrongConfiguration,
 )
+from lgmirror.groups import identity
 from lgmirror.poly import AtomicSummand, InvertiblePolynomial
 from lgmirror.selection import line_bundle_degrees
 
@@ -94,6 +95,26 @@ def test_guere_values():
     sectors = _final_type_sectors(W, 3)
     decorations = boundary_decorations(W, sectors)
     assert guere_correlator(W, sectors, decorations) == W.q[2] == F(5, 13)
+
+
+def test_guere_wrong_polynomial():
+    """The limit formula holds only for a loop of N >= 3 ending in a
+    square with narrow insertions; anything else is refused."""
+    def final_type(W, t):
+        sectors = _final_type_sectors(W, t)
+        return sectors, boundary_decorations(W, sectors)
+
+    W = atomic("chain", (3, 2))
+    with pytest.raises(WrongConfiguration, match="^expected a single loop$"):
+        guere_correlator(W, *final_type(W, 2))
+    W = atomic("loop", (3, 2))
+    with pytest.raises(WrongConfiguration,
+                       match=r"^expected a loop with final exponent 2 and N >= 3$"):
+        guere_correlator(W, *final_type(W, 2))
+    W = atomic("loop", (2, 3, 2))
+    sectors, decorations = final_type(W, 3)
+    with pytest.raises(WrongConfiguration, match="^broad insertion sector$"):
+        guere_correlator(W, [identity(W)] + list(sectors[1:]), decorations)
 
 
 def test_guere_nonconcave_pair():

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON reports, tracing."""
 
+import argparse
 import json
 import os
 import re
@@ -94,6 +95,10 @@ class TestVerifyExitCodes:
         errs = [run(capsys, "verify", "--expr", expr)[2]
                 for expr in (f"x1^{LONG}", f'{{"E": [[{LONG}]]}}')]
         assert errs == ["error: numeral of 5000 digits is too long\n"] * 2
+
+    def test_negative_exponent_exits_2(self, capsys):
+        assert run(capsys, "verify", "--expr", '{"E": [[-1]]}') == (
+            2, "", "error: negative exponent\n")
 
     def test_non_invertible_shape_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--expr", "x1^3 + x1^2*x2 + x2^3")
@@ -718,3 +723,55 @@ class TestMonomialParsing:
             cli.parse_monomial("x3", 2)
         with pytest.raises(PolynomialSyntaxError, match="exponent 0"):
             cli.parse_monomial("x1^0", 2)
+
+
+# ------------------------------------------------------------------ wiring
+
+# (option strings, help, required, default, choices, type) of the options
+# every subcommand shares; `--expr` and `--input` form one required group
+_COMMON_OPTIONS = [
+    (("-h", "--help"), "show this help message and exit", False, argparse.SUPPRESS, None, None),
+    (("--expr",), "polynomial, e.g. 'x1^3*x2 + x2^4'", False, None, None, None),
+    (("--input",), 'file holding the polynomial (expression or {"E": [[...], ...]} JSON)',
+     False, None, None, None),
+    (("--json",), "machine-readable output", False, False, None, None),
+    (("--trace",), "emit boundary decorations (A side) and reduction steps (B side)",
+     False, False, None, None),
+]
+
+# name -> (help, handler, options) of each subcommand, in `--help` order
+WIRING = {
+    "verify": ("check A = q_i and B = -q_i for all variables", cli.cmd_verify, _COMMON_OPTIONS),
+    "classify": ("atomic summand decomposition and weights", cli.cmd_classify, _COMMON_OPTIONS),
+    "mirror": ("sector data of the transposed basis monomials", cli.cmd_mirror, _COMMON_OPTIONS),
+    "jacobi": ("standard basis and Gram matrix of Jac(W)", cli.cmd_jacobi, _COMMON_OPTIONS),
+    "axioms": ("selection-rule data (l, b, K, type)", cli.cmd_axioms, _COMMON_OPTIONS + [
+        (("--insertions",), "comma-separated monomials in the transposed ring, e.g. "
+         "'x1,x1,x1^2,x1^2' (default: each admissible final-type correlator)",
+         False, None, None, None),
+    ]),
+    "correlator": ("one four-point value on one side", cli.cmd_correlator, _COMMON_OPTIONS + [
+        (("--target",), "variable index i (1-based)", True, None, None, int),
+        (("--side",), None, False, "both", ("A", "B", "both"), None),
+    ]),
+    "wdvv": ("print an associativity reconstruction chain", cli.cmd_wdvv, _COMMON_OPTIONS),
+}
+
+
+def test_subcommand_wiring():
+    """Each subcommand keeps its name, help, handler and options, in order,
+    with the source options one required either-or group."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    found = {
+        name: (helps[name], p.get_default("handler"),
+               [(tuple(a.option_strings), a.help, a.required, a.default, a.choices, a.type)
+                for a in p._actions])
+        for name, p in sub.choices.items()
+    }
+    assert list(found) == list(WIRING)
+    assert found == WIRING
+    for p in sub.choices.values():
+        assert [(g.required, [a.dest for a in g._group_actions])
+                for g in p._mutually_exclusive_groups] == [(True, ["expr", "input"])]

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lgmirror import linalg
-from lgmirror.errors import WrongConfiguration
+from lgmirror.errors import UnsupportedByTheorem, WrongConfiguration
 from lgmirror.jacobi import ring_of
+from lgmirror.mirror import require_mirror_hypotheses
 from lgmirror.poly import (
     AtomicSummand,
     InvertiblePolynomial,
@@ -281,13 +282,34 @@ def test_weights_satisfy_defining_equation():
     assert linalg.mat_vec(W.E, list(W.q)) == [F(1)] * 3
 
 
+def _chain_half_refusal(W):
+    """The message with which `require_mirror_hypotheses` refuses W, or None."""
+    try:
+        require_mirror_hypotheses(W)
+    except UnsupportedByTheorem as exc:
+        return str(exc)
+    return None
+
+
+def _refusal_naming(variables):
+    """The refusal that lists the 0-based ``variables``, or None for none."""
+    if not variables:
+        return None
+    names = ", ".join(f"x{v + 1}" for v in variables)
+    return f"chain variable(s) {names} have weight 1/2; the mirror theorem excludes this case"
+
+
 def test_weight_half_flags():
     A1 = InvertiblePolynomial.from_string("x1^2")
     assert A1.weight_half_variables() == (0,)
-    assert A1.chain_weight_half_tails() == ()
+    assert _chain_half_refusal(A1) is None
     C = InvertiblePolynomial.from_string("x1^2*x2 + x2^2")
     assert C.q == (F(1, 4), F(1, 2))
-    assert C.chain_weight_half_tails() == (1,)
+    assert _chain_half_refusal(C) == _refusal_naming([1])
+    # summand order, not ascending
+    D = InvertiblePolynomial.from_string("x1^3*x4 + x4^2 + x2^3*x3 + x3^2")
+    assert _chain_half_refusal(D) == (
+        "chain variable(s) x4, x3 have weight 1/2; the mirror theorem excludes this case")
 
 
 @pytest.mark.parametrize("text", [
@@ -295,13 +317,16 @@ def test_weight_half_flags():
     "x1^2*x2 + x2^2 + x3^2*x4 + x4^2",
     "x3^2*x1 + x1^2 + x2^4",
     "x1^2*x2 + x2^2*x1 + x3^2",
+    "x1^3*x4 + x4^2 + x2^3*x3 + x3^2",
 ])
 def test_weight_half_scans_list_variables_in_order(text):
+    """The weight-1/2 variables come in ascending order; the chain ones
+    the theorem refuses come in summand order."""
     W = InvertiblePolynomial.from_string(text)
     half = [i for i, q in enumerate(W.q) if q == F(1, 2)]
     assert W.weight_half_variables() == tuple(half)
     tails = [v for s in W.summands if s.kind == "chain" for v in s.variables if v in half]
-    assert W.chain_weight_half_tails() == tuple(tails)
+    assert _chain_half_refusal(W) == _refusal_naming(tails)
 
 
 def test_transpose_is_involution_and_preserves_charge():

@@ -42,6 +42,17 @@ def test_memoization_is_per_polynomial():
     assert found == ["cli.build_parser"]
 
 
+def test_subcommands_are_added_in_one_place():
+    """`cli.build_parser` adds every subcommand from one table, so src/
+    calls `add_parser` at exactly one place."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SOURCE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "add_parser"]
+    assert len(found) == 1, found
+
+
 def test_polynomial_stores_one_integer_form():
     """E⁻¹ and the grading are stored once, as integers over D:
     InvertiblePolynomial has no `Fraction` field, and q and ĉ are views
