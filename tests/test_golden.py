@@ -33,6 +33,8 @@ POLYNOMIALS = [
     "x1^5",                          # Fermat, concave
     "x1^3*x2+x2^4",                  # chain, concave
     "x1^3*x2+x2^3*x3+x3^2*x1",       # loop ending in a square: guere
+    "x1^2*x2+x2^3*x3+x3^4*x1",       # guere at x1, concave at x2 and x3
+    "x1^3*x2+x2^2*x3+x3^4*x4+x4^2*x1",  # guere at x2 and x4
     "x1^2*x2+x2^2*x1",               # wdvv1
     "x1^3*x2+x2^2*x1",               # wdvv2
     "x2^3+x1^4",                     # two Fermat summands
