@@ -41,14 +41,21 @@ for i in range(1, W.N + 1):
     # The B side is one exact division chain in the Brieskorn lattice of
     # the summand's transpose: [M_i d^nx] reduces to -q_i * z [d^nx].  The
     # reduction keeps each z-level as {monomial: (num, den)} integer pairs.
+    # Monomials print with their exponents in the piece's target order,
+    # which puts x_i's own row last.
     _, _, target = final_type_insertions(piece, local)
+    order = piece.target_order(local)
+
+    def text(m):
+        return format_monomial(tuple(m[k] for k in order))
+
     steps: list[dict] = []
     reduced = brieskorn_reduce(ring_of(piece.transpose()), {0: {target: (1, 1)}}, steps)
     normal_form = {k: {m: Fraction(*c) for m, c in level.items()} for k, level in reduced.items()}
     assert normal_form == {1: {(0,) * piece.N: -W.q[i - 1]}}
-    print(f"    [{format_monomial(target)} d^nx] reduces in {len(steps)} passes:")
+    print(f"    [{text(target)} d^nx] reduces in {len(steps)} passes:")
     for s in steps:
-        terms = " + ".join(f"{c}*{format_monomial(m)}" for m, c in s["pushed"].items())
+        terms = " + ".join(f"{c}*{text(m)}" for m, c in s["pushed"].items())
         print(f"      z^{s['z']}: pushes {terms or 'nothing'}")
     terms = " + ".join(f"{c}*z^{k}[{format_monomial(m)} d^nx]"
                        for k, level in sorted(normal_form.items()) for m, c in sorted(level.items()))

@@ -11,7 +11,7 @@ is computed by one of four routes:
 * ``concave``: all insertions narrow and every line bundle without
   sections on every fiber; the value is a Bernoulli-polynomial
   combination of the insertion and boundary-node phases.
-* ``guere``: loops ending in a square (a_N = 2, N >= 3), where one line
+* ``guere``: loop targets with a square (a_t = 2, N >= 3), where one line
   bundle acquires sections on a boundary stratum; the virtual class is
   evaluated through a limit formula that weighs the degree-one Chern
   characters of two line bundles.
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ConcavityViolated, InconsistentInput, WrongConfiguration
@@ -194,44 +195,46 @@ def _final_type_sectors(W: InvertiblePolynomial, target: int) -> list[GroupEleme
     return [theta, theta, sector_of(W, s), sector_of(W, top_of(W.transpose()))]
 
 
-def guere_correlator(W: InvertiblePolynomial, sectors, decorations) -> Fraction:
-    """Four-point value for a loop ending in a square (a_N = 2, N >= 3).
+def guere_correlator(W: InvertiblePolynomial, sectors, decorations, target_index=None) -> Fraction:
+    """Four-point value at x_t, t = ``target_index`` (by default the last
+    variable), of a loop with a_t = 2 and N >= 3.
 
-    The last-but-one line bundle acquires sections on one boundary
-    stratum, so the virtual class is evaluated through the limit
+    The line bundle of x_p = (t - 2) mod N + 1, the loop variable that
+    points at x_t, acquires sections on one boundary stratum, so the
+    virtual class is evaluated through the limit
 
-        X = a_{N-1} * Ch1(L_{N-1}) - Ch1(L_N),
+        X = a_p * Ch1(L_p) - Ch1(L_t),
 
-    the a_{N-1} coefficient being lim (1 - u^{-a_{N-1}}) u/(1 - u) as
-    u -> 1.  Each Ch1 integral is minus the Bernoulli combination, an
-    integer over 2D² with D = W.D, so the value is one Fraction; every
-    line bundle below N-1 is concave of degree -1 and contributes zero,
-    which is checked.  ``sectors`` and ``decorations`` are those of the
-    final-type correlator.
+    the a_p coefficient being lim (1 - u^{-a_p}) u/(1 - u) as u -> 1.
+    Each Ch1 integral is minus the Bernoulli combination, an integer over
+    2D² with D = W.D, so the value is one Fraction; every other line bundle
+    is concave of degree -1 and contributes zero, which is checked.
+    ``sectors`` and ``decorations`` are those of the final-type correlator.
     """
     if len(W.summands) != 1 or W.summands[0].kind != "loop":
         raise WrongConfiguration("expected a single loop")
-    n = W.N
-    a = _exponents(W)
-    if n < 3 or a[-1] != 2:
+    n, a = W.N, _exponents(W)
+    t = n if target_index is None else target_index
+    p = (t - 2) % n + 1
+    if n < 3 or a[t - 1] != 2:
         raise WrongConfiguration("expected a loop with final exponent 2 and N >= 3")
     if any(not g.is_narrow() for g in sectors):
         raise WrongConfiguration("broad insertion sector")
     D = W.D
     smooth = line_bundle_degrees(W, sectors)
-    if smooth != [-D] * (n - 1) + [-2 * D]:
+    if smooth != [-2 * D if i == t else -D for i in range(1, n + 1)]:
         raise WrongConfiguration(f"unexpected line bundle degrees {[Fraction(x, D) for x in smooth]}")
-    if decorations[0].pair(n - 1) != (0, -2):
+    if decorations[0].pair(p) != (0, -2):
         raise WrongConfiguration(
-            f"expected component degrees (0, -2) for line bundle {n - 1}, "
-            f"got {decorations[0].pair(n - 1)}"
+            f"expected component degrees (0, -2) for line bundle {p}, "
+            f"got {decorations[0].pair(p)}"
         )
-    for j in range(1, n - 1):
-        if _chern_combo(W, sectors, decorations, j) != 0:
+    for j in range(1, n + 1):
+        if j not in (p, t) and _chern_combo(W, sectors, decorations, j) != 0:
             raise WrongConfiguration(f"line bundle {j} contributes to the limit formula")
-    ch1_next_to_last = -_chern_combo(W, sectors, decorations, n - 1)
-    ch1_last = -_chern_combo(W, sectors, decorations, n)
-    return Fraction(a[-2] * ch1_next_to_last - ch1_last, 2 * D * D)
+    ch1_next_to_last = -_chern_combo(W, sectors, decorations, p)
+    ch1_last = -_chern_combo(W, sectors, decorations, t)
+    return Fraction(a[p - 1] * ch1_next_to_last - ch1_last, 2 * D * D)
 
 
 def _exponents(W: InvertiblePolynomial) -> list[int]:
@@ -281,28 +284,29 @@ def wdvv_case1(W: InvertiblePolynomial, X0: Fraction) -> tuple[Fraction, tuple[F
     return x, (-2 * x, 2 * x * x, -x * x)
 
 
-def wdvv_case2(W: InvertiblePolynomial) -> Fraction:
-    """Four-point value for x1^a*x2 + x2^2*x1 with a > 2, target x2.
+def wdvv_case2(W: InvertiblePolynomial, target_index: int = 2) -> Fraction:
+    """Four-point value at x_t, t = ``target_index`` (x2 by default), of
+    x_o^a*x_t + x_t^2*x_o with a > 2.
 
-    The theta_2 insertion is broad, so the value is reconstructed from the
-    concave seed B = q_1, the final-type correlator at x_1 read through
+    The theta_t insertion is broad, so the value is reconstructed from the
+    concave seed B = q_o, the final-type correlator at x_o read through
     ``W.head`` (`_final_type_sectors`), in three associativity steps that
-    trade a broad insertion for milnor-ring relations (x2^2 =
-    -a*x1^(a-1)*x2 and x1^a = -2*x1*x2):
+    trade a broad insertion for milnor-ring relations (x_t^2 =
+    -a*x_o^(a-1)*x_t and x_o^a = -2*x_o*x_t):
 
-        X = a*B - (B + B)/2 = (a - 1)*q_1.
+        X = a*B - (B + B)/2 = (a - 1)*q_o.
     """
     s = W.summands[0] if len(W.summands) == 1 else None
     if s is None or s.kind != "loop" or W.N != 2:
         raise WrongConfiguration("expected a two-variable loop")
-    a = _exponents(W)
-    if a[1] != 2 or a[0] <= 2:
+    a, o = _exponents(W), 3 - target_index
+    if a[target_index - 1] != 2 or a[o - 1] <= 2:
         raise WrongConfiguration("expected exponents (a, 2) with a > 2")
-    base = b2_correlator(W, _final_type_sectors(W, 1), 1)
-    if base != W.q[0]:
-        raise WrongConfiguration(f"concave base correlator {base} is not q_1 = {W.q[0]}")
+    base = b2_correlator(W, _final_type_sectors(W, o), o)
+    if base != W.q[o - 1]:
+        raise WrongConfiguration(f"concave base correlator {base} is not q_{o} = {W.q[o - 1]}")
     bridge = base + base
-    return a[0] * base - bridge / 2
+    return a[o - 1] * base - bridge / 2
 
 
 class FourPointResult(NamedTuple):
@@ -314,15 +318,17 @@ class FourPointResult(NamedTuple):
 def four_point_report(W: InvertiblePolynomial, i: int) -> FourPointResult:
     """Compute <psi(x_i), psi(x_i), psi(M_i/x_i^2), psi(top)> for W.
 
-    Dispatches to the concave formula, the limit formula for loops ending
-    in a square, or the two associativity reconstructions, after reducing
-    to the atomic summand of x_i.  The result depends on that piece and
-    x_i's place in it only, so it is memoized on the piece under
-    ("four_point", local): the variables a symmetry of W exchanges share
-    one computation.  A refused target and a raise store nothing.
+    Dispatches to the concave formula, the limit formula for a loop
+    target with a square, or the two associativity reconstructions, on
+    the atomic summand of x_i.  The result, decorations in `target_order`,
+    is memoized on that piece under ("four_point", key): a loop's exponents
+    in `target_order`, else x_i's local index, so the variables a symmetry
+    of W exchanges share one computation.  A refusal or a raise stores nothing.
     """
     piece, local = admissible_target(W, i)
-    return piece.derive(("four_point", local), lambda: _four_point_report(piece, local))
+    s = piece.summands[0]
+    key = tuple(s.exponents[k] for k in piece.target_order(local)) if s.kind == "loop" else local
+    return piece.derive(("four_point", key), lambda: _four_point_report(piece, local))
 
 
 def _four_point_report(piece: InvertiblePolynomial, local: int) -> FourPointResult:
@@ -334,13 +340,17 @@ def _four_point_report(piece: InvertiblePolynomial, local: int) -> FourPointResu
         if piece.N == 2 and a_local == [2, 2]:
             value, _ = wdvv_case1(piece, SYMMETRIC_LOOP_SEED)
             return FourPointResult(value, "wdvv1", ())
-        if piece.N == 2 and a_local[1] == 2:
-            return FourPointResult(wdvv_case2(piece), "wdvv2", ())
-    # a loop's target is its last variable, so local = piece.N there
+        if piece.N == 2 and a_local[local - 1] == 2:
+            return FourPointResult(wdvv_case2(piece, local), "wdvv2", ())
     sectors = _final_type_sectors(piece, local)
     decorations = tuple(boundary_decorations(piece, sectors))
-    if kind == "loop" and a_local[-1] == 2:
-        value = guere_correlator(piece, sectors, decorations)
-        return FourPointResult(value, "guere", decorations)
-    value = b2_correlator(piece, sectors, local, decorations)
-    return FourPointResult(value, "concave", decorations)
+    if kind == "loop" and a_local[local - 1] == 2:
+        value, method = guere_correlator(piece, sectors, decorations, local), "guere"
+    else:
+        value, method = b2_correlator(piece, sectors, local, decorations), "concave"
+    if kind == "loop" and local != piece.N:
+        # stored in target order, as the piece rotated to end at x_local reads them
+        read = itemgetter(*piece.target_order(local))
+        decorations = tuple(BoundaryDecoration(d.splitting, GroupElement(read(d.gamma_plus.num), piece.D),
+                                               read(d.ell_plus), read(d.ell_minus)) for d in decorations)
+    return FourPointResult(value, method, decorations)

@@ -394,10 +394,13 @@ def sg_four_point(W: InvertiblePolynomial, i: int) -> Fraction:
     the corresponding coefficient of the cubic term of exp((F-f)/z),
     which one Brieskorn reduction of [M_i d^Nx] evaluates.  Like the A
     side, the value is memoized on x_i's atomic piece, under
-    ("sg_four_point", local); a refused target and a raise store nothing.
+    ("sg_four_point", key) with `four_point_report`'s key; a refused
+    target and a raise store nothing.
     """
     piece, local = admissible_target(W, i)
-    return piece.derive(("sg_four_point", local), lambda: _sg_four_point(piece, local))
+    s = piece.summands[0]
+    key = tuple(s.exponents[k] for k in piece.target_order(local)) if s.kind == "loop" else local
+    return piece.derive(("sg_four_point", key), lambda: _sg_four_point(piece, local))
 
 
 def _sg_four_point(piece: InvertiblePolynomial, local: int) -> Fraction:

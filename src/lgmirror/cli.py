@@ -70,8 +70,9 @@ def frac(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _poly_dict(p: dict[Monomial, Fraction]) -> dict[str, str]:
-    return {format_monomial(m): frac(c) for m, c in sorted(p.items())}
+def _poly_dict(p: dict[Monomial, Fraction], order: tuple[int, ...]) -> dict[str, str]:
+    terms = sorted((tuple(m[k] for k in order), c) for m, c in p.items())
+    return {format_monomial(m): frac(c) for m, c in terms}
 
 
 def parse_monomial(text: str, n: int) -> Monomial:
@@ -127,16 +128,18 @@ def decoration_lines(decorations: list[dict]) -> list[str]:
 
 def reduction_trace(piece: InvertiblePolynomial, local: int) -> list[dict]:
     """Reduction trail of [M_i d^Nx] in the Brieskorn lattice of the
-    summand's transpose, where ``sg_four_point`` computes the B side."""
+    summand's transpose, where ``sg_four_point`` computes the B side, its
+    monomials read in `target_order`: variable k there is the piece's row k."""
     _, _, target = final_type_insertions(piece, local)
     steps: list[dict] = []
     brieskorn_reduce(ring_of(piece.transpose()), {0: {target: (1, 1)}}, steps)
+    order = piece.target_order(local)
     return [
         {
             "z": s["z"],
-            "chunk": _poly_dict(s["chunk"]),
-            "normal_form": _poly_dict(s["normal_form"]),
-            "pushed": _poly_dict(s["pushed"]),
+            "chunk": _poly_dict(s["chunk"], order),
+            "normal_form": _poly_dict(s["normal_form"], order),
+            "pushed": _poly_dict(s["pushed"], order),
         }
         for s in steps
     ]

@@ -66,8 +66,8 @@ def admissible_target(W: InvertiblePolynomial, i: int) -> tuple[InvertiblePolyno
     Fermat, and the final one when it is a chain; every loop variable is
     supported.  The check reads x_i's summand in W, so a refused target
     builds nothing.  Returns `W.piece`: the atomic summand of x_i as a
-    standalone polynomial together with the 1-based local target index;
-    both correlator sides validate through this single gate.
+    standalone polynomial in its chain order, with x_i's 1-based index
+    in it; both correlator sides validate through this single gate.
     """
     require_mirror_hypotheses(W)
     if not 1 <= i <= W.N:

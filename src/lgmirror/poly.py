@@ -33,10 +33,10 @@ and only they take E⁻¹ from the closed forms.  Polynomials derived from W
 (its transpose `transpose()`, and the atomic piece `piece(v)` of a variable
 that both correlator sides evaluate) are read off W's summands, `head` and
 `DE_inv` through `_assemble`, once per polynomial through `derive`, and
-kept on W for as long as W lives.  A piece in turn keeps the A and B
-values of each of its targets (``("four_point", local)`` and
-``("sg_four_point", local)``), so the variables of W that share a piece
-and a place in it share one computation.
+kept on W for as long as W lives, one piece per summand.  A piece keeps
+the A and B values of its targets (``("four_point", key)`` and
+``("sg_four_point", key)``, keyed through `target_order`), so the
+variables of W that a symmetry exchanges share one computation.
 """
 
 from __future__ import annotations
@@ -218,20 +218,24 @@ class InvertiblePolynomial(NamedTuple):
 
     def piece(self, v: int) -> tuple["InvertiblePolynomial", int]:
         """The atomic summand of x_v (0-based) as a standalone polynomial,
-        and v's 1-based index in it.  Its variables run in chain order, a
-        loop rotated so that v comes last; its rows are W's rows at them,
-        through ``head``, and its E⁻¹ is the summand's block of E⁻¹, over
-        D = the summand's `det`.  Correlators of a direct sum factor
-        through the summands."""
+        and v's 1-based index in it.  Its variables run in the summand's
+        chain order, so every variable of one summand gets the same piece;
+        its rows are W's rows at them, through ``head``, and its E⁻¹ is the
+        summand's block of E⁻¹, over D = the summand's `det`.  Correlators
+        of a direct sum factor through the summands."""
         s = self.summand_of(v)
-        r = s.variables.index(v) + 1 if s.kind == "loop" else 0
-        order, exps = s.variables[r:] + s.variables[:r], s.exponents[r:] + s.exponents[:r]
-        k, ident = self.D // s.det, tuple(range(len(order)))
-        return self.derive(("piece", s.kind, exps), lambda: InvertiblePolynomial._assemble(
+        order, k, ident = s.variables, self.D // s.det, tuple(range(len(s.variables)))
+        return self.derive(("piece", s.kind, s.exponents), lambda: InvertiblePolynomial._assemble(
             tuple(tuple(self.E[self.head[u]][w] for w in order) for u in order),
-            [_canonical(s.kind, exps, ident)], ident, s.det,
+            [AtomicSummand(s.kind, s.exponents, ident)], ident, s.det,
             tuple(tuple(self.DE_inv[u][self.head[w]] // k for w in order) for u in order),
         )), order.index(v) + 1
+
+    def target_order(self, local: int) -> tuple[int, ...]:
+        """The piece's variables (0-based), a loop's shifted so that x_local
+        (1-based) comes last: the order of memo keys, decorations and trails."""
+        n, shift = self.N, local if self.summands[0].kind == "loop" else 0
+        return tuple((shift + k) % n for k in range(n))
 
     def group_order(self) -> int:
         """|G_max| = |det E|, the product of the summands' determinants."""

@@ -148,13 +148,13 @@ def count_ring_builds(monkeypatch) -> list:
 
 
 def test_verify_builds_one_ring_per_piece(monkeypatch):
-    """The B side reduces in Jac of each rotated piece's transpose, and the
-    A side reads its top in closed form, so it needs no ring: four
-    distinct pieces, four ring builds."""
+    """The B side reduces in Jac of the piece's transpose, and the A side
+    reads its top in closed form, so it needs no ring: the four variables
+    of the loop share one piece, so one ring build."""
     built = count_ring_builds(monkeypatch)
     W = InvertiblePolynomial.from_string("x1^5*x2+x2^6*x3+x3^7*x4+x4^8*x1")
     assert cli.verification_report(W)["overall"] == "pass"
-    assert len(built) == 4
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("expr", [
@@ -186,11 +186,11 @@ def test_a_side_builds_no_ring(monkeypatch, expr):
 
 
 @pytest.mark.parametrize("expr, pieces, reports", [
-    # four rotations of the loop, each concave
-    ("x1^5*x2+x2^6*x3+x3^7*x4+x4^8*x1", 4, 4),
+    # one piece for the loop's four variables, each concave
+    ("x1^5*x2+x2^6*x3+x3^7*x4+x4^8*x1", 1, 4),
     # Fermat, chain (one piece for both variables, x2 skipped), and the
-    # loop's two rotations (wdvv2 at x4, concave at x5)
-    ("x4^2*x5 + x1^3 + x3^4 + x5^3*x4 + x2^3*x3", 4, 4),
+    # loop (one piece; wdvv2 at x4, concave at x5)
+    ("x4^2*x5 + x1^3 + x3^4 + x5^3*x4 + x2^3*x3", 3, 4),
 ])
 def test_verify_derives_each_polynomial_once(monkeypatch, capsys, expr, pieces, reports):
     """One parse, one build per distinct atomic piece and one per its

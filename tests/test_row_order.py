@@ -12,6 +12,7 @@ import functools
 import io
 import itertools
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -228,3 +229,41 @@ def test_row_order_keeps_every_library_value(text):
     for order in itertools.permutations(range(n)):
         W = InvertiblePolynomial.from_string(permuted(text, order))
         assert library_values(W) == base, (text, order)
+
+
+def _relabelled_loop(a, c, rows):
+    """loop(a) with x_k renamed x_{k+c} (indices mod N), its monomials in
+    the order ``rows``."""
+    n = len(a)
+    terms = [f"x{(k + c) % n + 1}^{e}*x{(k + 1 + c) % n + 1}" for k, e in enumerate(a)]
+    return "+".join(terms[r] for r in rows)
+
+
+def _method(a, k):
+    """The A-side route at x_k of loop(a), by x_k's own exponent."""
+    n, other = len(a), a[1 - k]
+    if n == 2 and a[k] == 2:
+        return "wdvv2" if other > 2 else "wdvv1"
+    return "guere" if a[k] == 2 else "concave"
+
+
+def test_loop_targets_read_the_same_in_every_presentation():
+    """Every loop with N ≤ 4 and exponents 2–5, under each cyclic
+    relabelling of its variables with its rows shuffled: at the same
+    underlying variable, `four_point_report` gives one FourPointResult
+    (value, method and decorations) and `sg_four_point` one B, and the
+    method follows the target's own exponent, wherever the target sits
+    in the loop's canonical rotation."""
+    rng = random.Random(49)
+    for n in (2, 3, 4):
+        for a in itertools.product(range(2, 6), repeat=n):
+            first = None
+            for c in range(n):
+                W = InvertiblePolynomial.from_string(_relabelled_loop(a, c, rng.sample(range(n), n)))
+                seen = [(four_point_report(W, (k + c) % n + 1), sg_four_point(W, (k + c) % n + 1))
+                        for k in range(n)]
+                first = first or seen
+                assert seen == first, (a, c)
+            for k, (result, b_value) in enumerate(first):
+                assert result.method == _method(a, k), (a, k)
+                assert result.value == -b_value

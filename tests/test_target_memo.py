@@ -1,13 +1,16 @@
-"""Each correlator target is evaluated once per atomic piece.
+"""Each correlator target is evaluated once per atomic piece and key.
 
 The four-point correlator of x_i depends only on x_i's atomic summand and
-its place in it, and `W.piece(v)` returns one object for the variables a
-symmetry of W exchanges.  So `four_point_report` and `sg_four_point`
-memoize their values on the piece, under ("four_point", local) and
-("sg_four_point", local), and `verify` runs each private path once per
-distinct (piece, local).  The memo lives on the piece, which lives on W:
-nothing is shared across polynomials, and a refusal or a raise stores
-nothing.
+its place in it, and `W.piece(v)` returns one object for all the
+variables of a summand.  So `four_point_report` and `sg_four_point`
+memoize their values on the piece, under ("four_point", key) and
+("sg_four_point", key), where the key of a loop target is the loop's
+exponents read from the variable after x_i round to x_i, and that of a
+chain or Fermat target its local index; `verify` runs each private path
+once per distinct (piece, key), so the variables a symmetry of W
+exchanges share one evaluation.  The memo lives on the piece, which lives
+on W: nothing is shared across polynomials, and a refusal or a raise
+stores nothing.
 """
 
 import pytest
@@ -49,6 +52,15 @@ def _memo_keys(P):
                   for key in piece.memo if type(key) is tuple and key[0] in KEYS)
 
 
+def _memo_key(P, i):
+    """The memo key of x_i's target: a loop's exponents read along the
+    cycle from the variable after x_i round to x_i, else x_i's local
+    index in its piece."""
+    s = P.summand_of(i - 1)
+    r = s.variables.index(i - 1) + 1
+    return s.exponents[r:] + s.exponents[:r] if s.kind == "loop" else r
+
+
 @pytest.mark.parametrize("text, verified, evaluations", [
     ("x1^3*x2+x2^3*x3+x3^3*x1", 3, 1),
     ("x1^4+x2^4+x3^5", 3, 2),
@@ -63,7 +75,8 @@ def test_verify_evaluates_each_piece_target_once(calls, text, verified, evaluati
     report = cli.verification_report(P)
     assert report["overall"] == "pass"
     targets = [admissible_target(P, v["i"]) for v in report["variables"]]
-    distinct = {(id(piece), local) for piece, local in targets}
+    distinct = {(id(piece), _memo_key(P, v["i"]))
+                for v, (piece, _) in zip(report["variables"], targets)}
     assert (len(targets), len(distinct)) == (verified, evaluations)
     assert len(calls["A"]) == len(calls["B"]) == evaluations
     for v, (piece, local) in zip(report["variables"], targets):
@@ -74,6 +87,25 @@ def test_verify_evaluates_each_piece_target_once(calls, text, verified, evaluati
     # the memo holds nothing a second pass could add
     cli.verification_report(P)
     assert len(calls["A"]) == len(calls["B"]) == evaluations
+
+
+@pytest.mark.parametrize("text", [
+    "x1^3*x2+x2^4*x3+x3^5*x4+x4^6*x5+x5^3*x1",
+    # two copies of loop(2, 3), on shuffled variables
+    "x1^2*x3+x2^3*x4+x3^3*x1+x4^2*x2",
+    "x4^3*x2+x3^2*x1+x2^2*x4+x1^3*x3",
+])
+def test_every_variable_of_a_summand_gets_one_piece(text):
+    """`W.piece` builds one piece per summand, in the summand's own chain
+    order, whatever the variable: equal summands share it, and each
+    variable's local index is its place in that order."""
+    P = W(text)
+    for s in P.summands:
+        pieces = [P.piece(v) for v in s.variables]
+        assert all(piece is pieces[0][0] for piece, _ in pieces)
+        assert [local for _, local in pieces] == list(range(1, len(s.variables) + 1))
+        assert pieces[0][0].summands[0].exponents == s.exponents
+    assert len({id(P.piece(v)[0]) for v in range(P.N)}) == 1
 
 
 @pytest.mark.parametrize("side", ["A", "B"])
