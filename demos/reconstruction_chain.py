@@ -14,7 +14,7 @@ Two reconstructions run here, both over exact rationals:
 Run:  python3 demos/reconstruction_chain.py
 """
 
-from lgmirror import four_point_report, sg_four_point
+from lgmirror import admissible_target, four_point_report, sg_four_point
 from lgmirror.poly import InvertiblePolynomial
 from lgmirror.wdvv import fermat_closure, loop_square_chain
 
@@ -32,10 +32,11 @@ for step, ident in enumerate(chain, start=1):
     print()
 
 final = chain[-1].solved_value
+x2 = admissible_target(W, 2)
 print(f"chain result    X = {final}")
-print(f"direct A side     = {four_point_report(W, 2).value}")
-print(f"direct B side     = {sg_four_point(W, 2)}  (the mirror sign)")
-assert final == four_point_report(W, 2).value == -sg_four_point(W, 2) == W.q[1]
+print(f"direct A side     = {four_point_report(x2).value}")
+print(f"direct B side     = {sg_four_point(x2)}  (the mirror sign)")
+assert final == four_point_report(x2).value == -sg_four_point(x2) == W.q[1]
 print()
 
 print("-" * 60)

@@ -3,6 +3,7 @@
 from .amodel import four_point_report
 from .bmodel import good_basis_check, perturbative_expand, sg_four_point
 from .jacobi import JacobiRing
+from .mirror import admissible_target
 from .poly import (
     AtomicSummand,
     InvertiblePolynomial,
@@ -16,6 +17,7 @@ __all__ = [
     "JacobiRing",
     "NotInvertibleShape",
     "PolynomialSyntaxError",
+    "admissible_target",
     "four_point_report",
     "good_basis_check",
     "perturbative_expand",

@@ -31,7 +31,7 @@ from typing import NamedTuple
 from .errors import ConcavityViolated, InconsistentInput, WrongConfiguration
 from .groups import GroupElement
 from .jacobi import top_of
-from .mirror import admissible_target, final_type_insertions, sector_of
+from .mirror import Target, final_type_insertions, sector_of
 from .poly import InvertiblePolynomial
 from .selection import line_bundle_degrees
 
@@ -315,25 +315,22 @@ class FourPointResult(NamedTuple):
     decorations: tuple[BoundaryDecoration, ...]
 
 
-def four_point_report(W: InvertiblePolynomial, i: int) -> FourPointResult:
-    """Compute <psi(x_i), psi(x_i), psi(M_i/x_i^2), psi(top)> for W.
+def four_point_report(target: Target) -> FourPointResult:
+    """Compute <psi(x_i), psi(x_i), psi(M_i/x_i^2), psi(top)> for an
+    admitted target (`mirror.admissible_target`).
 
     Dispatches to the concave formula, the limit formula for a loop
     target with a square, or the two associativity reconstructions, on
-    the atomic summand of x_i.  The result, decorations in `target_order`,
-    is memoized on that piece under ("four_point", key): a loop's exponents
-    in `target_order`, else x_i's local index, so the variables a symmetry
-    of W exchanges share one computation.  A refusal or a raise stores nothing.
+    the target's atomic piece.  The result, decorations in `target_order`,
+    is memoized on the piece under ("four_point", target.key); a raise
+    stores nothing.
     """
-    piece, local = admissible_target(W, i)
-    s = piece.summands[0]
-    key = tuple(s.exponents[k] for k in piece.target_order(local)) if s.kind == "loop" else local
-    return piece.derive(("four_point", key), lambda: _four_point_report(piece, local))
+    return target.piece.derive(("four_point", target.key), lambda: _four_point_report(*target))
 
 
 def _four_point_report(piece: InvertiblePolynomial, local: int) -> FourPointResult:
     """`four_point_report` on the atomic piece, at its 1-based variable
-    ``local``, with no theorem gate."""
+    ``local``."""
     kind = piece.summands[0].kind
     a_local = _exponents(piece)
     if kind == "loop":

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 from .errors import WrongConfiguration
 from .jacobi import JacobiRing, _accumulate, milnor_number, ring_of, summand_box
-from .mirror import admissible_target, final_type_insertions
+from .mirror import Target, final_type_insertions
 from .poly import InvertiblePolynomial
 
 Monomial = tuple[int, ...]
@@ -384,28 +384,24 @@ def perturbative_expand(f: InvertiblePolynomial, order: int) -> SeriesState:
 # the four-point correlator
 
 
-def sg_four_point(W: InvertiblePolynomial, i: int) -> Fraction:
-    """<x_i, x_i, M_i/x_i^2, top> in the mirror ring Jac(W^t).
+def sg_four_point(target: Target) -> Fraction:
+    """<x_i, x_i, M_i/x_i^2, top> in the mirror ring Jac(W^t), for an
+    admitted target (`mirror.admissible_target`).
 
-    Admissibility matches the A-side correlator exactly.  The value is
-    the third derivative of the z^{-2} [d^Nx] component of J in the flat
-    coordinates of x_i and M_i/x_i^2.  Because the flat coordinates carry
-    no quadratic correction in those directions (checked below), this is
-    the corresponding coefficient of the cubic term of exp((F-f)/z),
-    which one Brieskorn reduction of [M_i d^Nx] evaluates.  Like the A
-    side, the value is memoized on x_i's atomic piece, under
-    ("sg_four_point", key) with `four_point_report`'s key; a refused
-    target and a raise store nothing.
+    The value is the third derivative of the z^{-2} [d^Nx] component of J
+    in the flat coordinates of x_i and M_i/x_i^2.  Because the flat
+    coordinates carry no quadratic correction in those directions
+    (checked below), this is the corresponding coefficient of the cubic
+    term of exp((F-f)/z), which one Brieskorn reduction of [M_i d^Nx]
+    evaluates.  Like the A side, the value is memoized on the target's
+    piece, under ("sg_four_point", target.key); a raise stores nothing.
     """
-    piece, local = admissible_target(W, i)
-    s = piece.summands[0]
-    key = tuple(s.exponents[k] for k in piece.target_order(local)) if s.kind == "loop" else local
-    return piece.derive(("sg_four_point", key), lambda: _sg_four_point(piece, local))
+    return target.piece.derive(("sg_four_point", target.key), lambda: _sg_four_point(*target))
 
 
 def _sg_four_point(piece: InvertiblePolynomial, local: int) -> Fraction:
     """`sg_four_point` on the atomic piece, at its 1-based variable
-    ``local``, with no theorem gate."""
+    ``local``."""
     f = piece.transpose()
     ring = ring_of(f)
     n = f.N

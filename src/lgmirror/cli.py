@@ -47,7 +47,7 @@ from .errors import (
 )
 from .groups import GroupCapExceeded, enumerate_group
 from .jacobi import ring_of, top_of
-from .mirror import admissible_target, final_type_insertions, psi, require_mirror_hypotheses
+from .mirror import Target, admissible_target, final_type_insertions, psi, require_mirror_hypotheses
 from .poly import InvertiblePolynomial, NotInvertibleShape, PolynomialSyntaxError, format_monomial, parse_term
 from .selection import CorrelatorSpec, classify_type, passes_axioms
 
@@ -126,33 +126,23 @@ def decoration_lines(decorations: list[dict]) -> list[str]:
     ]
 
 
-def reduction_trace(piece: InvertiblePolynomial, local: int) -> list[dict]:
-    """Reduction trail of [M_i d^Nx] in the Brieskorn lattice of the
-    summand's transpose, where ``sg_four_point`` computes the B side, its
-    monomials read in `target_order`: variable k there is the piece's row k."""
-    _, _, target = final_type_insertions(piece, local)
+def reduction_trace(target: Target) -> list[dict]:
+    """Reduction trail of [M_i d^Nx] in the Brieskorn lattice of the piece's
+    transpose, where ``sg_four_point`` computes the B side, its monomials
+    read in `target_order`: variable k there is the piece's row k."""
+    piece, local = target
     steps: list[dict] = []
-    brieskorn_reduce(ring_of(piece.transpose()), {0: {target: (1, 1)}}, steps)
+    brieskorn_reduce(ring_of(piece.transpose()), {0: {final_type_insertions(piece, local)[2]: (1, 1)}}, steps)
     order = piece.target_order(local)
-    return [
-        {
-            "z": s["z"],
-            "chunk": _poly_dict(s["chunk"], order),
-            "normal_form": _poly_dict(s["normal_form"], order),
-            "pushed": _poly_dict(s["pushed"], order),
-        }
-        for s in steps
-    ]
+    return [{"z": s["z"], **{k: _poly_dict(s[k], order) for k in ("chunk", "normal_form", "pushed")}}
+            for s in steps]
 
 
 def reduction_lines(steps: list[dict]) -> list[str]:
-    out = []
-    for s in steps:
-        chunk = " + ".join(f"{c}*{m}" for m, c in s["chunk"].items()) or "0"
-        nf = " + ".join(f"{c}*{m}" for m, c in s["normal_form"].items()) or "0"
-        push = " + ".join(f"{c}*{m}" for m, c in s["pushed"].items()) or "0"
-        out.append(f"    z^{s['z']}: {chunk}  ->  nf {nf}, push {push}")
-    return out
+    def text(p):
+        return " + ".join(f"{c}*{m}" for m, c in p.items()) or "0"
+    return [f"    z^{s['z']}: {text(s['chunk'])}  ->  nf {text(s['normal_form'])}, push {text(s['pushed'])}"
+            for s in steps]
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +163,11 @@ def verification_report(W: InvertiblePolynomial, trace: bool = False) -> dict:
     skipped: list[dict] = []
     for i in range(1, W.N + 1):
         try:
-            result = four_point_report(W, i)
-            b_value = sg_four_point(W, i)
+            target = admissible_target(W, i)
         except UnsupportedByTheorem as exc:
             skipped.append({"i": i, "q_i": frac(W.q[i - 1]), "reason": str(exc)})
             continue
+        result, b_value = four_point_report(target), sg_four_point(target)
         entry = {
             "i": i,
             "q_i": frac(W.q[i - 1]),
@@ -188,8 +178,7 @@ def verification_report(W: InvertiblePolynomial, trace: bool = False) -> dict:
         }
         if trace:
             entry["decorations"] = [decoration_json(d) for d in result.decorations]
-            # both sides admitted i above, so the piece needs no gate here
-            entry["reduction"] = reduction_trace(*W.piece(i - 1))
+            entry["reduction"] = reduction_trace(target)
         variables.append(entry)
     hypothesis = bool(W.weight_half_variables())
     mismatch = any(not v["matched"] for v in variables)
@@ -431,11 +420,11 @@ def cmd_axioms(W: InvertiblePolynomial, args) -> Output:
 
 def cmd_correlator(W: InvertiblePolynomial, args) -> Output:
     i = args.target
-    piece, local = admissible_target(W, i)  # validates i before any evaluation
+    target = admissible_target(W, i)  # validates i before any evaluation
     document: dict = {"i": i, "q_i": frac(W.q[i - 1])}
     lines = []
     if args.side in ("A", "both"):
-        result = four_point_report(W, i)
+        result = four_point_report(target)
         document["A"] = {
             "value": frac(result.value),
             "method": result.method,
@@ -445,11 +434,11 @@ def cmd_correlator(W: InvertiblePolynomial, args) -> Output:
         if args.trace:
             lines.extend(decoration_lines(document["A"]["decorations"]))
     if args.side in ("B", "both"):
-        b_value = sg_four_point(W, i)
+        b_value = sg_four_point(target)
         document["B"] = {"value": frac(b_value)}
         lines.append(f"  B side: {frac(b_value)}")
         if args.trace:
-            steps = reduction_trace(piece, local)
+            steps = reduction_trace(target)
             document["B"]["reduction"] = steps
             lines.extend(reduction_lines(steps))
     return 0, document, lines

@@ -49,9 +49,9 @@ def exception_variables(W: InvertiblePolynomial) -> tuple[int, ...]:
 
 
 def require_mirror_hypotheses(W: InvertiblePolynomial) -> None:
-    # a chain's other variables weigh less than 1/2: only its pure-power tail can
-    bad = [s.variables[-1] for s in W.summands
-           if s.kind == "chain" and 2 * W.Dq[s.variables[-1]] == W.D]
+    # only a chain's pure-power tail can weigh 1/2; scanned once per W
+    bad = W.derive("weight_half_tails", lambda: tuple(s.variables[-1] for s in W.summands
+                   if s.kind == "chain" and 2 * W.Dq[s.variables[-1]] == W.D))
     if bad:
         names = ", ".join(f"x{i+1}" for i in bad)
         raise UnsupportedByTheorem(
@@ -59,15 +59,31 @@ def require_mirror_hypotheses(W: InvertiblePolynomial) -> None:
             "the mirror theorem excludes this case")
 
 
-def admissible_target(W: InvertiblePolynomial, i: int) -> tuple[InvertiblePolynomial, int]:
+class Target(NamedTuple):
+    """x_i admitted by `admissible_target`, the one builder: x_i's atomic
+    piece, from `W.piece`, and x_i's 1-based index in it."""
+
+    piece: InvertiblePolynomial
+    local: int
+
+    @property
+    def key(self):
+        """The target's key in the piece's memo: a loop's exponents read in
+        `target_order`, else ``local``, so the variables a symmetry of W
+        exchanges share one computation."""
+        piece, local = self
+        s = piece.summands[0]
+        return tuple(s.exponents[k] for k in piece.target_order(local)) if s.kind == "loop" else local
+
+
+def admissible_target(W: InvertiblePolynomial, i: int) -> Target:
     """Validate that <x_i, x_i, M_i/x_i^2, top> falls under the theorem.
 
     The variable must be a power-at-least-3 one when its summand is a
     Fermat, and the final one when it is a chain; every loop variable is
     supported.  The check reads x_i's summand in W, so a refused target
-    builds nothing.  Returns `W.piece`: the atomic summand of x_i as a
-    standalone polynomial in its chain order, with x_i's 1-based index
-    in it; both correlator sides validate through this single gate.
+    builds nothing.  This is the one gate: the admitted `Target` is what
+    both correlator sides and ``--trace`` take.
     """
     require_mirror_hypotheses(W)
     if not 1 <= i <= W.N:
@@ -77,7 +93,7 @@ def admissible_target(W: InvertiblePolynomial, i: int) -> tuple[InvertiblePolyno
         raise UnsupportedByTheorem("Fermat variables need exponent at least 3")
     if s.kind == "chain" and s.variables[-1] != i - 1:
         raise UnsupportedByTheorem("chain variables other than the final one are not supported")
-    return W.piece(i - 1)
+    return Target(*W.piece(i - 1))
 
 
 def sector_of(W: InvertiblePolynomial, m: Monomial) -> GroupElement:

@@ -33,10 +33,10 @@ and only they take E⁻¹ from the closed forms.  Polynomials derived from W
 (its transpose `transpose()`, and the atomic piece `piece(v)` of a variable
 that both correlator sides evaluate) are read off W's summands, `head` and
 `DE_inv` through `_assemble`, once per polynomial through `derive`, and
-kept on W for as long as W lives, one piece per summand.  A piece keeps
-the A and B values of its targets (``("four_point", key)`` and
-``("sg_four_point", key)``, keyed through `target_order`), so the
-variables of W that a symmetry exchanges share one computation.
+kept on W for as long as W lives, one piece per summand, found through a
+variable→summand map built once per W.  A piece keeps the A and B values
+of its admitted targets, under ``("four_point", key)`` and
+``("sg_four_point", key)`` with `mirror.Target.key`.
 """
 
 from __future__ import annotations
@@ -217,12 +217,12 @@ class InvertiblePolynomial(NamedTuple):
             self.D, tuple(zip(*self.DE_inv))))
 
     def piece(self, v: int) -> tuple["InvertiblePolynomial", int]:
-        """The atomic summand of x_v (0-based) as a standalone polynomial,
-        and v's 1-based index in it.  Its variables run in the summand's
-        chain order, so every variable of one summand gets the same piece;
-        its rows are W's rows at them, through ``head``, and its E⁻¹ is the
-        summand's block of E⁻¹, over D = the summand's `det`.  Correlators
-        of a direct sum factor through the summands."""
+        """x_v's atomic summand (0-based v) as a standalone polynomial, and
+        v's 1-based index in it: a `mirror.Target` once admitted.  Its
+        variables run in the summand's chain order, so every variable of one
+        summand gets the same piece; its rows are W's rows at them, through
+        ``head``, and its E⁻¹ is the summand's block of E⁻¹, over D = the
+        summand's `det`.  Correlators of a direct sum factor through summands."""
         s = self.summand_of(v)
         order, k, ident = s.variables, self.D // s.det, tuple(range(len(s.variables)))
         return self.derive(("piece", s.kind, s.exponents), lambda: InvertiblePolynomial._assemble(
@@ -245,10 +245,8 @@ class InvertiblePolynomial(NamedTuple):
         return tuple(i for i, dq in enumerate(self.Dq) if 2 * dq == self.D)
 
     def summand_of(self, i: int) -> AtomicSummand:
-        for s in self.summands:
-            if i in s.variables:
-                return s
-        raise IndexError(i)
+        """x_i's summand (0-based i), read off a map built once per W."""
+        return self.derive("summand_of", lambda: {v: s for s in self.summands for v in s.variables})[i]
 
     def describe(self) -> str:
         return " ⊕ ".join(s.describe() for s in self.summands)

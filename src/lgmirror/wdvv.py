@@ -28,7 +28,7 @@ from typing import NamedTuple
 from .amodel import four_point_report
 from .errors import InconsistentInput, UnderdeterminedSystem, UnsupportedByTheorem, WrongConfiguration
 from .jacobi import JacobiRing, RingElement, ring_of
-from .mirror import final_type_insertions
+from .mirror import admissible_target, final_type_insertions
 from .poly import InvertiblePolynomial, format_monomial
 
 Key = tuple[int, int, int, int]
@@ -231,13 +231,14 @@ def fermat_closure(W: InvertiblePolynomial):
     correlator <x_j, x_j, x_j^{a_j-2} alpha, x_j^{a_j-2} beta> by one
     associativity step each: splitting epsilon * phi = x_j^{a_j-2} *
     alpha kills the two product terms against the relation x_j^{a_j-1} =
-    0, so each value equals its seed.  The seeds are read before the ring
-    is built, so the gate they pass through refuses a square before any
-    ring exists.  Returns the table and the chain of identities.
+    0, so each value equals its seed.  Every variable passes the theorem
+    gate before a seed or the ring is computed, so a refused square
+    computes nothing.  Returns the table and the chain of identities.
     """
     if any(s.kind != "fermat" for s in W.summands):
         raise UnsupportedByTheorem(_SHAPES)
-    seeds = [four_point_report(W, j + 1).value for j in range(W.N)]
+    targets = [admissible_target(W, j + 1) for j in range(W.N)]
+    seeds = [four_point_report(t).value for t in targets]
     ring = ring_of(W.transpose())
     table = CorrelatorTable(ring)
     top = ring.top
@@ -282,7 +283,7 @@ def loop_square_chain(W: InvertiblePolynomial):
     xa, seed, _ = final_type_insertions(W, va + 1)    # x_a and x_a^{a-2} x_s
     xs = final_type_insertions(W, vs + 1)[0]
     top = ring.top
-    seed_key = table.set((xa, xa, seed, top), four_point_report(W, va + 1).value)
+    seed_key = table.set((xa, xa, seed, top), four_point_report(admissible_target(W, va + 1)).value)
     if table.values[seed_key] != W.q[va]:
         raise WrongConfiguration(f"seed correlator {table.values[seed_key]} is not q_a = {W.q[va]}")
     chain = [

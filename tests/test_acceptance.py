@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement, product as cartesian
 from lgmirror.amodel import four_point_report, wdvv_case1
 from lgmirror.bmodel import good_basis_check, perturbative_expand, sg_four_point
 from lgmirror.jacobi import JacobiRing, OracleQuotient
-from lgmirror.mirror import psi, sector_of
+from lgmirror.mirror import admissible_target, psi, sector_of
 from lgmirror.poly import AtomicSummand, InvertiblePolynomial
 from lgmirror.selection import CorrelatorSpec
 
@@ -44,8 +44,8 @@ def test_criterion_1_fermat_suite():
     t0 = time.perf_counter()
     for a in range(3, 10):
         W = atomic("fermat", (a,))
-        assert four_point_report(W, 1).value == F(1, a)
-        assert sg_four_point(W, 1) == -F(1, a)
+        assert four_point_report(admissible_target(W, 1)).value == F(1, a)
+        assert sg_four_point(admissible_target(W, 1)) == -F(1, a)
     dt = time.perf_counter() - t0
     assert dt < 1.0
     passed(1, f"A = 1/a and B = -1/a for Fermat a = 3..9 in {dt:.2f}s")
@@ -65,10 +65,10 @@ def test_criterion_2_chain_suite():
             W = atomic("chain", a)
             q_final = W.q[N - 1]
             assert q_final == F(1, a[-1])
-            report = four_point_report(W, N)
+            report = four_point_report(admissible_target(W, N))
             assert report.value == q_final
             assert report.method == "concave"
-            assert sg_four_point(W, N) == -q_final
+            assert sg_four_point(admissible_target(W, N)) == -q_final
             count += 1
     dt = time.perf_counter() - t0
     assert dt < 10.0
@@ -96,10 +96,10 @@ def test_criterion_3_loop_suite():
         for a in cartesian(range(2, 6), repeat=N):
             W = atomic("loop", a)
             q_final = W.q[N - 1]
-            report = four_point_report(W, N)
+            report = four_point_report(admissible_target(W, N))
             assert report.value == q_final
             assert report.method == expected_loop_method(a)
-            assert sg_four_point(W, N) == -q_final
+            assert sg_four_point(admissible_target(W, N)) == -q_final
             by_method[report.method] += 1
     dt = time.perf_counter() - t0
     assert dt < 30.0

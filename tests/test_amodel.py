@@ -22,6 +22,7 @@ from lgmirror.errors import (
     WrongConfiguration,
 )
 from lgmirror.groups import identity
+from lgmirror.mirror import admissible_target
 from lgmirror.poly import AtomicSummand, InvertiblePolynomial
 from lgmirror.selection import line_bundle_degrees
 
@@ -42,14 +43,14 @@ def atomic(kind, a):
 @pytest.mark.parametrize("a", range(3, 10))
 def test_fermat_values(a):
     W = InvertiblePolynomial.from_string(f"x1^{a}")
-    r = four_point_report(W, 1)
+    r = four_point_report(admissible_target(W, 1))
     assert r.value == F(1, a) == W.q[0]
     assert r.method == "concave"
 
 
 def test_chain_value_and_node_phases():
     W = atomic("chain", (3, 4))
-    r = four_point_report(W, 2)
+    r = four_point_report(admissible_target(W, 2))
     assert r.value == W.q[1] == F(1, 4)
     assert r.method == "concave"
     # node sector on the separating graph {theta,theta | S,H} has last
@@ -80,15 +81,15 @@ def test_final_type_line_bundle_degrees():
 
 
 def test_loop_concave_values():
-    assert four_point_report(atomic("loop", (2, 4)), 2).value == F(1, 7)
-    assert four_point_report(atomic("loop", (2, 3)), 2).value == F(1, 5)
+    assert four_point_report(admissible_target(atomic("loop", (2, 4)), 2)).value == F(1, 7)
+    assert four_point_report(admissible_target(atomic("loop", (2, 3)), 2)).value == F(1, 5)
     W = atomic("loop", (2, 3, 4))
-    assert four_point_report(W, 3).value == W.q[2] == F(4, 25)
+    assert four_point_report(admissible_target(W, 3)).value == W.q[2] == F(4, 25)
 
 
 def test_guere_values():
     W = atomic("loop", (2, 3, 2))
-    r = four_point_report(W, 3)
+    r = four_point_report(admissible_target(W, 3))
     assert r.value == W.q[2] == F(4, 13)
     assert r.method == "guere"
     W = atomic("loop", (3, 2, 2))
@@ -196,37 +197,37 @@ def test_wdvv_case2_wrong_polynomial():
 
 
 def test_dispatch_methods():
-    assert four_point_report(atomic("loop", (2, 2)), 1).method == "wdvv1"
-    assert four_point_report(atomic("loop", (3, 2)), 2).method == "wdvv2"
-    assert four_point_report(atomic("loop", (3, 2)), 1).method == "concave"
-    assert four_point_report(atomic("loop", (2, 2, 2, 2)), 3).method == "guere"
-    assert four_point_report(atomic("chain", (2, 2, 3)), 3).method == "concave"
+    assert four_point_report(admissible_target(atomic("loop", (2, 2)), 1)).method == "wdvv1"
+    assert four_point_report(admissible_target(atomic("loop", (3, 2)), 2)).method == "wdvv2"
+    assert four_point_report(admissible_target(atomic("loop", (3, 2)), 1)).method == "concave"
+    assert four_point_report(admissible_target(atomic("loop", (2, 2, 2, 2)), 3)).method == "guere"
+    assert four_point_report(admissible_target(atomic("chain", (2, 2, 3)), 3)).method == "concave"
 
 
 def test_direct_sum_factorization():
     W = InvertiblePolynomial.from_string("x1^3 + x2^4 + x3^2*x4 + x4^3*x3")
     for i in (1, 2, 3, 4):
-        assert four_point_report(W, i).value == W.q[i - 1]
+        assert four_point_report(admissible_target(W, i)).value == W.q[i - 1]
     # the loop variable of exponent 3 becomes the last one after rotation
-    assert four_point_report(W, 4).method == "concave"
+    assert four_point_report(admissible_target(W, 4)).method == "concave"
     # the exponent-2 loop variable routes through the reconstruction
-    assert four_point_report(W, 3).method == "wdvv2"
+    assert four_point_report(admissible_target(W, 3)).method == "wdvv2"
 
 
 def test_unsupported_variables():
     with pytest.raises(UnsupportedByTheorem):
-        four_point_report(InvertiblePolynomial.from_string("x1^2"), 1).value
+        admissible_target(InvertiblePolynomial.from_string("x1^2"), 1)
     with pytest.raises(UnsupportedByTheorem):
-        four_point_report(atomic("chain", (3, 4)), 1).value  # not the final variable
+        admissible_target(atomic("chain", (3, 4)), 1)  # not the final variable
     with pytest.raises(UnsupportedByTheorem):
-        four_point_report(InvertiblePolynomial.from_string("x1^2*x2 + x2^2"), 2).value
+        admissible_target(InvertiblePolynomial.from_string("x1^2*x2 + x2^2"), 2)
 
 
 def test_bad_target_index():
     with pytest.raises(WrongConfiguration):
-        four_point_report(InvertiblePolynomial.from_string("x1^5"), 0).value
+        admissible_target(InvertiblePolynomial.from_string("x1^5"), 0)
     with pytest.raises(WrongConfiguration):
-        four_point_report(InvertiblePolynomial.from_string("x1^5"), 2).value
+        admissible_target(InvertiblePolynomial.from_string("x1^5"), 2)
 
 
 # ------------------------------------------------------------- decorations
@@ -281,7 +282,7 @@ def loop_tuples(max_n, amax):
 @pytest.mark.parametrize("a", sorted(chain_tuples(3, 4)))
 def test_chain_identity(a):
     W = atomic("chain", a)
-    r = four_point_report(W, W.N)
+    r = four_point_report(admissible_target(W, W.N))
     assert r.value == W.q[-1] == F(1, a[-1])
     assert r.method == "concave"
 
@@ -290,4 +291,4 @@ def test_chain_identity(a):
 def test_loop_identity_all_targets(a):
     W = atomic("loop", a)
     for i in range(1, W.N + 1):
-        assert four_point_report(W, i).value == W.q[i - 1]
+        assert four_point_report(admissible_target(W, i)).value == W.q[i - 1]

@@ -636,7 +636,7 @@ class TestPerturbativeExpansion:
         smono = tuple(sorted((ix, ix, isv)))
         multiplicity = 6 if ix == isv else 2
         value = multiplicity * state.j_coefficient(-2, smono, unit_index)
-        assert value == sg_four_point(W, i)
+        assert value == sg_four_point(admissible_target(W, i))
 
     @pytest.mark.parametrize("W,i", SERIES_CASES + [(atomic("loop", (3, 3)), 1)])
     def test_the_series_solves_its_defining_equation(self, W, i):
@@ -771,13 +771,13 @@ def test_four_point_is_the_collapsed_reduction():
     reduce to nonpositive z-powers."""
     targets = 0
     for W, i in criteria_targets():
-        piece, local = admissible_target(W, i)
-        x, s, m = final_type_insertions(piece, local)
-        f = piece.transpose()
+        target = admissible_target(W, i)
+        x, s, m = final_type_insertions(*target)
+        f = target.piece.transpose()
         for right in (x, s):
             product = tuple(map(add, x, right))
             assert all(k <= 0 for k in reduced(f, {0: {product: (1, 1)}}))
-        assert reduced(f, {-3: {m: (1, 1)}}) == {-2: {(0,) * f.N: sg_four_point(W, i)}}
+        assert reduced(f, {-3: {m: (1, 1)}}) == {-2: {(0,) * f.N: sg_four_point(target)}}
         targets += 1
     assert targets > 400
 
@@ -834,7 +834,7 @@ class TestFourPoint:
     @pytest.mark.parametrize("a", range(3, 10))
     def test_fermat_values(self, a):
         W = atomic("fermat", (a,))
-        assert sg_four_point(W, 1) == -F(1, a)
+        assert sg_four_point(admissible_target(W, 1)) == -F(1, a)
 
     @pytest.mark.parametrize(
         "a", [(3, 3), (3, 4), (2, 5), (4, 3), (2, 2, 3), (3, 4, 5), (2, 2, 2, 3)]
@@ -842,7 +842,7 @@ class TestFourPoint:
     def test_chain_final_variable(self, a):
         W = atomic("chain", a)
         n = len(a)
-        assert sg_four_point(W, n) == -weights_oracle(W)[n - 1]
+        assert sg_four_point(admissible_target(W, n)) == -weights_oracle(W)[n - 1]
 
     @pytest.mark.parametrize(
         "a", [(2, 3), (3, 3), (4, 5), (2, 3, 2), (2, 3, 4), (3, 3, 3), (2, 3, 4, 5)]
@@ -851,23 +851,23 @@ class TestFourPoint:
         W = atomic("loop", a)
         q = weights_oracle(W)
         for i in range(1, len(a) + 1):
-            assert sg_four_point(W, i) == -q[i - 1]
+            assert sg_four_point(admissible_target(W, i)) == -q[i - 1]
 
     def test_symmetric_loop_value(self):
         # E = [[3, 1], [1, 3]] gives q = (1/4, 1/4).
         W = atomic("loop", (3, 3))
         assert weights_oracle(W) == [F(1, 4), F(1, 4)]
-        assert sg_four_point(W, 2) == -F(1, 4)
+        assert sg_four_point(admissible_target(W, 2)) == -F(1, 4)
 
     def test_cubic_fermat_is_the_degenerate_case(self):
         # M_1/x^2 = x: all three non-top insertions coincide.
-        assert sg_four_point(atomic("fermat", (3,)), 1) == -F(1, 3)
+        assert sg_four_point(admissible_target(atomic("fermat", (3,)), 1)) == -F(1, 3)
 
     def test_direct_sums_localize_to_the_summand(self):
         W = assemble(("fermat", (5,)), ("loop", (3, 3)), ("chain", (3, 4)))
         q = weights_oracle(W)
         for i in (1, 2, 3, 5):
-            assert sg_four_point(W, i) == -q[i - 1]
+            assert sg_four_point(admissible_target(W, i)) == -q[i - 1]
 
     @pytest.mark.parametrize(
         "W,i",
@@ -880,13 +880,13 @@ class TestFourPoint:
     )
     def test_untheorized_targets_are_refused(self, W, i):
         with pytest.raises(UnsupportedByTheorem):
-            sg_four_point(W, i)
+            admissible_target(W, i)
 
     def test_out_of_range_index_is_refused(self):
         with pytest.raises(WrongConfiguration):
-            sg_four_point(atomic("fermat", (5,)), 2)
+            admissible_target(atomic("fermat", (5,)), 2)
         with pytest.raises(WrongConfiguration):
-            sg_four_point(atomic("fermat", (5,)), 0)
+            admissible_target(atomic("fermat", (5,)), 0)
 
     @pytest.mark.parametrize(
         "reduced,message",
@@ -901,7 +901,7 @@ class TestFourPoint:
         # survive `python -O`, and the CLI must report them with exit 2.
         monkeypatch.setattr(bmodel, "brieskorn_reduce", lambda ring, levels, steps=None: reduced)
         with pytest.raises(WrongConfiguration, match=re.escape(message)):
-            sg_four_point(atomic("loop", (3, 3)), 1)
+            sg_four_point(admissible_target(atomic("loop", (3, 3)), 1))
         argv = ["correlator", "--expr", "x1^3*x2 + x2^3*x1", "--target", "1", "--side", "B"]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -923,4 +923,5 @@ class TestFourPoint:
     def test_mirror_identity_on_samples(self, W, i):
         # The two sides are computed by disjoint machinery; their match is
         # the mirror identity itself.
-        assert four_point_report(W, i).value == -sg_four_point(W, i)
+        target = admissible_target(W, i)
+        assert four_point_report(target).value == -sg_four_point(target)

@@ -116,7 +116,7 @@ class TestVerifyExitCodes:
     def test_mismatch_exits_1(self, capsys, monkeypatch):
         # The identity must never fail on honest inputs, so fault-inject the
         # B side to check the reporting path.
-        monkeypatch.setattr(cli, "sg_four_point", lambda W, i: Fraction(1, 7))
+        monkeypatch.setattr(cli, "sg_four_point", lambda target: Fraction(1, 7))
         code, doc, _ = run_json(capsys, "verify", "--expr", "x1^3")
         assert code == 1
         assert doc["overall"] == "fail"
@@ -181,7 +181,7 @@ def test_a_side_builds_no_ring(monkeypatch, expr):
     built = count_ring_builds(monkeypatch)
     W = InvertiblePolynomial.from_string(expr)
     for i in range(1, W.N + 1):
-        amodel.four_point_report(W, i).value
+        amodel.four_point_report(mirror.admissible_target(W, i)).value
     assert built == []
 
 
@@ -237,7 +237,7 @@ def test_a_side_degree_bookkeeping_is_checked_not_asserted(monkeypatch, capsys):
     monkeypatch.setattr(amodel, "line_bundle_degrees", shifted)
     W = InvertiblePolynomial.from_string("x1^3*x2 + x2^4")
     with pytest.raises(WrongConfiguration):
-        amodel.four_point_report(W, 2)
+        amodel.four_point_report(mirror.admissible_target(W, 2))
     code, _, err = run(capsys, "correlator", "--expr", "x1^3*x2 + x2^4",
                        "--target", "2", "--side", "A")
     assert code == 2
@@ -689,13 +689,17 @@ class TestWdvv:
 
     @pytest.mark.parametrize("expr", ["x1^2+x2^3", "x1^3+x2^2", "x1^2"])
     def test_fermat_square_exits_3_from_the_gate(self, capsys, monkeypatch, expr):
-        """`wdvv` leaves the refusal of a Fermat square to the theorem gate
-        that the closure's seeds pass through, wherever the square sits;
-        the seeds are read before Wᵗ's ring is built, so none is."""
+        """`wdvv` leaves the refusal of a Fermat square to the theorem gate,
+        wherever the square sits: every variable passes the gate before
+        any seed is evaluated or Wᵗ's ring built, so neither happens."""
         def refuse(f):
             raise AssertionError(f"ring of {f.to_string()} built")
 
+        def evaluate(piece, local):
+            raise AssertionError(f"seed at x{local} of {piece.to_string()} evaluated")
+
         monkeypatch.setattr(wdvv, "ring_of", refuse)
+        monkeypatch.setattr(amodel, "_four_point_report", evaluate)
         assert run(capsys, "wdvv", "--expr", expr) == (
             3, "", "unsupported: Fermat variables need exponent at least 3\n")
 

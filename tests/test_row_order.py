@@ -22,6 +22,7 @@ from lgmirror import cli
 from lgmirror.amodel import (SYMMETRIC_LOOP_SEED, four_point_report, wdvv_case1,
                              wdvv_case2)
 from lgmirror.bmodel import good_basis_check, sg_four_point
+from lgmirror.mirror import admissible_target
 from lgmirror.poly import InvertiblePolynomial, format_monomial, parse_exponent_matrix
 
 POLYNOMIALS = [
@@ -198,7 +199,7 @@ def _outcome(compute, *args):
 
 
 def _report(W, i):
-    result = four_point_report(W, i)
+    result = four_point_report(admissible_target(W, i))
     return result.value, result.method
 
 
@@ -213,7 +214,7 @@ def library_values(W):
     counts of the good-basis check on Wᵗ; errors stand as their names."""
     return {
         "four_point": [_outcome(_report, W, i) for i in range(1, W.N + 1)],
-        "sg": [_outcome(sg_four_point, W, i) for i in range(1, W.N + 1)],
+        "sg": [_outcome(lambda i: sg_four_point(admissible_target(W, i)), i) for i in range(1, W.N + 1)],
         "wdvv1": _outcome(wdvv_case1, W, SYMMETRIC_LOOP_SEED),
         "wdvv2": _outcome(wdvv_case2, W),
         "good_basis": _outcome(_good_basis_counts, W),
@@ -260,8 +261,8 @@ def test_loop_targets_read_the_same_in_every_presentation():
             first = None
             for c in range(n):
                 W = InvertiblePolynomial.from_string(_relabelled_loop(a, c, rng.sample(range(n), n)))
-                seen = [(four_point_report(W, (k + c) % n + 1), sg_four_point(W, (k + c) % n + 1))
-                        for k in range(n)]
+                targets = [admissible_target(W, (k + c) % n + 1) for k in range(n)]
+                seen = [(four_point_report(t), sg_four_point(t)) for t in targets]
                 first = first or seen
                 assert seen == first, (a, c)
             for k, (result, b_value) in enumerate(first):

@@ -273,8 +273,7 @@ def test_pieces_are_built_in_poly():
     """Every polynomial is assembled in `poly`: only the parser, the
     transpose and `piece` call `_assemble`, only the parser takes E⁻¹ from
     the closed forms, no module imports a private name of `poly`, and the
-    B side imports nothing from the A side; both reach the theorem gate
-    through `mirror`."""
+    B side imports nothing from the A side."""
     for attribute, owners in [("_assemble", ["poly.InvertiblePolynomial.from_exponent_matrix",
                                              "poly.InvertiblePolynomial.piece",
                                              "poly.InvertiblePolynomial.transpose"]),
@@ -410,6 +409,29 @@ def test_mirror_does_not_import_jacobi():
                 for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
                 for alias in node.names}
     assert [m for m in imported if m.split(".")[-1] == "jacobi"] == []
+
+
+def _iterates_target_order(node):
+    """A comprehension over a call of ``target_order`` that reads
+    ``.exponents``: the loop's memo key."""
+    return (isinstance(node, (ast.GeneratorExp, ast.ListComp))
+            and any(_calls("target_order")(g.iter) for g in node.generators)
+            and any(isinstance(n, ast.Attribute) and n.attr == "exponents" for n in ast.walk(node.elt)))
+
+
+def test_one_theorem_gate():
+    """The gate admits a target once and hands it on: neither correlator
+    side imports `admissible_target`, only the gate builds a `Target`, and
+    the loop's memo key is stated once in src/, in `Target.key`."""
+    for side in ("amodel", "bmodel"):
+        tree = ast.parse((SOURCE / f"{side}.py").read_text(encoding="utf-8"))
+        assert [m for m, name in _imports(tree) if name == "admissible_target"] == [], side
+    sources = [(path, ast.parse(path.read_text(encoding="utf-8"))) for path in sorted(SOURCE.glob("*.py"))]
+    found = set().union(*(_owners(path, _calls("Target")) for path, _ in sources))
+    assert sorted(found) == ["mirror.admissible_target"]
+    keys = [path.stem for path, tree in sources for n in ast.walk(tree) if _iterates_target_order(n)]
+    assert keys == ["mirror"]
+    assert sorted(_owners(SOURCE / "mirror.py", _iterates_target_order)) == ["mirror.Target.key"]
 
 
 def _prints(node):

@@ -1,8 +1,13 @@
-"""Each correlator target is evaluated once per atomic piece and key.
+"""Each covered variable is gated once, and each correlator target is
+evaluated once per atomic piece and key.
 
-The four-point correlator of x_i depends only on x_i's atomic summand and
-its place in it, and `W.piece(v)` returns one object for all the
-variables of a summand.  So `four_point_report` and `sg_four_point`
+The theorem gate `admissible_target(W, i)` admits x_i as a `Target`: its
+atomic piece and its place in it.  `verify` and `correlator` gate each
+variable once and hand the target to both sides and to ``--trace``; the
+hypothesis scan and the variable→summand map behind the gate are built
+once per W.  The four-point correlator of x_i depends only on x_i's atomic
+summand and its place in it, and `W.piece(v)` returns one object for all
+the variables of a summand.  So `four_point_report` and `sg_four_point`
 memoize their values on the piece, under ("four_point", key) and
 ("sg_four_point", key), where the key of a loop target is the loop's
 exponents read from the variable after x_i round to x_i, and that of a
@@ -12,6 +17,8 @@ exchanges share one evaluation.  The memo lives on the piece, which lives
 on W: nothing is shared across polynomials, and a refusal or a raise
 stores nothing.
 """
+
+import sys
 
 import pytest
 
@@ -75,13 +82,14 @@ def test_verify_evaluates_each_piece_target_once(calls, text, verified, evaluati
     report = cli.verification_report(P)
     assert report["overall"] == "pass"
     targets = [admissible_target(P, v["i"]) for v in report["variables"]]
-    distinct = {(id(piece), _memo_key(P, v["i"]))
-                for v, (piece, _) in zip(report["variables"], targets)}
+    assert [t.key for t in targets] == [_memo_key(P, v["i"]) for v in report["variables"]]
+    distinct = {(id(t.piece), t.key) for t in targets}
     assert (len(targets), len(distinct)) == (verified, evaluations)
     assert len(calls["A"]) == len(calls["B"]) == evaluations
-    for v, (piece, local) in zip(report["variables"], targets):
+    for v, target in zip(report["variables"], targets):
+        piece, local = target
         result = FOUR_POINT(piece, local)
-        assert amodel.four_point_report(P, v["i"]) == result
+        assert amodel.four_point_report(target) == result
         assert v["A_value"] == cli.frac(result.value)
         assert v["B_value"] == cli.frac(SG_FOUR_POINT(piece, local))
     # the memo holds nothing a second pass could add
@@ -128,26 +136,92 @@ def test_a_raise_is_not_stored(monkeypatch, side):
     monkeypatch.setattr(module, name, flaky)
     P = W("x1^3*x2+x2^4")
     with pytest.raises(WrongConfiguration, match="first call fails"):
-        public(P, 2)
+        public(admissible_target(P, 2))
     assert _memo_keys(P) == []
-    assert public(P, 2) == path(*P.piece(1))
+    assert public(admissible_target(P, 2)) == path(*P.piece(1))
     assert failed == [2]
 
 
 def test_a_refused_target_stores_nothing():
-    """x1 of a chain is refused by the gate; x2 shares its piece, so the
-    piece's memo holds x2's local index only."""
+    """x1 of a chain is refused by the gate, before any piece is built; x2
+    shares its piece, so the piece's memo holds x2's local index only."""
     P = W("x1^3*x2+x2^4")
-    for public in (amodel.four_point_report, bmodel.sg_four_point):
-        with pytest.raises(UnsupportedByTheorem):
-            public(P, 1)
-    assert _memo_keys(P) == []
-    amodel.four_point_report(P, 2)
-    bmodel.sg_four_point(P, 2)
-    for public in (amodel.four_point_report, bmodel.sg_four_point):
-        with pytest.raises(UnsupportedByTheorem):
-            public(P, 1)
+    with pytest.raises(UnsupportedByTheorem):
+        admissible_target(P, 1)
+    assert [key for key in P.memo if type(key) is tuple] == []
+    target = admissible_target(P, 2)
+    amodel.four_point_report(target)
+    bmodel.sg_four_point(target)
+    with pytest.raises(UnsupportedByTheorem):
+        admissible_target(P, 1)
     assert _memo_keys(P) == [("four_point", 2), ("sg_four_point", 2)]
+
+
+@pytest.fixture
+def gated(monkeypatch):
+    """The variable of every call to the theorem gate, made through `cli`
+    or through any other lgmirror module that holds it."""
+    seen = []
+
+    def counted(P, i):
+        seen.append(i)
+        return admissible_target(P, i)
+
+    holders = [m for name, m in sys.modules.items() if name.split(".")[0] == "lgmirror"
+               and getattr(m, "admissible_target", None) is admissible_target]
+    assert cli in holders
+    for module in holders:
+        monkeypatch.setattr(module, "admissible_target", counted)
+    return seen
+
+
+GATED = [
+    "x1^3*x2+x2^3*x3+x3^3*x1",
+    # a skipped chain head, and a loop with a square
+    "x1^3*x2+x2^4+x3^2*x4+x4^3*x3",
+    # Fermat, chain and loop, on shuffled variables
+    "x4^2*x5 + x1^3 + x3^4 + x5^3*x4 + x2^3*x3",
+]
+
+
+@pytest.mark.parametrize("text", GATED)
+@pytest.mark.parametrize("flags", [[], ["--trace"], ["--json", "--trace"]])
+def test_verify_gates_each_variable_once(gated, capsys, text, flags):
+    """`verify` admits each variable once and hands the target to both
+    sides and to ``--trace``: N gate calls, one per variable, in order."""
+    assert cli.main(["verify", "--expr", text, *flags]) == 0
+    capsys.readouterr()
+    assert gated == list(range(1, W(text).N + 1))
+
+
+@pytest.mark.parametrize("side", ["A", "B", "both"])
+@pytest.mark.parametrize("flags", [[], ["--trace"]])
+def test_correlator_gates_once(gated, capsys, side, flags):
+    assert cli.main(["correlator", "--expr", GATED[2], "--target", "5", "--side", side, *flags]) == 0
+    capsys.readouterr()
+    assert gated == [5]
+
+
+@pytest.mark.parametrize("text", GATED)
+def test_the_gate_reads_w_once(monkeypatch, text):
+    """The hypothesis scan and the variable→summand map behind the gate are
+    built once per W, however often the gate runs."""
+    built = []
+    derive = InvertiblePolynomial.derive
+
+    def counting_derive(P, key, build):
+        return derive(P, key, lambda: built.append(key) or build())
+
+    monkeypatch.setattr(InvertiblePolynomial, "derive", counting_derive)
+    P = W(text)
+    for _ in range(2):
+        cli.verification_report(P, trace=True)
+        for i in range(1, P.N + 1):
+            try:
+                admissible_target(P, i)
+            except UnsupportedByTheorem:
+                pass
+    assert built.count("weight_half_tails") == built.count("summand_of") == 1
 
 
 def test_nothing_is_shared_across_polynomials(calls):
