@@ -195,9 +195,9 @@ def _final_type_sectors(W: InvertiblePolynomial, target: int) -> list[GroupEleme
     return [theta, theta, sector_of(W, s), sector_of(W, top_of(W.transpose()))]
 
 
-def guere_correlator(W: InvertiblePolynomial, sectors, decorations, target_index=None) -> Fraction:
-    """Four-point value at x_t, t = ``target_index`` (by default the last
-    variable), of a loop with a_t = 2 and N >= 3.
+def guere_correlator(W: InvertiblePolynomial, sectors, decorations, target_index: int) -> Fraction:
+    """Four-point value at x_t, t = ``target_index``, of a loop with a_t = 2
+    and N >= 3.
 
     The line bundle of x_p = (t - 2) mod N + 1, the loop variable that
     points at x_t, acquires sections on one boundary stratum, so the
@@ -213,8 +213,7 @@ def guere_correlator(W: InvertiblePolynomial, sectors, decorations, target_index
     """
     if len(W.summands) != 1 or W.summands[0].kind != "loop":
         raise WrongConfiguration("expected a single loop")
-    n, a = W.N, _exponents(W)
-    t = n if target_index is None else target_index
+    n, a, t = W.N, _exponents(W), target_index
     p = (t - 2) % n + 1
     if n < 3 or a[t - 1] != 2:
         raise WrongConfiguration("expected a loop with final exponent 2 and N >= 3")
@@ -284,9 +283,9 @@ def wdvv_case1(W: InvertiblePolynomial, X0: Fraction) -> tuple[Fraction, tuple[F
     return x, (-2 * x, 2 * x * x, -x * x)
 
 
-def wdvv_case2(W: InvertiblePolynomial, target_index: int = 2) -> Fraction:
-    """Four-point value at x_t, t = ``target_index`` (x2 by default), of
-    x_o^a*x_t + x_t^2*x_o with a > 2.
+def wdvv_case2(W: InvertiblePolynomial, target_index: int) -> Fraction:
+    """Four-point value at x_t, t = ``target_index``, of x_o^a*x_t +
+    x_t^2*x_o with a > 2.
 
     The theta_t insertion is broad, so the value is reconstructed from the
     concave seed B = q_o, the final-type correlator at x_o read through

@@ -28,15 +28,14 @@ group.  The grading ``degree`` and the A side's phase arithmetic both
 work over D; ``q`` and ``charge``, built on first read, and
 ``inverse_exponents()`` are the ``Fraction`` views.
 
-Only `from_string` and `from_json` parse and classify an exponent matrix,
-and only they take E⁻¹ from the closed forms.  Polynomials derived from W
-(its transpose `transpose()`, and the atomic piece `piece(v)` of a variable
-that both correlator sides evaluate) are read off W's summands, `head` and
-`DE_inv` through `_assemble`, once per polynomial through `derive`, and
-kept on W for as long as W lives, one piece per summand, found through a
-variable→summand map built once per W.  A piece keeps the A and B values
-of its admitted targets, under ``("four_point", key)`` and
-``("sg_four_point", key)`` with `mirror.Target.key`.
+Each input format is checked once, by its reader, which hands on each
+monomial as a {0-based variable: exponent} map to be classified.  Every
+polynomial is built by `_assemble` from its summands and `head` alone: W,
+its transpose `transpose()` and the atomic piece `piece(v)` that both
+correlator sides evaluate, the last two once per polynomial through
+`derive`, kept on W as long as W lives, one piece per summand.  A piece
+keeps the A and B values of its admitted targets, under
+``("four_point", key)`` and ``("sg_four_point", key)`` (`mirror.Target.key`).
 """
 
 from __future__ import annotations
@@ -131,33 +130,30 @@ class InvertiblePolynomial(NamedTuple):
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def from_exponent_matrix(E) -> "InvertiblePolynomial":
-        if not isinstance(E, (list, tuple)) or not all(
-                isinstance(row, (list, tuple)) for row in E):
-            raise PolynomialSyntaxError("exponent matrix must be a list of rows")
-        # type, not isinstance: JSON true is a bool, which must not read as 1
-        if any(type(e) is not int for row in E for e in row):
-            raise PolynomialSyntaxError("exponents must be integers")
-        E = tuple(tuple(row) for row in E)
-        n = len(E)
-        if n == 0 or any(len(row) != n for row in E):
-            raise PolynomialSyntaxError("exponent matrix must be square and nonempty")
-        if any(e < 0 for row in E for e in row):
-            raise PolynomialSyntaxError("negative exponent")
-        summands, head = _classify_rows(E)
-        return InvertiblePolynomial._assemble(E, summands, head, *_inverse(summands, head))
+    def from_exponent_matrix(rows) -> "InvertiblePolynomial":
+        """The polynomial of ``rows``, one checked {0-based variable:
+        nonzero exponent} map per monomial, from `parse_exponent_matrix` or `from_json`."""
+        return InvertiblePolynomial._assemble(*_classify_rows(rows))
 
     @staticmethod
-    def _assemble(E, summands, head, D, DE_inv) -> "InvertiblePolynomial":
-        """The polynomial of a classified E, its summands and head rows,
-        and E⁻¹ = DE_inv/D; the weights follow."""
+    def _assemble(summands, head) -> "InvertiblePolynomial":
+        """The polynomial of its summands and of the row each variable heads:
+        row head[v] of E is x_v^{a_v} times the x_w that x_v points at."""
+        n, E = len(head), [()] * len(head)
+        for s in summands:
+            vs = s.variables
+            # w = v at a chain's end and for a Fermat, where x_v points nowhere
+            for v, a, w in zip(vs, s.exponents, vs[1:] + (vs[0] if s.kind == "loop" else vs[-1],)):
+                row = [0] * n
+                row[w], row[v] = 1, a
+                E[head[v]] = tuple(row)
+        D, DE_inv = _inverse(summands, head)
         # the weights solve E·q = (1,…,1)ᵗ: the row sums of E⁻¹
-        Dq = tuple(sum(row) for row in DE_inv)
+        Dq = tuple(map(sum, DE_inv))
         if not all(0 < x and 2 * x <= D for x in Dq):
-            # weights outside (0,1/2] cannot arise from an atomic sum with
-            # all a_i >= 2; guard anyway so bad matrices fail loudly.
+            # no atomic sum with all a_i >= 2 has such weights; guard anyway
             raise NotInvertibleShape(f"weights {tuple(Fraction(x, D) for x in Dq)} out of range (0,1/2]")
-        return InvertiblePolynomial(len(E), E, tuple(summands), head, D, DE_inv, Dq, {})
+        return InvertiblePolynomial(n, tuple(E), tuple(summands), head, D, DE_inv, Dq, {})
 
     @staticmethod
     def from_string(text: str) -> "InvertiblePolynomial":
@@ -165,13 +161,24 @@ class InvertiblePolynomial(NamedTuple):
 
     @staticmethod
     def from_json(blob: str) -> "InvertiblePolynomial":
+        """The polynomial of ``{"E": [[...], ...]}``: the one reader of a dense matrix."""
         try:
             data = json.loads(blob, parse_int=parse_int)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise PolynomialSyntaxError(f"bad JSON: {exc}") from exc
         if not isinstance(data, dict) or "E" not in data:
             raise PolynomialSyntaxError('JSON input must be {"E": [[...], ...]}')
-        return InvertiblePolynomial.from_exponent_matrix(data["E"])
+        E = data["E"]
+        if not isinstance(E, list) or not all(isinstance(row, list) for row in E):
+            raise PolynomialSyntaxError("exponent matrix must be a list of rows")
+        # type, not isinstance: JSON true is a bool, which must not read as 1
+        if any(type(e) is not int for row in E for e in row):
+            raise PolynomialSyntaxError("exponents must be integers")
+        if not E or any(len(row) != len(E) for row in E):
+            raise PolynomialSyntaxError("exponent matrix must be square and nonempty")
+        if any(e < 0 for row in E for e in row):
+            raise PolynomialSyntaxError("negative exponent")
+        return InvertiblePolynomial.from_exponent_matrix([{j: e for j, e in enumerate(row) if e} for row in E])
 
     # -- derived data ---------------------------------------------------
 
@@ -206,30 +213,25 @@ class InvertiblePolynomial(NamedTuple):
             return value
 
     def transpose(self) -> "InvertiblePolynomial":
-        """Wᵗ, read off W: its variable r is row r of E, so x_v's summand
-        runs backwards over the rows ``head`` names, the row headed by
-        x_{head[v]} is v, and (Eᵗ)⁻¹ = (E⁻¹)ᵗ over the same D."""
+        """Wᵗ, read off W's summands and ``head``: its variable r is row r
+        of E, so x_v's summand runs backwards over the rows ``head`` names,
+        and the row of Wᵗ headed by x_{head[v]} is v."""
         return self.derive("transpose", lambda: InvertiblePolynomial._assemble(
-            tuple(zip(*self.E)),
             sorted((_canonical(s.kind, s.exponents[::-1], [self.head[v] for v in s.variables[::-1]])
                     for s in self.summands), key=lambda s: s.variables[0]),
-            tuple(sorted(range(self.N), key=self.head.__getitem__)),
-            self.D, tuple(zip(*self.DE_inv))))
+            tuple(sorted(range(self.N), key=self.head.__getitem__))))
 
     def piece(self, v: int) -> tuple["InvertiblePolynomial", int]:
         """x_v's atomic summand (0-based v) as a standalone polynomial, and
         v's 1-based index in it: a `mirror.Target` once admitted.  Its
-        variables run in the summand's chain order, so every variable of one
-        summand gets the same piece; its rows are W's rows at them, through
-        ``head``, and its E⁻¹ is the summand's block of E⁻¹, over D = the
-        summand's `det`.  Correlators of a direct sum factor through summands."""
+        variables run in the summand's chain order, variable i heading row
+        i, so every variable of one summand gets the same piece, built from
+        the summand alone.  Correlators of a direct sum factor through
+        summands."""
         s = self.summand_of(v)
-        order, k, ident = s.variables, self.D // s.det, tuple(range(len(s.variables)))
+        ident = tuple(range(len(s.variables)))
         return self.derive(("piece", s.kind, s.exponents), lambda: InvertiblePolynomial._assemble(
-            tuple(tuple(self.E[self.head[u]][w] for w in order) for u in order),
-            [AtomicSummand(s.kind, s.exponents, ident)], ident, s.det,
-            tuple(tuple(self.DE_inv[u][self.head[w]] // k for w in order) for u in order),
-        )), order.index(v) + 1
+            [AtomicSummand(s.kind, s.exponents, ident)], ident)), s.variables.index(v) + 1
 
     def target_order(self, local: int) -> tuple[int, ...]:
         """The piece's variables (0-based), a loop's shifted so that x_local
@@ -300,8 +302,8 @@ def parse_term(term: str) -> dict[int, int]:
     return exps
 
 
-def parse_exponent_matrix(text: str) -> list[list[int]]:
-    """Parse 'x1^3*x2 + x2^4' into its exponent matrix (rows = monomials)."""
+def parse_exponent_matrix(text: str) -> list[dict[int, int]]:
+    """Parse 'x1^3*x2 + x2^4' into [{0: 3, 1: 1}, {1: 4}], one map per monomial."""
     stripped = re.sub(r"\s+", "", text)
     if not stripped:
         raise PolynomialSyntaxError("empty input")
@@ -319,22 +321,21 @@ def parse_exponent_matrix(text: str) -> list[list[int]]:
     if seen_vars != set(range(1, n + 1)):
         missing = sorted(set(range(1, n + 1)) - seen_vars)
         raise PolynomialSyntaxError(f"variable indices not contiguous; missing x{missing}")
-    rows = [[exps.get(j, 0) for j in range(1, n + 1)] for exps in rows_raw]
-    if len({tuple(r) for r in rows}) != len(rows):
+    if len({frozenset(exps.items()) for exps in rows_raw}) != n:
         raise PolynomialSyntaxError("repeated monomial")
-    return rows
+    return [{j - 1: e for j, e in exps.items()} for exps in rows_raw]
 
 
 # ---------------------------------------------------------------------------
 # classification
 
-def _classify_rows(E) -> tuple[list[AtomicSummand], tuple[int, ...]]:
-    """The atomic summands of E, and the row headed by each variable."""
-    n = len(E)
+def _classify_rows(rows) -> tuple[list[AtomicSummand], tuple[int, ...]]:
+    """The atomic summands of the monomial maps ``rows``, and the row each variable heads."""
+    n = len(rows)
     owner_row: dict[int, int] = {}   # variable -> its monomial row
     out_edge: dict[int, int | None] = {}
-    for r, row in enumerate(E):
-        support = [(j, e) for j, e in enumerate(row) if e != 0]
+    for r, row in enumerate(rows):
+        support = list(row.items())
         if len(support) == 1:
             j, e = support[0]
             if e < 2:
@@ -376,7 +377,7 @@ def _classify_rows(E) -> tuple[list[AtomicSummand], tuple[int, ...]]:
             path.append(nxt)
         seen.update(path)
         kind = "loop" if nxt == start else "chain" if len(path) > 1 else "fermat"
-        summands.append(_canonical(kind, [E[owner_row[v]][v] for v in path], path))
+        summands.append(_canonical(kind, [rows[owner_row[v]][v] for v in path], path))
     summands.sort(key=lambda s: s.variables[0])
     return summands, tuple(owner_row[v] for v in range(n))
 
@@ -416,18 +417,15 @@ def chain_inverse_entries(a) -> list[list[int]]:
     """det·E⁻¹ for the chain x_1^{a_1}x_2 + … + x_N^{a_N}, det = ∏ a_k
     (`AtomicSummand.det`): entry (i,j) = (−1)^{j−i} (∏_{k<i} a_k)(∏_{k>j} a_k)
     for j ≥ i, else 0."""
-    n = len(a)
-    return [[(-1) ** (j - i) * math.prod(a[:i]) * math.prod(a[j + 1:])
-             if j >= i else 0 for j in range(n)] for i in range(n)]
+    n, p = len(a), [math.prod(a[:m]) for m in range(len(a) + 1)]   # p[m] = ∏_{k<m} a_k
+    return [[(-1) ** (j - i) * p[i] * p[n] // p[j + 1] if j >= i else 0 for j in range(n)]
+            for i in range(n)]
 
 
 def loop_inverse_entries(a) -> list[list[int]]:
     """det·E⁻¹ for the loop x_1^{a_1}x_2 + … + x_N^{a_N}x_1,
     det = ∏ a_k − (−1)^N (`AtomicSummand.det`): the chain's entries for
     j ≥ i, and (i,j) = (−1)^{N+j−i} ∏_{j<k<i} a_k for j < i."""
-    n = len(a)
-    rows = chain_inverse_entries(a)
-    for i in range(n):
-        for j in range(i):
-            rows[i][j] = (-1) ** (n + j - i) * math.prod(a[j + 1:i])
-    return rows
+    n, p = len(a), [math.prod(a[:m]) for m in range(len(a) + 1)]   # p[m] = ∏_{k<m} a_k
+    return [[(-1) ** (j - i) * p[i] * p[n] // p[j + 1] if j >= i else
+             (-1) ** (n + j - i) * p[i] // p[j + 1] for j in range(n)] for i in range(n)]

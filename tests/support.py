@@ -1,12 +1,19 @@
 """Helpers shared by the test modules."""
 
 import itertools
+import json
 from fractions import Fraction
 
 from lgmirror import linalg
 from lgmirror.groups import GroupElement
 from lgmirror.jacobi import _graded, _partials
 from lgmirror.poly import AtomicSummand, InvertiblePolynomial
+
+
+def from_dense(E):
+    """The polynomial of a dense exponent matrix (a list of rows), read as
+    ``lgmirror`` reads a JSON input: the one reader of a dense matrix."""
+    return InvertiblePolynomial.from_json(json.dumps({"E": E}))
 
 
 def reassemble(summands, n):
@@ -40,7 +47,7 @@ def criteria_atomics():
                if kind != "chain" or a[-1] >= 3]
     for kind, a in shapes:
         raw = reassemble([AtomicSummand(kind, a, tuple(range(len(a))))], len(a))
-        yield InvertiblePolynomial.from_exponent_matrix(raw)
+        yield from_dense(raw)
 
 
 def residue_pairing(R, a, b):

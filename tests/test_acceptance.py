@@ -17,7 +17,7 @@ from lgmirror.mirror import admissible_target, psi, sector_of
 from lgmirror.poly import AtomicSummand, InvertiblePolynomial
 from lgmirror.selection import CorrelatorSpec
 
-from support import grading_element, reassemble, residue_pairing
+from support import from_dense, grading_element, reassemble, residue_pairing
 
 F = Fraction
 
@@ -25,7 +25,7 @@ F = Fraction
 def atomic(kind, a) -> InvertiblePolynomial:
     n = len(a)
     s = AtomicSummand(kind, tuple(a), tuple(range(n)))
-    return InvertiblePolynomial.from_exponent_matrix(reassemble([s], n))
+    return from_dense(reassemble([s], n))
 
 
 def poly(text) -> InvertiblePolynomial:
@@ -312,7 +312,7 @@ def test_criterion_8_mirror_map_checks():
         A, B = poly(left), poly(right)
         blocks = [list(row) + [0] * B.N for row in A.E]
         blocks += [[0] * A.N + list(row) for row in B.E]
-        combined = InvertiblePolynomial.from_exponent_matrix(blocks)
+        combined = from_dense(blocks)
         ra, rb = JacobiRing(A.transpose()), JacobiRing(B.transpose())
         for ma in ra.basis.monomials:
             for mb in rb.basis.monomials:

@@ -26,7 +26,7 @@ from lgmirror.mirror import admissible_target
 from lgmirror.poly import AtomicSummand, InvertiblePolynomial
 from lgmirror.selection import line_bundle_degrees
 
-from support import grading_element, reassemble
+from support import from_dense, grading_element, reassemble
 
 F = Fraction
 
@@ -34,7 +34,7 @@ F = Fraction
 def atomic(kind, a):
     n = len(a)
     raw = reassemble([AtomicSummand(kind, tuple(a), tuple(range(n)))], n)
-    return InvertiblePolynomial.from_exponent_matrix(raw)
+    return from_dense(raw)
 
 
 # ------------------------------------------------------------ worked values
@@ -95,7 +95,7 @@ def test_guere_values():
     W = atomic("loop", (3, 2, 2))
     sectors = _final_type_sectors(W, 3)
     decorations = boundary_decorations(W, sectors)
-    assert guere_correlator(W, sectors, decorations) == W.q[2] == F(5, 13)
+    assert guere_correlator(W, sectors, decorations, 3) == W.q[2] == F(5, 13)
 
 
 def test_guere_wrong_polynomial():
@@ -107,15 +107,15 @@ def test_guere_wrong_polynomial():
 
     W = atomic("chain", (3, 2))
     with pytest.raises(WrongConfiguration, match="^expected a single loop$"):
-        guere_correlator(W, *final_type(W, 2))
+        guere_correlator(W, *final_type(W, 2), 2)
     W = atomic("loop", (3, 2))
     with pytest.raises(WrongConfiguration,
                        match=r"^expected a loop with final exponent 2 and N >= 3$"):
-        guere_correlator(W, *final_type(W, 2))
+        guere_correlator(W, *final_type(W, 2), 2)
     W = atomic("loop", (2, 3, 2))
     sectors, decorations = final_type(W, 3)
     with pytest.raises(WrongConfiguration, match="^broad insertion sector$"):
-        guere_correlator(W, [identity(W)] + list(sectors[1:]), decorations)
+        guere_correlator(W, [identity(W)] + list(sectors[1:]), decorations, 3)
 
 
 def test_guere_nonconcave_pair():
@@ -183,14 +183,14 @@ def test_wdvv_case2_values(a, rows):
     """The concave seed is read through W.head, so either row order of E
     gives the same value."""
     W = InvertiblePolynomial.from_string(rows.format(a=a))
-    assert wdvv_case2(W) == (a - 1) * W.q[0] == W.q[1]
+    assert wdvv_case2(W, 2) == (a - 1) * W.q[0] == W.q[1]
 
 
 def test_wdvv_case2_wrong_polynomial():
     with pytest.raises(WrongConfiguration):
-        wdvv_case2(atomic("loop", (2, 2)))
+        wdvv_case2(atomic("loop", (2, 2)), 2)
     with pytest.raises(WrongConfiguration):
-        wdvv_case2(atomic("chain", (3, 2)))
+        wdvv_case2(atomic("chain", (3, 2)), 2)
 
 
 # ------------------------------------------------------------- dispatching

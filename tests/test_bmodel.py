@@ -26,9 +26,9 @@ from lgmirror.errors import UnsupportedByTheorem, WrongConfiguration
 from lgmirror.jacobi import JacobiRing, ring_of
 from lgmirror.linalg import invert, solve
 from lgmirror.mirror import admissible_target, final_type_insertions, sector_of
-from lgmirror.poly import AtomicSummand, InvertiblePolynomial
+from lgmirror.poly import AtomicSummand
 
-from support import criteria_atomics, pairs, quotients, reassemble, slice_divide, values
+from support import criteria_atomics, from_dense, pairs, quotients, reassemble, slice_divide, values
 
 F = Fraction
 
@@ -36,7 +36,7 @@ F = Fraction
 def atomic(kind, a):
     n = len(a)
     raw = reassemble([AtomicSummand(kind, tuple(a), tuple(range(n)))], n)
-    return InvertiblePolynomial.from_exponent_matrix(raw)
+    return from_dense(raw)
 
 
 def assemble(*pieces):
@@ -47,7 +47,7 @@ def assemble(*pieces):
         vs = tuple(range(offset, offset + len(a)))
         summands.append(AtomicSummand(kind, tuple(a), vs))
         offset += len(a)
-    return InvertiblePolynomial.from_exponent_matrix(reassemble(summands, offset))
+    return from_dense(reassemble(summands, offset))
 
 
 def weights_oracle(W):
@@ -460,7 +460,7 @@ SMALL_ATOMICS = [
 
 def rows_reversed(f):
     """f with the rows of E in reverse order: the same polynomial, other heads."""
-    return pytest.param(InvertiblePolynomial.from_exponent_matrix([list(r) for r in f.E[::-1]]),
+    return pytest.param(from_dense(f.E[::-1]),
                         id="rows reversed: " + f.to_string())
 
 
@@ -493,7 +493,7 @@ def shuffled(f, rng):
     perm = rng.sample(range(f.N), f.N)
     raw = reassemble([AtomicSummand(s.kind, s.exponents, tuple(perm[v] for v in s.variables))], f.N)
     rng.shuffle(raw)
-    return InvertiblePolynomial.from_exponent_matrix(raw)
+    return from_dense(raw)
 
 
 def sector_cases():

@@ -9,7 +9,7 @@ from lgmirror.groups import GroupElement
 from lgmirror.poly import AtomicSummand, InvertiblePolynomial
 from lgmirror.selection import line_bundle_degrees
 
-from support import criteria_atomics, grading_element, reassemble
+from support import criteria_atomics, from_dense, grading_element, reassemble
 
 F = Fraction
 
@@ -142,7 +142,7 @@ def seeded_sums(count, max_order):
             start += len(a)
         rows = reassemble(summands, n)
         rng.shuffle(rows)
-        P = InvertiblePolynomial.from_exponent_matrix(rows)
+        P = from_dense(rows)
         if P.group_order() <= max_order:
             count -= 1
             yield P

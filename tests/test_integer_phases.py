@@ -20,10 +20,10 @@ from lgmirror.errors import UnsupportedByTheorem, WrongConfiguration
 from lgmirror.groups import enumerate_group, generator_rho, sector_degree
 from lgmirror.jacobi import JacobiRing, top_of
 from lgmirror.mirror import admissible_target, final_type_insertions, sector_of
-from lgmirror.poly import AtomicSummand, InvertiblePolynomial
+from lgmirror.poly import AtomicSummand
 from lgmirror.selection import line_bundle_degrees
 
-from support import grading_element, reassemble
+from support import from_dense, grading_element, reassemble
 
 SPLITTINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
@@ -124,7 +124,7 @@ def direct_sums(draw):
         summands.append(AtomicSummand(kind, tuple(a), tuple(labels[start:start + len(a)])))
         start += len(a)
     rows = draw(st.permutations(reassemble(summands, n)))
-    return InvertiblePolynomial.from_exponent_matrix(rows)
+    return from_dense(rows)
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,7 +10,7 @@ from lgmirror.jacobi import (JacobiRing, OracleQuotient, RingElement, _SummandRi
                              _chain_excluded, _graded, _partials, ring_of, summand_box, top_of)
 from lgmirror.poly import AtomicSummand, InvertiblePolynomial, weighted_degree
 
-from support import (assert_certificate, criteria_atomics, pairs, quotients, reassemble,
+from support import (assert_certificate, criteria_atomics, from_dense, pairs, quotients, reassemble,
                      residue_pairing, slice_divide, values)
 
 F = Fraction
@@ -191,7 +191,7 @@ def test_sub_boxes_list_each_basis_monomial_once():
     shapes += [("chain", a) for n in (2, 3, 4) for a in cartesian(range(2, 6), repeat=n)]
     assert len(shapes) == 340
     for kind, a in shapes:
-        f = InvertiblePolynomial.from_exponent_matrix(
+        f = from_dense(
             reassemble([AtomicSummand(kind, a, tuple(range(len(a))))], len(a)))
         R = JacobiRing(f)
         part = R._parts[0]

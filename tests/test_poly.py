@@ -24,7 +24,7 @@ from lgmirror.poly import (
     parse_exponent_matrix,
 )
 
-from support import criteria_atomics, reassemble
+from support import criteria_atomics, from_dense, reassemble
 from test_row_order import POLYNOMIALS as ROW_ORDER_POLYNOMIALS
 
 F = Fraction
@@ -34,16 +34,24 @@ F = Fraction
 # parsing
 
 def test_parse_simple_chain():
-    assert parse_exponent_matrix("x1^3*x2 + x2^4") == [[3, 1], [0, 4]]
+    assert parse_exponent_matrix("x1^3*x2 + x2^4") == [{0: 3, 1: 1}, {1: 4}]
 
 
 def test_parse_implicit_exponent_and_whitespace():
-    assert parse_exponent_matrix(" x1^2 * x2  +  x2^3 ") == [[2, 1], [0, 3]]
+    assert parse_exponent_matrix(" x1^2 * x2  +  x2^3 ") == [{0: 2, 1: 1}, {1: 3}]
 
 
 def test_parse_repeated_factor_accumulates():
     # x1*x1 is legal input text for x1^2
-    assert parse_exponent_matrix("x1*x1 + x1*x2^2")[0] == [2, 0]
+    assert parse_exponent_matrix("x1*x1 + x1*x2^2")[0] == {0: 2}
+
+
+def test_repeated_monomial_is_named():
+    """Text input is checked by its parser alone, which names a repeated
+    monomial, in whatever order of factors."""
+    for text in ["x1^2*x2 + x1^2*x2", "x1^2*x2 + x2*x1^2", "x1^2*x3 + x2^3 + x3*x1*x1"]:
+        with pytest.raises(PolynomialSyntaxError, match="^repeated monomial$"):
+            InvertiblePolynomial.from_string(text)
 
 
 @pytest.mark.parametrize("bad", [
@@ -73,11 +81,33 @@ def test_from_json():
         InvertiblePolynomial.from_json('not json')
 
 
+@pytest.mark.parametrize("E, message", [
+    ("abc", "exponent matrix must be a list of rows"),
+    ([[3], 3.5], "exponent matrix must be a list of rows"),
+    ([[3, True], [0, 4]], "exponents must be integers"),
+    ([[-1, 2.5]], "exponents must be integers"),
+    ([[3, "1"], [-1]], "exponents must be integers"),
+    ([], "exponent matrix must be square and nonempty"),
+    ([[3, -1]], "exponent matrix must be square and nonempty"),
+    ([[3, 1], [-1]], "exponent matrix must be square and nonempty"),
+    ([[3, -1], [0, 4]], "negative exponent"),
+    ([[1, 0], [0, -4]], "negative exponent"),
+    ([[1, 0], [0, 4]], "monomial 1 is linear in x1"),
+])
+def test_json_reports_its_first_failing_check(E, message):
+    """`from_json` checks a dense matrix in one order, a list of rows,
+    integer entries, square, nonnegative, and then classifies it: an input
+    with several faults reports the first."""
+    with pytest.raises((PolynomialSyntaxError, NotInvertibleShape)) as info:
+        InvertiblePolynomial.from_json(json.dumps({"E": E}))
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # classification
 
 def test_classify_fermat():
-    W = InvertiblePolynomial.from_exponent_matrix([[3]])
+    W = from_dense([[3]])
     assert [s.kind for s in W.summands] == ["fermat"]
     assert W.q == (F(1, 3),)
 
@@ -118,7 +148,12 @@ def test_loop_canonical_rotation():
 ])
 def test_classify_rejects(bad_E):
     with pytest.raises((NotInvertibleShape, PolynomialSyntaxError)):
-        InvertiblePolynomial.from_exponent_matrix(bad_E)
+        from_dense(bad_E)
+
+
+def _row_maps(E):
+    """The {column: exponent} maps of a dense matrix's rows, zeros dropped."""
+    return [{j: e for j, e in enumerate(row) if e} for row in E]
 
 
 def _two_walk_classify(E):
@@ -237,7 +272,7 @@ def test_one_walk_matches_the_two_walk_classifier():
     rng = random.Random(20261019)
     for _ in range(1500):
         E = _shuffled_sum(rng)
-        assert _classify_rows(E) == _two_walk_classify(E)
+        assert _classify_rows(_row_maps(E)) == _two_walk_classify(E)
     refusals = set()
     edits = []
     for _ in range(1500):
@@ -247,11 +282,11 @@ def test_one_walk_matches_the_two_walk_classifier():
         edits.append(E)
     for E in MALFORMED + edits:
         expected = _outcome(_two_walk_classify, E)
-        assert _outcome(_classify_rows, E) == expected
+        assert _outcome(_classify_rows, _row_maps(E)) == expected
         if expected[0] is NotInvertibleShape:
             refusals.add(re.sub(r"\d+", "#", expected[1]))
     for E in MALFORMED:
-        assert _outcome(_classify_rows, E)[0] is NotInvertibleShape
+        assert _outcome(_classify_rows, _row_maps(E))[0] is NotInvertibleShape
     assert refusals == {
         "monomial # is linear in x#",
         "monomial # does not look like x_i^a or x_i^a·x_j",
@@ -369,7 +404,7 @@ def tied_sums(shuffles=8):
                 at += len(a)
             rows = reassemble(summands, n)
             rng.shuffle(rows)
-            yield InvertiblePolynomial.from_exponent_matrix(rows)
+            yield from_dense(rows)
 
 
 def derived_cases():
@@ -377,28 +412,45 @@ def derived_cases():
     ten, and the tied-rotation sums."""
     yield from criteria_atomics()
     for text in ROW_ORDER_POLYNOMIALS:
-        E = parse_exponent_matrix(text)
-        for order in permutations(range(len(E))):
-            yield InvertiblePolynomial.from_exponent_matrix([E[r] for r in order])
+        rows = parse_exponent_matrix(text)
+        for order in permutations(range(len(rows))):
+            yield InvertiblePolynomial.from_exponent_matrix([rows[r] for r in order])
     yield from tied_sums()
 
 
 FIELDS = ("N", "E", "summands", "q", "charge", "head", "D", "DE_inv", "Dq")
 
 
-def test_derived_polynomials_equal_their_parse():
-    """Wᵗ and the atomic pieces are read off W, not parsed; each equals,
-    field for field, what `from_exponent_matrix` makes of its own E, down
-    to the summand order and the rotation of every loop."""
-    checked = 0
+def derived_polynomials():
+    """Wᵗ, the atomic pieces and their transposes of every derived case,
+    each object once."""
     for W in derived_cases():
-        pieces = [W.piece(i)[0] for i in range(W.N)]
-        for P in (W.transpose(), *pieces, *(piece.transpose() for piece in pieces)):
-            parsed = InvertiblePolynomial.from_exponent_matrix(P.E)
-            assert [getattr(P, k) for k in FIELDS] == [getattr(parsed, k) for k in FIELDS], \
-                P.to_string()
-            checked += 1
-    assert checked > 5000
+        pieces = list({id(P): P for P in (W.piece(i)[0] for i in range(W.N))}.values())
+        yield from (W.transpose(), *pieces, *(piece.transpose() for piece in pieces))
+
+
+def test_derived_polynomials_equal_their_parse():
+    """Wᵗ and the atomic pieces are built from summands read off W, not
+    parsed; each equals, field for field, what `from_json` makes of its
+    own E, down to the summand order and the rotation of every loop."""
+    checked = 0
+    for P in derived_polynomials():
+        parsed = from_dense(P.E)
+        assert [getattr(P, k) for k in FIELDS] == [getattr(parsed, k) for k in FIELDS], \
+            P.to_string()
+        checked += 1
+    assert checked > 2000
+
+
+def test_derived_inverses_equal_elimination():
+    """Derived polynomials take E⁻¹ from the same closed forms as a parse,
+    so the field comparison above cannot catch a wrong closed form: each
+    one's E⁻¹, D and weights are checked against elimination on its own E."""
+    checked = 0
+    for P in derived_polynomials():
+        _assert_inverse_by_elimination(P)
+        checked += 1
+    assert checked > 2000
 
 
 def test_equality_and_hash_read_only_the_polynomial():
@@ -413,7 +465,7 @@ def test_equality_and_hash_read_only_the_polynomial():
         for i in range(W.N):
             W.piece(i)
         fresh = InvertiblePolynomial.from_string(text)
-        swapped = InvertiblePolynomial.from_exponent_matrix(W.E[1:] + W.E[:1])
+        swapped = from_dense(W.E[1:] + W.E[:1])
         assert (W == fresh, W != fresh, hash(W) == hash(fresh)) == (True, False, True)
         assert (W == swapped, W != swapped) == (False, True)
         assert (W == tuple(W.E), W != tuple(W.E)) == (False, True)
@@ -456,7 +508,7 @@ def acceptance_polynomials():
                for a in cartesian(range(2, 6), repeat=n)]
     for kind, a in shapes:
         s = AtomicSummand(kind, a, tuple(range(len(a))))
-        W = InvertiblePolynomial.from_exponent_matrix(reassemble([s], len(a)))
+        W = from_dense(reassemble([s], len(a)))
         yield W
         yield W.transpose()
 
@@ -536,17 +588,23 @@ def test_closed_form_inverse_equals_elimination(E):
     D is the lcm of the summand determinants and of E⁻¹'s denominators,
     and DE_inv is D·E⁻¹.  head[v] is the row of E in which x_v carries
     its exponent."""
-    W = InvertiblePolynomial.from_exponent_matrix(E)
-    for W in (W, W.transpose()):
-        inverse = linalg.invert(W.E)
-        dets = [math.prod(s.exponents) - (s.kind == "loop") * (-1) ** len(s.exponents)
-                for s in W.summands]
-        assert W.D == math.lcm(*dets) == math.lcm(*(x.denominator for row in inverse
-                                                    for x in row))
-        assert [list(row) for row in W.DE_inv] == [[W.D * x for x in row] for row in inverse]
-        assert [list(row) for row in W.inverse_exponents()] == inverse
-        assert sorted(W.head) == list(range(W.N))
-        assert all(W.E[W.head[v]][v] >= 2 for v in range(W.N))
+    W = from_dense(E)
+    _assert_inverse_by_elimination(W)
+    _assert_inverse_by_elimination(W.transpose())
+
+
+def _assert_inverse_by_elimination(W):
+    """W's D, DE_inv and Dq against `linalg.invert` of its E."""
+    inverse = linalg.invert(W.E)
+    dets = [math.prod(s.exponents) - (s.kind == "loop") * (-1) ** len(s.exponents)
+            for s in W.summands]
+    assert W.D == math.lcm(*dets) == math.lcm(*(x.denominator for row in inverse
+                                                for x in row))
+    assert [list(row) for row in W.DE_inv] == [[W.D * x for x in row] for row in inverse]
+    assert [list(row) for row in W.inverse_exponents()] == inverse
+    assert list(W.Dq) == [W.D * sum(row) for row in inverse]
+    assert sorted(W.head) == list(range(W.N))
+    assert all(W.E[W.head[v]][v] >= 2 for v in range(W.N))
 
 
 def test_loop_inverse_hand_checked():

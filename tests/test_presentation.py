@@ -23,7 +23,7 @@ import re
 import pytest
 
 from lgmirror import cli
-from lgmirror.poly import format_monomial, parse_term
+from lgmirror.poly import InvertiblePolynomial, format_monomial, parse_term
 
 
 def _summand_rows(kind, exps, first):
@@ -201,3 +201,30 @@ def test_every_subcommand_reads_the_same_in_every_presentation(case):
     for _ in range(2):
         rename, order = rng.sample(range(n), n), rng.sample(range(n), n)
         assert _outputs(rows, rename, order) == base, (_text(rows, rename, order), rename, order)
+
+
+PARITY_FIELDS = ("N", "E", "summands", "head", "D", "DE_inv", "Dq")
+
+
+@pytest.mark.parametrize("case", range(len(CASES)),
+                         ids=[_text(rows, range(len(rows)), range(len(rows))) for rows in CASES])
+def test_text_and_json_read_the_same_polynomial(case):
+    """Each input format is checked by its own reader, and both hand the
+    same monomials on: the text of W and its exponent matrix as JSON give
+    the same polynomial, field for field, in every presentation, and its
+    E is the matrix the text was written from."""
+    rows = CASES[case]
+    n = len(rows)
+    rng = random.Random(case)
+    for rename, order in [(range(n), range(n))] + [(rng.sample(range(n), n), rng.sample(range(n), n))
+                                                   for _ in range(2)]:
+        W = InvertiblePolynomial.from_string(_text(rows, rename, order))
+        dense = [[0] * n for _ in range(n)]
+        for r, k in enumerate(order):
+            for v, e in rows[k].items():
+                dense[r][rename[v]] = e
+        assert W.E == tuple(map(tuple, dense))
+        text = InvertiblePolynomial.from_string(W.to_string())
+        blob = InvertiblePolynomial.from_json(json.dumps({"E": [list(r) for r in W.E]}))
+        fields = [[getattr(P, f) for f in PARITY_FIELDS] for P in (W, text, blob)]
+        assert fields[1] == fields[2] == fields[0]

@@ -63,7 +63,7 @@ def run_json(command, text):
 
 def permuted(text, order):
     """The polynomial with row k of its exponent matrix taken from row order[k]."""
-    E = parse_exponent_matrix(text)
+    E = InvertiblePolynomial.from_string(text).E
     return " + ".join(format_monomial(E[r]) for r in order)
 
 
@@ -112,7 +112,7 @@ class Relabel:
 def terms(polynomial):
     """A polynomial string of W as the set of its monomials: a row
     permutation only reorders them."""
-    return sorted(map(tuple, parse_exponent_matrix(polynomial)))
+    return sorted(sorted(m.items()) for m in parse_exponent_matrix(polynomial))
 
 
 def normalize(command, text, doc, order):
@@ -216,7 +216,7 @@ def library_values(W):
         "four_point": [_outcome(_report, W, i) for i in range(1, W.N + 1)],
         "sg": [_outcome(lambda i: sg_four_point(admissible_target(W, i)), i) for i in range(1, W.N + 1)],
         "wdvv1": _outcome(wdvv_case1, W, SYMMETRIC_LOOP_SEED),
-        "wdvv2": _outcome(wdvv_case2, W),
+        "wdvv2": _outcome(wdvv_case2, W, 2),
         "good_basis": _outcome(_good_basis_counts, W),
     }
 

@@ -20,7 +20,7 @@ from lgmirror.selection import (
     passes_axioms,
 )
 
-from support import grading_element, reassemble, residue_pairing
+from support import from_dense, grading_element, reassemble, residue_pairing
 
 F = Fraction
 
@@ -179,7 +179,7 @@ def three_point_corpus():
                for a in product(range(2, 5), repeat=n)]
     for kind, a in shapes:
         raw = reassemble([AtomicSummand(kind, a, tuple(range(len(a))))], len(a))
-        W = InvertiblePolynomial.from_exponent_matrix(raw)
+        W = from_dense(raw)
         if not W.weight_half_variables():
             yield W
 

@@ -134,8 +134,6 @@ def test_no_definition_only_tests_use():
 E_READERS = {
     "jacobi._partials": "the relations ∂ⱼf, one term per row",
     "mirror.final_type_insertions": "M_i, column i of E",
-    "poly.InvertiblePolynomial.transpose": "Wᵗ, whose exponent matrix is Eᵗ",
-    "poly.InvertiblePolynomial.piece": "an atomic piece: W's rows at its summand's variables, through `W.head`",
     "poly.InvertiblePolynomial.to_string": "the polynomial's text, one monomial per row",
 }
 
@@ -251,12 +249,31 @@ def _calls_from_exponent_matrix(node):
 
 
 def test_derived_polynomials_are_not_parsed():
-    """Only the two input readers validate and classify an exponent
-    matrix; the transpose and the atomic pieces are read off W."""
+    """Only the two input readers hand monomials on to be classified; the
+    transpose and the atomic pieces are read off W."""
     found = set().union(*(_owners(path, _calls_from_exponent_matrix)
                           for path in sorted(SOURCE.glob("*.py"))))
     assert sorted(found) == ["poly.InvertiblePolynomial.from_json",
                              "poly.InvertiblePolynomial.from_string"]
+
+
+def _checks_an_int(node):
+    """``type(x) is int`` or ``type(x) is not int``: an exponent's type check."""
+    return (isinstance(node, ast.Compare) and _calls("type")(node.left)
+            and [ast.unparse(c) for c in node.comparators] == ["int"])
+
+
+def test_each_input_format_is_checked_once():
+    """Each input format is checked by its own reader: `from_json`, the one
+    reader of a dense matrix, is the only definition in src/ that checks an
+    exponent's type, and `from_exponent_matrix` does nothing but classify
+    the row maps it is handed and assemble the result."""
+    found = set().union(*(_owners(path, _checks_an_int) for path in sorted(SOURCE.glob("*.py"))))
+    assert sorted(found) == ["poly.InvertiblePolynomial.from_json"]
+    tree = ast.parse((SOURCE / "poly.py").read_text(encoding="utf-8"))
+    node = dict(_definitions(tree))["InvertiblePolynomial.from_exponent_matrix"]
+    called = {ast.unparse(n.func).split(".")[-1] for n in ast.walk(node) if isinstance(n, ast.Call)}
+    assert sorted(called) == ["_assemble", "_classify_rows"]
 
 
 def _imports(tree):
@@ -270,17 +287,23 @@ def _imports(tree):
 
 
 def test_pieces_are_built_in_poly():
-    """Every polynomial is assembled in `poly`: only the parser, the
-    transpose and `piece` call `_assemble`, only the parser takes E⁻¹ from
-    the closed forms, no module imports a private name of `poly`, and the
-    B side imports nothing from the A side."""
+    """Every polynomial is assembled in `poly`, from its summands and
+    `head` alone: only the parser, the transpose and `piece` call
+    `_assemble`, which takes those two, and it alone takes E⁻¹ from the
+    closed forms; the transpose and `piece` read neither E nor DE_inv of W.
+    No module imports a private name of `poly`, and the B side imports
+    nothing from the A side."""
     for attribute, owners in [("_assemble", ["poly.InvertiblePolynomial.from_exponent_matrix",
                                              "poly.InvertiblePolynomial.piece",
                                              "poly.InvertiblePolynomial.transpose"]),
-                              ("_inverse", ["poly.InvertiblePolynomial.from_exponent_matrix"])]:
+                              ("_inverse", ["poly.InvertiblePolynomial._assemble"])]:
         found = set().union(*(_owners(path, _calls(attribute))
                               for path in sorted(SOURCE.glob("*.py"))))
         assert sorted(found) == owners, attribute
+    defs = dict(_definitions(ast.parse((SOURCE / "poly.py").read_text(encoding="utf-8"))))
+    assert [a.arg for a in defs["InvertiblePolynomial._assemble"].args.args] == ["summands", "head"]
+    for name in ("InvertiblePolynomial.transpose", "InvertiblePolynomial.piece"):
+        assert sorted({"E", "DE_inv"} & set(_names(defs[name]))) == [], name
     private = [f"{path.stem}: {name}" for path in sorted(SOURCE.glob("*.py"))
                for module, name in _imports(ast.parse(path.read_text(encoding="utf-8")))
                if module.split(".")[-1] == "poly" and name and name.startswith("_")]

@@ -24,6 +24,8 @@ from lgmirror.jacobi import ring_of
 from lgmirror.mirror import psi
 from lgmirror.poly import InvertiblePolynomial
 
+from support import from_dense
+
 # by shape: Fermats, chains, two- and three-variable loops with and
 # without a square, a four-variable loop, and direct sums of these
 RINGS = [
@@ -52,7 +54,7 @@ def state_space(W):
         rows = [[row[i] for i in fixed] for row in W.E
                 if all(e == 0 or i in fixed for i, e in enumerate(row))]
         assert len(rows) == len(fixed), (W.to_string(), g)
-        restricted = InvertiblePolynomial.from_exponent_matrix(rows)
+        restricted = from_dense(rows)
         for a in ring_of(restricted).basis.monomials:
             if all(sum((ai + 1) * W.DE_inv[i][j] for ai, i in zip(a, fixed)) % W.D == 0
                    for j in range(W.N)):
