@@ -31,7 +31,7 @@ from typing import NamedTuple
 from .errors import ConcavityViolated, InconsistentInput, WrongConfiguration
 from .groups import GroupElement
 from .jacobi import top_of
-from .mirror import Target, final_type_insertions, sector_of
+from .mirror import Monomial, Target, final_type_insertions, sector_of
 from .poly import InvertiblePolynomial
 from .selection import line_bundle_degrees
 
@@ -148,6 +148,19 @@ def _chern_combo(
     return total
 
 
+def _require_footprint(W: InvertiblePolynomial, sectors, target_index: int, error) -> None:
+    """The final-type footprint: all four insertions narrow, and smooth-fiber
+    line bundle degrees -2 at the target and -1 elsewhere; raises ``error``,
+    the caller's exception class, otherwise."""
+    if any(not g.is_narrow() for g in sectors):
+        raise error("broad insertion sector")
+    D = W.D
+    for i, degree in enumerate(line_bundle_degrees(W, sectors), start=1):
+        want = -2 if i == target_index else -1
+        if degree != want * D:
+            raise error(f"line bundle {i} has degree {Fraction(degree, D)}, expected {want}")
+
+
 def b2_correlator(
     W: InvertiblePolynomial,
     sectors: list[GroupElement],
@@ -156,24 +169,14 @@ def b2_correlator(
 ) -> Fraction:
     """Concave four-point correlator value at the target variable.
 
-    Requires all four insertions narrow, smooth-fiber line bundle degrees
-    -2 at the target and -1 elsewhere, and no sections on any boundary
-    stratum; raises ConcavityViolated otherwise.  No caller catches it:
-    `four_point_report` picks the method by the summand's shape before it
-    calls this, so on its targets the raise marks a broken invariant, not
-    a fallback.  ``decorations`` are the sectors' boundary decorations
-    when the caller has them already.
+    Requires the final-type footprint (`_require_footprint`) and no
+    sections on any boundary stratum; raises ConcavityViolated otherwise.
+    No caller catches it: `four_point_report` picks the method by the
+    summand's shape before it calls this, so on its targets the raise
+    marks a broken invariant, not a fallback.  ``decorations`` are the
+    sectors' boundary decorations when the caller has them already.
     """
-    if any(not g.is_narrow() for g in sectors):
-        raise ConcavityViolated("broad insertion sector")
-    D = W.D
-    smooth = line_bundle_degrees(W, sectors)
-    for i in range(1, W.N + 1):
-        want = -2 if i == target_index else -1
-        if smooth[i - 1] != want * D:
-            raise ConcavityViolated(
-                f"line bundle {i} has degree {Fraction(smooth[i - 1], D)}, expected {want}"
-            )
+    _require_footprint(W, sectors, target_index, ConcavityViolated)
     if decorations is None:
         decorations = boundary_decorations(W, sectors)
     for dec in decorations:
@@ -182,26 +185,41 @@ def b2_correlator(
                 raise ConcavityViolated(
                     f"line bundle {i} has sections on stratum {dec.splitting}"
                 )
-    return Fraction(_chern_combo(W, sectors, decorations, target_index), 2 * D * D)
+    return Fraction(_chern_combo(W, sectors, decorations, target_index), 2 * W.D * W.D)
+
+
+def final_type_correlator(W: InvertiblePolynomial, t: int) -> tuple[Monomial, Monomial, Monomial, Monomial]:
+    """(x_t, x_t, M_t/x_t^2, top) at the 1-based t, as exponent tuples of
+    Jac(Wᵗ): M_t is the t-th monomial of the transpose and top the socle
+    monomial of its milnor ring, both read through ``W.head``, so the order
+    of E's rows does not matter.  The one statement of the insertion list."""
+    x, s, _ = final_type_insertions(W, t)
+    return x, x, s, top_of(W.transpose())
 
 
 def _final_type_sectors(W: InvertiblePolynomial, target: int) -> list[GroupElement]:
-    """Sectors of the final-type correlator <psi(x_t), psi(x_t),
-    psi(M_t/x_t^2), psi(top)>: M_t is the t-th monomial of the transpose
-    and top the socle monomial of its milnor ring, both read through
-    ``W.head``, so the order of E's rows does not matter."""
-    x, s, _ = final_type_insertions(W, target)
+    """The sectors psi of `final_type_correlator`, theta(x_t) computed once."""
+    x, _, s, top = final_type_correlator(W, target)
     theta = sector_of(W, x)
-    return [theta, theta, sector_of(W, s), sector_of(W, top_of(W.transpose()))]
+    return [theta, theta, sector_of(W, s), sector_of(W, top)]
+
+
+def _loop_read(W: InvertiblePolynomial, t: int) -> tuple[int, int, int]:
+    """(a_t, p, a_p), read off W's one summand: x_t's exponent (1-based t)
+    and, on a loop, the 1-based p of x_p, which points at x_t, and a_p."""
+    s = W.summands[0]
+    k = s.variables.index(t - 1)
+    return s.exponents[k], s.variables[k - 1] + 1, s.exponents[k - 1]
 
 
 def guere_correlator(W: InvertiblePolynomial, sectors, decorations, target_index: int) -> Fraction:
     """Four-point value at x_t, t = ``target_index``, of a loop with a_t = 2
     and N >= 3.
 
-    The line bundle of x_p = (t - 2) mod N + 1, the loop variable that
-    points at x_t, acquires sections on one boundary stratum, so the
-    virtual class is evaluated through the limit
+    x_p is the loop variable that points at x_t, read off W's summand
+    (`_loop_read`), so W may carry any labels and row order.  Its line
+    bundle acquires sections on one boundary stratum, so the virtual class
+    is evaluated through the limit
 
         X = a_p * Ch1(L_p) - Ch1(L_t),
 
@@ -213,36 +231,22 @@ def guere_correlator(W: InvertiblePolynomial, sectors, decorations, target_index
     """
     if len(W.summands) != 1 or W.summands[0].kind != "loop":
         raise WrongConfiguration("expected a single loop")
-    n, a, t = W.N, _exponents(W), target_index
-    p = (t - 2) % n + 1
-    if n < 3 or a[t - 1] != 2:
+    t = target_index
+    a_t, p, a_p = _loop_read(W, t)
+    if W.N < 3 or a_t != 2:
         raise WrongConfiguration("expected a loop with final exponent 2 and N >= 3")
-    if any(not g.is_narrow() for g in sectors):
-        raise WrongConfiguration("broad insertion sector")
-    D = W.D
-    smooth = line_bundle_degrees(W, sectors)
-    if smooth != [-2 * D if i == t else -D for i in range(1, n + 1)]:
-        raise WrongConfiguration(f"unexpected line bundle degrees {[Fraction(x, D) for x in smooth]}")
+    _require_footprint(W, sectors, t, WrongConfiguration)
     if decorations[0].pair(p) != (0, -2):
         raise WrongConfiguration(
             f"expected component degrees (0, -2) for line bundle {p}, "
             f"got {decorations[0].pair(p)}"
         )
-    for j in range(1, n + 1):
+    for j in range(1, W.N + 1):
         if j not in (p, t) and _chern_combo(W, sectors, decorations, j) != 0:
             raise WrongConfiguration(f"line bundle {j} contributes to the limit formula")
-    ch1_next_to_last = -_chern_combo(W, sectors, decorations, p)
-    ch1_last = -_chern_combo(W, sectors, decorations, t)
-    return Fraction(a[p - 1] * ch1_next_to_last - ch1_last, 2 * D * D)
-
-
-def _exponents(W: InvertiblePolynomial) -> list[int]:
-    """Exponent a_i of ambient variable i for a one-summand polynomial."""
-    s = W.summands[0]
-    out = [0] * W.N
-    for e, v in zip(s.exponents, s.variables):
-        out[v] = e
-    return out
+    ch1_p = -_chern_combo(W, sectors, decorations, p)
+    ch1_t = -_chern_combo(W, sectors, decorations, t)
+    return Fraction(a_p * ch1_p - ch1_t, 2 * W.D * W.D)
 
 
 def _rational_fourth_root(v: Fraction) -> Fraction:
@@ -288,8 +292,8 @@ def wdvv_case2(W: InvertiblePolynomial, target_index: int) -> Fraction:
     x_t^2*x_o with a > 2.
 
     The theta_t insertion is broad, so the value is reconstructed from the
-    concave seed B = q_o, the final-type correlator at x_o read through
-    ``W.head`` (`_final_type_sectors`), in three associativity steps that
+    concave seed B = q_o, the final-type correlator at x_o, the other
+    variable (`_loop_read`), in three associativity steps that
     trade a broad insertion for milnor-ring relations (x_t^2 =
     -a*x_o^(a-1)*x_t and x_o^a = -2*x_o*x_t):
 
@@ -298,14 +302,14 @@ def wdvv_case2(W: InvertiblePolynomial, target_index: int) -> Fraction:
     s = W.summands[0] if len(W.summands) == 1 else None
     if s is None or s.kind != "loop" or W.N != 2:
         raise WrongConfiguration("expected a two-variable loop")
-    a, o = _exponents(W), 3 - target_index
-    if a[target_index - 1] != 2 or a[o - 1] <= 2:
+    a_t, o, a = _loop_read(W, target_index)
+    if a_t != 2 or a <= 2:
         raise WrongConfiguration("expected exponents (a, 2) with a > 2")
     base = b2_correlator(W, _final_type_sectors(W, o), o)
     if base != W.q[o - 1]:
         raise WrongConfiguration(f"concave base correlator {base} is not q_{o} = {W.q[o - 1]}")
     bridge = base + base
-    return a[o - 1] * base - bridge / 2
+    return a * base - bridge / 2
 
 
 class FourPointResult(NamedTuple):
@@ -331,16 +335,15 @@ def _four_point_report(piece: InvertiblePolynomial, local: int) -> FourPointResu
     """`four_point_report` on the atomic piece, at its 1-based variable
     ``local``."""
     kind = piece.summands[0].kind
-    a_local = _exponents(piece)
-    if kind == "loop":
-        if piece.N == 2 and a_local == [2, 2]:
+    a_t, _, a_p = _loop_read(piece, local)
+    if kind == "loop" and piece.N == 2 and a_t == 2:
+        if a_p == 2:
             value, _ = wdvv_case1(piece, SYMMETRIC_LOOP_SEED)
             return FourPointResult(value, "wdvv1", ())
-        if piece.N == 2 and a_local[local - 1] == 2:
-            return FourPointResult(wdvv_case2(piece, local), "wdvv2", ())
+        return FourPointResult(wdvv_case2(piece, local), "wdvv2", ())
     sectors = _final_type_sectors(piece, local)
     decorations = tuple(boundary_decorations(piece, sectors))
-    if kind == "loop" and a_local[local - 1] == 2:
+    if kind == "loop" and a_t == 2:
         value, method = guere_correlator(piece, sectors, decorations, local), "guere"
     else:
         value, method = b2_correlator(piece, sectors, local, decorations), "concave"

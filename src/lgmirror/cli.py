@@ -37,7 +37,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .amodel import four_point_report
+from .amodel import final_type_correlator, four_point_report
 from .bmodel import brieskorn_reduce, sg_four_point
 from .errors import (
     InconsistentInput,
@@ -46,7 +46,7 @@ from .errors import (
     WrongConfiguration,
 )
 from .groups import GroupCapExceeded, enumerate_group
-from .jacobi import ring_of, top_of
+from .jacobi import ring_of
 from .mirror import Target, admissible_target, final_type_insertions, psi, require_mirror_hypotheses
 from .poly import InvertiblePolynomial, NotInvertibleShape, PolynomialSyntaxError, format_monomial, parse_term
 from .selection import CorrelatorSpec, classify_type, passes_axioms
@@ -369,14 +369,12 @@ def cmd_jacobi(W: InvertiblePolynomial, args) -> Output:
 def _standard_candidates(W: InvertiblePolynomial):
     """The final-type correlator of each admissible variable, as exponent
     tuples in the transposed Jacobi ring."""
-    top = top_of(W.transpose())
     for i in range(1, W.N + 1):
         try:
             admissible_target(W, i)
         except UnsupportedByTheorem:
             continue
-        x, s, _ = final_type_insertions(W, i)
-        yield i, [x, x, s, top]
+        yield i, list(final_type_correlator(W, i))
 
 
 def cmd_axioms(W: InvertiblePolynomial, args) -> Output:

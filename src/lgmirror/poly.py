@@ -93,6 +93,12 @@ class AtomicSummand(_Summand):
             det -= (-1) ** len(self.exponents)
         return det
 
+    def monomials(self):
+        """(v, a_v, w) per variable in chain order: the monomial x_v^{a_v}·x_w,
+        with w = v at a chain's end and for a Fermat, where x_v points nowhere."""
+        vs = self.variables
+        return zip(vs, self.exponents, vs[1:] + (vs[0] if self.kind == "loop" else vs[-1],))
+
     def describe(self) -> str:
         inner = ",".join(str(a) for a in self.exponents)
         return f"{self.kind.capitalize()}({inner})"
@@ -141,9 +147,7 @@ class InvertiblePolynomial(NamedTuple):
         row head[v] of E is x_v^{a_v} times the x_w that x_v points at."""
         n, E = len(head), [()] * len(head)
         for s in summands:
-            vs = s.variables
-            # w = v at a chain's end and for a Fermat, where x_v points nowhere
-            for v, a, w in zip(vs, s.exponents, vs[1:] + (vs[0] if s.kind == "loop" else vs[-1],)):
+            for v, a, w in s.monomials():
                 row = [0] * n
                 row[w], row[v] = 1, a
                 E[head[v]] = tuple(row)
@@ -254,7 +258,13 @@ class InvertiblePolynomial(NamedTuple):
         return " ⊕ ".join(s.describe() for s in self.summands)
 
     def to_string(self) -> str:
-        return " + ".join(format_monomial(row) for row in self.E)
+        """W's text in row order, each monomial x_v^{a_v}·x_w written from its summand."""
+        rows = [""] * self.N
+        for s in self.summands:
+            for v, a, w in s.monomials():
+                factors = {w: "", v: f"^{a}"}  # one factor when w = v
+                rows[self.head[v]] = "*".join(f"x{k + 1}{e}" for k, e in sorted(factors.items()))
+        return " + ".join(rows)
 
 
 def weighted_degree(Dq, m) -> int:

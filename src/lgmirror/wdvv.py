@@ -25,10 +25,10 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .amodel import four_point_report
+from .amodel import final_type_correlator, four_point_report
 from .errors import InconsistentInput, UnderdeterminedSystem, UnsupportedByTheorem, WrongConfiguration
 from .jacobi import JacobiRing, RingElement, ring_of
-from .mirror import admissible_target, final_type_insertions
+from .mirror import admissible_target
 from .poly import InvertiblePolynomial, format_monomial
 
 Key = tuple[int, int, int, int]
@@ -239,13 +239,11 @@ def fermat_closure(W: InvertiblePolynomial):
         raise UnsupportedByTheorem(_SHAPES)
     targets = [admissible_target(W, j + 1) for j in range(W.N)]
     seeds = [four_point_report(t).value for t in targets]
-    ring = ring_of(W.transpose())
-    table = CorrelatorTable(ring)
-    top = ring.top
+    table = CorrelatorTable(ring_of(W.transpose()))
     chain = []
     for j, seed in enumerate(seeds):
-        x, s, _ = final_type_insertions(W, j + 1)
-        table.set((x, x, s, top), seed)
+        correlator = x, _, s, top = final_type_correlator(W, j + 1)
+        table.set(correlator, seed)
         # the identities of x_j read only its own seed
         rest = tuple(e if r != W.head[j] else 0 for r, e in enumerate(top))
         for alpha in itertools.product(*(range(e + 1) for e in rest)):
@@ -278,12 +276,10 @@ def loop_square_chain(W: InvertiblePolynomial):
     if s.kind != "loop" or W.N != 2 or not min(s.exponents) == 2 < max(s.exponents):
         raise UnsupportedByTheorem(_SHAPES)
     (a, va), (_, vs) = sorted(zip(s.exponents, s.variables), reverse=True)
-    ring = ring_of(W.transpose())
-    table = CorrelatorTable(ring)
-    xa, seed, _ = final_type_insertions(W, va + 1)    # x_a and x_a^{a-2} x_s
-    xs = final_type_insertions(W, vs + 1)[0]
-    top = ring.top
-    seed_key = table.set((xa, xa, seed, top), four_point_report(admissible_target(W, va + 1)).value)
+    table = CorrelatorTable(ring_of(W.transpose()))
+    seed_correlator = xa, _, seed, top = final_type_correlator(W, va + 1)  # seed = x_a^{a-2} x_s
+    target = xs, _, _, _ = final_type_correlator(W, vs + 1)               # <x_s, x_s, x_a, top>
+    seed_key = table.set(seed_correlator, four_point_report(admissible_target(W, va + 1)).value)
     if table.values[seed_key] != W.q[va]:
         raise WrongConfiguration(f"seed correlator {table.values[seed_key]} is not q_a = {W.q[va]}")
     chain = [
@@ -294,7 +290,7 @@ def loop_square_chain(W: InvertiblePolynomial):
         # X: split top = x_a * x_a^{a-2} x_s once more, now against x_s, x_s.
         wdvv_step(table, xa, xs, xs, xa, seed),
     ]
-    x = table.value((xs, xs, xa, top))
+    x = table.value(target)
     if not x == (a - 1) * W.q[va] == W.q[vs]:
         raise WrongConfiguration(f"reconstructed {x} is not (a - 1) q_a = q_s = {W.q[vs]}")
     return table, chain

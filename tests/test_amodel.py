@@ -177,13 +177,14 @@ def test_wdvv_case1_wrong_polynomial():
 
 
 @pytest.mark.parametrize("a", [3, 4, 5, 6])
-@pytest.mark.parametrize("rows", ["x1^{a}*x2 + x2^2*x1", "x2^2*x1 + x1^{a}*x2"],
-                         ids=["in_order", "swapped"])
-def test_wdvv_case2_values(a, rows):
-    """The concave seed is read through W.head, so either row order of E
-    gives the same value."""
+@pytest.mark.parametrize("rows, o, t", [("x1^{a}*x2 + x2^2*x1", 1, 2), ("x2^2*x1 + x1^{a}*x2", 1, 2),
+                                        ("x2^{a}*x1 + x1^2*x2", 2, 1), ("x1^2*x2 + x2^{a}*x1", 2, 1)],
+                         ids=["in_order", "swapped", "relabelled", "relabelled_swapped"])
+def test_wdvv_case2_values(a, rows, o, t):
+    """The seed's variable x_o is read off the summand, so every labelling
+    and row order of x_o^a*x_t + x_t^2*x_o gives the same value."""
     W = InvertiblePolynomial.from_string(rows.format(a=a))
-    assert wdvv_case2(W, 2) == (a - 1) * W.q[0] == W.q[1]
+    assert wdvv_case2(W, t) == (a - 1) * W.q[o - 1] == W.q[t - 1]
 
 
 def test_wdvv_case2_wrong_polynomial():
@@ -191,6 +192,45 @@ def test_wdvv_case2_wrong_polynomial():
         wdvv_case2(atomic("loop", (2, 2)), 2)
     with pytest.raises(WrongConfiguration):
         wdvv_case2(atomic("chain", (3, 2)), 2)
+
+
+# ------------------------------------------------------- every presentation
+
+
+def _loop_presentations(n):
+    """Every loop on x1..xn with exponents 2–4, each once, in every row
+    order: (text, {variable: exponent})."""
+    for exps in itertools.product(range(2, 5), repeat=n):
+        for rest in itertools.permutations(range(2, n + 1)):
+            cycle = (1, *rest)  # x1 first: each cycle once, not once per rotation
+            a = dict(zip(cycle, exps))
+            rows = [f"x{v}^{a[v]}*x{w}" for v, w in zip(cycle, cycle[1:] + cycle[:1])]
+            for order in itertools.permutations(rows):
+                yield " + ".join(order), a
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_side_routes_on_every_presentation(n):
+    """The limit formula at a square and the concave formula elsewhere give
+    q_t on every loop, whatever its labels and row order: x_p, which points
+    at x_t, is read off the summand (on x1^2*x3 + x3^2*x2 + x2^3*x1 at t = 1
+    it is x2, not x3)."""
+    wrong = []
+    for text, a in _loop_presentations(n):
+        W = InvertiblePolynomial.from_string(text)
+        for t, a_t in a.items():
+            sectors = _final_type_sectors(W, t)
+            decorations = boundary_decorations(W, sectors)
+            try:
+                if a_t == 2:
+                    value = guere_correlator(W, sectors, decorations, t)
+                else:
+                    value = b2_correlator(W, sectors, t, decorations)
+            except (ConcavityViolated, WrongConfiguration) as exc:
+                value = exc
+            if value != W.q[t - 1]:
+                wrong.append((text, t, str(value)))
+    assert wrong == []
 
 
 # ------------------------------------------------------------- dispatching

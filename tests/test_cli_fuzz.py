@@ -107,9 +107,9 @@ def test_verify_input_json(blob_path, text):
 
 # The other subcommands.  Most malformed text stops at the parser, so half
 # the draws are valid sums of Fermats, chains and loops (N ≤ 3, exponents
-# 2–6) on relabelled variables, with the monomials shuffled.  `jacobi
-# --trace` is left out: it prints a μ² product table, which no input cap
-# bounds yet.
+# 2–6) on relabelled variables, with the monomials shuffled; N ≤ 3 keeps
+# μ ≤ 216.  `jacobi` runs plain: `--json` prints the μ² Gram matrix and
+# `--trace` a μ² product table, which no input cap bounds yet.
 @st.composite
 def valid_expression(draw):
     n = draw(st.integers(1, 3))
@@ -140,7 +140,7 @@ INSERTION = st.one_of(
 INSERTIONS = st.lists(INSERTION, max_size=6).map(",".join)
 
 
-@pytest.mark.parametrize("command", [["classify", "--trace"], ["mirror"],
+@pytest.mark.parametrize("command", [["classify", "--trace"], ["mirror"], ["jacobi"],
                                      ["axioms"], ["wdvv"]], ids=" ".join)
 @settings(max_examples=100, deadline=None)
 @given(text=ANY_EXPRESSION)

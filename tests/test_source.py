@@ -134,7 +134,6 @@ def test_no_definition_only_tests_use():
 E_READERS = {
     "jacobi._partials": "the relations ∂ⱼf, one term per row",
     "mirror.final_type_insertions": "M_i, column i of E",
-    "poly.InvertiblePolynomial.to_string": "the polynomial's text, one monomial per row",
 }
 
 
@@ -336,13 +335,13 @@ def test_good_basis_sectors_stay_integer():
 
 def test_a_side_stays_integer():
     """Line-bundle degrees and Chern sums are integers over D = W.D: the
-    five A-side definitions name `Fraction` only in an error text, which
+    six A-side definitions name `Fraction` only in an error text, which
     shows a degree over D, and in the value `b2_correlator` and
     `guere_correlator` return, which each builds once."""
     value_builders = {"b2_correlator", "guere_correlator"}
     found = []
     for module, names in [("selection", ["line_bundle_degrees"]),
-                          ("amodel", ["boundary_decorations", "_chern_combo",
+                          ("amodel", ["boundary_decorations", "_chern_combo", "_require_footprint",
                                       "b2_correlator", "guere_correlator"])]:
         tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
         defs = dict(_definitions(tree))
@@ -455,6 +454,62 @@ def test_one_theorem_gate():
     keys = [path.stem for path, tree in sources for n in ast.walk(tree) if _iterates_target_order(n)]
     assert keys == ["mirror"]
     assert sorted(_owners(SOURCE / "mirror.py", _iterates_target_order)) == ["mirror.Target.key"]
+
+
+def _repeats_first_insertion(node):
+    """A four-entry tuple or list display whose first entry, a name, is
+    repeated once and no other is: an insertion list (x, x, s, top), or its
+    sectors."""
+    if not (isinstance(node, (ast.Tuple, ast.List)) and isinstance(node.ctx, ast.Load)
+            and len(node.elts) == 4):
+        return False
+    entries = [ast.unparse(e) for e in node.elts]
+    return isinstance(node.elts[0], ast.Name) and entries[0] == entries[1] and len(set(entries)) == 3
+
+
+def test_one_final_type_correlator():
+    """(x_t, x_t, M_t/x_t², top) is stated once, in
+    `amodel.final_type_correlator`, which ``axioms`` and the associativity
+    chains read as it stands and `_final_type_sectors` maps to sectors: no
+    other definition writes a four-entry list that repeats its first entry,
+    and only it and the Jacobi ring call `top_of`."""
+    for match, owners in [(_repeats_first_insertion, ["amodel._final_type_sectors",
+                                                      "amodel.final_type_correlator"]),
+                          (_calls("top_of"), ["amodel.final_type_correlator",
+                                              "jacobi.JacobiRing.__init__"])]:
+        found = set().union(*(_owners(path, match) for path in sorted(SOURCE.glob("*.py"))))
+        assert sorted(found) == owners
+
+
+def test_one_footprint_check():
+    """The final-type footprint (every insertion narrow, smooth-fiber
+    degrees −2 at the target and −1 elsewhere) is checked once, in
+    `amodel._require_footprint`, for the concave and the limit formula: no
+    other definition in `amodel` asks whether a sector is narrow, and only
+    it and `boundary_decorations` take the smooth degrees."""
+    path = SOURCE / "amodel.py"
+    for attribute, owners in [("_require_footprint", ["amodel.b2_correlator", "amodel.guere_correlator"]),
+                              ("is_narrow", ["amodel._require_footprint"]),
+                              ("line_bundle_degrees", ["amodel._require_footprint",
+                                                       "amodel.boundary_decorations"])]:
+        assert sorted(_owners(path, _calls(attribute))) == owners, attribute
+
+
+def _reads_variables(node):
+    return isinstance(node, ast.Attribute) and node.attr == "variables"
+
+
+def test_one_loop_reader():
+    """x_t's exponent and the variable x_p that points at x_t are read off
+    the summand in one place, `amodel._loop_read`, for the dispatch, the
+    limit formula and the wdvv2 reconstruction: no other definition in
+    `amodel` reads a summand's ``variables``, so none can take x_p from
+    the labels."""
+    path = SOURCE / "amodel.py"
+    assert sorted(_owners(path, _reads_variables)) == ["amodel._loop_read"]
+    assert sorted(_owners(path, _calls("_loop_read"))) == ["amodel._four_point_report",
+                                                          "amodel.guere_correlator",
+                                                          "amodel.wdvv_case2"]
 
 
 def _prints(node):
