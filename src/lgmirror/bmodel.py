@@ -207,7 +207,7 @@ def _allowed_families(kind: str, n: int) -> set[tuple[int, ...]]:
 
 
 def _sector_steps(f: InvertiblePolynomial) -> list[int]:
-    """t, by variable, with row v of f.DE_inv ≡ t_v·(row v₁) (mod D) for
+    """t, by variable, with row v of D·E⁻¹ ≡ t_v·(row v₁) (mod D) for
     the atomic f = x_{v₁}^{a₁}x_{v₂} + …: the rows ρ_v, the generators of
     G_{fᵗ} over D, satisfy aᵢ·ρ_{vᵢ} + ρ_{vᵢ₊₁} ≡ 0, so t_{v₁} = 1 and
     t_{vᵢ₊₁} = −aᵢ·t_{vᵢ} mod D, read off the summand."""
@@ -233,8 +233,9 @@ def good_basis_check(f: InvertiblePolynomial) -> GoodBasisReport:
     the phase vector of the mirror sector of r, sector_of(fᵗ, r), since
     the weights of fᵗ are (1, ..., 1) . E_f⁻¹.  So k is integral exactly
     when the sectors of r and r' are inverse.  Over D = f.D the sector is
-    Σ_v (r_v + 1)·ρ_v with ρ_v row v of f.DE_inv, and every ρ_v is
-    t_v·ρ_{v₁} mod D (`_sector_steps`, checked here), so the sector is
+    Σ_v (r_v + 1)·ρ_v with ρ_v row v of D·E⁻¹, and every ρ_v is
+    t_v·ρ_{v₁} mod D (`_sector_steps`, checked here on the columns of
+    D·E⁻¹ that `f.inverse_times` gives), so the sector is
     T(r)·ρ_{v₁} with the one integer T(r) = Σ_v (r_v + 1)·t_v mod D.
     G_{fᵗ} = ⟨ρ_{v₁}⟩ has order |det E_f| = D, so T is faithful.
     `jacobi.summand_box` steps T over the summand's basis sub-boxes, with
@@ -249,10 +250,14 @@ def good_basis_check(f: InvertiblePolynomial) -> GoodBasisReport:
     order = _monomial_order(f)
     D = f.D
     t = _sector_steps(f)
-    first = f.DE_inv[f.summands[0].variables[0]]
-    for tv, row in zip(t, f.DE_inv):
-        if [tv * x % D for x in first] != [x % D for x in row]:
-            raise RuntimeError(f"a sector generator is not {tv} times the first")
+    # k = (m + 2) . E⁻¹ with E⁻¹'s columns in monomial order, so that
+    # k . E = m + 2; D divides (m + 2) . D·E⁻¹ on every class
+    columns = [f.inverse_times([int(j == r) for j in range(f.N)]) for r in order]
+    v1 = f.summands[0].variables[0]
+    for column in columns:
+        for tv, x in zip(t, column):
+            if (tv * column[v1] - x) % D:
+                raise RuntimeError(f"a sector generator is not {tv} times the first")
     buckets: dict[int, list[Monomial]] = {}
     for g, r in summand_box(f.summands[0], f.N, sum(t), t, D):
         buckets.setdefault(g, []).append(r)
@@ -261,9 +266,6 @@ def good_basis_check(f: InvertiblePolynomial) -> GoodBasisReport:
     # each unordered pair once, r <= r'
     pairs = Counter(tuple(map(add, r, rp)) for g, rs in buckets.items()
                     for rp in buckets.get(-g % D, ()) for r in rs if r <= rp)
-    # k = (m + 2) . E⁻¹ with E⁻¹'s columns in monomial order, so that
-    # k . E = m + 2; D divides (m + 2) . D·E⁻¹ on every class
-    columns = [[row[r] for row in f.DE_inv] for r in order]
     families = _allowed_families(kind, f.N)
     records: list[PairingClass] = []
     for m in sorted(pairs):

@@ -83,7 +83,8 @@ def generator_rho(W: InvertiblePolynomial, j: int) -> GroupElement:
     """ρ_j, the symmetry scaling monomial inputs along column j of E⁻¹ (1-based j)."""
     if not 1 <= j <= W.N:
         raise IndexError(j)
-    return GroupElement(tuple(row[j - 1] % W.D for row in W.DE_inv), W.D)
+    column = W.inverse_times([int(r == j - 1) for r in range(W.N)])
+    return GroupElement(tuple(x % W.D for x in column), W.D)
 
 
 def group_cap() -> int:

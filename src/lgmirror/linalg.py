@@ -10,7 +10,7 @@ elimination is both adequate and, unlike floating point, actually correct.
 
 Only the whole-slice oracle `jacobi.OracleQuotient` and the tests use
 `RowSpace` and its views; no computation path runs an elimination.  `poly`
-reads E⁻¹ off the summands in closed form and `jacobi.JacobiRing.divide`
+applies E⁻¹ in one pass along each summand and `jacobi.JacobiRing.divide`
 walks the binomial graph, and the tests check them against `invert` and
 `solve_general`.
 """

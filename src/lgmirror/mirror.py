@@ -5,8 +5,9 @@
     γ = (∏_j ρ_j^{α_j})·J_W,    phases Θ^{(i)} = frac(Σ_j α_j ρ_j^{(i)} + q_i),
 
 where ρ_j^{(i)} is entry (i,j) of E_W⁻¹.  The phases are computed in
-integers over D, the exponent of G_W: D·Θ^{(i)} is Σ_j α_j (D·E⁻¹)_{ij} +
-D·q_i reduced mod D.  The map is degree-preserving:
+integers over D, the exponent of G_W: since q = E⁻¹·(1,…,1)ᵗ, the vector
+D·Θ is D·E⁻¹·(α + 1) reduced mod D, which `W.inverse_times` gives in one
+pass along each summand.  The map is degree-preserving:
 wt(m) computed with the weights of Wᵗ equals N_γ/2 + Σ_i(Θ^{(i)} − q_i).
 When x_i sits in a 2-variable loop summand with exponent 2, Ψ(x_i) is the
 broad class ⌈x_i; 1⌋ instead of a narrow generator; products inherit that
@@ -16,7 +17,6 @@ broad monomial exactly when their sector has a nontrivial fixed locus.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 from typing import NamedTuple
 
 from .errors import UnsupportedByTheorem, WrongConfiguration
@@ -98,8 +98,7 @@ def admissible_target(W: InvertiblePolynomial, i: int) -> Target:
 
 def sector_of(W: InvertiblePolynomial, m: Monomial) -> GroupElement:
     """(∏ρ_j^{α_j})·J_W for the monomial exponents α = m, over D = W.D."""
-    return GroupElement(tuple([(qi + sum(map(mul, m, row))) % W.D
-                               for qi, row in zip(W.Dq, W.DE_inv)]), W.D)
+    return GroupElement(tuple([x % W.D for x in W.inverse_times([e + 1 for e in m])]), W.D)
 
 
 def final_type_insertions(W: InvertiblePolynomial, i: int) -> tuple[Monomial, Monomial, Monomial]:

@@ -1,6 +1,6 @@
 """Invertible quasihomogeneous polynomials: parsing, classification, weights.
 
-A polynomial is stored through its exponent matrix E (row i = i-th monomial).
+A polynomial is read through its exponent matrix E (row i = i-th monomial).
 For an invertible polynomial the matrix is square and invertible over Q, the
 weights are the unique exact solution of E·q = (1,…,1)ᵗ, and the polynomial
 decomposes as a disjoint sum of Fermat / chain / loop pieces:
@@ -17,16 +17,17 @@ rotations from the cycle's smallest variable on a tie.
 The classifier is the one reader of E's row structure: it records the row
 headed by each variable and walks the successor map once, sources first,
 so each walk ends at a pure power (a chain or a Fermat) or back at its
-start (a loop).  E⁻¹ is read off the summands block by block, with no
-elimination, from the closed forms `chain_inverse_entries` (a Fermat is
-the chain of length one) and `loop_inverse_entries`, which give det·E⁻¹
-for the block; `AtomicSummand.det` is the one determinant formula.  E⁻¹
-and q are stored once, in integers over one denominator: E⁻¹ = DE_inv/D and
-q = Dq/D, where D is the lcm of the summands' determinants, which is the
-lcm of E⁻¹'s denominators and so the exponent of the maximal symmetry
-group.  The grading ``degree`` and the A side's phase arithmetic both
-work over D; ``q`` and ``charge``, built on first read, and
-``inverse_exponents()`` are the ``Fraction`` views.
+start (a loop).  W is stored as its summands and ``head``, with no
+matrix: E⁻¹ is block diagonal, one block per summand, and is applied,
+not stored, by `InvertiblePolynomial.inverse_times`, which solves E·θ = r
+in one pass along each summand (a Fermat is the chain of length one)
+and returns D·θ; `AtomicSummand.det` is the one determinant formula.
+D is the lcm of the summands' determinants, which is the lcm of E⁻¹'s
+denominators and so the exponent of the maximal symmetry group, and the
+weights are stored once, in integers over it: q = Dq/D.  The grading
+``degree`` and the A side's phase arithmetic both work over D; the
+exponent matrix ``E`` and the ``Fraction`` views ``q`` and ``charge`` are
+built on first read, and ``inverse_exponents()`` on each call.
 
 Each input format is checked once, by its reader, which hands on each
 monomial as a {0-based variable: exponent} map to be classified.  Every
@@ -105,18 +106,17 @@ class AtomicSummand(_Summand):
 
 
 class InvertiblePolynomial(NamedTuple):
-    """An immutable value: ==, !=, hash and repr read N, E and the summands
-    only, so the data read off them and the memo of `derive` stay out."""
+    """An immutable value: ==, != and hash read N, the summands and head,
+    which determine E, so the data read off them and the memo of `derive`
+    stay out."""
 
     N: int
-    E: tuple[tuple[int, ...], ...]
     summands: tuple[AtomicSummand, ...]
     # head[v] is the row of E headed by x_v, the monomial x_v^a or x_v^a·x_u
     head: tuple[int, ...]
-    # E⁻¹ and q in integers: E⁻¹ = DE_inv/D and q = Dq/D, where D is the
-    # lcm of E⁻¹'s denominators, the exponent of the maximal group G_W
+    # q in integers, q = Dq/D, where D is the lcm of E⁻¹'s denominators,
+    # the exponent of the maximal group G_W
     D: int
-    DE_inv: tuple[tuple[int, ...], ...]
     Dq: tuple[int, ...]
     memo: dict
 
@@ -131,7 +131,7 @@ class InvertiblePolynomial(NamedTuple):
         return hash(self[:3])
 
     def __repr__(self):
-        return "InvertiblePolynomial(N={!r}, E={!r}, summands={!r})".format(*self[:3])
+        return f"InvertiblePolynomial(N={self.N!r}, E={self.E!r}, summands={self.summands!r})"
 
     # -- constructors ---------------------------------------------------
 
@@ -143,21 +143,17 @@ class InvertiblePolynomial(NamedTuple):
 
     @staticmethod
     def _assemble(summands, head) -> "InvertiblePolynomial":
-        """The polynomial of its summands and of the row each variable heads:
-        row head[v] of E is x_v^{a_v} times the x_w that x_v points at."""
-        n, E = len(head), [()] * len(head)
-        for s in summands:
-            for v, a, w in s.monomials():
-                row = [0] * n
-                row[w], row[v] = 1, a
-                E[head[v]] = tuple(row)
-        D, DE_inv = _inverse(summands, head)
-        # the weights solve E·q = (1,…,1)ᵗ: the row sums of E⁻¹
-        Dq = tuple(map(sum, DE_inv))
-        if not all(0 < x and 2 * x <= D for x in Dq):
+        """The polynomial of its summands and of the row each variable heads.
+        Every block of E⁻¹ has an entry ±1/det, so D, the lcm of the
+        summands' determinants, is also the lcm of E⁻¹'s denominators."""
+        W = InvertiblePolynomial(len(head), tuple(summands), tuple(head),
+                                 math.lcm(*(s.det for s in summands)), (), {})
+        # the weights solve E·q = (1,…,1)ᵗ
+        Dq = W.inverse_times((1,) * W.N)
+        if not all(0 < x and 2 * x <= W.D for x in Dq):
             # no atomic sum with all a_i >= 2 has such weights; guard anyway
-            raise NotInvertibleShape(f"weights {tuple(Fraction(x, D) for x in Dq)} out of range (0,1/2]")
-        return InvertiblePolynomial(n, tuple(E), tuple(summands), head, D, DE_inv, Dq, {})
+            raise NotInvertibleShape(f"weights {tuple(Fraction(x, W.D) for x in Dq)} out of range (0,1/2]")
+        return W._replace(Dq=Dq)
 
     @staticmethod
     def from_string(text: str) -> "InvertiblePolynomial":
@@ -200,10 +196,44 @@ class InvertiblePolynomial(NamedTuple):
         """The central charge ĉ = Σ(1 − 2qᵢ), built on first read."""
         return self.derive("charge", lambda: Fraction(self.N * self.D - 2 * sum(self.Dq), self.D))
 
+    @property
+    def E(self) -> tuple[tuple[int, ...], ...]:
+        """The exponent matrix, built on first read: row head[v] is
+        x_v^{a_v} times the x_w that x_v points at."""
+        def dense():
+            E = [()] * self.N
+            for s in self.summands:
+                for v, a, w in s.monomials():
+                    row = [0] * self.N
+                    row[w], row[v] = 1, a
+                    E[self.head[v]] = tuple(row)
+            return tuple(E)
+        return self.derive("E", dense)
+
+    def inverse_times(self, r) -> tuple[int, ...]:
+        """D·E⁻¹·r for the integer vector r over the rows of E, by variable:
+        the solution θ of E·θ = r, times D, in one pass along each summand.
+        Row head[v_i] of E reads a_i·θ_{v_i} + θ_{v_{i+1}} = r_i (no
+        θ_{v_{i+1}} at a chain's end, θ_{v_1} after a loop's), so
+        det·θ_{v_1} = Σ_j (−1)^j (∏_{k>j} a_k)·r_j, for chains and loops
+        alike, and D·θ_{v_{i+1}} = D·r_i − a_i·D·θ_{v_i}."""
+        D, head, out = self.D, self.head, [0] * self.N
+        for s in self.summands:
+            rows = [r[head[v]] for v in s.variables]
+            theta, sign = 0, 1
+            for a, x in zip(s.exponents, rows):   # Horner
+                theta, sign = theta * a + sign * x, -sign
+            theta *= D // s.det
+            for v, a, x in zip(s.variables, s.exponents, rows):
+                out[v] = theta
+                theta = D * x - a * theta
+        return tuple(out)
+
     def inverse_exponents(self) -> tuple[tuple[Fraction, ...], ...]:
-        """E⁻¹ as ``Fraction``s, built from DE_inv on each call; entry
+        """E⁻¹ as ``Fraction``s, built column by column on each call; entry
         [i][j] is ρ_j^{(i)}."""
-        return tuple(tuple(Fraction(x, self.D) for x in row) for row in self.DE_inv)
+        columns = [self.inverse_times([int(i == j) for i in range(self.N)]) for j in range(self.N)]
+        return tuple(tuple(Fraction(x, self.D) for x in row) for row in zip(*columns))
 
     def derive(self, key, build):
         """``build()`` on the first call with ``key``, the same object on
@@ -401,41 +431,3 @@ def _canonical(kind: str, exps, variables) -> AtomicSummand:
         rot = min(range(k), key=lambda r: (exps[r:] + exps[:r], (r - start) % k))
         exps, variables = exps[rot:] + exps[:rot], variables[rot:] + variables[:rot]
     return AtomicSummand(kind, tuple(exps), tuple(variables))
-
-
-# ---------------------------------------------------------------------------
-# inverse-matrix closed forms
-
-def _inverse(summands, head) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """D and D·E⁻¹, block by block: summand row i, taken in variable order,
-    is row head[v_i] of E, so entry (i, j) of the block, over the summand's
-    `det`, goes to [v_i][head[v_j]].  Every block has an entry ±1/det, so D,
-    the lcm of the determinants, is also the lcm of E⁻¹'s denominators."""
-    D = math.lcm(*(s.det for s in summands))
-    n = len(head)
-    inv = [[0] * n for _ in range(n)]
-    for s in summands:
-        closed = loop_inverse_entries if s.kind == "loop" else chain_inverse_entries
-        k = D // s.det
-        for vi, row in zip(s.variables, closed(s.exponents)):
-            for vj, x in zip(s.variables, row):
-                inv[vi][head[vj]] = k * x
-    return D, tuple(tuple(row) for row in inv)
-
-
-def chain_inverse_entries(a) -> list[list[int]]:
-    """det·E⁻¹ for the chain x_1^{a_1}x_2 + … + x_N^{a_N}, det = ∏ a_k
-    (`AtomicSummand.det`): entry (i,j) = (−1)^{j−i} (∏_{k<i} a_k)(∏_{k>j} a_k)
-    for j ≥ i, else 0."""
-    n, p = len(a), [math.prod(a[:m]) for m in range(len(a) + 1)]   # p[m] = ∏_{k<m} a_k
-    return [[(-1) ** (j - i) * p[i] * p[n] // p[j + 1] if j >= i else 0 for j in range(n)]
-            for i in range(n)]
-
-
-def loop_inverse_entries(a) -> list[list[int]]:
-    """det·E⁻¹ for the loop x_1^{a_1}x_2 + … + x_N^{a_N}x_1,
-    det = ∏ a_k − (−1)^N (`AtomicSummand.det`): the chain's entries for
-    j ≥ i, and (i,j) = (−1)^{N+j−i} ∏_{j<k<i} a_k for j < i."""
-    n, p = len(a), [math.prod(a[:m]) for m in range(len(a) + 1)]   # p[m] = ∏_{k<m} a_k
-    return [[(-1) ** (j - i) * p[i] * p[n] // p[j + 1] if j >= i else
-             (-1) ** (n + j - i) * p[i] // p[j + 1] for j in range(n)] for i in range(n)]

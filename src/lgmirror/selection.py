@@ -37,7 +37,8 @@ class CorrelatorSpec(NamedTuple):
     candidates can still be fed to the axioms, come after them), then
     alpha and beta.  ``ell[r]`` counts primitive insertions of x_{r+1},
     the variable of the transpose from row r of E; ``b`` solves
-    E*b = ell + alpha + beta + 2 and ``K[i] = ell[W.head[i]] - b[i] + 1``.
+    E*b = ell + alpha + beta + 2, read off `W.inverse_times` over D, and
+    ``K[i] = ell[W.head[i]] - b[i] + 1``.
     """
 
     insertions: tuple[tuple[int, ...], ...]
@@ -74,7 +75,7 @@ class CorrelatorSpec(NamedTuple):
         head.sort(key=lambda m: m.index(1) if _is_primitive(m) else -1, reverse=True)
         ell = tuple(sum(m[i] for m in head) for i in range(W.N))
         rhs = [ell[i] + alpha[i] + beta[i] + 2 for i in range(W.N)]
-        b = tuple(Fraction(sum(x * r for x, r in zip(row, rhs)), W.D) for row in W.DE_inv)
+        b = tuple(Fraction(x, W.D) for x in W.inverse_times(rhs))
         K = tuple(Fraction(ell[r]) - bi + 1 for r, bi in zip(W.head, b))
         return CorrelatorSpec(tuple(head) + (tuple(alpha), tuple(beta)), ell, tuple(alpha), tuple(beta), b, K)
 

@@ -16,6 +16,13 @@ def from_dense(E):
     return InvertiblePolynomial.from_json(json.dumps({"E": E}))
 
 
+def dense_inverse(W):
+    """D·E⁻¹ of W as a tuple of rows, built from its columns
+    `W.inverse_times(e_j)`: the dense matrix the polynomial no longer stores."""
+    columns = [W.inverse_times([int(i == j) for i in range(W.N)]) for j in range(W.N)]
+    return tuple(zip(*columns))
+
+
 def reassemble(summands, n):
     """Exponent matrix of a disjoint sum of atomics (inverse of classify)."""
     rows = []

@@ -28,7 +28,7 @@ from lgmirror.linalg import invert, solve
 from lgmirror.mirror import admissible_target, final_type_insertions, sector_of
 from lgmirror.poly import AtomicSummand
 
-from support import criteria_atomics, from_dense, pairs, quotients, reassemble, slice_divide, values
+from support import criteria_atomics, dense_inverse, from_dense, pairs, quotients, reassemble, slice_divide, values
 
 F = Fraction
 
@@ -507,13 +507,13 @@ def sector_cases():
 
 
 def test_one_integer_names_each_mirror_sector():
-    """Row v of f.DE_inv is t_v times row v₁ mod D, so the mirror sector of
+    """Row v of D·E_f⁻¹ is t_v times row v₁ mod D, so the mirror sector of
     every basis monomial r is T(r)·ρ_{v₁} with the one integer
     T(r) = Σ_v (r_v + 1)·t_v mod D: it equals `sector_of(fᵗ, r)`."""
     monomials = 0
     for f in sector_cases():
         D, t = f.D, bmodel._sector_steps(f)
-        first = f.DE_inv[f.summands[0].variables[0]]
+        first = dense_inverse(f)[f.summands[0].variables[0]]
         ft = f.transpose()
         for r in ring_of(f).basis.monomials:
             T = sum((e + 1) * tv for e, tv in zip(r, t)) % D
@@ -523,7 +523,7 @@ def test_one_integer_names_each_mirror_sector():
 
 
 def test_a_wrong_sector_step_is_refused(monkeypatch):
-    """`good_basis_check` checks every t_v against the rows of f.DE_inv: a
+    """`good_basis_check` checks every t_v against the columns of D·E_f⁻¹: a
     t with one sign flipped, where the flip changes it mod D, raises."""
     flips = 0
     for f in sector_cases():

@@ -2,13 +2,14 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product as cartesian
 
 import pytest
 from hypothesis import given, strategies as st
 
-from lgmirror import linalg
+from lgmirror import cli, linalg
 from lgmirror.errors import UnsupportedByTheorem, WrongConfiguration
 from lgmirror.jacobi import ring_of
 from lgmirror.mirror import require_mirror_hypotheses
@@ -19,12 +20,10 @@ from lgmirror.poly import (
     PolynomialSyntaxError,
     _canonical,
     _classify_rows,
-    chain_inverse_entries,
-    loop_inverse_entries,
     parse_exponent_matrix,
 )
 
-from support import criteria_atomics, from_dense, reassemble
+from support import criteria_atomics, dense_inverse, from_dense, reassemble
 from test_row_order import POLYNOMIALS as ROW_ORDER_POLYNOMIALS
 
 F = Fraction
@@ -418,7 +417,7 @@ def derived_cases():
     yield from tied_sums()
 
 
-FIELDS = ("N", "E", "summands", "q", "charge", "head", "D", "DE_inv", "Dq")
+FIELDS = ("N", "E", "summands", "q", "charge", "head", "D", "Dq")
 
 
 def derived_polynomials():
@@ -436,8 +435,8 @@ def test_derived_polynomials_equal_their_parse():
     checked = 0
     for P in derived_polynomials():
         parsed = from_dense(P.E)
-        assert [getattr(P, k) for k in FIELDS] == [getattr(parsed, k) for k in FIELDS], \
-            P.to_string()
+        assert [getattr(P, k) for k in FIELDS] + [dense_inverse(P)] == \
+            [getattr(parsed, k) for k in FIELDS] + [dense_inverse(parsed)], P.to_string()
         checked += 1
     assert checked > 2000
 
@@ -479,6 +478,24 @@ def test_records_are_immutable():
         with pytest.raises(AttributeError):
             setattr(obj, name, value)
         assert getattr(obj, name) != value
+
+
+def test_verify_stays_linear_in_memory():
+    """W is stored as its summands, so reading x1^3 + … + x3000^3 and
+    verifying it holds no N×N table: the traced peak stays below 20 MiB
+    (an N×N table of small ints alone takes some 70 MiB here), and
+    `verify` never builds the dense E of W."""
+    text = " + ".join(f"x{i}^3" for i in range(1, 3001))
+    tracemalloc.start()
+    try:
+        W = InvertiblePolynomial.from_string(text)
+        report = cli.verification_report(W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["overall"] == "pass"
+    assert peak < 20 * 2**20
+    assert "E" not in W.memo
 
 
 # ---------------------------------------------------------------------------
@@ -538,28 +555,30 @@ def _det(kind, a):
 
 @given(atomic_exps)
 def test_chain_inverse_closed_form(a):
+    """`inverse_times` on the chain x_1^{a_1}x_2 + … + x_N^{a_N}, column by
+    column, against elimination."""
     E = [[0] * len(a) for _ in a]
     for i, ai in enumerate(a):
         E[i][i] = ai
         if i + 1 < len(a):
             E[i][i + 1] = 1
-    numerators = chain_inverse_entries(a)
-    det = _det("chain", a)
-    assert det == math.prod(a)
-    assert [[F(x, det) for x in row] for row in numerators] == linalg.invert(E)
+    W, det = from_dense(E), _det("chain", a)
+    assert det == math.prod(a) == W.D
+    assert [[F(x, det) for x in row] for row in dense_inverse(W)] == linalg.invert(E)
 
 
 @given(st.lists(st.integers(2, 6), min_size=2, max_size=5))
 def test_loop_inverse_closed_form(a):
+    """`inverse_times` on the loop x_1^{a_1}x_2 + … + x_N^{a_N}x_1, column
+    by column, against elimination."""
     n = len(a)
     E = [[0] * n for _ in range(n)]
     for i, ai in enumerate(a):
         E[i][i] = ai
         E[i][(i + 1) % n] = 1
-    numerators = loop_inverse_entries(a)
-    det = _det("loop", a)
-    assert det == math.prod(a) - (-1) ** n
-    assert [[F(x, det) for x in row] for row in numerators] == linalg.invert(E)
+    W, det = from_dense(E), _det("loop", a)
+    assert det == math.prod(a) - (-1) ** n == W.D
+    assert [[F(x, det) for x in row] for row in dense_inverse(W)] == linalg.invert(E)
 
 
 @st.composite
@@ -586,7 +605,7 @@ def direct_sum(draw):
 def test_closed_form_inverse_equals_elimination(E):
     """E⁻¹ read off the summands equals generic elimination, for W and Wᵗ:
     D is the lcm of the summand determinants and of E⁻¹'s denominators,
-    and DE_inv is D·E⁻¹.  head[v] is the row of E in which x_v carries
+    and `inverse_times` is D·E⁻¹.  head[v] is the row of E in which x_v carries
     its exponent."""
     W = from_dense(E)
     _assert_inverse_by_elimination(W)
@@ -594,13 +613,13 @@ def test_closed_form_inverse_equals_elimination(E):
 
 
 def _assert_inverse_by_elimination(W):
-    """W's D, DE_inv and Dq against `linalg.invert` of its E."""
+    """W's D, D·E⁻¹ and Dq against `linalg.invert` of its E."""
     inverse = linalg.invert(W.E)
     dets = [math.prod(s.exponents) - (s.kind == "loop") * (-1) ** len(s.exponents)
             for s in W.summands]
     assert W.D == math.lcm(*dets) == math.lcm(*(x.denominator for row in inverse
                                                 for x in row))
-    assert [list(row) for row in W.DE_inv] == [[W.D * x for x in row] for row in inverse]
+    assert [list(row) for row in dense_inverse(W)] == [[W.D * x for x in row] for row in inverse]
     assert [list(row) for row in W.inverse_exponents()] == inverse
     assert list(W.Dq) == [W.D * sum(row) for row in inverse]
     assert sorted(W.head) == list(range(W.N))
@@ -610,7 +629,8 @@ def _assert_inverse_by_elimination(W):
 def test_loop_inverse_hand_checked():
     # loop x1^2*x2 + x2^4*x1: det 7, inverse (1/7)[[4,-1],[-1,2]]
     assert _det("loop", [2, 4]) == 7
-    assert loop_inverse_entries([2, 4]) == [[4, -1], [-1, 2]]
+    W = from_dense([[2, 1], [1, 4]])
+    assert (W.D, dense_inverse(W)) == (7, ((4, -1), (-1, 2)))
 
 
 def test_loop_weights_hand_checked():
@@ -622,8 +642,9 @@ def test_loop_weights_hand_checked():
 
 @given(atomic_exps)
 def test_fermat_chain_weights_positive_bounded(a):
-    det = _det("chain", a)
-    q = [F(sum(row), det) for row in chain_inverse_entries(a)]
+    kind = "fermat" if len(a) == 1 else "chain"
+    W = from_dense(reassemble([AtomicSummand(kind, tuple(a), tuple(range(len(a))))], len(a)))
+    q = [F(x, W.D) for x in W.inverse_times((1,) * len(a))]
     assert all(0 < qi <= F(1, 2) for qi in q)
 
 

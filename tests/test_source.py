@@ -54,21 +54,22 @@ def test_subcommands_are_added_in_one_place():
 
 
 def test_polynomial_stores_one_integer_form():
-    """E⁻¹ and the grading are stored once, as integers over D:
-    InvertiblePolynomial has no `Fraction` field, and q and ĉ are views
-    built on first read."""
+    """W is stored as its summands: InvertiblePolynomial's fields are N, the
+    summands, `head`, D, Dq and the memo, so it holds no N×N matrix and no
+    `Fraction`.  E, q and ĉ are views built on first read, and E⁻¹ is
+    applied along the summands by `inverse_times`."""
     tree = ast.parse((SOURCE / "poly.py").read_text(encoding="utf-8"))
     cls = next(node for node in tree.body
                if isinstance(node, ast.ClassDef) and node.name == "InvertiblePolynomial")
     fields = {node.target.id: ast.unparse(node.annotation) for node in cls.body
               if isinstance(node, ast.AnnAssign)}
-    assert {"N", "E", "summands", "head", "D", "DE_inv", "Dq"} <= set(fields)
+    assert list(fields) == ["N", "summands", "head", "D", "Dq", "memo"]
     assert [name for name, annotation in fields.items() if "Fraction" in annotation] == []
 
 
 # Definitions that only tests call, each with the reason it stays in src/.
 TEST_ONLY = {
-    "linalg.invert": "the reference E⁻¹ the closed forms are checked against",
+    "linalg.invert": "the reference E⁻¹ `inverse_times` is checked against",
     "linalg.solve": "the reference solve, a view of `invert`",
     "linalg.mat_vec": "the product `solve` and the tests check solutions with",
     "linalg.solve_general": "the whole-slice reference `slice_divide` solves with; "
@@ -129,11 +130,14 @@ def test_no_definition_only_tests_use():
     assert [e for e in TEST_ONLY if e not in defs or defs[e].name in used] == []
 
 
-# The only definitions that read E, each with what it reads there; every
-# other pairing of a row of E with a variable goes through `W.head`.
+# The only definitions, in src/ and the benchmark, that read the view E,
+# each with what it reads there; every other pairing of a row of E with a
+# variable goes through `W.head`.
 E_READERS = {
     "jacobi._partials": "the relations ∂ⱼf, one term per row",
     "mirror.final_type_insertions": "M_i, column i of E",
+    "poly.InvertiblePolynomial.__repr__": "the value's text, which shows E",
+    "spans._hooks.ring_build": "the key that counts distinct rings built",
 }
 
 
@@ -157,7 +161,8 @@ def _reads_E(node):
 def test_one_reader_of_the_rows_of_E():
     """E's row structure is read through `W.head`; only the definitions
     listed above read the attribute E itself."""
-    found = set().union(*(_owners(path, _reads_E) for path in sorted(SOURCE.glob("*.py"))))
+    paths = sorted(SOURCE.glob("*.py")) + [SOURCE.parents[1] / "perfbench" / "spans.py"]
+    found = set().union(*(_owners(path, _reads_E) for path in paths))
     assert sorted(found - set(E_READERS)) == []
     # the list holds no stale entry: each listed definition still reads E
     assert sorted(set(E_READERS) - found) == []
@@ -172,12 +177,12 @@ def _names_lcm_or_gcd(node):
 
 
 def test_one_phase_denominator():
-    """D = W.D, the exponent of G_W, is taken once, in `poly._inverse`, and
+    """D = W.D, the exponent of G_W, is taken once, in `_assemble`, and
     every phase of the program lives over it: no other definition (and no
     import) takes an lcm or a gcd to bring phases to a common denominator."""
     found = set().union(*(_owners(path, _names_lcm_or_gcd)
                           for path in sorted(SOURCE.glob("*.py"))))
-    assert sorted(found) == ["poly._inverse"]
+    assert sorted(found) == ["poly.InvertiblePolynomial._assemble"]
 
 
 def test_summand_walks_stay_integer():
@@ -288,21 +293,31 @@ def _imports(tree):
 def test_pieces_are_built_in_poly():
     """Every polynomial is assembled in `poly`, from its summands and
     `head` alone: only the parser, the transpose and `piece` call
-    `_assemble`, which takes those two, and it alone takes E⁻¹ from the
-    closed forms; the transpose and `piece` read neither E nor DE_inv of W.
-    No module imports a private name of `poly`, and the B side imports
-    nothing from the A side."""
+    `_assemble`, which takes those two.  E⁻¹ is stated once, in
+    `InvertiblePolynomial.inverse_times`, which `_assemble` takes the weights
+    from and which every reader of E⁻¹ calls; the transpose and `piece`
+    read no matrix of W.  No module imports a private name of `poly`, and
+    the B side imports nothing from the A side."""
     for attribute, owners in [("_assemble", ["poly.InvertiblePolynomial.from_exponent_matrix",
                                              "poly.InvertiblePolynomial.piece",
                                              "poly.InvertiblePolynomial.transpose"]),
-                              ("_inverse", ["poly.InvertiblePolynomial._assemble"])]:
+                              ("inverse_times", ["bmodel.good_basis_check",
+                                                 "groups.generator_rho",
+                                                 "mirror.sector_of",
+                                                 "poly.InvertiblePolynomial._assemble",
+                                                 "poly.InvertiblePolynomial.inverse_exponents",
+                                                 "selection.CorrelatorSpec.build"])]:
         found = set().union(*(_owners(path, _calls(attribute))
                               for path in sorted(SOURCE.glob("*.py"))))
         assert sorted(found) == owners, attribute
+    defined = [f"{path.stem}.{name}" for path in sorted(SOURCE.glob("*.py"))
+               for name, _ in _definitions(ast.parse(path.read_text(encoding="utf-8")))
+               if name.split(".")[-1] == "inverse_times"]
+    assert defined == ["poly.InvertiblePolynomial.inverse_times"]
     defs = dict(_definitions(ast.parse((SOURCE / "poly.py").read_text(encoding="utf-8"))))
     assert [a.arg for a in defs["InvertiblePolynomial._assemble"].args.args] == ["summands", "head"]
     for name in ("InvertiblePolynomial.transpose", "InvertiblePolynomial.piece"):
-        assert sorted({"E", "DE_inv"} & set(_names(defs[name]))) == [], name
+        assert sorted({"E", "inverse_times", "inverse_exponents"} & set(_names(defs[name]))) == [], name
     private = [f"{path.stem}: {name}" for path in sorted(SOURCE.glob("*.py"))
                for module, name in _imports(ast.parse(path.read_text(encoding="utf-8")))
                if module.split(".")[-1] == "poly" and name and name.startswith("_")]
@@ -412,8 +427,8 @@ def _subtracts_a_sign(node):
 
 def test_one_determinant_formula():
     """`AtomicSummand.det` is the one determinant formula in src/: no other
-    definition subtracts (−1)^N from a product of exponents, so the
-    closed-form inverses give det·E⁻¹ only."""
+    definition subtracts (−1)^N from a product of exponents, so
+    `inverse_times` reads each summand's determinant off it."""
     found = sorted({f"{path.stem}.{name}"
                     for path in sorted(SOURCE.glob("*.py"))
                     for name, node in _definitions(ast.parse(path.read_text(encoding="utf-8")))

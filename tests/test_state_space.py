@@ -24,7 +24,7 @@ from lgmirror.jacobi import ring_of
 from lgmirror.mirror import psi
 from lgmirror.poly import InvertiblePolynomial
 
-from support import from_dense
+from support import dense_inverse, from_dense
 
 # by shape: Fermats, chains, two- and three-variable loops with and
 # without a square, a four-variable loop, and direct sums of these
@@ -45,7 +45,7 @@ RINGS = [
 def state_space(W):
     """(sector, class) pairs of a basis of H_{W,G_W}: the class is a
     basis monomial of Jac(W_g) on Fix(g), or () for a narrow sector."""
-    classes = []
+    classes, DE_inv = [], dense_inverse(W)
     for g in enumerate_group(W):
         fixed = g.fixed_indices()
         if not fixed:
@@ -56,7 +56,7 @@ def state_space(W):
         assert len(rows) == len(fixed), (W.to_string(), g)
         restricted = from_dense(rows)
         for a in ring_of(restricted).basis.monomials:
-            if all(sum((ai + 1) * W.DE_inv[i][j] for ai, i in zip(a, fixed)) % W.D == 0
+            if all(sum((ai + 1) * DE_inv[i][j] for ai, i in zip(a, fixed)) % W.D == 0
                    for j in range(W.N)):
                 classes.append((g, a))
     return classes
