@@ -176,10 +176,10 @@ class GoodBasisReport(NamedTuple):
 
 
 def _monomial_order(f: InvertiblePolynomial) -> list[int]:
-    """Rows of an atomic f.E in intrinsic order: a chain from its pure power
-    back to its first variable, a loop backwards from its smallest
-    variable; consecutive rows share the power variable of one with the
-    linear variable of the next."""
+    """Rows of an atomic f, each ``f.head`` of its variable, in intrinsic
+    order: a chain from its pure power back to its first variable, a loop
+    backwards from its smallest variable; consecutive rows share the power
+    variable of one with the linear variable of the next."""
     if len(f.summands) != 1:
         raise WrongConfiguration("intrinsic order needs one atomic summand")
     s = f.summands[0]

@@ -24,8 +24,9 @@ and the lines; a failed run prints only its message, on stderr.
 Exit codes: 0 full pass, 1 mirror-identity mismatch, 2 parse/usage
 error, 3 theorem-hypothesis violation (weight-1/2 variables), reported
 with a skip list.  All rationals are serialized as "p/q" strings, never
-decimals.  ``--trace`` adds boundary decorations on the A side and
-Brieskorn-lattice reduction steps on the B side.
+decimals, and every integer prints in full, of any size.  ``--trace``
+adds boundary decorations on the A side and Brieskorn-lattice reduction
+steps on the B side.
 """
 
 from __future__ import annotations
@@ -549,6 +550,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # integers of any size print: the process-wide int-string limit (none
+    # before Python 3.10.7) is lifted until main returns; `parse_int` bounds
+    # the input's numerals, the polynomial's and --insertions', itself
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         W = load_polynomial(args)
         code, document, lines = args.handler(W, args)
@@ -558,12 +565,16 @@ def main(argv=None) -> int:
     except _PARSE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        document = {"command": args.command, "polynomial": W.to_string(), **document}
-        print(json.dumps(document, indent=2, ensure_ascii=False))
     else:
-        print(f"polynomial: {W.to_string()}", *lines, sep="\n")
-    return code
+        if args.json:
+            document = {"command": args.command, "polynomial": W.to_string(), **document}
+            print(json.dumps(document, indent=2, ensure_ascii=False))
+        else:
+            print(f"polynomial: {W.to_string()}", *lines, sep="\n")
+        return code
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

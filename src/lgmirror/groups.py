@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import WrongConfiguration
-from .poly import InvertiblePolynomial
+from .poly import InvertiblePolynomial, parse_int
 
 DEFAULT_GROUP_CAP = 100_000
 
@@ -91,7 +91,7 @@ def group_cap() -> int:
     raw = os.environ.get("LGMIRROR_GROUP_CAP", "")
     if raw:
         try:
-            return int(raw)
+            return parse_int(raw)
         except ValueError:
             raise GroupCapExceeded(
                 f"LGMIRROR_GROUP_CAP={raw!r} is not an integer") from None

@@ -14,9 +14,9 @@ summand to the next as it is.  A ring keeps only the test of membership in
 that basis (`in_basis`); the basis is listed on first use from each
 summand's disjoint sub-boxes, stepped with the degrees along (`summand_box`).
 
-Each column of the exponent matrix has at most two nonzero entries, so each
-relation ∂_j f is a monomial or a binomial, and the normal form of a
-monomial is one term c·b or 0.  It is found by one walk on the summand's
+Each variable sits in at most two monomials of f, so each relation ∂_j f
+is a monomial or a binomial, and the normal form of a monomial is one term
+c·b or 0.  It is found by one walk on the summand's
 binomial graph, `_SummandRing._walk`: every binomial rewrites a monomial in
 both directions with its coefficient ratio, and the walk covers m's whole
 component, which holds exactly one basis monomial or is zero; anything else
@@ -164,16 +164,15 @@ def milnor_number(f: InvertiblePolynomial) -> int:
 
 
 def _partials(f: InvertiblePolynomial) -> list[dict]:
-    """∂_j f as {monomial: integer coefficient}, j = 0..N−1."""
-    out = []
-    for j in range(f.N):
-        d: dict[Monomial, int] = {}
-        for row in f.E:
-            if row[j] > 0:
-                m = list(row)
-                m[j] -= 1
-                d[tuple(m)] = row[j]
-        out.append(d)
+    """∂_j f as {monomial: integer coefficient}, j = 0..N−1, from `f.rows()`:
+    each ∂_j lists its terms, at most two, in row order."""
+    out: list[dict[Monomial, int]] = [{} for _ in range(f.N)]
+    for row in f.rows():
+        for j, e in row.items():
+            m = [0] * f.N
+            for k, x in row.items():
+                m[k] = x - (k == j)
+            out[j][tuple(m)] = e
     return out
 
 

@@ -104,15 +104,16 @@ def sector_of(W: InvertiblePolynomial, m: Monomial) -> GroupElement:
 def final_type_insertions(W: InvertiblePolynomial, i: int) -> tuple[Monomial, Monomial, Monomial]:
     """(x_i, M_i/x_i^2, M_i) as exponent tuples of Jac(Wᵗ), for 1-based i.
 
-    M_i is the i-th monomial of the transpose, i.e. column i of E, and
-    x_i is the variable of Wᵗ that M_i heads, row W.head[i-1] of E; its
-    exponent there is x_i's own, at least 2 by the classification."""
-    t = i - 1
-    r = W.head[t]
-    m = tuple(row[t] for row in W.E)
+    M_i, the i-th monomial of the transpose, is read off x_i's summand: a_i
+    at row r = W.head[i-1], where x_i is the variable of Wᵗ that M_i heads
+    (a_i ≥ 2), and 1 at row W.head[v] for the x_v that points at x_i."""
+    t, r, m = i - 1, W.head[i - 1], [0] * W.N
+    for v, a, w in next(s for s in W.summands if t in s.variables).monomials():
+        if t in (v, w):
+            m[W.head[v]] = a if v == t else 1
     x = tuple(1 if j == r else 0 for j in range(W.N))
     s = tuple(e - 2 * xj for e, xj in zip(m, x))
-    return x, s, m
+    return x, s, tuple(m)
 
 
 def psi(W: InvertiblePolynomial, m: Monomial) -> AModelClass:

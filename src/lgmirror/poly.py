@@ -1,7 +1,7 @@
 """Invertible quasihomogeneous polynomials: parsing, classification, weights.
 
-A polynomial is read through its exponent matrix E (row i = i-th monomial).
-For an invertible polynomial the matrix is square and invertible over Q, the
+Row i of the exponent matrix E holds the exponents of the i-th monomial.
+For an invertible polynomial E is square and invertible over Q, the
 weights are the unique exact solution of E·q = (1,…,1)ᵗ, and the polynomial
 decomposes as a disjoint sum of Fermat / chain / loop pieces:
 
@@ -25,9 +25,11 @@ and returns D·θ; `AtomicSummand.det` is the one determinant formula.
 D is the lcm of the summands' determinants, which is the lcm of E⁻¹'s
 denominators and so the exponent of the maximal symmetry group, and the
 weights are stored once, in integers over it: q = Dq/D.  The grading
-``degree`` and the A side's phase arithmetic both work over D; the
-exponent matrix ``E`` and the ``Fraction`` views ``q`` and ``charge`` are
-built on first read, and ``inverse_exponents()`` on each call.
+``degree`` and the A side's phase arithmetic both work over D.  W's
+monomials, `rows()`, are `AtomicSummand.monomials()` at the rows ``head``
+names.  The ``Fraction`` views ``q`` and ``charge``, and ``E``, which no
+computation reads, are built on first read; ``inverse_exponents()`` is
+built on each call.
 
 Each input format is checked once, by its reader, which hands on each
 monomial as a {0-based variable: exponent} map to be classified.  Every
@@ -107,8 +109,8 @@ class AtomicSummand(_Summand):
 
 class InvertiblePolynomial(NamedTuple):
     """An immutable value: ==, != and hash read N, the summands and head,
-    which determine E, so the data read off them and the memo of `derive`
-    stay out."""
+    which determine the polynomial and which repr shows, so the data read
+    off them and the memo of `derive` stay out."""
 
     N: int
     summands: tuple[AtomicSummand, ...]
@@ -131,7 +133,7 @@ class InvertiblePolynomial(NamedTuple):
         return hash(self[:3])
 
     def __repr__(self):
-        return f"InvertiblePolynomial(N={self.N!r}, E={self.E!r}, summands={self.summands!r})"
+        return f"InvertiblePolynomial(N={self.N!r}, summands={self.summands!r}, head={self.head!r})"
 
     # -- constructors ---------------------------------------------------
 
@@ -198,17 +200,17 @@ class InvertiblePolynomial(NamedTuple):
 
     @property
     def E(self) -> tuple[tuple[int, ...], ...]:
-        """The exponent matrix, built on first read: row head[v] is
-        x_v^{a_v} times the x_w that x_v points at."""
-        def dense():
-            E = [()] * self.N
-            for s in self.summands:
-                for v, a, w in s.monomials():
-                    row = [0] * self.N
-                    row[w], row[v] = 1, a
-                    E[self.head[v]] = tuple(row)
-            return tuple(E)
-        return self.derive("E", dense)
+        """The N×N exponent matrix, which no computation reads, built on first read."""
+        return self.derive("E", lambda: tuple(tuple(row.get(j, 0) for j in range(self.N)) for row in self.rows()))
+
+    def rows(self) -> list[dict[int, int]]:
+        """W's monomials in row order as the maps `from_exponent_matrix` takes:
+        row head[v] is x_v^{a_v} times the x_w that x_v points at."""
+        rows: list[dict[int, int]] = [{}] * self.N
+        for s in self.summands:
+            for v, a, w in s.monomials():
+                rows[self.head[v]] = {w: 1, v: a}  # one factor when w = v
+        return rows
 
     def inverse_times(self, r) -> tuple[int, ...]:
         """D·E⁻¹·r for the integer vector r over the rows of E, by variable:
@@ -288,13 +290,9 @@ class InvertiblePolynomial(NamedTuple):
         return " ⊕ ".join(s.describe() for s in self.summands)
 
     def to_string(self) -> str:
-        """W's text in row order, each monomial x_v^{a_v}·x_w written from its summand."""
-        rows = [""] * self.N
-        for s in self.summands:
-            for v, a, w in s.monomials():
-                factors = {w: "", v: f"^{a}"}  # one factor when w = v
-                rows[self.head[v]] = "*".join(f"x{k + 1}{e}" for k, e in sorted(factors.items()))
-        return " + ".join(rows)
+        """W's text, its `rows` in order."""
+        return " + ".join("*".join(f"x{k + 1}" + (f"^{e}" if e > 1 else "") for k, e in sorted(row.items()))
+                          for row in self.rows())
 
 
 def weighted_degree(Dq, m) -> int:
@@ -316,12 +314,14 @@ _FACTOR = re.compile(r"x(\d+)(?:\^(-?\d+))?")
 
 
 def parse_int(digits: str) -> int:
-    """int(digits), with a numeral past Python's int-string limit refused
-    as a syntax error."""
+    """int(digits), a numeral of more than 4300 digits (Python's default
+    limit, which `cli.main` lifts for its output) refused as a syntax error."""
     try:
-        return int(digits)
+        if len(digits) <= 4300 or sum(map(str.isdigit, digits)) <= 4300:
+            return int(digits)
     except ValueError:
-        raise PolynomialSyntaxError(f"numeral of {len(digits)} digits is too long") from None
+        pass
+    raise PolynomialSyntaxError(f"numeral of {len(digits)} digits is too long")
 
 
 def parse_term(term: str) -> dict[int, int]:

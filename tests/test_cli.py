@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -436,6 +437,47 @@ class TestClassify:
             assert code == 2
             assert out == ""
             assert err == f"error: LGMIRROR_GROUP_CAP={cap!r} is not an integer\n"
+
+
+def first_primes(n):
+    """The first n primes, by trial division."""
+    primes, k = [], 2
+    while len(primes) < n:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+@pytest.mark.parametrize("exponents", [[3] * 9013, first_primes(1300)], ids=["cubes", "primes"])
+def test_integers_of_any_size_print(capsys, exponents):
+    """|G| and ĉ print in full past Python's 4300-digit int-string limit,
+    in text, under --json and in the group cap's refusal: |G| = 3^9013 has
+    4301 digits, and the primes' ĉ has a denominator of some 4600.  The
+    limit is back as it was once main returns."""
+    expr = " + ".join(f"x{i}^{a}" for i, a in enumerate(exponents, 1))
+    order = math.prod(exponents)
+    charge = sum(Fraction(a - 2, a) for a in exponents)
+    limit = sys.get_int_max_str_digits()
+    text = run(capsys, "classify", "--expr", expr)
+    blob = run(capsys, "classify", "--expr", expr, "--json")
+    capped = run(capsys, "classify", "--expr", expr, "--trace")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert len(str(order)) > limit
+        if exponents[0] == 2:
+            assert len(str(charge.denominator)) > limit
+        assert text[0] == 0 and text[2] == ""
+        assert f"\n  charge:   {charge.numerator}/{charge.denominator}\n" in text[1]
+        assert text[1].endswith(f"\n  symmetry group order: {order}\n")
+        assert blob[0] == 0 and blob[2] == ""
+        doc = json.loads(blob[1])
+        assert (doc["group_order"], doc["charge"]) == (order, f"{charge.numerator}/{charge.denominator}")
+        assert capped[:2] == (2, "")
+        assert capped[2].startswith(f"error: group has {order} elements, cap is ")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestMirror:

@@ -11,8 +11,8 @@ from hypothesis import given, strategies as st
 
 from lgmirror import cli, linalg
 from lgmirror.errors import UnsupportedByTheorem, WrongConfiguration
-from lgmirror.jacobi import ring_of
-from lgmirror.mirror import require_mirror_hypotheses
+from lgmirror.jacobi import _partials, ring_of
+from lgmirror.mirror import final_type_insertions, require_mirror_hypotheses
 from lgmirror.poly import (
     AtomicSummand,
     InvertiblePolynomial,
@@ -453,10 +453,10 @@ def test_derived_inverses_equal_elimination():
 
 
 def test_equality_and_hash_read_only_the_polynomial():
-    """==, != and hash read N, E and the summands: a polynomial whose memo
-    holds its ring, transpose and atomic pieces equals a fresh parse of its
-    text, and its rows in another order, or its plain tuple form, make an
-    unequal value; != is always the negation of ==."""
+    """==, != and hash read N, the summands and head, which repr shows: a
+    polynomial whose memo holds its ring, transpose and atomic pieces equals
+    a fresh parse of its text, and its rows in another order, or its plain
+    tuple form, make an unequal value; != is always the negation of ==."""
     for text in ["x1^3*x2 + x2^4", "x1^2*x2 + x2^3*x3 + x3^4*x1", "x1^2*x2 + x2^2*x1 + x3^4"]:
         W = InvertiblePolynomial.from_string(text)
         ring_of(W)
@@ -468,7 +468,9 @@ def test_equality_and_hash_read_only_the_polynomial():
         assert (W == fresh, W != fresh, hash(W) == hash(fresh)) == (True, False, True)
         assert (W == swapped, W != swapped) == (False, True)
         assert (W == tuple(W.E), W != tuple(W.E)) == (False, True)
-        assert repr(W) == repr(fresh)
+        assert repr(W) == repr(fresh) == \
+            f"InvertiblePolynomial(N={W.N}, summands={W.summands!r}, head={W.head})"
+        assert "E" not in fresh.memo
 
 
 def test_records_are_immutable():
@@ -496,6 +498,53 @@ def test_verify_stays_linear_in_memory():
     assert report["overall"] == "pass"
     assert peak < 20 * 2**20
     assert "E" not in W.memo
+    # nor the E of any piece it verified, or of that piece's transpose
+    pieces = [P for key, P in W.memo.items() if key[0] == "piece"]
+    assert pieces and all("transpose" in P.memo for P in pieces)
+    assert [P for P in pieces if "E" in P.memo or "E" in P.transpose().memo] == []
+
+
+def test_axioms_and_jacobi_never_build_E():
+    """`axioms` with no --insertions reads each M_i off x_i's summand, and
+    the ring reads its relations off the summands: on a wide direct sum
+    neither puts the N×N view E in W's memo."""
+    W = InvertiblePolynomial.from_string(" + ".join(
+        f"x{3 * k + 1}^2*x{3 * k + 2} + x{3 * k + 2}^3*x{3 * k + 3} + x{3 * k + 3}^4*x{3 * k + 1}"
+        for k in range(100)))
+    candidates = list(cli._standard_candidates(W))
+    ring_of(W)
+    assert len(candidates) == W.N
+    assert "E" not in W.memo
+
+
+def test_readers_of_the_summands_match_the_dense_rows():
+    """`rows`, `_partials` and `final_type_insertions` read W's summands
+    through `head`.  On seeded shuffled direct sums and their transposes
+    (whose rows are the input's columns) they equal the formulas read off
+    the dense rows: the rows themselves, ∂_j f term by term, in row order,
+    and M_i as column i."""
+    rng = random.Random("summand readers")
+    for _ in range(1000):
+        rows = _shuffled_sum(rng)
+        W = from_dense(rows)
+        for f, E in ((W, rows), (W.transpose(), [list(c) for c in zip(*rows)])):
+            assert f.rows() == [{j: e for j, e in enumerate(row) if e} for row in E]
+            assert f.E == tuple(map(tuple, E))
+            expected = []
+            for j in range(f.N):
+                d = {}
+                for row in E:
+                    if row[j] > 0:
+                        m = list(row)
+                        m[j] -= 1
+                        d[tuple(m)] = row[j]
+                expected.append(list(d.items()))
+            assert [list(d.items()) for d in _partials(f)] == expected
+            for i in range(1, f.N + 1):
+                x, s, m = final_type_insertions(f, i)
+                assert m == tuple(row[i - 1] for row in E)
+                assert x == tuple(int(r == f.head[i - 1]) for r in range(f.N))
+                assert s == tuple(e - 2 * xr for e, xr in zip(m, x))
 
 
 # ---------------------------------------------------------------------------

@@ -131,12 +131,11 @@ def test_no_definition_only_tests_use():
 
 
 # The only definitions, in src/ and the benchmark, that read the view E,
-# each with what it reads there; every other pairing of a row of E with a
-# variable goes through `W.head`.
+# each with what it reads there: src/ reads W's monomials off its summands
+# through `W.head`, so only the benchmark's ring-build counter is left.  The
+# view stays until that hook keys rings by (N, summands, head), and then
+# goes with it.
 E_READERS = {
-    "jacobi._partials": "the relations ∂ⱼf, one term per row",
-    "mirror.final_type_insertions": "M_i, column i of E",
-    "poly.InvertiblePolynomial.__repr__": "the value's text, which shows E",
     "spans._hooks.ring_build": "the key that counts distinct rings built",
 }
 
