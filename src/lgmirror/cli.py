@@ -392,23 +392,23 @@ def cmd_axioms(W: InvertiblePolynomial, args) -> Output:
     lines = []
     for i, rows in candidates:
         spec = CorrelatorSpec.build(W, rows)
+        b, K = ([Fraction(x, W.D) for x in v] for v in (spec.Db, spec.DK))
         r = {
             **({"i": i} if i is not None else {}),
             "insertions": [format_monomial(m) for m in spec.insertions],
             "k": spec.k,
             "ell": list(spec.ell),
-            "b": [frac(v) for v in spec.b],
-            "K": [frac(v) for v in spec.K],
+            "b": [frac(v) for v in b],
+            "K": [frac(v) for v in K],
             "type": classify_type(W, spec),
             "passes_axioms": passes_axioms(W, spec),
         }
         document["candidates"].append(r)
         head = f"  i={i}  " if i is not None else "  "
         ins = ", ".join(r["insertions"])
-        K = ", ".join(map(str, spec.K))
         verdict = "pass" if r["passes_axioms"] else "fail"
         lines.append(
-            f"{head}<{ins}>: K = ({K}), type {r['type']}, axioms {verdict}"
+            f"{head}<{ins}>: K = ({', '.join(map(str, K))}), type {r['type']}, axioms {verdict}"
         )
     return 0, document, lines
 

@@ -6,12 +6,12 @@ primitive (a single variable); the last two, written alpha and beta, are
 arbitrary basis monomials.  From the insertion counts the K-vector is
 derived, and with it the two cheap vanishing axioms (integer degrees and
 dimension) plus the finer type classification used by the reconstruction
-of four-point correlators.
+of four-point correlators.  b and K are kept as integers over D = W.D,
+like the phases, and both axioms read D·b alone, with no transpose or ĉ.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import WrongConfiguration
@@ -35,18 +35,16 @@ class CorrelatorSpec(NamedTuple):
     of the transpose: first the primitive ones sorted by decreasing
     variable index (identity insertions, tolerated so that degenerate
     candidates can still be fed to the axioms, come after them), then
-    alpha and beta.  ``ell[r]`` counts primitive insertions of x_{r+1},
-    the variable of the transpose from row r of E; ``b`` solves
-    E*b = ell + alpha + beta + 2, read off `W.inverse_times` over D, and
-    ``K[i] = ell[W.head[i]] - b[i] + 1``.
+    alpha and beta, the last two.  ``ell[r]`` counts primitive insertions
+    of x_{r+1}, the variable of the transpose from row r of E.  Over
+    D = W.D, ``Db`` = D·b with E*b = ell + alpha + beta + 2, read off
+    `W.inverse_times`, and ``DK`` = D·K with K[i] = ell[W.head[i]] - b[i] + 1.
     """
 
     insertions: tuple[tuple[int, ...], ...]
     ell: tuple[int, ...]
-    alpha: tuple[int, ...]
-    beta: tuple[int, ...]
-    b: tuple[Fraction, ...]
-    K: tuple[Fraction, ...]
+    Db: tuple[int, ...]
+    DK: tuple[int, ...]
 
     @property
     def k(self) -> int:
@@ -54,7 +52,7 @@ class CorrelatorSpec(NamedTuple):
 
     @staticmethod
     def build(W: InvertiblePolynomial, insertions) -> "CorrelatorSpec":
-        """Validate the insertion list against ``W`` and derive ell, b, K.
+        """Validate the insertion list against ``W`` and derive ell, D·b, D·K.
 
         Raises WrongConfiguration unless there are at least three
         insertions, each an exponent tuple of length N with nonnegative
@@ -74,10 +72,9 @@ class CorrelatorSpec(NamedTuple):
                 raise WrongConfiguration(f"insertion {m} must be a single variable or 1")
         head.sort(key=lambda m: m.index(1) if _is_primitive(m) else -1, reverse=True)
         ell = tuple(sum(m[i] for m in head) for i in range(W.N))
-        rhs = [ell[i] + alpha[i] + beta[i] + 2 for i in range(W.N)]
-        b = tuple(Fraction(x, W.D) for x in W.inverse_times(rhs))
-        K = tuple(Fraction(ell[r]) - bi + 1 for r, bi in zip(W.head, b))
-        return CorrelatorSpec(tuple(head) + (tuple(alpha), tuple(beta)), ell, tuple(alpha), tuple(beta), b, K)
+        Db = W.inverse_times([ell[i] + alpha[i] + beta[i] + 2 for i in range(W.N)])
+        DK = tuple((ell[r] + 1) * W.D - x for r, x in zip(W.head, Db))
+        return CorrelatorSpec(tuple(head) + (alpha, beta), ell, Db, DK)
 
 
 def line_bundle_degrees(W: InvertiblePolynomial, sectors: list[GroupElement]) -> list[int]:
@@ -89,43 +86,37 @@ def line_bundle_degrees(W: InvertiblePolynomial, sectors: list[GroupElement]) ->
 
 
 def passes_axioms(W: InvertiblePolynomial, X: CorrelatorSpec) -> bool:
-    """Both cheap vanishing axioms: dimension and integer degrees.
+    """Both cheap vanishing axioms, dimension and integer degrees, read off D·b.
 
     Dimension asks that the milnor-ring degrees of the insertions sum to
-    charge + k - 3; integer degrees is equivalent to every K_i (hence
-    every line bundle degree) being an integer.
+    ĉ + k - 3.  Wᵗ's weights are the column sums of E⁻¹, so m has degree
+    Σᵢ(E⁻¹m)ᵢ and the insertions, summing to ell + alpha + beta, have
+    degrees summing to Σb - 2Σq; as ĉ = N - 2Σq, the axiom is
+    Σb = N + k - 3.  Integer degrees asks that every K_i (hence every line
+    bundle degree) be an integer: K_i + b_i is one, so D divides every D·b_i.
     """
-    WT = W.transpose()
-    total = sum(WT.degree(m) for m in X.insertions)
-    if total != (W.charge + X.k - 3) * WT.D:
-        return False
-    return all(K.denominator == 1 for K in X.K)
+    return sum(X.Db) == (W.N + X.k - 3) * W.D and all(x % W.D == 0 for x in X.Db)
 
 
 def classify_type(W: InvertiblePolynomial, X: CorrelatorSpec) -> str:
     """Sort a candidate into NOT_X_MINUS_1 / X_MINUS_1 / X_0.
 
-    Type X(-1) needs at least four insertions, alpha and beta in the
-    standard basis of the transposed milnor ring, every K_i an integer,
-    and sum(K) = 1.  Type X0 additionally needs the K-mass concentrated
-    on a single summand (K = 1 there, 0 elsewhere) that carries at least
-    two primitive insertions.
+    Type X(-1) needs at least four insertions, all primitive but alpha and
+    beta (sum(ell) = k - 2), both axioms, and alpha and beta in the
+    standard basis of the transposed milnor ring.  So every K_i is an
+    integer, and sum(K) = N + k - 2 - Σb = 1 is the dimension axiom.  Type
+    X0 additionally needs the K-mass concentrated on a single summand
+    (K = 1 there, 0 elsewhere) that carries at least two primitive insertions.
     """
-    if X.k < 4:
-        return NOT_X_MINUS_1
-    if sum(X.ell) != X.k - 2:
+    if X.k < 4 or sum(X.ell) != X.k - 2 or not passes_axioms(W, X):
         return NOT_X_MINUS_1
     ring = ring_of(W.transpose())
-    if not (ring.in_basis(X.alpha) and ring.in_basis(X.beta)):
-        return NOT_X_MINUS_1
-    if any(K.denominator != 1 for K in X.K):
-        return NOT_X_MINUS_1
-    if sum(X.K) != 1:
+    if not all(ring.in_basis(m) for m in X.insertions[-2:]):
         return NOT_X_MINUS_1
     carriers = []
     for s in W.summands:
-        k_sum = sum(X.K[i] for i in s.variables)
-        if k_sum == 1:
+        k_sum = sum(X.DK[i] for i in s.variables)
+        if k_sum == W.D:
             carriers.append(s)
         elif k_sum != 0:
             return X_MINUS_1

@@ -265,8 +265,8 @@ def test_criterion_7_three_point_selection_invariant():
                 if pairing == 0:
                     continue
                 spec = CorrelatorSpec.build(W, [p, alpha, beta])
-                assert sum(spec.K) == 1, (text, p, alpha, beta)
-                assert all(K.denominator == 1 for K in spec.K)
+                assert sum(spec.DK) == W.D, (text, p, alpha, beta)
+                assert all(x % W.D == 0 for x in spec.DK)
                 total += 1
     assert total >= 100
     passed(7, f"sum(K) = 1 and K integral on {total} nonzero structure constants")

@@ -638,6 +638,42 @@ class TestAxioms:
         # identity insertions sort to the end of the primitive head
         assert doc["candidates"][0]["insertions"] == ["x1", "x1", "1", "x1^3", "x1^3"]
 
+    # Candidates the golden fixture never reaches, whose K is not integral,
+    # whose type is X(-1), or whose head holds an identity: (polynomial,
+    # insertions, text line, the candidate's JSON entry).
+    PINNED = [
+        # the dimension axiom holds and integer degrees fails
+        ("x1^3+x2^3", "x1,x2,x1*x2,x2", "x1^3 + x2^3",
+         "<x2, x1, x1*x2, x2>: K = (2/3, 1/3), type NotXminus1, axioms fail",
+         {"insertions": ["x2", "x1", "x1*x2", "x2"], "k": 4, "ell": [1, 1],
+          "b": ["4/3", "5/3"], "K": ["2/3", "1/3"],
+          "type": "NotXminus1", "passes_axioms": False}),
+        ("x1^2*x2+x2^2*x3+x3^2", "x3,x3,x3,x3", "x1^2*x2 + x2^2*x3 + x3^2",
+         "<x3, x3, x3, x3>: K = (-1/4, 3/2, 0), type NotXminus1, axioms fail",
+         {"insertions": ["x3", "x3", "x3", "x3"], "k": 4, "ell": [0, 0, 2],
+          "b": ["5/4", "-1/2", "3/1"], "K": ["-1/4", "3/2", "0/1"],
+          "type": "NotXminus1", "passes_axioms": False}),
+        ("x1^3 + x2^2*x3 + x3^2*x2", "x3,x1,x2*x3,x2*x3", "x1^3 + x2^2*x3 + x2*x3^2",
+         "<x3, x1, x2*x3, x2*x3>: K = (1, 0, 0), type Xminus1, axioms pass",
+         {"insertions": ["x3", "x1", "x2*x3", "x2*x3"], "k": 4, "ell": [1, 0, 1],
+          "b": ["1/1", "1/1", "2/1"], "K": ["1/1", "0/1", "0/1"],
+          "type": "Xminus1", "passes_axioms": True}),
+        # an identity in the head: sum(ell) = 1 is not k - 2
+        ("x1^5", "1,x1,x1,x1", "x1^5",
+         "<x1, 1, x1, x1>: K = (1), type NotXminus1, axioms fail",
+         {"insertions": ["x1", "1", "x1", "x1"], "k": 4, "ell": [1],
+          "b": ["1/1"], "K": ["1/1"],
+          "type": "NotXminus1", "passes_axioms": False}),
+    ]
+
+    @pytest.mark.parametrize("expr, insertions, shown, line, entry", PINNED)
+    def test_pinned_outputs(self, capsys, expr, insertions, shown, line, entry):
+        """Every byte of the text and the ``--json`` output."""
+        argv = ["axioms", "--expr", expr, "--insertions", insertions]
+        assert run(capsys, *argv) == (0, f"polynomial: {shown}\n  {line}\n", "")
+        document = {"command": "axioms", "polynomial": shown, "candidates": [entry]}
+        assert run(capsys, *argv, "--json") == (0, json.dumps(document, indent=2) + "\n", "")
+
 
 class TestCorrelator:
     def test_both_sides_by_default(self, capsys):

@@ -1,5 +1,6 @@
 """Tests for the correlator vanishing axioms and type classification."""
 
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -81,7 +82,7 @@ def test_head_sorted_by_descending_variable():
     )
     assert X.insertions[:3] == (_e(3, (2, 1)), _e(3, (1, 1)), _e(3, (0, 1)))
     assert X.ell == (1, 1, 1)
-    assert X.alpha == _e(3, (0, 1)) and X.beta == _e(3, (1, 1))
+    assert X.insertions[-2:] == (_e(3, (0, 1)), _e(3, (1, 1)))
 
 
 def test_identity_allowed_in_head():
@@ -98,8 +99,8 @@ def test_identity_allowed_in_head():
 def test_fermat_final_type(a):
     W = InvertiblePolynomial.from_string(f"x1^{a}")
     X = CorrelatorSpec.build(W, [(1,), (1,), (a - 2,), (a - 2,)])
-    assert X.b == (F(2),)
-    assert X.K == (F(1),)
+    assert X.Db == (2 * W.D,)
+    assert X.DK == (W.D,)
     assert passes_axioms(W, X)
     assert classify_type(W, X) == X_0
 
@@ -114,7 +115,7 @@ def test_identity_insertions_fail_dimension():
 def test_fractional_k_not_xminus1():
     W = InvertiblePolynomial.from_string("x1^5")
     X = CorrelatorSpec.build(W, [(1,), (1,), (1,), (1,)])
-    assert X.K == (F(9, 5),)
+    assert X.DK == (9,) and W.D == 5
     assert not passes_axioms(W, X)
     assert classify_type(W, X) == NOT_X_MINUS_1
 
@@ -255,8 +256,8 @@ def test_nonzero_three_point_constants_pass_axioms(expr):
         if residue_pairing(ring, prod, ring.reduce(mc)) == 0:
             continue
         X = CorrelatorSpec.build(W, [p, mb, mc])
-        assert all(K.denominator == 1 for K in X.K)
-        assert sum(X.K) == 1
+        assert all(x % W.D == 0 for x in X.DK)
+        assert sum(X.DK) == W.D
         assert passes_axioms(W, X)
         checked += 1
     assert checked > 0
@@ -267,18 +268,19 @@ def test_fermat_splitting(expr):
     """Candidates of type X(-1) over Fermat sums concentrate on one variable:
     K_j = 1, ell_j = 2, m_j + n_j = 2a_j - 4, everything else zero."""
     W = InvertiblePolynomial.from_string(expr)
-    a = [W.E[i][i] for i in range(W.N)]
+    a = [W.summand_of(i).exponents[0] for i in range(W.N)]
     seen = 0
     for X in enumerate_candidates(W, k_max=5):
         if classify_type(W, X) == NOT_X_MINUS_1:
             continue
-        js = [i for i in range(W.N) if X.K[i] == 1]
+        js = [i for i in range(W.N) if X.DK[i] == W.D]
         assert len(js) == 1
         j = js[0]
-        assert all(X.K[i] == 0 for i in range(W.N) if i != j)
+        assert all(X.DK[i] == 0 for i in range(W.N) if i != j)
         assert all(X.ell[i] == 0 for i in range(W.N) if i != j)
         assert X.ell[j] == 2
-        assert X.alpha[j] + X.beta[j] == 2 * a[j] - 4
+        alpha, beta = X.insertions[-2:]
+        assert alpha[j] + beta[j] == 2 * a[j] - 4
         seen += 1
     assert seen > 0
 
@@ -295,15 +297,90 @@ def test_xminus1_k_mass_on_unique_summand(expr):
         kind = classify_type(W, X)
         if kind == NOT_X_MINUS_1:
             continue
-        sums = sorted(sum(X.K[i] for i in s.variables) for s in W.summands)
-        assert sums == [0] * (len(W.summands) - 1) + [1]
+        sums = sorted(sum(X.DK[i] for i in s.variables) for s in W.summands)
+        assert sums == [0] * (len(W.summands) - 1) + [W.D]
         if kind == X_0:
             carrier = next(
-                s for s in W.summands if sum(X.K[i] for i in s.variables) == 1
+                s for s in W.summands if sum(X.DK[i] for i in s.variables) == W.D
             )
             assert sum(X.ell[i] for i in carrier.variables) >= 2
         seen += 1
     assert seen > 0
+
+
+# The rules `passes_axioms` and `classify_type` stated over Jac(Wᵗ) with
+# `Fraction`s: the reference the integer forms over D are checked against.
+
+
+def reference_axioms(W, X, K):
+    """The insertions' degrees in Jac(Wᵗ) sum to ĉ + k - 3, and every K_i
+    is an integer."""
+    WT = W.transpose()
+    total = sum(WT.degree(m) for m in X.insertions)
+    return total == (W.charge + X.k - 3) * WT.D and all(x.denominator == 1 for x in K)
+
+
+def reference_type(W, X, K):
+    """At least four insertions, alpha and beta in the basis of Jac(Wᵗ),
+    integer K with sum(K) = 1; X0 if one summand carries all of K and at
+    least two primitive insertions."""
+    alpha, beta = X.insertions[-2:]
+    if X.k < 4 or sum(X.ell) != X.k - 2:
+        return NOT_X_MINUS_1
+    ring = ring_of(W.transpose())
+    if not (ring.in_basis(alpha) and ring.in_basis(beta)):
+        return NOT_X_MINUS_1
+    if any(x.denominator != 1 for x in K) or sum(K) != 1:
+        return NOT_X_MINUS_1
+    carriers = []
+    for s in W.summands:
+        k_sum = sum(K[i] for i in s.variables)
+        if k_sum == 1:
+            carriers.append(s)
+        elif k_sum != 0:
+            return X_MINUS_1
+    if len(carriers) == 1 and sum(X.ell[W.head[i]] for i in carriers[0].variables) >= 2:
+        return X_0
+    return X_MINUS_1
+
+
+REFERENCE_FAMILY = THREE_POINT_FAMILY + [
+    "x1^2*x3 + x3^3*x2 + x2^2*x1",   # a loop whose variables run x1 -> x3 -> x2
+    "x2^3 + x3^3*x1 + x1^2*x3",      # a shuffled direct sum of a Fermat and a loop
+]
+
+
+def seeded_candidates(W, seed, count=150):
+    """Insertion lists with identities in the head, k up to 7, and alpha
+    and beta drawn from a box around the basis, in and out of it."""
+    rng = random.Random(seed)
+    units = [tuple(int(j == i) for j in range(W.N)) for i in range(W.N)] + [(0,) * W.N]
+    for _ in range(count):
+        head = [rng.choice(units) for _ in range(rng.randint(1, 5))]
+        ends = [tuple(rng.randint(0, 3) for _ in range(W.N)) for _ in range(2)]
+        yield CorrelatorSpec.build(W, head + ends)
+
+
+@pytest.mark.parametrize("expr", REFERENCE_FAMILY)
+def test_integer_bookkeeping_matches_the_reference(expr):
+    """On every enumerated and seeded candidate: E·b = ell + alpha + beta + 2
+    with E read off `W.rows()`, K = ell_head - b + 1, and the axioms and
+    the type agree with the reference rules over Jac(Wᵗ)."""
+    W = InvertiblePolynomial.from_string(expr)
+    D, rows = W.D, W.rows()
+    kinds = set()
+    for X in list(enumerate_candidates(W)) + list(seeded_candidates(W, seed=expr)):
+        alpha, beta = X.insertions[-2:]
+        for r, row in enumerate(rows):
+            Eb = sum(e * X.Db[j] for j, e in row.items())
+            assert Eb == D * (X.ell[r] + alpha[r] + beta[r] + 2), (expr, X)
+        assert X.DK == tuple(D * (X.ell[W.head[i]] + 1) - X.Db[i] for i in range(W.N))
+        K = [F(x, D) for x in X.DK]
+        assert passes_axioms(W, X) == reference_axioms(W, X, K), (expr, X)
+        kind = classify_type(W, X)
+        assert kind == reference_type(W, X, K), (expr, X)
+        kinds.add(kind)
+    assert NOT_X_MINUS_1 in kinds and len(kinds) >= 2, kinds
 
 
 def test_enumerator_respects_caps():
@@ -324,6 +401,6 @@ def test_passes_axioms_needs_both_conditions():
     X = CorrelatorSpec.build(W, [(1, 0), (0, 1), (1, 1), (0, 1)])
     total = sum(F(sum(m), 3) for m in X.insertions)
     assert total == W.charge + X.k - 3
-    assert X.K == (F(2, 3), F(1, 3))
+    assert X.DK == (2, 1) and W.D == 3
     assert not passes_axioms(W, X)
     assert classify_type(W, X) == NOT_X_MINUS_1

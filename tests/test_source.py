@@ -370,6 +370,19 @@ def test_a_side_stays_integer():
     assert found == []
 
 
+def test_selection_stays_integer():
+    """`selection` keeps b and K as integers over D = W.D and names no
+    `Fraction`, not even in an import.  Both axioms and the type are read
+    off D·b and D·K: `passes_axioms` and `classify_type` read no weight
+    (`q`, `charge` or `degree`), and `passes_axioms` builds no transpose."""
+    tree = ast.parse((SOURCE / "selection.py").read_text(encoding="utf-8"))
+    assert "Fraction" not in set(_names(tree)) | {name for _, name in _imports(tree)}
+    defs = dict(_definitions(tree))
+    for name, banned in [("passes_axioms", {"charge", "q", "degree", "transpose"}),
+                         ("classify_type", {"charge", "q", "degree"})]:
+        assert sorted(banned & set(_names(defs[name]))) == [], name
+
+
 def test_basis_and_sectors_are_stepped_over_the_box():
     """`JacobiRing.basis` takes its degrees and `good_basis_check` its
     sectors stepped along the summand's sub-boxes, with no per-monomial
